@@ -719,7 +719,6 @@ let live_ops = ref 20
 
 type scaling_row = {
   sc_name : string;
-  sc_path : string; (* "mux" or "sockets" *)
   sc_clients : int; (* total clients = sc_w + sc_r *)
   sc_regime : string; (* "steady" (amortised) or "short" (setup-bound) *)
   sc_w : int;
@@ -750,7 +749,6 @@ type live_row = {
 
 type chaos_soak_row = {
   ch_name : string;
-  ch_transport : string; (* "mux" or "sockets" *)
   ch_seed : int;
   ch_drop : float;
   ch_delay : float;
@@ -769,7 +767,6 @@ type chaos_soak_row = {
 
 type chaos_restart_row = {
   cr_mode : string; (* "recover" or "fresh" *)
-  cr_transport : string;
   cr_atomic : bool;
   cr_witness : string option;
   cr_read_value : int option;
@@ -783,7 +780,6 @@ let chaos_soak_rows : chaos_soak_row list ref = ref []
 let chaos_restart_rows : chaos_restart_row list ref = ref []
 
 type kv_row = {
-  kv_plane : string; (* "mux" or "sockets" *)
   kv_regime : string; (* "closed" (saturated) or "scaleout" (think time) *)
   kv_think : float;
   kv_groups : int;
@@ -833,7 +829,6 @@ let soak_rows : soak_row list ref = ref []
 
 type geo_row = {
   g_profile : string;
-  g_transport : string; (* "mux" or "sockets" *)
   g_name : string;
   g_point : string;
   g_s : int;
@@ -851,7 +846,6 @@ type geo_row = {
 
 type geo_outage_row = {
   go_profile : string;
-  go_transport : string;
   go_name : string;
   go_region : string; (* the region partitioned away *)
   go_window_s : float;
@@ -1023,7 +1017,7 @@ let write_bench_results () =
         (fun i r ->
           out "    {\n";
           out "      \"protocol\": \"%s\",\n" (json_escape r.sc_name);
-          out "      \"path\": \"%s\",\n" r.sc_path;
+          out "      \"path\": \"mux\",\n";
           out "      \"server\": \"reactor\",\n";
           out "      \"clients\": %d,\n" r.sc_clients;
           out "      \"regime\": \"%s\",\n" r.sc_regime;
@@ -1052,7 +1046,7 @@ let write_bench_results () =
       List.iteri
         (fun i r ->
           out "    {\n";
-          out "      \"plane\": \"%s\",\n" r.kv_plane;
+          out "      \"plane\": \"mux\",\n";
           out "      \"regime\": \"%s\",\n" r.kv_regime;
           out "      \"think_s\": %.3f,\n" r.kv_think;
           out "      \"groups\": %d,\n" r.kv_groups;
@@ -1099,7 +1093,7 @@ let write_bench_results () =
           out "        \"profile\": \"%s\",\n" (json_escape r.g_profile);
           out "        \"protocol\": \"%s\",\n" (json_escape r.g_name);
           out "        \"design_point\": \"%s\",\n" (json_escape r.g_point);
-          out "        \"transport\": \"%s\",\n" r.g_transport;
+          out "        \"transport\": \"mux\",\n";
           out "        \"s\": %d, \"t\": %d, \"writers\": %d, \"readers\": %d,\n"
             r.g_s r.g_t r.g_w r.g_r;
           out "        \"ops\": %d,\n" r.g_ops;
@@ -1121,7 +1115,7 @@ let write_bench_results () =
           out "      {\n";
           out "        \"profile\": \"%s\",\n" (json_escape r.go_profile);
           out "        \"protocol\": \"%s\",\n" (json_escape r.go_name);
-          out "        \"transport\": \"%s\",\n" r.go_transport;
+          out "        \"transport\": \"mux\",\n";
           out "        \"region\": \"%s\",\n" (json_escape r.go_region);
           out "        \"window_s\": %.3f,\n" r.go_window_s;
           out "        \"ops\": %d,\n" r.go_ops;
@@ -1173,7 +1167,7 @@ let write_bench_results () =
         (fun i r ->
           out "      {\n";
           out "        \"protocol\": \"%s\",\n" (json_escape r.ch_name);
-          out "        \"transport\": \"%s\",\n" r.ch_transport;
+          out "        \"transport\": \"mux\",\n";
           out "        \"seed\": %d,\n" r.ch_seed;
           out "        \"drop\": %.3f, \"delay_s\": %.3f, \"duplicate\": %.3f,\n"
             r.ch_drop r.ch_delay r.ch_duplicate;
@@ -1196,7 +1190,7 @@ let write_bench_results () =
         (fun i r ->
           out "      {\n";
           out "        \"mode\": \"%s\",\n" r.cr_mode;
-          out "        \"transport\": \"%s\",\n" r.cr_transport;
+          out "        \"transport\": \"mux\",\n";
           out "        \"atomic\": %b,\n" r.cr_atomic;
           (match r.cr_read_value with
           | Some v -> out "        \"read_value\": %d,\n" v
@@ -1324,23 +1318,21 @@ let live_exp () =
      real sockets -- W2R1 reads cost one round trip (half of W2R2's two) and\n\
      every history stays atomic.\n";
   (* ---------------------------------------------------------------- *)
-  (* The client-scaling sweep: shared-mux plane vs per-client sockets,
-     both against the reactor server.  Per (protocol, path, client
-     count): a fresh S=5 t=1 cluster, C/2 writers and C/2 readers
-     hammering it with no think time (C counts total clients).  The
-     baseline path owns [C/2 x S] sockets per role and polls over them
-     per op; the mux path shares S connections across all C clients.
-     Atomicity is already certified by the table above and the test
-     suite, so these rows measure raw throughput only.                  *)
-  section "LV-S. Client scaling: shared mux plane vs per-client sockets";
+  (* The client-scaling sweep over the shared mux plane against the
+     reactor server.  Per (protocol, client count): a fresh S=5 t=1
+     cluster, C/2 writers and C/2 readers hammering it with no think
+     time (C counts total clients), all C clients sharing S
+     connections.  Atomicity is already certified by the table above
+     and the test suite, so these rows measure raw throughput only.    *)
+  section "LV-S. Client scaling: shared mux plane";
   Printf.printf
     "S=5 t=1, C total clients (half writers, half readers), no think time.\n\
      Steady rows run the full per-client op budget (scaled down past\n\
      C=64 to keep total work bounded); short rows run 2 writes per\n\
      writer so connection setup stays inside the measured window.\n\n";
-  row "%-28s %-9s %-6s %-7s %-6s %-10s %-10s %s\n" "protocol" "path" "C"
-    "regime" "ops" "ops/s" "write-p50" "read-p50";
-  row "%s\n" (String.make 92 '-');
+  row "%-28s %-6s %-7s %-6s %-10s %-10s %s\n" "protocol" "C" "regime" "ops"
+    "ops/s" "write-p50" "read-p50";
+  row "%s\n" (String.make 82 '-');
   (* Per-client op budget for the steady regime: high client counts
      multiply the total op count, so the budget shrinks as C grows —
      the row still measures sustained concurrency (every client holds
@@ -1355,9 +1347,8 @@ let live_exp () =
      and could not reach (its accept loop spawned a thread per conn and
      fell over near FD_SETSIZE; the reactor's poll/epoll waits do not),
      plus short-lived-client rows at the contended counts: short
-     sessions keep the [C x S] dials inside the measured window —
-     exactly the setup cost the shared plane deletes — where long
-     sessions amortise it away. *)
+     sessions keep connection setup inside the measured window, where
+     long sessions amortise it away. *)
   (* Heaviest rows go last: the C=1024 teardown churn — thousands of
      TIME_WAIT conns, a thousand client threads unwinding — would
      otherwise bleed into whichever row starts next. *)
@@ -1371,67 +1362,61 @@ let live_exp () =
   List.iter
     (fun register ->
       List.iter
-        (fun (path, transport) ->
-          List.iter
-            (fun (c, row_ops, regime) ->
-              (* Each row starts from a settled machine: collect the
-                 previous row's garbage and give its cluster teardown
-                 (thread unwinding, socket close handshakes) a moment to
-                 drain — the rows compare transports, so none may
-                 inherit its predecessor's debris. *)
-              Gc.compact ();
-              Unix.sleepf 0.25;
-              let cluster = Transport.Cluster.start ~s ~tol:t () in
-              Fun.protect
-                ~finally:(fun () -> Transport.Cluster.shutdown cluster)
-                (fun () ->
-                  (* Past ~128 clients on a small box, a round trip can
-                     sit behind hundreds of queued peers; a generous
-                     per-round-trip timeout keeps scheduling delay from
-                     registering as loss and triggering retries. *)
-                  let rt_timeout = if c >= 128 then Some 5.0 else None in
-                  let res =
-                    Transport.Session.run ?rt_timeout ~transport ~register
-                      ~cluster
-                      {
-                        Transport.Session.writers = c / 2;
-                        readers = c / 2;
-                        writes_per_writer = row_ops;
-                        reads_per_reader = 2 * row_ops;
-                        write_think = 0.0;
-                        read_think = 0.0;
-                      }
-                  in
-                  let h = res.Transport.Session.history in
-                  let n_ops = Histories.History.length h in
-                  let writes = Stats.writes h and reads = Stats.reads h in
-                  let name = Registers.Registry.name register in
-                  row "%-28s %-9s %-6d %-7s %-6d %-10.0f %-10.2f %.2f\n" name
-                    path c regime n_ops
-                    (float_of_int n_ops /. res.Transport.Session.duration)
-                    (1e3 *. writes.Stats.p50) (1e3 *. reads.Stats.p50);
-                  scaling_rows :=
-                    {
-                      sc_name = name;
-                      sc_path = path;
-                      sc_clients = c;
-                      sc_regime = regime;
-                      sc_w = c / 2;
-                      sc_r = c / 2;
-                      sc_ops = n_ops;
-                      sc_duration = res.Transport.Session.duration;
-                      sc_write_p50_ms = 1e3 *. writes.Stats.p50;
-                      sc_read_p50_ms = 1e3 *. reads.Stats.p50;
-                    }
-                    :: !scaling_rows))
-            points)
-        [ ("sockets", `Sockets); ("mux", `Mux) ])
+        (fun (c, row_ops, regime) ->
+          (* Each row starts from a settled machine: collect the
+             previous row's garbage and give its cluster teardown
+             (thread unwinding, socket close handshakes) a moment to
+             drain — the rows compare client counts, so none may
+             inherit its predecessor's debris. *)
+          Gc.compact ();
+          Unix.sleepf 0.25;
+          let cluster = Transport.Cluster.start ~s ~tol:t () in
+          Fun.protect
+            ~finally:(fun () -> Transport.Cluster.shutdown cluster)
+            (fun () ->
+              (* Past ~128 clients on a small box, a round trip can
+                 sit behind hundreds of queued peers; a generous
+                 per-round-trip timeout keeps scheduling delay from
+                 registering as loss and triggering retries. *)
+              let rt_timeout = if c >= 128 then Some 5.0 else None in
+              let res =
+                Transport.Session.run ?rt_timeout ~register ~cluster
+                  {
+                    Transport.Session.writers = c / 2;
+                    readers = c / 2;
+                    writes_per_writer = row_ops;
+                    reads_per_reader = 2 * row_ops;
+                    write_think = 0.0;
+                    read_think = 0.0;
+                  }
+              in
+              let h = res.Transport.Session.history in
+              let n_ops = Histories.History.length h in
+              let writes = Stats.writes h and reads = Stats.reads h in
+              let name = Registers.Registry.name register in
+              row "%-28s %-6d %-7s %-6d %-10.0f %-10.2f %.2f\n" name c
+                regime n_ops
+                (float_of_int n_ops /. res.Transport.Session.duration)
+                (1e3 *. writes.Stats.p50) (1e3 *. reads.Stats.p50);
+              scaling_rows :=
+                {
+                  sc_name = name;
+                  sc_clients = c;
+                  sc_regime = regime;
+                  sc_w = c / 2;
+                  sc_r = c / 2;
+                  sc_ops = n_ops;
+                  sc_duration = res.Transport.Session.duration;
+                  sc_write_p50_ms = 1e3 *. writes.Stats.p50;
+                  sc_read_p50_ms = 1e3 *. reads.Stats.p50;
+                }
+                :: !scaling_rows))
+        points)
     Registers.Registry.multi_writer;
   Printf.printf
     "\nShape check: the thread-per-connection server peaked near C=32 and\n\
-     could not cross FD_SETSIZE at all; the reactor sustains C=1024 on both\n\
-     planes, and the shared mux plane keeps its per-op constant-descriptor\n\
-     advantage at every count.\n"
+     could not cross FD_SETSIZE at all; the reactor sustains C=1024 with\n\
+     every client riding the same S shared connections.\n"
 
 (* ------------------------------------------------------------------ *)
 (* CH: the chaos soak                                                    *)
@@ -1446,79 +1431,69 @@ let chaos_exp () =
      killed mid-run and restarted from its recovered snapshot.  Inside the\n\
      possible regimes the verdict must stay atomic: lossy links may only\n\
      show up as round-trip retries, never as a consistency violation.\n\n";
-  row "%-28s %-9s %-6s %-5s %-8s %-9s %-9s %-8s %s\n" "protocol" "path" "seed"
-    "ops" "retries" "write-rt" "read-rt" "atomic" "expected";
-  row "%s\n" (String.make 96 '-');
+  row "%-28s %-6s %-5s %-8s %-9s %-9s %-8s %s\n" "protocol" "seed" "ops"
+    "retries" "write-rt" "read-rt" "atomic" "expected";
+  row "%s\n" (String.make 86 '-');
   let ops = max 2 (!live_ops / 2) in
   let base = !chaos_seed in
-  let i = ref 0 in
-  List.iter
-    (fun register ->
-      List.iter
-        (fun (path, transport) ->
-          (* Same hygiene as the scaling sweep: no row inherits its
-             predecessor's teardown debris. *)
-          Gc.compact ();
-          Unix.sleepf 0.15;
-          let seed = base + !i in
-          incr i;
-          let sk = Transport.Chaos.soak ~transport ~seed ~ops ~register () in
-          let res = sk.Transport.Chaos.result in
-          let n_ops = Histories.History.length res.Transport.Session.history in
-          let name = Registers.Registry.name register in
-          row "%-28s %-9s %-6d %-5d %-8d %-9.2f %-9.2f %-8b %b\n" name path
-            seed n_ops res.Transport.Session.retries
-            res.Transport.Session.write_rounds res.Transport.Session.read_rounds
-            sk.Transport.Chaos.atomic sk.Transport.Chaos.expected_atomic;
-          chaos_soak_rows :=
-            {
-              ch_name = name;
-              ch_transport = path;
-              ch_seed = seed;
-              ch_drop = sk.Transport.Chaos.drop;
-              ch_delay = sk.Transport.Chaos.delay;
-              ch_duplicate = sk.Transport.Chaos.duplicate;
-              ch_restarted = sk.Transport.Chaos.restarted;
-              ch_ops = n_ops;
-              ch_duration = res.Transport.Session.duration;
-              ch_write_rounds = res.Transport.Session.write_rounds;
-              ch_read_rounds = res.Transport.Session.read_rounds;
-              ch_retries = res.Transport.Session.retries;
-              ch_late = res.Transport.Session.late;
-              ch_unavailable = res.Transport.Session.unavailable;
-              ch_atomic = sk.Transport.Chaos.atomic;
-              ch_expected = sk.Transport.Chaos.expected_atomic;
-            }
-            :: !chaos_soak_rows)
-        [ ("mux", `Mux); ("sockets", `Sockets) ])
+  List.iteri
+    (fun i register ->
+      (* Same hygiene as the scaling sweep: no row inherits its
+         predecessor's teardown debris. *)
+      Gc.compact ();
+      Unix.sleepf 0.15;
+      let seed = base + i in
+      let sk = Transport.Chaos.soak ~seed ~ops ~register () in
+      let res = sk.Transport.Chaos.result in
+      let n_ops = Histories.History.length res.Transport.Session.history in
+      let name = Registers.Registry.name register in
+      row "%-28s %-6d %-5d %-8d %-9.2f %-9.2f %-8b %b\n" name seed n_ops
+        res.Transport.Session.retries res.Transport.Session.write_rounds
+        res.Transport.Session.read_rounds sk.Transport.Chaos.atomic
+        sk.Transport.Chaos.expected_atomic;
+      chaos_soak_rows :=
+        {
+          ch_name = name;
+          ch_seed = seed;
+          ch_drop = sk.Transport.Chaos.drop;
+          ch_delay = sk.Transport.Chaos.delay;
+          ch_duplicate = sk.Transport.Chaos.duplicate;
+          ch_restarted = sk.Transport.Chaos.restarted;
+          ch_ops = n_ops;
+          ch_duration = res.Transport.Session.duration;
+          ch_write_rounds = res.Transport.Session.write_rounds;
+          ch_read_rounds = res.Transport.Session.read_rounds;
+          ch_retries = res.Transport.Session.retries;
+          ch_late = res.Transport.Session.late;
+          ch_unavailable = res.Transport.Session.unavailable;
+          ch_atomic = sk.Transport.Chaos.atomic;
+          ch_expected = sk.Transport.Chaos.expected_atomic;
+        }
+        :: !chaos_soak_rows)
     Registers.Registry.multi_writer;
   (* The deterministic restart-fidelity script: both halves of the
-     crash-stop argument, on both data planes. *)
+     crash-stop argument. *)
   Printf.printf
     "\nRestart fidelity (S=3 t=1, write confined to {0,1}, read to {0,2},\n\
      server 0 killed and restarted between them):\n\n";
-  row "%-10s %-9s %-8s %s\n" "mode" "path" "atomic" "read";
-  row "%s\n" (String.make 48 '-');
+  row "%-10s %-8s %s\n" "mode" "atomic" "read";
+  row "%s\n" (String.make 38 '-');
   List.iter
-    (fun (path, transport) ->
-      List.iter
-        (fun (mode_name, mode) ->
-          let o = Transport.Chaos.restart_scenario ~transport ~mode () in
-          row "%-10s %-9s %-8b %s\n" mode_name path o.Transport.Chaos.atomic
-            (match o.Transport.Chaos.read_value with
-            | Some v -> string_of_int v
-            | None -> "-");
-          chaos_restart_rows :=
-            {
-              cr_mode = mode_name;
-              cr_transport = path;
-              cr_atomic = o.Transport.Chaos.atomic;
-              cr_witness = o.Transport.Chaos.witness;
-              cr_read_value = o.Transport.Chaos.read_value;
-            }
-            :: !chaos_restart_rows)
-        [ ("recover", `Recover); ("fresh", `Fresh) ])
-    [ ("mux", `Mux); ("sockets", `Sockets) ];
+    (fun (mode_name, mode) ->
+      let o = Transport.Chaos.restart_scenario ~mode () in
+      row "%-10s %-8b %s\n" mode_name o.Transport.Chaos.atomic
+        (match o.Transport.Chaos.read_value with
+        | Some v -> string_of_int v
+        | None -> "-");
+      chaos_restart_rows :=
+        {
+          cr_mode = mode_name;
+          cr_atomic = o.Transport.Chaos.atomic;
+          cr_witness = o.Transport.Chaos.witness;
+          cr_read_value = o.Transport.Chaos.read_value;
+        }
+        :: !chaos_restart_rows)
+    [ ("recover", `Recover); ("fresh", `Fresh) ];
   Printf.printf
     "\nShape check: recover-restarts behave as slow servers (atomic, as the\n\
      paper's crash-stop model promises); a fresh restart forgets an\n\
@@ -1539,12 +1514,12 @@ let kv_exp () =
     Ycsb.default_theta;
   let s = 3 and tol = 1 in
   let ops = !live_ops in
-  row "%-9s %-9s %-3s %-5s %-7s %-8s %-4s %-6s %-9s %-7s %-7s %-7s %-7s %s\n"
-    "plane" "regime" "G" "C" "K" "dist" "mix" "ops" "ops/s" "p50" "p95" "p99"
-    "atomic" "dropped";
-  row "%s\n" (String.make 104 '-');
-  let run_row ?(regime = "closed") ?(think = 0.0) idx (plane, transport)
-      groups clients keys dist mix =
+  row "%-9s %-3s %-5s %-7s %-8s %-4s %-6s %-9s %-7s %-7s %-7s %-7s %s\n"
+    "regime" "G" "C" "K" "dist" "mix" "ops" "ops/s" "p50" "p95" "p99" "atomic"
+    "dropped";
+  row "%s\n" (String.make 94 '-');
+  let run_row ?(regime = "closed") ?(think = 0.0) idx groups clients keys dist
+      mix =
     (* Same per-row hygiene as LV-S: rows compare shard counts, so no
        row may inherit its predecessor's teardown debris. *)
     Gc.compact ();
@@ -1555,7 +1530,7 @@ let kv_exp () =
       (fun () ->
         let rt_timeout = if clients >= 128 then Some 5.0 else None in
         let res =
-          Kv.Kv_session.run ~transport ?rt_timeout ~cluster
+          Kv.Kv_session.run ?rt_timeout ~cluster
             {
               Kv.Kv_session.clients;
               ops_per_client = ops;
@@ -1573,8 +1548,8 @@ let kv_exp () =
             res.Kv.Kv_session.verdicts
         in
         let all = res.Kv.Kv_session.all_lat in
-        row "%-9s %-9s %-3d %-5d %-7d %-8s %-4s %-6d %-9.0f %-7.2f %-7.2f %-7.2f %-7b %d\n"
-          plane regime groups clients keys (Ycsb.dist_name dist)
+        row "%-9s %-3d %-5d %-7d %-8s %-4s %-6d %-9.0f %-7.2f %-7.2f %-7.2f %-7b %d\n"
+          regime groups clients keys (Ycsb.dist_name dist)
           (Ycsb.mix_name mix)
           res.Kv.Kv_session.ops
           res.Kv.Kv_session.throughput (1e3 *. all.Stats.p50)
@@ -1582,7 +1557,6 @@ let kv_exp () =
           res.Kv.Kv_session.dropped;
         kv_rows :=
           {
-            kv_plane = plane;
             kv_regime = regime;
             kv_think = think;
             kv_groups = groups;
@@ -1608,32 +1582,29 @@ let kv_exp () =
   in
   let idx = ref 0 in
   let zipf = Ycsb.Zipfian Ycsb.default_theta in
-  (* The acceptance grid: plane x G x C x K x dist, all at mix A.  The
-     light client count runs first on each plane so a regression at
-     C=256 is attributable (its rows land after the C=64 baseline). *)
+  (* The acceptance grid: G x C x K x dist, all at mix A.  The light
+     client count runs first so a regression at C=256 is attributable
+     (its rows land after the C=64 baseline). *)
   List.iter
-    (fun plane ->
+    (fun groups ->
       List.iter
-        (fun groups ->
+        (fun clients ->
           List.iter
-            (fun clients ->
+            (fun keys ->
               List.iter
-                (fun keys ->
-                  List.iter
-                    (fun dist ->
-                      incr idx;
-                      run_row !idx plane groups clients keys dist Ycsb.A)
-                    [ zipf; Ycsb.Uniform ])
-                [ 1_000; 100_000 ])
-            [ 64; 256 ])
-        [ 1; 2; 4 ])
-    [ ("mux", `Mux); ("sockets", `Sockets) ];
+                (fun dist ->
+                  incr idx;
+                  run_row !idx groups clients keys dist Ycsb.A)
+                [ zipf; Ycsb.Uniform ])
+            [ 1_000; 100_000 ])
+        [ 64; 256 ])
+    [ 1; 2; 4 ];
   (* Mix B (95% read) and C (read-only) at one mid-size point: the read
      fraction moves the latency profile, not the verdicts. *)
   List.iter
     (fun mix ->
       incr idx;
-      run_row !idx ("mux", `Mux) 2 64 1_000 zipf mix)
+      run_row !idx 2 64 1_000 zipf mix)
     [ Ycsb.B; Ycsb.C ];
   (* The scale-out regime: hold the per-shard offered load constant and
      grow the client population with the group count (the standard YCSB
@@ -1645,18 +1616,15 @@ let kv_exp () =
      baseline. *)
   let scale_think = 0.04 and per_group_clients = 64 in
   List.iter
-    (fun plane ->
-      List.iter
-        (fun groups ->
-          incr idx;
-          run_row ~regime:"scaleout" ~think:scale_think !idx plane groups
-            (per_group_clients * groups) 1_000 zipf Ycsb.A)
-        [ 1; 2; 4 ])
-    [ ("mux", `Mux); ("sockets", `Sockets) ];
+    (fun groups ->
+      incr idx;
+      run_row ~regime:"scaleout" ~think:scale_think !idx groups
+        (per_group_clients * groups) 1_000 zipf Ycsb.A)
+    [ 1; 2; 4 ];
   Printf.printf
     "\nShape check: group_ops spread tracks the ring (uniform keys land\n\
-     ~evenly; zipfian heads pin their shard), every sampled key is atomic\n\
-     on both planes, and in the scale-out regime (constant per-shard\n\
+     ~evenly; zipfian heads pin their shard), every sampled key is\n\
+     atomic, and in the scale-out regime (constant per-shard\n\
      offered load) the 4-group aggregate out-runs the 1-group baseline --\n\
      per-key quorums compose, so capacity scales with shard count.\n"
 
@@ -1781,7 +1749,7 @@ let soak_exp () =
      checker's busy fraction plus scheduling churn on a single core.\n"
 
 (* ------------------------------------------------------------------ *)
-(* GEO: WAN/geo profiles over the live transports                       *)
+(* GEO: WAN/geo profiles over the live transport                        *)
 (* ------------------------------------------------------------------ *)
 
 (* The acceptance grid runs three named profiles; asym-updown stays a
@@ -1792,7 +1760,7 @@ let geo_bench_profiles =
 
 let geo_exp () =
   Gc.compact ();
-  section "GEO. WAN/geo profiles: one geography, both transports";
+  section "GEO. WAN/geo profiles: one geography, every protocol";
   Printf.printf
     "Each row: a fresh S=5 t=1 loopback cluster whose every client<->server\n\
      link is shaped by the named profile -- per-region-pair base delay plus\n\
@@ -1802,85 +1770,80 @@ let geo_exp () =
      region cannot stall another link's traffic.  Rounds/op is the paper's\n\
      cost measure: under WAN delays every saved round is ~one RTT off the\n\
      latency column.\n\n";
-  row "%-28s %-15s %-9s %-5s %-8s %-9s %-8s %-10s %-10s %s\n" "protocol"
-    "profile" "path" "ops" "ops/s" "write-rt" "read-rt" "write-p50" "read-p50"
+  row "%-28s %-15s %-5s %-8s %-9s %-8s %-10s %-10s %s\n" "protocol"
+    "profile" "ops" "ops/s" "write-rt" "read-rt" "write-p50" "read-p50"
     "atomic";
-  row "%s\n" (String.make 118 '-');
+  row "%s\n" (String.make 108 '-');
   let s = 5 and t = 1 in
   let ops = max 2 (!live_ops / 4) in
   List.iter
     (fun profile ->
       List.iter
         (fun register ->
-          List.iter
-            (fun (path, transport) ->
-              (* Same hygiene as LV-S: no row inherits its predecessor's
-                 teardown debris. *)
-              Gc.compact ();
-              Unix.sleepf 0.15;
-              let w =
-                match Registers.Registry.max_writers register with
-                | Some m -> min m 2
-                | None -> 2
+          (* Same hygiene as LV-S: no row inherits its predecessor's
+             teardown debris. *)
+          Gc.compact ();
+          Unix.sleepf 0.15;
+          let w =
+            match Registers.Registry.max_writers register with
+            | Some m -> min m 2
+            | None -> 2
+          in
+          let r = 2 in
+          let clients = List.init (w + r) (fun i -> s + i) in
+          let faults = Transport.Geo.plan profile ~s ~clients in
+          (* Far enough above the worst profile round trip that a
+             slow-but-healthy link never reads as loss. *)
+          let rt_timeout =
+            Float.max 1.0 (8.0 *. Transport.Geo.max_rtt profile)
+          in
+          let cluster = Transport.Cluster.start ~faults ~s ~tol:t () in
+          Fun.protect
+            ~finally:(fun () -> Transport.Cluster.shutdown cluster)
+            (fun () ->
+              let res =
+                Transport.Session.run ~faults ~rt_timeout ~register ~cluster
+                  {
+                    Transport.Session.writers = w;
+                    readers = r;
+                    writes_per_writer = ops;
+                    reads_per_reader = 2 * ops;
+                    write_think = 0.0;
+                    read_think = 0.0;
+                  }
               in
-              let r = 2 in
-              let clients = List.init (w + r) (fun i -> s + i) in
-              let faults = Transport.Geo.plan profile ~s ~clients in
-              (* Far enough above the worst profile round trip that a
-                 slow-but-healthy link never reads as loss. *)
-              let rt_timeout =
-                Float.max 1.0 (8.0 *. Transport.Geo.max_rtt profile)
-              in
-              let cluster = Transport.Cluster.start ~faults ~s ~tol:t () in
-              Fun.protect
-                ~finally:(fun () -> Transport.Cluster.shutdown cluster)
-                (fun () ->
-                  let res =
-                    Transport.Session.run ~faults ~transport ~rt_timeout
-                      ~register ~cluster
-                      {
-                        Transport.Session.writers = w;
-                        readers = r;
-                        writes_per_writer = ops;
-                        reads_per_reader = 2 * ops;
-                        write_think = 0.0;
-                        read_think = 0.0;
-                      }
-                  in
-                  let h = res.Transport.Session.history in
-                  let n_ops = Histories.History.length h in
-                  let writes = Stats.writes h and reads = Stats.reads h in
-                  let atomic = Checker.Atomicity.is_atomic h in
-                  let name = Registers.Registry.name register in
-                  let pname = Transport.Geo.name profile in
-                  row "%-28s %-15s %-9s %-5d %-8.0f %-9.2f %-8.2f %-10.2f %-10.2f %b\n"
-                    name pname path n_ops
-                    (float_of_int n_ops /. res.Transport.Session.duration)
-                    res.Transport.Session.write_rounds
-                    res.Transport.Session.read_rounds
-                    (1e3 *. writes.Stats.p50) (1e3 *. reads.Stats.p50) atomic;
-                  geo_rows :=
-                    {
-                      g_profile = pname;
-                      g_transport = path;
-                      g_name = name;
-                      g_point =
-                        Quorums.Bounds.design_point_to_string
-                          (Registers.Registry.design_point register);
-                      g_s = s;
-                      g_t = t;
-                      g_w = w;
-                      g_r = r;
-                      g_ops = n_ops;
-                      g_duration = res.Transport.Session.duration;
-                      g_write_rounds = res.Transport.Session.write_rounds;
-                      g_read_rounds = res.Transport.Session.read_rounds;
-                      g_writes = writes;
-                      g_reads = reads;
-                      g_atomic = atomic;
-                    }
-                    :: !geo_rows))
-            [ ("mux", `Mux); ("sockets", `Sockets) ])
+              let h = res.Transport.Session.history in
+              let n_ops = Histories.History.length h in
+              let writes = Stats.writes h and reads = Stats.reads h in
+              let atomic = Checker.Atomicity.is_atomic h in
+              let name = Registers.Registry.name register in
+              let pname = Transport.Geo.name profile in
+              row "%-28s %-15s %-5d %-8.0f %-9.2f %-8.2f %-10.2f %-10.2f %b\n"
+                name pname n_ops
+                (float_of_int n_ops /. res.Transport.Session.duration)
+                res.Transport.Session.write_rounds
+                res.Transport.Session.read_rounds
+                (1e3 *. writes.Stats.p50) (1e3 *. reads.Stats.p50) atomic;
+              geo_rows :=
+                {
+                  g_profile = pname;
+                  g_name = name;
+                  g_point =
+                    Quorums.Bounds.design_point_to_string
+                      (Registers.Registry.design_point register);
+                  g_s = s;
+                  g_t = t;
+                  g_w = w;
+                  g_r = r;
+                  g_ops = n_ops;
+                  g_duration = res.Transport.Session.duration;
+                  g_write_rounds = res.Transport.Session.write_rounds;
+                  g_read_rounds = res.Transport.Session.read_rounds;
+                  g_writes = writes;
+                  g_reads = reads;
+                  g_atomic = atomic;
+                }
+                :: !geo_rows))
         Registers.Registry.all)
     geo_bench_profiles;
   (* The region-outage scenario: wan-3region with its smallest region
@@ -1908,66 +1871,62 @@ let geo_exp () =
     (Transport.Geo.region_name profile out_region)
     (String.concat "," (List.map string_of_int cut))
     window_from window_until;
-  row "%-28s %-9s %-5s %-9s %-9s %-7s %s\n" "protocol" "path" "ops" "retries"
-    "starved" "check" "atomic";
-  row "%s\n" (String.make 76 '-');
-  List.iter
-    (fun (path, transport) ->
-      Gc.compact ();
-      Unix.sleepf 0.15;
-      let faults =
-        Transport.Geo.plan profile ~s ~clients
-          ~extra:
-            [
-              Transport.Faults.partition ~from_:window_from ~until:window_until
-                [ cut; rest ];
-            ]
+  row "%-28s %-5s %-9s %-9s %-7s %s\n" "protocol" "ops" "retries" "starved"
+    "check" "atomic";
+  row "%s\n" (String.make 66 '-');
+  Gc.compact ();
+  Unix.sleepf 0.15;
+  let faults =
+    Transport.Geo.plan profile ~s ~clients
+      ~extra:
+        [
+          Transport.Faults.partition ~from_:window_from ~until:window_until
+            [ cut; rest ];
+        ]
+  in
+  let register = Registers.Registry.abd_mwmr in
+  let cluster = Transport.Cluster.start ~faults ~s ~tol:t () in
+  Fun.protect
+    ~finally:(fun () -> Transport.Cluster.shutdown cluster)
+    (fun () ->
+      let res =
+        Transport.Session.run ~faults ~rt_timeout:0.3 ~max_rt_retries:10
+          ~live_check:true ~register ~cluster
+          {
+            Transport.Session.writers = w;
+            readers = r;
+            writes_per_writer = ops;
+            reads_per_reader = 2 * ops;
+            write_think = 0.0;
+            read_think = 0.0;
+          }
       in
-      let register = Registers.Registry.abd_mwmr in
-      let cluster = Transport.Cluster.start ~faults ~s ~tol:t () in
-      Fun.protect
-        ~finally:(fun () -> Transport.Cluster.shutdown cluster)
-        (fun () ->
-          let res =
-            Transport.Session.run ~faults ~transport ~rt_timeout:0.3
-              ~max_rt_retries:10 ~live_check:true ~register ~cluster
-              {
-                Transport.Session.writers = w;
-                readers = r;
-                writes_per_writer = ops;
-                reads_per_reader = 2 * ops;
-                write_think = 0.0;
-                read_think = 0.0;
-              }
-          in
-          let h = res.Transport.Session.history in
-          let n_ops = Histories.History.length h in
-          let live_ok =
-            match res.Transport.Session.online with
-            | Some rep -> Transport.Check_sink.atomic rep
-            | None -> false
-          in
-          let atomic = live_ok && Checker.Atomicity.is_atomic h in
-          let name = Registers.Registry.name register in
-          row "%-28s %-9s %-5d %-9d %-9d %-7s %b\n" name path n_ops
-            res.Transport.Session.retries res.Transport.Session.unavailable
-            "live" atomic;
-          geo_outage_rows :=
-            {
-              go_profile = Transport.Geo.name profile;
-              go_transport = path;
-              go_name = name;
-              go_region = Transport.Geo.region_name profile out_region;
-              go_window_s = window_until -. window_from;
-              go_ops = n_ops;
-              go_duration = res.Transport.Session.duration;
-              go_retries = res.Transport.Session.retries;
-              go_unavailable = res.Transport.Session.unavailable;
-              go_atomic = atomic;
-              go_check = "live";
-            }
-            :: !geo_outage_rows))
-    [ ("mux", `Mux); ("sockets", `Sockets) ];
+      let h = res.Transport.Session.history in
+      let n_ops = Histories.History.length h in
+      let live_ok =
+        match res.Transport.Session.online with
+        | Some rep -> Transport.Check_sink.atomic rep
+        | None -> false
+      in
+      let atomic = live_ok && Checker.Atomicity.is_atomic h in
+      let name = Registers.Registry.name register in
+      row "%-28s %-5d %-9d %-9d %-7s %b\n" name n_ops
+        res.Transport.Session.retries res.Transport.Session.unavailable
+        "live" atomic;
+      geo_outage_rows :=
+        {
+          go_profile = Transport.Geo.name profile;
+          go_name = name;
+          go_region = Transport.Geo.region_name profile out_region;
+          go_window_s = window_until -. window_from;
+          go_ops = n_ops;
+          go_duration = res.Transport.Session.duration;
+          go_retries = res.Transport.Session.retries;
+          go_unavailable = res.Transport.Session.unavailable;
+          go_atomic = atomic;
+          go_check = "live";
+        }
+        :: !geo_outage_rows);
   Printf.printf
     "\nShape check: rounds/op are profile-invariant (the paper's cost\n\
      measure counts rounds, not milliseconds) while p50 latency scales\n\

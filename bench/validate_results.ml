@@ -7,12 +7,12 @@
    reader (no dependencies), then assert the section shapes — required
    keys present with the right types, counters non-negative, durations
    positive.  The live_scaling section also carries semantics: every
-   (protocol, path) swept must include a steady row at >= 1024 total
+   protocol swept must include a steady row at >= 1024 total
    clients (the reactor server's headline capability), and under
    [--require-knee] — used against the committed full-budget document,
    not the tiny-op CI smoke regeneration — the best steady throughput
    at >= 256 clients must beat the thread-per-connection server's
-   recorded C=16 peak, per (protocol, path).  Exit status 0 on a
+   recorded C=16 peak, per protocol.  Exit status 0 on a
    conforming file, 1 with a diagnostic otherwise. *)
 
 type json =
@@ -232,6 +232,14 @@ let check_ms_obj obj path key =
     err (path ^ "." ^ key) "expected an object"
   | None -> err path (Printf.sprintf "missing key %S" key)
 
+(* Live rows name the client data plane they ran on; the shared mux is
+   the only one. *)
+let want_mux obj path key =
+  match want_string obj path key with
+  | Some "mux" | None -> ()
+  | Some other ->
+    err (path ^ "." ^ key) (Printf.sprintf "unknown %s %S" key other)
+
 let check_wall_clock path = function
   | List entries ->
     if entries = [] then err path "empty";
@@ -286,7 +294,7 @@ let check_live path = function
 
 (* The thread-per-connection server's sustained throughput at its
    contended peak (C=16 in old units: 16 writers + 16 readers = 32
-   client threads), per (protocol, client path), measured on this
+   client threads), per protocol on the mux plane, measured on this
    repo's pre-reactor tree at the default op budget.  These are the
    knee floors for [--require-knee]: the reactor must hold at C >= 256
    steady clients at least the throughput the old server managed at 32
@@ -294,34 +302,23 @@ let check_live path = function
    not just shift shape. *)
 let threaded_c16_floor =
   [
-    ("LS97 ABD-MW", "sockets", 89.6);
-    ("LS97 ABD-MW", "mux", 315.6);
-    ("naive fast-write", "sockets", 597.7);
-    ("naive fast-write", "mux", 620.3);
-    ("Huang et al. W2R1", "sockets", 158.6);
-    ("Huang et al. W2R1", "mux", 284.5);
-    ("naive fast-write/fast-read", "sockets", 535.3);
-    ("naive fast-write/fast-read", "mux", 709.8);
+    ("LS97 ABD-MW", 315.6);
+    ("naive fast-write", 620.3);
+    ("Huang et al. W2R1", 284.5);
+    ("naive fast-write/fast-read", 709.8);
   ]
 
 let check_scaling ~require_knee path = function
   | List entries ->
     if entries = [] then err path "empty";
-    (* (protocol, path, regime, clients, ops/s) per well-formed row,
-       for the cross-row checks below. *)
+    (* (protocol, regime, clients, ops/s) per well-formed row, for the
+       cross-row checks below. *)
     let rows = ref [] in
     List.iteri
       (fun i e ->
         let p = Printf.sprintf "%s[%d]" path i in
         let protocol = want_string e p "protocol" in
-        let path_s =
-          match want_string e p "path" with
-          | Some ("mux" | "sockets") as ok -> ok
-          | Some other ->
-            err (p ^ ".path") (Printf.sprintf "unknown path %S" other);
-            None
-          | None -> None
-        in
+        want_mux e p "path";
         (match want_string e p "server" with
         | Some "reactor" | None -> ()
         | Some other ->
@@ -358,42 +355,39 @@ let check_scaling ~require_knee path = function
         | Some _ | None -> ());
         non_negative e p "write_p50_ms";
         non_negative e p "read_p50_ms";
-        match[@warning "-4"] (protocol, path_s, regime, clients, tput) with
-        | Some pr, Some pa, Some re, Some c, Some t ->
-          rows := (pr, pa, re, c, t) :: !rows
+        match[@warning "-4"] (protocol, regime, clients, tput) with
+        | Some pr, Some re, Some c, Some t -> rows := (pr, re, c, t) :: !rows
         | _ -> ())
       entries;
     let rows = !rows in
-    let groups =
-      List.sort_uniq compare (List.map (fun (pr, pa, _, _, _) -> (pr, pa)) rows)
+    let protocols =
+      List.sort_uniq compare (List.map (fun (pr, _, _, _) -> pr) rows)
     in
-    (* Every (protocol, path) swept must carry the high-concurrency
-       evidence: a steady row at C >= 1024 is what "the reactor
-       sustains a thousand concurrent clients" means in this
-       document. *)
+    (* Every protocol swept must carry the high-concurrency evidence: a
+       steady row at C >= 1024 is what "the reactor sustains a thousand
+       concurrent clients" means in this document. *)
     List.iter
-      (fun (pr, pa) ->
+      (fun pr ->
         let has_1024 =
           List.exists
-            (fun (pr', pa', re, c, _) ->
-              pr' = pr && pa' = pa && re = "steady" && c >= 1024.0)
+            (fun (pr', re, c, _) -> pr' = pr && re = "steady" && c >= 1024.0)
             rows
         in
         if not has_1024 then
           err path
             (Printf.sprintf
-               "%s/%s: no steady row with clients >= 1024 (reactor must \
-                sustain C=1024 on both planes)"
-               pr pa))
-      groups;
+               "%s: no steady row with clients >= 1024 (reactor must \
+                sustain C=1024)"
+               pr))
+      protocols;
     if require_knee then
       List.iter
-        (fun (pr, pa, floor) ->
-          if List.mem (pr, pa) groups then
+        (fun (pr, floor) ->
+          if List.mem pr protocols then
             let best =
               List.fold_left
-                (fun acc (pr', pa', re, c, t) ->
-                  if pr' = pr && pa' = pa && re = "steady" && c >= 256.0 then
+                (fun acc (pr', re, c, t) ->
+                  if pr' = pr && re = "steady" && c >= 256.0 then
                     Float.max acc t
                   else acc)
                 0.0 rows
@@ -401,10 +395,10 @@ let check_scaling ~require_knee path = function
             if best < floor then
               err path
                 (Printf.sprintf
-                   "%s/%s: best steady throughput at clients >= 256 is %.1f \
+                   "%s: best steady throughput at clients >= 256 is %.1f \
                     ops/s, below the thread-per-connection C=16 peak of %.1f \
                     — the scaling knee did not move"
-                   pr pa best floor))
+                   pr best floor))
         threaded_c16_floor
   | Null | Bool _ | Num _ | Str _ | Obj _ -> err path "expected an array"
 
@@ -432,20 +426,13 @@ let kv_grid_dists = [ "zipfian"; "uniform" ]
 let check_kv_scaling ~require_knee path = function
   | List entries ->
     if entries = [] then err path "empty";
-    (* (plane, regime, groups, clients, keys, dist, mix, ops/s) per
-       well-formed row, for the cross-row checks below. *)
+    (* (regime, groups, clients, keys, dist, mix, ops/s) per well-formed
+       row, for the cross-row checks below. *)
     let rows = ref [] in
     List.iteri
       (fun i e ->
         let p = Printf.sprintf "%s[%d]" path i in
-        let plane =
-          match want_string e p "plane" with
-          | Some ("mux" | "sockets") as ok -> ok
-          | Some other ->
-            err (p ^ ".plane") (Printf.sprintf "unknown plane %S" other);
-            None
-          | None -> None
-        in
+        want_mux e p "plane";
         let regime =
           match want_string e p "regime" with
           | Some ("closed" | "scaleout") as ok -> ok
@@ -536,69 +523,58 @@ let check_kv_scaling ~require_knee path = function
         | Some (Null | Bool _ | Num _ | Str _ | Obj _) ->
           err (p ^ ".group_ops") "expected an array"
         | None -> err p "missing key \"group_ops\"");
-        match[@warning "-4"]
-          (plane, regime, groups, clients, keys, dist, mix, tput)
-        with
-        | Some pl, Some re, Some g, Some c, Some k, Some d, Some m, Some t ->
-          rows := (pl, re, g, c, k, d, m, t) :: !rows
+        match[@warning "-4"] (regime, groups, clients, keys, dist, mix, tput) with
+        | Some re, Some g, Some c, Some k, Some d, Some m, Some t ->
+          rows := (re, g, c, k, d, m, t) :: !rows
         | _ -> ())
       entries;
     let rows = !rows in
     if require_knee then begin
       (* Axis completeness: the committed full-budget document must
-         carry the whole closed-loop mix-A grid on both planes. *)
+         carry the whole closed-loop mix-A grid. *)
       List.iter
-        (fun pl ->
+        (fun g ->
           List.iter
-            (fun g ->
+            (fun c ->
               List.iter
-                (fun c ->
+                (fun k ->
                   List.iter
-                    (fun k ->
-                      List.iter
-                        (fun d ->
-                          let present =
-                            List.exists
-                              (fun (pl', re, g', c', k', d', m, _) ->
-                                pl' = pl && re = "closed" && g' = g && c' = c
-                                && k' = k && d' = d && m = "A")
-                              rows
-                          in
-                          if not present then
-                            err path
-                              (Printf.sprintf
-                                 "missing closed mix-A row: plane=%s groups=%.0f \
-                                  clients=%.0f keys=%.0f dist=%s"
-                                 pl g c k d))
-                        kv_grid_dists)
-                    kv_grid_keys)
-                kv_grid_clients)
-            kv_grid_groups)
-        [ "mux"; "sockets" ];
+                    (fun d ->
+                      let present =
+                        List.exists
+                          (fun (re, g', c', k', d', m, _) ->
+                            re = "closed" && g' = g && c' = c && k' = k
+                            && d' = d && m = "A")
+                          rows
+                      in
+                      if not present then
+                        err path
+                          (Printf.sprintf
+                             "missing closed mix-A row: groups=%.0f \
+                              clients=%.0f keys=%.0f dist=%s"
+                             g c k d))
+                    kv_grid_dists)
+                kv_grid_keys)
+            kv_grid_clients)
+        kv_grid_groups;
       (* The knee itself: in the scale-out regime (constant per-shard
          offered load) the 4-group aggregate must beat the 1-group
-         baseline on every plane — capacity composes across shards. *)
-      List.iter
-        (fun pl ->
-          let best g =
-            List.fold_left
-              (fun acc (pl', re, g', _, _, _, _, t) ->
-                if pl' = pl && re = "scaleout" && g' = g then Float.max acc t
-                else acc)
-              0.0 rows
-          in
-          let t1 = best 1.0 and t4 = best 4.0 in
-          if t1 = 0.0 || t4 = 0.0 then
-            err path
-              (Printf.sprintf
-                 "%s: scale-out rows at 1 and 4 groups are required" pl)
-          else if t4 <= t1 then
-            err path
-              (Printf.sprintf
-                 "%s: 4-group scale-out throughput %.1f ops/s does not exceed \
-                  the 1-group baseline %.1f — shard capacity did not compose"
-                 pl t4 t1))
-        [ "mux"; "sockets" ]
+         baseline — capacity composes across shards. *)
+      let best g =
+        List.fold_left
+          (fun acc (re, g', _, _, _, _, t) ->
+            if re = "scaleout" && g' = g then Float.max acc t else acc)
+          0.0 rows
+      in
+      let t1 = best 1.0 and t4 = best 4.0 in
+      if t1 = 0.0 || t4 = 0.0 then
+        err path "scale-out rows at 1 and 4 groups are required"
+      else if t4 <= t1 then
+        err path
+          (Printf.sprintf
+             "4-group scale-out throughput %.1f ops/s does not exceed the \
+              1-group baseline %.1f — shard capacity did not compose"
+             t4 t1)
     end
   | Null | Bool _ | Num _ | Str _ | Obj _ -> err path "expected an array"
 
@@ -720,10 +696,7 @@ let check_chaos path = function
         (fun i e ->
           let p = Printf.sprintf "%s.soak[%d]" path i in
           ignore (want_string e p "protocol");
-          (match want_string e p "transport" with
-          | Some ("mux" | "sockets") | None -> ()
-          | Some other ->
-            err (p ^ ".transport") (Printf.sprintf "unknown transport %S" other));
+          want_mux e p "transport";
           non_negative e p "seed";
           non_negative e p "drop";
           non_negative e p "delay_s";
@@ -752,10 +725,7 @@ let check_chaos path = function
       List.iteri
         (fun i e ->
           let p = Printf.sprintf "%s.restart[%d]" path i in
-          (match want_string e p "transport" with
-          | Some ("mux" | "sockets") | None -> ()
-          | Some other ->
-            err (p ^ ".transport") (Printf.sprintf "unknown transport %S" other));
+          want_mux e p "transport";
           let mode = want_string e p "mode" in
           let atomic = want_bool_value e p "atomic" in
           let witness = field e p "witness" in
@@ -781,7 +751,7 @@ let check_chaos path = function
   | Null | Bool _ | Num _ | Str _ | List _ -> err path "expected an object"
 
 (* The geo section is the WAN/geo acceptance grid: every registry
-   protocol on both transports under at least three named profiles —
+   protocol under at least three named profiles —
    all in possible regimes, so every verdict must be atomic — plus the
    region-outage scenario (a partition composed on top of the
    wan-3region delays) whose verdict must come from the streaming
@@ -792,7 +762,7 @@ let check_geo path = function
     (match field geo path "rows" with
     | Some (List entries) ->
       if entries = [] then err (path ^ ".rows") "empty";
-      let profiles = ref [] and protocols = ref [] and pairs = ref [] in
+      let profiles = ref [] and protocols = ref [] in
       let remember r v = if not (List.mem v !r) then r := v :: !r in
       List.iteri
         (fun i e ->
@@ -800,15 +770,7 @@ let check_geo path = function
           let profile = want_string e p "profile" in
           let protocol = want_string e p "protocol" in
           ignore (want_string e p "design_point");
-          let transport =
-            match want_string e p "transport" with
-            | Some ("mux" | "sockets") as t -> t
-            | Some other ->
-              err (p ^ ".transport")
-                (Printf.sprintf "unknown transport %S" other);
-              None
-            | None -> None
-          in
+          want_mux e p "transport";
           positive e p "s";
           non_negative e p "t";
           positive e p "writers";
@@ -825,10 +787,7 @@ let check_geo path = function
           | Some false ->
             err p "non-atomic under a geo profile: delays broke the protocol");
           Option.iter (remember profiles) profile;
-          Option.iter (remember protocols) protocol;
-          (match (protocol, transport) with
-          | Some proto, Some tr -> remember pairs (proto, tr)
-          | (Some _ | None), (Some _ | None) -> ()))
+          Option.iter (remember protocols) protocol)
         entries;
       if List.length !profiles < 3 then
         err (path ^ ".rows")
@@ -839,17 +798,7 @@ let check_geo path = function
         err (path ^ ".rows")
           (Printf.sprintf
              "only %d protocol(s); the grid covers the whole registry (8)"
-             (List.length !protocols));
-      List.iter
-        (fun proto ->
-          List.iter
-            (fun tr ->
-              if not (List.mem (proto, tr) !pairs) then
-                err (path ^ ".rows")
-                  (Printf.sprintf "protocol %S missing on the %s transport"
-                     proto tr))
-            [ "mux"; "sockets" ])
-        !protocols
+             (List.length !protocols))
     | Some (Null | Bool _ | Num _ | Str _ | Obj _) ->
       err (path ^ ".rows") "expected an array"
     | None -> err path "missing key \"rows\"");
@@ -861,10 +810,7 @@ let check_geo path = function
           let p = Printf.sprintf "%s.outage[%d]" path i in
           ignore (want_string e p "profile");
           ignore (want_string e p "protocol");
-          (match want_string e p "transport" with
-          | Some ("mux" | "sockets") | None -> ()
-          | Some other ->
-            err (p ^ ".transport") (Printf.sprintf "unknown transport %S" other));
+          want_mux e p "transport";
           ignore (want_string e p "region");
           positive e p "window_s";
           positive e p "ops";

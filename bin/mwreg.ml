@@ -534,21 +534,20 @@ let report_online (r : Live.Check_sink.report) =
 (* One protocol against one (fresh or attached) cluster.  Returns true
    when the recorded history is atomic. *)
 let live_one ?faults ?max_rt_retries ~register ~cluster ~spec ~kill_at
-    ~transport ~rt_timeout ~check () =
+    ~rt_timeout ~check () =
   let res =
-    Live.Session.run ?faults ?max_rt_retries ~kill_at ~transport ~rt_timeout
+    Live.Session.run ?faults ?max_rt_retries ~kill_at ~rt_timeout
       ~live_check:(check = `Live) ~on_violation:announce_violation ~register
       ~cluster spec
   in
   let h = res.Live.Session.history in
   let ops = History.length h in
   Format.printf "protocol    : %s@." (Registry.name register);
-  Format.printf "cluster     : %s S=%d t=%d (quorum %d), %s transport@."
+  Format.printf "cluster     : %s S=%d t=%d (quorum %d), mux transport@."
     (if Live.Cluster.local cluster then "loopback" else "remote")
     (Live.Cluster.s cluster)
     (Live.Cluster.tolerance cluster)
-    (Live.Cluster.quorum cluster)
-    (match transport with `Mux -> "mux" | `Sockets -> "per-client-socket");
+    (Live.Cluster.quorum cluster);
   Format.printf "ops         : %d in %.3fs (%.0f ops/s)@." ops
     res.Live.Session.duration
     (float_of_int ops /. res.Live.Session.duration);
@@ -586,7 +585,7 @@ let live_one ?faults ?max_rt_retries ~register ~cluster ~spec ~kill_at
   Format.printf "@.";
   ok
 
-let live protocol all s tol w r ops connect kills think transport rt_timeout
+let live protocol all s tol w r ops connect kills think rt_timeout
     server_domains geo check =
   let check =
     match parse_check_mode check with
@@ -622,12 +621,6 @@ let live protocol all s tol w r ops connect kills think transport rt_timeout
        (--connect) picked its own shard count at startup\n";
     exit 1
   end;
-  let transport =
-    match transport with
-    | "mux" -> Ok `Mux
-    | "sockets" -> Ok `Sockets
-    | other -> Error (Printf.sprintf "unknown transport %S (mux|sockets)" other)
-  in
   let registers =
     if all then Ok Registry.all
     else
@@ -649,19 +642,18 @@ let live protocol all s tol w r ops connect kills think transport rt_timeout
             Result.map (fun k -> k :: l) (parse_kill spec)))
       kills (Ok [])
   in
-  match (registers, addrs, kill_at, transport) with
-  | Error msg, _, _, _ | _, Error msg, _, _ | _, _, Error msg, _
-  | _, _, _, Error msg ->
+  match (registers, addrs, kill_at) with
+  | Error msg, _, _ | _, Error msg, _ | _, _, Error msg ->
     Printf.eprintf "%s\n" msg;
     exit 1
-  | Ok _, Ok (_ :: _), Ok (_ :: _), _ ->
+  | Ok _, Ok (_ :: _), Ok (_ :: _) ->
     Printf.eprintf "--kill needs a loopback cluster (drop --connect)\n";
     exit 1
-  | Ok (_ :: _ :: _), Ok (_ :: _), _, _ ->
+  | Ok (_ :: _ :: _), Ok (_ :: _), _ ->
     Printf.eprintf
       "--all needs a fresh cluster per protocol: drop --connect\n";
     exit 1
-  | Ok registers, Ok addrs, Ok kill_at, Ok transport ->
+  | Ok registers, Ok addrs, Ok kill_at ->
     let run_one register =
       let w =
         match Registry.max_writers register with
@@ -703,8 +695,8 @@ let live protocol all s tol w r ops connect kills think transport rt_timeout
               read_think = think;
             }
           in
-          live_one ?faults ~register ~cluster ~spec ~kill_at ~transport
-            ~rt_timeout ~check ())
+          live_one ?faults ~register ~cluster ~spec ~kill_at ~rt_timeout
+            ~check ())
     in
     let ok = List.for_all run_one registers in
     if not ok then exit 2
@@ -736,14 +728,6 @@ let live_cmd =
     Arg.(value & opt float 0.0 & info [ "think" ] ~docv:"SEC"
          ~doc:"Think time between a client's operations.")
   in
-  let transport =
-    Arg.(value & opt string "mux"
-         & info [ "transport" ] ~docv:"PLANE"
-             ~doc:"Client data plane: $(b,mux) shares one connection per \
-                   server across all clients (demultiplexed replies), \
-                   $(b,sockets) gives every client its own socket per \
-                   server (the baseline select loop).")
-  in
   let rt_timeout =
     Arg.(value & opt float 1.0 & info [ "rt-timeout" ] ~docv:"SEC"
          ~doc:"Per-round-trip timeout before re-broadcasting.")
@@ -760,15 +744,15 @@ let live_cmd =
        ~doc:"Run a register protocol over real TCP sockets and check the \
              recorded history for atomicity.")
     Term.(const live $ protocol_arg $ all $ s_arg $ t_arg $ w_arg $ r_arg
-          $ ops $ connect $ kills $ think $ transport $ rt_timeout
+          $ ops $ connect $ kills $ think $ rt_timeout
           $ server_domains $ geo_arg $ check_mode_arg)
 
 (* ------------------------------------------------------------------ *)
 (* kv                                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let kv protocol groups s tol clients keys ops dist theta mix transport seed
-    sample think rt_timeout geo check =
+let kv protocol groups s tol clients keys ops dist theta mix seed sample think
+    rt_timeout geo check =
   let check =
     match parse_check_mode check with
     | Ok c -> c
@@ -803,18 +787,11 @@ let kv protocol groups s tol clients keys ops dist theta mix transport seed
     | Some m -> Ok m
     | None -> Error (Printf.sprintf "unknown mix %S (A|B|C)" mix)
   in
-  let transport =
-    match transport with
-    | "mux" -> Ok `Mux
-    | "sockets" -> Ok `Sockets
-    | other -> Error (Printf.sprintf "unknown transport %S (mux|sockets)" other)
-  in
-  match (register, dist, mix, transport) with
-  | Error msg, _, _, _ | _, Error msg, _, _ | _, _, Error msg, _
-  | _, _, _, Error msg ->
+  match (register, dist, mix) with
+  | Error msg, _, _ | _, Error msg, _ | _, _, Error msg ->
     Printf.eprintf "%s\n" msg;
     exit 1
-  | Ok register, Ok dist, Ok mix, Ok transport ->
+  | Ok register, Ok dist, Ok mix ->
     (* KV client [i] is node [s + i] in every shard group, so one geo
        plan covers all the per-group planes. *)
     let faults =
@@ -833,7 +810,7 @@ let kv protocol groups s tol clients keys ops dist theta mix transport seed
       ~finally:(fun () -> Kv.Cluster.shutdown cluster)
       (fun () ->
         let res =
-          Kv.Session.run ?faults ~transport ~rt_timeout ~register
+          Kv.Session.run ?faults ~rt_timeout ~register
             ~live_check:(check = `Live) ~on_violation:announce_violation
             ~cluster
             {
@@ -933,11 +910,6 @@ let kv_cmd =
          ~doc:"YCSB operation mix: $(b,A) 50/50, $(b,B) 95% reads, \
                $(b,C) read-only.")
   in
-  let transport =
-    Arg.(value & opt string "mux" & info [ "transport" ] ~docv:"PLANE"
-         ~doc:"Client data plane per shard group: $(b,mux) or \
-               $(b,sockets).")
-  in
   let sample =
     Arg.(value & opt int 4 & info [ "sample" ] ~docv:"N"
          ~doc:"Hottest key ranks whose histories are recorded and \
@@ -956,15 +928,15 @@ let kv_cmd =
        ~doc:"Drive a YCSB-shaped workload against a sharded multi-register \
              keyspace and atomicity-check the sampled keys.")
     Term.(const kv $ protocol $ groups $ s_arg $ t_arg $ clients $ keys
-          $ ops $ dist $ theta $ mix $ transport $ seed_arg $ sample $ think
+          $ ops $ dist $ theta $ mix $ seed_arg $ sample $ think
           $ rt_timeout $ geo_arg $ check_mode_arg)
 
 (* ------------------------------------------------------------------ *)
 (* chaos                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let chaos protocol scenario transport seed drop delay duplicate ops s tol
-    server_domains check =
+let chaos protocol scenario seed drop delay duplicate ops s tol server_domains
+    check =
   if server_domains < 1 then begin
     Printf.eprintf "--server-domains must be >= 1\n";
     exit 1
@@ -976,24 +948,15 @@ let chaos protocol scenario transport seed drop delay duplicate ops s tol
       Printf.eprintf "%s\n" msg;
       exit 1
   in
-  let transport =
-    match transport with
-    | "mux" -> Ok `Mux
-    | "sockets" -> Ok `Sockets
-    | other -> Error (Printf.sprintf "unknown transport %S (mux|sockets)" other)
-  in
-  match (scenario, transport) with
-  | _, Error msg ->
-    Printf.eprintf "%s\n" msg;
-    exit 1
-  | "soak", Ok transport -> (
+  match scenario with
+  | "soak" -> (
     match find_protocol protocol with
     | None ->
       Printf.eprintf "unknown protocol %S\n" protocol;
       exit 1
     | Some register ->
       let sk =
-        Live.Chaos.soak ~transport ~seed ~drop ~delay ~duplicate ~s ~tol ~ops
+        Live.Chaos.soak ~seed ~drop ~delay ~duplicate ~s ~tol ~ops
           ~server_shards:server_domains ~live_check:(check = `Live)
           ~on_violation:announce_violation ~register ()
       in
@@ -1036,11 +999,10 @@ let chaos protocol scenario transport seed drop delay duplicate ops s tol
            "possible regime — chaos must not break it"
          else "impossible regime — no guarantee");
       if sk.Live.Chaos.expected_atomic && not atomic then exit 2)
-  | (("recover" | "fresh") as m), Ok transport ->
+  | ("recover" | "fresh") as m ->
     let mode = if m = "recover" then `Recover else `Fresh in
     let o =
-      Live.Chaos.restart_scenario ~transport
-        ~server_shards:server_domains ~mode ()
+      Live.Chaos.restart_scenario ~server_shards:server_domains ~mode ()
     in
     Format.printf
       "scenario    : acknowledged write on quorum {0,1}; server 0 killed, \
@@ -1066,7 +1028,7 @@ let chaos protocol scenario transport seed drop delay duplicate ops s tol
       (if as_expected then "as the crash-stop model predicts"
        else "UNEXPECTED");
     if not as_expected then exit 2
-  | other, Ok _ ->
+  | other ->
     Printf.eprintf "unknown scenario %S (soak|recover|fresh)\n" other;
     exit 1
 
@@ -1079,12 +1041,6 @@ let chaos_cmd =
                    $(b,recover) / $(b,fresh): the deterministic \
                    restart-fidelity script — recover must stay atomic, \
                    fresh must yield a checker witness.")
-  in
-  let transport =
-    Arg.(value & opt string "mux"
-         & info [ "transport" ] ~docv:"PLANE"
-             ~doc:"Client data plane under fault injection: $(b,mux) or \
-                   $(b,sockets).")
   in
   let drop =
     Arg.(value & opt float 0.08 & info [ "drop" ] ~docv:"P"
@@ -1114,7 +1070,7 @@ let chaos_cmd =
        ~doc:"Inject a deterministic seeded fault plan (drops, delays, \
              duplicates, truncations, server restarts) into a live cluster \
              and check the recorded history for atomicity.")
-    Term.(const chaos $ protocol_arg $ scenario $ transport $ seed_arg $ drop
+    Term.(const chaos $ protocol_arg $ scenario $ seed_arg $ drop
           $ delay $ duplicate $ ops $ s_arg $ t_arg $ server_domains
           $ check_mode_arg)
 
@@ -1122,8 +1078,7 @@ let chaos_cmd =
 (* geo                                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let geo_run list_profiles protocol profile s tol w r ops transport outage
-    check =
+let geo_run list_profiles protocol profile s tol w r ops outage check =
   if list_profiles then begin
     List.iter
       (fun p -> print_string (Live.Geo.describe p); print_newline ())
@@ -1143,14 +1098,6 @@ let geo_run list_profiles protocol profile s tol w r ops transport outage
     | None ->
       Printf.eprintf "unknown geo profile %S (profiles: %s)\n" profile
         (String.concat ", " (Live.Geo.names ()));
-      exit 1
-  in
-  let transport =
-    match transport with
-    | "mux" -> `Mux
-    | "sockets" -> `Sockets
-    | other ->
-      Printf.eprintf "unknown transport %S (mux|sockets)\n" other;
       exit 1
   in
   match find_protocol protocol with
@@ -1205,7 +1152,7 @@ let geo_run list_profiles protocol profile s tol w r ops transport outage
             }
           in
           live_one ~faults ~max_rt_retries ~register ~cluster ~spec
-            ~kill_at:[] ~transport ~rt_timeout ~check ())
+            ~kill_at:[] ~rt_timeout ~check ())
     in
     if not ok then exit 2
 
@@ -1225,11 +1172,6 @@ let geo_cmd =
     Arg.(value & opt int 20 & info [ "ops" ] ~docv:"N"
          ~doc:"Writes per writer (each reader does 2N reads).")
   in
-  let transport =
-    Arg.(value & opt string "mux"
-         & info [ "transport" ] ~docv:"PLANE"
-             ~doc:"Client data plane: $(b,mux) or $(b,sockets).")
-  in
   let outage =
     Arg.(value & flag
          & info [ "outage" ]
@@ -1245,7 +1187,7 @@ let geo_cmd =
              delay/jitter matrices the simulator's latency model uses — \
              optionally composing a region outage on top.")
     Term.(const geo_run $ list_profiles $ protocol_arg $ profile $ s_arg
-          $ t_arg $ w_arg $ r_arg $ ops $ transport $ outage $ check_mode_arg)
+          $ t_arg $ w_arg $ r_arg $ ops $ outage $ check_mode_arg)
 
 (* ------------------------------------------------------------------ *)
 

@@ -130,7 +130,7 @@ let raw_io_calls =
 (* BLOCKING-UNDER-LOCK: calls that can park the thread indefinitely.
    Netio's [*_nb] variants are deliberately absent — they return EAGAIN
    instead of parking, which is the reactor's whole point — while its
-   readiness waits are exactly as blocking as the select they wrap. *)
+   readiness wait is exactly as blocking as the poll it wraps. *)
 let blocking_calls =
   raw_io_calls
   @ [
@@ -139,7 +139,6 @@ let blocking_calls =
       "Unix.connect";
       "Netio.read";
       "Netio.write_all";
-      "Netio.wait_readable";
       "Netio.Poller.wait";
       "Thread.delay";
       "Thread.join";
@@ -212,9 +211,6 @@ let lock_free_allow : (string * string) list =
     ( "Transport.Mux.mb_out",
       "per-handle write staging; a handle belongs to one client \
        thread" );
-    ( "Transport.Endpoint.*",
-      "one client thread owns the endpoint (module design comment): \
-       the private per-client-socket plane has no locks at all" );
     ( "Transport.Codec.Stream.*",
       "a decode stream belongs to the one thread that reads its \
        connection (demux thread / shard reactor)" );
@@ -293,9 +289,9 @@ let lock_free_allow : (string * string) list =
   ]
 
 (* An allowlist entry is an exact cell name or a module prefix
-   ("Transport.Endpoint.*"): prefixes exist so a subsystem whose whole
-   design is single-owner (the endpoint, the simulation plane) is one
-   reviewed decision instead of a dozen copies of it. *)
+   ("Transport.Session.*"): prefixes exist so a subsystem whose whole
+   design is single-owner (the session logs, the simulation plane) is
+   one reviewed decision instead of a dozen copies of it. *)
 let allow_justification cell =
   let matches (pat, _) =
     pat = cell

@@ -104,7 +104,7 @@ let op_of_sop client s =
     result = s.s_result;
   }
 
-let run ?(transport = `Mux) ?rt_timeout ?max_rt_retries ?faults
+let run ?rt_timeout ?max_rt_retries ?faults
     ?(register = Registry.abd_mwmr) ?(live_check = false) ?on_violation
     ~cluster spec =
   if spec.clients < 1 then invalid_arg "Kv_session.run: clients must be >= 1";
@@ -117,7 +117,7 @@ let run ?(transport = `Mux) ?rt_timeout ?max_rt_retries ?faults
   | _ -> ());
   let algo = Registry.client_algo register in
   let router =
-    Router.create ~transport ?rt_timeout ?max_rt_retries ?faults
+    Router.create ?rt_timeout ?max_rt_retries ?faults
       ~clients:spec.clients cluster
   in
   let ycsb = Ycsb.create ~dist:spec.dist ~keys:spec.keys in

@@ -48,7 +48,6 @@ type result = {
 }
 
 val run :
-  ?transport:Transport.Cluster.transport ->
   ?rt_timeout:float ->
   ?max_rt_retries:int ->
   ?faults:Transport.Faults.t ->

@@ -5,45 +5,31 @@ open Transport
    shard group's data plane, plus per-client handles that turn a key
    into a {!Client_core.ctx} pinned to that key's group.
 
-   On the [`Mux] plane the router owns one shared {!Mux.t} per group —
-   all clients in the process ride [groups × s] connections total.  On
-   [`Sockets] each client owns its private per-group endpoints, the
-   baseline the mux is measured against, exactly as in the single-
-   register stack.  Either way the protocol algorithms stay key-blind:
-   {!key_ctx} hands them an endpoint that stamps the key on every round
-   trip, so any registry protocol runs per-key unchanged. *)
+   The router owns one shared {!Mux.t} per group — all clients in the
+   process ride [groups × s] connections total.  The protocol
+   algorithms stay key-blind: {!key_ctx} hands them an endpoint that
+   stamps the key on every round trip, so any registry protocol runs
+   per-key unchanged. *)
 
 type t = {
   kc : Kv_cluster.t;
-  transport : Cluster.transport;
-  muxes : Mux.t option array; (* one per group when [`Mux] *)
-  rt_timeout : float option;
-  max_rt_retries : int option;
-  faults : Faults.t option; (* client-side plan (geo profiles, chaos) *)
+  muxes : Mux.t array; (* one per group *)
   readers : int; (* the ctx's r: how many clients may read *)
 }
 
-let create ?(transport = `Mux) ?rt_timeout ?max_rt_retries ?faults ~clients kc
-    =
-  let n = Kv_cluster.group_count kc in
+let create ?rt_timeout ?max_rt_retries ?faults ~clients kc =
   let muxes =
-    match transport with
-    | `Sockets -> Array.make n None
-    | `Mux ->
-      Array.init n (fun g ->
-          Some
-            (Mux.create ?rt_timeout ?max_rt_retries ?faults
-               ~servers:(Cluster.addrs (Kv_cluster.group kc g))
-               ~quorum:(Kv_cluster.quorum kc) ()))
+    Array.init (Kv_cluster.group_count kc) (fun g ->
+        Mux.create ?rt_timeout ?max_rt_retries ?faults
+          ~servers:(Cluster.addrs (Kv_cluster.group kc g))
+          ~quorum:(Kv_cluster.quorum kc) ())
   in
-  { kc; transport; muxes; rt_timeout; max_rt_retries; faults; readers = clients }
-
-let transport t = t.transport
+  { kc; muxes; readers = clients }
 
 type client = {
   index : int;
   node : int; (* id recorded in the servers' updated sets *)
-  eps : Endpoint.t array; (* one per shard group *)
+  eps : Mux.handle array; (* one per shard group *)
   router : t;
 }
 
@@ -53,16 +39,7 @@ type client = {
    servers-first numbering. *)
 let client t ~index =
   let node = Kv_cluster.s t.kc + index in
-  let eps =
-    Array.init (Kv_cluster.group_count t.kc) (fun g ->
-        match t.muxes.(g) with
-        | Some m -> Endpoint.of_mux (Mux.client m ~client:node)
-        | None ->
-          Endpoint.create ?rt_timeout:t.rt_timeout
-            ?max_rt_retries:t.max_rt_retries ?faults:t.faults ~client:node
-            ~servers:(Cluster.addrs (Kv_cluster.group t.kc g))
-            ~quorum:(Kv_cluster.quorum t.kc) ())
-  in
+  let eps = Array.map (fun m -> Mux.client m ~client:node) t.muxes in
   { index; node; eps; router = t }
 
 let index c = c.index
@@ -85,18 +62,15 @@ let key_ctx c key =
 
 let sum_eps f c = Array.fold_left (fun acc ep -> acc + f ep) 0 c.eps
 
-let rounds_completed c = sum_eps Endpoint.rounds_completed c
+let rounds_completed c = sum_eps Mux.rounds_completed c
 
-let late_replies c = sum_eps Endpoint.late_replies c
+let late_replies c = sum_eps Mux.late_replies c
 
-let retries c = sum_eps Endpoint.retries c
+let retries c = sum_eps Mux.retries c
 
 let dropped_replies t =
-  Array.fold_left
-    (fun acc m ->
-      acc + match m with Some m -> Mux.dropped_replies m | None -> 0)
-    0 t.muxes
+  Array.fold_left (fun acc m -> acc + Mux.dropped_replies m) 0 t.muxes
 
-let close_client c = Array.iter Endpoint.close c.eps
+let close_client c = Array.iter Mux.release c.eps
 
-let shutdown t = Array.iter (fun m -> Option.iter Mux.shutdown m) t.muxes
+let shutdown t = Array.iter Mux.shutdown t.muxes

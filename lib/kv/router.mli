@@ -1,9 +1,8 @@
 (** The client-side placement router over the keyspace.
 
-    One router per process views every shard group's data plane: on the
-    [`Mux] transport it owns one shared {!Transport.Mux.t} per group
-    (all clients ride [groups × s] connections total); on [`Sockets]
-    each client owns private per-group endpoints.  {!key_ctx} then turns
+    One router per process views every shard group's data plane: it
+    owns one shared {!Transport.Mux.t} per group, so all clients ride
+    [groups × s] connections total.  {!key_ctx} then turns
     (client, key) into a {!Registers.Client_core.ctx} whose endpoint
     stamps the key on every round trip — the protocol algorithms stay
     key-blind and run per-key unchanged. *)
@@ -11,7 +10,6 @@
 type t
 
 val create :
-  ?transport:Transport.Cluster.transport ->
   ?rt_timeout:float ->
   ?max_rt_retries:int ->
   ?faults:Transport.Faults.t ->
@@ -24,10 +22,8 @@ val create :
     [faults] installs a client-side fault plan on every per-group plane
     — e.g. a {!Transport.Geo} profile's latency rules. *)
 
-val transport : t -> Transport.Cluster.transport
-
 type client
-(** One client's view: an endpoint per shard group plus its node
+(** One client's view: a mux handle per shard group plus its node
     identity.  Belongs to one thread; operations are sequential. *)
 
 val client : t -> index:int -> client
@@ -40,8 +36,8 @@ val index : client -> int
 
 val node : client -> int
 
-val group_endpoint : client -> int -> Transport.Endpoint.t
-(** The client's endpoint for shard group [g] (stats/tests). *)
+val group_endpoint : client -> int -> Transport.Mux.handle
+(** The client's handle on shard group [g]'s plane (stats/tests). *)
 
 val key_ctx : client -> string -> Registers.Client_core.ctx
 (** The backend context for operating on [key]: endpoints pinned to
@@ -54,10 +50,10 @@ val retries : client -> int
 
 val dropped_replies : t -> int
 (** Sum of {!Transport.Mux.dropped_replies} across the per-group shared
-    planes (0 on [`Sockets]). *)
+    planes. *)
 
 val close_client : client -> unit
 
 val shutdown : t -> unit
-(** Shut down the shared per-group planes ([`Mux]); call after every
-    client is closed. *)
+(** Shut down the shared per-group planes; call after every client is
+    closed. *)

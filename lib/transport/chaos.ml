@@ -18,7 +18,6 @@ let plan ?(seed = 0) ?(drop = 0.08) ?(delay = 0.03) ?(duplicate = 0.1) () =
 
 type soak = {
   register : Protocol.Register_intf.t;
-  transport : Cluster.transport;
   seed : int;
   drop : float;
   delay : float;
@@ -29,7 +28,7 @@ type soak = {
   expected_atomic : bool;
 }
 
-let soak ?(transport = `Mux) ?(seed = 0) ?(drop = 0.08) ?(delay = 0.03)
+let soak ?(seed = 0) ?(drop = 0.08) ?(delay = 0.03)
     ?(duplicate = 0.1) ?(s = 5) ?(tol = 1) ?(ops = 8) ?(restart = true)
     ?(server_shards = 1) ?live_check ?on_violation ~register () =
   let faults = plan ~seed ~drop ~delay ~duplicate () in
@@ -59,7 +58,7 @@ let soak ?(transport = `Mux) ?(seed = 0) ?(drop = 0.08) ?(delay = 0.03)
          that must be generous: the quorum contract starves only if a
          whole rt_timeout × budget window stays unlucky. *)
       let result =
-        Session.run ~kill_at ~restart_at ~faults ~transport ~rt_timeout:0.3
+        Session.run ~kill_at ~restart_at ~faults ~rt_timeout:0.3
           ~max_rt_retries:10 ?live_check ?on_violation ~register ~cluster spec
       in
       let expected_atomic =
@@ -69,7 +68,6 @@ let soak ?(transport = `Mux) ?(seed = 0) ?(drop = 0.08) ?(delay = 0.03)
       in
       {
         register;
-        transport;
         seed;
         drop;
         delay;
@@ -88,7 +86,7 @@ type restart_outcome = {
   history : Histories.History.t;
 }
 
-let restart_scenario ?(transport = `Mux) ?(server_shards = 1) ~mode () =
+let restart_scenario ?(server_shards = 1) ~mode () =
   let s = 3 and tol = 1 in
   let register = Registry.abd_mwmr in
   let algo = Registry.client_algo register in
@@ -111,7 +109,7 @@ let restart_scenario ?(transport = `Mux) ?(server_shards = 1) ~mode () =
     ~finally:(fun () -> Cluster.shutdown cluster)
     (fun () ->
       let cl =
-        Cluster.clients ~transport ~rt_timeout:0.25 cluster ~writers:1
+        Cluster.clients ~rt_timeout:0.25 cluster ~writers:1
           ~readers:1
       in
       Fun.protect

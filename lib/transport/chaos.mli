@@ -26,7 +26,6 @@ val plan :
 
 type soak = {
   register : Protocol.Register_intf.t;
-  transport : Cluster.transport;
   seed : int;
   drop : float;
   delay : float;
@@ -40,7 +39,6 @@ type soak = {
 }
 
 val soak :
-  ?transport:Cluster.transport ->
   ?seed:int ->
   ?drop:float ->
   ?delay:float ->
@@ -78,7 +76,6 @@ type restart_outcome = {
 }
 
 val restart_scenario :
-  ?transport:Cluster.transport ->
   ?server_shards:int ->
   mode:Cluster.restart_mode ->
   unit ->

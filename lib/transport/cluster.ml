@@ -130,39 +130,26 @@ let running t =
 let shutdown t =
   if local t then Array.iteri (fun i _ -> kill t i) t.servers
 
-type transport = [ `Mux | `Sockets ]
-
 type clients = {
-  writer_eps : Endpoint.t array;
-  reader_eps : Endpoint.t array;
+  writer_eps : Mux.handle array;
+  reader_eps : Mux.handle array;
   ctx : Client_core.ctx;
-  mux : Mux.t option; (* the shared plane, when [`Mux] *)
+  mux : Mux.t;
 }
 
 (* Client node ids follow Protocol.Topology's numbering (servers
    0..S-1, writer i = S+i, reader j = S+W+j) so the updated sets the
    replicas record — and therefore the admissibility certificates — are
    identical across the simulated and live backends. *)
-let clients ?(transport = `Mux) ?rt_timeout ?max_rt_retries ?faults t
-    ~writers ~readers =
-  let addrs = addrs t in
+let clients ?rt_timeout ?max_rt_retries ?faults t ~writers ~readers =
   (* Default to the plan the cluster's servers were started with, so
      the request and reply legs of one chaos run share one plan. *)
   let faults = match faults with Some _ as f -> f | None -> t.faults in
-  let mux, ep =
-    match transport with
-    | `Sockets ->
-      ( None,
-        fun client ->
-          Endpoint.create ?rt_timeout ?max_rt_retries ?faults ~client
-            ~servers:addrs ~quorum:(quorum t) () )
-    | `Mux ->
-      let mux =
-        Mux.create ?rt_timeout ?max_rt_retries ?faults ~servers:addrs
-          ~quorum:(quorum t) ()
-      in
-      (Some mux, fun client -> Endpoint.of_mux (Mux.client mux ~client))
+  let mux =
+    Mux.create ?rt_timeout ?max_rt_retries ?faults ~servers:(addrs t)
+      ~quorum:(quorum t) ()
   in
+  let ep client = Mux.client mux ~client in
   let writer_eps = Array.init writers (fun i -> ep (t.s + i)) in
   let reader_eps = Array.init readers (fun j -> ep (t.s + writers + j)) in
   {
@@ -180,6 +167,6 @@ let clients ?(transport = `Mux) ?rt_timeout ?max_rt_retries ?faults t
   }
 
 let close_clients c =
-  Array.iter Endpoint.close c.writer_eps;
-  Array.iter Endpoint.close c.reader_eps;
-  Option.iter Mux.shutdown c.mux
+  Array.iter Mux.release c.writer_eps;
+  Array.iter Mux.release c.reader_eps;
+  Mux.shutdown c.mux

@@ -65,27 +65,18 @@ val running : t -> int list
 val shutdown : t -> unit
 (** Kill everything. *)
 
-type transport = [ `Mux | `Sockets ]
-(** Which data plane carries the clients' round trips:
-    [`Mux] (default) — one shared connection per server for the whole
-    client set, demuxed to per-client mailboxes ({!Mux});
-    [`Sockets] — the baseline private path, [S] sockets per client
-    polled via {!Netio.wait_readable} ({!Endpoint.create}). *)
-
 type clients = {
-  writer_eps : Endpoint.t array;
-  reader_eps : Endpoint.t array;
+  writer_eps : Mux.handle array;
+  reader_eps : Mux.handle array;
   ctx : Registers.Client_core.ctx;
-  mux : Mux.t option;
-      (** The shared plane when [transport = `Mux]; shut down by
-          {!close_clients}. *)
+  mux : Mux.t;  (** The shared plane; shut down by {!close_clients}. *)
 }
-(** A set of live client endpoints plus the backend-agnostic context the
-    {!Registers.Client_core} algorithms consume.  The endpoint arrays
-    stay exposed for round-trip statistics. *)
+(** A set of live client handles on one shared {!Mux} plane plus the
+    backend-agnostic context the {!Registers.Client_core} algorithms
+    consume.  The handle arrays stay exposed for round-trip
+    statistics. *)
 
 val clients :
-  ?transport:transport ->
   ?rt_timeout:float ->
   ?max_rt_retries:int ->
   ?faults:Faults.t ->
@@ -93,12 +84,11 @@ val clients :
   writers:int ->
   readers:int ->
   clients
-(** Endpoints for [writers] writers and [readers] readers, numbered like
+(** Handles for [writers] writers and [readers] readers, numbered like
     {!Protocol.Topology} so live and simulated certificates agree.
     [faults] applies the plan's [To_server] rules to every request these
-    endpoints send; it defaults to the plan the cluster was started
+    clients send; it defaults to the plan the cluster was started
     with, so one plan covers both legs of a chaos run. *)
 
 val close_clients : clients -> unit
-(** Close every endpoint and, on the mux plane, shut the shared
-    connections down. *)
+(** Release every handle and shut the shared connections down. *)

@@ -54,9 +54,9 @@ let none = create []
 
 let seed t = t.seed
 
-(* Whether any rule can schedule a frame for later delivery — the
-   client planes use this to decide if their tickers must run at
-   sub-tick granularity (a staged deadline may be milliseconds out). *)
+(* Whether any rule can schedule a frame for later delivery — the mux
+   uses this to decide if its ticker must run at sub-tick granularity
+   (a staged deadline may be milliseconds out). *)
 let has_delays t =
   List.exists
     (function

@@ -118,9 +118,9 @@ val seed : t -> int
 
 val has_delays : t -> bool
 (** Whether any rule can schedule late deliveries ({!Delay} or
-    {!Latency}).  The client planes consult this once at creation to run
-    their drain tickers at sub-tick granularity — without it a staged
-    1 ms geo deadline would quantise to the 50 ms timeout tick. *)
+    {!Latency}).  The {!Mux} consults this once at creation to run its
+    drain ticker at sub-tick granularity — without it a staged 1 ms geo
+    deadline would quantise to the 50 ms timeout tick. *)
 
 val arm : t -> unit
 (** (Re)start the plan clock: rule windows are measured from here.

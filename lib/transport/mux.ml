@@ -76,8 +76,6 @@ type t = {
   quorum : int;
   rt_timeout : float;
   max_rt_retries : int;
-  connect_retries : int;
-  connect_backoff : float;
   faults : Faults.t option;
   (* The armed plan can schedule late deliveries: the ticker then runs
      at millisecond granularity so staged deadlines (geo profiles go
@@ -161,7 +159,7 @@ let demux t c fd () =
            match Codec.Stream.next stream with
            | Some (Codec.Reply { rt; client; server = _; rep }) ->
              (* Route by (client, rt); the connection's own index is the
-                authoritative server label, as in the private path. *)
+                authoritative server label, not the peer-reported one. *)
              route t ~server_index:c.index ~client ~rt ~key:None rep;
              drain ()
            | Some (Codec.Keyed_reply { key; rt; client; server = _; rep }) ->
@@ -182,29 +180,32 @@ let demux t c fd () =
 (* Connecting and sending                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Bounded, exponentially backed-off reconnect; [c.lock] must be held.
-   A fresh connection gets a fresh demux thread.  Every failure mode —
+(* Exponentially backed-off reconnect; [c.lock] must be held.  The
+   gate doubles from [connect_backoff] up to a cap of 64× and then
+   keeps probing at that interval: a server that stays down past any
+   fixed budget is still redialed once {!Cluster.restart} brings it
+   back, while a dead one costs one refused connect per ~1.3 s.  A
+   fresh connection gets a fresh demux thread.  Every failure mode —
    including [socket] itself (EMFILE under fd pressure) and a failed
    [Thread.create] — lands in the backoff path rather than escaping:
    an exception thrown past a caller holding [c.lock] would poison the
    connection (and wedge [shutdown]) forever. *)
-let backoff t c =
+let connect_backoff = 0.02
+
+let backoff c =
   c.attempts <- c.attempts + 1;
   c.next_attempt <-
-    now () +. (t.connect_backoff *. float_of_int (1 lsl min c.attempts 6))
+    now () +. (connect_backoff *. float_of_int (1 lsl min c.attempts 6))
 
 let try_connect t c =
   match c.fd with
   | Some fd -> Some fd
   | None ->
-    if
-      Atomic.get t.stopping || c.attempts > t.connect_retries
-      || now () < c.next_attempt
-    then None
+    if Atomic.get t.stopping || now () < c.next_attempt then None
     else begin
       match Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 with
       | exception Unix.Unix_error _ ->
-        backoff t c;
+        backoff c;
         None
       | fd -> (
         match
@@ -224,11 +225,11 @@ let try_connect t c =
                only owner and may close it directly. *)
             c.fd <- None;
             (try Unix.close fd with Unix.Unix_error _ -> ());
-            backoff t c;
+            backoff c;
             None)
         | exception Unix.Unix_error _ ->
           (try Unix.close fd with Unix.Unix_error _ -> ());
-          backoff t c;
+          backoff c;
           None)
     end
 
@@ -422,8 +423,8 @@ let ticker_body t () =
     end
   done
 
-let create ?(rt_timeout = 1.0) ?(max_rt_retries = 3) ?(connect_retries = 8)
-    ?(connect_backoff = 0.02) ?faults ~servers ~quorum () =
+let create ?(rt_timeout = 1.0) ?(max_rt_retries = 3) ?faults ~servers ~quorum
+    () =
   Lazy.force ignore_sigpipe;
   let n = Array.length servers in
   if quorum <= 0 || quorum > n then
@@ -449,8 +450,6 @@ let create ?(rt_timeout = 1.0) ?(max_rt_retries = 3) ?(connect_retries = 8)
       quorum;
       rt_timeout;
       max_rt_retries;
-      connect_retries;
-      connect_backoff;
       faults;
       sub_tick =
         (match faults with Some p -> Faults.has_delays p | None -> false);

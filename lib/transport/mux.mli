@@ -1,11 +1,10 @@
-(** A multiplexed live data plane: one TCP connection per server per
+(** The live client data plane: one TCP connection per server per
     process, shared by every client endpoint.
 
-    The per-client-socket transport ({!Endpoint.create}) opens [C × S]
-    sockets for [C] clients against [S] servers and spins a fresh
-    [select] poll loop inside every operation.  At production client
-    counts that drowns the paper's round-trip economics in transport
-    overhead.  The mux replaces it with:
+    Giving each client its own [S] sockets would cost [C × S] sockets
+    for [C] clients and a fresh poll loop inside every operation — at
+    production client counts that drowns the paper's round-trip
+    economics in transport overhead.  The mux instead runs:
 
     - [S] shared connections, each written under a per-connection lock
       with a reused encode buffer (no per-frame allocation once warm);
@@ -15,13 +14,14 @@
     - {!exec} = encode once, enqueue on the [S] shared connections,
       block on the caller's own mailbox until quorum or timeout.
 
-    The round-trip contract is unchanged from {!Endpoint}: broadcast to
-    all [S] servers, complete on the first [S − t] replies in arrival
-    order, count stragglers late, re-broadcast on timeout a bounded
-    number of times, raise {!Unavailable} when the retry budget is
-    spent.  Crashed servers sever their connection (the demux thread
-    sees EOF) and reconnects back off exponentially, so [t] real kills
-    remain survivable.
+    The round-trip contract is the simulator's {!Protocol.Round_trip}:
+    broadcast to all [S] servers, complete on the first [S − t] replies
+    in arrival order, count stragglers late, re-broadcast on timeout a
+    bounded number of times, raise {!Unavailable} when the retry budget
+    is spent.  Crashed servers sever their connection (the demux thread
+    sees EOF) and reconnects back off exponentially to a capped
+    interval at which they keep probing, so [t] real kills remain
+    survivable and a restarted server is always redialed.
 
     One {!handle} belongs to one client thread; operations are
     sequential per client, so a single in-flight round trip per mailbox
@@ -39,18 +39,19 @@ type handle
 val create :
   ?rt_timeout:float ->
   ?max_rt_retries:int ->
-  ?connect_retries:int ->
-  ?connect_backoff:float ->
   ?faults:Faults.t ->
   servers:Unix.sockaddr array ->
   quorum:int ->
   unit ->
   t
 (** Dial every server (tolerating failures) and start the demux
-    threads.  Parameter meanings and defaults match {!Endpoint.create};
-    [faults] subjects every outgoing request frame to the plan's
-    [To_server] rules ({!Faults}) — note a truncated frame severs the
-    {e shared} connection, so every rider reconnects and retries. *)
+    threads.  [rt_timeout] (default 1s) bounds each round trip and
+    [max_rt_retries] (default 3) bounds its re-broadcasts.  A failed
+    connect is retried after 40 ms, doubling to a 1.28 s cap that holds
+    for as long as the server stays down.  [faults] subjects every
+    outgoing request frame to the plan's [To_server] rules ({!Faults})
+    — note a truncated frame severs the {e shared} connection, so every
+    rider reconnects and retries. *)
 
 val client : t -> client:int -> handle
 (** Register client [client] (its node id, {!Protocol.Topology}

@@ -76,7 +76,8 @@ let drain_wake =
 (* Readiness waits                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* On Unix a file descriptor is the int; both planes key tables by it. *)
+(* On Unix a file descriptor is the int; the poller and the reactor key
+   their tables by it. *)
 external fd_int : Unix.file_descr -> int = "%identity"
 external fd_of_int : int -> Unix.file_descr = "%identity"
 
@@ -93,20 +94,6 @@ external raw_poll : int array -> int -> int -> int = "mwreg_poll"
 
 let to_ms timeout =
   if timeout <= 0.0 then 0 else int_of_float (Float.ceil (timeout *. 1000.0))
-
-let wait_readable fds timeout =
-  match fds with
-  | [] -> []
-  | _ ->
-    let n = List.length fds in
-    let arr = Array.make n 0 in
-    List.iteri (fun i fd -> arr.(i) <- (fd_int fd lsl 3) lor bit_read) fds;
-    if raw_poll arr n (to_ms timeout) = 0 then []
-    else
-      (* Errors (incl. a descriptor closed underneath us, POLLNVAL)
-         count as readable: the caller's read path surfaces the failure
-         and drops the connection, exactly as the select path did. *)
-      List.filteri (fun i _ -> arr.(i) land (bit_read lor bit_err) <> 0) fds
 
 module Poller = struct
   type t = {

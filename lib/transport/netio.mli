@@ -56,15 +56,8 @@ val drain_wake : Unix.file_descr -> unit
 (** {1 Readiness} *)
 
 val fd_int : Unix.file_descr -> int
-(** The descriptor's integer (Unix-only build): the key both planes use
-    for connection tables. *)
-
-val wait_readable : Unix.file_descr list -> float -> Unix.file_descr list
-(** [wait_readable fds timeout] blocks until some of [fds] are readable
-    (or errored — the caller's read path surfaces the failure) and
-    returns them, or [[]] on timeout or EINTR.  Built on poll(2):
-    unlike [Unix.select] it keeps working past descriptor number 1024,
-    which the high-C client sweep crosses routinely. *)
+(** The descriptor's integer (Unix-only build): the key the poller and
+    the reactor use for connection tables. *)
 
 module Poller : sig
   (** A persistent interest set for a reactor shard: epoll(7) where the

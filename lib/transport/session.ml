@@ -102,7 +102,7 @@ let op_of proc l =
     result = l.l_result;
   }
 
-let run ?(kill_at = []) ?(restart_at = []) ?faults ?transport ?rt_timeout
+let run ?(kill_at = []) ?(restart_at = []) ?faults ?rt_timeout
     ?max_rt_retries ?(live_check = false) ?on_violation ~register ~cluster
     spec =
   (match Registry.max_writers register with
@@ -113,7 +113,7 @@ let run ?(kill_at = []) ?(restart_at = []) ?faults ?transport ?rt_timeout
   | _ -> ());
   let algo = Registry.client_algo register in
   let cl =
-    Cluster.clients ?transport ?rt_timeout ?max_rt_retries ?faults cluster
+    Cluster.clients ?rt_timeout ?max_rt_retries ?faults cluster
       ~writers:spec.writers ~readers:spec.readers
   in
   (* Align the fault plan's rule windows with the session clock. *)
@@ -154,7 +154,7 @@ let run ?(kill_at = []) ?(restart_at = []) ?faults ?transport ?rt_timeout
     (try
        for n = 0 to spec.writes_per_writer - 1 do
          let value = value_base + (i * spec.writes_per_writer) + n in
-         let r0 = Endpoint.rounds_completed ep in
+         let r0 = Mux.rounds_completed ep in
          let l =
            {
              l_kind = Op.Write value;
@@ -167,7 +167,7 @@ let run ?(kill_at = []) ?(restart_at = []) ?faults ?transport ?rt_timeout
          log := l :: !log;
          write ~payload:value ~k:(fun _tag ->
              l.l_resp <- Some (now ());
-             l.l_rounds <- Endpoint.rounds_completed ep - r0);
+             l.l_rounds <- Mux.rounds_completed ep - r0);
          publish l;
          if spec.write_think > 0.0 then Thread.delay spec.write_think
        done
@@ -179,7 +179,7 @@ let run ?(kill_at = []) ?(restart_at = []) ?faults ?transport ?rt_timeout
        | l :: _ when l.l_resp = None -> publish l
        | _ -> ()));
     writer_logs.(i) <- !log;
-    Endpoint.close ep
+    Mux.release ep
   in
   let reader_body j () =
     let ep = cl.Cluster.reader_eps.(j) in
@@ -196,7 +196,7 @@ let run ?(kill_at = []) ?(restart_at = []) ?faults ?transport ?rt_timeout
     let log = ref [] in
     (try
        for _ = 1 to spec.reads_per_reader do
-         let r0 = Endpoint.rounds_completed ep in
+         let r0 = Mux.rounds_completed ep in
          let l =
            {
              l_kind = Op.Read;
@@ -210,7 +210,7 @@ let run ?(kill_at = []) ?(restart_at = []) ?faults ?transport ?rt_timeout
          read ~k:(fun value _tag ->
              l.l_resp <- Some (now ());
              l.l_result <- Some value;
-             l.l_rounds <- Endpoint.rounds_completed ep - r0);
+             l.l_rounds <- Mux.rounds_completed ep - r0);
          publish l;
          if spec.read_think > 0.0 then Thread.delay spec.read_think
        done
@@ -220,7 +220,7 @@ let run ?(kill_at = []) ?(restart_at = []) ?faults ?transport ?rt_timeout
        | l :: _ when l.l_resp = None -> publish l
        | _ -> ()));
     reader_logs.(j) <- !log;
-    Endpoint.close ep
+    Mux.release ep
   in
   (* One scheduler thread replays the merged crash/restart timeline in
      order — a kill and its restart stay correctly sequenced even when
@@ -260,10 +260,10 @@ let run ?(kill_at = []) ?(restart_at = []) ?faults ?transport ?rt_timeout
   let online = Option.map Check_sink.stop sink in
   let all_eps = Array.append cl.Cluster.writer_eps cl.Cluster.reader_eps in
   let late =
-    Array.fold_left (fun acc ep -> acc + Endpoint.late_replies ep) 0 all_eps
+    Array.fold_left (fun acc ep -> acc + Mux.late_replies ep) 0 all_eps
   in
   let retries =
-    Array.fold_left (fun acc ep -> acc + Endpoint.retries ep) 0 all_eps
+    Array.fold_left (fun acc ep -> acc + Mux.retries ep) 0 all_eps
   in
   Cluster.close_clients cl;
   let wlogs =

@@ -54,7 +54,6 @@ val run :
   ?kill_at:(float * int) list ->
   ?restart_at:(float * int * Cluster.restart_mode) list ->
   ?faults:Faults.t ->
-  ?transport:Cluster.transport ->
   ?rt_timeout:float ->
   ?max_rt_retries:int ->
   ?live_check:bool ->
@@ -70,12 +69,10 @@ val run :
     and restarts replay as one time-ordered schedule.  [faults] applies
     a fault plan to every client endpoint of this session (the plan is
     {!Faults.arm}ed at session start; servers use the plan their
-    cluster was started with).  [transport] picks the data plane
-    (default [`Mux], see {!Cluster.transport}).  [live_check] streams
-    every completed operation through a {!Check_sink} into the
-    {!Checker.Online} checker while the run is in flight —
-    contention-free, so throughput is unaffected — surfacing
-    violations through [on_violation] as they happen and a final
-    report in [result.online].  Raises
-    [Invalid_argument] if [spec] exceeds the protocol's writer bound
-    ({!Registers.Registry.max_writers}). *)
+    cluster was started with).  [live_check] streams every completed
+    operation through a {!Check_sink} into the {!Checker.Online}
+    checker while the run is in flight — contention-free, so
+    throughput is unaffected — surfacing violations through
+    [on_violation] as they happen and a final report in
+    [result.online].  Raises [Invalid_argument] if [spec] exceeds the
+    protocol's writer bound ({!Registers.Registry.max_writers}). *)

@@ -1,6 +1,6 @@
 (* The sharded KV keyspace: placement ring properties, keyspace
    eviction, the keyed reactor path, mux demux hardening, and the
-   YCSB driver end-to-end on both client planes. *)
+   YCSB driver end-to-end over the mux plane. *)
 
 open Kv
 open Registers
@@ -366,11 +366,11 @@ let test_mux_drops_unknown_client_and_stale_key () =
 (* End-to-end: the YCSB driver over a sharded deployment                *)
 (* ------------------------------------------------------------------ *)
 
-let run_small transport =
+let test_session_mux () =
   let cluster = Kv_cluster.start ~groups:2 ~s:3 ~tol:1 () in
   Fun.protect ~finally:(fun () -> Kv_cluster.shutdown cluster) @@ fun () ->
   let res =
-    Kv_session.run ~transport ~cluster
+    Kv_session.run ~cluster
       {
         Kv_session.clients = 4;
         ops_per_client = 15;
@@ -394,9 +394,6 @@ let run_small transport =
         Alcotest.failf "key %s not atomic" v.Kv_session.vkey)
     res.Kv_session.verdicts;
   if res.Kv_session.keys_touched < 1 then Alcotest.fail "no keys touched"
-
-let test_session_mux () = run_small `Mux
-let test_session_sockets () = run_small `Sockets
 
 let test_session_live_check () =
   (* Live checking covers every key the workload touches — not just
@@ -454,7 +451,7 @@ let test_recover_restart_preserves_keyspace () =
      and then end-to-end through the full-quorum read. *)
   let kc = Kv_cluster.start ~groups:1 ~s:2 ~tol:0 () in
   Fun.protect ~finally:(fun () -> Kv_cluster.shutdown kc) @@ fun () ->
-  let router = Router.create ~transport:`Sockets ~clients:1 kc in
+  let router = Router.create ~clients:1 kc in
   Fun.protect ~finally:(fun () -> Router.shutdown router) @@ fun () ->
   let cl = Router.client router ~index:0 in
   Fun.protect ~finally:(fun () -> Router.close_client cl) @@ fun () ->
@@ -532,7 +529,6 @@ let () =
       ( "session",
         [
           Alcotest.test_case "mux plane" `Quick test_session_mux;
-          Alcotest.test_case "sockets plane" `Quick test_session_sockets;
           Alcotest.test_case "live checker over all keys" `Quick
             test_session_live_check;
           Alcotest.test_case "writer bound rejected" `Quick

@@ -283,13 +283,19 @@ let test_stream_mixed_chunks () =
 (* A real loopback server                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* A one-server plane for tests that just need a client: quorum 1, so
+   every round trip is one request and its reply. *)
+let one_server_mux addr ~client =
+  let mux = Mux.create ~servers:[| addr |] ~quorum:1 () in
+  (mux, Mux.client mux ~client)
+
 let test_server_roundtrip () =
   let replica = Replica.create () in
   let server = Server.start ~id:0 ~replica () in
   let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server) in
-  let ep = Endpoint.create ~client:10 ~servers:[| addr |] ~quorum:1 () in
+  let mux, ep = one_server_mux addr ~client:10 in
   let got = ref None in
-  Endpoint.exec ep (Wire.Update (value 1 0 101)) (fun replies ->
+  Mux.exec ep (Wire.Update (value 1 0 101)) (fun replies ->
       got := Some replies);
   (* Asserting one exact reply shape; every other wire message is a
      test failure, so the wildcard is deliberate. *)
@@ -299,7 +305,7 @@ let test_server_roundtrip () =
       (Tstamp.equal current.Wire.tag (tag 1 0))
   | Some _ | None -> Alcotest.fail "expected one write ack from server 0");
   let got = ref None in
-  Endpoint.exec ep (Wire.Query []) (fun replies -> got := Some replies);
+  Mux.exec ep (Wire.Query []) (fun replies -> got := Some replies);
   (match[@warning "-4"] !got with
   | Some [ (0, Wire.Read_ack { current; vector }) ] ->
     check bool "query sees the update" true
@@ -310,8 +316,8 @@ let test_server_roundtrip () =
            Tstamp.equal v.Wire.tag (tag 1 0) && List.mem 10 upd)
          vector)
   | Some _ | None -> Alcotest.fail "expected one read ack from server 0");
-  check int "two rounds completed" 2 (Endpoint.rounds_completed ep);
-  Endpoint.close ep;
+  check int "two rounds completed" 2 (Mux.rounds_completed ep);
+  Mux.shutdown mux;
   Server.stop server
 
 let test_server_survives_garbage () =
@@ -324,12 +330,12 @@ let test_server_survives_garbage () =
   Unix.connect bad addr;
   let junk = Bytes.of_string "\xff\xff\xff\xffnonsense" in
   Netio.write_all bad junk 0 (Bytes.length junk);
-  let ep = Endpoint.create ~client:11 ~servers:[| addr |] ~quorum:1 () in
+  let mux, ep = one_server_mux addr ~client:11 in
   let ok = ref false in
-  Endpoint.exec ep (Wire.Update (value 2 1 202)) (fun _ -> ok := true);
+  Mux.exec ep (Wire.Update (value 2 1 202)) (fun _ -> ok := true);
   check bool "good client still served" true !ok;
   (try Unix.close bad with Unix.Unix_error _ -> ());
-  Endpoint.close ep;
+  Mux.shutdown mux;
   Server.stop server
 
 let test_server_reaps_handlers () =
@@ -341,12 +347,12 @@ let test_server_reaps_handlers () =
   let server = Server.start ~id:0 ~replica () in
   let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server) in
   for round = 1 to 10 do
-    let ep = Endpoint.create ~client:round ~servers:[| addr |] ~quorum:1 () in
+    let mux, ep = one_server_mux addr ~client:round in
     let ok = ref false in
-    Endpoint.exec ep (Wire.Update (value round 0 (round * 3))) (fun _ ->
+    Mux.exec ep (Wire.Update (value round 0 (round * 3))) (fun _ ->
         ok := true);
     check bool "op served" true !ok;
-    Endpoint.close ep
+    Mux.shutdown mux
   done;
   let deadline = Clock.now () +. 5.0 in
   while Server.connection_count server > 0 && Clock.now () < deadline do
@@ -449,14 +455,14 @@ let test_reactor_backpressure_slow_reader () =
   (* Fatten the replies first: every distinct written tag adds a vector
      entry to each subsequent Read_ack, so the pipelined queries below
      overflow any kernel buffer pair and force EAGAIN on the server. *)
-  let seed_ep = Endpoint.create ~client:50 ~servers:[| addr |] ~quorum:1 () in
+  let seed_mux, seed_ep = one_server_mux addr ~client:50 in
   for w = 1 to 100 do
     let ok = ref false in
-    Endpoint.exec seed_ep (Wire.Update (value w (w mod 8) (1000 + w)))
+    Mux.exec seed_ep (Wire.Update (value w (w mod 8) (1000 + w)))
       (fun _ -> ok := true);
     check bool "seed write served" true !ok
   done;
-  Endpoint.close seed_ep;
+  Mux.shutdown seed_mux;
   let a = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt_int a Unix.SO_RCVBUF 4096;
   Unix.connect a addr;
@@ -467,15 +473,15 @@ let test_reactor_backpressure_slow_reader () =
   done;
   raw_send a (Buffer.contents reqs);
   (* A is now owed ~nq fat replies it is not reading.  B must not care. *)
-  let b_ep = Endpoint.create ~client:61 ~servers:[| addr |] ~quorum:1 () in
+  let b_mux, b_ep = one_server_mux addr ~client:61 in
   let t0 = Clock.now () in
   for _ = 1 to 20 do
     let ok = ref false in
-    Endpoint.exec b_ep (Wire.Query []) (fun _ -> ok := true);
+    Mux.exec b_ep (Wire.Query []) (fun _ -> ok := true);
     check bool "B's op completed" true !ok
   done;
   let b_elapsed = Clock.now () -. t0 in
-  Endpoint.close b_ep;
+  Mux.shutdown b_mux;
   check bool "B not stalled behind the slow reader" true (b_elapsed < 5.0);
   (* Now drain A: every reply arrives, in request order. *)
   let st = Codec.Stream.create () in
@@ -678,14 +684,14 @@ let test_mux_quorum_with_dead_server () =
 let atomic history =
   match Checker.Atomicity.check history with Ok () -> true | Error _ -> false
 
-let run_live ?kill_at ?transport ?(rt_timeout = 0.5) ?max_rt_retries ~register
-    ~s ~tol spec =
+let run_live ?kill_at ?(rt_timeout = 0.5) ?max_rt_retries ~register ~s ~tol
+    spec =
   let cluster = Cluster.start ~s ~tol () in
   Fun.protect
     ~finally:(fun () -> Cluster.shutdown cluster)
     (fun () ->
-      Session.run ?kill_at ?transport ~rt_timeout ?max_rt_retries ~register
-        ~cluster spec)
+      Session.run ?kill_at ~rt_timeout ?max_rt_retries ~register ~cluster
+        spec)
 
 let test_live_ls97_atomic () =
   let res =
@@ -733,30 +739,12 @@ let test_live_single_writer_guard () =
         | _ -> false
         | exception Invalid_argument _ -> true))
 
-let test_live_ls97_sockets_path () =
-  (* The baseline private-sockets plane stays a first-class citizen: the
-     same workload must pass over [`Sockets] as over the default mux. *)
-  let res =
-    run_live ~transport:`Sockets ~register:Registry.abd_mwmr ~s:3 ~tol:1
-      {
-        Session.default_spec with
-        writers = 2;
-        readers = 2;
-        writes_per_writer = 10;
-        reads_per_reader = 15;
-      }
-  in
-  check bool "history atomic" true (atomic res.Session.history);
-  check int "no client starved" 0 res.Session.unavailable;
-  check bool "writes take two rounds" true (res.Session.write_rounds = 2.0)
-
-let test_live_survives_t_kills transport () =
+let test_live_survives_t_kills () =
   (* S=5 t=2: kill two real server processes mid-run.  The remaining
      quorum of 3 must keep completing operations and the history must
-     still be atomic — the acceptance bar for the live transport, on
-     both data planes. *)
+     still be atomic — the acceptance bar for the live transport. *)
   let res =
-    run_live ~transport
+    run_live
       ~kill_at:[ (0.02, 0); (0.05, 3) ]
       ~register:Registry.abd_mwmr ~s:5 ~tol:2
       {
@@ -1001,8 +989,8 @@ let test_mux_hol_isolation () =
   Mux.shutdown mux;
   Server.stop server
 
-let test_endpoint_hol_across_servers () =
-  (* Same regression on the private-socket plane: a delay on the link to
+let test_mux_hol_across_servers () =
+  (* The fan-out half of the same regression: a delay on the link to
      server 0 must not push back the send time to servers 1 and 2 — the
      quorum completes on the undelayed majority in wire time. *)
   let replicas = Array.init 3 (fun _ -> Replica.create ()) in
@@ -1021,17 +1009,54 @@ let test_endpoint_hol_across_servers () =
           (Faults.Latency { base = 0.4; jitter = 0.0 });
       ]
   in
-  let ep = Endpoint.create ~faults ~client:42 ~servers:addrs ~quorum:2 () in
+  let mux = Mux.create ~faults ~servers:addrs ~quorum:2 () in
+  let ep = Mux.client mux ~client:42 in
   let t0 = Clock.now () in
   let got = ref [] in
-  Endpoint.exec ep (Wire.Update (value 1 0 7)) (fun rs -> got := List.map fst rs);
+  Mux.exec ep (Wire.Update (value 1 0 7)) (fun rs -> got := List.map fst rs);
   let elapsed = Clock.now () -. t0 in
   check bool "quorum from the undelayed servers" true
     (List.sort compare !got = [ 1; 2 ]);
   check bool "delay on server 0 does not block sends to 1,2" true
     (elapsed < 0.2);
-  Endpoint.close ep;
+  Mux.shutdown mux;
   Array.iter Server.stop servers
+
+let test_mux_redials_long_restart () =
+  (* A server that stays down past the reconnect backoff's ramp must
+     still be redialed once it is restarted.  S=3 t=1: server 2 stays
+     down through 7 s of writes, comes back, then server 0 dies — the
+     next write's quorum {1, 2} needs the redialed link. *)
+  let cluster = Cluster.start ~s:3 ~tol:1 () in
+  Fun.protect
+    ~finally:(fun () -> Cluster.shutdown cluster)
+    (fun () ->
+      let mux =
+        Mux.create ~servers:(Cluster.addrs cluster)
+          ~quorum:(Cluster.quorum cluster) ()
+      in
+      Fun.protect
+        ~finally:(fun () -> Mux.shutdown mux)
+        (fun () ->
+          let ep = Mux.client mux ~client:3 in
+          let n = ref 0 in
+          let write () =
+            incr n;
+            Mux.exec ep (Wire.Update (value !n 0 !n)) (fun _ -> ())
+          in
+          write ();
+          Cluster.kill cluster 2;
+          let until = Clock.now () +. 7.0 in
+          while Clock.now () < until do
+            write ();
+            Thread.delay 0.01
+          done;
+          Cluster.restart cluster 2;
+          Cluster.kill cluster 0;
+          match write () with
+          | () -> ()
+          | exception Mux.Unavailable msg ->
+            Alcotest.failf "restarted server was never redialed: %s" msg))
 
 (* ------------------------------------------------------------------ *)
 (* Geo profiles: one geography, two compilations                        *)
@@ -1142,13 +1167,13 @@ let test_geo_wan3_live_atomic () =
   check bool "cross-region rounds cost wire time" true
     (res.Session.duration > 0.2)
 
-let test_chaos_soak transport () =
+let test_chaos_soak () =
   (* Seeded drop/delay/duplicate storm plus a kill → recover-restart,
      inside a possible regime: the run must complete with the history
      atomic, lossy links showing up only as retries — and the Table-1
      rounds-per-completed-op contract intact. *)
   let sk =
-    Chaos.soak ~transport ~seed:3 ~ops:6 ~register:Registry.abd_mwmr ()
+    Chaos.soak ~seed:3 ~ops:6 ~register:Registry.abd_mwmr ()
   in
   check bool "regime is possible" true sk.Chaos.expected_atomic;
   check bool "atomic under chaos" true sk.Chaos.atomic;
@@ -1187,12 +1212,12 @@ let test_live_check_session () =
     check bool "window bounded well below history" true
       (r.Check_sink.peak_window > 0 && r.Check_sink.peak_window <= 80)
 
-let test_live_check_chaos transport () =
+let test_live_check_chaos () =
   (* Same storm as [test_chaos_soak], with the streaming checker
      attached: verdicts must agree and throughput accounting must not
      lose operations (aborted in-flight ops are fed as pending). *)
   let sk =
-    Chaos.soak ~transport ~seed:3 ~ops:6 ~live_check:true
+    Chaos.soak ~seed:3 ~ops:6 ~live_check:true
       ~register:Registry.abd_mwmr ()
   in
   check bool "regime is possible" true sk.Chaos.expected_atomic;
@@ -1205,8 +1230,8 @@ let test_live_check_chaos transport () =
     check bool "window bounded" true
       (r.Check_sink.peak_window <= r.Check_sink.checked)
 
-let test_restart_recover transport () =
-  let o = Chaos.restart_scenario ~transport ~mode:`Recover () in
+let test_restart_recover () =
+  let o = Chaos.restart_scenario ~mode:`Recover () in
   check bool "recovered restart preserves atomicity" true o.Chaos.atomic;
   check bool "read returns the acknowledged write" true
     (o.Chaos.read_value = Some (Histories.History.initial_value + 41))
@@ -1272,21 +1297,19 @@ let () =
           Alcotest.test_case "delayed frame does not block other clients"
             `Quick test_mux_hol_isolation;
           Alcotest.test_case "delayed link does not block other servers"
-            `Quick test_endpoint_hol_across_servers;
+            `Quick test_mux_hol_across_servers;
+          Alcotest.test_case "redials a server restarted after a long outage"
+            `Slow test_mux_redials_long_restart;
         ] );
       ( "live",
         [
           Alcotest.test_case "LS97 atomic (mux)" `Quick test_live_ls97_atomic;
-          Alcotest.test_case "LS97 atomic (private sockets)" `Quick
-            test_live_ls97_sockets_path;
           Alcotest.test_case "W2R1 one-round reads" `Quick
             test_live_w2r1_fast_read;
           Alcotest.test_case "single-writer guard" `Quick
             test_live_single_writer_guard;
           Alcotest.test_case "survives t kills (mux)" `Quick
-            (test_live_survives_t_kills `Mux);
-          Alcotest.test_case "survives t kills (sockets)" `Quick
-            (test_live_survives_t_kills `Sockets);
+            test_live_survives_t_kills;
           Alcotest.test_case "rounds accounting under overkill" `Quick
             test_rounds_accounting_under_overkill;
           Alcotest.test_case "adaptive atomic" `Quick test_live_adaptive_atomic;
@@ -1302,17 +1325,13 @@ let () =
             `Quick test_dup_delay_independent_copies;
           QCheck_alcotest.to_alcotest staged_deliveries_prop;
           Alcotest.test_case "soak atomic under faults (mux)" `Quick
-            (test_chaos_soak `Mux);
-          Alcotest.test_case "soak atomic under faults (sockets)" `Quick
-            (test_chaos_soak `Sockets);
+            test_chaos_soak;
           Alcotest.test_case "live checker on healthy session" `Quick
             test_live_check_session;
           Alcotest.test_case "live checker rides the storm" `Quick
-            (test_live_check_chaos `Mux);
+            test_live_check_chaos;
           Alcotest.test_case "restart with recovery is atomic (mux)" `Quick
-            (test_restart_recover `Mux);
-          Alcotest.test_case "restart with recovery is atomic (sockets)" `Quick
-            (test_restart_recover `Sockets);
+            test_restart_recover;
           Alcotest.test_case "fresh restart yields a witness" `Quick
             test_restart_fresh;
         ] );
