@@ -407,8 +407,7 @@ let serve host port id shards =
     Printf.eprintf "mwreg serve: --domains must be >= 1\n";
     exit 2
   end;
-  let replica = Registers.Replica.create () in
-  let server = Live.Server.start ~host ~port ~id ~shards ~replica () in
+  let server = Live.Server.start ~host ~port ~id ~shards () in
   Printf.printf "mwreg server %d listening on %s:%d (%d reactor shard%s)\n%!"
     id host (Live.Server.port server) shards
     (if shards = 1 then "" else "s");

@@ -1,7 +1,7 @@
 (* Live quickstart: the same W2R1 register as examples/quickstart.ml,
    but over real TCP sockets instead of the simulator — five server
    daemons on loopback, one writer and one reader doing genuine network
-   round trips, and the recorded wall-clock history linearized.
+   round trips, and the recorded history linearized.
 
      dune exec examples/live_quickstart.exe *)
 

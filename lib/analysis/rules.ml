@@ -96,17 +96,11 @@ let path_matches ~suffix path =
 let in_files files path =
   List.exists (fun suffix -> path_matches ~suffix path) files
 
-(* MONOTONIC-TIME: the only places allowed to read the wall clock.
-   History timestamps are *meant* to be wall time (operators correlate
-   them with external logs); everything else — deadlines, backoff
-   gates, elapsed-time measurements — must use the monotonic
-   [Clock.now]. *)
+(* MONOTONIC-TIME: the only place allowed to read the wall clock.
+   Deadlines, backoff gates, elapsed-time measurements and history
+   timestamps all use the monotonic [Clock.now]. *)
 let wall_clock_files =
-  [
-    "lib/history/recorder.ml";
-    "lib/transport/session.ml";
-    "lib/transport/clock.ml" (* defines the gettimeofday fallback *);
-  ]
+  [ "lib/transport/clock.ml" (* defines the gettimeofday fallback *) ]
 
 (* RAW-IO: the single EINTR-retrying choke point for socket I/O.  The
    reactor widened the set: readiness waits ([Unix.select]) and accepts
@@ -784,8 +778,8 @@ let check_ident ctx path loc =
   then
     report ctx ~rule:monotonic_time loc
       "Unix.gettimeofday outside the wall-clock allowlist: deadlines, \
-       backoff gates and elapsed times must use the monotonic Clock.now \
-       (history timestamps belong in Recorder/Session)";
+       backoff gates, elapsed times and history timestamps must use the \
+       monotonic Clock.now";
   if List.mem path raw_io_calls && not (in_files raw_io_files ctx.file) then
     report ctx ~rule:raw_io loc
       (Printf.sprintf

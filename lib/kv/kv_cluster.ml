@@ -26,8 +26,6 @@ let group_count t = Array.length t.groups
 
 let group t g = t.groups.(g)
 
-let placement t = t.placement
-
 let group_of t key = Placement.group_of t.placement key
 
 let s t = t.s

@@ -28,9 +28,7 @@ val start :
 val group_count : t -> int
 
 val group : t -> int -> Transport.Cluster.t
-(** The [g]-th shard group's cluster (kill/restart/replica access). *)
-
-val placement : t -> Placement.t
+(** The [g]-th shard group's cluster (kill/restart/keyspace access). *)
 
 val group_of : t -> string -> int
 (** The shard group owning [key]. *)

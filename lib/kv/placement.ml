@@ -37,8 +37,6 @@ let hash64 s =
     s;
   avalanche !h
 
-let default_vnodes = 128
-
 type t = {
   groups : int;
   vnodes : int;
@@ -51,7 +49,7 @@ type t = {
 
 let point_name g v = Printf.sprintf "shard-%d/vnode-%d" g v
 
-let make ?(vnodes = default_vnodes) ~groups () =
+let make ?(vnodes = 128) ~groups () =
   if groups < 1 then invalid_arg "Placement.make: groups must be >= 1";
   if vnodes < 1 then invalid_arg "Placement.make: vnodes must be >= 1";
   let pts = Array.make (groups * vnodes) (0L, 0) in

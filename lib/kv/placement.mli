@@ -10,11 +10,9 @@
 
 type t
 
-val default_vnodes : int
-(** 128 — enough that per-group load imbalance stays within a few tens
-    of percent of the mean. *)
-
 val make : ?vnodes:int -> groups:int -> unit -> t
+(** [vnodes] defaults to 128 — enough that per-group load imbalance
+    stays within a few tens of percent of the mean. *)
 
 val groups : t -> int
 val vnodes : t -> int
@@ -25,6 +23,3 @@ val group_of : t -> string -> int
 val spread : t -> string list -> int array
 (** Per-group key counts for a concrete key population (balance
     reporting and tests). *)
-
-val hash64 : string -> int64
-(** The raw FNV-1a key hash (exposed for tests). *)

@@ -27,8 +27,6 @@ let create ?rt_timeout ?max_rt_retries ?faults ~clients kc =
   { kc; muxes; readers = clients }
 
 type client = {
-  index : int;
-  node : int; (* id recorded in the servers' updated sets *)
   eps : Mux.handle array; (* one per shard group *)
   router : t;
 }
@@ -40,18 +38,12 @@ type client = {
 let client t ~index =
   let node = Kv_cluster.s t.kc + index in
   let eps = Array.map (fun m -> Mux.client m ~client:node) t.muxes in
-  { index; node; eps; router = t }
-
-let index c = c.index
-
-let node c = c.node
-
-let group_endpoint c g = c.eps.(g)
+  { eps; router = t }
 
 let key_ctx c key =
   let t = c.router in
   let g = Kv_cluster.group_of t.kc key in
-  let ep = Endpoint.keyed_endpoint c.eps.(g) ~key in
+  let ep = Endpoint.endpoint c.eps.(g) ~key in
   {
     Client_core.writer_ep = (fun _ -> ep);
     reader_ep = (fun _ -> ep);

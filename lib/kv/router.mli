@@ -32,13 +32,6 @@ val client : t -> index:int -> client
     [index] (tag wid) and reader [index], since KV clients interleave
     both kinds. *)
 
-val index : client -> int
-
-val node : client -> int
-
-val group_endpoint : client -> int -> Transport.Mux.handle
-(** The client's handle on shard group [g]'s plane (stats/tests). *)
-
 val key_ctx : client -> string -> Registers.Client_core.ctx
 (** The backend context for operating on [key]: endpoints pinned to
     [key]'s shard group carrying [key] on every round trip, with the

@@ -71,11 +71,6 @@ let key_count t = Hashtbl.length t.hot + Hashtbl.length t.cold
 
 let hot_count t = Hashtbl.length t.hot
 
-let keys t =
-  let ks = Hashtbl.fold (fun k _ acc -> k :: acc) t.hot [] in
-  let ks = Hashtbl.fold (fun k _ acc -> k :: acc) t.cold ks in
-  List.sort compare ks
-
 (* The durable state: every key's full replica snapshot, sorted for
    determinism.  [load] parks them all cold — a recovered server rebuilds
    each register lazily, on its first post-restart access. *)

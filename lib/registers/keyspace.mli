@@ -19,22 +19,16 @@ val create : ?max_hot:int -> unit -> t
 (** An empty keyspace keeping at most [max_hot] (default 4096) replicas
     fully materialised. *)
 
-val find : t -> string -> Replica.t
-(** The replica for a key, creating or rehydrating it as needed and
-    marking it most recently used. *)
-
 val handle : t -> key:string -> client:int -> Wire.req -> Wire.rep
 (** [handle t ~key ~client req] runs [req] against [key]'s replica —
-    {!Replica.handle} on {!find}'s result. *)
+    {!Replica.handle} on that key's replica, creating or rehydrating it
+    as needed and marking it most recently used. *)
 
 val key_count : t -> int
 (** Distinct keys ever touched (resident + demoted). *)
 
 val hot_count : t -> int
 (** Keys currently holding a materialised replica. *)
-
-val keys : t -> string list
-(** Every key, sorted. *)
 
 type state = (string * Replica.state) list
 (** Durable snapshot of the whole keyspace, sorted by key. *)

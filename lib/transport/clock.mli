@@ -1,4 +1,4 @@
-(** The one time source for transport deadlines.
+(** The one time source for transport deadlines and live histories.
 
     Round-trip deadlines, reconnect backoff gates, the mux ticker and
     fault-plan windows all measure {e durations}, so they must not move
@@ -8,8 +8,10 @@
     platform has it and falls back to [Unix.gettimeofday] elsewhere.
 
     Values are only meaningful relative to other {!now} readings in the
-    same process.  Wall-clock timestamps (e.g. {!Session} histories)
-    keep using [Unix.gettimeofday] directly. *)
+    same process.  Live histories ({!Session}, the KV driver) are stamped
+    with it too, relative to the run's start: their timestamps order
+    operations across threads and never need to match an outside
+    clock. *)
 
 val monotonic : bool
 (** Whether {!now} is backed by a monotonic source on this platform. *)

@@ -2,8 +2,7 @@ open Registers
 
 type t = {
   servers : Server.t option array; (* empty when attached to remote daemons *)
-  replicas : Replica.t array;
-  keyspaces : Keyspace.t array; (* named registers, one table per server *)
+  keyspaces : Keyspace.t array; (* every register, one table per server *)
   sockaddrs : Unix.sockaddr array;
   s : int;
   tol : int;
@@ -14,13 +13,10 @@ type t = {
 let start ?faults ?(shards = 1) ~s ~tol () =
   if s < 2 then invalid_arg "Cluster.start: need at least 2 servers";
   if tol < 0 || tol >= s then invalid_arg "Cluster.start: need 0 <= tol < s";
-  let replicas = Array.init s (fun _ -> Replica.create ()) in
   let keyspaces = Array.init s (fun _ -> Keyspace.create ()) in
   let servers =
     Array.init s (fun i ->
-        Some
-          (Server.start ~id:i ~shards ?faults ~keyspace:keyspaces.(i)
-             ~replica:replicas.(i) ()))
+        Some (Server.start ~id:i ~shards ?faults ~keyspace:keyspaces.(i) ()))
   in
   let sockaddrs =
     Array.map
@@ -30,7 +26,7 @@ let start ?faults ?(shards = 1) ~s ~tol () =
         | None -> assert false)
       servers
   in
-  { servers; replicas; keyspaces; sockaddrs; s; tol; shards; faults }
+  { servers; keyspaces; sockaddrs; s; tol; shards; faults }
 
 let connect ~addrs ~tol () =
   let s = Array.length addrs in
@@ -38,7 +34,6 @@ let connect ~addrs ~tol () =
   if tol < 0 || tol >= s then invalid_arg "Cluster.connect: need 0 <= tol < s";
   {
     servers = [||];
-    replicas = [||];
     keyspaces = [||];
     sockaddrs = addrs;
     s;
@@ -62,10 +57,6 @@ let port t i =
 
 let addrs t = Array.copy t.sockaddrs
 
-let replica t i =
-  if not (local t) then invalid_arg "Cluster.replica: remote cluster";
-  t.replicas.(i)
-
 let keyspace t i =
   if not (local t) then invalid_arg "Cluster.keyspace: remote cluster";
   t.keyspaces.(i)
@@ -81,7 +72,7 @@ let kill t i =
 type restart_mode = [ `Recover | `Fresh ]
 
 (* Bring a killed server back on its original port.  [`Recover] rebuilds
-   its replica through the {!Replica.save}/{!Replica.load} state API —
+   its keyspace through the {!Keyspace.save}/{!Keyspace.load} state API —
    the restart is then indistinguishable from a very slow server, which
    the crash-stop proofs do cover.  [`Fresh] restarts with empty state:
    a model violation (acknowledged writes forgotten) that the atomicity
@@ -94,24 +85,16 @@ let restart ?(mode = `Recover) t i =
   match t.servers.(i) with
   | Some _ -> ()
   | None ->
-    let replica, keyspace =
+    let keyspace =
       match mode with
-      | `Recover ->
-        (* Both the default register and every named one travel through
-           their save/load state APIs: the restart is indistinguishable
-           from a very slow server for the whole keyspace, not just the
-           single-register plane. *)
-        ( Replica.load (Replica.save t.replicas.(i)),
-          Keyspace.load (Keyspace.save t.keyspaces.(i)) )
-      | `Fresh -> (Replica.create (), Keyspace.create ())
+      | `Recover -> Keyspace.load (Keyspace.save t.keyspaces.(i))
+      | `Fresh -> Keyspace.create ()
     in
-    t.replicas.(i) <- replica;
     t.keyspaces.(i) <- keyspace;
     let port = port t i in
     let rec bind_retrying n =
       match
-        Server.start ~port ~id:i ~shards:t.shards ?faults:t.faults ~keyspace
-          ~replica ()
+        Server.start ~port ~id:i ~shards:t.shards ?faults:t.faults ~keyspace ()
       with
       | sv -> sv
       | exception Unix.Unix_error (Unix.EADDRINUSE, _, _) when n > 0 ->
@@ -130,6 +113,8 @@ let running t =
 let shutdown t =
   if local t then Array.iteri (fun i _ -> kill t i) t.servers
 
+let register_key = "r"
+
 type clients = {
   writer_eps : Mux.handle array;
   reader_eps : Mux.handle array;
@@ -140,7 +125,8 @@ type clients = {
 (* Client node ids follow Protocol.Topology's numbering (servers
    0..S-1, writer i = S+i, reader j = S+W+j) so the updated sets the
    replicas record — and therefore the admissibility certificates — are
-   identical across the simulated and live backends. *)
+   identical across the simulated and live backends.  Every endpoint
+   addresses the one register [register_key]. *)
 let clients ?rt_timeout ?max_rt_retries ?faults t ~writers ~readers =
   (* Default to the plan the cluster's servers were started with, so
      the request and reply legs of one chaos run share one plan. *)
@@ -157,8 +143,10 @@ let clients ?rt_timeout ?max_rt_retries ?faults t ~writers ~readers =
     reader_eps;
     ctx =
       {
-        Client_core.writer_ep = (fun i -> Endpoint.endpoint writer_eps.(i));
-        reader_ep = (fun j -> Endpoint.endpoint reader_eps.(j));
+        Client_core.writer_ep =
+          (fun i -> Endpoint.endpoint writer_eps.(i) ~key:register_key);
+        reader_ep =
+          (fun j -> Endpoint.endpoint reader_eps.(j) ~key:register_key);
         s = t.s;
         t = t.tol;
         r = readers;

@@ -17,9 +17,9 @@ val start : ?faults:Faults.t -> ?shards:int -> s:int -> tol:int -> unit -> t
 
 val connect : addrs:Unix.sockaddr array -> tol:int -> unit -> t
 (** Attach to already-running daemons (e.g. [mwreg serve] processes)
-    instead of spawning them.  {!kill} and {!replica} are unavailable on
-    such a cluster ([Invalid_argument]); everything client-side works the
-    same. *)
+    instead of spawning them.  {!kill}, {!restart} and {!keyspace} are
+    unavailable on such a cluster ([Invalid_argument]); everything
+    client-side works the same. *)
 
 val local : t -> bool
 (** [true] for {!start} clusters (in-process servers), [false] for
@@ -35,13 +35,9 @@ val port : t -> int -> int
 val addrs : t -> Unix.sockaddr array
 (** Dial addresses, indexed by server. *)
 
-val replica : t -> int -> Registers.Replica.t
-(** Server [i]'s state machine (inspection/tests). *)
-
 val keyspace : t -> int -> Registers.Keyspace.t
-(** Server [i]'s named-register table (inspection/tests).  Carried
-    across [`Recover] restarts through {!Registers.Keyspace.save}/[load],
-    exactly like the default replica. *)
+(** Server [i]'s register table (inspection/tests).  Carried across
+    [`Recover] restarts through {!Registers.Keyspace.save}/[load]. *)
 
 val kill : t -> int -> unit
 (** Crash server [i]: connections sever, its port stops answering.
@@ -49,8 +45,8 @@ val kill : t -> int -> unit
 
 type restart_mode = [ `Recover | `Fresh ]
 (** How a {!kill}ed server comes back: [`Recover] carries its full
-    pre-crash replica state across the restart (via {!Registers.Replica.save}
-    / [load]), [`Fresh] rejoins with empty state — a violation of the
+    pre-crash keyspace across the restart (via
+    {!Registers.Keyspace.save} / [load]), [`Fresh] rejoins with empty state — a violation of the
     crash-stop model whose effect {!Checker.Atomicity} must flag. *)
 
 val restart : ?mode:restart_mode -> t -> int -> unit
@@ -64,6 +60,11 @@ val running : t -> int list
 
 val shutdown : t -> unit
 (** Kill everything. *)
+
+val register_key : string
+(** The key of the single register {!clients} operate on (["r"]): the
+    live single-register drivers ({!Session}, {!Chaos}) run against this
+    one entry of each server's keyspace. *)
 
 type clients = {
   writer_eps : Mux.handle array;
@@ -85,7 +86,8 @@ val clients :
   readers:int ->
   clients
 (** Handles for [writers] writers and [readers] readers, numbered like
-    {!Protocol.Topology} so live and simulated certificates agree.
+    {!Protocol.Topology} so live and simulated certificates agree, with
+    [ctx]'s endpoints pinned to {!register_key}.
     [faults] applies the plan's [To_server] rules to every request these
     clients send; it defaults to the plan the cluster was started
     with, so one plan covers both legs of a chaos run. *)

@@ -5,8 +5,6 @@ exception Decode_error of string
 let fail fmt = Printf.ksprintf (fun msg -> raise (Decode_error msg)) fmt
 
 type frame =
-  | Request of { rt : int; client : int; req : Wire.req }
-  | Reply of { rt : int; client : int; server : int; rep : Wire.rep }
   | Keyed_request of { key : string; rt : int; client : int; req : Wire.req }
   | Keyed_reply of {
       key : string;
@@ -69,18 +67,9 @@ let add_key b k =
   add_int b (String.length k);
   Buffer.add_string b k
 
+(* Tags 0 and 1 are retired (they framed unkeyed registers) and must
+   not be reused: a peer still sending them is rejected, not misread. *)
 let add_frame b = function
-  | Request { rt; client; req } ->
-    Buffer.add_char b '\000';
-    add_int b rt;
-    add_int b client;
-    add_req b req
-  | Reply { rt; client; server; rep } ->
-    Buffer.add_char b '\001';
-    add_int b rt;
-    add_int b client;
-    add_int b server;
-    add_rep b rep
   | Keyed_request { key; rt; client; req } ->
     Buffer.add_char b '\002';
     add_key b key;
@@ -115,8 +104,6 @@ let rep_size = function
 let key_size k = 8 + String.length k
 
 let body_size = function
-  | Request { req; _ } -> 1 + 8 + 8 + req_size req
-  | Reply { rep; _ } -> 1 + 8 + 8 + 8 + rep_size rep
   | Keyed_request { key; req; _ } -> 1 + key_size key + 8 + 8 + req_size req
   | Keyed_reply { key; rep; _ } ->
     1 + key_size key + 8 + 8 + 8 + rep_size rep
@@ -127,11 +114,6 @@ let encode_into b frame =
   Buffer.clear b;
   Buffer.add_int32_be b (Int32.of_int (body_size frame));
   add_frame b frame
-
-let encode_body frame =
-  let b = Buffer.create 128 in
-  add_frame b frame;
-  Buffer.contents b
 
 let encode frame =
   let b = Buffer.create (frame_size frame) in
@@ -208,17 +190,6 @@ let get_key c =
 
 let get_frame c =
   match get_byte c with
-  | 0 ->
-    let rt = get_int c in
-    let client = get_int c in
-    let req = get_req c in
-    Request { rt; client; req }
-  | 1 ->
-    let rt = get_int c in
-    let client = get_int c in
-    let server = get_int c in
-    let rep = get_rep c in
-    Reply { rt; client; server; rep }
   | 2 ->
     let key = get_key c in
     let rt = get_int c in

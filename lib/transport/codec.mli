@@ -1,34 +1,29 @@
 (** Length-prefixed binary codec for the register wire protocol.
 
     One frame = a 4-byte big-endian body length followed by the body: a
-    tag byte ([Request]/[Reply]), the round-trip id and the client or
-    server index, then the {!Registers.Wire.req} or {!Registers.Wire.rep}
-    payload — including the full value vector of a READACK, each value
-    with its [updated] client set.  Integers travel as 8-byte
-    little-endian two's-complement.
+    tag byte ([Keyed_request] = 2, [Keyed_reply] = 3), the register key
+    (an 8-byte length then its bytes), the round-trip id and the client
+    or server index, then the {!Registers.Wire.req} or
+    {!Registers.Wire.rep} payload — including the full value vector of a
+    READACK, each value with its [updated] client set.  Integers travel
+    as 8-byte little-endian two's-complement.
 
-    Decoding is strict: short input, bad tags, negative or oversized
-    lengths, and trailing bytes all raise {!Decode_error} — a TCP peer
-    speaking anything else is disconnected rather than misread. *)
+    Every frame names its register: a server hosts one keyspace and
+    nothing else, so there is no unkeyed form.  Decoding is strict:
+    short input, unknown tags (including the retired unkeyed tags 0 and
+    1), negative or oversized lengths, and trailing bytes all raise
+    {!Decode_error} — a TCP peer speaking anything else is disconnected
+    rather than misread. *)
 
 exception Decode_error of string
 
 type frame =
-  | Request of { rt : int; client : int; req : Registers.Wire.req }
-  | Reply of { rt : int; client : int; server : int; rep : Registers.Wire.rep }
-      (** Replies echo the requesting [client]: on a multiplexed
-          connection shared by many clients, [(client, rt)] is the
-          routing key that delivers the reply to the right mailbox. *)
   | Keyed_request of {
       key : string;
       rt : int;
       client : int;
       req : Registers.Wire.req;
-    }
-      (** A request addressed to one named register of a server's
-          keyspace rather than its single default replica.  Unkeyed
-          frames stay on the wire unchanged, so old clients and keyed
-          clients share a connection. *)
+    }  (** A request addressed to register [key] of a server's keyspace. *)
   | Keyed_reply of {
       key : string;
       rt : int;
@@ -36,9 +31,11 @@ type frame =
       server : int;
       rep : Registers.Wire.rep;
     }
-      (** The keyed reply echoes the request's [key]: a client awaiting
-          key [k] must drop a reply for any other key rather than count
-          it toward its quorum. *)
+      (** The reply echoes the request's [key] and [client]: on a
+          multiplexed connection shared by many clients, [(client, rt)]
+          routes it to the right mailbox, and a client awaiting key [k]
+          must drop a reply for any other key rather than count it
+          toward its quorum. *)
 
 val max_frame_len : int
 (** Largest accepted body, in bytes (corrupt-length guard). *)
@@ -61,16 +58,9 @@ val encode_into : Buffer.t -> frame -> unit
     steady-state size: [Buffer.contents] is never needed because callers
     blit the buffer straight into a reused [Bytes.t] staging area. *)
 
-val encode_body : frame -> string
-(** The body alone, without the length prefix. *)
-
 val decode : string -> frame
 (** Inverse of {!encode} on exactly one whole frame.
     @raise Decode_error on any malformation, including trailing bytes. *)
-
-val decode_body : string -> frame
-(** Inverse of {!encode_body}.
-    @raise Decode_error on any malformation. *)
 
 (** Reassembles frames from an arbitrarily-chunked byte stream (TCP reads
     need not align with frame boundaries). *)

@@ -7,10 +7,7 @@ exception Unavailable of string
 (** Raised when no quorum answered within the retry budget — the same
     exception as {!Mux.Unavailable}. *)
 
-val endpoint : Mux.handle -> Registers.Client_core.endpoint
-(** Every round trip of the returned endpoint is one {!Mux.exec}. *)
-
-val keyed_endpoint : Mux.handle -> key:string -> Registers.Client_core.endpoint
-(** The same capability pinned to one named register: every round trip
-    it executes carries [key], so a key-blind protocol algorithm runs
-    against that register unchanged. *)
+val endpoint : Mux.handle -> key:string -> Registers.Client_core.endpoint
+(** The capability pinned to register [key]: every round trip of the
+    returned endpoint is one {!Mux.exec} carrying [key], so a key-blind
+    protocol algorithm runs against that register unchanged. *)

@@ -50,18 +50,16 @@ type mailbox = {
   mb_cond : Condition.t;
   (* State of the (single) in-flight round trip.  [mb_rt = -1] means no
      round trip is open: anything routed then is late.  [mb_key] is the
-     open round trip's register key ([None] = the default register): a
-     reply whose key differs cannot count toward this quorum and is
-     dropped, never delivered. *)
+     open round trip's register key: a reply whose key differs cannot
+     count toward this quorum and is dropped, never delivered. *)
   mutable mb_rt : int;
-  mutable mb_key : string option;
+  mutable mb_key : string;
   mb_from : bool array; (* per-server dedup for the open round trip *)
   mutable mb_replies : (int * Wire.rep) list; (* newest first *)
   mutable mb_n : int;
   mutable mb_late : int;
   mutable mb_next_rt : int;
   mutable mb_deadline : float; (* ticker wakes the waiter only past this *)
-  mutable mb_started : int;
   mutable mb_completed : int;
   mutable mb_retried : int; (* re-broadcasts after a round-trip timeout *)
   (* Reused send path: the frame is encoded once per operation into
@@ -157,15 +155,12 @@ let demux t c fd () =
          Codec.Stream.feed stream buf n;
          let rec drain () =
            match Codec.Stream.next stream with
-           | Some (Codec.Reply { rt; client; server = _; rep }) ->
+           | Some (Codec.Keyed_reply { key; rt; client; server = _; rep }) ->
              (* Route by (client, rt); the connection's own index is the
                 authoritative server label, not the peer-reported one. *)
-             route t ~server_index:c.index ~client ~rt ~key:None rep;
+             route t ~server_index:c.index ~client ~rt ~key rep;
              drain ()
-           | Some (Codec.Keyed_reply { key; rt; client; server = _; rep }) ->
-             route t ~server_index:c.index ~client ~rt ~key:(Some key) rep;
-             drain ()
-           | Some (Codec.Request _) | Some (Codec.Keyed_request _) ->
+           | Some (Codec.Keyed_request _) ->
              (* Servers never send requests; cut the broken peer off. *)
              stop := true
            | None -> ()
@@ -475,14 +470,13 @@ let client t ~client =
       mb_lock = Mutex.create ();
       mb_cond = Condition.create ();
       mb_rt = -1;
-      mb_key = None;
+      mb_key = "";
       mb_from = Array.make (Array.length t.conns) false;
       mb_replies = [];
       mb_n = 0;
       mb_late = 0;
       mb_next_rt = 0;
       mb_deadline = infinity;
-      mb_started = 0;
       mb_completed = 0;
       mb_retried = 0;
       mb_enc = Buffer.create 256;
@@ -528,29 +522,23 @@ let shutdown t =
 (* The round trip                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let exec ?key h req k =
+let exec ~key h req k =
   let t = h.mux and mb = h.mb in
   let rt =
     Mutex.protect mb.mb_lock (fun () ->
         let rt = mb.mb_next_rt in
         mb.mb_next_rt <- rt + 1;
-        mb.mb_started <- mb.mb_started + 1;
+        mb.mb_rt <- rt;
+        mb.mb_key <- key;
+        Array.fill mb.mb_from 0 (Array.length mb.mb_from) false;
+        mb.mb_replies <- [];
+        mb.mb_n <- 0;
+        mb.mb_deadline <- now () +. t.rt_timeout;
         rt)
   in
-  Mutex.protect mb.mb_lock (fun () ->
-      mb.mb_rt <- rt;
-      mb.mb_key <- key;
-      Array.fill mb.mb_from 0 (Array.length mb.mb_from) false;
-      mb.mb_replies <- [];
-      mb.mb_n <- 0;
-      mb.mb_deadline <- now () +. t.rt_timeout);
   (* Encode once; the same bytes go out on all S shared connections. *)
-  let frame =
-    match key with
-    | None -> Codec.Request { rt; client = mb.client; req }
-    | Some key -> Codec.Keyed_request { key; rt; client = mb.client; req }
-  in
-  Codec.encode_into mb.mb_enc frame;
+  Codec.encode_into mb.mb_enc
+    (Codec.Keyed_request { key; rt; client = mb.client; req });
   let len = Buffer.length mb.mb_enc in
   if len > Bytes.length mb.mb_out then
     mb.mb_out <- Bytes.create (max len (2 * Bytes.length mb.mb_out));
@@ -612,7 +600,6 @@ let exec ?key h req k =
   let nreplies = mb.mb_n in
   let replies = List.rev mb.mb_replies in
   mb.mb_rt <- -1;
-  mb.mb_key <- None;
   mb.mb_deadline <- infinity;
   mb.mb_replies <- [];
   Mutex.unlock mb.mb_lock;
@@ -626,9 +613,6 @@ let exec ?key h req k =
       (Unavailable
          (Printf.sprintf "client %d: %d/%d replies after %d attempts of %.3fs"
             mb.client nreplies t.quorum (!attempt + 1) t.rt_timeout))
-
-let rounds_started h =
-  Mutex.protect h.mb.mb_lock (fun () -> h.mb.mb_started)
 
 let rounds_completed h =
   Mutex.protect h.mb.mb_lock (fun () -> h.mb.mb_completed)

@@ -8,8 +8,9 @@
 
     - [S] shared connections, each written under a per-connection lock
       with a reused encode buffer (no per-frame allocation once warm);
-    - one demux reader thread per connection that decodes [Reply] frames
-      and routes them by [(client, rt)] into per-client mailboxes
+    - one demux reader thread per connection that decodes
+      [Keyed_reply] frames and routes them by [(client, rt)] into
+      per-client mailboxes
       (mutex + condvar) — no [select], no per-iteration fd scans;
     - {!exec} = encode once, enqueue on the [S] shared connections,
       block on the caller's own mailbox until quorum or timeout.
@@ -59,21 +60,21 @@ val client : t -> client:int -> handle
     replaces the previous route. *)
 
 val exec :
-  ?key:string ->
+  key:string ->
   handle ->
   Registers.Wire.req ->
   ((int * Registers.Wire.rep) list -> unit) ->
   unit
 (** One round trip over the shared connections.  The continuation
     receives [(server_index, reply)] pairs in arrival order and runs in
-    the calling thread.  With [key] the request addresses that named
-    register of each server's keyspace ([Codec.Keyed_request]); only
-    replies echoing the same key count toward the quorum — a reply for
-    any other key is dropped (see {!dropped_replies}), never delivered.
+    the calling thread.  The request addresses register [key] of each
+    server's keyspace ([Codec.Keyed_request]); only replies echoing the
+    same key count toward the quorum — a reply for any other key is
+    dropped (see {!dropped_replies}), never delivered.
     @raise Unavailable when fewer than [quorum] servers answered. *)
 
-val rounds_started : handle -> int
 val rounds_completed : handle -> int
+(** Round trips that reached their quorum. *)
 
 val late_replies : handle -> int
 (** Replies that arrived after their round trip had completed. *)

@@ -3,7 +3,7 @@ open Registers
 (* A non-blocking reactor replaces the old thread-per-connection design:
    each shard runs one event loop over an epoll/poll {!Netio.Poller},
    owns a disjoint set of connections, and is the only thread that ever
-   touches them — connection state needs no locks at all.  The replica
+   touches them — connection state needs no locks at all.  The keyspace
    stays shared behind [replica_lock] (the model's one-message-at-a-time
    server), so shards scale the *socket* work, not the state machine. *)
 
@@ -93,9 +93,8 @@ type t = {
   id : int;
   listen_fd : Unix.file_descr;
   port : int;
-  replica : Replica.t;
-  keyspace : Keyspace.t; (* named registers, same lock as [replica] *)
-  replica_lock : Mutex.t;
+  keyspace : Keyspace.t; (* every register this server hosts *)
+  replica_lock : Mutex.t; (* guards [keyspace] *)
   faults : Faults.t option;
   shards : shard array;
   stopping : bool Atomic.t;
@@ -125,8 +124,6 @@ let tick = 0.2
 let outq_limit = 4 * 1024 * 1024
 
 let port t = t.port
-
-let replica t = t.replica
 
 let keyspace t = t.keyspace
 
@@ -174,33 +171,24 @@ let add_timer sh tm =
   in
   sh.timers <- ins sh.timers
 
-(* Run one wakeup's worth of decoded requests through the replica under
+(* Run one wakeup's worth of decoded requests through the keyspace under
    a single lock acquisition (the batch fast path for multiplexed client
    connections), decide each reply frame's fate under the fault plan,
-   and coalesce every immediate delivery into one flush.  Keyed requests
-   dispatch to the keyspace's per-key replica under the same lock — the
-   model's one-message-at-a-time server, per register. *)
+   and coalesce every immediate delivery into one flush.  Each request
+   dispatches to its key's replica — the model's one-message-at-a-time
+   server, per register. *)
 let process_requests t sh c requests =
   let reps =
     Mutex.protect t.replica_lock (fun () ->
         List.map
           (fun (rt, client, key, req) ->
-            let rep =
-              match key with
-              | None -> Replica.handle t.replica ~client req
-              | Some key -> Keyspace.handle t.keyspace ~key ~client req
-            in
-            (rt, client, key, rep))
+            (rt, client, key, Keyspace.handle t.keyspace ~key ~client req))
           requests)
   in
   Buffer.clear sh.reply_buf;
   List.iter
     (fun (rt, client, key, rep) ->
-      let frame =
-        match key with
-        | None -> Codec.Reply { rt; client; server = t.id; rep }
-        | Some key -> Codec.Keyed_reply { key; rt; client; server = t.id; rep }
-      in
+      let frame = Codec.Keyed_reply { key; rt; client; server = t.id; rep } in
       match t.faults with
       | None ->
         Codec.encode_into sh.frame_buf frame;
@@ -284,14 +272,11 @@ let handle_readable t sh c =
      let rec go () =
        match Codec.Stream.next c.stream with
        | None -> ()
-       | Some (Codec.Reply _) | Some (Codec.Keyed_reply _) ->
+       | Some (Codec.Keyed_reply _) ->
          (* Only servers speak replies; a confused peer is cut off. *)
          closed := true
-       | Some (Codec.Request { rt; client; req }) ->
-         requests := (rt, client, None, req) :: !requests;
-         go ()
        | Some (Codec.Keyed_request { key; rt; client; req }) ->
-         requests := (rt, client, Some key, req) :: !requests;
+         requests := (rt, client, key, req) :: !requests;
          go ()
      in
      go ()
@@ -391,10 +376,7 @@ let shard_loop t sh =
   drain_inbox t sh
 
 let start ?(host = "127.0.0.1") ?(port = 0) ?(id = 0) ?(shards = 1) ?faults
-    ?keyspace ~replica () =
-  let keyspace =
-    match keyspace with Some ks -> ks | None -> Keyspace.create ()
-  in
+    ?(keyspace = Keyspace.create ()) () =
   if shards < 1 then invalid_arg "Server.start: shards must be >= 1";
   Lazy.force ignore_sigpipe;
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -439,7 +421,6 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?(id = 0) ?(shards = 1) ?faults
       id;
       listen_fd = fd;
       port;
-      replica;
       keyspace;
       replica_lock = Mutex.create ();
       faults;

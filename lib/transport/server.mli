@@ -1,10 +1,11 @@
-(** A register server daemon: one {!Registers.Replica} behind a TCP
-    listen socket, served by a non-blocking reactor.
+(** A register server daemon: one {!Registers.Keyspace} of named
+    registers behind a TCP listen socket, served by a non-blocking
+    reactor.
 
-    The daemon hosts exactly the replica state machine the simulator
-    uses — [current] value plus the full-information value vector with
-    [updated] sets — and answers Query/Update requests per the paper's
-    server algorithm (Algorithm 2).  Instead of a thread per connection,
+    Each key's register is exactly the replica state machine the
+    simulator uses — [current] value plus the full-information value
+    vector with [updated] sets — and answers Query/Update requests per
+    the paper's server algorithm (Algorithm 2).  Instead of a thread per connection,
     an event loop (epoll where available, poll elsewhere) drives
     non-blocking sockets: each connection's bytes feed an incremental
     {!Codec.Stream}, every complete frame decoded by one wakeup is
@@ -15,7 +16,7 @@
     lets one daemon hold 1000+ concurrent connections.
 
     With [shards > 1] the connections are dealt round-robin across that
-    many event loops, one domain each; the replica itself stays behind
+    many event loops, one domain each; the keyspace itself stays behind
     one lock (the model's one-message-at-a-time server), so shards scale
     the socket work, not the state machine.
 
@@ -31,7 +32,6 @@ val start :
   ?shards:int ->
   ?faults:Faults.t ->
   ?keyspace:Registers.Keyspace.t ->
-  replica:Registers.Replica.t ->
   unit ->
   t
 (** Bind [host:port] (default [127.0.0.1:0] — port 0 picks an ephemeral
@@ -42,16 +42,13 @@ val start :
     rules: drops and blackouts lose it, delays park it on the owning
     shard's timer list and deliver it late, duplicates send it twice,
     truncation tears the frame mid-byte and severs the connection.
-    [keyspace] (default fresh and empty) answers keyed requests: a
-    [Codec.Keyed_request] dispatches to the named per-key replica, under
-    the same lock as [replica], and is answered with a [Keyed_reply]
-    echoing the key.  Unkeyed traffic is untouched. *)
+    [keyspace] (default fresh and empty) holds every register the
+    server hosts: a [Codec.Keyed_request] dispatches to the named
+    per-key replica and is answered with a [Keyed_reply] echoing the
+    key. *)
 
 val port : t -> int
 (** The actual bound port. *)
-
-val replica : t -> Registers.Replica.t
-(** The hosted state machine (inspection/tests). *)
 
 val keyspace : t -> Registers.Keyspace.t
 (** The hosted named-register table (inspection/tests/recovery). *)

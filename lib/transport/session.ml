@@ -33,8 +33,8 @@ type result = {
 }
 
 (* One client's private operation log.  Clients record invocations and
-   responses into their own log with no shared lock — the wall-clock
-   reads and list pushes happen entirely in the owning thread — and the
+   responses into their own log with no shared lock — the clock reads
+   and list pushes happen entirely in the owning thread — and the
    logs merge into one History.t only after every thread has joined. *)
 type lop = {
   l_kind : Op.kind;
@@ -89,9 +89,6 @@ let mean_rounds logs =
     logs;
   if !ops = 0 then 0.0 else float_of_int !rounds /. float_of_int !ops
 
-(* The single live register checks under one key. *)
-let live_key = "r"
-
 let op_of proc l =
   {
     Op.id = 0;
@@ -118,8 +115,8 @@ let run ?(kill_at = []) ?(restart_at = []) ?faults ?rt_timeout
   in
   (* Align the fault plan's rule windows with the session clock. *)
   Option.iter Faults.arm faults;
-  let t0 = Unix.gettimeofday () in
-  let now () = Unix.gettimeofday () -. t0 in
+  let t0 = Clock.now () in
+  let now () = Clock.now () -. t0 in
   let sink =
     if live_check then Some (Check_sink.create ?on_violation ~now ())
     else None
@@ -147,7 +144,9 @@ let run ?(kill_at = []) ?(restart_at = []) ?faults ?rt_timeout
     in
     let publish l =
       match port with
-      | Some p -> Check_sink.completed p ~key:live_key (op_of (Op.Writer i) l)
+      | Some p ->
+        Check_sink.completed p ~key:Cluster.register_key
+          (op_of (Op.Writer i) l)
       | None -> ()
     in
     let log = ref [] in
@@ -190,7 +189,9 @@ let run ?(kill_at = []) ?(restart_at = []) ?faults ?rt_timeout
     in
     let publish l =
       match port with
-      | Some p -> Check_sink.completed p ~key:live_key (op_of (Op.Reader j) l)
+      | Some p ->
+        Check_sink.completed p ~key:Cluster.register_key
+          (op_of (Op.Reader j) l)
       | None -> ()
     in
     let log = ref [] in

@@ -2,8 +2,9 @@
     resulting history.
 
     The live analogue of {!Protocol.Runtime.run}: one OS thread per
-    client runs the protocol's {!Registers.Client_core.algo} against real
-    sockets, every operation is recorded with wall-clock timestamps, and
+    client runs the protocol's {!Registers.Client_core.algo} against
+    register {!Cluster.register_key} over real sockets, every operation
+    is recorded with monotonic {!Clock.now} timestamps, and
     the finished history feeds the very same atomicity checkers as the
     simulated runs — the live backend cross-checks the simulator and
     vice versa.
@@ -30,7 +31,8 @@ val default_spec : spec
 
 type result = {
   history : Histories.History.t;
-      (** Wall-clock-timestamped, checker-ready. *)
+      (** Timestamped in seconds since the session started, on the
+          monotonic {!Clock.now}; checker-ready. *)
   duration : float;  (** Seconds from first invocation to last response. *)
   write_rounds : float;
       (** Mean round trips per completed write — 2.0 for the two-round

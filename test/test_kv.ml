@@ -230,12 +230,11 @@ let raw_read_frames fd st buf want =
   List.rev !got
 
 let test_reactor_interleaved_keyed_frames () =
-  (* One connection carrying keyed and keyless frames interleaved —
-     dripped in small chunks so the reactor holds partial keyed frames —
-     must answer every frame in order, echoing each request's key, with
+  (* One connection carrying frames for several keys interleaved —
+     dripped in small chunks so the reactor holds partial frames — must
+     answer every frame in order, echoing each request's key, with
      per-key server state fully isolated. *)
-  let replica = Replica.create () in
-  let server = Server.start ~id:0 ~replica () in
+  let server = Server.start ~id:0 () in
   Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
   let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server) in
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -250,7 +249,7 @@ let test_reactor_interleaved_keyed_frames () =
       Codec.Keyed_request
         { key = "b"; rt = 1; client;
           req = Wire.Update { tag = tag 1 client; payload = 222 } };
-      Codec.Request { rt = 2; client; req = Wire.Query [] };
+      Codec.Keyed_request { key = "c"; rt = 2; client; req = Wire.Query [] };
       Codec.Keyed_request { key = "a"; rt = 3; client; req = Wire.Query [] };
       Codec.Keyed_request { key = "b"; rt = 4; client; req = Wire.Query [] };
     ]
@@ -275,17 +274,17 @@ let test_reactor_interleaved_keyed_frames () =
   | [
    Codec.Keyed_reply { key = "a"; rt = 0; client = 42; server = 0; rep = Wire.Write_ack _ };
    Codec.Keyed_reply { key = "b"; rt = 1; client = 42; server = 0; rep = Wire.Write_ack _ };
-   Codec.Reply { rt = 2; client = 42; server = 0; rep = plain };
+   Codec.Keyed_reply { key = "c"; rt = 2; client = 42; server = 0; rep = rc };
    Codec.Keyed_reply { key = "a"; rt = 3; client = 42; server = 0; rep = ra };
    Codec.Keyed_reply { key = "b"; rt = 4; client = 42; server = 0; rep = rb };
   ] ->
-    (* The keyless register never saw a write; each key sees its own. *)
-    check int "keyless register untouched"
-      Wire.initial_value_entry.Wire.payload (payload_of plain);
+    (* Key c never saw a write; each written key sees its own. *)
+    check int "unwritten key c untouched"
+      Wire.initial_value_entry.Wire.payload (payload_of rc);
     check int "key a isolated" 111 (payload_of ra);
     check int "key b isolated" 222 (payload_of rb)
   | _ -> Alcotest.fail "replies out of order, or keys not echoed");
-  check int "server keyspace tracked both keys" 2
+  check int "server keyspace tracked every key" 3
     (Keyspace.key_count (Server.keyspace server))
 
 (* ------------------------------------------------------------------ *)
@@ -334,15 +333,13 @@ let test_mux_drops_unknown_client_and_stale_key () =
           raw_send fd (Codec.encode (reply ~key ~rt ~client:9999));
           raw_send fd (Codec.encode (reply ~key:(key ^ "-stale") ~rt ~client));
           raw_send fd (Codec.encode (reply ~key ~rt ~client))
-        | Codec.Request _ | Codec.Reply _ | Codec.Keyed_reply _ ->
-          failwith "expected a keyed request");
+        | Codec.Keyed_reply _ -> failwith "expected a request");
         (* Second round: answer straight, to prove the plane did not
            wedge. *)
         (match next_frame () with
         | Codec.Keyed_request { key; rt; client; _ } ->
           raw_send fd (Codec.encode (reply ~key ~rt ~client))
-        | Codec.Request _ | Codec.Reply _ | Codec.Keyed_reply _ ->
-          failwith "expected a keyed request");
+        | Codec.Keyed_reply _ -> failwith "expected a request");
         Unix.close fd)
       ()
   in
@@ -446,9 +443,8 @@ let test_recover_restart_preserves_keyspace () =
   (* Two servers, tol 0, so the quorum is both of them: writes reach
      server 0 before acking, and a post-restart read cannot complete
      without server 0's answer.  A recover-restart must rehydrate the
-     keyspace snapshot (values per key), exactly as the single-register
-     plane recovers its replica — we check server 0's keyspace directly
-     and then end-to-end through the full-quorum read. *)
+     keyspace snapshot (values per key) — we check server 0's keyspace
+     directly and then end-to-end through the full-quorum read. *)
   let kc = Kv_cluster.start ~groups:1 ~s:2 ~tol:0 () in
   Fun.protect ~finally:(fun () -> Kv_cluster.shutdown kc) @@ fun () ->
   let router = Router.create ~clients:1 kc in

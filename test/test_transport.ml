@@ -13,30 +13,42 @@ let int = Alcotest.int
 let tag ts wid = { Tstamp.ts; wid }
 let value ts wid payload = { Wire.tag = tag ts wid; payload }
 
+(* Every live register is a keyspace key; these tests drive the one the
+   single-register drivers use. *)
+let key = Cluster.register_key
+
 (* ------------------------------------------------------------------ *)
 (* Codec: deterministic round trips                                     *)
 (* ------------------------------------------------------------------ *)
 
 let sample_frames =
   [
-    Codec.Request { rt = 0; client = 0; req = Wire.Query [] };
-    Codec.Request
-      { rt = 1; client = 7; req = Wire.Query [ Wire.initial_value_entry ] };
-    Codec.Request
+    Codec.Keyed_request { key; rt = 0; client = 0; req = Wire.Query [] };
+    Codec.Keyed_request
       {
+        key = "";
+        rt = 1;
+        client = 7;
+        req = Wire.Query [ Wire.initial_value_entry ];
+      };
+    Codec.Keyed_request
+      {
+        key = "user/\000\255";
         rt = max_int;
         client = 3;
         req = Wire.Update (value max_int 11 min_int);
       };
-    Codec.Reply
+    Codec.Keyed_reply
       {
+        key;
         rt = 42;
         client = 8;
         server = 4;
         rep = Wire.Write_ack { current = value 5 1 500 };
       };
-    Codec.Reply
+    Codec.Keyed_reply
       {
+        key = "k/9";
         rt = 9;
         client = 12;
         server = 0;
@@ -57,9 +69,8 @@ let sample_frames =
 let test_codec_roundtrip_samples () =
   List.iter
     (fun f ->
-      check bool "decode (encode f) = f" true (Codec.decode (Codec.encode f) = f);
-      check bool "body round trip" true
-        (Codec.decode_body (Codec.encode_body f) = f))
+      check bool "decode (encode f) = f" true
+        (Codec.decode (Codec.encode f) = f))
     sample_frames
 
 let test_codec_large_vector () =
@@ -70,8 +81,9 @@ let test_codec_large_vector () =
         (value i (i mod 5) (i * 17), List.init (i mod 20) (fun j -> j + 100)))
   in
   let f =
-    Codec.Reply
+    Codec.Keyed_reply
       {
+        key;
         rt = 1;
         client = 6;
         server = 2;
@@ -81,8 +93,8 @@ let test_codec_large_vector () =
   let s = Codec.encode f in
   check bool "large frame survives" true (Codec.decode s = f);
   let q =
-    Codec.Request
-      { rt = 2; client = 9; req = Wire.Query (List.map fst vector) }
+    Codec.Keyed_request
+      { key; rt = 2; client = 9; req = Wire.Query (List.map fst vector) }
   in
   check bool "large query survives" true (Codec.decode (Codec.encode q) = q)
 
@@ -114,11 +126,67 @@ let test_codec_rejects_garbage () =
     (rejects ("\xff\xff\xff\xff" ^ String.make 8 'x'));
   check bool "negative list length" true
     (* Request/Query with length -1. *)
-    (rejects (Codec.encode (Codec.Request { rt = 0; client = 0; req = Wire.Query [] })
+    (rejects (Codec.encode (List.hd sample_frames)
               |> fun s ->
               let b = Bytes.of_string s in
               Bytes.fill b (String.length s - 8) 8 '\xff';
               Bytes.to_string b))
+
+let test_codec_key_length_edge () =
+  let at_bound = String.make Codec.max_key_len 'k' in
+  let f =
+    Codec.Keyed_request
+      { key = at_bound; rt = 3; client = 4; req = Wire.Update (value 1 0 9) }
+  in
+  let wire = Codec.encode f in
+  check bool "max_key_len key round-trips" true (Codec.decode wire = f);
+  let st = Codec.Stream.create () in
+  let half = String.length wire / 2 in
+  Codec.Stream.feed st (Bytes.of_string (String.sub wire 0 half)) half;
+  check bool "stream waits for the rest" true (Codec.Stream.next st = None);
+  let rest = String.length wire - half in
+  Codec.Stream.feed st (Bytes.of_string (String.sub wire half rest)) rest;
+  check bool "max_key_len key through Stream" true
+    (Codec.Stream.next st = Some f);
+  check bool "encoding one byte more is refused" true
+    (match
+       Codec.encode
+         (Codec.Keyed_request
+            { key = at_bound ^ "k"; rt = 0; client = 0; req = Wire.Query [] })
+     with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  (* The key length is the 8 bytes after the 4-byte prefix and the tag. *)
+  let declaring n =
+    let b = Bytes.of_string wire in
+    Bytes.set_int64_le b 5 (Int64.of_int n);
+    Bytes.to_string b
+  in
+  check bool "declared key length max_key_len + 1" true
+    (rejects (declaring (Codec.max_key_len + 1)));
+  check bool "declared key length -1" true (rejects (declaring (-1)))
+
+let test_codec_rejects_unkeyed_tags () =
+  (* The retired unkeyed layout is the keyed one minus the key: a frame
+     with key "" loses its tag byte and 8-byte key length, and the rest
+     is prefixed by tag 0 (request) or 1 (reply). *)
+  let retired tag f =
+    let body = String.sub (Codec.encode f) 13 (Codec.frame_size f - 13) in
+    let b = Bytes.create 5 in
+    Bytes.set_int32_be b 0 (Int32.of_int (1 + String.length body));
+    Bytes.set b 4 tag;
+    Bytes.to_string b ^ body
+  in
+  let req = Wire.Query [] and rep = Wire.Write_ack { current = value 1 0 5 } in
+  check bool "tag 0 rejected" true
+    (rejects
+       (retired '\000'
+          (Codec.Keyed_request { key = ""; rt = 0; client = 7; req })));
+  check bool "tag 1 rejected" true
+    (rejects
+       (retired '\001'
+          (Codec.Keyed_reply
+             { key = ""; rt = 0; client = 7; server = 1; rep })))
 
 (* ------------------------------------------------------------------ *)
 (* Codec: qcheck round trip                                             *)
@@ -166,11 +234,6 @@ let frame_gen =
   in
   frequency
     [
-      (1, map (fun req -> Codec.Request { rt; client = peer; req }) req_gen);
-      ( 1,
-        let* client = int_bound 1000 in
-        map (fun rep -> Codec.Reply { rt; client; server = peer; rep }) rep_gen
-      );
       ( 1,
         let* key = key_gen in
         map
@@ -186,11 +249,6 @@ let frame_gen =
 
 let frame_print f =
   match f with
-  | Codec.Request { rt; client; req } ->
-    Format.asprintf "req rt=%d client=%d %a" rt client Wire.pp_req req
-  | Codec.Reply { rt; client; server; rep } ->
-    Format.asprintf "rep rt=%d client=%d server=%d %a" rt client server
-      Wire.pp_rep rep
   | Codec.Keyed_request { key; rt; client; req } ->
     Format.asprintf "kreq key=%S rt=%d client=%d %a" key rt client Wire.pp_req
       req
@@ -290,12 +348,11 @@ let one_server_mux addr ~client =
   (mux, Mux.client mux ~client)
 
 let test_server_roundtrip () =
-  let replica = Replica.create () in
-  let server = Server.start ~id:0 ~replica () in
+  let server = Server.start ~id:0 () in
   let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server) in
   let mux, ep = one_server_mux addr ~client:10 in
   let got = ref None in
-  Mux.exec ep (Wire.Update (value 1 0 101)) (fun replies ->
+  Mux.exec ~key ep (Wire.Update (value 1 0 101)) (fun replies ->
       got := Some replies);
   (* Asserting one exact reply shape; every other wire message is a
      test failure, so the wildcard is deliberate. *)
@@ -305,7 +362,7 @@ let test_server_roundtrip () =
       (Tstamp.equal current.Wire.tag (tag 1 0))
   | Some _ | None -> Alcotest.fail "expected one write ack from server 0");
   let got = ref None in
-  Mux.exec ep (Wire.Query []) (fun replies -> got := Some replies);
+  Mux.exec ~key ep (Wire.Query []) (fun replies -> got := Some replies);
   (match[@warning "-4"] !got with
   | Some [ (0, Wire.Read_ack { current; vector }) ] ->
     check bool "query sees the update" true
@@ -323,8 +380,7 @@ let test_server_roundtrip () =
 let test_server_survives_garbage () =
   (* A peer speaking garbage gets disconnected; the server keeps serving
      well-formed clients. *)
-  let replica = Replica.create () in
-  let server = Server.start ~id:0 ~replica () in
+  let server = Server.start ~id:0 () in
   let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server) in
   let bad = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.connect bad addr;
@@ -332,7 +388,7 @@ let test_server_survives_garbage () =
   Netio.write_all bad junk 0 (Bytes.length junk);
   let mux, ep = one_server_mux addr ~client:11 in
   let ok = ref false in
-  Mux.exec ep (Wire.Update (value 2 1 202)) (fun _ -> ok := true);
+  Mux.exec ~key ep (Wire.Update (value 2 1 202)) (fun _ -> ok := true);
   check bool "good client still served" true !ok;
   (try Unix.close bad with Unix.Unix_error _ -> ());
   Mux.shutdown mux;
@@ -343,13 +399,12 @@ let test_server_reaps_handlers () =
      reactor closes a connection the moment its socket reports EOF, so
      once every client is gone the live connection count returns to
      zero (no reaper tick to wait out — only the event-loop wakeup). *)
-  let replica = Replica.create () in
-  let server = Server.start ~id:0 ~replica () in
+  let server = Server.start ~id:0 () in
   let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server) in
   for round = 1 to 10 do
     let mux, ep = one_server_mux addr ~client:round in
     let ok = ref false in
-    Mux.exec ep (Wire.Update (value round 0 (round * 3))) (fun _ ->
+    Mux.exec ~key ep (Wire.Update (value round 0 (round * 3))) (fun _ ->
         ok := true);
     check bool "op served" true !ok;
     Mux.shutdown mux
@@ -378,7 +433,7 @@ let raw_send fd s =
   Netio.write_all fd b 0 (Bytes.length b)
 
 let query_frame ~rt ~client =
-  Codec.encode (Codec.Request { rt; client; req = Wire.Query [] })
+  Codec.encode (Codec.Keyed_request { key; rt; client; req = Wire.Query [] })
 
 (* Read complete frames off [fd] into [st] until [want] have arrived. *)
 let raw_read_frames fd st buf want =
@@ -404,8 +459,7 @@ let test_reactor_interleaved_partial_frames () =
      interleaved round-robin: at every instant the reactor holds
      [nconns] partial frames in per-connection streams.  Every frame
      must still be answered, in order, to the connection that sent it. *)
-  let replica = Replica.create () in
-  let server = Server.start ~id:0 ~replica () in
+  let server = Server.start ~id:0 () in
   let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server) in
   let nconns = 8 and per = 5 in
   let conns = Array.init nconns (fun _ -> raw_connect addr) in
@@ -432,7 +486,10 @@ let test_reactor_interleaved_partial_frames () =
       List.iteri
         (fun k f ->
           match[@warning "-4"] f with
-          | Codec.Reply { rt; client; server = sid; rep = Wire.Read_ack _ } ->
+          | Codec.Keyed_reply
+              { key = echoed; rt; client; server = sid; rep = Wire.Read_ack _ }
+            ->
+            check Alcotest.string "key echoed" key echoed;
             check int "replies in request order" k rt;
             check int "client echoed" (100 + i) client;
             check int "server id echoed" 0 sid
@@ -449,8 +506,7 @@ let test_reactor_backpressure_slow_reader () =
      concurrent client B's operations keep completing.  Afterwards A
      reads everything it was owed, in order — buffered server-side under
      backpressure, not dropped. *)
-  let replica = Replica.create () in
-  let server = Server.start ~id:0 ~replica () in
+  let server = Server.start ~id:0 () in
   let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server) in
   (* Fatten the replies first: every distinct written tag adds a vector
      entry to each subsequent Read_ack, so the pipelined queries below
@@ -458,7 +514,7 @@ let test_reactor_backpressure_slow_reader () =
   let seed_mux, seed_ep = one_server_mux addr ~client:50 in
   for w = 1 to 100 do
     let ok = ref false in
-    Mux.exec seed_ep (Wire.Update (value w (w mod 8) (1000 + w)))
+    Mux.exec ~key seed_ep (Wire.Update (value w (w mod 8) (1000 + w)))
       (fun _ -> ok := true);
     check bool "seed write served" true !ok
   done;
@@ -477,7 +533,7 @@ let test_reactor_backpressure_slow_reader () =
   let t0 = Clock.now () in
   for _ = 1 to 20 do
     let ok = ref false in
-    Mux.exec b_ep (Wire.Query []) (fun _ -> ok := true);
+    Mux.exec ~key b_ep (Wire.Query []) (fun _ -> ok := true);
     check bool "B's op completed" true !ok
   done;
   let b_elapsed = Clock.now () -. t0 in
@@ -493,12 +549,11 @@ let test_reactor_backpressure_slow_reader () =
     Codec.Stream.feed st buf n;
     let rec drain () =
       match Codec.Stream.next st with
-      | Some (Codec.Reply { rt; client = _; server = _; rep = _ }) ->
+      | Some (Codec.Keyed_reply { rt; _ }) ->
         check int "A's replies in order" !got rt;
         incr got;
         drain ()
-      | Some (Codec.Request _ | Codec.Keyed_request _ | Codec.Keyed_reply _)
-        ->
+      | Some (Codec.Keyed_request _) ->
         Alcotest.fail "server sent an unexpected frame"
       | None -> ()
     in
@@ -511,8 +566,7 @@ let test_reactor_connection_churn () =
   (* 256 concurrent short-lived connections — the regime that used to
      cost a thread spawn + join each.  Every connection gets its reply,
      and the connection count returns to zero afterwards. *)
-  let replica = Replica.create () in
-  let server = Server.start ~id:0 ~replica () in
+  let server = Server.start ~id:0 () in
   let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server) in
   let n = 256 in
   let failures = Array.make n None in
@@ -528,7 +582,7 @@ let test_reactor_connection_churn () =
           match[@warning "-4"]
             raw_read_frames fd (Codec.Stream.create ()) buf 1
           with
-          | [ Codec.Reply { rt = 0; client; server = 0; rep = _ } ]
+          | [ Codec.Keyed_reply { rt = 0; client; server = 0; _ } ]
             when client = 300 + i ->
             ()
           | _ -> failwith "unexpected reply")
@@ -599,8 +653,7 @@ let test_mux_interleaved_clients () =
      quorum never fills → Unavailable) or surface as a late/dropped
      frame, so "every op completes, exactly one round trip each, zero
      late replies" is a routing-correctness certificate. *)
-  let replica = Replica.create () in
-  let server = Server.start ~id:0 ~replica () in
+  let server = Server.start ~id:0 () in
   let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server) in
   let mux = Mux.create ~servers:[| addr |] ~quorum:1 () in
   let n_clients = 8 and ops = 40 in
@@ -616,7 +669,7 @@ let test_mux_interleaved_clients () =
           if n mod 3 = 0 then Wire.Query []
           else Wire.Update (value ts c ((ts * 7) + c))
         in
-        Mux.exec h req (fun replies ->
+        Mux.exec ~key h req (fun replies ->
             match replies with
             | [ (0, _) ] -> completed.(c) <- completed.(c) + 1
             | rs ->
@@ -644,10 +697,7 @@ let test_mux_interleaved_clients () =
 let test_mux_quorum_with_dead_server () =
   (* Quorum semantics on the shared plane: with one of three servers
      never reachable, execs still complete on the surviving quorum. *)
-  let replicas = Array.init 2 (fun _ -> Replica.create ()) in
-  let servers =
-    Array.mapi (fun i r -> Server.start ~id:i ~replica:r ()) replicas
-  in
+  let servers = Array.init 2 (fun i -> Server.start ~id:i ()) in
   let dead = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.bind dead (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
   (* Bound but never listening: connects are refused. *)
@@ -669,7 +719,8 @@ let test_mux_quorum_with_dead_server () =
   in
   let h = Mux.client mux ~client:50 in
   let got = ref [] in
-  Mux.exec h (Wire.Update (value 1 0 11)) (fun rs -> got := List.map fst rs);
+  Mux.exec ~key h (Wire.Update (value 1 0 11)) (fun rs ->
+      got := List.map fst rs);
   check bool "quorum from live servers" true
     (List.sort compare !got = [ 0; 2 ]);
   Mux.release h;
@@ -951,8 +1002,7 @@ let test_mux_hol_isolation () =
      the sender with the connection lock held.  Client 100's 0.4s-delayed
      op rides out its deadline while client 101 pushes ten ops through
      the same connection at full speed. *)
-  let replica = Replica.create () in
-  let server = Server.start ~id:0 ~replica () in
+  let server = Server.start ~id:0 () in
   let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server) in
   let faults =
     Faults.create
@@ -969,7 +1019,7 @@ let test_mux_hol_isolation () =
     Thread.create
       (fun () ->
         let t0 = Clock.now () in
-        Mux.exec slow (Wire.Update (value 1 0 1)) (fun _ -> ());
+        Mux.exec ~key slow (Wire.Update (value 1 0 1)) (fun _ -> ());
         slow_elapsed := Clock.now () -. t0)
       ()
   in
@@ -977,7 +1027,7 @@ let test_mux_hol_isolation () =
   (* The slow op is now parked; the fast client must not feel it. *)
   let t0 = Clock.now () in
   for n = 1 to 10 do
-    Mux.exec fast (Wire.Update (value (1000 + n) 1 n)) (fun _ -> ())
+    Mux.exec ~key fast (Wire.Update (value (1000 + n) 1 n)) (fun _ -> ())
   done;
   let fast_elapsed = Clock.now () -. t0 in
   Thread.join t;
@@ -993,10 +1043,7 @@ let test_mux_hol_across_servers () =
   (* The fan-out half of the same regression: a delay on the link to
      server 0 must not push back the send time to servers 1 and 2 — the
      quorum completes on the undelayed majority in wire time. *)
-  let replicas = Array.init 3 (fun _ -> Replica.create ()) in
-  let servers =
-    Array.mapi (fun i r -> Server.start ~id:i ~replica:r ()) replicas
-  in
+  let servers = Array.init 3 (fun i -> Server.start ~id:i ()) in
   let addrs =
     Array.map
       (fun s -> Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port s))
@@ -1013,7 +1060,8 @@ let test_mux_hol_across_servers () =
   let ep = Mux.client mux ~client:42 in
   let t0 = Clock.now () in
   let got = ref [] in
-  Mux.exec ep (Wire.Update (value 1 0 7)) (fun rs -> got := List.map fst rs);
+  Mux.exec ~key ep (Wire.Update (value 1 0 7)) (fun rs ->
+      got := List.map fst rs);
   let elapsed = Clock.now () -. t0 in
   check bool "quorum from the undelayed servers" true
     (List.sort compare !got = [ 1; 2 ]);
@@ -1042,7 +1090,7 @@ let test_mux_redials_long_restart () =
           let n = ref 0 in
           let write () =
             incr n;
-            Mux.exec ep (Wire.Update (value !n 0 !n)) (fun _ -> ())
+            Mux.exec ~key ep (Wire.Update (value !n 0 !n)) (fun _ -> ())
           in
           write ();
           Cluster.kill cluster 2;
@@ -1256,6 +1304,10 @@ let () =
           Alcotest.test_case "rejects truncation" `Quick
             test_codec_rejects_truncation;
           Alcotest.test_case "rejects garbage" `Quick test_codec_rejects_garbage;
+          Alcotest.test_case "key length at max_key_len" `Quick
+            test_codec_key_length_edge;
+          Alcotest.test_case "rejects retired unkeyed tags" `Quick
+            test_codec_rejects_unkeyed_tags;
           QCheck_alcotest.to_alcotest codec_roundtrip_prop;
           QCheck_alcotest.to_alcotest codec_prefix_prop;
           QCheck_alcotest.to_alcotest codec_encode_into_prop;
