@@ -1,10 +1,15 @@
-module Iset = Set.Make (Int)
-
-type entry = { payload : int; mutable updated : Iset.t }
+(* One valuevector entry.  [value] is the record the first update of this
+   tag carried (decoded off the wire, shared, never copied); [updated]
+   is a sorted, duplicate-free int array that is never mutated once
+   built — enrolling a client replaces it — so one array may back
+   several entries. *)
+type entry = { value : Wire.value; mutable updated : int array }
 
 type t = {
   mutable current : Wire.value;
-  vector : (Tstamp.t, entry) Hashtbl.t;
+  (* Sorted by tag, exactly sized: no hashing, no per-node set cells,
+     and the snapshot walks it in order with no sort. *)
+  mutable vector : entry array;
 }
 
 (* The vector is a *window*, not an archive.  Entries below the
@@ -28,72 +33,126 @@ let max_vector = 32
 let max_wire_updated = 8
 
 let create () =
-  let t = { current = Wire.initial_value_entry; vector = Hashtbl.create 16 } in
-  Hashtbl.replace t.vector Tstamp.initial
-    { payload = Wire.initial_value_entry.Wire.payload; updated = Iset.empty };
-  t
+  {
+    current = Wire.initial_value_entry;
+    vector = [| { value = Wire.initial_value_entry; updated = [||] } |];
+  }
+
+(* Index of the first element of [a] not below [x] under [cmp]:
+   [Array.length a] when every element is. *)
+let lower_bound cmp a x =
+  let rec go lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) lsr 1 in
+      if cmp a.(mid) x < 0 then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length a)
+
+(* [u] with [c] added: [u] itself when [c] is already in it. *)
+let enroll u c =
+  let i = lower_bound Int.compare u c in
+  if i < Array.length u && u.(i) = c then u
+  else
+    Array.init
+      (Array.length u + 1)
+      (fun j -> if j < i then u.(j) else if j = i then c else u.(j - 1))
 
 let prune t =
-  let n = Hashtbl.length t.vector in
-  if n > max_vector then begin
-    let tags = Hashtbl.fold (fun tag _ acc -> tag :: acc) t.vector [] in
-    let tags = List.sort Tstamp.compare tags in
-    let drop = n - max_vector in
-    List.iteri
-      (fun i tag -> if i < drop then Hashtbl.remove t.vector tag)
-      tags
+  let n = Array.length t.vector in
+  if n > max_vector then
+    t.vector <- Array.sub t.vector (n - max_vector) max_vector
+
+(* Where [tag] sits in the vector, and whether it is already there. *)
+let find t tag =
+  let a = t.vector in
+  let i = lower_bound (fun e tag -> Tstamp.compare e.value.Wire.tag tag) a tag in
+  (i, i < Array.length a && Tstamp.equal a.(i).value.Wire.tag tag)
+
+(* Insert [e] at index [i], then drop the lowest tags until at most
+   [keep] entries remain.  A full window ([n = keep]: every write to a
+   hot key) is updated in place with no allocation — the entries below
+   [i] shift down one slot, the lowest falls off and [e] lands at
+   [i - 1]; at [i = 0], [e] itself is the lowest and is dropped.
+   Otherwise one allocation. *)
+let insert t i e ~keep =
+  let a = t.vector in
+  let n = Array.length a in
+  if n = keep then begin
+    if i > 0 then begin
+      Array.blit a 1 a 0 (i - 1);
+      a.(i - 1) <- e
+    end
   end
+  else
+    let drop = max 0 (n + 1 - keep) in
+    t.vector <-
+      Array.init (n + 1 - drop) (fun k ->
+          let j = k + drop in
+          if j < i then a.(j) else if j = i then e else a.(j - 1))
+
+let update_within t (v : Wire.value) c ~keep =
+  (match find t v.Wire.tag with
+  | i, true -> t.vector.(i).updated <- enroll t.vector.(i).updated c
+  | i, false -> insert t i { value = v; updated = [| c |] } ~keep);
+  if Wire.compare_value v t.current > 0 then t.current <- v
 
 (* The raw insert, pruning deferred: the query path must snapshot the
    reply *before* pruning, or a below-window value the client just
    echoed would be evicted again before the reply certifies it. *)
-let update_unpruned t (v : Wire.value) c =
-  match Hashtbl.find_opt t.vector v.Wire.tag with
-  | Some e ->
-    e.updated <- Iset.add c e.updated;
-    if Wire.compare_value v t.current > 0 then t.current <- v
-  | None ->
-    Hashtbl.replace t.vector v.Wire.tag
-      { payload = v.Wire.payload; updated = Iset.singleton c };
-    if Wire.compare_value v t.current > 0 then t.current <- v
+let update_unpruned t v c = update_within t v c ~keep:max_int
 
-let update t (v : Wire.value) c =
-  update_unpruned t v c;
+let update t v c =
+  update_within t v c ~keep:max_vector;
   prune t
 
 let snapshot t =
-  Hashtbl.fold
-    (fun tag e acc ->
-      (({ Wire.tag; payload = e.payload } : Wire.value), Iset.elements e.updated)
-      :: acc)
+  Array.fold_right
+    (fun e acc -> (e.value, Array.to_list e.updated) :: acc)
     t.vector []
-  |> List.sort (fun (a, _) (b, _) -> Wire.compare_value a b)
 
 (* The truncated updated set a READACK carries for one entry: the
    querying client first, then the smallest other ids, [max_wire_updated]
-   in total.  Elements are sorted, so every server that holds the same
-   set serialises the same subset. *)
+   in total.  [u] contains [client] — [handle] enrolled it in every entry
+   before taking the snapshot — and is sorted, so every server that holds
+   the same set serialises the same subset. *)
 let wire_updated ~client u =
-  if Iset.cardinal u <= max_wire_updated then Iset.elements u
-  else begin
-    let rec take n = function
-      | [] -> []
-      | _ when n = 0 -> []
-      | x :: tl -> x :: take (n - 1) tl
+  let n = Array.length u in
+  if n <= max_wire_updated then Array.to_list u
+  else
+    let rec smallest i k acc =
+      if k = 0 || i >= n then List.rev acc
+      else if u.(i) = client then smallest (i + 1) k acc
+      else smallest (i + 1) (k - 1) (u.(i) :: acc)
     in
-    if Iset.mem client u then
-      client :: take (max_wire_updated - 1) (Iset.elements (Iset.remove client u))
-    else take max_wire_updated (Iset.elements u)
-  end
+    client :: smallest 0 (max_wire_updated - 1) []
 
 let snapshot_wire t ~client =
-  Hashtbl.fold
-    (fun tag e acc ->
-      ( ({ Wire.tag; payload = e.payload } : Wire.value),
-        wire_updated ~client e.updated )
-      :: acc)
+  Array.fold_right
+    (fun e acc -> (e.value, wire_updated ~client e.updated) :: acc)
     t.vector []
-  |> List.sort (fun (a, _) (b, _) -> Wire.compare_value a b)
+
+(* Enroll [c] in every entry.  Neighbouring entries tend to hold equal
+   sets — the same readers were enrolled in each — and then share one
+   array: the heap holds one copy per run of equal sets, not per
+   entry. *)
+let enroll_all t c =
+  let prev_old = ref [||] and prev_new = ref [||] in
+  Array.iteri
+    (fun i e ->
+      let old = e.updated in
+      let u =
+        (* [i > 0]: every empty array is the same atom, so the first
+           entry's [[||]] would match the initial [prev_old]. *)
+        if i > 0 && old == !prev_old then !prev_new
+        else
+          let u = enroll old c in
+          if u = !prev_new then !prev_new else u
+      in
+      prev_old := old;
+      prev_new := u;
+      e.updated <- u)
+    t.vector
 
 let handle t ~client req =
   match req with
@@ -115,7 +174,7 @@ let handle t ~client req =
        it, a completed write is not admissible with degree 2 (MWA2
        breaks) and one read's certificate is invisible to later reads
        (MWA4 breaks). *)
-    Hashtbl.iter (fun _ e -> e.updated <- Iset.add client e.updated) t.vector;
+    enroll_all t client;
     let rep =
       Wire.Read_ack { current = t.current; vector = snapshot_wire t ~client }
     in
@@ -135,20 +194,13 @@ let load st =
   let t = create () in
   List.iter
     (fun ((v : Wire.value), updated) ->
-      match Hashtbl.find_opt t.vector v.Wire.tag with
-      | Some e -> e.updated <- Iset.union e.updated (Iset.of_list updated)
-      | None ->
-        Hashtbl.replace t.vector v.Wire.tag
-          { payload = v.Wire.payload; updated = Iset.of_list updated })
+      let u = Array.of_list (List.sort_uniq Int.compare updated) in
+      match find t v.Wire.tag with
+      | i, true ->
+        t.vector.(i).updated <- Array.fold_left enroll t.vector.(i).updated u
+      | i, false -> insert t i { value = v; updated = u } ~keep:max_int)
     st.s_vector;
   t.current <- st.s_current;
   t
 
 let current t = t.current
-
-let vector_size t = Hashtbl.length t.vector
-
-let updated_set t (v : Wire.value) =
-  match Hashtbl.find_opt t.vector v.Wire.tag with
-  | None -> []
-  | Some e -> Iset.elements e.updated

@@ -22,7 +22,17 @@
     is taken.  Unbounded, the vector grows with every write ever
     performed and replies grow as O(writes × clients) — the live data
     plane collapses under exactly the client counts the scaling sweep
-    measures. *)
+    measures.
+
+    Layout: the valuevector is one array sorted by tag, sized exactly
+    to its entries.  An entry holds the value record the first update
+    of its tag carried (shared with the decoded request, not copied)
+    and its [updated] set as a sorted int array, which an enrollment
+    replaces rather than mutates, so neighbouring entries with equal
+    sets share one array.  Lookups are binary searches, pruning drops
+    the lowest tags with one blit, and snapshots walk the array in
+    order with no sort.  A keyspace holds thousands of replicas, so
+    this is what bounds a server's heap per written key. *)
 
 type t
 
@@ -39,12 +49,6 @@ val handle : t -> client:int -> Wire.req -> Wire.rep
 
 val current : t -> Wire.value
 (** [valᵢ], for tests and traces. *)
-
-val vector_size : t -> int
-(** Number of distinct values in the valuevector. *)
-
-val updated_set : t -> Wire.value -> int list
-(** The [updated] set recorded for a value (sorted), or [[]]. *)
 
 (** {2 Snapshot / restore}
 

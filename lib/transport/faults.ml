@@ -54,17 +54,6 @@ let none = create []
 
 let seed t = t.seed
 
-(* Whether any rule can schedule a frame for later delivery — the mux
-   uses this to decide if its ticker must run at sub-tick granularity
-   (a staged deadline may be milliseconds out). *)
-let has_delays t =
-  List.exists
-    (function
-      | Frame { kind = Delay _ | Latency _; _ } -> true
-      | Frame { kind = Drop | Duplicate | Truncate; _ } -> false
-      | Partition _ -> false)
-    t.rules
-
 let arm t = Mutex.protect t.lock (fun () -> t.t0 <- Clock.now ())
 
 let elapsed t =

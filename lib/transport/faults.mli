@@ -116,12 +116,6 @@ val none : t
 
 val seed : t -> int
 
-val has_delays : t -> bool
-(** Whether any rule can schedule late deliveries ({!Delay} or
-    {!Latency}).  The {!Mux} consults this once at creation to run its
-    drain ticker at sub-tick granularity — without it a staged 1 ms geo
-    deadline would quantise to the 50 ms timeout tick. *)
-
 val arm : t -> unit
 (** (Re)start the plan clock: rule windows are measured from here.
     {!Session.run} arms the plan at session start; plans used without a

@@ -35,8 +35,8 @@ type conn = {
      [lock].  Senders park here and move on — a delay scoped to one
      (client, server) link must never stall another client's batch or
      the rest of a fan-out.  Due entries are merged into the next flush
-     and swept by the ticker (at sub-tick granularity when the plan has
-     delay rules); there are no delayer threads, mirroring the server
+     and swept by the ticker, which sleeps to exactly the earliest
+     deadline; there are no delayer threads, mirroring the server
      reactor's timer list. *)
   mutable delayed : (float * Bytes.t * bool) list;
   mutable fd : Unix.file_descr option;
@@ -75,11 +75,16 @@ type t = {
   rt_timeout : float;
   max_rt_retries : int;
   faults : Faults.t option;
-  (* The armed plan can schedule late deliveries: the ticker then runs
-     at millisecond granularity so staged deadlines (geo profiles go
-     down to sub-millisecond bases) do not quantise to the timeout
-     tick. *)
-  sub_tick : bool;
+  (* The ticker sleeps in [poller] on the read end of its own wake pipe.
+     [armed] is the deadline it is asleep until, [neg_infinity] while it
+     is awake: a sender staging a frame due before [armed] writes a byte
+     to [wake_w], so the ticker re-arms for the earlier deadline instead
+     of oversleeping it (geo profiles go down to sub-millisecond
+     bases). *)
+  poller : Netio.Poller.t;
+  wake_r : Unix.file_descr;
+  wake_w : Unix.file_descr;
+  armed : float Atomic.t;
   routes : (int, mailbox) Hashtbl.t;
   routes_lock : Mutex.t;
   (* Replies that matched no open round trip at all: unknown client
@@ -320,15 +325,19 @@ let sever c =
 (* Park one scheduled delivery on the link's deadline queue (sorted
    insert; queues hold a handful of frames, the reactor's timer-list
    idiom).  The payload is the caller's copy — senders reuse their
-   encode staging. *)
-let stage_delayed c ~due payload truncated =
+   encode staging.  The insert happens before [armed] is read, and the
+   ticker stores [armed] before it rescans the queues, so either the
+   ticker's rescan sees this frame or this read sees the ticker's
+   deadline and wakes it early: no deadline is overslept. *)
+let stage_delayed t c ~due payload truncated =
   Mutex.protect c.lock (fun () ->
       let rec ins = function
         | [] -> [ (due, payload, truncated) ]
         | ((d, _, _) :: _) as l when due < d -> (due, payload, truncated) :: l
         | e :: rest -> e :: ins rest
       in
-      c.delayed <- ins c.delayed)
+      c.delayed <- ins c.delayed);
+  if due < Atomic.get t.armed then Netio.notify t.wake_w
 
 (* Deliver every staged frame whose deadline has passed.  Entries are
    popped under [c.lock] but sent outside it ([enqueue] takes the lock
@@ -379,26 +388,17 @@ let next_delayed_due t =
 let tick_period t = Float.max 0.005 (Float.min 0.05 (t.rt_timeout /. 4.0))
 
 let ticker_body t () =
-  (* The timeout scan keeps its own cadence (tick_period) even when the
-     delay drain shortens the sleep below it: sub-tick wake-ups must
-     not drag every blocked mailbox through the scheduler hundreds of
-     times a second. *)
+  (* Two deadlines share one sleep: the timeout scan at its own cadence
+     (tick_period — delivering a staged frame must not drag every
+     blocked mailbox through the scheduler) and the earliest staged
+     delivery, to the nanosecond.  With no frame staged (no delay plan,
+     or all delivered) the ticker wakes only for the scan, a stage or
+     [shutdown]. *)
   let next_scan = ref (now () +. tick_period t) in
   while not (Atomic.get t.stopping) do
-    let sleep =
-      let tick = tick_period t in
-      if not t.sub_tick then tick
-      else
-        (* Delay-capable plan armed: sleep to the nearest staged
-           deadline (0.5 ms floor), or 1 ms when the queues are idle so
-           a freshly staged short deadline is picked up promptly. *)
-        let due = next_delayed_due t in
-        if due = infinity then Float.min tick 0.001
-        else Float.max 0.0005 (Float.min tick (due -. now ()))
-    in
-    Thread.delay sleep;
+    Atomic.set t.armed neg_infinity;
     let t_now = now () in
-    if t.sub_tick then Array.iter (fun c -> drain_delayed t c t_now) t.conns;
+    Array.iter (fun c -> drain_delayed t c t_now) t.conns;
     if t_now >= !next_scan then begin
       next_scan := t_now +. tick_period t;
       let mbs =
@@ -415,7 +415,15 @@ let ticker_body t () =
               if mb.mb_rt >= 0 && t_now >= mb.mb_deadline then
                 Condition.broadcast mb.mb_cond))
         mbs
-    end
+    end;
+    let target = Float.min !next_scan (next_delayed_due t) in
+    Atomic.set t.armed target;
+    (* A frame staged since the drain saw [neg_infinity] and did not
+       write to the pipe: this rescan, after the store, catches it. *)
+    let target = Float.min target (next_delayed_due t) in
+    ignore
+      (Netio.Poller.wait t.poller ~timeout:(target -. now ())
+         (fun _ ~readable:_ ~writable:_ -> Netio.drain_wake t.wake_r))
   done
 
 let create ?(rt_timeout = 1.0) ?(max_rt_retries = 3) ?faults ~servers ~quorum
@@ -424,6 +432,11 @@ let create ?(rt_timeout = 1.0) ?(max_rt_retries = 3) ?faults ~servers ~quorum
   let n = Array.length servers in
   if quorum <= 0 || quorum > n then
     invalid_arg "Mux.create: quorum out of range";
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  Netio.set_nonblock wake_r;
+  Netio.set_nonblock wake_w;
+  let poller = Netio.Poller.create () in
+  Netio.Poller.add poller wake_r ~want_write:false;
   let t =
     {
       conns =
@@ -446,8 +459,10 @@ let create ?(rt_timeout = 1.0) ?(max_rt_retries = 3) ?faults ~servers ~quorum
       rt_timeout;
       max_rt_retries;
       faults;
-      sub_tick =
-        (match faults with Some p -> Faults.has_delays p | None -> false);
+      poller;
+      wake_r;
+      wake_w;
+      armed = Atomic.make neg_infinity;
       routes = Hashtbl.create 16;
       routes_lock = Mutex.create ();
       dropped = Atomic.make 0;
@@ -511,11 +526,18 @@ let shutdown t =
           ds)
     in
     List.iter Thread.join demuxers;
+    Netio.notify t.wake_w;
     (match t.ticker with
     | Some th ->
       Thread.join th;
       t.ticker <- None
-    | None -> ())
+    | None -> ());
+    (* A sender racing this shutdown must not write to the pipe's
+       descriptor number once it is closed and possibly reused. *)
+    Atomic.set t.armed neg_infinity;
+    Netio.Poller.close t.poller;
+    (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
+    try Unix.close t.wake_w with Unix.Unix_error _ -> ()
   end
 
 (* ------------------------------------------------------------------ *)
@@ -568,7 +590,7 @@ let exec ~key h req k =
                      stall other clients' batches or the rest of this
                      fan-out.  The payload is copied because [mb.mb_out]
                      is reused by the next operation. *)
-                  stage_delayed c ~due:(now () +. after)
+                  stage_delayed t c ~due:(now () +. after)
                     (Bytes.sub mb.mb_out 0 len) truncated
                 else if truncated then begin
                   ignore (enqueue t c mb.mb_out (max 1 (len / 2)));

@@ -95,4 +95,6 @@ val release : handle -> unit
 
 val shutdown : t -> unit
 (** Sever every connection, stop the demux and ticker threads, and join
-    them.  Idempotent. *)
+    them; the ticker is woken through its pipe rather than waited out.
+    Closes the ticker's pipe and poller, so a create/shutdown cycle
+    leaves no descriptor behind.  Idempotent. *)

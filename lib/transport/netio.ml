@@ -92,8 +92,18 @@ external epoll_ctl : int -> int -> int -> int -> unit = "mwreg_epoll_ctl"
 external epoll_wait : int -> int -> int array -> int = "mwreg_epoll_wait"
 external raw_poll : int array -> int -> int -> int = "mwreg_poll"
 
+(* epoll waits take nanoseconds (poll_stubs.c rounds up to milliseconds
+   itself where the kernel lacks epoll_pwait2); poll(2) takes whole
+   milliseconds, rounded up so a short timeout never becomes a busy
+   loop.  Both clamp at a day: [int_of_float] of a huge float is
+   unspecified. *)
+let to_ns timeout =
+  if timeout <= 0.0 then 0
+  else int_of_float (Float.ceil (Float.min timeout 86400.0 *. 1e9))
+
 let to_ms timeout =
-  if timeout <= 0.0 then 0 else int_of_float (Float.ceil (timeout *. 1000.0))
+  if timeout <= 0.0 then 0
+  else int_of_float (Float.ceil (Float.min timeout 86400.0 *. 1000.0))
 
 module Poller = struct
   type t = {
@@ -146,17 +156,17 @@ module Poller = struct
         ~writable:(bits land bit_write <> 0)
 
   let wait t ~timeout f =
-    let ms = to_ms timeout in
     if t.ep >= 0 then begin
       let want = max 64 (Hashtbl.length t.interest + 1) in
       if Array.length t.evbuf < want then t.evbuf <- Array.make want 0;
-      let n = epoll_wait t.ep ms t.evbuf in
+      let n = epoll_wait t.ep (to_ns timeout) t.evbuf in
       for i = 0 to n - 1 do
         dispatch f t.evbuf.(i)
       done;
       n
     end
     else begin
+      let ms = to_ms timeout in
       let m = Hashtbl.length t.interest in
       if m = 0 then begin
         if ms > 0 then Unix.sleepf (float_of_int ms /. 1000.0);

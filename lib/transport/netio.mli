@@ -90,7 +90,11 @@ module Poller : sig
     (Unix.file_descr -> readable:bool -> writable:bool -> unit) ->
     int
   (** Block up to [timeout] seconds, invoke the callback once per ready
-      descriptor, return the ready count (0 on timeout or EINTR).
+      descriptor, return the ready count (0 on timeout or EINTR).  The
+      timeout's resolution is nanoseconds on epoll (epoll_pwait2(2);
+      the kernel's timer slack, ~50 µs, still applies) and whole
+      milliseconds, rounded up, on the poll(2) fallback and on kernels
+      without epoll_pwait2.
       Errors (EPOLLERR/HUP, POLLNVAL) are reported as [readable]: the
       owner's read path observes the failure and drops the connection.
       The callback may [add]/[set_write]/[remove] freely, including for

@@ -9,7 +9,12 @@
  * - epoll (Linux): mwreg_epoll_create returns -1 where epoll does not
  *   exist, and the OCaml side falls back to poll over its own interest
  *   registry.  Level-triggered, matching the reactor's drain-to-EAGAIN
- *   read loop.
+ *   read loop.  The wait takes its timeout in nanoseconds and sleeps in
+ *   epoll_pwait2(2), so a 0.3 ms delivery deadline wakes at 0.3 ms, not
+ *   at the next whole millisecond.  A kernel without epoll_pwait2
+ *   (before 5.11, or a seccomp filter that refuses it) is detected on
+ *   the first call and remembered; from then on epoll_wait(2) runs with
+ *   the timeout rounded up to milliseconds.
  * - poll (portable): mwreg_poll takes an array of encoded interests and
  *   rewrites each entry's bits with the revents.  Unlike select(2) it
  *   has no FD_SETSIZE cliff, which matters from ~1024 descriptors up.
@@ -23,6 +28,7 @@
  * their deadlines and wait again, mirroring Netio's EINTR policy.
  */
 
+#define _GNU_SOURCE
 #include <caml/mlvalues.h>
 #include <caml/alloc.h>
 #include <caml/memory.h>
@@ -37,6 +43,8 @@
 
 #if defined(__linux__)
 #include <sys/epoll.h>
+#include <sys/syscall.h>
+#include <time.h>
 #define MWREG_HAVE_EPOLL 1
 #endif
 
@@ -101,18 +109,56 @@ CAMLprim value mwreg_epoll_ctl(value vep, value vop, value vfd, value vbits)
 #endif
 }
 
-CAMLprim value mwreg_epoll_wait(value vep, value vtimeout_ms, value varr)
+#ifdef MWREG_HAVE_EPOLL
+/* Set once epoll_pwait2 has failed with ENOSYS/EPERM; every later wait
+   goes straight to epoll_wait.  Racing shards can only both set it. */
+static volatile int mwreg_no_pwait2 = 0;
+
+/* Wait up to [ns] nanoseconds (0 = poll).  Runs without the runtime
+   lock: touches no OCaml value. */
+static int mwreg_epoll_wait_ns(int ep, struct epoll_event *evs, int cap,
+                               long long ns)
+{
+  if (!mwreg_no_pwait2) {
+    int n;
+#if defined(__GLIBC__) && (__GLIBC__ > 2 || __GLIBC_MINOR__ >= 35)
+    struct timespec ts;
+    ts.tv_sec = (time_t)(ns / 1000000000LL);
+    ts.tv_nsec = (long)(ns % 1000000000LL);
+    n = epoll_pwait2(ep, evs, cap, &ts, NULL);
+#elif defined(SYS_epoll_pwait2)
+    /* The kernel's struct __kernel_timespec: two 64-bit fields on every
+       ABI, whatever this libc's time_t is. */
+    struct { long long tv_sec; long long tv_nsec; } kts;
+    kts.tv_sec = ns / 1000000000LL;
+    kts.tv_nsec = ns % 1000000000LL;
+    n = (int)syscall(SYS_epoll_pwait2, ep, evs, cap, &kts, NULL, 0);
+#else
+    n = -1;
+    errno = ENOSYS;
+#endif
+    if (n != -1 || (errno != ENOSYS && errno != EPERM)) return n;
+    mwreg_no_pwait2 = 1;
+  }
+  return epoll_wait(ep, evs, cap, (int)((ns + 999999LL) / 1000000LL));
+}
+#endif
+
+CAMLprim value mwreg_epoll_wait(value vep, value vtimeout_ns, value varr)
 {
 #ifdef MWREG_HAVE_EPOLL
-  CAMLparam3(vep, vtimeout_ms, varr);
+  CAMLparam3(vep, vtimeout_ns, varr);
   int cap = Wosize_val(varr);
+  int ep = Int_val(vep);
+  long long ns = Long_val(vtimeout_ns);
   int n, i;
   struct epoll_event *evs;
   if (cap <= 0) CAMLreturn(Val_int(0));
+  if (ns < 0) ns = 0;
   evs = malloc(sizeof(struct epoll_event) * cap);
   if (evs == NULL) caml_failwith("epoll_wait: out of memory");
   caml_release_runtime_system();
-  n = epoll_wait(Int_val(vep), evs, cap, Int_val(vtimeout_ms));
+  n = mwreg_epoll_wait_ns(ep, evs, cap, ns);
   caml_acquire_runtime_system();
   if (n == -1) {
     int e = errno;
@@ -132,7 +178,7 @@ CAMLprim value mwreg_epoll_wait(value vep, value vtimeout_ms, value varr)
   CAMLreturn(Val_int(n));
 #else
   (void)vep;
-  (void)vtimeout_ms;
+  (void)vtimeout_ns;
   (void)varr;
   caml_failwith("epoll_wait: not available on this platform");
 #endif

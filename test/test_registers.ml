@@ -12,6 +12,119 @@ let int = Alcotest.int
 let tag ts wid = { Tstamp.ts; wid }
 let value ts wid payload = { Wire.tag = tag ts wid; payload }
 
+(* The replica as it was before its valuevector became one sorted array:
+   a [Hashtbl] keyed by tag with an [Int] set per entry, pruned by
+   fold + sort.  Kept verbatim (comments aside) as the model the flat
+   layout must match reply for reply. *)
+module Ref_replica = struct
+  module Iset = Set.Make (Int)
+
+  type entry = { payload : int; mutable updated : Iset.t }
+
+  type t = {
+    mutable current : Wire.value;
+    vector : (Tstamp.t, entry) Hashtbl.t;
+  }
+
+  let max_vector = 32
+
+  let max_wire_updated = 8
+
+  let create () =
+    let t = { current = Wire.initial_value_entry; vector = Hashtbl.create 16 } in
+    Hashtbl.replace t.vector Tstamp.initial
+      { payload = Wire.initial_value_entry.Wire.payload; updated = Iset.empty };
+    t
+
+  let prune t =
+    let n = Hashtbl.length t.vector in
+    if n > max_vector then begin
+      let tags = Hashtbl.fold (fun tag _ acc -> tag :: acc) t.vector [] in
+      let tags = List.sort Tstamp.compare tags in
+      let drop = n - max_vector in
+      List.iteri
+        (fun i tag -> if i < drop then Hashtbl.remove t.vector tag)
+        tags
+    end
+
+  let update_unpruned t (v : Wire.value) c =
+    match Hashtbl.find_opt t.vector v.Wire.tag with
+    | Some e ->
+      e.updated <- Iset.add c e.updated;
+      if Wire.compare_value v t.current > 0 then t.current <- v
+    | None ->
+      Hashtbl.replace t.vector v.Wire.tag
+        { payload = v.Wire.payload; updated = Iset.singleton c };
+      if Wire.compare_value v t.current > 0 then t.current <- v
+
+  let update t (v : Wire.value) c =
+    update_unpruned t v c;
+    prune t
+
+  let snapshot t =
+    Hashtbl.fold
+      (fun tag e acc ->
+        (({ Wire.tag; payload = e.payload } : Wire.value), Iset.elements e.updated)
+        :: acc)
+      t.vector []
+    |> List.sort (fun (a, _) (b, _) -> Wire.compare_value a b)
+
+  let wire_updated ~client u =
+    if Iset.cardinal u <= max_wire_updated then Iset.elements u
+    else begin
+      let rec take n = function
+        | [] -> []
+        | _ when n = 0 -> []
+        | x :: tl -> x :: take (n - 1) tl
+      in
+      if Iset.mem client u then
+        client :: take (max_wire_updated - 1) (Iset.elements (Iset.remove client u))
+      else take max_wire_updated (Iset.elements u)
+    end
+
+  let snapshot_wire t ~client =
+    Hashtbl.fold
+      (fun tag e acc ->
+        ( ({ Wire.tag; payload = e.payload } : Wire.value),
+          wire_updated ~client e.updated )
+        :: acc)
+      t.vector []
+    |> List.sort (fun (a, _) (b, _) -> Wire.compare_value a b)
+
+  let handle t ~client req =
+    match req with
+    | Wire.Update v ->
+      update t v client;
+      Wire.Write_ack { current = t.current }
+    | Wire.Query vq ->
+      List.iter (fun v -> update_unpruned t v client) vq;
+      Hashtbl.iter (fun _ e -> e.updated <- Iset.add client e.updated) t.vector;
+      let rep =
+        Wire.Read_ack { current = t.current; vector = snapshot_wire t ~client }
+      in
+      prune t;
+      rep
+
+  type state = { s_current : Wire.value; s_vector : (Wire.value * int list) list }
+
+  let save t = { s_current = t.current; s_vector = snapshot t }
+
+  let load st =
+    let t = create () in
+    List.iter
+      (fun ((v : Wire.value), updated) ->
+        match Hashtbl.find_opt t.vector v.Wire.tag with
+        | Some e -> e.updated <- Iset.union e.updated (Iset.of_list updated)
+        | None ->
+          Hashtbl.replace t.vector v.Wire.tag
+            { payload = v.Wire.payload; updated = Iset.of_list updated })
+      st.s_vector;
+    t.current <- st.s_current;
+    t
+
+  let current t = t.current
+end
+
 (* ------------------------------------------------------------------ *)
 (* Tstamp                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -28,6 +141,19 @@ let test_tstamp_order () =
 (* Replica (Algorithm 2)                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* The vector as the replica's durable state shows it: the replica
+   exposes no other view of its layout. *)
+let vector_size rep = List.length (Replica.save rep).Replica.s_vector
+
+let updated_set rep (v : Wire.value) =
+  match
+    List.find_opt
+      (fun ((w : Wire.value), _) -> Tstamp.equal w.Wire.tag v.Wire.tag)
+      (Replica.save rep).Replica.s_vector
+  with
+  | Some (_, u) -> u
+  | None -> []
+
 let test_replica_update_monotone () =
   let rep = Replica.create () in
   ignore (Replica.handle rep ~client:10 (Wire.Update (value 1 0 101)));
@@ -37,14 +163,14 @@ let test_replica_update_monotone () =
   ignore (Replica.handle rep ~client:12 (Wire.Update (value 2 0 102)));
   check bool "older update does not regress current" true
     (Tstamp.equal (Replica.current rep).Wire.tag (tag 3 1));
-  check int "all values retained" 4 (Replica.vector_size rep)
+  check int "all values retained" 4 (vector_size rep)
 
 let test_replica_updated_sets () =
   let rep = Replica.create () in
   ignore (Replica.handle rep ~client:10 (Wire.Update (value 1 0 101)));
   ignore (Replica.handle rep ~client:11 (Wire.Update (value 1 0 101)));
   check (Alcotest.list int) "both updaters recorded" [ 10; 11 ]
-    (Replica.updated_set rep (value 1 0 101))
+    (updated_set rep (value 1 0 101))
 
 let test_replica_query_folds_queue () =
   let rep = Replica.create () in
@@ -57,7 +183,7 @@ let test_replica_query_folds_queue () =
       (List.exists (fun (v, _) -> Tstamp.equal v.Wire.tag (tag 2 1)) vector)
   | Wire.Write_ack _ -> Alcotest.fail "expected read ack");
   check (Alcotest.list int) "client enrolled" [ 20 ]
-    (Replica.updated_set rep (value 2 1 102))
+    (updated_set rep (value 2 1 102))
 
 let test_replica_enrolls_reader_in_current () =
   (* The Lemma-8 rule: replying to a query adds the client to the
@@ -66,13 +192,13 @@ let test_replica_enrolls_reader_in_current () =
   ignore (Replica.handle rep ~client:10 (Wire.Update (value 1 0 101)));
   ignore (Replica.handle rep ~client:33 (Wire.Query []));
   check (Alcotest.list int) "reader enrolled in current" [ 10; 33 ]
-    (Replica.updated_set rep (value 1 0 101))
+    (updated_set rep (value 1 0 101))
 
 let test_replica_initial_state () =
   let rep = Replica.create () in
   check bool "initial current" true
     (Tstamp.equal (Replica.current rep).Wire.tag Tstamp.initial);
-  check int "initial vector" 1 (Replica.vector_size rep)
+  check int "initial vector" 1 (vector_size rep)
 
 let test_replica_vector_pruned () =
   (* The valuevector is a recency window: past [max_vector] entries the
@@ -82,11 +208,11 @@ let test_replica_vector_pruned () =
   for ts = 1 to n do
     ignore (Replica.handle rep ~client:0 (Wire.Update (value ts 0 (100 + ts))))
   done;
-  check int "window size" Replica.max_vector (Replica.vector_size rep);
+  check int "window size" Replica.max_vector (vector_size rep);
   check bool "current retained" true
     (Tstamp.equal (Replica.current rep).Wire.tag (tag n 0));
   check (Alcotest.list int) "oldest evicted" []
-    (Replica.updated_set rep (value 1 0 101));
+    (updated_set rep (value 1 0 101));
   (* A pruned value a client still tracks is resurrected for the reply
      that echoes it — with the client enrolled — before the window is
      re-enforced (the certificate regeneration the bound relies on). *)
@@ -97,7 +223,7 @@ let test_replica_vector_pruned () =
     in
     check bool "echoed value certified in reply" true (List.mem 7 updated);
     check bool "window re-enforced after reply" true
-      (Replica.vector_size rep <= Replica.max_vector)
+      (vector_size rep <= Replica.max_vector)
   | Wire.Write_ack _ -> Alcotest.fail "expected read ack"
 
 let test_replica_wire_updated_truncated () =
@@ -120,7 +246,51 @@ let test_replica_wire_updated_truncated () =
     check bool "querier included" true (List.mem querier updated)
   | Wire.Write_ack _ -> Alcotest.fail "expected read ack");
   check int "replica set complete" (n + 1)
-    (List.length (Replica.updated_set rep (value 1 0 101)))
+    (List.length (updated_set rep (value 1 0 101)))
+
+let replica_op_gen =
+  let open QCheck.Gen in
+  (* ts × wid spans far more than [max_vector] tags, yet tags collide
+     often (payloads too may differ under one tag: the first one
+     stays); wid −1 at ts 0 is the initial value's own tag. *)
+  let v =
+    map3 (fun ts wid payload -> value ts wid payload) (int_range 0 60)
+      (int_range (-1) 2) (int_range 0 3)
+  in
+  let client = int_range 0 40 in
+  frequency
+    [
+      (3, map2 (fun c v -> (c, Wire.Update v)) client v);
+      (2, map2 (fun c vq -> (c, Wire.Query vq)) client (list_size (int_range 0 4) v));
+    ]
+
+let print_ops ops =
+  String.concat "; "
+    (List.map (fun (c, r) -> Format.asprintf "%d:%a" c Wire.pp_req r) ops)
+
+let replica_model_prop =
+  QCheck.Test.make ~count:300 ~name:"flat replica matches the Hashtbl/Iset model"
+    (QCheck.make ~print:print_ops
+       QCheck.Gen.(list_size (int_range 1 300) replica_op_gen))
+    (fun ops ->
+      let same (a : Replica.state) (b : Ref_replica.state) =
+        a.Replica.s_current = b.Ref_replica.s_current
+        && a.Replica.s_vector = b.Ref_replica.s_vector
+      in
+      let r = Replica.create () and m = Ref_replica.create () in
+      List.for_all
+        (fun (client, req) ->
+          Replica.handle r ~client req = Ref_replica.handle m ~client req
+          && Replica.current r = Ref_replica.current m)
+        ops
+      && same (Replica.save r) (Ref_replica.save m)
+      &&
+      let r = Replica.load (Replica.save r)
+      and m = Ref_replica.load (Ref_replica.save m) in
+      same (Replica.save r) (Ref_replica.save m)
+      && Replica.handle r ~client:41 (Wire.Query [])
+         = Ref_replica.handle m ~client:41 (Wire.Query [])
+      && same (Replica.save r) (Ref_replica.save m))
 
 let test_bound_queue () =
   let vs = List.init (Client_core.max_queue + 9) (fun i -> value (i + 1) 0 i) in
@@ -362,6 +532,7 @@ let () =
           tc "initial state" test_replica_initial_state;
           tc "vector pruned to window" test_replica_vector_pruned;
           tc "wire updated sets truncated" test_replica_wire_updated_truncated;
+          QCheck_alcotest.to_alcotest replica_model_prop;
           tc "valQueue bounded" test_bound_queue;
         ] );
       ( "admissible",

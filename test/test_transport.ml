@@ -1070,6 +1070,106 @@ let test_mux_hol_across_servers () =
   Mux.shutdown mux;
   Array.iter Server.stop servers
 
+(* ------------------------------------------------------------------ *)
+(* Timer resolution and the ticker's lifecycle                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Timing assertions take the median of many samples: a busy host can
+   stretch any one of them, not half of them. *)
+let median_of n f =
+  let a = Array.init n (fun _ -> f ()) in
+  Array.sort Float.compare a;
+  a.(n / 2)
+
+let test_poller_sub_ms_timeout () =
+  (* An idle epoll wait returns at its deadline, not at the next whole
+     millisecond: the reactor's delayed replies are scheduled by this
+     timeout. *)
+  let p = Netio.Poller.create () in
+  let r, w = Unix.pipe ~cloexec:true () in
+  Netio.Poller.add p r ~want_write:false;
+  let m =
+    median_of 40 (fun () ->
+        let t0 = Clock.now () in
+        ignore
+          (Netio.Poller.wait p ~timeout:0.0003 (fun _ ~readable:_ ~writable:_ ->
+               ()));
+        Clock.now () -. t0)
+  in
+  Netio.Poller.remove p r;
+  Netio.Poller.close p;
+  Unix.close r;
+  Unix.close w;
+  check bool (Printf.sprintf "median wait %.3f ms >= 0.3 ms" (m *. 1e3)) true
+    (m >= 0.00029);
+  check bool (Printf.sprintf "median wait %.3f ms < 0.9 ms" (m *. 1e3)) true
+    (m < 0.0009)
+
+let test_mux_sub_ms_round_trip () =
+  (* 0.3 ms on each leg: the request parks on the mux's deadline queue,
+     the reply on the server shard's timer list.  Both must fire at
+     their deadline for the round trip to stay near its 0.6 ms
+     nominal. *)
+  let faults =
+    Faults.create [ Faults.rule (Faults.Latency { base = 0.0003; jitter = 0.0 }) ]
+  in
+  let server = Server.start ~id:0 ~faults () in
+  let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server) in
+  let mux = Mux.create ~faults ~servers:[| addr |] ~quorum:1 () in
+  let ep = Mux.client mux ~client:10 in
+  Mux.exec ~key ep (Wire.Update (value 1 0 1)) (fun _ -> ());
+  let m =
+    median_of 40 (fun () ->
+        let t0 = Clock.now () in
+        Mux.exec ~key ep (Wire.Query []) (fun _ -> ());
+        Clock.now () -. t0)
+  in
+  Mux.shutdown mux;
+  Server.stop server;
+  check bool (Printf.sprintf "median round trip %.3f ms >= 0.6 ms" (m *. 1e3))
+    true (m >= 0.00059);
+  check bool (Printf.sprintf "median round trip %.3f ms < 1.5 ms" (m *. 1e3))
+    true (m < 0.0015)
+
+let test_mux_lifecycle () =
+  (* create/shutdown leaks no descriptor (the ticker's pipe and poller,
+     the connections), and shutdown wakes the sleeping ticker through
+     its pipe instead of waiting out its 50 ms tick. *)
+  if not (Sys.file_exists "/proc/self/fd") then Alcotest.skip ();
+  let fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let server = Server.start ~id:0 () in
+  let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server) in
+  let settle () =
+    (* The server closes its side of each connection asynchronously. *)
+    let deadline = Clock.now () +. 2.0 in
+    while Server.connection_count server > 0 && Clock.now () < deadline do
+      Thread.delay 0.001
+    done
+  in
+  let cycle () =
+    let mux = Mux.create ~servers:[| addr |] ~quorum:1 () in
+    let ep = Mux.client mux ~client:10 in
+    Mux.exec ~key ep (Wire.Query []) (fun _ -> ());
+    (* Let the ticker reach its sleep. *)
+    Thread.delay 0.002;
+    let t0 = Clock.now () in
+    Mux.shutdown mux;
+    Clock.now () -. t0
+  in
+  ignore (cycle ());
+  settle ();
+  let before = fds () in
+  let times = List.init 20 (fun _ -> cycle ()) in
+  settle ();
+  let after = fds () in
+  Server.stop server;
+  check int "descriptors after 20 cycles" before after;
+  let worst = List.fold_left Float.max 0.0 times in
+  check bool
+    (Printf.sprintf "slowest shutdown %.2f ms < 25 ms (half a tick)"
+       (worst *. 1e3))
+    true (worst < 0.025)
+
 let test_mux_redials_long_restart () =
   (* A server that stays down past the reconnect backoff's ramp must
      still be redialed once it is restarted.  S=3 t=1: server 2 stays
@@ -1352,6 +1452,12 @@ let () =
             `Quick test_mux_hol_across_servers;
           Alcotest.test_case "redials a server restarted after a long outage"
             `Slow test_mux_redials_long_restart;
+                 Alcotest.test_case "idle epoll wait has sub-ms resolution" `Quick
+            test_poller_sub_ms_timeout;
+          Alcotest.test_case "0.3 ms legs give a sub-1.5 ms round trip" `Quick
+            test_mux_sub_ms_round_trip;
+          Alcotest.test_case "create/shutdown leaks nothing, wakes ticker"
+            `Quick test_mux_lifecycle;
         ] );
       ( "live",
         [
