@@ -1242,6 +1242,22 @@ let write_bench_results () =
 (* LV: the live TCP benchmark                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* One single-register run (split roles, [ops] writes per writer and
+   2 x [ops] reads per reader) on a fresh one-group loopback cluster;
+   returns the driver's result and the register's history. *)
+let run_register ?faults ?rt_timeout ?max_rt_retries ?live_check ~register ~s
+    ~tol ~writers ~readers ops =
+  let cluster = Kv.Kv_cluster.start ?faults ~groups:1 ~s ~tol () in
+  Fun.protect
+    ~finally:(fun () -> Kv.Kv_cluster.shutdown cluster)
+    (fun () ->
+      let res =
+        Kv.Kv_session.run ?faults ?rt_timeout ?max_rt_retries ?live_check
+          ~register ~cluster
+          (Kv.Kv_session.register_spec ~writers ~readers ops)
+      in
+      (res, Kv.Kv_session.history res))
+
 let live_exp () =
   (* When this runs after the micro phase, bechamel's garbage is still
      on the major heap; collect it up front so the first live rows don't
@@ -1260,53 +1276,40 @@ let live_exp () =
   let ops = !live_ops in
   List.iter
     (fun (register, w, r) ->
-      let cluster = Transport.Cluster.start ~s ~tol:t () in
-      Fun.protect
-        ~finally:(fun () -> Transport.Cluster.shutdown cluster)
-        (fun () ->
-          let res =
-            Transport.Session.run ~register ~cluster
-              {
-                Transport.Session.writers = w;
-                readers = r;
-                writes_per_writer = ops;
-                reads_per_reader = 2 * ops;
-                write_think = 0.0;
-                read_think = 0.0;
-              }
-          in
-          let h = res.Transport.Session.history in
-          let n_ops = Histories.History.length h in
-          let writes = Stats.writes h and reads = Stats.reads h in
-          let atomic = Checker.Atomicity.is_atomic h in
-          let name = Registers.Registry.name register in
-          row "%-28s %-8.0f %-9.2f %-9.2f %-24s %-24s %b\n" name
-            (float_of_int n_ops /. res.Transport.Session.duration)
-            res.Transport.Session.write_rounds res.Transport.Session.read_rounds
-            (Printf.sprintf "%.2f/%.2f/%.2f" (1e3 *. writes.Stats.p50)
-               (1e3 *. writes.Stats.p95) (1e3 *. writes.Stats.p99))
-            (Printf.sprintf "%.2f/%.2f/%.2f" (1e3 *. reads.Stats.p50)
-               (1e3 *. reads.Stats.p95) (1e3 *. reads.Stats.p99))
-            atomic;
-          live_rows :=
-            {
-              l_name = name;
-              l_point =
-                Quorums.Bounds.design_point_to_string
-                  (Registers.Registry.design_point register);
-              l_s = s;
-              l_t = t;
-              l_w = w;
-              l_r = r;
-              l_ops = n_ops;
-              l_duration = res.Transport.Session.duration;
-              l_write_rounds = res.Transport.Session.write_rounds;
-              l_read_rounds = res.Transport.Session.read_rounds;
-              l_writes = writes;
-              l_reads = reads;
-              l_atomic = atomic;
-            }
-            :: !live_rows))
+      let res, h =
+        run_register ~register ~s ~tol:t ~writers:w ~readers:r ops
+      in
+      let n_ops = Histories.History.length h in
+      let writes = Stats.writes h and reads = Stats.reads h in
+      let atomic = Checker.Atomicity.is_atomic h in
+      let name = Registers.Registry.name register in
+      row "%-28s %-8.0f %-9.2f %-9.2f %-24s %-24s %b\n" name
+        (float_of_int n_ops /. res.Kv.Kv_session.duration)
+        res.Kv.Kv_session.write_rounds res.Kv.Kv_session.read_rounds
+        (Printf.sprintf "%.2f/%.2f/%.2f" (1e3 *. writes.Stats.p50)
+           (1e3 *. writes.Stats.p95) (1e3 *. writes.Stats.p99))
+        (Printf.sprintf "%.2f/%.2f/%.2f" (1e3 *. reads.Stats.p50)
+           (1e3 *. reads.Stats.p95) (1e3 *. reads.Stats.p99))
+        atomic;
+      live_rows :=
+        {
+          l_name = name;
+          l_point =
+            Quorums.Bounds.design_point_to_string
+              (Registers.Registry.design_point register);
+          l_s = s;
+          l_t = t;
+          l_w = w;
+          l_r = r;
+          l_ops = n_ops;
+          l_duration = res.Kv.Kv_session.duration;
+          l_write_rounds = res.Kv.Kv_session.write_rounds;
+          l_read_rounds = res.Kv.Kv_session.read_rounds;
+          l_writes = writes;
+          l_reads = reads;
+          l_atomic = atomic;
+        }
+        :: !live_rows)
     [
       (Registers.Registry.abd_swmr, 1, 2);
       (Registers.Registry.abd_mwmr, 2, 2);
@@ -1370,47 +1373,35 @@ let live_exp () =
              inherit its predecessor's debris. *)
           Gc.compact ();
           Unix.sleepf 0.25;
-          let cluster = Transport.Cluster.start ~s ~tol:t () in
-          Fun.protect
-            ~finally:(fun () -> Transport.Cluster.shutdown cluster)
-            (fun () ->
-              (* Past ~128 clients on a small box, a round trip can
-                 sit behind hundreds of queued peers; a generous
-                 per-round-trip timeout keeps scheduling delay from
-                 registering as loss and triggering retries. *)
-              let rt_timeout = if c >= 128 then Some 5.0 else None in
-              let res =
-                Transport.Session.run ?rt_timeout ~register ~cluster
-                  {
-                    Transport.Session.writers = c / 2;
-                    readers = c / 2;
-                    writes_per_writer = row_ops;
-                    reads_per_reader = 2 * row_ops;
-                    write_think = 0.0;
-                    read_think = 0.0;
-                  }
-              in
-              let h = res.Transport.Session.history in
-              let n_ops = Histories.History.length h in
-              let writes = Stats.writes h and reads = Stats.reads h in
-              let name = Registers.Registry.name register in
-              row "%-28s %-6d %-7s %-6d %-10.0f %-10.2f %.2f\n" name c
-                regime n_ops
-                (float_of_int n_ops /. res.Transport.Session.duration)
-                (1e3 *. writes.Stats.p50) (1e3 *. reads.Stats.p50);
-              scaling_rows :=
-                {
-                  sc_name = name;
-                  sc_clients = c;
-                  sc_regime = regime;
-                  sc_w = c / 2;
-                  sc_r = c / 2;
-                  sc_ops = n_ops;
-                  sc_duration = res.Transport.Session.duration;
-                  sc_write_p50_ms = 1e3 *. writes.Stats.p50;
-                  sc_read_p50_ms = 1e3 *. reads.Stats.p50;
-                }
-                :: !scaling_rows))
+          (* Past ~128 clients on a small box, a round trip can sit
+             behind hundreds of queued peers; a generous per-round-trip
+             timeout keeps scheduling delay from registering as loss
+             and triggering retries. *)
+          let rt_timeout = if c >= 128 then Some 5.0 else None in
+          let res, h =
+            run_register ?rt_timeout ~register ~s ~tol:t ~writers:(c / 2)
+              ~readers:(c / 2) row_ops
+          in
+          let n_ops = Histories.History.length h in
+          let writes = Stats.writes h and reads = Stats.reads h in
+          let name = Registers.Registry.name register in
+          row "%-28s %-6d %-7s %-6d %-10.0f %-10.2f %.2f\n" name c regime
+            n_ops
+            (float_of_int n_ops /. res.Kv.Kv_session.duration)
+            (1e3 *. writes.Stats.p50) (1e3 *. reads.Stats.p50);
+          scaling_rows :=
+            {
+              sc_name = name;
+              sc_clients = c;
+              sc_regime = regime;
+              sc_w = c / 2;
+              sc_r = c / 2;
+              sc_ops = n_ops;
+              sc_duration = res.Kv.Kv_session.duration;
+              sc_write_p50_ms = 1e3 *. writes.Stats.p50;
+              sc_read_p50_ms = 1e3 *. reads.Stats.p50;
+            }
+            :: !scaling_rows)
         points)
     Registers.Registry.multi_writer;
   Printf.printf
@@ -1443,31 +1434,31 @@ let chaos_exp () =
       Gc.compact ();
       Unix.sleepf 0.15;
       let seed = base + i in
-      let sk = Transport.Chaos.soak ~seed ~ops ~register () in
-      let res = sk.Transport.Chaos.result in
-      let n_ops = Histories.History.length res.Transport.Session.history in
+      let sk = Kv.Chaos.soak ~seed ~ops ~register () in
+      let res = sk.Kv.Chaos.result in
+      let n_ops = Histories.History.length (Kv.Kv_session.history res) in
       let name = Registers.Registry.name register in
       row "%-28s %-6d %-5d %-8d %-9.2f %-9.2f %-8b %b\n" name seed n_ops
-        res.Transport.Session.retries res.Transport.Session.write_rounds
-        res.Transport.Session.read_rounds sk.Transport.Chaos.atomic
-        sk.Transport.Chaos.expected_atomic;
+        res.Kv.Kv_session.retries res.Kv.Kv_session.write_rounds
+        res.Kv.Kv_session.read_rounds sk.Kv.Chaos.atomic
+        sk.Kv.Chaos.expected_atomic;
       chaos_soak_rows :=
         {
           ch_name = name;
           ch_seed = seed;
-          ch_drop = sk.Transport.Chaos.drop;
-          ch_delay = sk.Transport.Chaos.delay;
-          ch_duplicate = sk.Transport.Chaos.duplicate;
-          ch_restarted = sk.Transport.Chaos.restarted;
+          ch_drop = sk.Kv.Chaos.drop;
+          ch_delay = sk.Kv.Chaos.delay;
+          ch_duplicate = sk.Kv.Chaos.duplicate;
+          ch_restarted = sk.Kv.Chaos.restarted;
           ch_ops = n_ops;
-          ch_duration = res.Transport.Session.duration;
-          ch_write_rounds = res.Transport.Session.write_rounds;
-          ch_read_rounds = res.Transport.Session.read_rounds;
-          ch_retries = res.Transport.Session.retries;
-          ch_late = res.Transport.Session.late;
-          ch_unavailable = res.Transport.Session.unavailable;
-          ch_atomic = sk.Transport.Chaos.atomic;
-          ch_expected = sk.Transport.Chaos.expected_atomic;
+          ch_duration = res.Kv.Kv_session.duration;
+          ch_write_rounds = res.Kv.Kv_session.write_rounds;
+          ch_read_rounds = res.Kv.Kv_session.read_rounds;
+          ch_retries = res.Kv.Kv_session.retries;
+          ch_late = res.Kv.Kv_session.late;
+          ch_unavailable = res.Kv.Kv_session.starved;
+          ch_atomic = sk.Kv.Chaos.atomic;
+          ch_expected = sk.Kv.Chaos.expected_atomic;
         }
         :: !chaos_soak_rows)
     Registers.Registry.multi_writer;
@@ -1480,17 +1471,17 @@ let chaos_exp () =
   row "%s\n" (String.make 38 '-');
   List.iter
     (fun (mode_name, mode) ->
-      let o = Transport.Chaos.restart_scenario ~mode () in
-      row "%-10s %-8b %s\n" mode_name o.Transport.Chaos.atomic
-        (match o.Transport.Chaos.read_value with
+      let o = Kv.Chaos.restart_scenario ~mode () in
+      row "%-10s %-8b %s\n" mode_name o.Kv.Chaos.atomic
+        (match o.Kv.Chaos.read_value with
         | Some v -> string_of_int v
         | None -> "-");
       chaos_restart_rows :=
         {
           cr_mode = mode_name;
-          cr_atomic = o.Transport.Chaos.atomic;
-          cr_witness = o.Transport.Chaos.witness;
-          cr_read_value = o.Transport.Chaos.read_value;
+          cr_atomic = o.Kv.Chaos.atomic;
+          cr_witness = o.Kv.Chaos.witness;
+          cr_read_value = o.Kv.Chaos.read_value;
         }
         :: !chaos_restart_rows)
     [ ("recover", `Recover); ("fresh", `Fresh) ];
@@ -1532,7 +1523,7 @@ let kv_exp () =
         let res =
           Kv.Kv_session.run ?rt_timeout ~cluster
             {
-              Kv.Kv_session.clients;
+              Kv.Kv_session.roles = Kv.Kv_session.Mixed clients;
               ops_per_client = ops;
               keys;
               dist;
@@ -1682,7 +1673,7 @@ let soak_exp () =
   let clients = 8 in
   let kv_spec =
     {
-      Kv.Kv_session.clients;
+      Kv.Kv_session.roles = Kv.Kv_session.Mixed clients;
       ops_per_client = max 1 (!soak_ops / clients);
       keys = 1_000;
       dist = Ycsb.Zipfian Ycsb.default_theta;
@@ -1718,27 +1709,22 @@ let soak_exp () =
   let run_chaos ~live_check =
     Gc.compact ();
     Unix.sleepf 0.25;
-    Transport.Chaos.soak ~seed:!chaos_seed ~ops:chaos_ops ~live_check
+    Kv.Chaos.soak ~seed:!chaos_seed ~ops:chaos_ops ~live_check
       ~register:Registers.Registry.abd_mwmr ()
   in
   let base = run_chaos ~live_check:false in
   let live = run_chaos ~live_check:true in
-  (match live.Transport.Chaos.result.Transport.Session.online with
+  let history sk = Kv.Kv_session.history sk.Kv.Chaos.result in
+  (match live.Kv.Chaos.result.Kv.Kv_session.online with
   | Some r ->
-    let ops =
-      Histories.History.length
-        live.Transport.Chaos.result.Transport.Session.history
-    in
-    let base_ops =
-      Histories.History.length
-        base.Transport.Chaos.result.Transport.Session.history
-    in
-    let base_d = base.Transport.Chaos.result.Transport.Session.duration in
+    let ops = Histories.History.length (history live) in
+    let base_ops = Histories.History.length (history base) in
+    let base_d = base.Kv.Chaos.result.Kv.Kv_session.duration in
     emit ~plane:"session" ~label:"chaos-storm" ~ops
-      ~duration:live.Transport.Chaos.result.Transport.Session.duration
+      ~duration:live.Kv.Chaos.result.Kv.Kv_session.duration
       ~nocheck_tput:
         (if base_d > 0.0 then float_of_int base_ops /. base_d else 0.0)
-      ~expected:live.Transport.Chaos.expected_atomic r
+      ~expected:live.Kv.Chaos.expected_atomic r
   | None -> ());
   Printf.printf
     "\nShape check: the window column stays orders of magnitude below the\n\
@@ -1797,53 +1783,40 @@ let geo_exp () =
           let rt_timeout =
             Float.max 1.0 (8.0 *. Transport.Geo.max_rtt profile)
           in
-          let cluster = Transport.Cluster.start ~faults ~s ~tol:t () in
-          Fun.protect
-            ~finally:(fun () -> Transport.Cluster.shutdown cluster)
-            (fun () ->
-              let res =
-                Transport.Session.run ~faults ~rt_timeout ~register ~cluster
-                  {
-                    Transport.Session.writers = w;
-                    readers = r;
-                    writes_per_writer = ops;
-                    reads_per_reader = 2 * ops;
-                    write_think = 0.0;
-                    read_think = 0.0;
-                  }
-              in
-              let h = res.Transport.Session.history in
-              let n_ops = Histories.History.length h in
-              let writes = Stats.writes h and reads = Stats.reads h in
-              let atomic = Checker.Atomicity.is_atomic h in
-              let name = Registers.Registry.name register in
-              let pname = Transport.Geo.name profile in
-              row "%-28s %-15s %-5d %-8.0f %-9.2f %-8.2f %-10.2f %-10.2f %b\n"
-                name pname n_ops
-                (float_of_int n_ops /. res.Transport.Session.duration)
-                res.Transport.Session.write_rounds
-                res.Transport.Session.read_rounds
-                (1e3 *. writes.Stats.p50) (1e3 *. reads.Stats.p50) atomic;
-              geo_rows :=
-                {
-                  g_profile = pname;
-                  g_name = name;
-                  g_point =
-                    Quorums.Bounds.design_point_to_string
-                      (Registers.Registry.design_point register);
-                  g_s = s;
-                  g_t = t;
-                  g_w = w;
-                  g_r = r;
-                  g_ops = n_ops;
-                  g_duration = res.Transport.Session.duration;
-                  g_write_rounds = res.Transport.Session.write_rounds;
-                  g_read_rounds = res.Transport.Session.read_rounds;
-                  g_writes = writes;
-                  g_reads = reads;
-                  g_atomic = atomic;
-                }
-                :: !geo_rows))
+          let res, h =
+            run_register ~faults ~rt_timeout ~register ~s ~tol:t ~writers:w
+              ~readers:r ops
+          in
+          let n_ops = Histories.History.length h in
+          let writes = Stats.writes h and reads = Stats.reads h in
+          let atomic = Checker.Atomicity.is_atomic h in
+          let name = Registers.Registry.name register in
+          let pname = Transport.Geo.name profile in
+          row "%-28s %-15s %-5d %-8.0f %-9.2f %-8.2f %-10.2f %-10.2f %b\n"
+            name pname n_ops
+            (float_of_int n_ops /. res.Kv.Kv_session.duration)
+            res.Kv.Kv_session.write_rounds res.Kv.Kv_session.read_rounds
+            (1e3 *. writes.Stats.p50) (1e3 *. reads.Stats.p50) atomic;
+          geo_rows :=
+            {
+              g_profile = pname;
+              g_name = name;
+              g_point =
+                Quorums.Bounds.design_point_to_string
+                  (Registers.Registry.design_point register);
+              g_s = s;
+              g_t = t;
+              g_w = w;
+              g_r = r;
+              g_ops = n_ops;
+              g_duration = res.Kv.Kv_session.duration;
+              g_write_rounds = res.Kv.Kv_session.write_rounds;
+              g_read_rounds = res.Kv.Kv_session.read_rounds;
+              g_writes = writes;
+              g_reads = reads;
+              g_atomic = atomic;
+            }
+            :: !geo_rows)
         Registers.Registry.all)
     geo_bench_profiles;
   (* The region-outage scenario: wan-3region with its smallest region
@@ -1885,48 +1858,34 @@ let geo_exp () =
         ]
   in
   let register = Registers.Registry.abd_mwmr in
-  let cluster = Transport.Cluster.start ~faults ~s ~tol:t () in
-  Fun.protect
-    ~finally:(fun () -> Transport.Cluster.shutdown cluster)
-    (fun () ->
-      let res =
-        Transport.Session.run ~faults ~rt_timeout:0.3 ~max_rt_retries:10
-          ~live_check:true ~register ~cluster
-          {
-            Transport.Session.writers = w;
-            readers = r;
-            writes_per_writer = ops;
-            reads_per_reader = 2 * ops;
-            write_think = 0.0;
-            read_think = 0.0;
-          }
-      in
-      let h = res.Transport.Session.history in
-      let n_ops = Histories.History.length h in
-      let live_ok =
-        match res.Transport.Session.online with
-        | Some rep -> Transport.Check_sink.atomic rep
-        | None -> false
-      in
-      let atomic = live_ok && Checker.Atomicity.is_atomic h in
-      let name = Registers.Registry.name register in
-      row "%-28s %-5d %-9d %-9d %-7s %b\n" name n_ops
-        res.Transport.Session.retries res.Transport.Session.unavailable
-        "live" atomic;
-      geo_outage_rows :=
-        {
-          go_profile = Transport.Geo.name profile;
-          go_name = name;
-          go_region = Transport.Geo.region_name profile out_region;
-          go_window_s = window_until -. window_from;
-          go_ops = n_ops;
-          go_duration = res.Transport.Session.duration;
-          go_retries = res.Transport.Session.retries;
-          go_unavailable = res.Transport.Session.unavailable;
-          go_atomic = atomic;
-          go_check = "live";
-        }
-        :: !geo_outage_rows);
+  let res, h =
+    run_register ~faults ~rt_timeout:0.3 ~max_rt_retries:10 ~live_check:true
+      ~register ~s ~tol:t ~writers:w ~readers:r ops
+  in
+  let n_ops = Histories.History.length h in
+  let live_ok =
+    match res.Kv.Kv_session.online with
+    | Some rep -> Transport.Check_sink.atomic rep
+    | None -> false
+  in
+  let atomic = live_ok && Checker.Atomicity.is_atomic h in
+  let name = Registers.Registry.name register in
+  row "%-28s %-5d %-9d %-9d %-7s %b\n" name n_ops res.Kv.Kv_session.retries
+    res.Kv.Kv_session.starved "live" atomic;
+  geo_outage_rows :=
+    {
+      go_profile = Transport.Geo.name profile;
+      go_name = name;
+      go_region = Transport.Geo.region_name profile out_region;
+      go_window_s = window_until -. window_from;
+      go_ops = n_ops;
+      go_duration = res.Kv.Kv_session.duration;
+      go_retries = res.Kv.Kv_session.retries;
+      go_unavailable = res.Kv.Kv_session.starved;
+      go_atomic = atomic;
+      go_check = "live";
+    }
+    :: !geo_outage_rows;
   Printf.printf
     "\nShape check: rounds/op are profile-invariant (the paper's cost\n\
      measure counts rounds, not milliseconds) while p50 latency scales\n\
@@ -2183,56 +2142,12 @@ let experiments =
     ("micro", micro);
   ]
 
-let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let domains, requested =
-    let rec go domains acc = function
-      | [] -> (domains, List.rev acc)
-      | "--domains" :: n :: rest -> go (int_of_string_opt n) acc rest
-      | arg :: rest when String.length arg > 10 && String.sub arg 0 10 = "--domains=" ->
-        go (int_of_string_opt (String.sub arg 10 (String.length arg - 10))) acc rest
-      | "--live-ops" :: n :: rest ->
-        (match int_of_string_opt n with
-        | Some k when k >= 1 -> live_ops := k
-        | _ -> ());
-        go domains acc rest
-      | arg :: rest when String.length arg > 11 && String.sub arg 0 11 = "--live-ops=" ->
-        (match int_of_string_opt (String.sub arg 11 (String.length arg - 11)) with
-        | Some k when k >= 1 -> live_ops := k
-        | _ -> ());
-        go domains acc rest
-      | "--soak-ops" :: n :: rest ->
-        (match int_of_string_opt n with
-        | Some k when k >= 1 -> soak_ops := k
-        | _ -> ());
-        go domains acc rest
-      | arg :: rest
-        when String.length arg > 11 && String.sub arg 0 11 = "--soak-ops=" ->
-        (match
-           int_of_string_opt (String.sub arg 11 (String.length arg - 11))
-         with
-        | Some k when k >= 1 -> soak_ops := k
-        | _ -> ());
-        go domains acc rest
-      | "--chaos-seed" :: n :: rest ->
-        (match int_of_string_opt n with
-        | Some k -> chaos_seed := k
-        | None -> ());
-        go domains acc rest
-      | arg :: rest
-        when String.length arg > 13 && String.sub arg 0 13 = "--chaos-seed=" ->
-        (match
-           int_of_string_opt (String.sub arg 13 (String.length arg - 13))
-         with
-        | Some k -> chaos_seed := k
-        | None -> ());
-        go domains acc rest
-      | arg :: rest -> go domains (arg :: acc) rest
-    in
-    go None [] args
-  in
+let run domains lo so seed requested =
+  live_ops := lo;
+  soak_ops := so;
+  chaos_seed := seed;
   let domains =
-    match domains with Some n -> max 1 n | None -> Parallel.Pool.default_domains ()
+    match domains with Some n -> n | None -> Parallel.Pool.default_domains ()
   in
   pool := Parallel.Pool.create ~domains ();
   (* stderr, so the experiment tables stay byte-identical across domain
@@ -2252,3 +2167,47 @@ let () =
           (String.concat ", " (List.map fst experiments)))
     requested;
   write_bench_results ()
+
+let () =
+  let open Cmdliner in
+  let positive =
+    let parse s =
+      match int_of_string_opt s with
+      | Some k when k >= 1 -> Ok k
+      | _ -> Error (`Msg (Printf.sprintf "%S is not a positive integer" s))
+    in
+    Arg.conv (parse, Format.pp_print_int)
+  in
+  let domains =
+    Arg.(value & opt (some positive) None
+         & info [ "domains" ] ~docv:"N"
+             ~doc:"Domain-pool size for the parallel sweeps (default: \
+                   $(b,MWREG_DOMAINS), else the recommended domain count).")
+  in
+  let live_ops =
+    Arg.(value & opt positive !live_ops
+         & info [ "live-ops" ] ~docv:"N"
+             ~doc:"Writes per writer in the live, chaos, geo and kv rows.")
+  in
+  let soak_ops =
+    Arg.(value & opt positive !soak_ops
+         & info [ "soak-ops" ] ~docv:"N"
+             ~doc:"Total operation budget of the streaming-checker soak.")
+  in
+  let chaos_seed =
+    Arg.(value & opt int !chaos_seed
+         & info [ "chaos-seed" ] ~docv:"SEED"
+             ~doc:"Base seed of the chaos soak's fault plans.")
+  in
+  let requested =
+    Arg.(value & pos_all string []
+         & info [] ~docv:"EXPERIMENT"
+             ~doc:(Printf.sprintf "Experiments to run (default: all): %s."
+                     (String.concat ", " (List.map fst experiments))))
+  in
+  let cmd =
+    Cmd.v
+      (Cmd.info "main" ~doc:"Regenerate the paper's tables and figures.")
+      Term.(const run $ domains $ live_ops $ soak_ops $ chaos_seed $ requested)
+  in
+  exit (match Cmd.eval_value cmd with Ok _ -> 0 | Error _ -> 1)

@@ -648,8 +648,8 @@ let check_soak ~require_knee path = function
         | _ -> ())
       entries;
     let rows = !rows in
-    (* Both recording planes must ride: the sink wires into the
-       session runner and the KV driver alike. *)
+    (* Both soak rows must ride: the single-register chaos storm
+       (plane "session") and the keyspace run (plane "kv"). *)
     List.iter
       (fun pl ->
         if not (List.exists (fun (pl', _, _, _) -> pl' = pl) rows) then

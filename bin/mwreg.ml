@@ -470,7 +470,7 @@ let parse_kill spec =
         float_of_string_opt
           (String.sub spec (i + 1) (String.length spec - i - 1)) )
     with
-    | Some idx, Some at -> Ok (at, idx)
+    | Some idx, Some at -> Ok (at, 0, idx) (* the one group's server *)
     | _ -> Error (Printf.sprintf "bad kill spec %S (want IDX@SEC)" spec))
 
 let pp_ms ppf (st : Stats.summary) =
@@ -530,39 +530,47 @@ let report_online (r : Live.Check_sink.report) =
     r.Live.Check_sink.violations;
   Live.Check_sink.atomic r
 
-(* One protocol against one (fresh or attached) cluster.  Returns true
-   when the recorded history is atomic. *)
+(* One protocol against one (fresh or attached) single-group cluster.
+   Returns true when the recorded history is atomic. *)
 let live_one ?faults ?max_rt_retries ~register ~cluster ~spec ~kill_at
     ~rt_timeout ~check () =
   let res =
-    Live.Session.run ?faults ?max_rt_retries ~kill_at ~rt_timeout
+    Kv.Session.run ?faults ?max_rt_retries ~kill_at ~rt_timeout
       ~live_check:(check = `Live) ~on_violation:announce_violation ~register
       ~cluster spec
   in
-  let h = res.Live.Session.history in
+  let h = Kv.Session.history res in
   let ops = History.length h in
+  let servers = Kv.Cluster.group cluster 0 in
   Format.printf "protocol    : %s@." (Registry.name register);
   Format.printf "cluster     : %s S=%d t=%d (quorum %d), mux transport@."
-    (if Live.Cluster.local cluster then "loopback" else "remote")
-    (Live.Cluster.s cluster)
-    (Live.Cluster.tolerance cluster)
-    (Live.Cluster.quorum cluster);
+    (if Live.Cluster.local servers then "loopback" else "remote")
+    (Live.Cluster.s servers)
+    (Live.Cluster.tolerance servers)
+    (Live.Cluster.quorum servers);
   Format.printf "ops         : %d in %.3fs (%.0f ops/s)@." ops
-    res.Live.Session.duration
-    (float_of_int ops /. res.Live.Session.duration);
+    res.Kv.Session.duration
+    (float_of_int ops /. res.Kv.Session.duration);
   Format.printf "round trips : write %.2f/op, read %.2f/op, late replies %d@."
-    res.Live.Session.write_rounds res.Live.Session.read_rounds
-    res.Live.Session.late;
+    res.Kv.Session.write_rounds res.Kv.Session.read_rounds
+    res.Kv.Session.late;
   Format.printf "writes      : %a@." pp_ms (Stats.writes h);
   Format.printf "reads       : %a@." pp_ms (Stats.reads h);
-  if res.Live.Session.killed <> [] then
+  let running = Live.Cluster.running servers in
+  (match
+     List.filter
+       (fun i -> not (List.mem i running))
+       (List.init (Live.Cluster.s servers) Fun.id)
+   with
+  | [] -> ()
+  | killed ->
     Format.printf "killed      : %s@."
-      (String.concat ", " (List.map string_of_int res.Live.Session.killed));
-  if res.Live.Session.unavailable > 0 then
+      (String.concat ", " (List.map string_of_int killed)));
+  if res.Kv.Session.starved > 0 then
     Format.printf "starved     : %d client(s) gave up without a quorum@."
-      res.Live.Session.unavailable;
+      res.Kv.Session.starved;
   let ok =
-    match (check, res.Live.Session.online) with
+    match (check, res.Kv.Session.online) with
     | `Off, _ ->
       Format.printf "atomicity   : not checked (--check off)@.";
       true
@@ -678,21 +686,15 @@ let live protocol all s tol w r ops connect kills think rt_timeout
          artifact, not a violation). *)
       let cluster =
         match addrs with
-        | [] -> Live.Cluster.start ?faults ~shards:server_domains ~s ~tol ()
-        | addrs -> Live.Cluster.connect ~addrs:(Array.of_list addrs) ~tol ()
+        | [] ->
+          Kv.Cluster.start ?faults ~shards:server_domains ~groups:1 ~s ~tol ()
+        | addrs -> Kv.Cluster.connect ~addrs:(Array.of_list addrs) ~tol
       in
       Fun.protect
-        ~finally:(fun () -> Live.Cluster.shutdown cluster)
+        ~finally:(fun () -> Kv.Cluster.shutdown cluster)
         (fun () ->
           let spec =
-            {
-              Live.Session.writers = w;
-              readers = r;
-              writes_per_writer = ops;
-              reads_per_reader = 2 * ops;
-              write_think = think;
-              read_think = think;
-            }
+            Kv.Session.register_spec ~think ~writers:w ~readers:r ops
           in
           live_one ?faults ~register ~cluster ~spec ~kill_at ~rt_timeout
             ~check ())
@@ -813,7 +815,7 @@ let kv protocol groups s tol clients keys ops dist theta mix seed sample think
             ~live_check:(check = `Live) ~on_violation:announce_violation
             ~cluster
             {
-              Kv.Session.clients;
+              Kv.Session.roles = Kv.Session.Mixed clients;
               ops_per_client = ops;
               keys;
               dist;
@@ -955,30 +957,29 @@ let chaos protocol scenario seed drop delay duplicate ops s tol server_domains
       exit 1
     | Some register ->
       let sk =
-        Live.Chaos.soak ~seed ~drop ~delay ~duplicate ~s ~tol ~ops
+        Kv.Chaos.soak ~seed ~drop ~delay ~duplicate ~s ~tol ~ops
           ~server_shards:server_domains ~live_check:(check = `Live)
           ~on_violation:announce_violation ~register ()
       in
-      let res = sk.Live.Chaos.result in
+      let res = sk.Kv.Chaos.result in
       Format.printf "protocol    : %s@." (Registry.name register);
       Format.printf
         "faults      : drop %.2f, delay <= %.3fs, duplicate %.2f (seed %d)@."
         drop delay duplicate seed;
       Format.printf "restart     : %s@."
-        (if sk.Live.Chaos.restarted then
+        (if sk.Kv.Chaos.restarted then
            "one server killed mid-run, restarted with recovered state"
          else "none");
       Format.printf "ops         : %d in %.3fs; retries %d, late %d@."
-        (History.length res.Live.Session.history)
-        res.Live.Session.duration res.Live.Session.retries
-        res.Live.Session.late;
+        (History.length (Kv.Session.history res))
+        res.Kv.Session.duration res.Kv.Session.retries res.Kv.Session.late;
       Format.printf "round trips : write %.2f/op, read %.2f/op@."
-        res.Live.Session.write_rounds res.Live.Session.read_rounds;
-      if res.Live.Session.unavailable > 0 then
+        res.Kv.Session.write_rounds res.Kv.Session.read_rounds;
+      if res.Kv.Session.starved > 0 then
         Format.printf "starved     : %d client(s) gave up without a quorum@."
-          res.Live.Session.unavailable;
+          res.Kv.Session.starved;
       let atomic =
-        match (check, res.Live.Session.online) with
+        match (check, res.Kv.Session.online) with
         | `Off, _ ->
           Format.printf "atomicity   : not checked (--check off)@.";
           true
@@ -990,18 +991,18 @@ let chaos protocol scenario seed drop delay duplicate ops s tol server_domains
         | `Live, None -> true (* unreachable: live_check was requested *)
         | `Batch, _ ->
           Format.printf "atomicity   : %s@."
-            (if sk.Live.Chaos.atomic then "OK" else "VIOLATED");
-          sk.Live.Chaos.atomic
+            (if sk.Kv.Chaos.atomic then "OK" else "VIOLATED");
+          sk.Kv.Chaos.atomic
       in
       Format.printf "theory      : %s@."
-        (if sk.Live.Chaos.expected_atomic then
+        (if sk.Kv.Chaos.expected_atomic then
            "possible regime — chaos must not break it"
          else "impossible regime — no guarantee");
-      if sk.Live.Chaos.expected_atomic && not atomic then exit 2)
+      if sk.Kv.Chaos.expected_atomic && not atomic then exit 2)
   | ("recover" | "fresh") as m ->
     let mode = if m = "recover" then `Recover else `Fresh in
     let o =
-      Live.Chaos.restart_scenario ~server_shards:server_domains ~mode ()
+      Kv.Chaos.restart_scenario ~server_shards:server_domains ~mode ()
     in
     Format.printf
       "scenario    : acknowledged write on quorum {0,1}; server 0 killed, \
@@ -1010,18 +1011,18 @@ let chaos protocol scenario seed drop delay duplicate ops s tol server_domains
       | `Recover -> "with its recovered snapshot"
       | `Fresh -> "with fresh (empty) state");
     Format.printf "read        : %s@."
-      (match o.Live.Chaos.read_value with
+      (match o.Kv.Chaos.read_value with
       | Some v -> string_of_int v
       | None -> "(no response)");
-    (match o.Live.Chaos.witness with
+    (match o.Kv.Chaos.witness with
     | Some w -> Format.printf "witness     : %s@." w
     | None -> ());
     Format.printf "atomicity   : %s@."
-      (if o.Live.Chaos.atomic then "OK" else "VIOLATED");
+      (if o.Kv.Chaos.atomic then "OK" else "VIOLATED");
     let as_expected =
       match mode with
-      | `Recover -> o.Live.Chaos.atomic
-      | `Fresh -> (not o.Live.Chaos.atomic) && o.Live.Chaos.witness <> None
+      | `Recover -> o.Kv.Chaos.atomic
+      | `Fresh -> (not o.Kv.Chaos.atomic) && o.Kv.Chaos.witness <> None
     in
     Format.printf "verdict     : %s@."
       (if as_expected then "as the crash-stop model predicts"
@@ -1135,21 +1136,12 @@ let geo_run list_profiles protocol profile s tol w r ops outage check =
     let faults = Live.Geo.plan ~extra profile ~s ~clients in
     print_string (Live.Geo.describe profile);
     Format.printf "@.";
-    let cluster = Live.Cluster.start ~faults ~s ~tol () in
+    let cluster = Kv.Cluster.start ~faults ~groups:1 ~s ~tol () in
     let ok =
       Fun.protect
-        ~finally:(fun () -> Live.Cluster.shutdown cluster)
+        ~finally:(fun () -> Kv.Cluster.shutdown cluster)
         (fun () ->
-          let spec =
-            {
-              Live.Session.writers = w;
-              readers = r;
-              writes_per_writer = ops;
-              reads_per_reader = 2 * ops;
-              write_think = 0.0;
-              read_think = 0.0;
-            }
-          in
+          let spec = Kv.Session.register_spec ~writers:w ~readers:r ops in
           live_one ~faults ~max_rt_retries ~register ~cluster ~spec
             ~kill_at:[] ~rt_timeout ~check ())
     in

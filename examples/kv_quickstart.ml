@@ -64,7 +64,7 @@ let () =
     Kv.Session.run ~cluster:kc
       {
         Kv.Session.default_spec with
-        clients = 4;
+        roles = Kv.Session.Mixed 4;
         ops_per_client = 50;
         keys = 200;
         sample_keys = 4;

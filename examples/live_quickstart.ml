@@ -16,35 +16,29 @@ let () =
     "paper's W2R1 register over TCP: two-round writes, one-round fast reads.";
   print_endline "";
 
-  let cluster = Live.Cluster.start ~s:5 ~tol:1 () in
+  let cluster = Kv.Cluster.start ~groups:1 ~s:5 ~tol:1 () in
+  let servers = Kv.Cluster.group cluster 0 in
   Fun.protect
-    ~finally:(fun () -> Live.Cluster.shutdown cluster)
+    ~finally:(fun () -> Kv.Cluster.shutdown cluster)
     (fun () ->
       Array.iteri
         (fun i _ -> Printf.printf "server %d listening on 127.0.0.1:%d\n" i
-            (Live.Cluster.port cluster i))
-        (Live.Cluster.addrs cluster);
+            (Live.Cluster.port servers i))
+        (Live.Cluster.addrs servers);
       print_endline "";
 
       let res =
-        Live.Session.run ~register:Registry.fastread_w2r1 ~cluster
-          {
-            Live.Session.writers = 1;
-            readers = 1;
-            writes_per_writer = 5;
-            reads_per_reader = 8;
-            write_think = 0.002;
-            read_think = 0.001;
-          }
+        Kv.Session.run ~register:Registry.fastread_w2r1 ~cluster
+          (Kv.Session.register_spec ~think:0.002 ~writers:1 ~readers:1 5)
       in
-      let h = res.Live.Session.history in
+      let h = Kv.Session.history res in
 
       Printf.printf "ran %d operations in %.1f ms (%.0f ops/s)\n"
         (History.length h)
-        (1e3 *. res.Live.Session.duration)
-        (float_of_int (History.length h) /. res.Live.Session.duration);
+        (1e3 *. res.Kv.Session.duration)
+        (float_of_int (History.length h) /. res.Kv.Session.duration);
       Printf.printf "round trips: %.2f per write, %.2f per read\n"
-        res.Live.Session.write_rounds res.Live.Session.read_rounds;
+        res.Kv.Session.write_rounds res.Kv.Session.read_rounds;
       print_endline "";
 
       (match Atomicity.linearization h with

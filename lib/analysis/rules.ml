@@ -208,9 +208,6 @@ let lock_free_allow : (string * string) list =
     ( "Transport.Codec.Stream.*",
       "a decode stream belongs to the one thread that reads its \
        connection (demux thread / shard reactor)" );
-    ( "Transport.Session.*",
-      "per-client op logs written by the owning client thread; \
-       merge_history reads them after every client has joined" );
     ( "Transport.Cluster.*",
       "harness control plane: kill/restart/addrs run on the \
        coordinating thread only, never on client or server threads" );
@@ -283,7 +280,7 @@ let lock_free_allow : (string * string) list =
   ]
 
 (* An allowlist entry is an exact cell name or a module prefix
-   ("Transport.Session.*"): prefixes exist so a subsystem whose whole
+   ("Kv.Kv_session.*"): prefixes exist so a subsystem whose whole
    design is single-owner (the session logs, the simulation plane) is
    one reviewed decision instead of a dozen copies of it. *)
 let allow_justification cell =

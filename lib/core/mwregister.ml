@@ -78,11 +78,9 @@ module Live = struct
   module Mux = Transport.Mux
   module Endpoint = Transport.Endpoint
   module Cluster = Transport.Cluster
-  module Session = Transport.Session
   module Check_sink = Transport.Check_sink
   module Faults = Transport.Faults
   module Geo = Transport.Geo
-  module Chaos = Transport.Chaos
 end
 
 module Kv = struct
@@ -91,6 +89,7 @@ module Kv = struct
   module Cluster = Kv.Kv_cluster
   module Router = Kv.Router
   module Session = Kv.Kv_session
+  module Chaos = Kv.Chaos
 end
 
 module Adversary = Workload.Adversary

@@ -1,5 +1,6 @@
 open Histories
 open Registers
+open Transport
 
 let plan ?(seed = 0) ?(drop = 0.08) ?(delay = 0.03) ?(duplicate = 0.1) () =
   let rules = [] in
@@ -23,7 +24,7 @@ type soak = {
   delay : float;
   duplicate : float;
   restarted : bool;
-  result : Session.result;
+  result : Kv_session.result;
   atomic : bool;
   expected_atomic : bool;
 }
@@ -32,39 +33,28 @@ let soak ?(seed = 0) ?(drop = 0.08) ?(delay = 0.03)
     ?(duplicate = 0.1) ?(s = 5) ?(tol = 1) ?(ops = 8) ?(restart = true)
     ?(server_shards = 1) ?live_check ?on_violation ~register () =
   let faults = plan ~seed ~drop ~delay ~duplicate () in
-  let cluster = Cluster.start ~faults ~shards:server_shards ~s ~tol () in
+  let cluster =
+    Kv_cluster.start ~faults ~shards:server_shards ~groups:1 ~s ~tol ()
+  in
   Fun.protect
-    ~finally:(fun () -> Cluster.shutdown cluster)
+    ~finally:(fun () -> Kv_cluster.shutdown cluster)
     (fun () ->
       let writers =
         match Registry.max_writers register with Some m -> min m 2 | None -> 2
       in
-      let spec =
-        {
-          Session.writers;
-          readers = 2;
-          writes_per_writer = ops;
-          reads_per_reader = 2 * ops;
-          write_think = 0.0;
-          read_think = 0.0;
-        }
-      in
+      let readers = 2 in
       let restarted = restart && tol >= 1 in
       let kill_at, restart_at =
-        if restarted then ([ (0.05, s - 1) ], [ (0.45, s - 1, `Recover) ])
+        if restarted then ([ (0.05, 0, s - 1) ], [ (0.45, 0, s - 1, `Recover) ])
         else ([], [])
       in
       (* A lossy link costs retries, so the retry budget is the one knob
          that must be generous: the quorum contract starves only if a
          whole rt_timeout × budget window stays unlucky. *)
       let result =
-        Session.run ~kill_at ~restart_at ~faults ~rt_timeout:0.3
-          ~max_rt_retries:10 ?live_check ?on_violation ~register ~cluster spec
-      in
-      let expected_atomic =
-        Quorums.Bounds.possible
-          (Registry.design_point register)
-          ~s ~t:tol ~w:writers ~r:spec.Session.readers
+        Kv_session.run ~kill_at ~restart_at ~faults ~rt_timeout:0.3
+          ~max_rt_retries:10 ?live_check ?on_violation ~register ~cluster
+          (Kv_session.register_spec ~writers ~readers ops)
       in
       {
         register;
@@ -74,8 +64,11 @@ let soak ?(seed = 0) ?(drop = 0.08) ?(delay = 0.03)
         duplicate;
         restarted;
         result;
-        atomic = Checker.Atomicity.is_atomic result.Session.history;
-        expected_atomic;
+        atomic = Checker.Atomicity.is_atomic (Kv_session.history result);
+        expected_atomic =
+          Quorums.Bounds.possible
+            (Registry.design_point register)
+            ~s ~t:tol ~w:writers ~r:readers;
       })
 
 type restart_outcome = {
@@ -88,8 +81,7 @@ type restart_outcome = {
 
 let restart_scenario ?(server_shards = 1) ~mode () =
   let s = 3 and tol = 1 in
-  let register = Registry.abd_mwmr in
-  let algo = Registry.client_algo register in
+  let algo = Registry.client_algo Registry.abd_mwmr in
   (* Topology numbering: servers 0..2, writer 0 = node 3, reader 0 =
      node 4 (1 writer). *)
   let writer_node = s and reader_node = s + 1 in
@@ -104,24 +96,34 @@ let restart_scenario ?(server_shards = 1) ~mode () =
           ~servers:[ 1 ] ();
       ]
   in
-  let cluster = Cluster.start ~faults ~shards:server_shards ~s ~tol () in
+  let kc =
+    Kv_cluster.start ~faults ~shards:server_shards ~groups:1 ~s ~tol ()
+  in
+  let cluster = Kv_cluster.group kc 0 in
   Fun.protect
-    ~finally:(fun () -> Cluster.shutdown cluster)
+    ~finally:(fun () -> Kv_cluster.shutdown kc)
     (fun () ->
-      let cl =
-        Cluster.clients ~rt_timeout:0.25 cluster ~writers:1
-          ~readers:1
-      in
+      let router = Router.create ~rt_timeout:0.25 ~faults ~clients:1 kc in
+      let wc = Router.client router ~index:0 in
+      let rc = Router.client router ~index:1 in
       Fun.protect
-        ~finally:(fun () -> Cluster.close_clients cl)
+        ~finally:(fun () ->
+          Router.close_client wc;
+          Router.close_client rc;
+          Router.shutdown router)
         (fun () ->
           Faults.arm faults;
           (* Relative timestamps for the two-op history: monotonic, so a
              wall-clock step cannot reorder the invariant under test. *)
           let t0 = Clock.now () in
           let ts () = Clock.now () -. t0 in
-          let write = algo.Client_core.new_writer cl.Cluster.ctx ~writer:0 in
-          let read = algo.Client_core.new_reader cl.Cluster.ctx ~reader:0 in
+          let key = Workload.Ycsb.key_name 0 in
+          let write =
+            algo.Client_core.new_writer (Router.key_ctx wc key) ~writer:0
+          in
+          let read =
+            algo.Client_core.new_reader (Router.key_ctx rc key) ~reader:0
+          in
           let payload = History.initial_value + 41 in
           let w_inv = ts () in
           let w_resp = ref None in

@@ -6,7 +6,8 @@
 
     - {!soak}: a randomized-but-seeded fault schedule (drop / delay /
       duplicate on every link, plus a mid-run crash and
-      restart-with-recovery) under a full {!Session} workload, verdict
+      restart-with-recovery) under a split-role {!Kv_session} run on
+      one register, verdict
       from {!Checker.Atomicity}.  In the paper's possible regimes the
       protocols must ride this out — lossy links only cost retries.
     - {!restart_scenario}: a deterministic script proving both halves
@@ -17,7 +18,7 @@
 
 val plan :
   ?seed:int -> ?drop:float -> ?delay:float -> ?duplicate:float -> unit ->
-  Faults.t
+  Transport.Faults.t
 (** The standard soak plan, all links and both directions: each frame
     independently dropped with probability [drop] (default 0.08),
     delayed up to [delay] seconds with probability 0.25 (default max
@@ -31,7 +32,7 @@ type soak = {
   delay : float;
   duplicate : float;
   restarted : bool;  (** Whether the kill → recover-restart event ran. *)
-  result : Session.result;
+  result : Kv_session.result;
   atomic : bool;
   expected_atomic : bool;
       (** {!Quorums.Bounds.possible} at the soak's (s,t,w,r): where the
@@ -58,16 +59,17 @@ val soak :
     protocols), [ops] writes per writer and [2·ops] reads per reader
     (default 8), under {!plan}.  With [restart] (default true) server
     [s-1] is killed 0.05s in and restarted with recovered state at
-    0.45s — so the soak also exercises {!Cluster.restart} under load.
+    0.45s — so the soak also exercises {!Transport.Cluster.restart}
+    under load.
     [server_shards] (default 1) runs every server with that many
-    reactor event loops ({!Cluster.start}), putting the fault timers
+    reactor event loops ({!Kv_cluster.start}), putting the fault timers
     and the restart path under a sharded reactor too.  [live_check]
-    and [on_violation] forward to {!Session.run} — the streaming
+    and [on_violation] forward to {!Kv_session.run} — the streaming
     checker then rides the whole storm, report in
-    [result.Session.online]. *)
+    [result.Kv_session.online]. *)
 
 type restart_outcome = {
-  mode : Cluster.restart_mode;
+  mode : Transport.Cluster.restart_mode;
   atomic : bool;
   witness : string option;
       (** The checker's counterexample, when atomicity broke. *)
@@ -77,7 +79,7 @@ type restart_outcome = {
 
 val restart_scenario :
   ?server_shards:int ->
-  mode:Cluster.restart_mode ->
+  mode:Transport.Cluster.restart_mode ->
   unit ->
   restart_outcome
 (** The deterministic crash-stop script, on a 3-server cluster

@@ -15,12 +15,21 @@ type t = {
   tol : int;
 }
 
-let start ?faults ?shards ?vnodes ~groups ~s ~tol () =
+let of_groups cls ~s ~tol =
+  {
+    groups = cls;
+    placement = Placement.make ~groups:(Array.length cls);
+    s;
+    tol;
+  }
+
+let start ?faults ?shards ~groups ~s ~tol () =
   if groups < 1 then invalid_arg "Kv_cluster.start: groups must be >= 1";
-  let cls =
-    Array.init groups (fun _ -> Cluster.start ?faults ?shards ~s ~tol ())
-  in
-  { groups = cls; placement = Placement.make ?vnodes ~groups (); s; tol }
+  of_groups ~s ~tol
+    (Array.init groups (fun _ -> Cluster.start ?faults ?shards ~s ~tol ()))
+
+let connect ~addrs ~tol =
+  of_groups ~s:(Array.length addrs) ~tol [| Cluster.connect ~addrs ~tol () |]
 
 let group_count t = Array.length t.groups
 

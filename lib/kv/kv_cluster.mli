@@ -13,7 +13,6 @@ type t
 val start :
   ?faults:Transport.Faults.t ->
   ?shards:int ->
-  ?vnodes:int ->
   groups:int ->
   s:int ->
   tol:int ->
@@ -21,9 +20,13 @@ val start :
   t
 (** [start ~groups ~s ~tol ()] spawns [groups × s] servers:
     [groups] clusters of [s], each tolerating [tol] crashes.  [shards]
-    is each server's reactor event-loop count, [vnodes] the placement
-    ring's per-group point count, [faults] a plan installed on every
-    server of every group. *)
+    is each server's reactor event-loop count, [faults] a plan installed
+    on every server of every group. *)
+
+val connect : addrs:Unix.sockaddr array -> tol:int -> t
+(** One group attached to already-running daemons (e.g. [mwreg serve]
+    processes), one address per server; see {!Transport.Cluster.connect}
+    for what a remote group cannot do. *)
 
 val group_count : t -> int
 

@@ -1,18 +1,34 @@
-(** The YCSB-shaped closed-loop workload driver over a sharded keyspace.
+(** The live workload driver: every live run — a YCSB keyspace soak or a
+    single register with fixed writers and readers — goes through
+    {!run}.
 
-    One OS thread per client; each draws keys and operation kinds from
-    its own seeded generator and runs the chosen registry protocol
-    per key through the placement {!Router}.  Every operation's latency
-    is recorded; full operation histories only for the hottest
-    [sample_keys] ranks, so {!Checker.Atomicity} can pass per-key
-    verdicts without the driver holding millions of operations. *)
+    One OS thread per client; each draws keys (and, for mixed clients,
+    operation kinds) from its own seeded generator and runs the chosen
+    registry protocol per key through the placement {!Router}.  Every
+    operation's latency is recorded; full operation histories only for
+    the hottest [sample_keys] ranks, so {!Checker.Atomicity} can pass
+    per-key verdicts without the driver holding millions of
+    operations.  Round-trip accounting counts completed operations
+    only: rounds burned inside an operation that later aborted with
+    [Unavailable] are discarded, so a crash mid-run cannot skew the
+    Table-1 rounds columns. *)
+
+type roles =
+  | Mixed of int
+      (** [n] YCSB clients, each both writing and reading (per
+          [spec.mix]); client [i] is writer [i] and reader [i]. *)
+  | Split of { writers : int; readers : int }
+      (** Writers that only write ([ops_per_client] writes each) and
+          readers that only read ([2 × ops_per_client] reads each),
+          numbered like {!Protocol.Topology}: writer [i] is node [s + i],
+          reader [j] node [s + writers + j]. *)
 
 type spec = {
-  clients : int;
+  roles : roles;
   ops_per_client : int;
   keys : int;  (** keyspace size (ranks 0..keys-1) *)
   dist : Workload.Ycsb.dist;
-  mix : Workload.Ycsb.mix;
+  mix : Workload.Ycsb.mix;  (** ignored by [Split] roles *)
   seed : int;
   sample_keys : int;
       (** record + atomicity-check the first [sample_keys] ranks *)
@@ -21,24 +37,42 @@ type spec = {
 
 val default_spec : spec
 
+val register_spec : ?think:float -> writers:int -> readers:int -> int -> spec
+(** [register_spec ~writers ~readers ops]: one register (one key,
+    sampled) under [Split] roles — [ops] writes per writer, [2 × ops]
+    reads per reader.  Its whole history is {!history}. *)
+
 type key_verdict = {
   vkey : string;
   vops : int;  (** operations recorded against this key *)
   atomic : bool;
   witness : Checker.Witness.t option;  (** present iff not [atomic] *)
+  history : Histories.History.t;
+      (** Timestamped in seconds since the run started, on the
+          monotonic {!Transport.Clock.now}; procs are [Writer id] /
+          [Reader id]. *)
 }
 
 type result = {
-  duration : float;
+  duration : float;  (** Seconds from run start to the last join. *)
   ops : int;  (** completed operations across all clients *)
   throughput : float;  (** completed operations per second *)
   all_lat : Workload.Stats.summary;
   read_lat : Workload.Stats.summary;
   write_lat : Workload.Stats.summary;  (** latencies in seconds *)
+  write_rounds : float;
+      (** Mean round trips per completed write — 2.0 for the two-round
+          writers, 1.0 for the fast ones (the paper's Table 1 column,
+          measured on real sockets). *)
+  read_rounds : float;  (** Mean round trips per completed read. *)
   verdicts : key_verdict list;  (** one per sampled key, rank order *)
-  starved : int;  (** clients aborted by [Endpoint.Unavailable] *)
-  late : int;
+  starved : int;
+      (** clients aborted by [Endpoint.Unavailable] (0 whenever at most
+          [tol] servers of a group were down) *)
+  late : int;  (** Replies arriving after their round trip completed. *)
   retries : int;
+      (** Round-trip re-broadcasts across all clients — 0 on a healthy
+          run, and the price of lossy links under a fault plan. *)
   dropped : int;  (** mux demux drops (unknown client / stale key) *)
   group_ops : int array;  (** operations routed to each shard group *)
   keys_touched : int;  (** distinct keys operated on *)
@@ -47,7 +81,13 @@ type result = {
           [~live_check:true]; [None] otherwise. *)
 }
 
+val history : result -> Histories.History.t
+(** The first sampled key's history: the whole run's under
+    {!register_spec}.  [Invalid_argument] if nothing was sampled. *)
+
 val run :
+  ?kill_at:(float * int * int) list ->
+  ?restart_at:(float * int * int * Transport.Cluster.restart_mode) list ->
   ?rt_timeout:float ->
   ?max_rt_retries:int ->
   ?faults:Transport.Faults.t ->
@@ -57,17 +97,22 @@ val run :
   cluster:Kv_cluster.t ->
   spec ->
   result
-(** [run ~cluster spec] drives [spec.clients] threads of
-    [spec.ops_per_client] operations each against the sharded keyspace.
-    [register] defaults to the multi-writer ABD descendant
-    ({!Registers.Registry.abd_mwmr}); protocols with a writer bound
-    (e.g. single-writer naive registers) are rejected unless the mix is
-    read-only.  [live_check] streams {e every} key's completed
-    operations through a {!Transport.Check_sink} into the
-    {!Checker.Online} checker while the run is in flight — the
+(** [run ~cluster spec] drives one thread per client against the
+    sharded keyspace.  [register] defaults to the multi-writer ABD
+    descendant ({!Registers.Registry.abd_mwmr}); protocols with a writer
+    bound (e.g. single-writer naive registers) are rejected when more
+    clients than the bound may write.  [kill_at] schedules real
+    crashes: [(secs, group, server)] kills server [server] of shard
+    group [group] that many seconds into the run; [restart_at]
+    [(secs, group, server, mode)] brings it back through
+    {!Transport.Cluster.restart} — kills and restarts replay as one
+    time-ordered schedule.  [faults] installs a client-side fault plan
+    (e.g. a {!Transport.Geo} profile's latency rules) on every
+    per-group plane and is {!Transport.Faults.arm}ed at run start, so
+    its rule windows count from there.  [live_check] streams {e every}
+    key's completed operations through a {!Transport.Check_sink} into
+    the {!Checker.Online} checker while the run is in flight — the
     checker's window stays bounded, so unlike the sampled batch path
     this covers the whole keyspace; violations surface through
     [on_violation] as they happen and the report lands in
-    [result.online].  [faults] installs a client-side fault plan (e.g. a
-    {!Transport.Geo} profile's latency rules) on every per-group plane.
-    Raises [Invalid_argument] on bad specs. *)
+    [result.online].  Raises [Invalid_argument] on bad specs. *)

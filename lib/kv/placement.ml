@@ -37,9 +37,12 @@ let hash64 s =
     s;
   avalanche !h
 
+(* Points each group plants on the ring: enough that per-group load
+   imbalance stays within a few tens of percent of the mean. *)
+let vnodes = 128
+
 type t = {
   groups : int;
-  vnodes : int;
   (* The ring, sorted by unsigned point hash: [points.(i)] is owned by
      [owners.(i)].  Ties (astronomically unlikely) break by owner, so
      the sort — and therefore placement — is deterministic. *)
@@ -49,9 +52,8 @@ type t = {
 
 let point_name g v = Printf.sprintf "shard-%d/vnode-%d" g v
 
-let make ?(vnodes = 128) ~groups () =
+let make ~groups =
   if groups < 1 then invalid_arg "Placement.make: groups must be >= 1";
-  if vnodes < 1 then invalid_arg "Placement.make: vnodes must be >= 1";
   let pts = Array.make (groups * vnodes) (0L, 0) in
   for g = 0 to groups - 1 do
     for v = 0 to vnodes - 1 do
@@ -62,16 +64,9 @@ let make ?(vnodes = 128) ~groups () =
     (fun (ha, ga) (hb, gb) ->
       match Int64.unsigned_compare ha hb with 0 -> compare ga gb | c -> c)
     pts;
-  {
-    groups;
-    vnodes;
-    points = Array.map fst pts;
-    owners = Array.map snd pts;
-  }
+  { groups; points = Array.map fst pts; owners = Array.map snd pts }
 
 let groups t = t.groups
-
-let vnodes t = t.vnodes
 
 (* First ring point at or clockwise-after the key's hash (unsigned),
    wrapping to point 0 past the ring's end: binary search for the

@@ -1,6 +1,6 @@
 (** Consistent-hash placement of register keys onto shard groups.
 
-    Each group plants [vnodes] points on a 64-bit hash ring; a key
+    Each group plants 128 points on a 64-bit hash ring; a key
     belongs to the group owning the first point clockwise of the key's
     hash.  Group [g]'s points depend only on [g], so resizing from [n]
     to [n ± 1] groups remaps only the ~K/N keys whose successor point
@@ -10,12 +10,11 @@
 
 type t
 
-val make : ?vnodes:int -> groups:int -> unit -> t
-(** [vnodes] defaults to 128 — enough that per-group load imbalance
-    stays within a few tens of percent of the mean. *)
+val make : groups:int -> t
+(** 128 points per group keep per-group load imbalance within a few
+    tens of percent of the mean. *)
 
 val groups : t -> int
-val vnodes : t -> int
 
 val group_of : t -> string -> int
 (** The shard group owning [key], in [0 .. groups-1]. *)

@@ -17,8 +17,10 @@ val create :
   Kv_cluster.t ->
   t
 (** [create ~clients kc] builds the process-wide plane view.  [clients]
-    is the client-population size the per-key contexts report as their
-    reader count [r] (the fast-read admissibility scan needs it).
+    is the reader count [r] the per-key contexts report (the fast-read
+    admissibility scan needs it): the whole client population for mixed
+    clients, only the readers when writers and readers are split (see
+    {!Kv_session.roles}).
     [faults] installs a client-side fault plan on every per-group plane
     — e.g. a {!Transport.Geo} profile's latency rules. *)
 

@@ -8,8 +8,8 @@
     platform has it and falls back to [Unix.gettimeofday] elsewhere.
 
     Values are only meaningful relative to other {!now} readings in the
-    same process.  Live histories ({!Session}, the KV driver) are stamped
-    with it too, relative to the run's start: their timestamps order
+    same process.  Live histories (the [Kv.Kv_session] driver) are
+    stamped with it too, relative to the run's start: their timestamps order
     operations across threads and never need to match an outside
     clock. *)
 

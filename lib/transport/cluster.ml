@@ -112,49 +112,3 @@ let running t =
 
 let shutdown t =
   if local t then Array.iteri (fun i _ -> kill t i) t.servers
-
-let register_key = "r"
-
-type clients = {
-  writer_eps : Mux.handle array;
-  reader_eps : Mux.handle array;
-  ctx : Client_core.ctx;
-  mux : Mux.t;
-}
-
-(* Client node ids follow Protocol.Topology's numbering (servers
-   0..S-1, writer i = S+i, reader j = S+W+j) so the updated sets the
-   replicas record — and therefore the admissibility certificates — are
-   identical across the simulated and live backends.  Every endpoint
-   addresses the one register [register_key]. *)
-let clients ?rt_timeout ?max_rt_retries ?faults t ~writers ~readers =
-  (* Default to the plan the cluster's servers were started with, so
-     the request and reply legs of one chaos run share one plan. *)
-  let faults = match faults with Some _ as f -> f | None -> t.faults in
-  let mux =
-    Mux.create ?rt_timeout ?max_rt_retries ?faults ~servers:(addrs t)
-      ~quorum:(quorum t) ()
-  in
-  let ep client = Mux.client mux ~client in
-  let writer_eps = Array.init writers (fun i -> ep (t.s + i)) in
-  let reader_eps = Array.init readers (fun j -> ep (t.s + writers + j)) in
-  {
-    writer_eps;
-    reader_eps;
-    ctx =
-      {
-        Client_core.writer_ep =
-          (fun i -> Endpoint.endpoint writer_eps.(i) ~key:register_key);
-        reader_ep =
-          (fun j -> Endpoint.endpoint reader_eps.(j) ~key:register_key);
-        s = t.s;
-        t = t.tol;
-        r = readers;
-      };
-    mux;
-  }
-
-let close_clients c =
-  Array.iter Mux.release c.writer_eps;
-  Array.iter Mux.release c.reader_eps;
-  Mux.shutdown c.mux

@@ -2,15 +2,16 @@
     ephemeral 127.0.0.1 ports, for tests, benches and examples.
 
     Servers can be {!kill}ed mid-run to exercise real crash behaviour:
-    as long as at most [tol] are down, client endpoints keep completing
-    operations on the surviving [S − tol] quorum. *)
+    as long as at most [tol] are down, clients keep completing
+    operations on the surviving [S − tol] quorum.  Clients reach a
+    cluster through [Kv.Router], one of its shard groups. *)
 
 type t
 
 val start : ?faults:Faults.t -> ?shards:int -> s:int -> tol:int -> unit -> t
 (** Spawn [s] servers tolerating [tol] crashes (quorum [s − tol]).
-    [faults] installs a fault plan on every server's reply leg and, by
-    default, on every endpoint {!clients} builds (see {!Faults}).
+    [faults] installs a fault plan on every server's reply leg (see
+    {!Faults}); the client leg takes the plan separately.
     [shards] (default 1) is each server's reactor event-loop count
     ({!Server.start}); {!restart} reuses it, so a recovered server comes
     back with the topology it crashed with. *)
@@ -60,37 +61,3 @@ val running : t -> int list
 
 val shutdown : t -> unit
 (** Kill everything. *)
-
-val register_key : string
-(** The key of the single register {!clients} operate on (["r"]): the
-    live single-register drivers ({!Session}, {!Chaos}) run against this
-    one entry of each server's keyspace. *)
-
-type clients = {
-  writer_eps : Mux.handle array;
-  reader_eps : Mux.handle array;
-  ctx : Registers.Client_core.ctx;
-  mux : Mux.t;  (** The shared plane; shut down by {!close_clients}. *)
-}
-(** A set of live client handles on one shared {!Mux} plane plus the
-    backend-agnostic context the {!Registers.Client_core} algorithms
-    consume.  The handle arrays stay exposed for round-trip
-    statistics. *)
-
-val clients :
-  ?rt_timeout:float ->
-  ?max_rt_retries:int ->
-  ?faults:Faults.t ->
-  t ->
-  writers:int ->
-  readers:int ->
-  clients
-(** Handles for [writers] writers and [readers] readers, numbered like
-    {!Protocol.Topology} so live and simulated certificates agree, with
-    [ctx]'s endpoints pinned to {!register_key}.
-    [faults] applies the plan's [To_server] rules to every request these
-    clients send; it defaults to the plan the cluster was started
-    with, so one plan covers both legs of a chaos run. *)
-
-val close_clients : clients -> unit
-(** Release every handle and shut the shared connections down. *)

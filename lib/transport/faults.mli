@@ -101,9 +101,9 @@ val blackout : server:int -> from_:float -> until:float -> rule
 
 val partition : ?from_:float -> ?until:float -> int list list -> rule
 (** Frames between nodes in different groups are lost, both directions.
-    Nodes are {!Protocol.Topology} ids (servers [0..S-1], clients as
-    numbered by {!Cluster.clients}); nodes absent from every group are
-    unaffected. *)
+    Nodes are {!Protocol.Topology} ids (servers [0..S-1], then the
+    clients: client [i] of a [Kv.Router] is node [S + i]); nodes absent
+    from every group are unaffected. *)
 
 type t
 (** A fault plan: a seed plus a rule list.  Immutable but for the arm
@@ -118,8 +118,8 @@ val seed : t -> int
 
 val arm : t -> unit
 (** (Re)start the plan clock: rule windows are measured from here.
-    {!Session.run} arms the plan at session start; plans used without a
-    session arm themselves at first consultation. *)
+    [Kv.Kv_session.run] arms its plan at run start; plans used outside
+    a run arm themselves at first consultation. *)
 
 type delivery = { after : float; truncated : bool }
 (** One scheduled copy of a frame: deliver [after] seconds from now

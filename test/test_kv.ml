@@ -28,7 +28,7 @@ let test_placement_balance () =
   let keys = population 2000 in
   List.iter
     (fun groups ->
-      let p = Placement.make ~groups () in
+      let p = Placement.make ~groups in
       let counts = Placement.spread p keys in
       check int "one bucket per group" groups (Array.length counts);
       check int "every key placed" 2000 (Array.fold_left ( + ) 0 counts);
@@ -50,8 +50,8 @@ let test_placement_remap_only_to_new_group () =
   let keys = population 2000 in
   List.iter
     (fun groups ->
-      let old_ring = Placement.make ~groups () in
-      let new_ring = Placement.make ~groups:(groups + 1) () in
+      let old_ring = Placement.make ~groups in
+      let new_ring = Placement.make ~groups:(groups + 1) in
       let moved = ref 0 in
       List.iter
         (fun key ->
@@ -74,15 +74,15 @@ let prop_remap_arbitrary_keys =
   QCheck.Test.make ~count:500 ~name:"placement: remap only to the new group"
     QCheck.(pair (int_range 1 7) (string_of_size (Gen.int_bound 64)))
     (fun (groups, key) ->
-      let o = Placement.group_of (Placement.make ~groups ()) key in
-      let n = Placement.group_of (Placement.make ~groups:(groups + 1) ()) key in
+      let o = Placement.group_of (Placement.make ~groups) key in
+      let n = Placement.group_of (Placement.make ~groups:(groups + 1)) key in
       n = o || n = groups)
 
 let prop_group_in_range =
   QCheck.Test.make ~count:500 ~name:"placement: owner always in range"
     QCheck.(pair (int_range 1 9) (string_of_size (Gen.int_bound 64)))
     (fun (groups, key) ->
-      let g = Placement.group_of (Placement.make ~groups ()) key in
+      let g = Placement.group_of (Placement.make ~groups) key in
       0 <= g && g < groups)
 
 (* ------------------------------------------------------------------ *)
@@ -369,7 +369,7 @@ let test_session_mux () =
   let res =
     Kv_session.run ~cluster
       {
-        Kv_session.clients = 4;
+        Kv_session.roles = Kv_session.Mixed 4;
         ops_per_client = 15;
         keys = 40;
         dist = Ycsb.Zipfian Ycsb.default_theta;
@@ -392,6 +392,40 @@ let test_session_mux () =
     res.Kv_session.verdicts;
   if res.Kv_session.keys_touched < 1 then Alcotest.fail "no keys touched"
 
+let test_session_mixed_rounds () =
+  (* Mixed clients over two groups: every completed abd_mwmr op is two
+     round trips, whichever group its key lives in — the Table-1
+     column the single-register rows report. *)
+  let cluster = Kv_cluster.start ~groups:2 ~s:3 ~tol:1 () in
+  Fun.protect ~finally:(fun () -> Kv_cluster.shutdown cluster) @@ fun () ->
+  let res =
+    Kv_session.run ~cluster
+      { Kv_session.default_spec with ops_per_client = 15; keys = 40 }
+  in
+  check int "no client starved" 0 res.Kv_session.starved;
+  check bool "writes take two rounds" true (res.Kv_session.write_rounds = 2.0);
+  check bool "reads take two rounds" true (res.Kv_session.read_rounds = 2.0)
+
+let test_connect_split_roles () =
+  (* An attached cluster (the [mwreg live --connect] path): split roles
+     over the addresses of a running deployment's servers. *)
+  let kc = Kv_cluster.start ~groups:1 ~s:5 ~tol:1 () in
+  Fun.protect ~finally:(fun () -> Kv_cluster.shutdown kc) @@ fun () ->
+  let remote =
+    Kv_cluster.connect ~addrs:(Cluster.addrs (Kv_cluster.group kc 0)) ~tol:1
+  in
+  let res =
+    Kv_session.run ~register:Registry.fastread_w2r1 ~cluster:remote
+      (Kv_session.register_spec ~writers:2 ~readers:2 10)
+  in
+  check bool "attached group is remote" false
+    (Cluster.local (Kv_cluster.group remote 0));
+  check int "no client starved" 0 res.Kv_session.starved;
+  check int "every op completed" 60 res.Kv_session.ops;
+  check bool "history atomic" true
+    (Checker.Atomicity.is_atomic (Kv_session.history res));
+  check bool "reads are one round" true (res.Kv_session.read_rounds = 1.0)
+
 let test_session_live_check () =
   (* Live checking covers every key the workload touches — not just
      the sampled ranks — with one streaming instance per key under a
@@ -402,7 +436,7 @@ let test_session_live_check () =
   let res =
     Kv_session.run ~live_check:true ~cluster
       {
-        Kv_session.clients = 4;
+        Kv_session.roles = Kv_session.Mixed 4;
         ops_per_client = 15;
         keys = 40;
         dist = Ycsb.Zipfian Ycsb.default_theta;
@@ -437,7 +471,7 @@ let test_session_rejects_bounded_writers () =
     (fun () ->
       ignore
         (Kv_session.run ~register:Registry.abd_swmr ~cluster
-           { Kv_session.default_spec with clients = 2 }))
+           { Kv_session.default_spec with roles = Kv_session.Mixed 2 }))
 
 let test_recover_restart_preserves_keyspace () =
   (* Two servers, tol 0, so the quorum is both of them: writes reach
@@ -525,6 +559,10 @@ let () =
       ( "session",
         [
           Alcotest.test_case "mux plane" `Quick test_session_mux;
+          Alcotest.test_case "mixed clients report Table-1 rounds" `Quick
+            test_session_mixed_rounds;
+          Alcotest.test_case "connect runs split roles" `Quick
+            test_connect_split_roles;
           Alcotest.test_case "live checker over all keys" `Quick
             test_session_live_check;
           Alcotest.test_case "writer bound rejected" `Quick

@@ -47,7 +47,7 @@ let test_monotonic_positive () =
   fires "gettimeofday in transport code" ~path:"lib/transport/foo.ml"
     gettimeofday_src Rules.monotonic_time;
   (* History timestamps are monotonic too: the session gets no pass. *)
-  fires "gettimeofday in the session" ~path:"lib/transport/session.ml"
+  fires "gettimeofday in the session" ~path:"lib/kv/kv_session.ml"
     gettimeofday_src Rules.monotonic_time
 
 let test_monotonic_negative () =

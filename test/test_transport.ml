@@ -13,9 +13,9 @@ let int = Alcotest.int
 let tag ts wid = { Tstamp.ts; wid }
 let value ts wid payload = { Wire.tag = tag ts wid; payload }
 
-(* Every live register is a keyspace key; these tests drive the one the
-   single-register drivers use. *)
-let key = Cluster.register_key
+(* Every live register is a keyspace key; the single-register tests
+   below address this one. *)
+let key = "r"
 
 (* ------------------------------------------------------------------ *)
 (* Codec: deterministic round trips                                     *)
@@ -608,39 +608,48 @@ let test_reactor_connection_churn () =
   check int "every connection closed" 0 (Server.connection_count server);
   Server.stop server
 
+(* A single register on a fresh one-group cluster through the live
+   workload driver: [ops] writes per writer, [2 × ops] reads per
+   reader.  Returns the result and the cluster (shut down, but its
+   [running] set still reflects the run's kills). *)
+let run_register ?kill_at ?restart_at ?faults ?(rt_timeout = 0.5)
+    ?max_rt_retries ?live_check ?think ?(shards = 1) ~register ~s ~tol
+    ~writers ~readers ops =
+  let cluster = Kv.Kv_cluster.start ?faults ~shards ~groups:1 ~s ~tol () in
+  let res =
+    Fun.protect
+      ~finally:(fun () -> Kv.Kv_cluster.shutdown cluster)
+      (fun () ->
+        Kv.Kv_session.run ?kill_at ?restart_at ?faults ~rt_timeout
+          ?max_rt_retries ?live_check ~register ~cluster
+          (Kv.Kv_session.register_spec ?think ~writers ~readers ops))
+  in
+  (res, Kv.Kv_session.history res)
+
 let test_reactor_sharded_live () =
   (* shards > 1: connections dealt round-robin across per-domain event
      loops, kill + recover-restart mid-run, history still atomic. *)
-  let cluster = Cluster.start ~shards:2 ~s:3 ~tol:1 () in
-  Fun.protect
-    ~finally:(fun () -> Cluster.shutdown cluster)
-    (fun () ->
-      let res =
-        Session.run ~kill_at:[ (0.05, 2) ]
-          ~restart_at:[ (0.3, 2, `Recover) ]
-          ~rt_timeout:0.5 ~register:Registry.abd_mwmr ~cluster
-          {
-            Session.default_spec with
-            writers = 2;
-            readers = 2;
-            writes_per_writer = 8;
-            reads_per_reader = 12;
-          }
-      in
-      check bool "history atomic under sharded reactor" true
-        (Checker.Atomicity.is_atomic res.Session.history);
-      check int "no client starved" 0 res.Session.unavailable)
+  let res, h =
+    run_register ~shards:2
+      ~kill_at:[ (0.05, 0, 2) ]
+      ~restart_at:[ (0.3, 0, 2, `Recover) ]
+      ~register:Registry.abd_mwmr ~s:3 ~tol:1 ~writers:2 ~readers:2 6
+  in
+  check bool "history atomic under sharded reactor" true
+    (Checker.Atomicity.is_atomic h);
+  check int "no client starved" 0 res.Kv.Kv_session.starved
 
 let test_reactor_sharded_restart mode () =
   (* The deterministic crash-stop script against sharded reactors: the
      recover/fresh dichotomy must be exactly the single-shard one. *)
-  let o = Chaos.restart_scenario ~server_shards:2 ~mode () in
+  let o = Kv.Chaos.restart_scenario ~server_shards:2 ~mode () in
   match mode with
   | `Recover ->
-    check bool "recovered sharded restart atomic" true o.Chaos.atomic
+    check bool "recovered sharded restart atomic" true o.Kv.Chaos.atomic
   | `Fresh ->
-    check bool "fresh sharded restart loses the write" false o.Chaos.atomic;
-    check bool "checker produced a witness" true (o.Chaos.witness <> None)
+    check bool "fresh sharded restart loses the write" false
+      o.Kv.Chaos.atomic;
+    check bool "checker produced a witness" true (o.Kv.Chaos.witness <> None)
 
 (* ------------------------------------------------------------------ *)
 (* Mux: the shared-connection client plane                              *)
@@ -735,84 +744,65 @@ let test_mux_quorum_with_dead_server () =
 let atomic history =
   match Checker.Atomicity.check history with Ok () -> true | Error _ -> false
 
-let run_live ?kill_at ?(rt_timeout = 0.5) ?max_rt_retries ~register ~s ~tol
-    spec =
-  let cluster = Cluster.start ~s ~tol () in
-  Fun.protect
-    ~finally:(fun () -> Cluster.shutdown cluster)
-    (fun () ->
-      Session.run ?kill_at ~rt_timeout ?max_rt_retries ~register ~cluster
-        spec)
-
 let test_live_ls97_atomic () =
-  let res =
-    run_live ~register:Registry.abd_mwmr ~s:3 ~tol:1
-      {
-        Session.default_spec with
-        writers = 2;
-        readers = 2;
-        writes_per_writer = 15;
-        reads_per_reader = 25;
-      }
+  let res, h =
+    run_register ~register:Registry.abd_mwmr ~s:3 ~tol:1 ~writers:2
+      ~readers:2 15
   in
-  check bool "history atomic" true (atomic res.Session.history);
-  check int "no client starved" 0 res.Session.unavailable;
-  check bool "writes take two rounds" true (res.Session.write_rounds = 2.0);
-  check bool "reads take two rounds" true (res.Session.read_rounds = 2.0)
+  check bool "history atomic" true (atomic h);
+  check int "no client starved" 0 res.Kv.Kv_session.starved;
+  check bool "writes take two rounds" true
+    (res.Kv.Kv_session.write_rounds = 2.0);
+  check bool "reads take two rounds" true
+    (res.Kv.Kv_session.read_rounds = 2.0)
 
 let test_live_w2r1_fast_read () =
   (* S=5 t=1 R=2: inside the R < S/t − 2 regime, so W2R1 must be atomic
      with strictly one-round reads — the paper's headline, on sockets. *)
-  let res =
-    run_live ~register:Registry.fastread_w2r1 ~s:5 ~tol:1
-      {
-        Session.default_spec with
-        writers = 2;
-        readers = 2;
-        writes_per_writer = 15;
-        reads_per_reader = 25;
-      }
+  let res, h =
+    run_register ~register:Registry.fastread_w2r1 ~s:5 ~tol:1 ~writers:2
+      ~readers:2 15
   in
-  check bool "history atomic" true (atomic res.Session.history);
-  check bool "writes take two rounds" true (res.Session.write_rounds = 2.0);
-  check bool "reads are one round" true (res.Session.read_rounds = 1.0)
+  check bool "history atomic" true (atomic h);
+  check bool "writes take two rounds" true
+    (res.Kv.Kv_session.write_rounds = 2.0);
+  check bool "reads are one round" true (res.Kv.Kv_session.read_rounds = 1.0)
 
 let test_live_single_writer_guard () =
-  let cluster = Cluster.start ~s:3 ~tol:1 () in
-  Fun.protect
-    ~finally:(fun () -> Cluster.shutdown cluster)
-    (fun () ->
-      check bool "SWMR rejects two writers" true
-        (match
-           Session.run ~register:Registry.abd_swmr ~cluster
-             { Session.default_spec with writers = 2 }
-         with
-        | _ -> false
-        | exception Invalid_argument _ -> true))
+  check bool "SWMR rejects two writers" true
+    (match
+       run_register ~register:Registry.abd_swmr ~s:3 ~tol:1 ~writers:2
+         ~readers:2 20
+     with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
 
 let test_live_survives_t_kills () =
   (* S=5 t=2: kill two real server processes mid-run.  The remaining
      quorum of 3 must keep completing operations and the history must
      still be atomic — the acceptance bar for the live transport. *)
+  let cluster = Kv.Kv_cluster.start ~groups:1 ~s:5 ~tol:2 () in
   let res =
-    run_live
-      ~kill_at:[ (0.02, 0); (0.05, 3) ]
-      ~register:Registry.abd_mwmr ~s:5 ~tol:2
-      {
-        Session.writers = 2;
-        readers = 2;
-        writes_per_writer = 20;
-        reads_per_reader = 30;
-        write_think = 0.004;
-        read_think = 0.003;
-      }
+    Fun.protect
+      ~finally:(fun () -> Kv.Kv_cluster.shutdown cluster)
+      (fun () ->
+        let res =
+          Kv.Kv_session.run
+            ~kill_at:[ (0.02, 0, 0); (0.05, 0, 3) ]
+            ~rt_timeout:0.5 ~register:Registry.abd_mwmr ~cluster
+            (Kv.Kv_session.register_spec ~think:0.004 ~writers:2 ~readers:2
+               20)
+        in
+        let running = Cluster.running (Kv.Kv_cluster.group cluster 0) in
+        check (Alcotest.list int) "both targets down" [ 0; 3 ]
+          (List.filter (fun i -> not (List.mem i running)) [ 0; 1; 2; 3; 4 ]);
+        res)
   in
-  check (Alcotest.list int) "both targets down" [ 0; 3 ] res.Session.killed;
-  check int "no client starved" 0 res.Session.unavailable;
-  check bool "history atomic across the kills" true (atomic res.Session.history);
+  let h = Kv.Kv_session.history res in
+  check int "no client starved" 0 res.Kv.Kv_session.starved;
+  check bool "history atomic across the kills" true (atomic h);
   check bool "all writes completed" true
-    (List.for_all Histories.Op.is_complete
-       (Histories.History.ops res.Session.history))
+    (List.for_all Histories.Op.is_complete (Histories.History.ops h))
 
 let test_rounds_accounting_under_overkill () =
   (* Kill MORE servers than the protocol tolerates, with a short timeout
@@ -822,43 +812,31 @@ let test_rounds_accounting_under_overkill () =
      the per-op means: every completed LS97 write is exactly 2 rounds,
      so the mean over completed ops stays exactly 2.0 (or 0 if nothing
      completed) no matter where the crash landed. *)
-  let res =
-    run_live
-      ~kill_at:[ (0.03, 0); (0.03, 1) ]
-      ~rt_timeout:0.05 ~max_rt_retries:0 ~register:Registry.abd_mwmr ~s:3
-      ~tol:1
-      {
-        Session.writers = 2;
-        readers = 2;
-        writes_per_writer = 50;
-        reads_per_reader = 50;
-        write_think = 0.002;
-        read_think = 0.002;
-      }
+  let res, h =
+    run_register
+      ~kill_at:[ (0.03, 0, 0); (0.03, 0, 1) ]
+      ~rt_timeout:0.05 ~max_rt_retries:0 ~think:0.002
+      ~register:Registry.abd_mwmr ~s:3 ~tol:1 ~writers:2 ~readers:2 50
   in
-  check bool "quorum genuinely lost" true (res.Session.unavailable > 0);
+  check bool "quorum genuinely lost" true (res.Kv.Kv_session.starved > 0);
   check bool "completed writes average exactly two rounds" true
-    (res.Session.write_rounds = 2.0 || res.Session.write_rounds = 0.0);
+    (res.Kv.Kv_session.write_rounds = 2.0
+    || res.Kv.Kv_session.write_rounds = 0.0);
   check bool "completed reads average exactly two rounds" true
-    (res.Session.read_rounds = 2.0 || res.Session.read_rounds = 0.0);
+    (res.Kv.Kv_session.read_rounds = 2.0
+    || res.Kv.Kv_session.read_rounds = 0.0);
   (* The merged history may end with pending ops (the aborted ones) but
      everything that responded must still be atomic. *)
-  check bool "history atomic" true (atomic res.Session.history)
+  check bool "history atomic" true (atomic h)
 
 let test_live_adaptive_atomic () =
   (* The adaptive register beyond the fast-read threshold, on sockets. *)
-  let res =
-    run_live ~register:Registry.adaptive ~s:3 ~tol:1
-      {
-        Session.default_spec with
-        writers = 2;
-        readers = 3;
-        writes_per_writer = 10;
-        reads_per_reader = 15;
-      }
+  let res, h =
+    run_register ~register:Registry.adaptive ~s:3 ~tol:1 ~writers:2
+      ~readers:3 10
   in
-  check bool "history atomic" true (atomic res.Session.history);
-  check int "no client starved" 0 res.Session.unavailable
+  check bool "history atomic" true (atomic h);
+  check int "no client starved" 0 res.Kv.Kv_session.starved
 
 (* ------------------------------------------------------------------ *)
 (* Chaos: fault injection, EINTR hardening, restart/recovery            *)
@@ -923,18 +901,18 @@ let test_faults_deterministic () =
         Faults.deliveries p ~dir:Faults.To_server ~server:(i mod 5)
           ~client:(5 + (i mod 4)) ~rt:(i / 4) ~salt:(i mod 3))
   in
-  let d1 = probe (Chaos.plan ~seed:7 ()) in
+  let d1 = probe (Kv.Chaos.plan ~seed:7 ()) in
   check bool "same seed, same schedule" true
-    (d1 = probe (Chaos.plan ~seed:7 ()));
+    (d1 = probe (Kv.Chaos.plan ~seed:7 ()));
   check bool "different seed, different schedule" true
-    (d1 <> probe (Chaos.plan ~seed:8 ()));
+    (d1 <> probe (Kv.Chaos.plan ~seed:8 ()));
   check bool "some frames dropped" true (List.exists (fun d -> d = []) d1);
   check bool "some frames duplicated" true
     (List.exists (fun d -> List.length d = 2) d1);
   check bool "retry salt redraws the decision" true
     (List.exists
        (fun i ->
-         let p = Chaos.plan ~seed:7 () in
+         let p = Kv.Chaos.plan ~seed:7 () in
          let at salt =
            Faults.deliveries p ~dir:Faults.To_server ~server:0 ~client:5 ~rt:i
              ~salt
@@ -1287,33 +1265,24 @@ let test_geo_wan3_live_atomic () =
   let w = 2 and r = 2 in
   let clients = List.init (w + r) (fun i -> s + i) in
   let faults = Geo.plan profile ~s ~clients in
-  let cluster = Cluster.start ~faults ~s ~tol () in
-  let res =
-    Fun.protect
-      ~finally:(fun () -> Cluster.shutdown cluster)
-      (fun () ->
-        Session.run ~faults
-          ~rt_timeout:(Float.max 1.0 (8.0 *. Geo.max_rtt profile))
-          ~live_check:true ~register:Registry.abd_mwmr ~cluster
-          {
-            Session.default_spec with
-            writers = w;
-            readers = r;
-            writes_per_writer = 2;
-            reads_per_reader = 3;
-          })
+  let res, h =
+    run_register ~faults
+      ~rt_timeout:(Float.max 1.0 (8.0 *. Geo.max_rtt profile))
+      ~live_check:true ~register:Registry.abd_mwmr ~s ~tol ~writers:w
+      ~readers:r 2
   in
-  check bool "atomic under wan-3region" true (atomic res.Session.history);
-  (match res.Session.online with
+  check bool "atomic under wan-3region" true (atomic h);
+  (match res.Kv.Kv_session.online with
   | None -> Alcotest.fail "live_check:true returned no online report"
   | Some rep ->
     check bool "streaming verdict agrees" true (Check_sink.atomic rep));
-  check int "no client starved" 0 res.Session.unavailable;
-  check bool "writes still two rounds" true (res.Session.write_rounds = 2.0);
+  check int "no client starved" 0 res.Kv.Kv_session.starved;
+  check bool "writes still two rounds" true
+    (res.Kv.Kv_session.write_rounds = 2.0);
   (* S=3 puts one server per region, so every quorum's second reply is
      a ~80ms-RTT cross-region trip: the run cannot be loopback-fast. *)
   check bool "cross-region rounds cost wire time" true
-    (res.Session.duration > 0.2)
+    (res.Kv.Kv_session.duration > 0.2)
 
 let test_chaos_soak () =
   (* Seeded drop/delay/duplicate storm plus a kill → recover-restart,
@@ -1321,56 +1290,46 @@ let test_chaos_soak () =
      atomic, lossy links showing up only as retries — and the Table-1
      rounds-per-completed-op contract intact. *)
   let sk =
-    Chaos.soak ~seed:3 ~ops:6 ~register:Registry.abd_mwmr ()
+    Kv.Chaos.soak ~seed:3 ~ops:6 ~register:Registry.abd_mwmr ()
   in
-  check bool "regime is possible" true sk.Chaos.expected_atomic;
-  check bool "atomic under chaos" true sk.Chaos.atomic;
-  check int "no client starved" 0 sk.Chaos.result.Session.unavailable;
-  check bool "lossy links cost retries" true
-    (sk.Chaos.result.Session.retries > 0);
+  let res = sk.Kv.Chaos.result in
+  check bool "regime is possible" true sk.Kv.Chaos.expected_atomic;
+  check bool "atomic under chaos" true sk.Kv.Chaos.atomic;
+  check int "no client starved" 0 res.Kv.Kv_session.starved;
+  check bool "lossy links cost retries" true (res.Kv.Kv_session.retries > 0);
   check bool "completed writes still two rounds" true
-    (sk.Chaos.result.Session.write_rounds = 2.0)
+    (res.Kv.Kv_session.write_rounds = 2.0)
 
 let test_live_check_session () =
   (* The streaming checker rides a healthy live session: the online
      report must agree with the batch verdict on the merged history,
      count every completed operation, and keep its window bounded. *)
-  let cluster = Cluster.start ~s:3 ~tol:1 () in
-  let res =
-    Fun.protect
-      ~finally:(fun () -> Cluster.shutdown cluster)
-      (fun () ->
-        Session.run ~rt_timeout:0.5 ~live_check:true
-          ~register:Registry.abd_mwmr ~cluster
-          {
-            Session.default_spec with
-            writers = 2;
-            readers = 2;
-            writes_per_writer = 15;
-            reads_per_reader = 25;
-          })
+  let res, h =
+    run_register ~live_check:true ~register:Registry.abd_mwmr ~s:3 ~tol:1
+      ~writers:2 ~readers:2 15
   in
-  match res.Session.online with
+  (* 2 writers × 15 writes + 2 readers × 30 reads. *)
+  match res.Kv.Kv_session.online with
   | None -> Alcotest.fail "live_check:true returned no online report"
   | Some r ->
     check bool "online atomic" true (Check_sink.atomic r);
-    check bool "batch agrees" true (atomic res.Session.history);
-    check int "every completed op checked" 80 r.Check_sink.checked;
+    check bool "batch agrees" true (atomic h);
+    check int "every completed op checked" 90 r.Check_sink.checked;
     check int "single live key" 1 r.Check_sink.keys;
     check bool "window bounded well below history" true
-      (r.Check_sink.peak_window > 0 && r.Check_sink.peak_window <= 80)
+      (r.Check_sink.peak_window > 0 && r.Check_sink.peak_window <= 90)
 
 let test_live_check_chaos () =
   (* Same storm as [test_chaos_soak], with the streaming checker
      attached: verdicts must agree and throughput accounting must not
      lose operations (aborted in-flight ops are fed as pending). *)
   let sk =
-    Chaos.soak ~seed:3 ~ops:6 ~live_check:true
+    Kv.Chaos.soak ~seed:3 ~ops:6 ~live_check:true
       ~register:Registry.abd_mwmr ()
   in
-  check bool "regime is possible" true sk.Chaos.expected_atomic;
-  check bool "batch atomic under chaos" true sk.Chaos.atomic;
-  match sk.Chaos.result.Session.online with
+  check bool "regime is possible" true sk.Kv.Chaos.expected_atomic;
+  check bool "batch atomic under chaos" true sk.Kv.Chaos.atomic;
+  match sk.Kv.Chaos.result.Kv.Kv_session.online with
   | None -> Alcotest.fail "live_check:true returned no online report"
   | Some r ->
     check bool "online agrees with batch" true (Check_sink.atomic r);
@@ -1379,17 +1338,18 @@ let test_live_check_chaos () =
       (r.Check_sink.peak_window <= r.Check_sink.checked)
 
 let test_restart_recover () =
-  let o = Chaos.restart_scenario ~mode:`Recover () in
-  check bool "recovered restart preserves atomicity" true o.Chaos.atomic;
+  let o = Kv.Chaos.restart_scenario ~mode:`Recover () in
+  check bool "recovered restart preserves atomicity" true o.Kv.Chaos.atomic;
   check bool "read returns the acknowledged write" true
-    (o.Chaos.read_value = Some (Histories.History.initial_value + 41))
+    (o.Kv.Chaos.read_value = Some (Histories.History.initial_value + 41))
 
 let test_restart_fresh () =
-  let o = Chaos.restart_scenario ~mode:`Fresh () in
-  check bool "fresh restart loses the acknowledged write" false o.Chaos.atomic;
-  check bool "checker produced a witness" true (o.Chaos.witness <> None);
+  let o = Kv.Chaos.restart_scenario ~mode:`Fresh () in
+  check bool "fresh restart loses the acknowledged write" false
+    o.Kv.Chaos.atomic;
+  check bool "checker produced a witness" true (o.Kv.Chaos.witness <> None);
   check bool "read returned the stale initial value" true
-    (o.Chaos.read_value = Some Histories.History.initial_value)
+    (o.Kv.Chaos.read_value = Some Histories.History.initial_value)
 
 (* ------------------------------------------------------------------ *)
 
