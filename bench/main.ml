@@ -1930,9 +1930,22 @@ let micro () =
     Test.make ~name:"f2-atomicity-checker"
       (Staged.stage (fun () -> ignore (Checker.Atomicity.is_atomic checker_history)))
   in
-  let bench_interval =
-    Test.make ~name:"f2-interval-checker"
-      (Staged.stage (fun () -> ignore (Checker.Interval.is_atomic checker_history)))
+  (* The same history through the streaming core, in completion order. *)
+  let bench_streaming =
+    let completed =
+      List.stable_sort
+        (fun (a : Histories.Op.t) (b : Histories.Op.t) ->
+          let resp (o : Histories.Op.t) =
+            Option.value o.Histories.Op.resp ~default:infinity
+          in
+          Float.compare (resp a) (resp b))
+        (Histories.History.ops checker_history)
+    in
+    Test.make ~name:"f2-streaming-checker"
+      (Staged.stage (fun () ->
+           let t = Checker.Online.create () in
+           List.iter (Checker.Online.feed t) completed;
+           ignore (Checker.Online.finalize t)))
   in
   let bench_oracle =
     let small =
@@ -2003,7 +2016,7 @@ let micro () =
     [
       bench_run;
       bench_checker;
-      bench_interval;
+      bench_streaming;
       bench_oracle;
       bench_theorem;
       bench_zigzag;

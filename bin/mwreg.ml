@@ -282,6 +282,11 @@ let check_file path k =
       Printf.printf "ill-formed: %s\n" msg;
       exit 2
     | Ok () -> ());
+    if not (History.unique_writes h) then begin
+      Printf.printf "non-unique written values (or a write of the initial value %d)\n"
+        History.initial_value;
+      exit 2
+    end;
     Format.printf "operations   : %d@." (History.length h);
     Format.printf "consistency  : %a@." Consistency.pp_level (Consistency.classify h);
     (match Atomicity.check h with

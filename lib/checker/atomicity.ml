@@ -1,223 +1,58 @@
 open Histories
 
-(* The virtual initial write: stores History.initial_value and precedes
-   every real operation. *)
-let initial_write : Op.t =
-  Op.write ~id:(-1)
-    ~proc:(Op.Writer (-1))
-    ~value:History.initial_value ~inv:neg_infinity ~resp:(Some neg_infinity)
+let initial_write = Online.initial_write
 
-type ctx = {
-  writes : Op.t array;                    (* index 0 = virtual initial *)
-  reads : (Op.t * int) array;             (* read, index of its write *)
-  n : int;                                (* number of write nodes *)
-  adj : (int, unit) Hashtbl.t array;      (* obligation edges, deduped *)
-  history_size : int;
-}
+let resp_of (o : Op.t) = match o.Op.resp with Some f -> f | None -> infinity
 
-let fail ctx reason = Error (Witness.make reason ~history_size:ctx.history_size)
-
-let add_edge ctx i j =
-  if i <> j && not (Hashtbl.mem ctx.adj.(i) j) then Hashtbl.replace ctx.adj.(i) j ()
-
-let build h =
+(* Completed reads paired with the write of their value, or the first
+   read (in history order) of a value nobody wrote. *)
+let resolve h =
   (match History.well_formed h with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Atomicity.check: ill-formed history: " ^ msg));
   if not (History.unique_writes h) then
     invalid_arg "Atomicity.check: written values are not unique";
   let h = History.strip_pending_reads h in
-  let history_size = History.length h in
-  let writes = Array.of_list (initial_write :: History.writes h) in
-  let n = Array.length writes in
-  let value_index = Hashtbl.create n in
-  Array.iteri
-    (fun i w ->
-      match Op.written_value w with
-      | Some v -> Hashtbl.replace value_index v i
-      | None -> assert false)
+  let writes = initial_write :: History.writes h in
+  let by_value = Hashtbl.create 64 in
+  List.iter
+    (fun w -> Option.iter (fun v -> Hashtbl.replace by_value v w) (Op.written_value w))
     writes;
-  let reads_or_err =
-    List.fold_left
-      (fun acc (r : Op.t) ->
-        match acc with
-        | Error _ as e -> e
-        | Ok rs -> (
-          match r.Op.result with
-          | None -> Ok rs (* unreachable: pending reads stripped *)
-          | Some v -> (
-            match Hashtbl.find_opt value_index v with
-            | None ->
-              Error
-                (Witness.make (Witness.Unwritten_value { read = r; value = v })
-                   ~history_size)
-            | Some wi -> Ok ((r, wi) :: rs))))
-      (Ok []) (History.reads h)
+  let rec go acc = function
+    | [] -> Ok (h, writes, List.rev acc)
+    | (r : Op.t) :: rest -> (
+      match r.Op.result with
+      | None -> go acc rest
+      | Some v -> (
+        match Hashtbl.find_opt by_value v with
+        | Some w -> go ((r, w) :: acc) rest
+        | None -> Error (Witness.Unwritten_value { read = r; value = v })))
   in
-  match reads_or_err with
-  | Error w -> Error w
-  | Ok reads ->
-    Ok
-      {
-        writes;
-        reads = Array.of_list (List.rev reads);
-        n;
-        adj = Array.init n (fun _ -> Hashtbl.create 8);
-        history_size;
-      }
+  go [] (History.reads h)
 
-(* Local conditions that yield readable witnesses before the generic
-   cycle search: future reads and directly-visible stale reads. *)
-let local_conditions ctx =
-  let exception Bad of Witness.t in
-  try
-    Array.iter
-      (fun (r, wi) ->
-        let w = ctx.writes.(wi) in
-        if Op.precedes r w then
-          raise (Bad (Witness.make (Witness.Future_read { read = r; write = w })
-                        ~history_size:ctx.history_size));
-        for j = 0 to ctx.n - 1 do
-          if j <> wi then begin
-            let w' = ctx.writes.(j) in
-            if Op.precedes w w' && Op.precedes w' r then
-              raise
-                (Bad
-                   (Witness.make
-                      (Witness.Stale_read { read = r; write = w; newer = w' })
-                      ~history_size:ctx.history_size))
-          end
-        done)
-      ctx.reads;
-    Ok ()
-  with Bad w -> Error w
-
-(* [Op.precedes o1 o2] is [resp o1 < inv o2], so once ops are sorted by
-   invocation time the set an op precedes is a suffix: binary-searching
-   the first invocation strictly after [resp] skips every pair that
-   cannot precede, replacing the all-pairs O(W² + R²) [precedes] scans
-   while producing the exact same edge set (the suffix membership test
-   *is* the [precedes] test). *)
-let first_after invs x =
-  let lo = ref 0 and hi = ref (Array.length invs) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if invs.(mid) > x then hi := mid else lo := mid + 1
-  done;
-  !lo
-
-let sorted_by_inv ops inv_of =
-  let n = Array.length ops in
-  let idx = Array.init n (fun i -> i) in
-  Array.sort (fun a b -> compare (inv_of ops.(a)) (inv_of ops.(b))) idx;
-  (idx, Array.map (fun i -> inv_of ops.(i)) idx)
-
-let saturate ctx =
-  (* E1: real-time order between writes. *)
-  let w_idx, w_invs =
-    sorted_by_inv ctx.writes (fun (w : Op.t) -> w.Op.inv)
-  in
-  for i = 0 to ctx.n - 1 do
-    match ctx.writes.(i).Op.resp with
-    | None -> ()
-    | Some resp ->
-      for k = first_after w_invs resp to ctx.n - 1 do
-        add_edge ctx i w_idx.(k)
-      done
-  done;
-  (* E2 and E4: obligations through each read. *)
-  Array.iter
-    (fun (r, wi) ->
-      for j = 0 to ctx.n - 1 do
-        if j <> wi then begin
-          let w' = ctx.writes.(j) in
-          if Op.precedes w' r then add_edge ctx j wi;
-          if Op.precedes r w' then add_edge ctx wi j
-        end
-      done)
-    ctx.reads;
-  (* E3: new/old inversions between reads. *)
-  let nr = Array.length ctx.reads in
-  let r_idx, r_invs =
-    sorted_by_inv ctx.reads (fun ((r : Op.t), _) -> r.Op.inv)
-  in
-  for a = 0 to nr - 1 do
-    let r1, w1 = ctx.reads.(a) in
-    match r1.Op.resp with
-    | None -> ()
-    | Some resp ->
-      for k = first_after r_invs resp to nr - 1 do
-        let _, w2 = ctx.reads.(r_idx.(k)) in
-        if w1 <> w2 then add_edge ctx w1 w2
-      done
-  done
-
-(* Iterative DFS cycle detection returning the cycle's nodes. *)
-let find_cycle ctx =
-  let white = 0 and grey = 1 and black = 2 in
-  let color = Array.make ctx.n white in
-  let parent = Array.make ctx.n (-1) in
-  let cycle = ref None in
-  let rec visit u =
-    if !cycle = None then begin
-      color.(u) <- grey;
-      Hashtbl.iter
-        (fun v () ->
-          if !cycle = None then
-            if color.(v) = grey then begin
-              (* Reconstruct u -> ... -> v cycle via parent links. *)
-              let rec collect x acc =
-                if x = v then v :: acc else collect parent.(x) (x :: acc)
-              in
-              cycle := Some (collect u [])
-            end
-            else if color.(v) = white then begin
-              parent.(v) <- u;
-              visit v
-            end)
-        ctx.adj.(u);
-      if color.(u) = grey then color.(u) <- black
-    end
-  in
-  for u = 0 to ctx.n - 1 do
-    if color.(u) = white && !cycle = None then visit u
-  done;
-  !cycle
-
+(* Witness priority: the first unwritten read, then the first future or
+   stale read, both in history order; then a zone conflict, found by
+   feeding the whole history to the streaming core. *)
 let check h =
-  match build h with
-  | Error w -> Error w
-  | Ok ctx -> (
-    match local_conditions ctx with
-    | Error w -> Error w
-    | Ok () ->
-      saturate ctx;
-      (match find_cycle ctx with
-      | None -> Ok ()
-      | Some nodes ->
-        let ops = List.map (fun i -> ctx.writes.(i)) nodes in
-        fail ctx (Witness.Ordering_cycle ops)))
+  let history_size = History.length (History.strip_pending_reads h) in
+  let fail reason = Error (Witness.make reason ~history_size) in
+  match resolve h with
+  | Error reason -> fail reason
+  | Ok (h, writes, reads) -> (
+    match
+      List.find_map
+        (fun (r, w) -> Online.read_violation ~writes:(List.to_seq writes) r w)
+        reads
+    with
+    | Some reason -> fail reason
+    | None ->
+      let t = Online.create () in
+      List.iter (Online.feed t) (History.ops h);
+      Result.map_error
+        (fun (w : Witness.t) -> Witness.make w.Witness.reason ~history_size)
+        (Online.finalize t))
 
 let is_atomic h = match check h with Ok () -> true | Error _ -> false
-
-let obligation_edges h =
-  match build h with
-  | Error _ -> []
-  | Ok ctx ->
-    saturate ctx;
-    let acc = ref [] in
-    Array.iteri
-      (fun i tbl ->
-        Hashtbl.iter
-          (fun j () ->
-            if i > 0 && j > 0 then acc := (ctx.writes.(i), ctx.writes.(j)) :: !acc)
-          tbl)
-      ctx.adj;
-    !acc
-
-(* ------------------------------------------------------------------ *)
-(* Constructive witness                                                 *)
-(* ------------------------------------------------------------------ *)
 
 (* Validate a candidate permutation against Definition 2.1 directly. *)
 let valid_permutation ops =
@@ -240,55 +75,27 @@ let valid_permutation ops =
   in
   real_time_ok && read_from_ok
 
+(* Without conflicts, an obligation u -> v means a(u) < b(v) and
+   b(u) <= a(v), so a(u) + b(u) < a(v) + b(v): ordering clusters by the
+   midpoint of their zone is a topological order. *)
 let linearization h =
-  match build h with
-  | Error _ -> None
-  | Ok ctx -> (
-    match local_conditions ctx with
-    | Error _ -> None
-    | Ok () ->
-      saturate ctx;
-      (match find_cycle ctx with
-      | Some _ -> None
-      | None ->
-        (* Kahn's algorithm with min-index tie-breaking for determinism. *)
-        let n = ctx.n in
-        let indegree = Array.make n 0 in
-        Array.iter
-          (fun tbl -> Hashtbl.iter (fun j () -> indegree.(j) <- indegree.(j) + 1) tbl)
-          ctx.adj;
-        let order = ref [] in
-        let remaining = ref n in
-        let removed = Array.make n false in
-        while !remaining > 0 do
-          let next = ref (-1) in
-          for i = n - 1 downto 0 do
-            if (not removed.(i)) && indegree.(i) = 0 then next := i
-          done;
-          assert (!next >= 0);
-          removed.(!next) <- true;
-          decr remaining;
-          order := !next :: !order;
-          Hashtbl.iter
-            (fun j () -> indegree.(j) <- indegree.(j) - 1)
-            ctx.adj.(!next)
-        done;
-        let topo = List.rev !order in
-        (* Emit each write followed by its readers (by invocation time). *)
-        let readers_of = Array.make n [] in
-        Array.iter
-          (fun (r, wi) -> readers_of.(wi) <- r :: readers_of.(wi))
-          ctx.reads;
-        let permutation =
-          List.concat_map
-            (fun wi ->
-              let reads =
-                List.sort
-                  (fun (a : Op.t) (b : Op.t) -> compare (a.Op.inv, a.Op.id) (b.Op.inv, b.Op.id))
-                  readers_of.(wi)
-              in
-              if wi = 0 then reads (* virtual initial write omitted *)
-              else ctx.writes.(wi) :: reads)
-            topo
-        in
-        if valid_permutation permutation then Some permutation else None))
+  match (check h, resolve h) with
+  | Error _, _ | _, Error _ -> None
+  | Ok (), Ok (_, writes, reads) ->
+    let by_inv (a : Op.t) (b : Op.t) = compare (a.Op.inv, a.Op.id) (b.Op.inv, b.Op.id) in
+    let clusters =
+      List.map
+        (fun (w : Op.t) ->
+          let rs =
+            List.sort by_inv
+              (List.filter_map (fun (r, w') -> if w' == w then Some r else None) reads)
+          in
+          let a = List.fold_left (fun m r -> Float.min m (resp_of r)) (resp_of w) rs in
+          let b = List.fold_left (fun m (r : Op.t) -> Float.max m r.Op.inv) w.Op.inv rs in
+          ((a +. b, w.Op.id), if w == initial_write then rs else w :: rs))
+        writes
+    in
+    let permutation =
+      List.concat_map snd (List.stable_sort (fun (k, _) (k', _) -> compare k k') clusters)
+    in
+    if valid_permutation permutation then Some permutation else None

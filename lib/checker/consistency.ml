@@ -14,7 +14,7 @@ let rank = function Inconsistent -> 0 | Safe -> 1 | Regular -> 2 | Atomic -> 3
 
 let compare_level a b = compare (rank a) (rank b)
 
-let initial_write = Atomicity.initial_write
+let initial_write = Online.initial_write
 
 let find_write writes v =
   if v = History.initial_value then Some initial_write
@@ -46,15 +46,9 @@ let check_with ~read_ok h =
   with Bad w -> Error w
 
 let regular_read_ok writes r w =
-  if Op.precedes r w then Error (Witness.Future_read { read = r; write = w })
-  else
-    match
-      List.find_opt
-        (fun w' -> w'.Op.id <> w.Op.id && Op.precedes w w' && Op.precedes w' r)
-        (initial_write :: writes)
-    with
-    | Some newer -> Error (Witness.Stale_read { read = r; write = w; newer })
-    | None -> Ok ()
+  match Online.read_violation ~writes:(List.to_seq (initial_write :: writes)) r w with
+  | Some reason -> Error reason
+  | None -> Ok ()
 
 let check_regular h = check_with ~read_ok:regular_read_ok h
 

@@ -4,8 +4,9 @@
     permutation π of Definition 2.1 against the sequential register
     specification.  Exponential in the worst case, so it is restricted to
     small histories (≤ {!max_ops} operations) and used as the *oracle*
-    that cross-validates the polynomial {!Atomicity} checker in property
-    tests, and to produce concrete linearization orders for examples. *)
+    that cross-validates the zone check ({!Online}, and {!Atomicity}
+    over it) in property tests, and to produce concrete linearization
+    orders for examples. *)
 
 open Histories
 

@@ -1,425 +1,203 @@
 open Histories
 
-(* Streaming atomicity checker.
+(* The atomicity core: the zone check of Gibbons & Korach over a stream
+   of completed operations.  The batch checker is feed-all-then-finalize
+   over this module; the live sinks feed it as operations complete.  The
+   retirement and collapse rules are argued in online.mli. *)
 
-   Same obligation system as {!Atomicity} (E1-E4 over writes, plus the
-   local no-future-read / no-stale-read conditions), maintained
-   incrementally over a stream of completed operations instead of a
-   recorded history.  The resident state is the *interval-order window*:
-   operations that can still participate in a violation together with a
-   future operation.  Everything older is garbage-collected, folding its
-   ordering obligations into the survivors, so memory is O(window)
-   rather than O(history).
+let initial_write : Op.t =
+  Op.write ~id:(-1)
+    ~proc:(Op.Writer (-1))
+    ~value:History.initial_value ~inv:neg_infinity ~resp:(Some neg_infinity)
 
-   Feed contract (the sinks in the transport/kv layers uphold it):
-   - written values are globally unique and never [History.initial_value];
-   - each process feeds its operations in program order;
-   - every operation fed after [advance ~watermark:w] has invocation
-     time >= w (w is a low-watermark over in-flight invocations).
+let between ~write ~read (w' : Op.t) =
+  w'.Op.id <> write.Op.id && Op.precedes write w' && Op.precedes w' read
 
-   GC rule (also stated in the README): with watermark W,
-   - a read retires once its response time is < W;
-   - a write [w] retires once resp(w) < W and some other write [w']
-     with inv(w') > resp(w) has resp(w') < W (a settled superseding
-     write) — any future read returning [w]'s value would then be a
-     stale read and is reported on sight;
-   - before removal, a retiring write folds its obligations into the
-     survivors: every surviving predecessor [p] (edge p -> w) inherits
-     [blocked_after <- min resp(w) blocked_after(w)] (p must linearize
-     before every write invoked after that time, because w must) and a
-     direct edge to every surviving successor of [w].
+let read_violation ~writes (r : Op.t) (w : Op.t) =
+  if Op.precedes r w then Some (Witness.Future_read { read = r; write = w })
+  else
+    Seq.find (between ~write:w ~read:r) writes
+    |> Option.map (fun newer -> Witness.Stale_read { read = r; write = w; newer })
 
-   A cycle that would have passed through retired nodes therefore shows
-   up either as a window cycle, as a node whose own invocation lies
-   after its [blocked_after] bound, or as an immediately-reported read
-   of a retired value. *)
+let resp_of (o : Op.t) = match o.Op.resp with Some f -> f | None -> infinity
 
-type wnode = {
-  w_op : Op.t;
-  succs : (int, wnode) Hashtbl.t; (* obligation edges, keyed by op id *)
-  mutable blocked_after : float;
-      (* must linearize before every write invoked after this time *)
-  mutable min_read_resp : float;
-      (* earliest response among resolved reads of this write *)
+type cluster = {
+  write : Op.t;
+  value : int;
+  mutable a : float; (* earliest response among its ops *)
+  mutable b : float; (* latest invocation among its ops *)
+  mutable last : float; (* latest response; infinity while the write is pending *)
+  mutable ops : int; (* ops fed since the key last collapsed *)
 }
 
-type rnode = { r_op : Op.t; rho : wnode }
-
 type t = {
-  writes : (int, wnode) Hashtbl.t; (* window writes, by op id *)
-  by_value : (int, wnode) Hashtbl.t; (* window writes, by written value *)
-  mutable reads : rnode list; (* window resolved reads *)
-  parked : (int, Op.t list) Hashtbl.t; (* value -> reads awaiting their write *)
-  mutable parked_count : int;
+  mutable clusters : cluster list; (* resident, newest first *)
+  mutable parked : Op.t list; (* reads with no resident write, newest first *)
+  mutable retired_b : float; (* max b over retired clusters *)
+  mutable retired : bool;
   mutable watermark : float;
-  mutable settled_max_inv : float;
-      (* max invocation among writes whose response predates the watermark *)
   mutable verdict : Witness.t option;
-  mutable retired_writes : int;
   mutable seen : int;
   mutable peak : int;
-  mutable dirty : bool; (* edges added since the last cycle pass *)
 }
 
 let create () =
-  let t =
-    {
-      writes = Hashtbl.create 64;
-      by_value = Hashtbl.create 64;
-      reads = [];
-      parked = Hashtbl.create 8;
-      parked_count = 0;
-      watermark = neg_infinity;
-      settled_max_inv = neg_infinity;
-      verdict = None;
-      retired_writes = 0;
-      seen = 0;
-      peak = 0;
-      dirty = false;
-    }
-  in
-  (* The virtual initial write participates like any other write; it is
-     superseded (and retired) as soon as a real write settles. *)
-  let init =
-    {
-      w_op = Atomicity.initial_write;
-      succs = Hashtbl.create 8;
-      blocked_after = infinity;
-      min_read_resp = infinity;
-    }
-  in
-  Hashtbl.replace t.writes Atomicity.initial_write.Op.id init;
-  Hashtbl.replace t.by_value History.initial_value init;
-  t
+  {
+    clusters =
+      [
+        {
+          write = initial_write;
+          value = History.initial_value;
+          a = neg_infinity;
+          b = neg_infinity;
+          last = neg_infinity;
+          ops = 0;
+        };
+      ];
+    parked = [];
+    retired_b = neg_infinity;
+    retired = false;
+    watermark = neg_infinity;
+    verdict = None;
+    seen = 0;
+    peak = 0;
+  }
 
-let resident t = Hashtbl.length t.writes + List.length t.reads + t.parked_count
-
-(* A further watermark raise cannot change this instance: verdict
-   already fixed, or nothing parked, no resident reads, no edges
-   awaiting a cycle pass, and every completed resident write already
-   responded below the watermark — so every retirement decision is
-   final until the next feed.  Lets the keyed checker advance only the
-   keys that can still move, instead of sweeping the whole keyspace on
-   every drain batch. *)
-let quiescent t =
-  t.verdict <> None
-  || t.parked_count = 0
-     && t.reads = []
-     && (not t.dirty)
-     && Hashtbl.fold
-          (fun _ wn acc ->
-            acc
-            &&
-            match wn.w_op.Op.resp with
-            | None -> true
-            | Some f -> f < t.watermark)
-          t.writes true
+let resident t =
+  List.fold_left (fun n c -> n + c.ops) (List.length t.parked) t.clusters
 
 let peak_resident t = t.peak
 
 let ops_seen t = t.seen
 
-let note_peak t =
-  let r = resident t in
-  if r > t.peak then t.peak <- r
+let verdict t = match t.verdict with None -> Ok () | Some w -> Error w
+
+(* Raising the watermark further cannot change this instance. *)
+let settled t =
+  t.verdict <> None
+  || t.parked = [] && List.for_all (fun c -> c.last < t.watermark) t.clusters
 
 let violate t reason =
   if t.verdict = None then
     t.verdict <- Some (Witness.make reason ~history_size:t.seen)
 
-let add_edge t (u : wnode) (v : wnode) =
-  if u != v && not (Hashtbl.mem u.succs v.w_op.Op.id) then begin
-    Hashtbl.replace u.succs v.w_op.Op.id v;
-    t.dirty <- true
-  end
+(* Read [r] joins cluster [c]: local conditions against the resident
+   writes, then the zone update. *)
+let join t c (r : Op.t) =
+  Option.iter (violate t)
+    (read_violation
+       ~writes:(Seq.map (fun u -> u.write) (List.to_seq t.clusters))
+       r c.write);
+  c.a <- Float.min c.a (resp_of r);
+  c.b <- Float.max c.b r.Op.inv;
+  c.last <- Float.max c.last (resp_of r);
+  c.ops <- c.ops + 1
 
-(* Resolve read [r] against its write node [wn]: local conditions first,
-   then the incremental E2/E3/E4 edges against the current window. *)
-let resolve t (r : Op.t) (wn : wnode) =
-  if Op.precedes r wn.w_op then
-    violate t (Witness.Future_read { read = r; write = wn.w_op })
-  else begin
-    Hashtbl.iter
-      (fun _ (u : wnode) ->
-        if u != wn then begin
-          (* Local stale read: wn < u < r. *)
-          if Op.precedes wn.w_op u.w_op && Op.precedes u.w_op r then
-            violate t
-              (Witness.Stale_read { read = r; write = wn.w_op; newer = u.w_op });
-          (* E2: u < r implies u -> rho(r). *)
-          if Op.precedes u.w_op r then add_edge t u wn;
-          (* E3 (forward): some read of u responded before r invoked. *)
-          if u.min_read_resp < r.Op.inv then add_edge t u wn;
-          (* E4 (backward feed): r < u implies rho(r) -> u. *)
-          if Op.precedes r u.w_op then add_edge t wn u
-        end)
-      t.writes;
-    (* E3 (backward feed): r precedes an already-resident read. *)
-    List.iter
-      (fun rn ->
-        if rn.rho != wn && Op.precedes r rn.r_op then add_edge t wn rn.rho)
-      t.reads;
-    (match r.Op.resp with
-    | Some f -> if f < wn.min_read_resp then wn.min_read_resp <- f
-    | None -> ());
-    t.reads <- { r_op = r; rho = wn } :: t.reads
-  end
+(* [c] just changed: test it against the resident clusters, then against
+   the retired ones through [retired_b]. *)
+let test t c =
+  match List.find_opt (fun u -> u != c && u.a < c.b && c.a < u.b) t.clusters with
+  | Some u -> violate t (Witness.Ordering_cycle [ u.write; c.write ])
+  | None ->
+    if c.a < t.retired_b then
+      violate t
+        (Witness.Property
+           {
+             name = "retired-ordering-cycle";
+             detail =
+               "write's cluster conflicts with a cluster retired behind \
+                the watermark";
+             culprits = [ c.write ];
+           })
 
-let feed_write t (op : Op.t) v =
-  if v = History.initial_value then
-    invalid_arg "Online.feed: write of the initial value";
-  if Hashtbl.mem t.by_value v then
-    invalid_arg "Online.feed: written values are not unique";
-  let node =
-    { w_op = op; succs = Hashtbl.create 8; blocked_after = infinity;
-      min_read_resp = infinity }
-  in
-  Hashtbl.iter
-    (fun _ (u : wnode) ->
-      (* E1 in both feed orders. *)
-      if Op.precedes u.w_op op then add_edge t u node;
-      if Op.precedes op u.w_op then add_edge t node u;
-      (* E4: some read of u responded before this write invoked. *)
-      if u.min_read_resp < op.Op.inv then add_edge t u node)
-    t.writes;
-  List.iter
-    (fun rn ->
-      (* Backward-feed stale read: rho(r) < op < r. *)
-      if Op.precedes rn.rho.w_op op && Op.precedes op rn.r_op then
-        violate t
-          (Witness.Stale_read { read = rn.r_op; write = rn.rho.w_op; newer = op });
-      (* E2: op < r implies op -> rho(r). *)
-      if rn.rho != node && Op.precedes op rn.r_op then add_edge t node rn.rho)
-    t.reads;
-  Hashtbl.replace t.writes op.Op.id node;
-  Hashtbl.replace t.by_value v node;
-  (* Reads that arrived before their write (the write was still in
-     flight when they completed) resolve now. *)
-  match Hashtbl.find_opt t.parked v with
-  | None -> ()
-  | Some rs ->
-    Hashtbl.remove t.parked v;
-    t.parked_count <- t.parked_count - List.length rs;
-    List.iter (fun r -> resolve t r node) (List.rev rs)
+let find t v = List.find_opt (fun c -> c.value = v) t.clusters
 
 let feed t (op : Op.t) =
-  if t.verdict <> None then t.seen <- t.seen + 1
-  else begin
-    t.seen <- t.seen + 1;
-    (match op.Op.kind with
-    | Op.Write v -> feed_write t op v
-    | Op.Read -> (
-      match (op.Op.resp, op.Op.result) with
-      | None, _ | _, None -> () (* pending reads impose no obligation *)
-      | Some _, Some v -> (
-        match Hashtbl.find_opt t.by_value v with
-        | Some wn -> resolve t op wn
-        | None ->
-          let rs = Option.value ~default:[] (Hashtbl.find_opt t.parked v) in
-          Hashtbl.replace t.parked v (op :: rs);
-          t.parked_count <- t.parked_count + 1)));
-    note_peak t
-  end
-
-(* Cycle pass over the window graph, plus the blocked-after check that
-   stands in for edges through retired nodes. *)
-let cycle_pass t =
-  if t.dirty && t.verdict = None then begin
-    t.dirty <- false;
-    let color = Hashtbl.create (Hashtbl.length t.writes) in
-    (* 1 = on stack, 2 = done *)
-    let cycle = ref None in
-    let rec visit (u : wnode) (stack : wnode list) =
-      if !cycle = None then begin
-        Hashtbl.replace color u.w_op.Op.id 1;
-        let stack = u :: stack in
-        Hashtbl.iter
-          (fun _ (v : wnode) ->
-            if !cycle = None then
-              match Hashtbl.find_opt color v.w_op.Op.id with
-              | Some 1 ->
-                (* Nodes from v (exclusive) back to u, in edge order. *)
-                let rec take acc = function
-                  | [] -> acc
-                  | x :: rest ->
-                    if x == v then x :: acc else take (x :: acc) rest
-                in
-                cycle := Some (take [] stack)
-              | Some _ -> ()
-              | None -> visit v stack)
-          u.succs;
-        if !cycle = None then Hashtbl.replace color u.w_op.Op.id 2
-      end
-    in
-    Hashtbl.iter
-      (fun id u ->
-        if !cycle = None && not (Hashtbl.mem color id) then visit u [])
-      t.writes;
-    (match !cycle with
-    | Some nodes ->
-      violate t (Witness.Ordering_cycle (List.map (fun n -> n.w_op) nodes))
-    | None ->
-      (* Effective blocked-after: u must linearize before every write
-         invoked after min(blocked_after over nodes reachable from u).
-         A write invoked after its own bound closes a cycle through
-         retired nodes. *)
-      let eff = Hashtbl.create (Hashtbl.length t.writes) in
-      let rec bound (u : wnode) =
-        match Hashtbl.find_opt eff u.w_op.Op.id with
-        | Some b -> b
-        | None ->
-          Hashtbl.replace eff u.w_op.Op.id u.blocked_after; (* cut cycles *)
-          let b =
-            Hashtbl.fold (fun _ v acc -> Stdlib.min acc (bound v)) u.succs
-              u.blocked_after
-          in
-          Hashtbl.replace eff u.w_op.Op.id b;
-          b
-      in
-      Hashtbl.iter
-        (fun _ (u : wnode) ->
-          if t.verdict = None && u.w_op.Op.inv > bound u then
-            violate t
-              (Witness.Property
-                 {
-                   name = "retired-ordering-cycle";
-                   detail =
-                     "write must linearize before operations that were \
-                      garbage-collected behind it";
-                   culprits = [ u.w_op ];
-                 }))
-        t.writes)
-  end
-
-let retire t =
-  let w = t.watermark in
-  (* Reads behind the watermark retire unconditionally: their E3/E4
-     obligations live on in their write's [min_read_resp]. *)
-  t.reads <-
-    List.filter
-      (fun rn ->
-        match rn.r_op.Op.resp with Some f -> f >= w | None -> true)
-      t.reads;
-  (* Settled writes push the superseding frontier forward. *)
-  Hashtbl.iter
-    (fun _ (u : wnode) ->
-      match u.w_op.Op.resp with
-      | Some f when f < w ->
-        if u.w_op.Op.inv > t.settled_max_inv then
-          t.settled_max_inv <- u.w_op.Op.inv
-      | _ -> ())
-    t.writes;
-  let retiring =
-    Hashtbl.fold
-      (fun _ (u : wnode) acc ->
-        match u.w_op.Op.resp with
-        | Some f when f < w && t.settled_max_inv > f -> u :: acc
-        | _ -> acc)
-      t.writes []
-  in
-  (* One node at a time: folding w1 into a later-retiring w2 first gives
-     w2 the inherited edges, which the next iteration folds onward, so
-     chains of retiring nodes close transitively. *)
-  List.iter
-    (fun (g : wnode) ->
-      let inherited = Stdlib.min g.blocked_after
-          (match g.w_op.Op.resp with Some f -> f | None -> infinity)
-      in
-      Hashtbl.iter
-        (fun _ (p : wnode) ->
-          if p != g && Hashtbl.mem p.succs g.w_op.Op.id then begin
-            Hashtbl.remove p.succs g.w_op.Op.id;
-            if inherited < p.blocked_after then begin
-              p.blocked_after <- inherited;
-              t.dirty <- true
-            end;
-            Hashtbl.iter (fun _ s -> add_edge t p s) g.succs
-          end)
-        t.writes;
-      Hashtbl.remove t.writes g.w_op.Op.id;
-      t.retired_writes <- t.retired_writes + 1;
-      (match Op.written_value g.w_op with
-      | Some v -> Hashtbl.remove t.by_value v
-      | None -> ()))
-    retiring
-
-let flag_parked t ~deadline ~reason =
+  t.seen <- t.seen + 1;
   if t.verdict = None then begin
-    let expired = ref [] in
-    Hashtbl.iter
-      (fun v rs ->
-        List.iter
-          (fun (r : Op.t) ->
-            match r.Op.resp with
-            | Some f when f < deadline -> expired := (v, r) :: !expired
-            | _ -> ())
-          rs)
-      t.parked;
-    (* Deterministic pick: earliest (inv, id), matching the batch
-       checker's first-unwritten-read order at finalize. *)
-    match
-      List.sort
-        (fun (_, (a : Op.t)) (_, (b : Op.t)) ->
-          compare (a.Op.inv, a.Op.id) (b.Op.inv, b.Op.id))
-        !expired
-    with
-    | [] -> ()
-    | (v, r) :: _ -> violate t (reason r v)
+    (match (op.Op.kind, op.Op.resp, op.Op.result) with
+    | Op.Write v, _, _ ->
+      if v = History.initial_value then
+        invalid_arg "Online.feed: write of the initial value";
+      if find t v <> None then
+        invalid_arg "Online.feed: written values are not unique";
+      let c =
+        { write = op; value = v; a = resp_of op; b = op.Op.inv;
+          last = resp_of op; ops = 1 }
+      in
+      t.clusters <- c :: t.clusters;
+      (* Reads that completed while their write was still in flight. *)
+      let mine, rest =
+        List.partition (fun (r : Op.t) -> r.Op.result = Some v) t.parked
+      in
+      t.parked <- rest;
+      List.iter (join t c) (List.rev mine);
+      test t c
+    | Op.Read, Some _, Some v -> (
+      match find t v with
+      | Some c ->
+        join t c op;
+        test t c
+      | None -> t.parked <- op :: t.parked)
+    | Op.Read, _, _ -> () (* pending reads impose no obligation *));
+    t.peak <- Stdlib.max t.peak (resident t)
   end
+
+let stale_or_unwritten (r : Op.t) v =
+  Witness.Property
+    {
+      name = "stale-or-unwritten-read";
+      detail =
+        Printf.sprintf
+          "read returned %d, a value never written, written in the read's \
+           future, or superseded before the read was invoked"
+          v;
+      culprits = [ r ];
+    }
+
+(* The earliest (inv, id) parked read that responded before [deadline]. *)
+let flag_parked t ~deadline reason =
+  let expired = List.filter (fun r -> resp_of r < deadline) t.parked in
+  match
+    List.sort
+      (fun (a : Op.t) (b : Op.t) -> compare (a.Op.inv, a.Op.id) (b.Op.inv, b.Op.id))
+      expired
+  with
+  | ({ Op.result = Some v; _ } as r) :: _ -> violate t (reason r v)
+  | _ -> ()
 
 let advance t ~watermark =
   if watermark > t.watermark then t.watermark <- watermark;
+  let w = t.watermark in
+  if t.verdict = None then flag_parked t ~deadline:w stale_or_unwritten;
   if t.verdict = None then begin
-    (* A parked read whose response predates the watermark can never
-       resolve cleanly: its value was either never written, written in
-       its future, or belonged to a retired (superseded) write — a
-       violation in every case. *)
-    flag_parked t ~deadline:t.watermark ~reason:(fun r v ->
-        Witness.Property
-          {
-            name = "stale-or-unwritten-read";
-            detail =
-              Printf.sprintf
-                "read returned %d, a value never written, written in the \
-                 read's future, or superseded before the read was invoked"
-                v;
-            culprits = [ r ];
-          });
-    if t.verdict = None then begin
-      (* Cycle pass before retirement: a cycle formed since the last
-         advance is reported over direct obligation edges; after
-         retirement a second pass covers the folded shortcut edges. *)
-      cycle_pass t;
-      if t.verdict = None then begin
-        retire t;
-        cycle_pass t
-      end
-    end
+    (* The latest-invoked settled write supersedes every cluster whose
+       write responded before it was invoked. *)
+    let frontier =
+      List.fold_left
+        (fun m c -> if resp_of c.write < w then Float.max m c.write.Op.inv else m)
+        neg_infinity t.clusters
+    in
+    t.clusters <-
+      List.filter
+        (fun c ->
+          resp_of c.write >= frontier
+          || begin
+               t.retired_b <- Float.max t.retired_b c.b;
+               t.retired <- true;
+               false
+             end)
+        t.clusters;
+    match t.clusters with
+    | [ c ] when t.parked = [] && c.last < w -> c.ops <- 0 (* collapse *)
+    | _ -> ()
   end
 
 let finalize t =
-  (* Parked reads that survive the end of the stream: when no write was
-     ever garbage-collected this matches the batch checker's build-time
-     unwritten-value witness exactly; otherwise the value may instead
-     have belonged to a retired (superseded) write — a stale read — so
-     the witness only claims the disjunction. *)
-  flag_parked t ~deadline:infinity ~reason:(fun r v ->
-      if t.retired_writes = 0 then Witness.Unwritten_value { read = r; value = v }
-      else
-        Witness.Property
-          {
-            name = "stale-or-unwritten-read";
-            detail =
-              Printf.sprintf
-                "read returned %d, a value never written or superseded \
-                 before the read was invoked"
-                v;
-            culprits = [ r ];
-          });
-  cycle_pass t;
-  match t.verdict with None -> Ok () | Some w -> Error w
-
-let verdict t = match t.verdict with None -> Ok () | Some w -> Error w
+  flag_parked t ~deadline:infinity (fun r v ->
+      if t.retired then stale_or_unwritten r v
+      else Witness.Unwritten_value { read = r; value = v });
+  verdict t
 
 module Keyed = struct
   type instance = t
@@ -428,9 +206,9 @@ module Keyed = struct
 
   type nonrec t = {
     instances : (string, instance) Hashtbl.t;
-    hot : (string, unit) Hashtbl.t;
-        (* keys fed since their instance last went quiescent; only these
-           can move when the watermark rises *)
+    hot : (string, instance) Hashtbl.t;
+        (* keys fed since they last settled; only these can move when
+           the watermark rises *)
     on_violation : (string -> Witness.t -> unit) option;
     mutable viols : (string * Witness.t) list;
     mutable k_seen : int;
@@ -449,75 +227,55 @@ module Keyed = struct
       k_peak = 0;
     }
 
-  let instance t key =
-    match Hashtbl.find_opt t.instances key with
-    | Some i -> i
-    | None ->
-      let i = create_instance () in
-      Hashtbl.replace t.instances key i;
-      t.k_resident <- t.k_resident + resident i;
-      i
-
   let note t key (i : instance) had =
-    if had = None then
-      match i.verdict with
-      | Some w ->
-        t.viols <- (key, w) :: t.viols;
-        (match t.on_violation with Some f -> f key w | None -> ())
-      | None -> ()
+    match (had, i.verdict) with
+    | None, Some w ->
+      t.viols <- (key, w) :: t.viols;
+      Option.iter (fun f -> f key w) t.on_violation
+    | _ -> ()
 
-  let feed t ~key op =
-    let i = instance t key in
-    let had = i.verdict in
-    let before = resident i in
-    feed i op;
-    t.k_seen <- t.k_seen + 1;
+  (* Run [f] on [i], keeping the running resident total and the hook. *)
+  let step t key i f =
+    let had = i.verdict and before = resident i in
+    f i;
     t.k_resident <- t.k_resident + resident i - before;
-    if t.k_resident > t.k_peak then t.k_peak <- t.k_resident;
-    Hashtbl.replace t.hot key ();
+    t.k_peak <- Stdlib.max t.k_peak t.k_resident;
     note t key i had
 
+  let feed t ~key op =
+    let i =
+      match Hashtbl.find_opt t.instances key with
+      | Some i -> i
+      | None ->
+        let i = create_instance () in
+        Hashtbl.replace t.instances key i;
+        i
+    in
+    step t key i (fun i -> feed i op);
+    t.k_seen <- t.k_seen + 1;
+    Hashtbl.replace t.hot key i
+
   let advance t ~watermark =
-    (* Snapshot before mutating: keys whose instance settles drop out of
-       the hot set, so a steady-state zipfian keyspace costs O(active
-       keys) per batch instead of O(all keys ever touched). *)
-    let keys = Hashtbl.fold (fun key () acc -> key :: acc) t.hot [] in
-    List.iter
-      (fun key ->
-        match Hashtbl.find_opt t.instances key with
-        | None -> Hashtbl.remove t.hot key
-        | Some i ->
-          let had = i.verdict in
-          let before = resident i in
-          advance i ~watermark;
-          t.k_resident <- t.k_resident + resident i - before;
-          note t key i had;
-          if quiescent i then Hashtbl.remove t.hot key)
-      keys;
-    if t.k_resident > t.k_peak then t.k_peak <- t.k_resident
+    (* Snapshot before mutating: settled keys drop out of the hot set,
+       so a batch costs O(active keys), not O(keys ever touched). *)
+    Hashtbl.fold (fun key i acc -> (key, i) :: acc) t.hot []
+    |> List.iter (fun (key, i) ->
+           step t key i (advance ~watermark);
+           if settled i then Hashtbl.remove t.hot key)
 
   let finalize t =
-    let out =
-      Hashtbl.fold
-        (fun key i acc ->
-          let had = i.verdict in
-          let v = finalize i in
-          note t key i had;
-          (key, v) :: acc)
-        t.instances []
-    in
-    List.sort (fun (a, _) (b, _) -> compare a b) out
+    Hashtbl.fold
+      (fun key i acc ->
+        let had = i.verdict in
+        let v = finalize i in
+        note t key i had;
+        (key, v) :: acc)
+      t.instances []
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-  let resident t = Hashtbl.fold (fun _ i acc -> acc + resident i) t.instances 0
-
-  let peak_resident t =
-    (* The aggregate is sampled at [advance]; the current total covers
-       growth since the last sample. *)
-    Stdlib.max t.k_peak (resident t)
-
+  let resident t = t.k_resident
+  let peak_resident t = t.k_peak
   let ops_seen t = t.k_seen
-
   let violations t = List.rev t.viols
-
   let keys t = Hashtbl.length t.instances
 end

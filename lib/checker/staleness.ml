@@ -10,7 +10,7 @@ let analyze h =
   if not (History.unique_writes h) then
     invalid_arg "Staleness.analyze: written values are not unique";
   let h = History.strip_pending_reads h in
-  let writes = Atomicity.initial_write :: History.writes h in
+  let writes = Online.initial_write :: History.writes h in
   let find_write v = List.find_opt (fun w -> Op.written_value w = Some v) writes in
   List.map
     (fun (r : Op.t) ->
@@ -22,12 +22,7 @@ let analyze h =
         | Some w ->
           (* Writes that finished entirely between w and the read: each
              one the read "missed". *)
-          let missed =
-            List.filter
-              (fun w' ->
-                w'.Op.id <> w.Op.id && Op.precedes w w' && Op.precedes w' r)
-              writes
-          in
+          let missed = List.filter (Online.between ~write:w ~read:r) writes in
           { read = r; from_write = Some w; staleness = List.length missed }))
     (History.reads h)
 

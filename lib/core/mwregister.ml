@@ -4,8 +4,9 @@
 
     - {!Sim}, {!Net}: the discrete-event substrate;
     - {!Op}, {!History}: executions and the atomicity specification;
-    - {!Atomicity}, {!Linearizability}, {!Consistency}, {!Mw_properties}:
-      the checkers;
+    - {!Atomicity}, {!Online}, {!Linearizability}, {!Consistency},
+      {!Mw_properties}: the checkers ({!Atomicity} is the batch face of
+      {!Online}'s streaming zone check);
     - {!Bounds}, {!Quorum}: Table 1's predicates;
     - {!Env}, {!Runtime}, {!Register_intf}: running protocols;
     - {!Registry} and the individual protocol modules;
@@ -38,7 +39,6 @@ module Linearizability = Checker.Linearizability
 module Consistency = Checker.Consistency
 module Mw_properties = Checker.Mw_properties
 module Staleness = Checker.Staleness
-module Interval = Checker.Interval
 module Online = Checker.Online
 
 module Quorum = Quorums.Quorum

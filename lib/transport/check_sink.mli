@@ -26,8 +26,11 @@ type report = {
   checked : int;  (** operations fed through the checker *)
   keys : int;  (** distinct keys checked *)
   peak_window : int;
-      (** high-water mark of resident operations across all keys —
-          the O(window) bound the soak benchmark records *)
+      (** high-water mark of resident operations across all keys: ops
+          in clusters not yet collapsed plus parked reads
+          ({!Checker.Online.resident}).  A key whose last cluster
+          settled behind the watermark counts in [keys], not here, so
+          the window follows the ops in flight *)
   batches : int;  (** non-empty drain cycles *)
   busy : float;  (** seconds spent feeding/advancing/finalizing *)
   checker_ops_per_sec : float;  (** [checked /. busy] *)

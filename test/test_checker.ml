@@ -177,17 +177,6 @@ let test_rejects_non_unique () =
        false
      with Invalid_argument _ -> true)
 
-let test_obligation_edges_nonempty () =
-  let h =
-    History.of_ops
-      [
-        w ~id:0 ~v:1 ~inv:0.0 ~resp:(Some 1.0) ();
-        w ~id:1 ~proc:1 ~v:2 ~inv:2.0 ~resp:(Some 3.0) ();
-        r ~id:2 ~inv:4.0 ~resp:(Some 5.0) ~result:(Some 2) ();
-      ]
-  in
-  check bool "edges exist" true (List.length (Atomicity.obligation_edges h) >= 1)
-
 (* ------------------------------------------------------------------ *)
 (* Linearizability oracle                                               *)
 (* ------------------------------------------------------------------ *)
@@ -296,12 +285,14 @@ let history_arb =
     ~print:(fun h -> Format.asprintf "%a" History.pp h)
     history_gen
 
-let interval_equivalence =
-  QCheck.Test.make ~name:"interval checker agrees with saturation checker"
+(* The zone order yields a valid linearization exactly on atomic
+   histories ([linearization] re-validates its answer). *)
+let linearization_equivalence =
+  QCheck.Test.make ~name:"linearization exists iff the checker accepts"
     ~count:2000 history_arb (fun h ->
       QCheck.assume (History.well_formed h = Ok ());
       QCheck.assume (History.unique_writes h);
-      Interval.is_atomic h = Atomicity.is_atomic h)
+      (Atomicity.linearization h <> None) = Atomicity.is_atomic h)
 
 let oracle_equivalence =
   QCheck.Test.make ~name:"atomicity checker agrees with brute-force oracle"
@@ -495,7 +486,6 @@ let () =
           tc "pending read ignored" test_pending_read_ignored;
           tc "reader order cycle" test_cycle_via_two_readers;
           tc "rejects non-unique" test_rejects_non_unique;
-          tc "obligation edges" test_obligation_edges_nonempty;
         ] );
       ( "oracle",
         [
@@ -503,7 +493,7 @@ let () =
           tc "rejects stale" test_oracle_rejects_stale;
           tc "size limit" test_oracle_size_limit;
           QCheck_alcotest.to_alcotest oracle_equivalence;
-          QCheck_alcotest.to_alcotest interval_equivalence;
+          QCheck_alcotest.to_alcotest linearization_equivalence;
         ] );
       ( "consistency",
         [

@@ -50,8 +50,8 @@ let test_facade_bounds () =
 
 let test_facade_extensions_reachable () =
   (* Every extension module is re-exported through the facade. *)
-  check bool "Interval" true
-    (Mwregister.Interval.is_atomic (Mwregister.History.of_ops []));
+  check bool "Online" true
+    (Mwregister.Online.finalize (Mwregister.Online.create ()) = Ok ());
   check bool "Coterie" true
     (Mwregister.Coterie.pairwise_intersecting
        (Mwregister.Coterie.grid ~rows:2 ~cols:2));

@@ -406,8 +406,8 @@ let test_exhaustive_truncation () =
   check int "capped" 100 o.Workload.Exhaustive.runs
 
 (* ------------------------------------------------------------------ *)
-(* Interval checker: direct unit cases (the property suite in
-   test_checker cross-validates it on random histories).              *)
+(* Zone (interval) check: direct unit cases for {!Checker.Atomicity}
+   (the property suites cross-validate it on random histories).       *)
 (* ------------------------------------------------------------------ *)
 
 let test_interval_accepts_sequential () =
@@ -418,12 +418,12 @@ let test_interval_accepts_sequential () =
         r ~id:1 ~inv:2.0 ~resp:(Some 3.0) ~result:(Some 1) ();
       ]
   in
-  check bool "atomic" true (Checker.Interval.is_atomic h)
+  check bool "atomic" true (Checker.Atomicity.is_atomic h)
 
 let test_interval_rejects_stale () =
   let h = three_writes_then_read 1 in
-  check bool "stale rejected" false (Checker.Interval.is_atomic h);
-  match Checker.Interval.check h with
+  check bool "stale rejected" false (Checker.Atomicity.is_atomic h);
+  match Checker.Atomicity.check h with
   | Error wit ->
     check bool "cycle or stale witness" true
       (List.mem (Checker.Witness.short wit) [ "ordering-cycle"; "stale-read" ])
@@ -439,7 +439,7 @@ let test_interval_rejects_inversion () =
         r ~id:3 ~proc:1 ~inv:5.0 ~resp:(Some 6.0) ~result:(Some 1) ();
       ]
   in
-  check bool "new/old inversion rejected" false (Checker.Interval.is_atomic h)
+  check bool "new/old inversion rejected" false (Checker.Atomicity.is_atomic h)
 
 let test_interval_pending_write () =
   let h =
@@ -449,7 +449,7 @@ let test_interval_pending_write () =
         r ~id:1 ~inv:5.0 ~resp:(Some 6.0) ~result:(Some 1) ();
       ]
   in
-  check bool "pending write readable" true (Checker.Interval.is_atomic h)
+  check bool "pending write readable" true (Checker.Atomicity.is_atomic h)
 
 (* ------------------------------------------------------------------ *)
 (* Theorem 1 narrated report                                            *)

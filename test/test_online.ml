@@ -1,7 +1,7 @@
-(* The streaming checker against the batch checker: identical verdicts
-   (and witnesses of the same kinds when nothing was garbage-collected)
-   on randomized histories, fed in completion order, with and without
-   aggressive window GC. *)
+(* The streaming checker against the batch checker and the Wing-Gong
+   oracle: identical verdicts (and witnesses of the same kinds when
+   nothing retired) on randomized histories, fed in completion order,
+   with no, aggressive and random watermark advances. *)
 
 open Histories
 open Checker
@@ -69,6 +69,8 @@ let rho_of h (rd : Op.t) =
         (fun (o : Op.t) -> Op.written_value o = Some v)
         (History.ops h)
 
+(* The zone core names direct 2-cycles, so consecutive witness nodes
+   must be joined by an obligation edge. *)
 let obligation_edge h (u : Op.t) (v : Op.t) =
   let reads = List.filter Op.is_complete (History.reads h) in
   Op.precedes u v (* E1 *)
@@ -85,29 +87,6 @@ let obligation_edge h (u : Op.t) (v : Op.t) =
   || List.exists
        (fun rd -> rho_of h rd = Some u && Op.precedes rd v)
        reads (* E4 *)
-
-(* After GC the online checker's cycle edges may be transitive
-   shortcuts folded through retired writes, so a cycle witness is valid
-   when consecutive nodes are connected by an obligation {e path}. *)
-let obligation_path h (u : Op.t) (v : Op.t) =
-  let writes = Atomicity.initial_write :: History.writes h in
-  let visited = Hashtbl.create 16 in
-  let rec go (x : Op.t) =
-    x.Op.id = v.Op.id
-    || (not (Hashtbl.mem visited x.Op.id))
-       && begin
-            Hashtbl.replace visited x.Op.id ();
-            List.exists
-              (fun (y : Op.t) ->
-                y.Op.id <> x.Op.id && obligation_edge h x y && go y)
-              writes
-          end
-  in
-  obligation_edge h u v
-  || List.exists
-       (fun (y : Op.t) ->
-         y.Op.id <> u.Op.id && obligation_edge h u y && go y)
-       writes
 
 let witness_valid h (wit : Witness.t) =
   let mem (o : Op.t) =
@@ -136,7 +115,7 @@ let witness_valid h (wit : Witness.t) =
         let n = Array.length arr in
         let ok = ref true in
         for i = 0 to n - 1 do
-          if not (obligation_path h arr.(i) arr.((i + 1) mod n)) then ok := false
+          if not (obligation_edge h arr.(i) arr.((i + 1) mod n)) then ok := false
         done;
         !ok)
   | Witness.Property _ ->
@@ -212,6 +191,29 @@ let history_gen =
 let history_arb =
   QCheck.make ~print:(fun h -> Format.asprintf "%a" History.pp h) history_gen
 
+(* Reads re-pointed at one of the two latest writes invoked before they
+   respond: histories near the atomicity boundary, where a violation can
+   hinge on a cluster that already retired. *)
+let near_atomic_gen =
+  let open QCheck.Gen in
+  let* h = history_gen in
+  let resp_of (o : Op.t) = Option.value o.Op.resp ~default:infinity in
+  let repoint (o : Op.t) =
+    match o.Op.resp with
+    | Some resp when Op.is_read o ->
+      let latest =
+        List.filter (fun (w : Op.t) -> w.Op.inv < resp) (History.writes h)
+        |> List.sort (fun a b -> Float.compare (resp_of b) (resp_of a))
+        |> List.filter_map Op.written_value
+      in
+      let+ i = int_bound 1 in
+      let values = latest @ [ History.initial_value ] in
+      { o with Op.result = Some (List.nth values (min i (List.length values - 1))) }
+    | _ -> return o
+  in
+  let+ ops = flatten_l (List.map repoint (History.ops h)) in
+  History.of_ops ops
+
 let agree name verdict_of =
   QCheck.Test.make ~name ~count:2000 history_arb (fun h ->
       QCheck.assume (History.well_formed h = Ok ());
@@ -232,6 +234,40 @@ let equiv_no_gc = agree "online verdict matches batch (no GC)" online_verdict
 let equiv_gc =
   agree "online verdict matches batch (aggressive window GC)"
     online_verdict_gc
+
+(* Random watermark advances, each as high as the feed contract allows
+   or lower: streaming, batch and the brute-force oracle agree. *)
+let online_verdict_random fracs h =
+  let t = Online.create () in
+  let rec go fracs = function
+    | [] -> ()
+    | (o : Op.t) :: rest ->
+      let f, fracs = match fracs with f :: fs -> (f, fs) | [] -> (0.0, []) in
+      let bound =
+        List.fold_left (fun acc (u : Op.t) -> Float.min acc u.Op.inv) o.Op.inv rest
+      in
+      if f > 0.3 then Online.advance t ~watermark:(bound -. (10.0 *. (1.0 -. f)));
+      Online.feed t o;
+      go fracs rest
+  in
+  go fracs (completion_order h);
+  Online.finalize t
+
+let three_way =
+  QCheck.Test.make ~name:"streaming, batch and oracle agree (random advances)"
+    ~count:2000
+    (QCheck.pair
+       (QCheck.make
+          ~print:(fun h -> Format.asprintf "%a" History.pp h)
+          QCheck.Gen.(frequency [ (1, history_gen); (3, near_atomic_gen) ]))
+       (QCheck.make QCheck.Gen.(list_size (int_bound 30) (float_bound_inclusive 1.0))))
+    (fun (h, fracs) ->
+      QCheck.assume (History.well_formed h = Ok ());
+      QCheck.assume (History.unique_writes h);
+      QCheck.assume (History.length h <= Linearizability.max_ops);
+      let batch = Atomicity.is_atomic h in
+      let online = online_verdict_random fracs h = Ok () in
+      batch = online && batch = Linearizability.check h)
 
 (* Without GC the streaming checker reproduces the batch checker's
    witness kinds, not just its verdicts. *)
@@ -340,6 +376,95 @@ let test_window_stays_bounded () =
     true
     (Online.peak_resident t < 32)
 
+(* A key goes quiet past the watermark (its last cluster collapses),
+   then returns. *)
+let quiet_then wm_after ops =
+  let t = Online.create () in
+  Online.feed t (w ~id:0 ~v:1 ~inv:0.0 ~resp:(Some 1.0) ());
+  Online.feed t (w ~id:1 ~proc:1 ~v:2 ~inv:2.0 ~resp:(Some 3.0) ());
+  Online.feed t (r ~id:2 ~inv:4.0 ~resp:(Some 5.0) ~result:(Some 2) ());
+  Online.advance t ~watermark:10.0;
+  check Alcotest.int "collapsed" 0 (Online.resident t);
+  List.iter (Online.feed t) ops;
+  Online.advance t ~watermark:wm_after;
+  Online.finalize t
+
+let kind = function Ok () -> "ok" | Error wit -> Witness.short wit
+
+let test_quiet_key_fresh () =
+  check Alcotest.string "fresh reads and a new write" "ok"
+    (kind
+       (quiet_then 30.0
+          [
+            r ~id:3 ~inv:11.0 ~resp:(Some 12.0) ~result:(Some 2) ();
+            w ~id:4 ~v:3 ~inv:13.0 ~resp:(Some 14.0) ();
+            r ~id:5 ~proc:1 ~inv:15.0 ~resp:(Some 16.0) ~result:(Some 3) ();
+          ]))
+
+let test_quiet_key_stale () =
+  (* Value 1 retired behind the watermark: flagged when the read settles. *)
+  check Alcotest.string "stale read of a retired value"
+    "stale-or-unwritten-read"
+    (kind
+       (quiet_then 30.0 [ r ~id:3 ~inv:11.0 ~resp:(Some 12.0) ~result:(Some 1) () ]));
+  (* Value 2 is resident; a newer write settled before the read. *)
+  check Alcotest.string "stale read of the resident value" "stale-read"
+    (kind
+       (quiet_then 30.0
+          [
+            w ~id:3 ~v:3 ~inv:11.0 ~resp:(Some 12.0) ();
+            r ~id:4 ~inv:13.0 ~resp:(Some 14.0) ~result:(Some 2) ();
+          ]))
+
+let test_quiet_key_unwritten () =
+  check Alcotest.string "unwritten read after quiet"
+    "stale-or-unwritten-read"
+    (kind (quiet_then 30.0 [ r ~id:3 ~inv:11.0 ~resp:(Some 12.0) ~result:(Some 99) () ]));
+  (* Not flagged while the read's response is ahead of the watermark. *)
+  check Alcotest.string "parked until the watermark passes it" "ok"
+    (let t = Online.create () in
+     Online.feed t (w ~id:0 ~v:1 ~inv:0.0 ~resp:(Some 1.0) ());
+     Online.advance t ~watermark:10.0;
+     Online.feed t (r ~id:1 ~inv:11.0 ~resp:(Some 12.0) ~result:(Some 99) ());
+     Online.advance t ~watermark:11.5;
+     kind (Online.verdict t))
+
+let test_quiet_key_retired_conflict () =
+  (* Value 1's cluster (w0, late read r1) retires behind write 2; a
+     later read of the concurrent write 3 closes a 2-cycle with it,
+     found through [retired_b]. *)
+  let t = Online.create () in
+  Online.feed t (w ~id:0 ~v:1 ~inv:0.0 ~resp:(Some 1.0) ());
+  Online.feed t (w ~id:3 ~proc:2 ~v:3 ~inv:0.5 ~resp:(Some 5.0) ());
+  Online.feed t (r ~id:1 ~inv:6.0 ~resp:(Some 7.0) ~result:(Some 1) ());
+  Online.feed t (w ~id:2 ~proc:1 ~v:2 ~inv:2.0 ~resp:(Some 6.5) ());
+  Online.advance t ~watermark:6.8;
+  check bool "clean so far" true (Online.verdict t = Ok ());
+  Online.feed t (r ~id:4 ~inv:7.0 ~resp:(Some 8.0) ~result:(Some 3) ());
+  check Alcotest.string "retired conflict" "retired-ordering-cycle"
+    (kind (Online.finalize t))
+
+let test_keyed_window_bounded_by_flight () =
+  (* 10 000 keys touched once each: collapsed keys count in [keys], not
+     in the window. *)
+  let t = Online.Keyed.create () in
+  for i = 0 to 9_999 do
+    let inv = float_of_int (2 * i) in
+    let op =
+      if i mod 2 = 0 then w ~id:i ~v:(i + 1) ~inv ~resp:(Some (inv +. 1.0)) ()
+      else r ~id:i ~inv ~resp:(Some (inv +. 1.0)) ~result:(Some History.initial_value) ()
+    in
+    Online.Keyed.feed t ~key:(string_of_int i) op;
+    Online.Keyed.advance t ~watermark:(inv +. 2.0)
+  done;
+  check Alcotest.int "keys" 10_000 (Online.Keyed.keys t);
+  check bool
+    (Printf.sprintf "peak window %d" (Online.Keyed.peak_resident t))
+    true
+    (Online.Keyed.peak_resident t <= 8);
+  check bool "all atomic" true
+    (List.for_all (fun (_, v) -> v = Ok ()) (Online.Keyed.finalize t))
+
 let test_keyed_isolated_verdicts () =
   let fired = ref [] in
   let t =
@@ -377,7 +502,7 @@ let test_recorder_hook_feeds_online () =
 
 let () =
   let qsuite = List.map QCheck_alcotest.to_alcotest
-      [ equiv_no_gc; equiv_gc; witness_kinds_no_gc ]
+      [ equiv_no_gc; equiv_gc; witness_kinds_no_gc; three_way ]
   in
   Alcotest.run "online"
     [
@@ -399,6 +524,16 @@ let () =
             test_keyed_isolated_verdicts;
           Alcotest.test_case "recorder hook" `Quick
             test_recorder_hook_feeds_online;
+        ] );
+      ( "quiet-key",
+        [
+          Alcotest.test_case "fresh return" `Quick test_quiet_key_fresh;
+          Alcotest.test_case "stale return" `Quick test_quiet_key_stale;
+          Alcotest.test_case "unwritten return" `Quick test_quiet_key_unwritten;
+          Alcotest.test_case "retired conflict" `Quick
+            test_quiet_key_retired_conflict;
+          Alcotest.test_case "10k keys, window by flight" `Quick
+            test_keyed_window_bounded_by_flight;
         ] );
       ("equivalence", qsuite);
     ]

@@ -1,10 +1,9 @@
 (* Tests for the work-sharing domain pool and for the determinism of
    everything threaded through it: Pool.map against List.map, Table-1
    shaped sweeps sequential vs parallel, hunter and exhaustive-sweep
-   parity, exception propagation, and a qcheck property that the
-   sorted-suffix saturate optimisation in Checker.Atomicity leaves
-   verdicts and obligation edges unchanged against an all-pairs
-   reference implementation. *)
+   parity, exception propagation, and qcheck properties that the zone
+   check in Checker.Atomicity gives the verdict and the witness kind of
+   an all-pairs saturation reference implementation. *)
 
 open Workload
 module Pool = Parallel.Pool
@@ -157,7 +156,7 @@ let test_exhaustive_parity () =
     [ 3_000; 100_000 ]
 
 (* ------------------------------------------------------------------ *)
-(* The saturate optimisation: qcheck against an all-pairs reference     *)
+(* The zone checker: qcheck against an all-pairs saturation reference  *)
 (* ------------------------------------------------------------------ *)
 
 (* Random well-formed histories: per-process sequential intervals with
@@ -207,9 +206,11 @@ let build_history seed =
   done;
   History.of_ops !ops
 
-(* Reference implementation: the pre-optimisation checker with all-pairs
-   [Op.precedes] scans building the same obligation graph. *)
-let reference ~edges_only h =
+(* Reference implementation: the all-pairs saturation checker, building
+   the E1-E4 obligation graph with [Op.precedes] scans.  Returns the
+   witness kind it would report: an unwritten read first, then the first
+   future or stale read (history order), then an ordering cycle. *)
+let reference h =
   let initial =
     Op.write ~id:(-1) ~proc:(Op.Writer (-1)) ~value:History.initial_value
       ~inv:neg_infinity ~resp:(Some neg_infinity)
@@ -239,98 +240,90 @@ let reference ~edges_only h =
       (Some []) (History.reads h)
   in
   match reads_or_err with
-  | None -> if edges_only then Some [] else None
+  | None -> "unwritten-value"
   | Some reads ->
     let reads = Array.of_list (List.rev reads) in
-    let adj = Array.make_matrix n n false in
-    for i = 0 to n - 1 do
-      for j = 0 to n - 1 do
-        if i <> j && Op.precedes writes.(i) writes.(j) then adj.(i).(j) <- true
-      done
-    done;
-    Array.iter
-      (fun (r, wi) ->
+    let local =
+      Array.fold_left
+        (fun acc (r, wi) ->
+          if acc <> "ok" then acc
+          else if Op.precedes r writes.(wi) then "future-read"
+          else if
+            Array.exists
+              (fun w' ->
+                w'.Op.id <> writes.(wi).Op.id
+                && Op.precedes writes.(wi) w'
+                && Op.precedes w' r)
+              writes
+          then "stale-read"
+          else "ok")
+        "ok" reads
+    in
+    if local <> "ok" then local
+    else begin
+      let adj = Array.make_matrix n n false in
+      for i = 0 to n - 1 do
         for j = 0 to n - 1 do
-          if j <> wi then begin
-            if Op.precedes writes.(j) r then adj.(j).(wi) <- true;
-            if Op.precedes r writes.(j) then adj.(wi).(j) <- true
-          end
-        done)
-      reads;
-    let nr = Array.length reads in
-    for a = 0 to nr - 1 do
-      for b = 0 to nr - 1 do
-        if a <> b then begin
-          let r1, w1 = reads.(a) and r2, w2 = reads.(b) in
-          if w1 <> w2 && Op.precedes r1 r2 then adj.(w1).(w2) <- true
-        end
-      done
-    done;
-    if edges_only then begin
-      let acc = ref [] in
-      for i = n - 1 downto 1 do
-        for j = n - 1 downto 1 do
-          if adj.(i).(j) then
-            acc := (writes.(i).Op.id, writes.(j).Op.id) :: !acc
+          if i <> j && Op.precedes writes.(i) writes.(j) then adj.(i).(j) <- true
         done
       done;
-      Some !acc
-    end
-    else begin
-      (* local conditions, as in the checker *)
-      let locally_bad = ref false in
       Array.iter
         (fun (r, wi) ->
-          if Op.precedes r writes.(wi) then locally_bad := true;
           for j = 0 to n - 1 do
-            if
-              j <> wi
-              && Op.precedes writes.(wi) writes.(j)
-              && Op.precedes writes.(j) r
-            then locally_bad := true
+            if j <> wi then begin
+              if Op.precedes writes.(j) r then adj.(j).(wi) <- true;
+              if Op.precedes r writes.(j) then adj.(wi).(j) <- true
+            end
           done)
         reads;
-      if !locally_bad then None
-      else begin
-        (* cycle detection *)
-        let color = Array.make n 0 in
-        let cyclic = ref false in
-        let rec visit u =
-          color.(u) <- 1;
-          for v = 0 to n - 1 do
-            if adj.(u).(v) then
-              if color.(v) = 1 then cyclic := true
-              else if color.(v) = 0 then visit v
-          done;
-          color.(u) <- 2
-        in
-        for u = 0 to n - 1 do
-          if color.(u) = 0 then visit u
+      let nr = Array.length reads in
+      for a = 0 to nr - 1 do
+        for b = 0 to nr - 1 do
+          if a <> b then begin
+            let r1, w1 = reads.(a) and r2, w2 = reads.(b) in
+            if w1 <> w2 && Op.precedes r1 r2 then adj.(w1).(w2) <- true
+          end
+        done
+      done;
+      let color = Array.make n 0 in
+      let cyclic = ref false in
+      let rec visit u =
+        color.(u) <- 1;
+        for v = 0 to n - 1 do
+          if adj.(u).(v) then
+            if color.(v) = 1 then cyclic := true
+            else if color.(v) = 0 then visit v
         done;
-        if !cyclic then None else Some []
-      end
+        color.(u) <- 2
+      in
+      for u = 0 to n - 1 do
+        if color.(u) = 0 then visit u
+      done;
+      if !cyclic then "ordering-cycle" else "ok"
     end
 
-let reference_is_atomic h = reference ~edges_only:false h <> None
-
-let reference_edges h =
-  match reference ~edges_only:true h with Some e -> e | None -> []
+let seed_arb = QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000)
 
 let saturate_property =
   QCheck.Test.make ~count:300 ~name:"saturate optimisation preserves verdicts"
-    (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
+    seed_arb
     (fun seed ->
       let h = build_history seed in
       QCheck.assume (History.well_formed h = Ok ());
-      let fast = Checker.Atomicity.is_atomic h in
-      let slow = reference_is_atomic h in
-      let fast_edges =
-        Checker.Atomicity.obligation_edges h
-        |> List.map (fun ((a : Op.t), (b : Op.t)) -> (a.Op.id, b.Op.id))
-        |> List.sort compare
+      Checker.Atomicity.is_atomic h = (reference h = "ok"))
+
+let witness_kind_property =
+  QCheck.Test.make ~count:2000 ~name:"zone checker reports the reference witness kind"
+    seed_arb
+    (fun seed ->
+      let h = build_history seed in
+      QCheck.assume (History.well_formed h = Ok ());
+      let kind =
+        match Checker.Atomicity.check h with
+        | Ok () -> "ok"
+        | Error w -> Checker.Witness.short w
       in
-      let slow_edges = List.sort compare (reference_edges h) in
-      fast = slow && fast_edges = slow_edges)
+      kind = reference h)
 
 (* ------------------------------------------------------------------ *)
 
@@ -351,5 +344,8 @@ let () =
           Alcotest.test_case "exhaustive parity" `Slow test_exhaustive_parity;
         ] );
       ( "checker",
-        [ QCheck_alcotest.to_alcotest saturate_property ] );
+        [
+          QCheck_alcotest.to_alcotest saturate_property;
+          QCheck_alcotest.to_alcotest witness_kind_property;
+        ] );
     ]
