@@ -692,571 +692,45 @@ let exhaustive () =
      exactly the writer-inverted ones, with a minimal counterexample.\n"
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                            *)
+(* BENCH_results.json and the live experiments' budgets                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Machine-readable results so later PRs have a perf trajectory to
-   compare against: bechamel estimates plus the T1 sweep wall-clock
-   (from [micro]) and the live-TCP throughput/latency table (from
-   [live]).  Each experiment deposits its section here; the file is
-   written once, after all requested experiments ran, so `-- micro live`
-   produces one combined document. *)
+(* Machine-readable results: the experiments add their rows to the
+   tables declared in results.ml, and the document is written once,
+   after all requested experiments ran, so `-- micro live` produces one
+   combined document. *)
 let bench_results_path = "BENCH_results.json"
-
-type micro_section = {
-  estimates : (string * float) list;
-  seq_s : float;
-  par_s : float;
-  speedup : float; (* median of paired per-round ratios, not seq_s/par_s *)
-  domains : int;
-  runs : int;
-  broken : int;
-}
 
 (* Writes and reads per client in the live experiments; --live-ops N
    scales it down so CI smoke runs finish in seconds. *)
 let live_ops = ref 20
 
-type scaling_row = {
-  sc_name : string;
-  sc_clients : int; (* total clients = sc_w + sc_r *)
-  sc_regime : string; (* "steady" (amortised) or "short" (setup-bound) *)
-  sc_w : int;
-  sc_r : int;
-  sc_ops : int;
-  sc_duration : float;
-  sc_write_p50_ms : float;
-  sc_read_p50_ms : float;
-}
-
-let scaling_rows : scaling_row list ref = ref []
-
-type live_row = {
-  l_name : string;
-  l_point : string;
-  l_s : int;
-  l_t : int;
-  l_w : int;
-  l_r : int;
-  l_ops : int;
-  l_duration : float;
-  l_write_rounds : float;
-  l_read_rounds : float;
-  l_writes : Stats.summary;
-  l_reads : Stats.summary;
-  l_atomic : bool;
-}
-
-type chaos_soak_row = {
-  ch_name : string;
-  ch_seed : int;
-  ch_drop : float;
-  ch_delay : float;
-  ch_duplicate : float;
-  ch_restarted : bool;
-  ch_ops : int;
-  ch_duration : float;
-  ch_write_rounds : float;
-  ch_read_rounds : float;
-  ch_retries : int;
-  ch_late : int;
-  ch_unavailable : int;
-  ch_atomic : bool;
-  ch_expected : bool; (* Bounds.possible at the soak's (s,t,w,r) *)
-}
-
-type chaos_restart_row = {
-  cr_mode : string; (* "recover" or "fresh" *)
-  cr_atomic : bool;
-  cr_witness : string option;
-  cr_read_value : int option;
-}
-
 (* Base seed for the chaos soak; each row derives its own seed from it
    so the whole sweep replays from one number (--chaos-seed N). *)
 let chaos_seed = ref 0
 
-let chaos_soak_rows : chaos_soak_row list ref = ref []
-let chaos_restart_rows : chaos_restart_row list ref = ref []
-
-type kv_row = {
-  kv_regime : string; (* "closed" (saturated) or "scaleout" (think time) *)
-  kv_think : float;
-  kv_groups : int;
-  kv_clients : int;
-  kv_keys : int;
-  kv_dist : string; (* "zipfian" or "uniform" *)
-  kv_mix : string; (* "A" | "B" | "C" *)
-  kv_ops : int;
-  kv_duration : float;
-  kv_all : Stats.summary;
-  kv_read : Stats.summary;
-  kv_write : Stats.summary;
-  kv_sampled : int;
-  kv_atomic : bool; (* every sampled key's verdict *)
-  kv_starved : int;
-  kv_late : int;
-  kv_retries : int;
-  kv_dropped : int;
-  kv_group_ops : int array;
-  kv_keys_touched : int;
-}
-
-let kv_rows : kv_row list ref = ref []
-
 (* Completed operations the soak experiment pushes through the
    streaming checker; --soak-ops N scales it down for CI smoke. *)
 let soak_ops = ref 1_000_000
-
-type soak_row = {
-  sk_plane : string; (* "kv" or "session" *)
-  sk_label : string;
-  sk_ops : int; (* completed client operations *)
-  sk_duration : float;
-  sk_throughput : float; (* ops/s with the live checker attached *)
-  sk_throughput_nocheck : float; (* same workload, checking off *)
-  sk_checked : int; (* operations fed through the checker *)
-  sk_keys : int;
-  sk_peak_window : int; (* checker's peak resident operations *)
-  sk_checker_ops_per_sec : float;
-  sk_batches : int;
-  sk_violations : int;
-  sk_atomic : bool;
-  sk_expected_atomic : bool;
-}
-
-let soak_rows : soak_row list ref = ref []
-
-type geo_row = {
-  g_profile : string;
-  g_name : string;
-  g_point : string;
-  g_s : int;
-  g_t : int;
-  g_w : int;
-  g_r : int;
-  g_ops : int;
-  g_duration : float;
-  g_write_rounds : float;
-  g_read_rounds : float;
-  g_writes : Stats.summary;
-  g_reads : Stats.summary;
-  g_atomic : bool;
-}
-
-type geo_outage_row = {
-  go_profile : string;
-  go_name : string;
-  go_region : string; (* the region partitioned away *)
-  go_window_s : float;
-  go_ops : int;
-  go_duration : float;
-  go_retries : int;
-  go_unavailable : int;
-  go_atomic : bool;
-  go_check : string; (* "live": the streaming checker's verdict *)
-}
-
-let geo_rows : geo_row list ref = ref []
-let geo_outage_rows : geo_outage_row list ref = ref []
-
-let micro_section : micro_section option ref = ref None
-
-let live_rows : live_row list ref = ref []
-
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-(* BENCH_results.json grows section by section: a run that exercises
-   only some experiments (say [-- geo]) must not clobber the committed
-   sections of the others.  The document is this generator's own output
-   — every top-level key sits at two-space indentation, one line per
-   key start — so a line scanner is enough to split an existing file
-   into (key, raw text) chunks that re-emit verbatim when this run did
-   not regenerate them. *)
-let read_existing_sections path =
-  if not (Sys.file_exists path) then []
-  else begin
-    let ic = open_in path in
-    let lines = ref [] in
-    (try
-       while true do
-         lines := input_line ic :: !lines
-       done
-     with End_of_file -> ());
-    close_in ic;
-    let toplevel_key line =
-      if String.length line > 3 && String.sub line 0 3 = "  \"" then
-        Option.map
-          (fun j -> String.sub line 3 (j - 3))
-          (String.index_from_opt line 3 '"')
-      else None
-    in
-    let strip_comma text =
-      let n = String.length text in
-      if n > 0 && text.[n - 1] = ',' then String.sub text 0 (n - 1) else text
-    in
-    let flush key acc sections =
-      match key with
-      | None -> sections
-      | Some k -> (k, strip_comma (String.concat "\n" (List.rev acc))) :: sections
-    in
-    let rec go key acc sections = function
-      | [] -> List.rev (flush key acc sections)
-      | line :: rest -> (
-        (* Bare braces at column 0 only occur as the document's opener
-           and closer; nested ones are indented. *)
-        if line = "{" || line = "}" then go key acc sections rest
-        else
-          match toplevel_key line with
-          | Some k -> go (Some k) [ line ] (flush key acc sections) rest
-          | None ->
-            if key = None then go None [] sections rest
-            else go key (line :: acc) sections rest)
-    in
-    go None [] [] (List.rev !lines)
-  end
-
-(* Keys whose values are a single header line, regenerated on every
-   write rather than preserved. *)
-let header_keys = [ "generated_by"; "recommended_domain_count" ]
-
-let section_order =
-  [
-    "wall_clock"; "micro_ns_per_run"; "live"; "live_scaling"; "kv_scaling";
-    "geo"; "soak"; "chaos";
-  ]
-
-let write_bench_results () =
-  let fresh = ref [] in
-  let buf = Buffer.create 4096 in
-  let out fmt = Printf.bprintf buf fmt in
-  let take key =
-    if Buffer.length buf > 0 then begin
-      fresh := (key, Buffer.contents buf) :: !fresh;
-      Buffer.clear buf
-    end
-  in
-  begin
-    (match !micro_section with
-    | None -> ()
-    | Some m ->
-      out "  \"wall_clock\": [\n";
-      out "    {\n";
-      out "      \"experiment\": \"t1-measurement-sweep\",\n";
-      out "      \"runs\": %d,\n" m.runs;
-      out "      \"violations\": %d,\n" m.broken;
-      out "      \"sequential_s\": %.6f,\n" m.seq_s;
-      out "      \"parallel_s\": %.6f,\n" m.par_s;
-      out "      \"domains\": %d,\n" m.domains;
-      (* Two decimals: the contenders alternate on a settled heap and
-         the ratio is the median of paired rounds, so differences below
-         the last reported digit are timer noise, not parallelism (on a
-         clamped single-domain pool the honest value is exactly 1.0). *)
-      out "      \"speedup\": %.2f\n" m.speedup;
-      out "    }\n";
-      out "  ]";
-      take "wall_clock";
-      out "  \"micro_ns_per_run\": {\n";
-      let n = List.length m.estimates in
-      List.iteri
-        (fun i (name, estimate) ->
-          out "    \"%s\": %.2f%s\n" (json_escape name) estimate
-            (if i = n - 1 then "" else ","))
-        m.estimates;
-      out "  }";
-      take "micro_ns_per_run");
-    (match List.rev !live_rows with
-    | [] -> ()
-    | rows ->
-      let ms_obj (st : Stats.summary) =
-        Printf.sprintf
-          "{ \"mean\": %.4f, \"p50\": %.4f, \"p95\": %.4f, \"p99\": %.4f }"
-          (1e3 *. st.Stats.mean) (1e3 *. st.Stats.p50) (1e3 *. st.Stats.p95)
-          (1e3 *. st.Stats.p99)
-      in
-      out "  \"live\": [\n";
-      let n = List.length rows in
-      List.iteri
-        (fun i r ->
-          out "    {\n";
-          out "      \"protocol\": \"%s\",\n" (json_escape r.l_name);
-          out "      \"design_point\": \"%s\",\n" (json_escape r.l_point);
-          out "      \"s\": %d, \"t\": %d, \"writers\": %d, \"readers\": %d,\n"
-            r.l_s r.l_t r.l_w r.l_r;
-          out "      \"ops\": %d,\n" r.l_ops;
-          out "      \"duration_s\": %.6f,\n" r.l_duration;
-          out "      \"throughput_ops_per_s\": %.1f,\n"
-            (float_of_int r.l_ops /. r.l_duration);
-          out "      \"write_rounds_per_op\": %.2f,\n" r.l_write_rounds;
-          out "      \"read_rounds_per_op\": %.2f,\n" r.l_read_rounds;
-          out "      \"write_ms\": %s,\n" (ms_obj r.l_writes);
-          out "      \"read_ms\": %s,\n" (ms_obj r.l_reads);
-          out "      \"atomic\": %b\n" r.l_atomic;
-          out "    }%s\n" (if i = n - 1 then "" else ","))
-        rows;
-      out "  ]";
-      take "live");
-    (match List.rev !scaling_rows with
-    | [] -> ()
-    | rows ->
-      out "  \"live_scaling\": [\n";
-      let n = List.length rows in
-      List.iteri
-        (fun i r ->
-          out "    {\n";
-          out "      \"protocol\": \"%s\",\n" (json_escape r.sc_name);
-          out "      \"path\": \"mux\",\n";
-          out "      \"server\": \"reactor\",\n";
-          out "      \"clients\": %d,\n" r.sc_clients;
-          out "      \"regime\": \"%s\",\n" r.sc_regime;
-          out "      \"writers\": %d, \"readers\": %d,\n" r.sc_w r.sc_r;
-          out "      \"ops\": %d,\n" r.sc_ops;
-          out "      \"duration_s\": %.6f,\n" r.sc_duration;
-          out "      \"throughput_ops_per_s\": %.1f,\n"
-            (float_of_int r.sc_ops /. r.sc_duration);
-          out "      \"write_p50_ms\": %.4f,\n" r.sc_write_p50_ms;
-          out "      \"read_p50_ms\": %.4f\n" r.sc_read_p50_ms;
-          out "    }%s\n" (if i = n - 1 then "" else ","))
-        rows;
-      out "  ]";
-      take "live_scaling");
-    (match List.rev !kv_rows with
-    | [] -> ()
-    | rows ->
-      let ms_obj (st : Stats.summary) =
-        Printf.sprintf
-          "{ \"mean\": %.4f, \"p50\": %.4f, \"p95\": %.4f, \"p99\": %.4f }"
-          (1e3 *. st.Stats.mean) (1e3 *. st.Stats.p50) (1e3 *. st.Stats.p95)
-          (1e3 *. st.Stats.p99)
-      in
-      out "  \"kv_scaling\": [\n";
-      let n = List.length rows in
-      List.iteri
-        (fun i r ->
-          out "    {\n";
-          out "      \"plane\": \"mux\",\n";
-          out "      \"regime\": \"%s\",\n" r.kv_regime;
-          out "      \"think_s\": %.3f,\n" r.kv_think;
-          out "      \"groups\": %d,\n" r.kv_groups;
-          out "      \"clients\": %d,\n" r.kv_clients;
-          out "      \"keys\": %d,\n" r.kv_keys;
-          out "      \"dist\": \"%s\",\n" r.kv_dist;
-          out "      \"mix\": \"%s\",\n" r.kv_mix;
-          out "      \"ops\": %d,\n" r.kv_ops;
-          out "      \"duration_s\": %.6f,\n" r.kv_duration;
-          out "      \"throughput_ops_per_s\": %.1f,\n"
-            (float_of_int r.kv_ops /. r.kv_duration);
-          out "      \"latency_ms\": %s,\n" (ms_obj r.kv_all);
-          out "      \"read_ms\": %s,\n" (ms_obj r.kv_read);
-          out "      \"write_ms\": %s,\n" (ms_obj r.kv_write);
-          out "      \"sampled_keys\": %d,\n" r.kv_sampled;
-          out "      \"atomic\": %b,\n" r.kv_atomic;
-          out "      \"starved\": %d,\n" r.kv_starved;
-          out "      \"late\": %d,\n" r.kv_late;
-          out "      \"retries\": %d,\n" r.kv_retries;
-          out "      \"dropped_replies\": %d,\n" r.kv_dropped;
-          out "      \"keys_touched\": %d,\n" r.kv_keys_touched;
-          out "      \"group_ops\": [%s]\n"
-            (String.concat ", "
-               (Array.to_list (Array.map string_of_int r.kv_group_ops)));
-          out "    }%s\n" (if i = n - 1 then "" else ","))
-        rows;
-      out "  ]";
-      take "kv_scaling");
-    (match (List.rev !geo_rows, List.rev !geo_outage_rows) with
-    | [], [] -> ()
-    | rows, outage ->
-      let ms_obj (st : Stats.summary) =
-        Printf.sprintf
-          "{ \"mean\": %.4f, \"p50\": %.4f, \"p95\": %.4f, \"p99\": %.4f }"
-          (1e3 *. st.Stats.mean) (1e3 *. st.Stats.p50) (1e3 *. st.Stats.p95)
-          (1e3 *. st.Stats.p99)
-      in
-      out "  \"geo\": {\n";
-      out "    \"rows\": [\n";
-      let n = List.length rows in
-      List.iteri
-        (fun i r ->
-          out "      {\n";
-          out "        \"profile\": \"%s\",\n" (json_escape r.g_profile);
-          out "        \"protocol\": \"%s\",\n" (json_escape r.g_name);
-          out "        \"design_point\": \"%s\",\n" (json_escape r.g_point);
-          out "        \"transport\": \"mux\",\n";
-          out "        \"s\": %d, \"t\": %d, \"writers\": %d, \"readers\": %d,\n"
-            r.g_s r.g_t r.g_w r.g_r;
-          out "        \"ops\": %d,\n" r.g_ops;
-          out "        \"duration_s\": %.6f,\n" r.g_duration;
-          out "        \"throughput_ops_per_s\": %.1f,\n"
-            (float_of_int r.g_ops /. r.g_duration);
-          out "        \"write_rounds_per_op\": %.2f,\n" r.g_write_rounds;
-          out "        \"read_rounds_per_op\": %.2f,\n" r.g_read_rounds;
-          out "        \"write_ms\": %s,\n" (ms_obj r.g_writes);
-          out "        \"read_ms\": %s,\n" (ms_obj r.g_reads);
-          out "        \"atomic\": %b\n" r.g_atomic;
-          out "      }%s\n" (if i = n - 1 then "" else ","))
-        rows;
-      out "    ],\n";
-      out "    \"outage\": [\n";
-      let n = List.length outage in
-      List.iteri
-        (fun i r ->
-          out "      {\n";
-          out "        \"profile\": \"%s\",\n" (json_escape r.go_profile);
-          out "        \"protocol\": \"%s\",\n" (json_escape r.go_name);
-          out "        \"transport\": \"mux\",\n";
-          out "        \"region\": \"%s\",\n" (json_escape r.go_region);
-          out "        \"window_s\": %.3f,\n" r.go_window_s;
-          out "        \"ops\": %d,\n" r.go_ops;
-          out "        \"duration_s\": %.6f,\n" r.go_duration;
-          out "        \"retries\": %d,\n" r.go_retries;
-          out "        \"unavailable\": %d,\n" r.go_unavailable;
-          out "        \"check\": \"%s\",\n" r.go_check;
-          out "        \"atomic\": %b\n" r.go_atomic;
-          out "      }%s\n" (if i = n - 1 then "" else ","))
-        outage;
-      out "    ]\n";
-      out "  }";
-      take "geo");
-    (match List.rev !soak_rows with
-    | [] -> ()
-    | rows ->
-      out "  \"soak\": [\n";
-      let n = List.length rows in
-      List.iteri
-        (fun i r ->
-          out "    {\n";
-          out "      \"plane\": \"%s\",\n" r.sk_plane;
-          out "      \"label\": \"%s\",\n" (json_escape r.sk_label);
-          out "      \"ops\": %d,\n" r.sk_ops;
-          out "      \"duration_s\": %.6f,\n" r.sk_duration;
-          out "      \"throughput_ops_per_s\": %.1f,\n" r.sk_throughput;
-          out "      \"throughput_nocheck_ops_per_s\": %.1f,\n"
-            r.sk_throughput_nocheck;
-          out "      \"checked\": %d,\n" r.sk_checked;
-          out "      \"keys\": %d,\n" r.sk_keys;
-          out "      \"peak_window\": %d,\n" r.sk_peak_window;
-          out "      \"checker_ops_per_s\": %.1f,\n" r.sk_checker_ops_per_sec;
-          out "      \"batches\": %d,\n" r.sk_batches;
-          out "      \"violations\": %d,\n" r.sk_violations;
-          out "      \"atomic\": %b,\n" r.sk_atomic;
-          out "      \"expected_atomic\": %b\n" r.sk_expected_atomic;
-          out "    }%s\n" (if i = n - 1 then "" else ","))
-        rows;
-      out "  ]";
-      take "soak");
-    (match (List.rev !chaos_soak_rows, List.rev !chaos_restart_rows) with
-    | [], [] -> ()
-    | soak, restart ->
-      out "  \"chaos\": {\n";
-      out "    \"base_seed\": %d,\n" !chaos_seed;
-      out "    \"soak\": [\n";
-      let n = List.length soak in
-      List.iteri
-        (fun i r ->
-          out "      {\n";
-          out "        \"protocol\": \"%s\",\n" (json_escape r.ch_name);
-          out "        \"transport\": \"mux\",\n";
-          out "        \"seed\": %d,\n" r.ch_seed;
-          out "        \"drop\": %.3f, \"delay_s\": %.3f, \"duplicate\": %.3f,\n"
-            r.ch_drop r.ch_delay r.ch_duplicate;
-          out "        \"restarted\": %b,\n" r.ch_restarted;
-          out "        \"ops\": %d,\n" r.ch_ops;
-          out "        \"duration_s\": %.6f,\n" r.ch_duration;
-          out "        \"write_rounds_per_op\": %.2f,\n" r.ch_write_rounds;
-          out "        \"read_rounds_per_op\": %.2f,\n" r.ch_read_rounds;
-          out "        \"retries\": %d,\n" r.ch_retries;
-          out "        \"late\": %d,\n" r.ch_late;
-          out "        \"unavailable\": %d,\n" r.ch_unavailable;
-          out "        \"atomic\": %b,\n" r.ch_atomic;
-          out "        \"expected_atomic\": %b\n" r.ch_expected;
-          out "      }%s\n" (if i = n - 1 then "" else ","))
-        soak;
-      out "    ],\n";
-      out "    \"restart\": [\n";
-      let n = List.length restart in
-      List.iteri
-        (fun i r ->
-          out "      {\n";
-          out "        \"mode\": \"%s\",\n" r.cr_mode;
-          out "        \"transport\": \"mux\",\n";
-          out "        \"atomic\": %b,\n" r.cr_atomic;
-          (match r.cr_read_value with
-          | Some v -> out "        \"read_value\": %d,\n" v
-          | None -> out "        \"read_value\": null,\n");
-          (match r.cr_witness with
-          | Some w -> out "        \"witness\": \"%s\"\n" (json_escape w)
-          | None -> out "        \"witness\": null\n");
-          out "      }%s\n" (if i = n - 1 then "" else ","))
-        restart;
-      out "    ]\n";
-      out "  }";
-      take "chaos")
-  end;
-  let fresh = List.rev !fresh in
-  if fresh <> [] then begin
-    let preserved =
-      List.filter
-        (fun (k, _) ->
-          (not (List.mem_assoc k fresh)) && not (List.mem k header_keys))
-        (read_existing_sections bench_results_path)
-    in
-    let rank k =
-      let rec idx i = function
-        | [] -> i
-        | x :: tl -> if x = k then i else idx (i + 1) tl
-      in
-      idx 0 section_order
-    in
-    let merged =
-      List.stable_sort
-        (fun (a, _) (b, _) -> compare (rank a) (rank b))
-        (fresh @ preserved)
-    in
-    let oc = open_out bench_results_path in
-    Printf.fprintf oc "{\n";
-    Printf.fprintf oc
-      "  \"generated_by\": \"dune exec bench/main.exe -- micro live kv chaos \
-       geo\",\n";
-    Printf.fprintf oc "  \"recommended_domain_count\": %d"
-      (Domain.recommended_domain_count ());
-    List.iter (fun (_, text) -> Printf.fprintf oc ",\n%s" text) merged;
-    Printf.fprintf oc "\n}\n";
-    close_out oc;
-    Printf.printf "\nwrote %s (sections: %s)\n" bench_results_path
-      (String.concat ", " (List.map fst merged))
-  end
 
 (* ------------------------------------------------------------------ *)
 (* LV: the live TCP benchmark                                           *)
 (* ------------------------------------------------------------------ *)
 
 (* One single-register run (split roles, [ops] writes per writer and
-   2 x [ops] reads per reader) on a fresh one-group loopback cluster;
-   returns the driver's result and the register's history. *)
+   2 x [ops] reads per reader) on a fresh one-group loopback cluster. *)
 let run_register ?faults ?rt_timeout ?max_rt_retries ?live_check ~register ~s
     ~tol ~writers ~readers ops =
   let cluster = Kv.Kv_cluster.start ?faults ~groups:1 ~s ~tol () in
   Fun.protect
     ~finally:(fun () -> Kv.Kv_cluster.shutdown cluster)
     (fun () ->
-      let res =
+      let result =
         Kv.Kv_session.run ?faults ?rt_timeout ?max_rt_retries ?live_check
           ~register ~cluster
           (Kv.Kv_session.register_spec ~writers ~readers ops)
       in
-      (res, Kv.Kv_session.history res))
+      { Results.register; s; tol; writers; readers; result })
 
 let live_exp () =
   (* When this runs after the micro phase, bechamel's garbage is still
@@ -1276,9 +750,9 @@ let live_exp () =
   let ops = !live_ops in
   List.iter
     (fun (register, w, r) ->
-      let res, h =
-        run_register ~register ~s ~tol:t ~writers:w ~readers:r ops
-      in
+      let m = run_register ~register ~s ~tol:t ~writers:w ~readers:r ops in
+      let res = m.Results.result in
+      let h = Kv.Kv_session.history res in
       let n_ops = Histories.History.length h in
       let writes = Stats.writes h and reads = Stats.reads h in
       let atomic = Checker.Atomicity.is_atomic h in
@@ -1291,25 +765,7 @@ let live_exp () =
         (Printf.sprintf "%.2f/%.2f/%.2f" (1e3 *. reads.Stats.p50)
            (1e3 *. reads.Stats.p95) (1e3 *. reads.Stats.p99))
         atomic;
-      live_rows :=
-        {
-          l_name = name;
-          l_point =
-            Quorums.Bounds.design_point_to_string
-              (Registers.Registry.design_point register);
-          l_s = s;
-          l_t = t;
-          l_w = w;
-          l_r = r;
-          l_ops = n_ops;
-          l_duration = res.Kv.Kv_session.duration;
-          l_write_rounds = res.Kv.Kv_session.write_rounds;
-          l_read_rounds = res.Kv.Kv_session.read_rounds;
-          l_writes = writes;
-          l_reads = reads;
-          l_atomic = atomic;
-        }
-        :: !live_rows)
+      Results.add Results.live m)
     [
       (Registers.Registry.abd_swmr, 1, 2);
       (Registers.Registry.abd_mwmr, 2, 2);
@@ -1378,10 +834,12 @@ let live_exp () =
              timeout keeps scheduling delay from registering as loss
              and triggering retries. *)
           let rt_timeout = if c >= 128 then Some 5.0 else None in
-          let res, h =
+          let m =
             run_register ?rt_timeout ~register ~s ~tol:t ~writers:(c / 2)
               ~readers:(c / 2) row_ops
           in
+          let res = m.Results.result in
+          let h = Kv.Kv_session.history res in
           let n_ops = Histories.History.length h in
           let writes = Stats.writes h and reads = Stats.reads h in
           let name = Registers.Registry.name register in
@@ -1389,19 +847,7 @@ let live_exp () =
             n_ops
             (float_of_int n_ops /. res.Kv.Kv_session.duration)
             (1e3 *. writes.Stats.p50) (1e3 *. reads.Stats.p50);
-          scaling_rows :=
-            {
-              sc_name = name;
-              sc_clients = c;
-              sc_regime = regime;
-              sc_w = c / 2;
-              sc_r = c / 2;
-              sc_ops = n_ops;
-              sc_duration = res.Kv.Kv_session.duration;
-              sc_write_p50_ms = 1e3 *. writes.Stats.p50;
-              sc_read_p50_ms = 1e3 *. reads.Stats.p50;
-            }
-            :: !scaling_rows)
+          Results.add Results.live_scaling (regime, m))
         points)
     Registers.Registry.multi_writer;
   Printf.printf
@@ -1427,6 +873,7 @@ let chaos_exp () =
   row "%s\n" (String.make 86 '-');
   let ops = max 2 (!live_ops / 2) in
   let base = !chaos_seed in
+  Results.add Results.chaos_base_seed base;
   List.iteri
     (fun i register ->
       (* Same hygiene as the scaling sweep: no row inherits its
@@ -1442,25 +889,7 @@ let chaos_exp () =
         res.Kv.Kv_session.retries res.Kv.Kv_session.write_rounds
         res.Kv.Kv_session.read_rounds sk.Kv.Chaos.atomic
         sk.Kv.Chaos.expected_atomic;
-      chaos_soak_rows :=
-        {
-          ch_name = name;
-          ch_seed = seed;
-          ch_drop = sk.Kv.Chaos.drop;
-          ch_delay = sk.Kv.Chaos.delay;
-          ch_duplicate = sk.Kv.Chaos.duplicate;
-          ch_restarted = sk.Kv.Chaos.restarted;
-          ch_ops = n_ops;
-          ch_duration = res.Kv.Kv_session.duration;
-          ch_write_rounds = res.Kv.Kv_session.write_rounds;
-          ch_read_rounds = res.Kv.Kv_session.read_rounds;
-          ch_retries = res.Kv.Kv_session.retries;
-          ch_late = res.Kv.Kv_session.late;
-          ch_unavailable = res.Kv.Kv_session.starved;
-          ch_atomic = sk.Kv.Chaos.atomic;
-          ch_expected = sk.Kv.Chaos.expected_atomic;
-        }
-        :: !chaos_soak_rows)
+      Results.add Results.chaos_soak sk)
     Registers.Registry.multi_writer;
   (* The deterministic restart-fidelity script: both halves of the
      crash-stop argument. *)
@@ -1476,14 +905,7 @@ let chaos_exp () =
         (match o.Kv.Chaos.read_value with
         | Some v -> string_of_int v
         | None -> "-");
-      chaos_restart_rows :=
-        {
-          cr_mode = mode_name;
-          cr_atomic = o.Kv.Chaos.atomic;
-          cr_witness = o.Kv.Chaos.witness;
-          cr_read_value = o.Kv.Chaos.read_value;
-        }
-        :: !chaos_restart_rows)
+      Results.add Results.chaos_restart o)
     [ ("recover", `Recover); ("fresh", `Fresh) ];
   Printf.printf
     "\nShape check: recover-restarts behave as slow servers (atomic, as the\n\
@@ -1520,19 +942,19 @@ let kv_exp () =
       ~finally:(fun () -> Kv.Kv_cluster.shutdown cluster)
       (fun () ->
         let rt_timeout = if clients >= 128 then Some 5.0 else None in
-        let res =
-          Kv.Kv_session.run ?rt_timeout ~cluster
-            {
-              Kv.Kv_session.roles = Kv.Kv_session.Mixed clients;
-              ops_per_client = ops;
-              keys;
-              dist;
-              mix;
-              seed = 1000 + (17 * idx);
-              sample_keys = 4;
-              think;
-            }
+        let spec =
+          {
+            Kv.Kv_session.roles = Kv.Kv_session.Mixed clients;
+            ops_per_client = ops;
+            keys;
+            dist;
+            mix;
+            seed = 1000 + (17 * idx);
+            sample_keys = 4;
+            think;
+          }
         in
+        let res = Kv.Kv_session.run ?rt_timeout ~cluster spec in
         let atomic =
           List.for_all
             (fun v -> v.Kv.Kv_session.atomic)
@@ -1546,30 +968,7 @@ let kv_exp () =
           res.Kv.Kv_session.throughput (1e3 *. all.Stats.p50)
           (1e3 *. all.Stats.p95) (1e3 *. all.Stats.p99) atomic
           res.Kv.Kv_session.dropped;
-        kv_rows :=
-          {
-            kv_regime = regime;
-            kv_think = think;
-            kv_groups = groups;
-            kv_clients = clients;
-            kv_keys = keys;
-            kv_dist = Ycsb.dist_name dist;
-            kv_mix = Ycsb.mix_name mix;
-            kv_ops = res.Kv.Kv_session.ops;
-            kv_duration = res.Kv.Kv_session.duration;
-            kv_all = all;
-            kv_read = res.Kv.Kv_session.read_lat;
-            kv_write = res.Kv.Kv_session.write_lat;
-            kv_sampled = List.length res.Kv.Kv_session.verdicts;
-            kv_atomic = atomic;
-            kv_starved = res.Kv.Kv_session.starved;
-            kv_late = res.Kv.Kv_session.late;
-            kv_retries = res.Kv.Kv_session.retries;
-            kv_dropped = res.Kv.Kv_session.dropped;
-            kv_group_ops = res.Kv.Kv_session.group_ops;
-            kv_keys_touched = res.Kv.Kv_session.keys_touched;
-          }
-          :: !kv_rows)
+        Results.add Results.kv_scaling { regime; groups; spec; kv = res })
   in
   let idx = ref 0 in
   let zipf = Ycsb.Zipfian Ycsb.default_theta in
@@ -1577,19 +976,10 @@ let kv_exp () =
      client count runs first so a regression at C=256 is attributable
      (its rows land after the C=64 baseline). *)
   List.iter
-    (fun groups ->
-      List.iter
-        (fun clients ->
-          List.iter
-            (fun keys ->
-              List.iter
-                (fun dist ->
-                  incr idx;
-                  run_row !idx groups clients keys dist Ycsb.A)
-                [ zipf; Ycsb.Uniform ])
-            [ 1_000; 100_000 ])
-        [ 64; 256 ])
-    [ 1; 2; 4 ];
+    (fun (groups, clients, keys, dist) ->
+      incr idx;
+      run_row !idx groups clients keys dist Ycsb.A)
+    Results.kv_grid;
   (* Mix B (95% read) and C (read-only) at one mid-size point: the read
      fraction moves the latency profile, not the verdicts. *)
   List.iter
@@ -1639,33 +1029,19 @@ let soak_exp () =
     "label" "ops" "ops/s" "nocheck" "keys" "window" "check/s" "atomic"
     "violations";
   row "%s\n" (String.make 108 '-');
-  let emit ~plane ~label ~ops ~duration ~nocheck_tput ~expected
-      (r : Transport.Check_sink.report) =
-    let tput = if duration > 0.0 then float_of_int ops /. duration else 0.0 in
-    let atomic = Transport.Check_sink.atomic r in
-    row "%-9s %-22s %-9d %-10.0f %-10.0f %-7d %-8d %-10.0f %-7b %d\n" plane
-      label ops tput nocheck_tput r.Transport.Check_sink.keys
+  let emit (m : Results.soak_run) =
+    let r = m.Results.report in
+    let tput =
+      if m.Results.duration > 0.0 then float_of_int m.Results.ops /. m.Results.duration
+      else 0.0
+    in
+    row "%-9s %-22s %-9d %-10.0f %-10.0f %-7d %-8d %-10.0f %-7b %d\n"
+      m.Results.plane m.Results.label m.Results.ops tput
+      m.Results.nocheck_throughput r.Transport.Check_sink.keys
       r.Transport.Check_sink.peak_window
-      r.Transport.Check_sink.checker_ops_per_sec atomic
+      r.Transport.Check_sink.checker_ops_per_sec (Transport.Check_sink.atomic r)
       (List.length r.Transport.Check_sink.violations);
-    soak_rows :=
-      {
-        sk_plane = plane;
-        sk_label = label;
-        sk_ops = ops;
-        sk_duration = duration;
-        sk_throughput = tput;
-        sk_throughput_nocheck = nocheck_tput;
-        sk_checked = r.Transport.Check_sink.checked;
-        sk_keys = r.Transport.Check_sink.keys;
-        sk_peak_window = r.Transport.Check_sink.peak_window;
-        sk_checker_ops_per_sec = r.Transport.Check_sink.checker_ops_per_sec;
-        sk_batches = r.Transport.Check_sink.batches;
-        sk_violations = List.length r.Transport.Check_sink.violations;
-        sk_atomic = atomic;
-        sk_expected_atomic = expected;
-      }
-      :: !soak_rows
+    Results.add Results.soak m
   in
   (* KV: the million-op row.  sample_keys = 0 -- the batch path would
      hold (and then quadratically check) the hottest key's ~7% of the
@@ -1695,9 +1071,16 @@ let soak_exp () =
   let live = run_kv ~live_check:true in
   (match live.Kv.Kv_session.online with
   | Some r ->
-    emit ~plane:"kv" ~label:"mixA-zipfian-allkeys" ~ops:live.Kv.Kv_session.ops
-      ~duration:live.Kv.Kv_session.duration
-      ~nocheck_tput:base.Kv.Kv_session.throughput ~expected:true r
+    emit
+      {
+        plane = "kv";
+        label = "mixA-zipfian-allkeys";
+        ops = live.Kv.Kv_session.ops;
+        duration = live.Kv.Kv_session.duration;
+        nocheck_throughput = base.Kv.Kv_session.throughput;
+        expected_atomic = true;
+        report = r;
+      }
   | None -> ());
   (* Session: the chaos storm.  Fault delays bound this plane to tens
      of ops/s, so the row rides at soak_ops/10000 writes per writer
@@ -1720,11 +1103,17 @@ let soak_exp () =
     let ops = Histories.History.length (history live) in
     let base_ops = Histories.History.length (history base) in
     let base_d = base.Kv.Chaos.result.Kv.Kv_session.duration in
-    emit ~plane:"session" ~label:"chaos-storm" ~ops
-      ~duration:live.Kv.Chaos.result.Kv.Kv_session.duration
-      ~nocheck_tput:
-        (if base_d > 0.0 then float_of_int base_ops /. base_d else 0.0)
-      ~expected:live.Kv.Chaos.expected_atomic r
+    emit
+      {
+        plane = "session";
+        label = "chaos-storm";
+        ops;
+        duration = live.Kv.Chaos.result.Kv.Kv_session.duration;
+        nocheck_throughput =
+          (if base_d > 0.0 then float_of_int base_ops /. base_d else 0.0);
+        expected_atomic = live.Kv.Chaos.expected_atomic;
+        report = r;
+      }
   | None -> ());
   Printf.printf
     "\nShape check: the window column stays orders of magnitude below the\n\
@@ -1783,10 +1172,12 @@ let geo_exp () =
           let rt_timeout =
             Float.max 1.0 (8.0 *. Transport.Geo.max_rtt profile)
           in
-          let res, h =
+          let m =
             run_register ~faults ~rt_timeout ~register ~s ~tol:t ~writers:w
               ~readers:r ops
           in
+          let res = m.Results.result in
+          let h = Kv.Kv_session.history res in
           let n_ops = Histories.History.length h in
           let writes = Stats.writes h and reads = Stats.reads h in
           let atomic = Checker.Atomicity.is_atomic h in
@@ -1797,26 +1188,7 @@ let geo_exp () =
             (float_of_int n_ops /. res.Kv.Kv_session.duration)
             res.Kv.Kv_session.write_rounds res.Kv.Kv_session.read_rounds
             (1e3 *. writes.Stats.p50) (1e3 *. reads.Stats.p50) atomic;
-          geo_rows :=
-            {
-              g_profile = pname;
-              g_name = name;
-              g_point =
-                Quorums.Bounds.design_point_to_string
-                  (Registers.Registry.design_point register);
-              g_s = s;
-              g_t = t;
-              g_w = w;
-              g_r = r;
-              g_ops = n_ops;
-              g_duration = res.Kv.Kv_session.duration;
-              g_write_rounds = res.Kv.Kv_session.write_rounds;
-              g_read_rounds = res.Kv.Kv_session.read_rounds;
-              g_writes = writes;
-              g_reads = reads;
-              g_atomic = atomic;
-            }
-            :: !geo_rows)
+          Results.add Results.geo_rows (profile, m))
         Registers.Registry.all)
     geo_bench_profiles;
   (* The region-outage scenario: wan-3region with its smallest region
@@ -1858,34 +1230,19 @@ let geo_exp () =
         ]
   in
   let register = Registers.Registry.abd_mwmr in
-  let res, h =
+  let m =
     run_register ~faults ~rt_timeout:0.3 ~max_rt_retries:10 ~live_check:true
       ~register ~s ~tol:t ~writers:w ~readers:r ops
   in
+  let res = m.Results.result in
+  let h = Kv.Kv_session.history res in
   let n_ops = Histories.History.length h in
-  let live_ok =
-    match res.Kv.Kv_session.online with
-    | Some rep -> Transport.Check_sink.atomic rep
-    | None -> false
-  in
-  let atomic = live_ok && Checker.Atomicity.is_atomic h in
+  let atomic = Results.outage_atomic m in
   let name = Registers.Registry.name register in
   row "%-28s %-5d %-9d %-9d %-7s %b\n" name n_ops res.Kv.Kv_session.retries
     res.Kv.Kv_session.starved "live" atomic;
-  geo_outage_rows :=
-    {
-      go_profile = Transport.Geo.name profile;
-      go_name = name;
-      go_region = Transport.Geo.region_name profile out_region;
-      go_window_s = window_until -. window_from;
-      go_ops = n_ops;
-      go_duration = res.Kv.Kv_session.duration;
-      go_retries = res.Kv.Kv_session.retries;
-      go_unavailable = res.Kv.Kv_session.starved;
-      go_atomic = atomic;
-      go_check = "live";
-    }
-    :: !geo_outage_rows;
+  Results.add Results.geo_outage
+    ({ profile; region = out_region; window_s = window_until -. window_from }, m);
   Printf.printf
     "\nShape check: rounds/op are profile-invariant (the paper's cost\n\
      measure counts rounds, not milliseconds) while p50 latency scales\n\
@@ -2117,17 +1474,9 @@ let micro () =
   if (seq_runs, seq_broken) <> (par_runs, par_broken) then
     row "WARNING: parallel verdicts diverge from sequential (%d,%d vs %d,%d)\n"
       seq_runs seq_broken par_runs par_broken;
-  micro_section :=
-    Some
-      {
-        estimates = List.rev !estimates;
-        seq_s;
-        par_s;
-        speedup;
-        domains;
-        runs = seq_runs;
-        broken = seq_broken;
-      }
+  Results.add Results.micro_ns_per_run (List.rev !estimates);
+  Results.add Results.wall_clock
+    { runs = seq_runs; broken = seq_broken; seq_s; par_s; domains; speedup }
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                               *)
@@ -2167,19 +1516,19 @@ let run domains lo so seed requested =
      counts. *)
   Printf.eprintf "[domains %d]\n%!" domains;
   let requested =
-    match requested with [] -> List.map fst experiments | args -> args
+    match requested with [] -> List.map snd experiments | fs -> fs
   in
   Printf.printf
     "mwregister benchmark harness — reproducing Huang, Huang & Wei (PODC 2020)\n";
-  List.iter
-    (fun name ->
-      match List.assoc_opt name experiments with
-      | Some f -> f ()
-      | None ->
-        Printf.printf "unknown experiment %S; available: %s\n" name
-          (String.concat ", " (List.map fst experiments)))
-    requested;
-  write_bench_results ()
+  List.iter (fun f -> f ()) requested;
+  match Results.write bench_results_path with
+  | [] -> ()
+  | sections ->
+    Printf.printf "\nwrote %s (sections: %s)\n" bench_results_path
+      (String.concat ", " sections)
+  | exception Failure msg ->
+    prerr_endline msg;
+    exit 1
 
 let () =
   let open Cmdliner in
@@ -2213,7 +1562,7 @@ let () =
              ~doc:"Base seed of the chaos soak's fault plans.")
   in
   let requested =
-    Arg.(value & pos_all string []
+    Arg.(value & pos_all (enum experiments) []
          & info [] ~docv:"EXPERIMENT"
              ~doc:(Printf.sprintf "Experiments to run (default: all): %s."
                      (String.concat ", " (List.map fst experiments))))
