@@ -34,11 +34,15 @@ type conn = {
      (due, payload copy, truncated), sorted by deadline, guarded by
      [lock].  Senders park here and move on — a delay scoped to one
      (client, server) link must never stall another client's batch or
-     the rest of a fan-out.  Due entries are merged into the next flush
-     and swept by the ticker, which sleeps to exactly the earliest
-     deadline; there are no delayer threads, mirroring the server
-     reactor's timer list. *)
+     the rest of a fan-out.  Every flush merges the due entries into its
+     batch, and the ticker, which sleeps to exactly the earliest
+     deadline, becomes a quiet link's flusher: all frames due at one
+     wake-up leave in one write.  There are no delayer threads,
+     mirroring the server reactor's timer list. *)
   mutable delayed : (float * Bytes.t * bool) list;
+  (* A truncated delivery's prefix is in [out]: sever the link once the
+     batch carrying it is written.  Guarded by [lock]. *)
+  mutable tear : bool;
   mutable fd : Unix.file_descr option;
   mutable attempts : int; (* consecutive failed connects *)
   mutable next_attempt : float; (* wall-clock gate for the next connect *)
@@ -233,102 +237,116 @@ let try_connect t c =
           None)
     end
 
-(* Send [len] bytes on the shared connection.  The caller appends under
-   [c.lock]; if no flush is in progress it becomes the flusher and
-   drains the queue itself — uncontended, that is one inline [write]
-   with no thread handoff.  While a flush is running, other enqueuers
-   just append and return; the flusher's loop re-checks the queue after
-   every batch, so their bytes go out in the next combined write.  On a
-   write error the link is severed ([shutdown], not [close] — the demux
-   thread is the fd's sole closer) and the staged batch is dropped; the
-   round-trip retry loop re-broadcasts after reconnect.  Frames that
-   other clients appended to [c.out] while the failing write ran
-   unlocked are NOT part of that batch and stay queued: the next
-   flusher sends them once the link is back. *)
-let enqueue t c bytes len =
-  Mutex.lock c.lock;
-  match try_connect t c with
-  | exception e ->
-    (* [try_connect] contains its own failures; this is pure defence —
-       a leaked [c.lock] would deadlock every later rider and
-       [shutdown] itself. *)
-    Mutex.unlock c.lock;
-    raise e
-  | None ->
-    Mutex.unlock c.lock;
-    false
-  | Some _ ->
-    Buffer.add_subbytes c.out bytes 0 len;
-    if c.flushing then begin
-      (* A flusher is active: it will carry these bytes.  No syscall,
-         no signal, no context switch on this path. *)
-      Mutex.unlock c.lock;
-      true
-    end
-    else begin
-      c.flushing <- true;
-      let ok = ref true in
-      while !ok && Buffer.length c.out > 0 do
-        (* Merge staged deliveries that have come due into this batch —
-           the flush-time half of the delay drain (the ticker sweeps
-           quiet links).  Truncated entries stay for the ticker: they
-           sever the link after sending and cannot ride a batch. *)
-        let t_now = now () in
-        let rec merge () =
-          match c.delayed with
-          | (due, payload, false) :: rest when due <= t_now ->
-            Buffer.add_bytes c.out payload;
-            c.delayed <- rest;
-            merge ()
-          | [] | (_, _, _) :: _ -> ()
-        in
-        merge ();
-        let blen = Buffer.length c.out in
-        if blen > Bytes.length c.staging then
-          c.staging <- Bytes.create (max blen (2 * Bytes.length c.staging));
-        Buffer.blit c.out 0 c.staging 0 blen;
-        Buffer.clear c.out;
-        match c.fd with
-        | None -> ok := false (* link died since the append: drop *)
-        | Some fd -> (
-          Mutex.unlock c.lock;
-          (match Netio.write_all fd c.staging 0 blen with
-          | () -> Mutex.lock c.lock
-          | exception Unix.Unix_error _ ->
-            (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-            Mutex.lock c.lock;
-            (match c.fd with
-            | Some cur when cur == fd -> c.fd <- None
-            | _ -> ());
-            (* Only the staging batch is lost with the link.  [c.out]
-               may have gained other clients' frames while the write
-               ran unlocked — clearing it here would silently discard
-               them; they stay for the post-reconnect flusher. *)
-            ok := false))
-      done;
-      c.flushing <- false;
-      Mutex.unlock c.lock;
-      !ok
-    end
+(* The entries of a (sorted) deadline queue still pending at [t_now]. *)
+let rec not_due t_now = function
+  | (due, _, _) :: l when due <= t_now -> not_due t_now l
+  | l -> l
 
-(* Truncation fault: the torn frame has gone out on the shared
-   connection, so the whole stream is poisoned — sever it and let every
-   rider reconnect and retry, exactly what a corrupting link costs on
-   this plane. *)
-let sever c =
-  Mutex.protect c.lock (fun () ->
+(* Move the staged deliveries due by [t_now] into [c.out], in deadline
+   order; [c.lock] must be held.  A due truncated entry ends the run:
+   its prefix goes in last and [c.tear] severs the link once that batch
+   is written, so the due frames behind it are lost with the link, as
+   on a real corrupting one. *)
+let merge_due c t_now =
+  let rec go = function
+    | (due, payload, truncated) :: rest when due <= t_now ->
+      if truncated then begin
+        Buffer.add_subbytes c.out payload 0 (max 1 (Bytes.length payload / 2));
+        c.tear <- true;
+        c.delayed <- not_due t_now rest
+      end
+      else begin
+        Buffer.add_bytes c.out payload;
+        go rest
+      end
+    | l -> c.delayed <- l
+  in
+  go c.delayed
+
+(* Drain the link as its flusher, a role the caller claimed by setting
+   [c.flushing] under [c.lock] with the link up.  Each iteration merges
+   the staged deliveries that have come due, swaps the accumulated
+   bytes into [staging] and writes them in one [write_all] with the
+   lock dropped; meanwhile other enqueuers just append, and their bytes
+   ride the next iteration.  On a write error (or after a torn frame)
+   the link is severed ([shutdown], not [close] — the demux thread is
+   the fd's sole closer) and the staged batch is dropped; the
+   round-trip retry loop re-broadcasts after reconnect.  Frames that
+   other clients appended to [c.out] while the write ran unlocked are
+   NOT part of that batch and stay queued: the next flusher sends them
+   once the link is back. *)
+let flush c =
+  Mutex.lock c.lock;
+  let more = ref true in
+  while !more do
+    merge_due c (now ());
+    let blen = Buffer.length c.out in
+    if blen = 0 then more := false
+    else begin
+      if blen > Bytes.length c.staging then
+        c.staging <- Bytes.create (max blen (2 * Bytes.length c.staging));
+      Buffer.blit c.out 0 c.staging 0 blen;
+      Buffer.clear c.out;
+      let tear = c.tear in
+      c.tear <- false;
       match c.fd with
-      | Some fd -> (
-        try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-      | None -> ())
+      | None -> more := false (* the link died since the append: drop *)
+      | Some fd ->
+        Mutex.unlock c.lock;
+        let wrote =
+          match Netio.write_all fd c.staging 0 blen with
+          | () -> true
+          | exception Unix.Unix_error _ -> false
+        in
+        Mutex.lock c.lock;
+        if tear || not wrote then begin
+          (try Unix.shutdown fd Unix.SHUTDOWN_ALL
+           with Unix.Unix_error _ -> ());
+          (match c.fd with
+          | Some cur when cur == fd -> c.fd <- None
+          | _ -> ());
+          more := false
+        end
+    end
+  done;
+  c.flushing <- false;
+  Mutex.unlock c.lock
+
+(* Send a frame on the shared connection: all [len] bytes, or with
+   [~torn] a prefix of them, after which the link is severed (a
+   truncation fault poisons the shared stream, so every rider
+   reconnects and retries — what a corrupting link costs on this
+   plane).  The caller appends under [c.lock]; if no flush is in
+   progress it becomes the flusher — uncontended, that is one inline
+   [write] with no thread handoff.  While a flush is running it just
+   appends and returns — the active flusher carries the bytes: no
+   syscall, no signal, no context switch.  A link that is down and
+   cannot be redialed yet drops the frame; the round-trip retry loop
+   re-broadcasts. *)
+let enqueue ?(torn = false) t c bytes len =
+  if
+    Mutex.protect c.lock (fun () ->
+        match try_connect t c with
+        | None -> false
+        | Some _ ->
+          if torn then begin
+            Buffer.add_subbytes c.out bytes 0 (max 1 (len / 2));
+            c.tear <- true
+          end
+          else Buffer.add_subbytes c.out bytes 0 len;
+          let claimed = not c.flushing in
+          c.flushing <- true;
+          claimed)
+  then flush c
 
 (* Park one scheduled delivery on the link's deadline queue (sorted
-   insert; queues hold a handful of frames, the reactor's timer-list
-   idiom).  The payload is the caller's copy — senders reuse their
-   encode staging.  The insert happens before [armed] is read, and the
-   ticker stores [armed] before it rescans the queues, so either the
-   ticker's rescan sees this frame or this read sees the ticker's
-   deadline and wakes it early: no deadline is overslept. *)
+   insert, after any entry with the same deadline; queues hold a
+   handful of frames, the reactor's timer-list idiom).  The payload is
+   the caller's copy — senders reuse their encode staging.  The insert
+   happens before [armed] is read, and the ticker stores [armed] before
+   it rescans the queues, so either the ticker's rescan sees this frame
+   or this read sees the ticker's deadline and wakes it early: no
+   deadline is overslept. *)
 let stage_delayed t c ~due payload truncated =
   Mutex.protect c.lock (fun () ->
       let rec ins = function
@@ -339,32 +357,32 @@ let stage_delayed t c ~due payload truncated =
       c.delayed <- ins c.delayed);
   if due < Atomic.get t.armed then Netio.notify t.wake_w
 
-(* Deliver every staged frame whose deadline has passed.  Entries are
-   popped under [c.lock] but sent outside it ([enqueue] takes the lock
-   itself); a truncated delivery sends its prefix then severs the link,
-   as in the immediate path. *)
-let drain_delayed t c t_now =
-  let due =
+(* The ticker's half of the delay drain, for a link whose earliest
+   staged frame is due: the ticker becomes its flusher, so every frame
+   due at this wake-up leaves in one write.  If a flush is already
+   running the due frames join its queue instead, to ride its next
+   iteration.  A link that is down and cannot be redialed yet loses
+   its due frames, as a dead link would. *)
+let release_due t c t_now =
+  let claimed =
     Mutex.protect c.lock (fun () ->
-        let rec split acc l =
-          match l with
-          | (d, payload, tr) :: rest when d <= t_now ->
-            split ((payload, tr) :: acc) rest
-          | [] | (_, _, _) :: _ ->
-            c.delayed <- l;
-            List.rev acc
-        in
-        split [] c.delayed)
+        match c.delayed with
+        | (due, _, _) :: _ when due <= t_now -> (
+          if c.flushing then begin
+            merge_due c t_now;
+            false
+          end
+          else
+            match try_connect t c with
+            | Some _ ->
+              c.flushing <- true;
+              true
+            | None ->
+              c.delayed <- not_due t_now c.delayed;
+              false)
+        | [] | _ :: _ -> false)
   in
-  List.iter
-    (fun (payload, truncated) ->
-      let len = Bytes.length payload in
-      if truncated then begin
-        ignore (enqueue t c payload (max 1 (len / 2)));
-        sever c
-      end
-      else ignore (enqueue t c payload len))
-    due
+  if claimed then flush c
 
 (* Nearest staged deadline across every link; [infinity] when idle. *)
 let next_delayed_due t =
@@ -391,14 +409,15 @@ let ticker_body t () =
   (* Two deadlines share one sleep: the timeout scan at its own cadence
      (tick_period — delivering a staged frame must not drag every
      blocked mailbox through the scheduler) and the earliest staged
-     delivery, to the nanosecond.  With no frame staged (no delay plan,
-     or all delivered) the ticker wakes only for the scan, a stage or
-     [shutdown]. *)
+     delivery, to the nanosecond.  At each wake-up every link with a
+     due frame is flushed once, carrying all its due frames in one
+     write.  With no frame staged (no delay plan, or all delivered) the
+     ticker wakes only for the scan, a stage or [shutdown]. *)
   let next_scan = ref (now () +. tick_period t) in
   while not (Atomic.get t.stopping) do
     Atomic.set t.armed neg_infinity;
     let t_now = now () in
-    Array.iter (fun c -> drain_delayed t c t_now) t.conns;
+    Array.iter (fun c -> release_due t c t_now) t.conns;
     if t_now >= !next_scan then begin
       next_scan := t_now +. tick_period t;
       let mbs =
@@ -450,6 +469,7 @@ let create ?(rt_timeout = 1.0) ?(max_rt_retries = 3) ?faults ~servers ~quorum
               flushing = false;
               staging = Bytes.create 4096;
               delayed = [];
+              tear = false;
               fd = None;
               attempts = 0;
               next_attempt = 0.0;
@@ -567,6 +587,10 @@ let exec ~key h req k =
   Buffer.blit mb.mb_enc 0 mb.mb_out 0 len;
   let attempt = ref 0 in
   let broadcast () =
+    (* One clock read per fan-out: copies staged together (duplicates,
+       or every link under one latency) share their deadline and leave
+       in one write per link. *)
+    let t0 = now () in
     Array.iter
       (fun c ->
         (* Racy read of [mb_from] outside the mailbox lock: the worst
@@ -574,7 +598,7 @@ let exec ~key h req k =
            instant, and replica operations are idempotent. *)
         if not mb.mb_from.(c.index) then
           match t.faults with
-          | None -> ignore (enqueue t c mb.mb_out len)
+          | None -> enqueue t c mb.mb_out len
           | Some plan ->
             (* Salted by the attempt number: a frame dropped now draws
                afresh on the next re-broadcast. *)
@@ -590,13 +614,9 @@ let exec ~key h req k =
                      stall other clients' batches or the rest of this
                      fan-out.  The payload is copied because [mb.mb_out]
                      is reused by the next operation. *)
-                  stage_delayed t c ~due:(now () +. after)
+                  stage_delayed t c ~due:(t0 +. after)
                     (Bytes.sub mb.mb_out 0 len) truncated
-                else if truncated then begin
-                  ignore (enqueue t c mb.mb_out (max 1 (len / 2)));
-                  sever c
-                end
-                else ignore (enqueue t c mb.mb_out len))
+                else enqueue ~torn:truncated t c mb.mb_out len)
               ds)
       t.conns
   in

@@ -13,7 +13,11 @@
       per-client mailboxes
       (mutex + condvar) — no [select], no per-iteration fd scans;
     - {!exec} = encode once, enqueue on the [S] shared connections,
-      block on the caller's own mailbox until quorum or timeout.
+      block on the caller's own mailbox until quorum or timeout;
+    - one ticker thread that wakes rounds past their timeout and, under
+      a fault plan's delays, releases staged frames at their deadlines:
+      every frame due on a link at one wake-up leaves in one write, in
+      deadline order, and none leaves before its deadline.
 
     The round-trip contract is the simulator's {!Protocol.Round_trip}:
     broadcast to all [S] servers, complete on the first [S − t] replies

@@ -5,13 +5,47 @@
    [None] so a reactor can park the descriptor until the poller says
    otherwise. *)
 
+(* ------------------------------------------------------------------ *)
+(* Syscall counters                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* One increment per syscall attempt (EINTR retries and EAGAIN results
+   included), process-wide.  Always on: an [Atomic.incr] is the whole
+   cost, and a count is the only way to say which syscalls an op pays
+   for. *)
+let n_writes = Atomic.make 0
+let n_writes_nb = Atomic.make 0
+let n_reads = Atomic.make 0
+let n_waits = Atomic.make 0
+let n_notifies = Atomic.make 0
+
+type counts = {
+  writes : int;
+  writes_nb : int;
+  reads : int;
+  waits : int;
+  notifies : int;
+}
+
+let counts () =
+  {
+    writes = Atomic.get n_writes;
+    writes_nb = Atomic.get n_writes_nb;
+    reads = Atomic.get n_reads;
+    waits = Atomic.get n_waits;
+    notifies = Atomic.get n_notifies;
+  }
+
 let rec write_all fd buf pos len =
-  if len > 0 then
+  if len > 0 then begin
+    Atomic.incr n_writes;
     match Unix.write fd buf pos len with
     | n -> write_all fd buf (pos + n) (len - n)
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd buf pos len
+  end
 
 let rec read fd buf pos len =
+  Atomic.incr n_reads;
   match Unix.read fd buf pos len with
   | n -> n
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> read fd buf pos len
@@ -23,12 +57,14 @@ let rec read fd buf pos len =
 let set_nonblock fd = Unix.set_nonblock fd
 
 let rec read_nb fd buf pos len =
+  Atomic.incr n_reads;
   match Unix.read fd buf pos len with
   | n -> Some n
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_nb fd buf pos len
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> None
 
 let rec write_nb fd buf pos len =
+  Atomic.incr n_writes_nb;
   match Unix.write fd buf pos len with
   | n -> Some n
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_nb fd buf pos len
@@ -53,9 +89,11 @@ let notify fd =
   (* One byte is one wakeup; a full pipe already guarantees one, so
      EAGAIN is success here.  A torn-down peer (EPIPE/EBADF during
      shutdown races) is equally fine: there is nobody left to wake. *)
+  Atomic.incr n_notifies;
   match Unix.write fd wake_byte 0 1 with
   | _ -> ()
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> (
+    Atomic.incr n_notifies;
     match Unix.write fd wake_byte 0 1 with
     | _ -> ()
     | exception Unix.Unix_error _ -> ())
@@ -127,12 +165,14 @@ module Poller = struct
     Hashtbl.replace t.interest k bits;
     if t.ep >= 0 then epoll_ctl t.ep 0 k bits
 
-  let set_write t fd want =
+  let set t fd ~read ~write =
     let k = fd_int fd in
     match Hashtbl.find_opt t.interest k with
     | None -> ()
     | Some bits ->
-      let bits' = if want then bits lor bit_write else bits land lnot bit_write in
+      let bits' =
+        (if read then bit_read else 0) lor if write then bit_write else 0
+      in
       if bits' <> bits then begin
         Hashtbl.replace t.interest k bits';
         if t.ep >= 0 then epoll_ctl t.ep 1 k bits'
@@ -156,6 +196,7 @@ module Poller = struct
         ~writable:(bits land bit_write <> 0)
 
   let wait t ~timeout f =
+    Atomic.incr n_waits;
     if t.ep >= 0 then begin
       let want = max 64 (Hashtbl.length t.interest + 1) in
       if Array.length t.evbuf < want then t.evbuf <- Array.make want 0;

@@ -12,6 +12,31 @@
     thread.  Every other error still propagates: real link failures
     surface where callers expect them. *)
 
+(** {1 Syscall counts}
+
+    Every [read(2)], [write(2)] and readiness wait the calls below make
+    bumps one process-wide [Atomic] counter first — always on, no
+    switch: the increment is the whole cost.  Retries count again (an
+    [EINTR] restart is a second syscall), and so do attempts that come
+    back [EAGAIN].  Accepts and interest changes are not counted.  The
+    counters never reset; diff two snapshots to attribute a span of
+    work. *)
+
+type counts = {
+  writes : int;  (** {!write_all} [write(2)] calls (blocking sockets). *)
+  writes_nb : int;  (** {!write_nb} [write(2)] calls (reactor sockets). *)
+  reads : int;
+      (** [read(2)] calls from {!read}, {!read_nb} and {!drain_wake}. *)
+  waits : int;  (** {!Poller.wait} calls: one epoll/poll wait each. *)
+  notifies : int;  (** {!notify} wake-byte writes. *)
+}
+
+val counts : unit -> counts
+(** A snapshot of the counters (each read atomically; the record as a
+    whole is not a consistent cut across threads). *)
+
+(** {1 Blocking I/O} *)
+
 val write_all : Unix.file_descr -> bytes -> int -> int -> unit
 (** [write_all fd buf pos len] writes exactly [len] bytes of [buf]
     starting at [pos], restarting after partial writes and [EINTR].
@@ -71,12 +96,16 @@ module Poller : sig
   val create : unit -> t
 
   val add : t -> Unix.file_descr -> want_write:bool -> unit
-  (** Register [fd]; read interest is always on. *)
+  (** Register [fd] with read interest on. *)
 
-  val set_write : t -> Unix.file_descr -> bool -> unit
-  (** Toggle write interest — the backpressure lever: on when a
-      connection's out-queue could not be flushed, off once it drains.
-      No-op for unregistered descriptors. *)
+  val set : t -> Unix.file_descr -> read:bool -> write:bool -> unit
+  (** Replace [fd]'s interest set — the backpressure levers.  Write
+      interest is on while a connection's out-queue could not be
+      flushed and off once it drains; read interest is off while the
+      out-queue sits above its ceiling, so a peer that asks faster than
+      it reads is made to wait instead of growing the queue.  Errors
+      and hang-ups are still reported with both off.  No-op for
+      unregistered descriptors. *)
 
   val remove : t -> Unix.file_descr -> unit
   (** Forget [fd].  Call before closing it. *)

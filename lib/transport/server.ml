@@ -10,8 +10,9 @@ open Registers
 (* Per-connection outbound queue: a flat byte window [off, off+len) that
    replies are appended to and the flush path consumes from the front.
    Batched writes coalesce here — everything a wakeup produced leaves in
-   one write — and when the peer stops reading, the queue simply grows
-   while write interest keeps backpressure visible to the poller. *)
+   one write — and when the peer stops reading, the queue grows while
+   write interest keeps backpressure visible to the poller, up to
+   [outq_limit], past which the connection's requests wait unread. *)
 module Outq = struct
   type t = { mutable buf : Bytes.t; mutable off : int; mutable len : int }
 
@@ -68,10 +69,14 @@ type conn = {
 
 (* A delayed reply delivery (fault plan): encoded bytes parked on the
    owning shard's timer list instead of a delayer thread's stack.  The
-   shard's poll timeout shrinks to the nearest deadline, and a timer
-   whose connection died meanwhile just drops the frame — also a legal
+   shard's poll timeout shrinks to the nearest deadline, and every timer
+   due at a wake-up joins its connection's out-queue before that
+   connection is flushed once: one write per link per wake-up.  A timer
+   holds its connection record, not the fd number — a closed
+   connection's number is reused by the next accept — so a timer whose
+   connection died meanwhile just drops the frame, also a legal
    behaviour of the link being modelled. *)
-type timer = { due : float; tkey : int; payload : string }
+type timer = { due : float; tconn : conn; payload : string }
 
 type shard = {
   snum : int;
@@ -118,10 +123,16 @@ let tick = 0.2
 (* Backpressure ceiling for one connection's out-queue.  A peer that
    stops reading (or reads far slower than it asks) would otherwise grow
    its queue without bound — the quorum keeps completing on the other
-   replicas, so nothing upstream ever slows down for it.  Severing the
-   link is a behaviour the model already covers: the client sees a
-   dropped connection and re-broadcasts after reconnecting. *)
+   replicas, so nothing upstream ever slows down for it.  Above the
+   ceiling the reactor stops decoding that connection's requests (they
+   wait in its stream) and drops its read interest, so the kernel's
+   buffers push back on the peer; the first flush that brings the queue
+   under the ceiling resumes it.  One batch of at most [max_batch]
+   replies is the most the queue can overshoot by.  Nothing is severed:
+   a peer that reads its replies gets all of them. *)
 let outq_limit = 4 * 1024 * 1024
+
+let max_batch = 256
 
 let port t = t.port
 
@@ -129,8 +140,21 @@ let keyspace t = t.keyspace
 
 let connection_count t = Atomic.get t.live_conns
 
+(* [c] is still the connection its shard knows by its fd number (not a
+   closed one whose number a later accept reused). *)
+let alive sh c =
+  match Hashtbl.find_opt sh.conns c.ckey with
+  | Some c' -> c' == c
+  | None -> false
+
+(* Read interest is off while the out-queue is over the ceiling. *)
+let set_interest sh c =
+  Netio.Poller.set sh.poller c.cfd
+    ~read:(c.outq.Outq.len <= outq_limit)
+    ~write:c.want_write
+
 let close_conn t sh c =
-  if Hashtbl.mem sh.conns c.ckey then begin
+  if alive sh c then begin
     Hashtbl.remove sh.conns c.ckey;
     (* Unregister before close: the fd number is reusable the instant
        close returns, and the poller must never see it secondhand. *)
@@ -147,7 +171,7 @@ let rec flush t sh c =
   if Outq.is_empty c.outq then begin
     if c.want_write then begin
       c.want_write <- false;
-      Netio.Poller.set_write sh.poller c.cfd false
+      set_interest sh c
     end;
     if c.sever then close_conn t sh c
   end
@@ -159,7 +183,7 @@ let rec flush t sh c =
     | None ->
       if not c.want_write then begin
         c.want_write <- true;
-        Netio.Poller.set_write sh.poller c.cfd true
+        set_interest sh c
       end
     | exception Unix.Unix_error _ -> close_conn t sh c
 
@@ -176,7 +200,8 @@ let add_timer sh tm =
    connections), decide each reply frame's fate under the fault plan,
    and coalesce every immediate delivery into one flush.  Each request
    dispatches to its key's replica — the model's one-message-at-a-time
-   server, per register. *)
+   server, per register.  The clock is read once per batch, so replies
+   delayed by equal amounts share one deadline and leave together. *)
 let process_requests t sh c requests =
   let reps =
     Mutex.protect t.replica_lock (fun () ->
@@ -186,6 +211,7 @@ let process_requests t sh c requests =
           requests)
   in
   Buffer.clear sh.reply_buf;
+  let t_now = match t.faults with None -> 0.0 | Some _ -> Clock.now () in
   List.iter
     (fun (rt, client, key, rep) ->
       let frame = Codec.Keyed_reply { key; rt; client; server = t.id; rep } in
@@ -214,11 +240,7 @@ let process_requests t sh c requests =
               end
               else if after > 0.0 then
                 add_timer sh
-                  {
-                    due = Clock.now () +. after;
-                    tkey = c.ckey;
-                    payload = Codec.encode frame;
-                  }
+                  { due = t_now +. after; tconn = c; payload = Codec.encode frame }
               else begin
                 Codec.encode_into sh.frame_buf frame;
                 Buffer.add_buffer sh.reply_buf sh.frame_buf
@@ -227,29 +249,64 @@ let process_requests t sh c requests =
         end)
     reps;
   if Buffer.length sh.reply_buf > 0 then Outq.add_buffer c.outq sh.reply_buf;
-  if c.outq.Outq.len > outq_limit then close_conn t sh c else flush t sh c
+  flush t sh c
 
+(* Release every timer due by [now]: each payload joins its
+   connection's out-queue in deadline order (so a link keeps its order),
+   then each connection touched is flushed once. *)
 let fire_timers t sh now =
-  let rec go () =
+  let rec go touched =
     match sh.timers with
     | tm :: rest when tm.due <= now ->
       sh.timers <- rest;
-      (match Hashtbl.find_opt sh.conns tm.tkey with
-      | None -> () (* the connection died while the frame was in flight *)
-      | Some c ->
-        if not c.sever then begin
-          Outq.add_string c.outq tm.payload;
-          if c.outq.Outq.len > outq_limit then close_conn t sh c
-          else flush t sh c
-        end);
-      go ()
-    | _ -> ()
+      let c = tm.tconn in
+      (* A dead connection lost the frame while it was in flight. *)
+      if alive sh c && not c.sever then begin
+        Outq.add_string c.outq tm.payload;
+        go (if List.memq c touched then touched else c :: touched)
+      end
+      else go touched
+    | _ -> touched
   in
-  go ()
+  List.iter (fun c -> flush t sh c) (go [])
+
+(* Decode up to [max_batch] requests off [c]'s stream.  The flag reports
+   a corrupt stream — a decode error, or a reply frame (only servers
+   speak replies) — after the requests decoded before it. *)
+let next_batch c =
+  let rec go n acc =
+    if n = max_batch then (List.rev acc, false)
+    else
+      match Codec.Stream.next c.stream with
+      | None -> (List.rev acc, false)
+      | Some (Codec.Keyed_reply _) -> (List.rev acc, true)
+      | Some (Codec.Keyed_request { key; rt; client; req }) ->
+        go (n + 1) ((rt, client, key, req) :: acc)
+      | exception Codec.Decode_error _ -> (List.rev acc, true)
+  in
+  go 0 []
+
+(* Answer the requests waiting in [c]'s stream, batch by batch, while
+   its out-queue is at most [outq_limit]; above it, drop read interest
+   and leave the rest in the stream until a flush drains the queue (the
+   writable path calls back here).  Returns [true] when the stream is
+   corrupt: the caller severs. *)
+let rec serve t sh c =
+  if not (alive sh c) then false
+  else if c.outq.Outq.len > outq_limit then begin
+    set_interest sh c;
+    false
+  end
+  else
+    match next_batch c with
+    | [], bad -> bad
+    | requests, bad ->
+      process_requests t sh c requests;
+      bad || serve t sh c
 
 (* Readable event: drain the socket to EAGAIN through the incremental
-   decoder, then process every complete frame as one batch.  Frames
-   decoded before an error still get answers; the error still severs. *)
+   decoder, then answer its complete frames.  Frames decoded before an
+   error still get answers; the error still severs. *)
 let handle_readable t sh c =
   let closed = ref false in
   (try
@@ -267,22 +324,7 @@ let handle_readable t sh c =
          if n < Bytes.length sh.rbuf then more := false
      done
    with Unix.Unix_error _ -> closed := true);
-  let requests = ref [] in
-  (try
-     let rec go () =
-       match Codec.Stream.next c.stream with
-       | None -> ()
-       | Some (Codec.Keyed_reply _) ->
-         (* Only servers speak replies; a confused peer is cut off. *)
-         closed := true
-       | Some (Codec.Keyed_request { key; rt; client; req }) ->
-         requests := (rt, client, key, req) :: !requests;
-         go ()
-     in
-     go ()
-   with Codec.Decode_error _ -> closed := true);
-  if !requests <> [] then process_requests t sh c (List.rev !requests);
-  if !closed then close_conn t sh c
+  if serve t sh c || !closed then close_conn t sh c
 
 let register_conn sh fd =
   let c =
@@ -362,10 +404,17 @@ let shard_loop t sh =
              match Hashtbl.find_opt sh.conns k with
              | None -> () (* closed earlier in this same dispatch round *)
              | Some c ->
-               if writable then flush t sh c;
+               if writable then begin
+                 flush t sh c;
+                 (* Once the queue is back under the ceiling, restore
+                    read interest and answer what waited meanwhile. *)
+                 if alive sh c then begin
+                   set_interest sh c;
+                   if serve t sh c then close_conn t sh c
+                 end
+               end;
                (* The flush may have severed the connection. *)
-               if readable && Hashtbl.mem sh.conns k then
-                 handle_readable t sh c));
+               if readable && alive sh c then handle_readable t sh c));
     drain_inbox t sh;
     fire_timers t sh (Clock.now ())
   done;

@@ -13,7 +13,11 @@
     batch's replies coalesce into one write from a per-connection
     out-queue.  A peer that stops reading costs a write-interest
     registration (backpressure), never a blocked thread — which is what
-    lets one daemon hold 1000+ concurrent connections.
+    lets one daemon hold 1000+ concurrent connections.  Once a
+    connection's out-queue passes a ceiling (4 MiB) the reactor stops
+    decoding its requests and drops its read interest until a flush
+    brings the queue back under: a peer that asks faster than it reads
+    is slowed down, never cut off.
 
     With [shards > 1] the connections are dealt round-robin across that
     many event loops, one domain each; the keyspace itself stays behind
@@ -40,7 +44,8 @@ val start :
     [shards] (default 1) is the number of reactor event loops.
     [faults] subjects every reply frame to the plan's [From_server]
     rules: drops and blackouts lose it, delays park it on the owning
-    shard's timer list and deliver it late, duplicates send it twice,
+    shard's timer list and deliver it late (every reply due at one
+    wake-up leaves in one write per connection), duplicates send it twice,
     truncation tears the frame mid-byte and severs the connection.
     [keyspace] (default fresh and empty) holds every register the
     server hosts: a [Codec.Keyed_request] dispatches to the named

@@ -562,6 +562,127 @@ let test_reactor_backpressure_slow_reader () =
   Unix.close a;
   Server.stop server
 
+let test_reactor_reader_past_ceiling () =
+  (* The out-queue ceiling at its edge: one peer pipelines 6000 queries
+     in a single write while reading continuously.  Its replies total
+     well over [outq_limit] (4 MiB), so the reactor must stop decoding
+     and resume as the queue drains — never sever a peer that reads. *)
+  let server = Server.start ~id:0 () in
+  let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server) in
+  (* 100 distinct written tags: each Read_ack then carries a 100-entry
+     vector, ~1.6 KB. *)
+  let seed_mux, seed_ep = one_server_mux addr ~client:50 in
+  for w = 1 to 100 do
+    Mux.exec ~key seed_ep (Wire.Update (value w (w mod 8) (1000 + w)))
+      (fun _ -> ())
+  done;
+  Mux.shutdown seed_mux;
+  let fd = raw_connect addr in
+  let nq = 6000 in
+  let got = ref 0 and bytes = ref 0 and failure = ref None in
+  let reader =
+    Thread.create
+      (fun () ->
+        let st = Codec.Stream.create () and buf = Bytes.create 65536 in
+        try
+          while !got < nq do
+            let n = Netio.read fd buf 0 (Bytes.length buf) in
+            if n = 0 then failwith "server severed a reading peer";
+            bytes := !bytes + n;
+            Codec.Stream.feed st buf n;
+            let rec drain () =
+              match[@warning "-4"] Codec.Stream.next st with
+              | Some (Codec.Keyed_reply { rt; client = 62; _ }) when rt = !got
+                ->
+                incr got;
+                drain ()
+              | Some _ -> failwith "reply out of order"
+              | None -> ()
+            in
+            drain ()
+          done
+        with
+        | Failure msg -> failure := Some msg
+        | Unix.Unix_error (e, fn, _) ->
+          failure := Some (fn ^ ": " ^ Unix.error_message e))
+      ()
+  in
+  let reqs = Buffer.create (nq * 24) in
+  for rt = 0 to nq - 1 do
+    Buffer.add_string reqs (query_frame ~rt ~client:62)
+  done;
+  raw_send fd (Buffer.contents reqs);
+  Thread.join reader;
+  Unix.close fd;
+  Server.stop server;
+  (match !failure with Some msg -> Alcotest.fail msg | None -> ());
+  check int "every reply, in order" nq !got;
+  check bool "the replies overran the out-queue ceiling" true
+    (!bytes > 4 * 1024 * 1024)
+
+let test_reactor_delayed_reply_stays_on_its_conn () =
+  (* A delayed reply belongs to the connection that asked.  Client A's
+     reply is parked for 0.2 s; A closes, and B's new socket usually
+     gets A's fd number on the server.  B must receive its own reply,
+     never A's. *)
+  let faults =
+    Faults.create
+      [
+        Faults.rule ~dir:Faults.From_server
+          (Faults.Latency { base = 0.2; jitter = 0.0 });
+      ]
+  in
+  let server = Server.start ~id:0 ~faults () in
+  let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server) in
+  let a = raw_connect addr in
+  raw_send a (query_frame ~rt:7 ~client:70);
+  Unix.close a;
+  let deadline = Clock.now () +. 1.0 in
+  while Server.connection_count server > 0 && Clock.now () < deadline do
+    Thread.delay 0.005
+  done;
+  let b = raw_connect addr in
+  raw_send b (query_frame ~rt:0 ~client:71);
+  let first = raw_read_frames b (Codec.Stream.create ()) (Bytes.create 8192) 1 in
+  Unix.close b;
+  Server.stop server;
+  match[@warning "-4"] first with
+  | [ Codec.Keyed_reply { client = 71; rt = 0; _ } ] -> ()
+  | [ Codec.Keyed_reply { client; rt; _ } ] ->
+    Alcotest.failf "B received client %d's reply to rt %d" client rt
+  | _ -> Alcotest.fail "expected one reply"
+
+let test_reactor_due_replies_one_write () =
+  (* 64 queries decoded in one batch under a constant 20 ms reply delay
+     share one deadline: they leave in one write, in request order. *)
+  let faults =
+    Faults.create
+      [
+        Faults.rule ~dir:Faults.From_server
+          (Faults.Latency { base = 0.02; jitter = 0.0 });
+      ]
+  in
+  let server = Server.start ~id:0 ~faults () in
+  let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server) in
+  let fd = raw_connect addr in
+  let n = 64 in
+  let before = Netio.counts () in
+  raw_send fd
+    (String.concat "" (List.init n (fun rt -> query_frame ~rt ~client:80)));
+  let frames = raw_read_frames fd (Codec.Stream.create ()) (Bytes.create 65536) n in
+  let after = Netio.counts () in
+  Unix.close fd;
+  Server.stop server;
+  List.iteri
+    (fun i f ->
+      match[@warning "-4"] f with
+      | Codec.Keyed_reply { rt; client = 80; _ } ->
+        check int "replies in request order" i rt
+      | _ -> Alcotest.fail "expected a reply to client 80")
+    frames;
+  check int "one reactor write for the whole batch" 1
+    (after.Netio.writes_nb - before.Netio.writes_nb)
+
 let test_reactor_connection_churn () =
   (* 256 concurrent short-lived connections — the regime that used to
      cost a thread spawn + join each.  Every connection gets its reply,
@@ -895,6 +1016,36 @@ let test_netio_eintr_retry () =
   Unix.close b;
   check int "every byte arrived despite the signal storm" total !received
 
+let test_netio_counts_advance () =
+  (* Every Netio syscall wrapper bumps its counter. *)
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let r, w = Unix.pipe ~cloexec:true () in
+  Netio.set_nonblock r;
+  Netio.set_nonblock w;
+  let p = Netio.Poller.create () in
+  Netio.Poller.add p r ~want_write:false;
+  let buf = Bytes.make 8 'x' in
+  let c0 = Netio.counts () in
+  Netio.write_all a buf 0 8;
+  ignore (Netio.read b buf 0 8);
+  Netio.set_nonblock a;
+  ignore (Netio.write_nb a buf 0 8);
+  ignore (Netio.read_nb b buf 0 8);
+  Netio.notify w;
+  ignore (Netio.Poller.wait p ~timeout:0.0 (fun _ ~readable:_ ~writable:_ -> ()));
+  Netio.drain_wake r;
+  let c1 = Netio.counts () in
+  Netio.Poller.close p;
+  List.iter Unix.close [ a; b; r; w ];
+  let open Netio in
+  check bool "blocking writes counted" true (c1.writes - c0.writes >= 1);
+  check bool "non-blocking writes counted" true
+    (c1.writes_nb - c0.writes_nb >= 1);
+  (* read, read_nb, and drain_wake's read to EAGAIN (at least two). *)
+  check bool "reads counted" true (c1.reads - c0.reads >= 4);
+  check bool "waits counted" true (c1.waits - c0.waits >= 1);
+  check bool "notifies counted" true (c1.notifies - c0.notifies >= 1)
+
 let test_faults_deterministic () =
   let probe p =
     List.init 400 (fun i ->
@@ -1047,6 +1198,33 @@ let test_mux_hol_across_servers () =
     (elapsed < 0.2);
   Mux.shutdown mux;
   Array.iter Server.stop servers
+
+let test_mux_due_copies_one_write () =
+  (* Duplicate + constant latency on the request leg: both copies of
+     each round's request are staged with one deadline, and the ticker
+     releases them in one write — R rounds cost exactly R writes. *)
+  let faults =
+    Faults.create
+      [
+        Faults.rule ~dir:Faults.To_server Faults.Duplicate;
+        Faults.rule ~dir:Faults.To_server
+          (Faults.Latency { base = 0.02; jitter = 0.0 });
+      ]
+  in
+  let server = Server.start ~id:0 () in
+  let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server) in
+  let mux = Mux.create ~faults ~servers:[| addr |] ~quorum:1 () in
+  let ep = Mux.client mux ~client:90 in
+  let rounds = 10 in
+  let before = Netio.counts () in
+  for _ = 1 to rounds do
+    Mux.exec ~key ep (Wire.Query []) (fun _ -> ())
+  done;
+  let after = Netio.counts () in
+  Mux.shutdown mux;
+  Server.stop server;
+  check int "one client write per round" rounds
+    (after.Netio.writes - before.Netio.writes)
 
 (* ------------------------------------------------------------------ *)
 (* Timer resolution and the ticker's lifecycle                          *)
@@ -1399,6 +1577,12 @@ let () =
             (test_reactor_sharded_restart `Recover);
           Alcotest.test_case "sharded: restart fresh" `Quick
             (test_reactor_sharded_restart `Fresh);
+          Alcotest.test_case "a reader past the out-queue ceiling gets all"
+            `Quick test_reactor_reader_past_ceiling;
+          Alcotest.test_case "delayed reply never reaches a reused fd" `Quick
+            test_reactor_delayed_reply_stays_on_its_conn;
+          Alcotest.test_case "replies due together leave in one write"
+            `Quick test_reactor_due_replies_one_write;
         ] );
       ( "mux",
         [
@@ -1418,6 +1602,8 @@ let () =
             test_mux_sub_ms_round_trip;
           Alcotest.test_case "create/shutdown leaks nothing, wakes ticker"
             `Quick test_mux_lifecycle;
+          Alcotest.test_case "copies due together leave in one write" `Quick
+            test_mux_due_copies_one_write;
         ] );
       ( "live",
         [
@@ -1452,6 +1638,8 @@ let () =
             test_restart_recover;
           Alcotest.test_case "fresh restart yields a witness" `Quick
             test_restart_fresh;
+          Alcotest.test_case "syscall counters advance" `Quick
+            test_netio_counts_advance;
         ] );
       ( "geo",
         [
