@@ -4,10 +4,17 @@
     their key, and the set of fully-materialised replicas is
     recency-bounded the way {!Replica}'s own value vector is: past
     [max_hot] resident replicas, the least recently used are demoted to
-    their {!Replica.save} snapshots and rebuilt on the next access.
-    Demotion is loss-free — the snapshot carries the vector with its
-    [updated] certificate sets — so bounding memory never costs
-    atomicity, only a rebuild when a cold key is touched again.
+    their {!Replica.freeze}d bytes and thawed on the next access.
+    Demotion is loss-free — the frozen form carries the vector with its
+    full [updated] certificate sets — so bounding memory never costs
+    atomicity, only a rebuild when a cold key is touched again, and a
+    demoted key costs a few words where a resident one costs tens.
+
+    Resident replicas sit on an intrusive recency list, moved to the
+    front on every access.  Demotion runs in batches: once the hot set
+    exceeds [max_hot], the oldest slots come off the list's tail until
+    [max 1 (3·max_hot/4)] remain.  A pass costs O(dropped) and sorts
+    nothing.
 
     The keyspace is not itself thread-safe: the server serialises all
     access behind its replica lock, preserving the model's
@@ -30,11 +37,14 @@ val key_count : t -> int
 val hot_count : t -> int
 (** Keys currently holding a materialised replica. *)
 
+val is_hot : t -> string -> bool
+(** Whether [key] currently holds a materialised replica. *)
+
 type state = (string * Replica.state) list
 (** Durable snapshot of the whole keyspace, sorted by key. *)
 
 val save : t -> state
 
 val load : ?max_hot:int -> state -> t
-(** Rebuild from a snapshot.  All keys start demoted and rehydrate
-    lazily on first access. *)
+(** Rebuild from a snapshot.  All keys start demoted (frozen) and
+    thaw lazily on first access. *)

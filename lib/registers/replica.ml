@@ -204,3 +204,108 @@ let load st =
   t
 
 let current t = t.current
+
+(* The frozen form: zigzag LEB128 varints of [current] and of every
+   vector entry with its *full* [updated] set, in vector order.
+
+     current.ts current.wid current.payload n
+     { ts wid payload |updated| id… } × n
+
+   Zigzag maps every OCaml int (63 bits) onto the unsigned ones, and
+   LEB128 writes those in at most 9 bytes, so the form is loss-free for
+   [min_int] and [max_int] alike while a small id takes one byte.  The
+   size is computed first, so freezing allocates the result and
+   nothing else. *)
+let zigzag n = (n lsl 1) lxor (n asr 62)
+
+let unzigzag u = (u lsr 1) lxor (-(u land 1))
+
+(* [u lsr 7 = 0]: [u] fits one byte, read as unsigned. *)
+let varint_size n =
+  let rec go u k = if u lsr 7 = 0 then k else go (u lsr 7) (k + 1) in
+  go (zigzag n) 1
+
+let value_size (v : Wire.value) =
+  varint_size v.Wire.tag.Tstamp.ts
+  + varint_size v.Wire.tag.Tstamp.wid
+  + varint_size v.Wire.payload
+
+let frozen_size t =
+  Array.fold_left
+    (fun acc e ->
+      Array.fold_left
+        (fun acc c -> acc + varint_size c)
+        (acc + value_size e.value + varint_size (Array.length e.updated))
+        e.updated)
+    (value_size t.current + varint_size (Array.length t.vector))
+    t.vector
+
+let put_varint b pos n =
+  let rec go u p =
+    if u lsr 7 = 0 then begin
+      Bytes.set b p (Char.chr u);
+      p + 1
+    end
+    else begin
+      Bytes.set b p (Char.chr (u land 0x7f lor 0x80));
+      go (u lsr 7) (p + 1)
+    end
+  in
+  go (zigzag n) pos
+
+let put_value b p (v : Wire.value) =
+  let p = put_varint b p v.Wire.tag.Tstamp.ts in
+  let p = put_varint b p v.Wire.tag.Tstamp.wid in
+  put_varint b p v.Wire.payload
+
+let freeze t =
+  let b = Bytes.create (frozen_size t) in
+  let p = put_value b 0 t.current in
+  let p = put_varint b p (Array.length t.vector) in
+  let p =
+    Array.fold_left
+      (fun p e ->
+        let p = put_value b p e.value in
+        let p = put_varint b p (Array.length e.updated) in
+        Array.fold_left (put_varint b) p e.updated)
+      p t.vector
+  in
+  assert (p = Bytes.length b);
+  Bytes.unsafe_to_string b
+
+let thaw s =
+  let pos = ref 0 in
+  let varint () =
+    let rec go u shift =
+      let byte = Char.code s.[!pos] in
+      incr pos;
+      let u = u lor ((byte land 0x7f) lsl shift) in
+      if byte < 0x80 then u else go u (shift + 7)
+    in
+    unzigzag (go 0 0)
+  in
+  let value () =
+    let ts = varint () in
+    let wid = varint () in
+    let payload = varint () in
+    { Wire.tag = { Tstamp.ts; wid }; payload }
+  in
+  let current = value () in
+  (* Equal neighbouring sets share one array, as [enroll_all] leaves
+     them. *)
+  let prev = ref [||] in
+  let entry _ =
+    let value = value () in
+    let u = Array.init (varint ()) (fun _ -> varint ()) in
+    if u = !prev then { value; updated = !prev }
+    else begin
+      prev := u;
+      { value; updated = u }
+    end
+  in
+  let vector = Array.init (varint ()) entry in
+  (* [current] is the top entry's value whenever that entry is the one
+     that set it: share the record instead of holding two copies. *)
+  let top = vector.(Array.length vector - 1).value in
+  let current = if top = current then top else current in
+  { current; vector }

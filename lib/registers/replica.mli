@@ -32,7 +32,8 @@
     sets share one array.  Lookups are binary searches, pruning drops
     the lowest tags with one blit, and snapshots walk the array in
     order with no sort.  A keyspace holds thousands of replicas, so
-    this is what bounds a server's heap per written key. *)
+    this is what bounds a server's heap per written key; the ones it
+    demotes are held as {!freeze}d bytes, smaller still. *)
 
 type t
 
@@ -70,3 +71,21 @@ val save : t -> state
 
 val load : state -> t
 (** A fresh replica carrying exactly the [save]d state. *)
+
+(** {2 Frozen form}
+
+    The compact form {!Registers.Keyspace} keeps its demoted replicas
+    in: one string of zigzag LEB128 varints holding [valᵢ] and every
+    valuevector entry with its {e full} [updated] set.  It is loss-free
+    for every OCaml int, so a frozen replica is the replica — not the
+    wire's truncated view — and costs a few words where the live arrays
+    cost tens.  {!save}'s list-shaped [state] is for recovery and
+    tooling only; the runtime never holds it. *)
+
+val freeze : t -> string
+(** The replica's full state as compact bytes. *)
+
+val thaw : string -> t
+(** The replica {!freeze} encoded: [save (thaw (freeze r)) = save r].
+    Equal neighbouring [updated] sets come back sharing one array, as
+    enrollments leave them. *)

@@ -224,38 +224,42 @@ let decode s =
 (* Incremental reassembly over a byte stream                            *)
 (* ------------------------------------------------------------------ *)
 
+(* Frames are read at an offset and the consumed prefix is dropped
+   once per [feed], not once per frame, so draining [k] buffered frames
+   costs O(k) rather than O(k²). *)
 module Stream = struct
-  type t = { mutable buf : Bytes.t; mutable len : int }
+  type t = { mutable buf : Bytes.t; mutable pos : int; mutable len : int }
 
-  let create () = { buf = Bytes.create 4096; len = 0 }
+  let create () = { buf = Bytes.create 4096; pos = 0; len = 0 }
 
   let feed t src n =
     if n > 0 then begin
-      let needed = t.len + n in
+      let live = t.len - t.pos in
+      let needed = live + n in
       if needed > Bytes.length t.buf then begin
         let cap = ref (Bytes.length t.buf) in
         while !cap < needed do
           cap := !cap * 2
         done;
         let buf = Bytes.create !cap in
-        Bytes.blit t.buf 0 buf 0 t.len;
+        Bytes.blit t.buf t.pos buf 0 live;
         t.buf <- buf
-      end;
-      Bytes.blit src 0 t.buf t.len n;
-      t.len <- t.len + n
+      end
+      else Bytes.blit t.buf t.pos t.buf 0 live;
+      t.pos <- 0;
+      Bytes.blit src 0 t.buf live n;
+      t.len <- needed
     end
 
   let next t =
-    if t.len < 4 then None
+    if t.len - t.pos < 4 then None
     else begin
-      let n = Int32.to_int (Bytes.get_int32_be t.buf 0) in
+      let n = Int32.to_int (Bytes.get_int32_be t.buf t.pos) in
       if n < 0 || n > max_frame_len then fail "bad frame length %d" n;
-      if t.len < 4 + n then None
+      if t.len - t.pos < 4 + n then None
       else begin
-        let body = Bytes.sub_string t.buf 4 n in
-        let rest = t.len - 4 - n in
-        Bytes.blit t.buf (4 + n) t.buf 0 rest;
-        t.len <- rest;
+        let body = Bytes.sub_string t.buf (t.pos + 4) n in
+        t.pos <- t.pos + 4 + n;
         Some (decode_body body)
       end
     end

@@ -134,24 +134,132 @@ let test_keyspace_isolation () =
   check int "b reads its own write" 222 (read "b" 4);
   check int "c untouched" Wire.initial_value_entry.Wire.payload (read "c" 5)
 
+(* The resident set the batch policy leaves: every touched key with its
+   last use; past [max_hot], sort by last use and keep the
+   [max 1 (3·max_hot/4)] newest. *)
+let reference_resident ~max_hot resident tick key =
+  let resident = (key, tick) :: List.remove_assoc key resident in
+  if List.length resident <= max_hot then resident
+  else
+    let by_recency = List.sort (fun (_, a) (_, b) -> compare b a) resident in
+    List.filteri (fun i _ -> i < max 1 (3 * max_hot / 4)) by_recency
+
+let same_resident ks resident =
+  Keyspace.hot_count ks = List.length resident
+  && List.for_all (fun (k, _) -> Keyspace.is_hot ks k) resident
+
+let keyspace_model_prop =
+  (* Random handle streams over at most 3·max_hot keys: after every op
+     the resident set is the policy's, every reply matches a keyspace
+     that never demotes, and so does every key's full state. *)
+  let gen =
+    let open QCheck.Gen in
+    oneofl [ 1; 2; 3; 4; 8 ] >>= fun max_hot ->
+    let v =
+      map2
+        (fun ts wid -> { Wire.tag = tag ts wid; payload = (ts * 10) + wid })
+        (int_range 0 12) (int_range 0 2)
+    in
+    let req =
+      frequency
+        [
+          (3, map (fun v -> Wire.Update v) v);
+          (2, map (fun vq -> Wire.Query vq) (list_size (int_range 0 2) v));
+        ]
+    in
+    let op = triple (int_range 0 ((3 * max_hot) - 1)) (int_range 0 5) req in
+    map (fun ops -> (max_hot, ops)) (list_size (int_range 1 200) op)
+  in
+  let print (max_hot, ops) =
+    Printf.sprintf "max_hot %d: %s" max_hot
+      (String.concat "; "
+         (List.map
+            (fun (k, c, r) -> Format.asprintf "k%d/%d:%a" k c Wire.pp_req r)
+            ops))
+  in
+  QCheck.Test.make ~count:300
+    ~name:"keyspace: resident set and states match the reference"
+    (QCheck.make ~print gen)
+    (fun (max_hot, ops) ->
+      let ks = Keyspace.create ~max_hot () in
+      let reference = Keyspace.create ~max_hot:max_int () in
+      let resident = ref [] in
+      List.for_all
+        (fun (i, (k, client, req)) ->
+          let key = Ycsb.key_name k in
+          resident := reference_resident ~max_hot !resident i key;
+          Keyspace.handle ks ~key ~client req
+          = Keyspace.handle reference ~key ~client req
+          && same_resident ks !resident)
+        (List.mapi (fun i op -> (i, op)) ops)
+      && Keyspace.save ks = Keyspace.save reference)
+
+let test_keyspace_demotion_edges () =
+  (* Exactly [max_hot] keys never demote; one more drops the hot set to
+     [max 1 (3·max_hot/4)], keeping the most recently used. *)
+  List.iter
+    (fun max_hot ->
+      let ks = Keyspace.create ~max_hot () in
+      let touch i =
+        ignore
+          (Keyspace.handle ks ~key:(Ycsb.key_name i) ~client:1 (Wire.Query []))
+      in
+      for i = 0 to max_hot - 1 do
+        touch i
+      done;
+      check int (Printf.sprintf "max_hot %d: full, no demotion" max_hot)
+        max_hot (Keyspace.hot_count ks);
+      (* Re-touch the oldest key: it must survive the pass, not key 1. *)
+      touch 0;
+      touch max_hot;
+      let keep = max 1 (3 * max_hot / 4) in
+      check int (Printf.sprintf "max_hot %d: one more drops to keep" max_hot)
+        keep (Keyspace.hot_count ks);
+      check bool "the newest key stays" true
+        (Keyspace.is_hot ks (Ycsb.key_name max_hot));
+      if keep > 1 then
+        check bool "a re-touched key stays" true
+          (Keyspace.is_hot ks (Ycsb.key_name 0));
+      check int "nothing lost" (max_hot + 1) (Keyspace.key_count ks))
+    [ 1; 2; 3; 4; 8 ]
+
 let test_keyspace_save_load () =
-  let ks = Keyspace.create ~max_hot:4 () in
-  for i = 0 to 19 do
-    ignore (Keyspace.handle ks ~key:(Ycsb.key_name i) ~client:1
-              (Wire.Update { tag = tag 1 1; payload = 500 + i }))
+  (* Multi-entry vectors with several certificate ids per entry survive
+     demotion, save and load exactly, not just their current values. *)
+  let ks = Keyspace.create ~max_hot:2 () in
+  let reference = Keyspace.create ~max_hot:max_int () in
+  let both key client req =
+    ignore (Keyspace.handle ks ~key ~client req);
+    ignore (Keyspace.handle reference ~key ~client req)
+  in
+  for k = 0 to 5 do
+    let key = Ycsb.key_name k in
+    for ts = 1 to 4 do
+      for client = 0 to 2 do
+        both key client (Wire.Update { tag = tag ts client; payload = ts })
+      done
+    done;
+    both key 9 (Wire.Query [])
   done;
-  let reloaded = Keyspace.load (Keyspace.save ks) in
-  check int "key count preserved" 20 (Keyspace.key_count reloaded);
+  let saved = Keyspace.save ks in
+  check bool "demotion kept every state" true (saved = Keyspace.save reference);
+  let st = List.assoc (Ycsb.key_name 0) saved in
+  check bool "multi-entry vector" true (List.length st.Replica.s_vector >= 12);
+  check bool "certificate sets kept" true
+    (List.for_all (fun (_, u) -> List.mem 9 u) st.Replica.s_vector);
+  let reloaded = Keyspace.load ~max_hot:2 saved in
+  check int "key count preserved" 6 (Keyspace.key_count reloaded);
   check int "all keys parked cold" 0 (Keyspace.hot_count reloaded);
-  for i = 0 to 19 do
-    match
-      Keyspace.handle reloaded ~key:(Ycsb.key_name i) ~client:2
-        (Wire.Query [])
-    with
-    | Wire.Read_ack { current; _ } ->
-      check int "value survives the snapshot" (500 + i) current.Wire.payload
-    | Wire.Write_ack _ -> Alcotest.fail "query answered with a write ack"
-  done
+  check bool "load ∘ save is the identity" true (Keyspace.save reloaded = saved);
+  List.iter
+    (fun k ->
+      let key = Ycsb.key_name k in
+      check bool "reloaded key answers as before" true
+        (Keyspace.handle reloaded ~key ~client:11 (Wire.Query [])
+         = Keyspace.handle reference ~key ~client:11 (Wire.Query [])))
+    [ 0; 3; 5 ];
+  check bool "and keeps matching" true
+    (Keyspace.save reloaded = Keyspace.save reference)
 
 (* ------------------------------------------------------------------ *)
 (* YCSB generator                                                       *)
@@ -538,6 +646,9 @@ let () =
           Alcotest.test_case "per-key isolation" `Quick
             test_keyspace_isolation;
           Alcotest.test_case "save/load" `Quick test_keyspace_save_load;
+          Alcotest.test_case "demotion at the max_hot edges" `Quick
+            test_keyspace_demotion_edges;
+          QCheck_alcotest.to_alcotest keyspace_model_prop;
         ] );
       ( "ycsb",
         [

@@ -292,6 +292,91 @@ let replica_model_prop =
          = Ref_replica.handle m ~client:41 (Wire.Query [])
       && same (Replica.save r) (Ref_replica.save m))
 
+(* Ints at the varint edges: 0, ±1, one- and two-byte boundaries, and
+   the ends of the int range. *)
+let edge_int =
+  QCheck.Gen.oneofl [ 0; 1; -1; 63; 64; -64; -65; 8191; 8192; max_int; min_int ]
+
+let extreme_value_gen =
+  let open QCheck.Gen in
+  let wide = frequency [ (3, int_range (-3) 60); (1, edge_int) ] in
+  map3 (fun ts wid payload -> value ts wid payload) wide
+    (frequency [ (3, int_range (-1) 2); (1, edge_int) ])
+    wide
+
+let extreme_op_gen =
+  let open QCheck.Gen in
+  let client = frequency [ (4, int_range 0 40); (1, edge_int) ] in
+  frequency
+    [
+      (3, map2 (fun c v -> (c, Wire.Update v)) client extreme_value_gen);
+      ( 2,
+        map2
+          (fun c vq -> (c, Wire.Query vq))
+          client
+          (list_size (int_range 0 4) extreme_value_gen) );
+    ]
+
+let refreeze r = Replica.thaw (Replica.freeze r)
+
+let freeze_stream_prop =
+  (* A replica frozen and thawed after every op answers every request
+     as the one never frozen, and holds the same state throughout. *)
+  QCheck.Test.make ~count:300 ~name:"thaw (freeze r) behaves as r"
+    (QCheck.make ~print:print_ops
+       QCheck.Gen.(list_size (int_range 1 200) extreme_op_gen))
+    (fun ops ->
+      let r = Replica.create () and f = ref (refreeze (Replica.create ())) in
+      List.for_all
+        (fun (client, req) ->
+          let ok =
+            Replica.handle r ~client req = Replica.handle !f ~client req
+          in
+          f := refreeze !f;
+          ok && Replica.save !f = Replica.save r)
+        ops)
+
+let freeze_state_prop =
+  (* Full windows with 0–40 ids per [updated] set and values at the int
+     range's ends: [save] and the bytes themselves survive the round
+     trip. *)
+  let state_gen =
+    let open QCheck.Gen in
+    let id = frequency [ (4, int_range 0 60); (1, edge_int) ] in
+    let entry = pair extreme_value_gen (list_size (int_range 0 40) id) in
+    let width =
+      frequency
+        [ (1, return Replica.max_vector); (2, int_range 0 Replica.max_vector) ]
+    in
+    map2
+      (fun current vector -> { Replica.s_current = current; s_vector = vector })
+      extreme_value_gen (list_size width entry)
+  in
+  QCheck.Test.make ~count:300 ~name:"save (thaw (freeze r)) = save r"
+    (QCheck.make state_gen)
+    (fun st ->
+      let r = Replica.load st in
+      let b = Replica.freeze r in
+      Replica.save (Replica.thaw b) = Replica.save r
+      && Replica.freeze (Replica.thaw b) = b)
+
+let test_freeze_extremes () =
+  (* The widest ints take 9 bytes each and still come back exact. *)
+  let r = Replica.create () in
+  List.iter
+    (fun (client, v) -> ignore (Replica.handle r ~client (Wire.Update v)))
+    [
+      (max_int, value max_int max_int max_int);
+      (min_int, value min_int (-1) min_int);
+      (0, value max_int (-1) 0);
+    ];
+  ignore (Replica.handle r ~client:7 (Wire.Query []));
+  check bool "state survives" true (Replica.save (refreeze r) = Replica.save r);
+  check bool "current is the max_int tag" true
+    (Replica.current (refreeze r) = value max_int max_int max_int);
+  check bool "small replica, few bytes" true
+    (String.length (Replica.freeze (Replica.create ())) <= 8)
+
 let test_bound_queue () =
   let vs = List.init (Client_core.max_queue + 9) (fun i -> value (i + 1) 0 i) in
   let q = Client_core.bound_queue vs in
@@ -533,6 +618,9 @@ let () =
           tc "vector pruned to window" test_replica_vector_pruned;
           tc "wire updated sets truncated" test_replica_wire_updated_truncated;
           QCheck_alcotest.to_alcotest replica_model_prop;
+          QCheck_alcotest.to_alcotest freeze_stream_prop;
+          QCheck_alcotest.to_alcotest freeze_state_prop;
+          tc "freeze at the int extremes" test_freeze_extremes;
           tc "valQueue bounded" test_bound_queue;
         ] );
       ( "admissible",

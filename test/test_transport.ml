@@ -292,6 +292,65 @@ let codec_encode_into_prop =
 (* Stream reassembly                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* Everything [st] has complete, in order. *)
+let drain_stream st =
+  let rec go acc =
+    match Codec.Stream.next st with
+    | Some f -> go (f :: acc)
+    | None -> List.rev acc
+  in
+  go []
+
+let stream_split_prop =
+  (* However the byte stream is cut into feeds, and however many frames
+     pile up between drains, the same frames come out in order. *)
+  let chunk = QCheck.Gen.(pair (int_range 1 300) bool) in
+  QCheck.Test.make ~name:"any split of a frame stream decodes the same frames"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (fs, cs) ->
+         let chunk (n, drain) = string_of_int n ^ if drain then "!" else "" in
+         Printf.sprintf "%d frames, chunks [%s]" (List.length fs)
+           (String.concat "; " (List.map chunk cs)))
+       QCheck.Gen.(
+         pair
+           (list_size (int_range 0 30) frame_gen)
+           (list_size (int_range 1 20) chunk)))
+    (fun (frames, chunks) ->
+      let wire = String.concat "" (List.map Codec.encode frames) in
+      let st = Codec.Stream.create () in
+      let chunks = Array.of_list chunks in
+      let out = ref [] and pos = ref 0 and i = ref 0 in
+      while !pos < String.length wire do
+        let n, drain = chunks.(!i mod Array.length chunks) in
+        let n = min n (String.length wire - !pos) in
+        incr i;
+        Codec.Stream.feed st (Bytes.of_string (String.sub wire !pos n)) n;
+        pos := !pos + n;
+        if drain then out := List.rev_append (drain_stream st) !out
+      done;
+      List.rev_append !out (drain_stream st) = frames
+      && Codec.Stream.next st = None)
+
+let test_stream_one_big_feed () =
+  (* 6 000 frames in one feed: every one decodes, in order. *)
+  let frames =
+    List.init 6000 (fun i ->
+        Codec.Keyed_request
+          {
+            key = Printf.sprintf "user%07d" i;
+            rt = i;
+            client = 3;
+            req = Wire.Query [];
+          })
+  in
+  let wire = Bytes.of_string (String.concat "" (List.map Codec.encode frames)) in
+  let st = Codec.Stream.create () in
+  Codec.Stream.feed st wire (Bytes.length wire);
+  let out = drain_stream st in
+  check int "frame count" 6000 (List.length out);
+  check bool "order preserved" true (out = frames)
+
 let test_stream_byte_at_a_time () =
   let frames = sample_frames in
   let wire = String.concat "" (List.map Codec.encode frames) in
@@ -1554,6 +1613,8 @@ let () =
         [
           Alcotest.test_case "byte at a time" `Quick test_stream_byte_at_a_time;
           Alcotest.test_case "mixed chunks" `Quick test_stream_mixed_chunks;
+          Alcotest.test_case "one 6 000-frame feed" `Quick test_stream_one_big_feed;
+          QCheck_alcotest.to_alcotest stream_split_prop;
         ] );
       ( "server",
         [
