@@ -32,13 +32,14 @@ type conn = {
   mutable staging : Bytes.t; (* flusher-owned swap space, reused *)
   (* Frames a fault plan scheduled for later delivery on this link:
      (due, payload copy, truncated), sorted by deadline, guarded by
-     [lock].  Senders park here and move on — a delay scoped to one
-     (client, server) link must never stall another client's batch or
-     the rest of a fan-out.  Every flush merges the due entries into its
-     batch, and the ticker, which sleeps to exactly the earliest
-     deadline, becomes a quiet link's flusher: all frames due at one
-     wake-up leave in one write.  There are no delayer threads,
-     mirroring the server reactor's timer list. *)
+     [lock]; a fan-out's links share one read-only copy.  Senders park
+     here and move on — a delay scoped to one (client, server) link
+     must never stall another client's batch or the rest of a
+     fan-out.  Every flush merges the due entries into its batch, and
+     the ticker, which sleeps to exactly the earliest deadline, becomes
+     a quiet link's flusher: all frames due at one wake-up leave in one
+     write.  There are no delayer threads, mirroring the server
+     reactor's timer list. *)
   mutable delayed : (float * Bytes.t * bool) list;
   (* A truncated delivery's prefix is in [out]: sever the link once the
      batch carrying it is written.  Guarded by [lock]. *)
@@ -81,10 +82,10 @@ type t = {
   faults : Faults.t option;
   (* The ticker sleeps in [poller] on the read end of its own wake pipe.
      [armed] is the deadline it is asleep until, [neg_infinity] while it
-     is awake: a sender staging a frame due before [armed] writes a byte
-     to [wake_w], so the ticker re-arms for the earlier deadline instead
-     of oversleeping it (geo profiles go down to sub-millisecond
-     bases). *)
+     is awake: a sender whose fan-out staged a frame due before [armed]
+     writes one byte to [wake_w], so the ticker re-arms for the earlier
+     deadline instead of oversleeping it (geo profiles go down to
+     sub-millisecond bases). *)
   poller : Netio.Poller.t;
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
@@ -342,20 +343,17 @@ let enqueue ?(torn = false) t c bytes len =
 (* Park one scheduled delivery on the link's deadline queue (sorted
    insert, after any entry with the same deadline; queues hold a
    handful of frames, the reactor's timer-list idiom).  The payload is
-   the caller's copy — senders reuse their encode staging.  The insert
-   happens before [armed] is read, and the ticker stores [armed] before
-   it rescans the queues, so either the ticker's rescan sees this frame
-   or this read sees the ticker's deadline and wakes it early: no
-   deadline is overslept. *)
-let stage_delayed t c ~due payload truncated =
+   never written once staged, so one copy can sit on every link's
+   queue.  Staging does not wake the ticker: the caller stages a whole
+   fan-out, then wakes it at most once, for the earliest deadline. *)
+let stage_delayed c ~due payload truncated =
   Mutex.protect c.lock (fun () ->
       let rec ins = function
         | [] -> [ (due, payload, truncated) ]
         | ((d, _, _) :: _) as l when due < d -> (due, payload, truncated) :: l
         | e :: rest -> e :: ins rest
       in
-      c.delayed <- ins c.delayed);
-  if due < Atomic.get t.armed then Netio.notify t.wake_w
+      c.delayed <- ins c.delayed)
 
 (* The ticker's half of the delay drain, for a link whose earliest
    staged frame is due: the ticker becomes its flusher, so every frame
@@ -409,7 +407,9 @@ let ticker_body t () =
   (* Two deadlines share one sleep: the timeout scan at its own cadence
      (tick_period — delivering a staged frame must not drag every
      blocked mailbox through the scheduler) and the earliest staged
-     delivery, to the nanosecond.  At each wake-up every link with a
+     delivery, to the nanosecond (the poller's wait runs this thread
+     with 1 ns timer slack, so the wake-up lands at the deadline, not
+     up to 50 µs after it).  At each wake-up every link with a
      due frame is flushed once, carrying all its due frames in one
      write.  With no frame staged (no delay plan, or all delivered) the
      ticker wakes only for the scan, a stage or [shutdown]. *)
@@ -591,6 +591,11 @@ let exec ~key h req k =
        or every link under one latency) share their deadline and leave
        in one write per link. *)
     let t0 = now () in
+    (* One payload copy shared by every staged delivery ([mb.mb_out] is
+       reused by the next operation), and one ticker wake-up for the
+       earliest of their deadlines. *)
+    let payload = lazy (Bytes.sub mb.mb_out 0 len) in
+    let earliest = ref infinity in
     Array.iter
       (fun c ->
         (* Racy read of [mb_from] outside the mailbox lock: the worst
@@ -608,17 +613,24 @@ let exec ~key h req k =
             in
             List.iter
               (fun { Faults.after; truncated } ->
-                if after > 0.0 then
+                if after > 0.0 then begin
                   (* Park on the link's deadline queue — never sleep in
                      the sender: a delay scoped to this link must not
                      stall other clients' batches or the rest of this
-                     fan-out.  The payload is copied because [mb.mb_out]
-                     is reused by the next operation. *)
-                  stage_delayed t c ~due:(t0 +. after)
-                    (Bytes.sub mb.mb_out 0 len) truncated
+                     fan-out. *)
+                  let due = t0 +. after in
+                  stage_delayed c ~due (Lazy.force payload) truncated;
+                  earliest := Float.min !earliest due
+                end
                 else enqueue ~torn:truncated t c mb.mb_out len)
               ds)
-      t.conns
+      t.conns;
+    (* Every insert happens before [armed] is read, and the ticker
+       stores [armed] before it rescans the queues, so either the
+       ticker's rescan sees the staged frames or this read sees the
+       ticker's deadline and wakes it early: no deadline is
+       overslept. *)
+    if !earliest < Atomic.get t.armed then Netio.notify t.wake_w
   in
   broadcast ();
   let give_up = ref false in

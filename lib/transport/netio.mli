@@ -120,14 +120,17 @@ module Poller : sig
     int
   (** Block up to [timeout] seconds, invoke the callback once per ready
       descriptor, return the ready count (0 on timeout or EINTR).  The
-      timeout's resolution is nanoseconds on epoll (epoll_pwait2(2);
-      the kernel's timer slack, ~50 µs, still applies) and whole
-      milliseconds, rounded up, on the poll(2) fallback and on kernels
-      without epoll_pwait2.
+      timeout's resolution is nanoseconds on epoll (epoll_pwait2(2))
+      and whole milliseconds, rounded up, on the poll(2) fallback and
+      on kernels without epoll_pwait2.  On Linux the first epoll wait
+      on a thread sets that thread's timer slack to 1 ns (from the
+      default 50 µs), so a wake-up lands at its deadline: a thread that
+      waits here is one that sleeps to staged-frame deadlines.  Where
+      the kernel refuses, the default slack stays.
       Errors (EPOLLERR/HUP, POLLNVAL) are reported as [readable]: the
       owner's read path observes the failure and drops the connection.
-      The callback may [add]/[set_write]/[remove] freely, including for
-      the descriptor being dispatched. *)
+      The callback may [add]/[set]/[remove] freely, including for the
+      descriptor being dispatched. *)
 
   val close : t -> unit
   (** Release the poller's own resources (registered fds are not

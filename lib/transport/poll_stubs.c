@@ -14,7 +14,14 @@
  *   at the next whole millisecond.  A kernel without epoll_pwait2
  *   (before 5.11, or a seccomp filter that refuses it) is detected on
  *   the first call and remembered; from then on epoll_wait(2) runs with
- *   the timeout rounded up to milliseconds.
+ *   the timeout rounded up to milliseconds.  The first wait on each
+ *   thread also sets that thread's timer slack to 1 ns
+ *   (prctl(PR_SET_TIMERSLACK)): with the default 50 µs, every wake-up
+ *   lands up to 50 µs past its deadline, and a delayed frame's release
+ *   pays it on both legs of a round trip.  Only the threads that wait
+ *   here are changed (the reactor shards and the mux ticker, which
+ *   sleep to staged-frame deadlines); a refused prctl keeps the
+ *   default.
  * - poll (portable): mwreg_poll takes an array of encoded interests and
  *   rewrites each entry's bits with the revents.  Unlike select(2) it
  *   has no FD_SETSIZE cliff, which matters from ~1024 descriptors up.
@@ -43,6 +50,7 @@
 
 #if defined(__linux__)
 #include <sys/epoll.h>
+#include <sys/prctl.h>
 #include <sys/syscall.h>
 #include <time.h>
 #define MWREG_HAVE_EPOLL 1
@@ -114,11 +122,19 @@ CAMLprim value mwreg_epoll_ctl(value vep, value vop, value vfd, value vbits)
    goes straight to epoll_wait.  Racing shards can only both set it. */
 static volatile int mwreg_no_pwait2 = 0;
 
+/* Set once this thread has asked for 1 ns timer slack.  1, not 0: a
+   slack of 0 resets the thread to its default. */
+static __thread int mwreg_slack_set = 0;
+
 /* Wait up to [ns] nanoseconds (0 = poll).  Runs without the runtime
    lock: touches no OCaml value. */
 static int mwreg_epoll_wait_ns(int ep, struct epoll_event *evs, int cap,
                                long long ns)
 {
+  if (!mwreg_slack_set) {
+    (void)prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
+    mwreg_slack_set = 1;
+  }
   if (!mwreg_no_pwait2) {
     int n;
 #if defined(__GLIBC__) && (__GLIBC__ > 2 || __GLIBC_MINOR__ >= 35)

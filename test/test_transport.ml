@@ -1285,6 +1285,41 @@ let test_mux_due_copies_one_write () =
   check int "one client write per round" rounds
     (after.Netio.writes - before.Netio.writes)
 
+let test_mux_fanout_one_notify () =
+  (* Each link's request is due earlier than the previous link's (3, 2,
+     1 ms), so waking the ticker per staged frame would write its pipe
+     once per link; a fan-out stages all three and writes it at most
+     once. *)
+  let servers = Array.init 3 (fun i -> Server.start ~id:i ()) in
+  let addrs =
+    Array.map
+      (fun s -> Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port s))
+      servers
+  in
+  let faults =
+    Faults.create
+      (List.mapi
+         (fun i base ->
+           Faults.rule ~dir:Faults.To_server ~servers:[ i ]
+             (Faults.Latency { base; jitter = 0.0 }))
+         [ 0.003; 0.002; 0.001 ])
+  in
+  let mux = Mux.create ~faults ~servers:addrs ~quorum:3 () in
+  let ep = Mux.client mux ~client:91 in
+  Mux.exec ~key ep (Wire.Query []) (fun _ -> ());
+  let rounds = 30 in
+  let before = Netio.counts () in
+  for _ = 1 to rounds do
+    Mux.exec ~key ep (Wire.Query []) (fun _ -> ())
+  done;
+  let after = Netio.counts () in
+  Mux.shutdown mux;
+  Array.iter Server.stop servers;
+  let n = after.Netio.notifies - before.Netio.notifies in
+  check bool
+    (Printf.sprintf "%d wake-pipe writes over %d rounds <= %d" n rounds rounds)
+    true (n <= rounds)
+
 (* ------------------------------------------------------------------ *)
 (* Timer resolution and the ticker's lifecycle                          *)
 (* ------------------------------------------------------------------ *)
@@ -1296,15 +1331,14 @@ let median_of n f =
   Array.sort Float.compare a;
   a.(n / 2)
 
-let test_poller_sub_ms_timeout () =
-  (* An idle epoll wait returns at its deadline, not at the next whole
-     millisecond: the reactor's delayed replies are scheduled by this
-     timeout. *)
+(* The median of [n] idle 0.3 ms waits in a fresh poller watching one
+   quiet pipe, in seconds. *)
+let idle_wait_median n =
   let p = Netio.Poller.create () in
   let r, w = Unix.pipe ~cloexec:true () in
   Netio.Poller.add p r ~want_write:false;
   let m =
-    median_of 40 (fun () ->
+    median_of n (fun () ->
         let t0 = Clock.now () in
         ignore
           (Netio.Poller.wait p ~timeout:0.0003 (fun _ ~readable:_ ~writable:_ ->
@@ -1315,10 +1349,40 @@ let test_poller_sub_ms_timeout () =
   Netio.Poller.close p;
   Unix.close r;
   Unix.close w;
+  m
+
+let test_poller_sub_ms_timeout () =
+  (* An idle epoll wait returns at its deadline, not at the next whole
+     millisecond: the reactor's delayed replies are scheduled by this
+     timeout. *)
+  let m = idle_wait_median 40 in
   check bool (Printf.sprintf "median wait %.3f ms >= 0.3 ms" (m *. 1e3)) true
     (m >= 0.00029);
   check bool (Printf.sprintf "median wait %.3f ms < 0.9 ms" (m *. 1e3)) true
     (m < 0.0009)
+
+let test_poller_oversleep () =
+  (* A thread waiting in the poller runs with 1 ns timer slack, so an
+     idle 0.3 ms wait oversleeps by microseconds, not by the kernel's
+     default 50 us: on the calling thread, on a [Thread.create]d one
+     (the mux ticker, a reactor shard) and on a spawned domain (a
+     reactor shard under [--server-domains]). *)
+  let oversleep () = idle_wait_median 200 -. 0.0003 in
+  let caller = oversleep () in
+  (* Without epoll_pwait2 waits round up to whole milliseconds. *)
+  if caller +. 0.0003 >= 0.001 then Alcotest.skip ();
+  let thread =
+    let m = ref nan in
+    Thread.join (Thread.create (fun () -> m := oversleep ()) ());
+    !m
+  in
+  let domain = Domain.join (Domain.spawn oversleep) in
+  List.iter
+    (fun (where, m) ->
+      check bool
+        (Printf.sprintf "%s: median oversleep %.1f us < 40 us" where (m *. 1e6))
+        true (m < 40e-6))
+    [ ("calling thread", caller); ("thread", thread); ("domain", domain) ]
 
 let test_mux_sub_ms_round_trip () =
   (* 0.3 ms on each leg: the request parks on the mux's deadline queue,
@@ -1659,12 +1723,16 @@ let () =
             `Slow test_mux_redials_long_restart;
                  Alcotest.test_case "idle epoll wait has sub-ms resolution" `Quick
             test_poller_sub_ms_timeout;
+          Alcotest.test_case "idle waits oversleep < 40 us on every thread"
+            `Quick test_poller_oversleep;
           Alcotest.test_case "0.3 ms legs give a sub-1.5 ms round trip" `Quick
             test_mux_sub_ms_round_trip;
           Alcotest.test_case "create/shutdown leaks nothing, wakes ticker"
             `Quick test_mux_lifecycle;
           Alcotest.test_case "copies due together leave in one write" `Quick
             test_mux_due_copies_one_write;
+          Alcotest.test_case "one wake-pipe write per fan-out" `Quick
+            test_mux_fanout_one_notify;
         ] );
       ( "live",
         [
