@@ -92,7 +92,6 @@ let t1_configs = [ (5, 1, 2, 2); (7, 3, 2, 2); (6, 1, 3, 3); (9, 2, 2, 2) ]
    certificate-starvation attack.  The shape × seed runs are independent
    and fan out over [pool]; counts merge in task order. *)
 let t1_cell pool ~register ~s ~t ~w ~r =
-  let module R = (val register : Register_intf.S) in
   let shapes = [ `Benign; `Skips; `Crash; `Inversion ] in
   let tasks =
     List.concat_map
@@ -111,7 +110,7 @@ let t1_cell pool ~register ~s ~t ~w ~r =
       if not atomic then incr broken)
     verdicts;
   (* The certificate-starvation attack, where applicable. *)
-  (match R.design_point with
+  (match Registers.Registry.design_point register with
   | Quorums.Bounds.W2R1 | Quorums.Bounds.W1R1 | Quorums.Bounds.W2R2 ->
     incr runs;
     let v = Threshold.attack ~register ~s ~t ~r in
@@ -142,16 +141,17 @@ let table1 () =
   row "%s\n" (String.make 86 '-');
   List.iter
     (fun register ->
-      let module R = (val register : Register_intf.S) in
+      let dp = Registers.Registry.design_point register in
       List.iter
         (fun (s, t, w, r) ->
-          let predicted = Quorums.Bounds.possible R.design_point ~s ~t ~w ~r in
+          let predicted = Quorums.Bounds.possible dp ~s ~t ~w ~r in
           let runs, broken = t1_cell !pool ~register ~s ~t ~w ~r in
           let measured =
             if broken = 0 then "atomic"
             else Printf.sprintf "VIOLATED(%d)" broken
           in
-          row "%-28s S=%d t=%d W=%d R=%d  %-12s %-12s %d\n" R.name s t w r
+          row "%-28s S=%d t=%d W=%d R=%d  %-12s %-12s %d\n"
+            (Registers.Registry.name register) s t w r
             (if predicted then "possible" else "impossible")
             measured runs)
         t1_configs;
@@ -177,7 +177,7 @@ let fig2 () =
   row "%s\n" (String.make 88 '-');
   List.iter
     (fun register ->
-      let module R = (val register : Register_intf.S) in
+      let dp = Registers.Registry.design_point register in
       let env =
         Env.make ~seed:1 ~latency:(Simulation.Latency.constant 2.0) ~s:5 ~t:1
           ~w:2 ~r:2 ()
@@ -229,12 +229,13 @@ let fig2 () =
             else worst)
           Checker.Consistency.Atomic levels
       in
-      row "%-28s W%dR%d     %-12.1f %-12.1f %-14s %s\n" R.name
-        (Quorums.Bounds.write_rounds R.design_point)
-        (Quorums.Bounds.read_rounds R.design_point)
+      row "%-28s W%dR%d     %-12.1f %-12.1f %-14s %s\n"
+        (Registers.Registry.name register)
+        (Quorums.Bounds.write_rounds dp)
+        (Quorums.Bounds.read_rounds dp)
         writes.Stats.mean reads.Stats.mean
         (Checker.Consistency.level_to_string worst)
-        (Quorums.Bounds.design_point_to_string R.design_point))
+        (Quorums.Bounds.design_point_to_string dp))
     Registers.Registry.multi_writer;
   Printf.printf
     "\nShape check: one-round operations cost half the latency of two-round\n\
@@ -476,7 +477,6 @@ let latency_exp () =
   row "%s\n" (String.make 92 '-');
   List.iter
     (fun register ->
-      let module R = (val register : Register_intf.S) in
       let reads_acc = ref [] and writes_acc = ref [] in
       for seed = 1 to 30 do
         let env = Env.make ~seed ~latency ~s:5 ~t:1 ~w:2 ~r:2 () in
@@ -488,7 +488,8 @@ let latency_exp () =
       done;
       let reads = Stats.of_latencies !reads_acc in
       let writes = Stats.of_latencies !writes_acc in
-      row "%-28s %-10.1f %-10.1f %-10.1f %-10.1f %-11.1f %-10.1f\n" R.name
+      row "%-28s %-10.1f %-10.1f %-10.1f %-10.1f %-11.1f %-10.1f\n"
+        (Registers.Registry.name register)
         reads.Stats.mean reads.Stats.p50 reads.Stats.p95 reads.Stats.p99
         writes.Stats.mean writes.Stats.p99)
     [
@@ -1159,11 +1160,7 @@ let geo_exp () =
              teardown debris. *)
           Gc.compact ();
           Unix.sleepf 0.15;
-          let w =
-            match Registers.Registry.max_writers register with
-            | Some m -> min m 2
-            | None -> 2
-          in
+          let w = Registers.Registry.clamp_writers register 2 in
           let r = 2 in
           let clients = List.init (w + r) (fun i -> s + i) in
           let faults = Transport.Geo.plan profile ~s ~clients in

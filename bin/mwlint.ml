@@ -9,8 +9,10 @@
    non-zero on any new finding.  With [--fail-stale], a baseline entry
    that no longer matches any finding is an error rather than a
    warning — CI uses it to force the suppression file to shrink as debt
-   is paid off.  [--format json] prints one finding object per line
-   (rule, severity, file, line, col, message) for annotation tooling;
+   is paid off; the same holds for a [Rules.lock_free_allow] entry that
+   matches no thread-shared cell, so run it over the whole tree.
+   [--format json] prints one finding object per line (rule, severity,
+   file, line, col, message) for annotation tooling;
    [--lock-map FILE] writes the inferred lock -> guarded-cells table
    ("-" for stdout).  Exit codes: 0 clean, 1 new findings (or stale
    entries under [--fail-stale]), 2 usage / parse / baseline errors. *)
@@ -34,7 +36,7 @@ let () =
       );
       ( "--fail-stale",
         Arg.Set fail_stale,
-        " treat stale baseline entries as errors (exit 1)" );
+        " treat stale baseline and lock_free_allow entries as errors (exit 1)" );
       ("--rules", Arg.Set list_rules, " list the rule catalog and exit");
       ( "--format",
         Arg.Symbol ([ "text"; "json" ], fun s -> format := s),
@@ -112,6 +114,15 @@ let () =
         e.Analysis.Baseline.rule e.Analysis.Baseline.file
         e.Analysis.Baseline.line)
     stale;
+  let stale_allow = result.Analysis.Engine.stale_allow in
+  List.iter
+    (fun pat ->
+      Printf.eprintf
+        "mwlint: %s: stale lock_free_allow entry %s (matches no \
+         thread-shared cell — delete it from lib/analysis/rules.ml)\n"
+        (if !fail_stale then "error" else "warning")
+        pat)
+    stale_allow;
   (match !format with
   | "json" ->
     List.iter (fun f -> print_endline (Analysis.Finding.to_json f)) fresh
@@ -121,4 +132,5 @@ let () =
   if !format <> "json" then
     Printf.printf "mwlint: %d file(s), %d finding(s), %d suppressed\n"
       (List.length files) (List.length fresh) suppressed;
-  if fresh <> [] || (!fail_stale && stale <> []) then exit 1
+  if fresh <> [] || (!fail_stale && (stale <> [] || stale_allow <> [])) then
+    exit 1

@@ -667,11 +667,7 @@ let live protocol all s tol w r ops connect kills think rt_timeout
     exit 1
   | Ok registers, Ok addrs, Ok kill_at ->
     let run_one register =
-      let w =
-        match Registry.max_writers register with
-        | Some m -> min m w
-        | None -> w
-      in
+      let w = Registry.clamp_writers register w in
       (* Geo profiles compile against the session's node numbering
          (servers 0..s-1, then the w+r clients), so the plan is built
          after the writer clamp. *)
@@ -1110,11 +1106,7 @@ let geo_run list_profiles protocol profile s tol w r ops outage check =
     Printf.eprintf "unknown protocol %S\n" protocol;
     exit 1
   | Some register ->
-    let w =
-      match Registry.max_writers register with
-      | Some m -> min m w
-      | None -> w
-    in
+    let w = Registry.clamp_writers register w in
     let clients = List.init (w + r) (fun i -> s + i) in
     (* Under an outage the timeout must stay short so cut-off clients
        retry their way across the window instead of stalling on one

@@ -36,7 +36,7 @@ let () =
   print_endline (String.make 88 '-');
   List.iter
     (fun register ->
-      let module R = (val register : Register_intf.S) in
+      let dp = Registry.design_point register in
       let v =
         run_and_check ~seed:11 ~latency ~register ~s:5 ~t:1 ~w:2 ~r:2 plans
       in
@@ -46,9 +46,8 @@ let () =
       in
       let reads = Stats.reads v.outcome.Runtime.history in
       let writes = Stats.writes v.outcome.Runtime.history in
-      Printf.printf "%-28s W%dR%d    %-11.1f %-11.1f %-12s %s\n" R.name
-        (Bounds.write_rounds R.design_point)
-        (Bounds.read_rounds R.design_point)
+      Printf.printf "%-28s W%dR%d    %-11.1f %-11.1f %-12s %s\n"
+        (Registry.name register) (Bounds.write_rounds dp) (Bounds.read_rounds dp)
         reads.Stats.p50 writes.Stats.p50
         (Consistency.level_to_string v.consistency)
         (Consistency.level_to_string adv.consistency))

@@ -1,4 +1,8 @@
-type result = { findings : Finding.t list; lock_map : string }
+type result = {
+  findings : Finding.t list;
+  lock_map : string;
+  stale_allow : string list;
+}
 
 let run sources =
   let st = Rules.create_state () in
@@ -6,9 +10,9 @@ let run sources =
      must resolve to their declaring module whatever the file order. *)
   List.iter (Rules.collect_decls st) sources;
   List.iter (Rules.analyze_file st) sources;
-  let shared, lock_map = Lockmap.infer st in
+  let shared, lock_map, stale_allow = Lockmap.infer st in
   let all = Rules.lock_order_findings st @ Rules.findings st @ shared in
-  { findings = List.sort_uniq Finding.compare all; lock_map }
+  { findings = List.sort_uniq Finding.compare all; lock_map; stale_allow }
 
 let analyze sources = (run sources).findings
 

@@ -2,7 +2,13 @@
     produce the sorted, deduplicated finding list plus the inferred
     lock-ownership map. *)
 
-type result = { findings : Finding.t list; lock_map : string }
+type result = {
+  findings : Finding.t list;
+  lock_map : string;
+  stale_allow : string list;
+      (** [Rules.lock_free_allow] patterns that matched no thread-shared
+          cell of the analysed sources. *)
+}
 
 val run : Source.t list -> result
 (** Decl pre-pass over all sources, single-file rules on each, then the

@@ -115,12 +115,12 @@ let infer_owner sites =
 
 type verdict =
   | Guarded of string * int  (* owner, site count *)
-  | LockFree of string  (* allowlist justification *)
+  | LockFree of string * string  (* allowlist pattern, justification *)
   | Findings of Finding.t list
 
 let judge cell (info : Rules.cellinfo) sites =
-  match Rules.allow_justification cell with
-  | Some why -> LockFree why
+  match Rules.allow_entry cell with
+  | Some (pat, why) -> LockFree (pat, why)
   | None -> (
     let n = List.length sites in
     match infer_owner sites with
@@ -221,6 +221,7 @@ let infer (st : Rules.state) =
       (Hashtbl.fold (fun cell _ acc -> cell :: acc) shared [])
   in
   let guarded = ref [] and lock_free = ref [] and findings = ref [] in
+  let used = ref SS.empty in
   let flagged = ref 0 in
   List.iter
     (fun cell ->
@@ -230,7 +231,9 @@ let infer (st : Rules.state) =
         let info = Hashtbl.find st.cells cell in
         match judge cell info sites with
         | Guarded (owner, n) -> guarded := (owner, cell, n) :: !guarded
-        | LockFree why -> lock_free := (cell, why) :: !lock_free
+        | LockFree (pat, why) ->
+          used := SS.add pat !used;
+          lock_free := (cell, why) :: !lock_free
         | Findings fs ->
           incr flagged;
           findings := fs @ !findings))
@@ -244,4 +247,5 @@ let infer (st : Rules.state) =
     render_map ~guarded:(List.rev !guarded) ~lock_free:!lock_free
       ~flagged:!flagged ~unshared
   in
-  (List.rev !findings, map)
+  let patterns = List.map fst Rules.lock_free_allow in
+  (List.rev !findings, map, List.filter (fun p -> not (SS.mem p !used)) patterns)

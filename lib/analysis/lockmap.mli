@@ -9,6 +9,8 @@
     cells on [Rules.lock_free_allow] are reported in the artifact's
     lock-free section instead of the findings. *)
 
-val infer : Rules.state -> Finding.t list * string
-(** [(findings, lock_map_text)].  Deterministic under any file order:
-    cells, sites and the fixpoint are all order-independent. *)
+val infer : Rules.state -> Finding.t list * string * string list
+(** [(findings, lock_map_text, stale_allow)], where [stale_allow] lists
+    the [Rules.lock_free_allow] patterns that justified no thread-shared
+    cell.  Deterministic under any file order: cells, sites and the
+    fixpoint are all order-independent. *)

@@ -175,7 +175,9 @@ let spawn_calls =
    silences the cell globally and MUST carry a justification — these
    are reviewed design decisions (CAS retry loops, single-owner-thread
    state), not suppressions of unread findings.  The `--lock-map`
-   artifact prints this table so the decisions stay visible. *)
+   artifact prints this table so the decisions stay visible, and an
+   entry that justifies no thread-shared cell is stale: `--fail-stale`
+   fails on it, so the table shrinks when the code it excused goes. *)
 let lock_free_allow : (string * string) list =
   [
     (* -- transport: documented single-owner designs ---------------- *)
@@ -183,48 +185,24 @@ let lock_free_allow : (string * string) list =
       "built before start (enforced by invalid_arg); the checker \
        thread is the sole reader afterwards — the completion path \
        itself is the CAS stack (queue/inflight are Atomic.t)" );
-    ( "Transport.Check_sink.next",
-      "per-port id counter: only the owning client thread calls \
-       completed on its port" );
-    ( "Transport.Check_sink.batches",
-      "checker-thread-private counter; stop reads it only after \
-       joining the checker thread" );
-    ( "Transport.Check_sink.busy",
-      "checker-thread-private counter; stop reads it only after \
-       joining the checker thread" );
     ( "Transport.Mux.staging",
       "flusher-owned swap space: only the thread that set [flushing] \
        under the conn lock touches it until it clears the flag" );
-    ( "Transport.Mux.mb_from",
-      "documented benign race: the broadcast path reads the dedup \
-       array outside the mailbox lock; worst case is a duplicate \
-       send and replica operations are idempotent" );
-    ( "Transport.Mux.mb_enc",
-      "per-handle encode staging; a handle belongs to one client \
-       thread" );
     ( "Transport.Mux.mb_out",
       "per-handle write staging; a handle belongs to one client \
        thread" );
     ( "Transport.Codec.Stream.*",
       "a decode stream belongs to the one thread that reads its \
        connection (demux thread / shard reactor)" );
-    ( "Transport.Cluster.*",
-      "harness control plane: kill/restart/addrs run on the \
-       coordinating thread only, never on client or server threads" );
     (* -- transport/server: shard confinement ----------------------- *)
     ( "Transport.Server.Outq.*",
       "shard-confined: each reactor thread owns its connections' \
        out-queues (see the reactor design comment)" );
-    ( "Transport.Server.conns",
-      "shard-confined: the owning reactor thread is the only one that \
-       touches the shard's connection table" );
     ( "Transport.Server.timers",
       "shard-confined: the timer list belongs to the shard's reactor \
        thread" );
     ( "Transport.Server.frames",
       "shard-confined per-connection counter" );
-    ( "Transport.Server.rbuf",
-      "shard-confined read buffer" );
     ( "Transport.Server.want_write",
       "shard-confined: poller interest toggles happen only on the \
        owning reactor thread" );
@@ -240,14 +218,6 @@ let lock_free_allow : (string * string) list =
     ( "Transport.Netio.Poller.*",
       "per-shard poller owned by its reactor thread" );
     (* -- registers: served state's off-thread edges ----------------- *)
-    ( "Registers.Keyspace.hot",
-      "bare sites are load (fresh instance, pre-publication) and \
-       save/stats (post-stop); all in-service access runs under \
-       Server.replica_lock" );
-    ( "Registers.Keyspace.cold",
-      "bare sites are load (fresh instance, pre-publication) and \
-       save/stats (post-stop); all in-service access runs under \
-       Server.replica_lock" );
     ( "Registers.Replica.current",
       "bare sites are load (fresh instance) and post-stop snapshot \
        getters; all in-service access runs under Server.replica_lock" );
@@ -261,12 +231,6 @@ let lock_free_allow : (string * string) list =
     ( "Simulation.*",
       "discrete-event simulation instances are single-threaded by \
        design; each worker/test owns its engine outright" );
-    ( "Registers.Abd_mwmr.*",
-      "simulation-plane register state, driven by one engine instance \
-       at a time" );
-    ( "Protocol.*",
-      "simulation-plane protocol state, driven by one engine instance \
-       at a time" );
     ( "Checker.*",
       "a checker instance is thread-confined: each soak/worker owns \
        its checker, or feeds it through Check_sink's single checker \
@@ -275,15 +239,13 @@ let lock_free_allow : (string * string) list =
       "one recorder per client thread; merges read them after join" );
     ( "Workload.Stats.Hist.*",
       "per-thread histograms, merged after the workers join" );
-    ( "Kv.Kv_session.*",
-      "per-client session logs; history_of_key reads them post-join" );
   ]
 
 (* An allowlist entry is an exact cell name or a module prefix
-   ("Kv.Kv_session.*"): prefixes exist so a subsystem whose whole
-   design is single-owner (the session logs, the simulation plane) is
-   one reviewed decision instead of a dozen copies of it. *)
-let allow_justification cell =
+   ("Simulation.*"): prefixes exist so a subsystem whose whole design
+   is single-owner (the simulation plane, the checkers) is one reviewed
+   decision instead of a dozen copies of it. *)
+let allow_entry cell =
   let matches (pat, _) =
     pat = cell
     || String.ends_with ~suffix:".*" pat
@@ -291,7 +253,7 @@ let allow_justification cell =
             ~prefix:(String.sub pat 0 (String.length pat - 1))
             cell
   in
-  Option.map snd (List.find_opt matches lock_free_allow)
+  List.find_opt matches lock_free_allow
 
 (* ------------------------------------------------------------------ *)
 (* Summaries shared across files (for LOCK-ORDER)                      *)

@@ -34,11 +34,14 @@ val spawn_calls : string list
 val lock_free_allow : (string * string) list
 (** [(cell, justification)]: shared cells deliberately accessed without
     a lock.  A pattern is an exact cell name or a module prefix ending
-    in [".*"].  Every entry must carry a justification; the
-    [--lock-map] artifact prints the matched entries. *)
+    in [".*"].  Every entry must carry a justification and match at
+    least one thread-shared cell of the whole tree (mwlint
+    [--fail-stale] fails on one that does not); the [--lock-map]
+    artifact prints the matched entries. *)
 
-val allow_justification : string -> string option
-(** The justification for a cell, if any allowlist pattern matches. *)
+val allow_entry : string -> (string * string) option
+(** The first [lock_free_allow] entry [(pattern, justification)] whose
+    pattern matches the cell, if any. *)
 
 (** {1 Analysis state}
 

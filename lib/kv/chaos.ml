@@ -39,9 +39,7 @@ let soak ?(seed = 0) ?(drop = 0.08) ?(delay = 0.03)
   Fun.protect
     ~finally:(fun () -> Kv_cluster.shutdown cluster)
     (fun () ->
-      let writers =
-        match Registry.max_writers register with Some m -> min m 2 | None -> 2
-      in
+      let writers = Registry.clamp_writers register 2 in
       let readers = 2 in
       let restarted = restart && tol >= 1 in
       let kill_at, restart_at =

@@ -31,8 +31,6 @@
     this register may take arbitrarily many slow reads per write, which
     is precisely how it coexists with that impossibility. *)
 
-open Protocol
-
 let name = "adaptive read (W2R1.5)"
 
 (* Optimistically one round; the design point records the fast path. *)
@@ -44,7 +42,7 @@ let safe_degrees ~s ~t =
   List.rev (go 1 [])
 
 (* The adaptive read over any backend.  [note] observes which path the
-   read took (`Fast or `Slow) — the cluster counts them. *)
+   read took (`Fast or `Slow). *)
 let read_core ?(note = fun _ -> ()) (ctx : Client_core.ctx) ~reader ~val_queue ~k =
   let ep = ctx.Client_core.reader_ep reader in
   let s = ctx.Client_core.s in
@@ -103,45 +101,3 @@ let algo =
     Client_core.new_writer;
     new_reader = (fun ctx ~reader -> new_reader ctx ~reader);
   }
-
-type cluster = {
-  base : Cluster_base.t;
-  writers : Client_core.writer_fn array;
-  readers : Client_core.reader_fn array;
-  mutable fast_reads : int;
-  mutable slow_reads : int;
-}
-
-let create env =
-  let base = Cluster_base.create env in
-  let ctx = Cluster_base.ctx base in
-  let rec c =
-    lazy
-      {
-        base;
-        writers =
-          Array.init (Env.w env) (fun i -> new_writer ctx ~writer:i);
-        readers =
-          Array.init (Env.r env) (fun i ->
-              new_reader
-                ~note:(fun path ->
-                  let c = Lazy.force c in
-                  match path with
-                  | `Fast -> c.fast_reads <- c.fast_reads + 1
-                  | `Slow -> c.slow_reads <- c.slow_reads + 1)
-                ctx ~reader:i);
-        fast_reads = 0;
-        slow_reads = 0;
-      }
-  in
-  Lazy.force c
-
-let control c = c.base.Cluster_base.ctl
-
-let fast_fraction c =
-  let total = c.fast_reads + c.slow_reads in
-  if total = 0 then 1.0 else float_of_int c.fast_reads /. float_of_int total
-
-let write c ~writer ~value ~k = c.writers.(writer) ~payload:value ~k
-
-let read c ~reader ~k = c.readers.(reader) ~k

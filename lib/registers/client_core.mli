@@ -4,7 +4,7 @@
     {!endpoint} — "broadcast a request to all [S] servers and hand me any
     [S − t] replies in arrival order" — so the *same algorithm body* runs
     on two execution backends: the discrete-event simulator
-    ({!Cluster_base.ctx}, over {!Protocol.Round_trip}) and the live TCP
+    ({!Cluster_base}, over {!Protocol.Round_trip}) and the live TCP
     transport ([Transport.Cluster], over real sockets).  The algorithms:
     the two-round write of LS97/Algorithm 1, the classic two-round read
     with write-back, the local-clock one-round write used by the
@@ -152,4 +152,5 @@ type algo = {
     [new_writer]/[new_reader] allocates that client's private state
     (local clock, last-written value, valQueue) and returns its
     operation.  {!Registry.client_algo} names one per protocol; the
-    simulator clusters and the live transport both run exactly these. *)
+    simulator's {!Cluster_base} and the live transport both run exactly
+    these. *)

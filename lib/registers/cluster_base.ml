@@ -1,65 +1,73 @@
 open Protocol
 open Simulation
 
-type endpoint = (Wire.req, Wire.rep) Round_trip.t
-
 type t = {
-  env : Env.t;
-  net : (Wire.req, Wire.rep) Message.t Network.t;
-  replicas : Replica.t array;
-  writer_eps : endpoint array;
-  reader_eps : endpoint array;
   ctl : Control.t;
+  writers : Client_core.writer_fn array;
+  readers : Client_core.reader_fn array;
 }
 
-let create (env : Env.t) =
+let create ?(name = "Cluster_base.create") ?max_writers (env : Env.t)
+    (algo : Client_core.algo) =
+  (match max_writers with
+  | Some m when Env.w env > m ->
+    invalid_arg
+      (Printf.sprintf "%s accepts at most %d writer(s), got %d" name m (Env.w env))
+  | _ -> ());
   let topo = env.Env.topology in
   let net =
     Network.create env.Env.engine ~latency:env.Env.latency ?trace:env.Env.trace ()
   in
   Network.forbid net (fun ~src ~dst -> Topology.forbidden topo ~src ~dst);
-  let replicas =
-    Array.init topo.Topology.servers (fun i ->
-        let replica = Replica.create () in
-        Server.attach ~net
-          ~node:(Topology.server_node topo i)
-          ~handler:(fun ~client req -> Replica.handle replica ~client req);
-        replica)
-  in
+  for i = 0 to topo.Topology.servers - 1 do
+    Server.attach ~net ~node:(Topology.server_node topo i)
+      ~handler:(Replica.handle (Replica.create ()))
+  done;
   let servers = Topology.server_nodes topo in
   let quorum = Env.quorum_size env in
-  let writer_eps =
-    Array.init topo.Topology.writers (fun i ->
-        Round_trip.create ~net ~node:(Topology.writer_node topo i) ~servers ~quorum)
+  let endpoints n node =
+    Array.init n (fun i ->
+        let ep = Round_trip.create ~net ~node:(node topo i) ~servers ~quorum in
+        { Client_core.exec = Round_trip.exec ep })
   in
-  let reader_eps =
-    Array.init topo.Topology.readers (fun i ->
-        Round_trip.create ~net ~node:(Topology.reader_node topo i) ~servers ~quorum)
+  let writer_eps = endpoints topo.Topology.writers Topology.writer_node in
+  let reader_eps = endpoints topo.Topology.readers Topology.reader_node in
+  (* The simulator endpoints as the backend-agnostic client context, so
+     the Client_core algorithms run unchanged on either the
+     discrete-event engine or the live TCP transport. *)
+  let ctx =
+    {
+      Client_core.writer_ep = Array.get writer_eps;
+      reader_ep = Array.get reader_eps;
+      s = Env.s env;
+      t = Env.t_ env;
+      r = Env.r env;
+    }
   in
   let ctl = Control.of_network net ~topology:topo in
-  { env; net; replicas; writer_eps; reader_eps; ctl }
+  let writers =
+    Array.init (Env.w env) (fun i -> algo.Client_core.new_writer ctx ~writer:i)
+  in
+  let readers =
+    Array.init (Env.r env) (fun i -> algo.Client_core.new_reader ctx ~reader:i)
+  in
+  { ctl; writers; readers }
 
-(* Present the simulator endpoints as the backend-agnostic client
-   context, so the Client_core algorithms run unchanged on either the
-   discrete-event engine or the live TCP transport. *)
-let ctx t =
-  let wrap ep = { Client_core.exec = (fun req k -> Round_trip.exec ep req k) } in
-  {
-    Client_core.writer_ep = (fun i -> wrap t.writer_eps.(i));
-    reader_ep = (fun i -> wrap t.reader_eps.(i));
-    s = Env.s t.env;
-    t = Env.t_ t.env;
-    r = Env.r t.env;
-  }
+let control c = c.ctl
 
-let writer_node t i = Topology.writer_node t.env.Env.topology i
+let write c ~writer ~value ~k = c.writers.(writer) ~payload:value ~k
 
-let reader_node t i = Topology.reader_node t.env.Env.topology i
+let read c ~reader ~k = c.readers.(reader) ~k
 
-let quorum t = Env.quorum_size t.env
+let register ~name ~design_point ?max_writers algo : Register_intf.t =
+  (module struct
+    let name = name
+    let design_point = design_point
 
-let s t = Env.s t.env
+    type cluster = t
 
-let tolerance t = Env.t_ t.env
-
-let readers t = Env.r t.env
+    let create env = create ~name ?max_writers env algo
+    let control = control
+    let write = write
+    let read = read
+  end)

@@ -1,38 +1,37 @@
-(** Shared cluster plumbing.
+(** The one simulator cluster, shared by every register protocol.
 
-    Every protocol cluster consists of the same physical pieces: one
-    private network (with the model's server↔server and client↔client
-    bans installed), [S] replicas attached as servers, and one
-    {!Protocol.Round_trip} endpoint per writer and per reader.  Protocols
-    build on this and add only their client-side state. *)
+    Every protocol runs on the same physical pieces: one private network
+    (with the model's server↔server and client↔client bans installed),
+    [S] replicas attached as servers, and one {!Protocol.Round_trip}
+    endpoint per writer and per reader.  A protocol differs only in its
+    {!Client_core.algo}, which this cluster instantiates once per client
+    over the simulator endpoints — the live TCP transport instantiates
+    the same value over real sockets. *)
 
-open Protocol
-open Simulation
+type t
 
-type endpoint = (Wire.req, Wire.rep) Round_trip.t
+val create :
+  ?name:string -> ?max_writers:int -> Protocol.Env.t -> Client_core.algo -> t
+(** Build the network, the servers, the client endpoints (writers, then
+    readers) and finally the clients themselves.  Raises
+    [Invalid_argument], prefixed with [name], when the environment has
+    more writers than [max_writers] (default: no bound); it always has
+    at least one ({!Protocol.Topology.make}). *)
 
-type t = {
-  env : Env.t;
-  net : (Wire.req, Wire.rep) Message.t Network.t;
-  replicas : Replica.t array;
-  writer_eps : endpoint array;
-  reader_eps : endpoint array;
-  ctl : Control.t;
-}
+val control : t -> Protocol.Control.t
+(** Adversarial handle over the cluster's network. *)
 
-val create : Env.t -> t
+val write :
+  t -> writer:int -> value:int -> k:(Checker.Mw_properties.tag option -> unit) -> unit
 
-val ctx : t -> Client_core.ctx
-(** The cluster's endpoints and parameters as the backend-agnostic client
-    context consumed by every {!Client_core} algorithm.  The live TCP
-    transport builds the same [ctx] from real sockets. *)
+val read :
+  t -> reader:int -> k:(int -> Checker.Mw_properties.tag option -> unit) -> unit
 
-val writer_node : t -> int -> int
-val reader_node : t -> int -> int
-
-val quorum : t -> int
-(** [S − t]. *)
-
-val s : t -> int
-val tolerance : t -> int
-val readers : t -> int
+val register :
+  name:string ->
+  design_point:Quorums.Bounds.design_point ->
+  ?max_writers:int ->
+  Client_core.algo ->
+  Protocol.Register_intf.t
+(** The cluster packed as the runtime's first-class protocol handle:
+    [create] builds a {!t} over [algo] with the given writer bound. *)

@@ -23,46 +23,12 @@ let new_writer ctx ~writer =
   fun ~payload ~k ->
     Client_core.two_round_write ctx ~writer ~payload ~last_written ~k
 
-(* The probe hook (lemma tests) is read at call time so it can be
-   installed after the cluster is built. *)
-let new_reader ?probe_ref ctx ~reader =
+let new_reader ?probe ctx ~reader =
   let val_queue = ref [ Wire.initial_value_entry ] in
-  fun ~k ->
-    let probe = Option.bind probe_ref (fun r -> !r) in
-    Client_core.fast_read ?probe ctx ~reader ~val_queue ~k
+  fun ~k -> Client_core.fast_read ?probe ctx ~reader ~val_queue ~k
 
 let algo =
   {
     Client_core.new_writer;
     new_reader = (fun ctx ~reader -> new_reader ctx ~reader);
   }
-
-type cluster = {
-  base : Cluster_base.t;
-  writers : Client_core.writer_fn array;
-  readers : Client_core.reader_fn array;
-  probe : (Client_core.read_probe -> unit) option ref;
-}
-
-let create env =
-  let base = Cluster_base.create env in
-  let ctx = Cluster_base.ctx base in
-  let probe = ref None in
-  {
-    base;
-    writers =
-      Array.init (Protocol.Env.w env) (fun i -> new_writer ctx ~writer:i);
-    readers =
-      Array.init (Protocol.Env.r env) (fun i ->
-          new_reader ~probe_ref:probe ctx ~reader:i);
-    probe;
-  }
-
-(** Install an observation hook on every fast read (lemma tests). *)
-let set_probe c probe = c.probe := probe
-
-let control c = c.base.Cluster_base.ctl
-
-let write c ~writer ~value ~k = c.writers.(writer) ~payload:value ~k
-
-let read c ~reader ~k = c.readers.(reader) ~k

@@ -1,31 +1,20 @@
 (** The paper's W2R1 register (Algorithm 1 & 2) — two-round writes,
-    one-round admissibility-certified reads.  Implements
-    {!Protocol.Register_intf.S}; see the implementation header for the
-    algorithm description. *)
+    one-round admissibility-certified reads.  See the implementation
+    header for the algorithm description. *)
 
 val name : string
 val design_point : Quorums.Bounds.design_point
 
 val algo : Client_core.algo
-(** The protocol's client algorithm, backend-agnostic: the simulator
-    cluster below and the live TCP transport both instantiate exactly
+(** The protocol's client algorithm, backend-agnostic: the simulator's
+    {!Cluster_base} and the live TCP transport both instantiate exactly
     this. *)
 
-type cluster
-
-val create : Protocol.Env.t -> cluster
-val control : cluster -> Protocol.Control.t
-
-val set_probe : cluster -> (Client_core.read_probe -> unit) option -> unit
-(** Install an observation hook invoked on every fast read — used by the
-    Appendix-A lemma tests to watch degrees, maxTS, and fallbacks. *)
-
-val write :
-  cluster ->
-  writer:int ->
-  value:int ->
-  k:(Checker.Mw_properties.tag option -> unit) ->
-  unit
-
-val read :
-  cluster -> reader:int -> k:(int -> Checker.Mw_properties.tag option -> unit) -> unit
+val new_reader :
+  ?probe:(Client_core.read_probe -> unit) ->
+  Client_core.ctx ->
+  reader:int ->
+  Client_core.reader_fn
+(** [algo.new_reader] with an observation hook invoked on every fast
+    read — used by the Appendix-A lemma tests to watch degrees, maxTS,
+    and fallbacks. *)

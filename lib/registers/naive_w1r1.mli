@@ -1,25 +1,9 @@
-(** See the module implementation header for the protocol description.
-    Implements {!Protocol.Register_intf.S}. *)
+(** See the module implementation header for the protocol description. *)
 
 val name : string
 val design_point : Quorums.Bounds.design_point
 
 val algo : Client_core.algo
-(** The protocol's client algorithm, backend-agnostic: the simulator
-    cluster below and the live TCP transport both instantiate exactly
+(** The protocol's client algorithm, backend-agnostic: the simulator's
+    {!Cluster_base} and the live TCP transport both instantiate exactly
     this. *)
-
-type cluster
-
-val create : Protocol.Env.t -> cluster
-val control : cluster -> Protocol.Control.t
-
-val write :
-  cluster ->
-  writer:int ->
-  value:int ->
-  k:(Checker.Mw_properties.tag option -> unit) ->
-  unit
-
-val read :
-  cluster -> reader:int -> k:(int -> Checker.Mw_properties.tag option -> unit) -> unit

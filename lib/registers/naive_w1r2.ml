@@ -29,28 +29,3 @@ let algo =
     new_reader =
       (fun ctx ~reader -> fun ~k -> Client_core.two_round_read ctx ~reader ~k);
   }
-
-type cluster = {
-  base : Cluster_base.t;
-  writers : Client_core.writer_fn array;
-  readers : Client_core.reader_fn array;
-}
-
-let create env =
-  let base = Cluster_base.create env in
-  let ctx = Cluster_base.ctx base in
-  {
-    base;
-    writers =
-      Array.init (Protocol.Env.w env) (fun i ->
-          algo.Client_core.new_writer ctx ~writer:i);
-    readers =
-      Array.init (Protocol.Env.r env) (fun i ->
-          algo.Client_core.new_reader ctx ~reader:i);
-  }
-
-let control c = c.base.Cluster_base.ctl
-
-let write c ~writer ~value ~k = c.writers.(writer) ~payload:value ~k
-
-let read c ~reader ~k = c.readers.(reader) ~k

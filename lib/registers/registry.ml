@@ -1,60 +1,68 @@
-let abd_mwmr : Protocol.Register_intf.t = (module Abd_mwmr)
+type row = {
+  handle : Protocol.Register_intf.t;
+  algo : Client_core.algo;
+  max_writers : int option;
+}
 
-let abd_swmr : Protocol.Register_intf.t = (module Abd_swmr)
+let row ?max_writers name design_point algo =
+  {
+    handle = Cluster_base.register ~name ~design_point ?max_writers algo;
+    algo;
+    max_writers;
+  }
 
-let fastread_w2r1 : Protocol.Register_intf.t = (module Fastread_w2r1)
+(* The single source of truth: every protocol, declared once by its
+   backend-agnostic client algorithm and its writer-count restriction.
+   The simulator handle is built from the row, and everything else (the
+   CLI, both benches, the live transport) derives from this row set —
+   add a protocol here and it shows up everywhere. *)
+module Row = struct
+  let abd_mwmr = Abd_mwmr.(row name design_point algo)
+  let abd_swmr = Abd_swmr.(row ~max_writers:1 name design_point algo)
+  let fastread_w2r1 = Fastread_w2r1.(row name design_point algo)
+  let dglv_w1r1 = Dglv_w1r1.(row ~max_writers:1 name design_point algo)
+  let naive_w1r2 = Naive_w1r2.(row name design_point algo)
+  let naive_w1r1 = Naive_w1r1.(row name design_point algo)
+  let adaptive = Adaptive_read.(row name design_point algo)
+  let slow_write_w3r1 = Slow_write_w3r1.(row name design_point algo)
+end
 
-let dglv_w1r1 : Protocol.Register_intf.t = (module Dglv_w1r1)
+let rows =
+  Row.
+    [
+      abd_mwmr; abd_swmr; fastread_w2r1; dglv_w1r1; naive_w1r2; naive_w1r1;
+      adaptive; slow_write_w3r1;
+    ]
 
-let naive_w1r2 : Protocol.Register_intf.t = (module Naive_w1r2)
+let abd_mwmr = Row.abd_mwmr.handle
+let abd_swmr = Row.abd_swmr.handle
+let fastread_w2r1 = Row.fastread_w2r1.handle
+let dglv_w1r1 = Row.dglv_w1r1.handle
+let naive_w1r2 = Row.naive_w1r2.handle
+let naive_w1r1 = Row.naive_w1r1.handle
+let adaptive = Row.adaptive.handle
+let slow_write_w3r1 = Row.slow_write_w3r1.handle
 
-let naive_w1r1 : Protocol.Register_intf.t = (module Naive_w1r1)
-
-let adaptive : Protocol.Register_intf.t = (module Adaptive_read)
-
-let slow_write_w3r1 : Protocol.Register_intf.t = (module Slow_write_w3r1)
-
-(* The single source of truth: every protocol, its backend-agnostic
-   client algorithm, and its writer-count restriction.  Everything else
-   (the CLI, both benches, the live transport) derives from this row
-   set — add a protocol here and it shows up everywhere. *)
-let rows :
-    (Protocol.Register_intf.t * Client_core.algo * int option) list =
-  [
-    (abd_mwmr, Abd_mwmr.algo, None);
-    (abd_swmr, Abd_swmr.algo, Some 1);
-    (fastread_w2r1, Fastread_w2r1.algo, None);
-    (dglv_w1r1, Dglv_w1r1.algo, Some 1);
-    (naive_w1r2, Naive_w1r2.algo, None);
-    (naive_w1r1, Naive_w1r1.algo, None);
-    (adaptive, Adaptive_read.algo, None);
-    (slow_write_w3r1, Slow_write_w3r1.algo, None);
-  ]
-
-let all = List.map (fun (r, _, _) -> r) rows
+let all = List.map (fun r -> r.handle) rows
 
 let multi_writer = [ abd_mwmr; naive_w1r2; fastread_w2r1; naive_w1r1 ]
 
-let name (r : Protocol.Register_intf.t) =
-  let module R = (val r) in
-  R.name
+let name (module R : Protocol.Register_intf.S) = R.name
+let design_point (module R : Protocol.Register_intf.S) = R.design_point
 
-let design_point (r : Protocol.Register_intf.t) =
-  let module R = (val r) in
-  R.design_point
+(* By identity: a handle packed elsewhere under a registered name is
+   not the registered protocol. *)
+let row_of fn handle =
+  match List.find_opt (fun r -> r.handle == handle) rows with
+  | Some r -> r
+  | None -> invalid_arg (fn ^ ": unregistered protocol")
 
-let row_of needle =
-  List.find_opt (fun (r, _, _) -> name r = name needle) rows
+let client_algo r = (row_of "Registry.client_algo" r).algo
 
-let client_algo r =
-  match row_of r with
-  | Some (_, algo, _) -> algo
-  | None -> invalid_arg "Registry.client_algo: unregistered protocol"
+let max_writers r = (row_of "Registry.max_writers" r).max_writers
 
-let max_writers r =
-  match row_of r with
-  | Some (_, _, mw) -> mw
-  | None -> invalid_arg "Registry.max_writers: unregistered protocol"
+let clamp_writers r w =
+  match max_writers r with Some m -> min m w | None -> w
 
 (* Short design-point spellings and historical names accepted anywhere a
    protocol is named (previously duplicated in bin/mwreg.ml). *)

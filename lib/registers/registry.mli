@@ -1,4 +1,6 @@
-(** First-class handles on every register protocol in the repository. *)
+(** First-class handles on every register protocol in the repository:
+    one row per protocol (its client algorithm and writer bound), from
+    which its simulator handle is built by {!Cluster_base.register}. *)
 
 val abd_mwmr : Protocol.Register_intf.t
 val abd_swmr : Protocol.Register_intf.t
@@ -32,12 +34,18 @@ val design_point : Protocol.Register_intf.t -> Quorums.Bounds.design_point
 
 val client_algo : Protocol.Register_intf.t -> Client_core.algo
 (** The protocol's backend-agnostic client algorithm — the body that both
-    the simulator cluster and the live TCP transport execute.  Raises
-    [Invalid_argument] for a protocol not registered in {!all}. *)
+    the simulator cluster ({!Cluster_base}) and the live TCP transport
+    execute.  The handle is matched by identity: raises
+    [Invalid_argument] for any handle not in {!all}, even one packed
+    under a registered protocol's name. *)
 
 val max_writers : Protocol.Register_intf.t -> int option
 (** [Some 1] for the single-writer protocols ({!abd_swmr}, {!dglv_w1r1}),
-    [None] when any writer count is accepted. *)
+    [None] when any writer count is accepted.  Raises [Invalid_argument]
+    like {!client_algo}. *)
+
+val clamp_writers : Protocol.Register_intf.t -> int -> int
+(** [clamp_writers r w]: [w] capped at the protocol's {!max_writers}. *)
 
 val find : string -> Protocol.Register_intf.t option
 (** Lookup by {!name}: case-insensitive substring match, after expanding

@@ -33,28 +33,3 @@ let algo =
         let val_queue = ref [ Wire.initial_value_entry ] in
         fun ~k -> Client_core.fast_read ctx ~reader ~val_queue ~k);
   }
-
-type cluster = {
-  base : Cluster_base.t;
-  writers : Client_core.writer_fn array;
-  readers : Client_core.reader_fn array;
-}
-
-let create env =
-  let base = Cluster_base.create env in
-  let ctx = Cluster_base.ctx base in
-  {
-    base;
-    writers =
-      Array.init (Protocol.Env.w env) (fun i ->
-          algo.Client_core.new_writer ctx ~writer:i);
-    readers =
-      Array.init (Protocol.Env.r env) (fun i ->
-          algo.Client_core.new_reader ctx ~reader:i);
-  }
-
-let control c = c.base.Cluster_base.ctl
-
-let write c ~writer ~value ~k = c.writers.(writer) ~payload:value ~k
-
-let read c ~reader ~k = c.readers.(reader) ~k

@@ -564,16 +564,21 @@ let test_adaptive_fast_fraction () =
     Env.make ~seed:3 ~latency:(Simulation.Latency.constant 2.0) ~s:6 ~t:1 ~w:1
       ~r:1 ()
   in
-  let cluster = Registers.Adaptive_read.create env in
-  check bool "empty fraction is 1" true
-    (Registers.Adaptive_read.fast_fraction cluster = 1.0);
+  let fast = ref 0 and slow = ref 0 in
+  let note = function `Fast -> incr fast | `Slow -> incr slow in
+  let module A = Registers.Adaptive_read in
+  let cluster =
+    Registers.Cluster_base.create env
+      { A.algo with new_reader = A.new_reader ~note }
+  in
+  let paths = Alcotest.(pair int int) in
+  check paths "empty fraction is 1: no read noted" (0, 0) (!fast, !slow);
   let engine = env.Env.engine in
-  Registers.Adaptive_read.write cluster ~writer:0 ~value:5 ~k:(fun _ ->
-      Registers.Adaptive_read.read cluster ~reader:0 ~k:(fun v _ ->
+  Registers.Cluster_base.write cluster ~writer:0 ~value:5 ~k:(fun _ ->
+      Registers.Cluster_base.read cluster ~reader:0 ~k:(fun v _ ->
           check int "reads the write" 5 v));
   Simulation.Engine.run engine;
-  check bool "quiet read was fast" true
-    (Registers.Adaptive_read.fast_fraction cluster = 1.0)
+  check paths "quiet read was fast" (1, 0) (!fast, !slow)
 
 let () =
   let tc name f = Alcotest.test_case name `Quick f in

@@ -1,9 +1,10 @@
 (* Appendix-A lemmas as observable properties of Algorithm 1 & 2 runs.
 
    The MWA0–MWA4 properties are checked elsewhere on the history level;
-   here we probe the reader's internals (via
-   [Registers.Fastread_w2r1.set_probe]) and assert the supporting lemmas
-   the correctness proof rests on, over randomized safe-regime runs:
+   here we probe the reader's internals (a [Registers.Cluster_base]
+   whose readers are [Registers.Fastread_w2r1.new_reader ~probe]) and
+   assert the supporting lemmas the correctness proof rests on, over
+   randomized safe-regime runs:
 
    - Lemma 2: a read returns a value whose timestamp is maxTS or
      maxTS − 1 (maxTS = largest timestamp among its replies).
@@ -26,31 +27,32 @@ let run_probed ~seed ~s ~t ~w ~r ~adversarial =
       ~latency:(Simulation.Latency.uniform ~lo:1.0 ~hi:8.0)
       ~s ~t ~w ~r ()
   in
-  let cluster = Fastread_w2r1.create env in
   let probes = ref [] in
-  Fastread_w2r1.set_probe cluster (Some (fun p -> probes := p :: !probes));
-  (* Drive the cluster directly (the registry's first-class module would
-     hide the probe-carrying cluster type). *)
+  let probe p = probes := p :: !probes in
+  let cluster =
+    Cluster_base.create env
+      { Fastread_w2r1.algo with new_reader = Fastread_w2r1.new_reader ~probe }
+  in
   let engine = env.Env.engine in
   (if adversarial then
      let topology = env.Env.topology in
      let adv =
        Workload.Adversary.random_skips ~seed ~topology ~t_budget:t ~window:30.0
      in
-     Workload.Adversary.apply adv (Fastread_w2r1.control cluster) engine);
+     Workload.Adversary.apply adv (Cluster_base.control cluster) engine);
   let value = ref 0 in
   let rec writer_loop i n =
     if n > 0 then begin
       incr value;
       let v = !value in
-      Fastread_w2r1.write cluster ~writer:i ~value:v ~k:(fun _ ->
+      Cluster_base.write cluster ~writer:i ~value:v ~k:(fun _ ->
           Simulation.Engine.schedule engine ~delay:10.0 (fun () ->
               writer_loop i (n - 1)))
     end
   in
   let rec reader_loop i n =
     if n > 0 then
-      Fastread_w2r1.read cluster ~reader:i ~k:(fun _ _ ->
+      Cluster_base.read cluster ~reader:i ~k:(fun _ _ ->
           Simulation.Engine.schedule engine ~delay:7.0 (fun () ->
               reader_loop i (n - 1)))
   in
@@ -65,7 +67,7 @@ let run_probed ~seed ~s ~t ~w ~r ~adversarial =
       (fun () -> reader_loop i 6)
   done;
   Simulation.Engine.run engine;
-  (Fastread_w2r1.control cluster).Control.release_held ();
+  (Cluster_base.control cluster).Control.release_held ();
   Simulation.Engine.run engine;
   List.rev !probes
 

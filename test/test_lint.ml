@@ -295,6 +295,21 @@ let test_shared_access_negative () =
      let run () = init (); ignore (Thread.create worker ())\n"
     Rules.shared_access
 
+(* A lock_free_allow entry is stale unless it justifies a thread-shared
+   cell: [shared_bare_src] in the checker library is the cell
+   [Checker.Fix_bare.count], which "Checker.*" covers, so that entry
+   alone is in use. *)
+let test_stale_allow () =
+  let stale src =
+    (Engine.run [ Source.parse_string ~path:"lib/checker/fix_bare.ml" src ])
+      .Engine.stale_allow
+  in
+  let all = List.map fst Rules.lock_free_allow in
+  check Alcotest.(list string) "no shared cell: all stale" all (stale "let x = 1\n");
+  check Alcotest.(list string) "Checker.* in use"
+    (List.filter (( <> ) "Checker.*") all)
+    (stale shared_bare_src)
+
 (* ------------------------------------------------------------------ *)
 (* ATOMIC-DISCIPLINE                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -503,6 +518,7 @@ let () =
           Alcotest.test_case "two locks, two modules" `Quick
             test_shared_access_two_locks;
           Alcotest.test_case "negative" `Quick test_shared_access_negative;
+          Alcotest.test_case "stale allow entries" `Quick test_stale_allow;
         ] );
       ( "atomic-discipline",
         [

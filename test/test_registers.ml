@@ -528,12 +528,13 @@ let test_dglv_atomic_safe_regime () =
   done
 
 let test_single_writer_protocols_reject_multi () =
-  check bool "abd_swmr rejects" true
-    (try ignore (run_register ~w:2 Registry.abd_swmr); false
-     with Invalid_argument _ -> true);
-  check bool "dglv rejects" true
-    (try ignore (run_register ~w:2 Registry.dglv_w1r1); false
-     with Invalid_argument _ -> true)
+  List.iter
+    (fun r ->
+      let prefix = Registry.name r in
+      check bool (prefix ^ " rejects, naming itself") true
+        (try ignore (run_register ~w:2 r); false
+         with Invalid_argument msg -> String.starts_with ~prefix msg))
+    Registry.[ abd_swmr; dglv_w1r1 ]
 
 (* The deterministic writer-inversion schedule: the higher-id writer
    writes first; a naive fast write gives the later write a smaller
@@ -586,12 +587,26 @@ let test_registry () =
     | Some r -> Registry.name r = Registry.name Registry.abd_mwmr
     | None -> false);
   check bool "find missing" true (Registry.find "zzz-nothing" = None);
+  (* Each protocol is declared once: every registered handle resolves
+     to its row by identity, and a handle built elsewhere is refused
+     even under a registered protocol's name and client algorithm. *)
   List.iter
     (fun r ->
       let dp = Registry.design_point r in
       check bool (Registry.name r ^ " has a design point") true
-        (List.mem dp Quorums.Bounds.all_design_points))
-    Registry.all
+        (List.mem dp Quorums.Bounds.all_design_points);
+      ignore (Registry.client_algo r : Client_core.algo);
+      check (Alcotest.option int) (Registry.name r ^ " writer bound")
+        (if List.memq r Registry.[ abd_swmr; dglv_w1r1 ] then Some 1 else None)
+        (Registry.max_writers r))
+    Registry.all;
+  check (Alcotest.pair int int) "clamp" (1, 3)
+    Registry.(clamp_writers abd_swmr 3, clamp_writers abd_mwmr 3);
+  let impostor = Abd_mwmr.(Cluster_base.register ~name ~design_point algo) in
+  check bool "same name" true (Registry.name impostor = Abd_mwmr.name);
+  let refused f = try ignore (f impostor); false with Invalid_argument _ -> true in
+  check bool "client_algo refuses it" true (refused Registry.client_algo);
+  check bool "max_writers refuses it" true (refused Registry.max_writers)
 
 let test_design_points () =
   check bool "abd_mwmr W2R2" true
