@@ -1198,34 +1198,20 @@ let geo_exp () =
   let profile = Transport.Geo.wan_3region in
   let w = 2 and r = 2 in
   let clients = List.init (w + r) (fun i -> s + i) in
-  let out_region = 2 in
-  let cut = Transport.Geo.region_nodes profile ~s ~clients out_region in
-  let rest =
-    List.filter
-      (fun n -> not (List.mem n cut))
-      (List.init s Fun.id @ clients)
-  in
-  let window_from = 0.05 and window_until = 0.30 in
+  let o = Transport.Geo.outage profile ~s ~clients in
   Printf.printf
     "\nRegion outage: %s region %s (nodes %s) partitioned away %.2fs-%.2fs\n\
      into the run, on top of the profile's delays; streaming checker on.\n\n"
     (Transport.Geo.name profile)
-    (Transport.Geo.region_name profile out_region)
-    (String.concat "," (List.map string_of_int cut))
-    window_from window_until;
+    (Transport.Geo.region_name profile o.region)
+    (String.concat "," (List.map string_of_int o.cut))
+    o.from_ o.until;
   row "%-28s %-5s %-9s %-9s %-7s %s\n" "protocol" "ops" "retries" "starved"
     "check" "atomic";
   row "%s\n" (String.make 66 '-');
   Gc.compact ();
   Unix.sleepf 0.15;
-  let faults =
-    Transport.Geo.plan profile ~s ~clients
-      ~extra:
-        [
-          Transport.Faults.partition ~from_:window_from ~until:window_until
-            [ cut; rest ];
-        ]
-  in
+  let faults = Transport.Geo.plan profile ~s ~clients ~extra:[ o.rule ] in
   let register = Registers.Registry.abd_mwmr in
   let m =
     run_register ~faults ~rt_timeout:0.3 ~max_rt_retries:10 ~live_check:true
@@ -1239,7 +1225,7 @@ let geo_exp () =
   row "%-28s %-5d %-9d %-9d %-7s %b\n" name n_ops res.Kv.Kv_session.retries
     res.Kv.Kv_session.starved "live" atomic;
   Results.add Results.geo_outage
-    ({ profile; region = out_region; window_s = window_until -. window_from }, m);
+    ({ profile; region = o.region; window_s = o.until -. o.from_ }, m);
   Printf.printf
     "\nShape check: rounds/op are profile-invariant (the paper's cost\n\
      measure counts rounds, not milliseconds) while p50 latency scales\n\

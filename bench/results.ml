@@ -655,7 +655,7 @@ let kv_scaling =
               kv_grid);
         (* The knee itself: in the scale-out regime (constant per-shard
            offered load) the 4-group aggregate must beat the 1-group
-           baseline — capacity composes across shards. *)
+           baseline — capacity composes across groups. *)
         Across_rows
           (fun rows ->
             let t1 = best_scaleout 1.0 rows and t4 = best_scaleout 4.0 rows in

@@ -407,15 +407,10 @@ let hunt_cmd =
 (* serve                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let serve host port id shards =
-  if shards < 1 then begin
-    Printf.eprintf "mwreg serve: --domains must be >= 1\n";
-    exit 2
-  end;
-  let server = Live.Server.start ~host ~port ~id ~shards () in
-  Printf.printf "mwreg server %d listening on %s:%d (%d reactor shard%s)\n%!"
-    id host (Live.Server.port server) shards
-    (if shards = 1 then "" else "s");
+let serve host port id =
+  let server = Live.Server.start ~host ~port ~id () in
+  Printf.printf "mwreg server %d listening on %s:%d\n%!" id host
+    (Live.Server.port server);
   (* Serve until the process is killed — which is exactly how clients
      are meant to lose this server. *)
   while true do
@@ -435,48 +430,68 @@ let serve_cmd =
     Arg.(value & opt int 0 & info [ "id" ] ~docv:"I"
          ~doc:"This server's index in the cluster (0-based).")
   in
-  let shards =
-    Arg.(value & opt int 1
-         & info [ "domains" ] ~docv:"N"
-             ~doc:"Reactor event-loop shards: 1 runs the whole reactor on a \
-                   single thread; N > 1 spawns one domain per shard, each \
-                   owning a disjoint set of accepted connections.")
-  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Run one register server daemon over TCP (kill the process to \
              crash it).")
-    Term.(const serve $ host $ port $ id $ shards)
+    Term.(const serve $ host $ port $ id)
 
 (* ------------------------------------------------------------------ *)
 (* live                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let parse_hostport spec =
-  match String.rindex_opt spec ':' with
-  | None -> Error (Printf.sprintf "bad address %S (want HOST:PORT)" spec)
-  | Some i -> (
-    let host = String.sub spec 0 i in
-    match
-      ( (try Some (Unix.inet_addr_of_string host) with Failure _ -> None),
-        int_of_string_opt (String.sub spec (i + 1) (String.length spec - i - 1))
-      )
-    with
-    | Some addr, Some port -> Ok (Unix.ADDR_INET (addr, port))
-    | None, _ -> Error (Printf.sprintf "bad host in %S" spec)
-    | _, None -> Error (Printf.sprintf "bad port in %S" spec))
+(* Each live flag is parsed once, by its converter: a bad value is
+   cmdliner's usage error before any command runs. *)
+let hostport_conv =
+  let parse spec =
+    match String.rindex_opt spec ':' with
+    | None -> Error (Printf.sprintf "bad address %S (want HOST:PORT)" spec)
+    | Some i -> (
+      let host = String.sub spec 0 i in
+      match
+        ( (try Some (Unix.inet_addr_of_string host) with Failure _ -> None),
+          int_of_string_opt
+            (String.sub spec (i + 1) (String.length spec - i - 1)) )
+      with
+      | Some addr, Some port -> Ok (Unix.ADDR_INET (addr, port))
+      | None, _ -> Error (Printf.sprintf "bad host in %S" spec)
+      | _, None -> Error (Printf.sprintf "bad port in %S" spec))
+  in
+  let print ppf = function
+    | Unix.ADDR_INET (a, p) ->
+      Format.fprintf ppf "%s:%d" (Unix.string_of_inet_addr a) p
+    | Unix.ADDR_UNIX path -> Format.pp_print_string ppf path
+  in
+  Arg.conv' ~docv:"HOST:PORT" (parse, print)
 
-let parse_kill spec =
-  match String.index_opt spec '@' with
-  | None -> Error (Printf.sprintf "bad kill spec %S (want IDX@SEC)" spec)
-  | Some i -> (
-    match
-      ( int_of_string_opt (String.sub spec 0 i),
-        float_of_string_opt
-          (String.sub spec (i + 1) (String.length spec - i - 1)) )
-    with
-    | Some idx, Some at -> Ok (at, 0, idx) (* the one group's server *)
-    | _ -> Error (Printf.sprintf "bad kill spec %S (want IDX@SEC)" spec))
+(* IDX@SEC: kill the one group's server IDX after SEC seconds. *)
+let kill_conv =
+  let parse spec =
+    match String.index_opt spec '@' with
+    | None -> Error (Printf.sprintf "bad kill spec %S (want IDX@SEC)" spec)
+    | Some i -> (
+      match
+        ( int_of_string_opt (String.sub spec 0 i),
+          float_of_string_opt
+            (String.sub spec (i + 1) (String.length spec - i - 1)) )
+      with
+      | Some idx, Some at -> Ok (at, 0, idx)
+      | _ -> Error (Printf.sprintf "bad kill spec %S (want IDX@SEC)" spec))
+  in
+  let print ppf (at, _, idx) = Format.fprintf ppf "%d@@%g" idx at in
+  Arg.conv' ~docv:"IDX@SEC" (parse, print)
+
+let profile_conv =
+  let parse name =
+    match Live.Geo.find name with
+    | Some p -> Ok p
+    | None ->
+      Error
+        (Printf.sprintf "unknown geo profile %S (profiles: %s)" name
+           (String.concat ", " (Live.Geo.names ())))
+  in
+  Arg.conv' ~docv:"PROFILE"
+    (parse, fun ppf p -> Format.pp_print_string ppf (Live.Geo.name p))
 
 let pp_ms ppf (st : Stats.summary) =
   Format.fprintf ppf
@@ -484,16 +499,10 @@ let pp_ms ppf (st : Stats.summary) =
     (1e3 *. st.Stats.mean) (1e3 *. st.Stats.p50) (1e3 *. st.Stats.p95)
     (1e3 *. st.Stats.p99) (1e3 *. st.Stats.max)
 
-(* --check live|batch|off, shared by live / kv / chaos. *)
-let parse_check_mode = function
-  | "batch" -> Ok `Batch
-  | "live" -> Ok `Live
-  | "off" -> Ok `Off
-  | other ->
-    Error (Printf.sprintf "unknown check mode %S (live|batch|off)" other)
-
+(* --check live|batch|off, shared by live / kv / chaos / geo. *)
 let check_mode_arg =
-  Arg.(value & opt string "batch"
+  Arg.(value
+       & opt (enum [ ("batch", `Batch); ("live", `Live); ("off", `Off) ]) `Batch
        & info [ "check" ] ~docv:"MODE"
            ~doc:"Atomicity checking: $(b,batch) checks the recorded \
                  history after the run (the default), $(b,live) streams \
@@ -504,7 +513,7 @@ let check_mode_arg =
 
 (* --geo PROFILE, shared by live / kv. *)
 let geo_arg =
-  Arg.(value & opt (some string) None
+  Arg.(value & opt (some profile_conv) None
        & info [ "geo" ] ~docv:"PROFILE"
            ~doc:"Shape every client<->server link with the named WAN/geo \
                  profile (see $(b,mwreg geo --list)): per-region-pair base \
@@ -534,6 +543,24 @@ let report_online (r : Live.Check_sink.report) =
       Format.printf "  key %-12s VIOLATED %a@." key Witness.pp w)
     r.Live.Check_sink.violations;
   Live.Check_sink.atomic r
+
+(* Prints a finished run's atomicity verdict under [--check] and
+   returns whether it held.  [`Live] reports the streaming checker
+   ([online] is present whenever live checking was requested), closed
+   by a one-line verdict with [summary]; [`Batch] defers to [batch]. *)
+let verdict ?(off = "atomicity   : not checked (--check off)")
+    ?(summary = true) check online ~batch =
+  match check with
+  | `Off ->
+    Format.printf "%s@." off;
+    true
+  | `Live ->
+    let ok = report_online (Option.get online) in
+    if summary then
+      Format.printf "atomicity   : %s (streaming verdict)@."
+        (if ok then "OK" else "VIOLATED");
+    ok
+  | `Batch -> batch ()
 
 (* One protocol against one (fresh or attached) single-group cluster.
    Returns true when the recorded history is atomic. *)
@@ -575,62 +602,24 @@ let live_one ?faults ?max_rt_retries ~register ~cluster ~spec ~kill_at
     Format.printf "starved     : %d client(s) gave up without a quorum@."
       res.Kv.Session.starved;
   let ok =
-    match (check, res.Kv.Session.online) with
-    | `Off, _ ->
-      Format.printf "atomicity   : not checked (--check off)@.";
-      true
-    | `Live, Some r ->
-      let ok = report_online r in
-      Format.printf "atomicity   : %s (streaming verdict)@."
-        (if ok then "OK" else "VIOLATED");
-      ok
-    | `Live, None -> true (* unreachable: live_check was requested *)
-    | `Batch, _ -> (
-      match Atomicity.check h with
-      | Ok () ->
-        Format.printf "atomicity   : OK@.";
-        true
-      | Error wit ->
-        Format.printf "atomicity   : VIOLATED %a@." Witness.pp wit;
-        false)
+    verdict check res.Kv.Session.online ~batch:(fun () ->
+        match Atomicity.check h with
+        | Ok () ->
+          Format.printf "atomicity   : OK@.";
+          true
+        | Error wit ->
+          Format.printf "atomicity   : VIOLATED %a@." Witness.pp wit;
+          false)
   in
   Format.printf "@.";
   ok
 
-let live protocol all s tol w r ops connect kills think rt_timeout
-    server_domains geo check =
-  let check =
-    match parse_check_mode check with
-    | Ok c -> c
-    | Error msg ->
-      Printf.eprintf "%s\n" msg;
-      exit 1
-  in
-  let geo_profile =
-    match geo with
-    | None -> None
-    | Some name -> (
-      match Live.Geo.find name with
-      | Some p -> Some p
-      | None ->
-        Printf.eprintf "unknown geo profile %S (profiles: %s)\n" name
-          (String.concat ", " (Live.Geo.names ()));
-        exit 1)
-  in
-  if Option.is_some geo_profile && connect <> [] then begin
+let live protocol all s tol w r ops addrs kill_at think rt_timeout geo_profile
+    check =
+  if Option.is_some geo_profile && addrs <> [] then begin
     Printf.eprintf
       "--geo shapes the servers' reply legs too, so it needs a loopback \
        cluster (drop --connect)\n";
-    exit 1
-  end;
-  if server_domains < 1 then begin
-    Printf.eprintf "--server-domains must be >= 1\n";
-    exit 1
-  end;
-  if server_domains > 1 && connect <> [] then begin
-    Printf.eprintf
-      "--server-domains shards loopback servers; an attached cluster \
-       (--connect) picked its own shard count at startup\n";
     exit 1
   end;
   let registers =
@@ -640,32 +629,18 @@ let live protocol all s tol w r ops connect kills think rt_timeout
       | Some register -> Ok [ register ]
       | None -> Error (Printf.sprintf "unknown protocol %S" protocol)
   in
-  let addrs =
-    List.fold_right
-      (fun spec acc ->
-        Result.bind acc (fun l ->
-            Result.map (fun a -> a :: l) (parse_hostport spec)))
-      connect (Ok [])
-  in
-  let kill_at =
-    List.fold_right
-      (fun spec acc ->
-        Result.bind acc (fun l ->
-            Result.map (fun k -> k :: l) (parse_kill spec)))
-      kills (Ok [])
-  in
-  match (registers, addrs, kill_at) with
-  | Error msg, _, _ | _, Error msg, _ | _, _, Error msg ->
+  match registers with
+  | Error msg ->
     Printf.eprintf "%s\n" msg;
     exit 1
-  | Ok _, Ok (_ :: _), Ok (_ :: _) ->
+  | Ok _ when addrs <> [] && kill_at <> [] ->
     Printf.eprintf "--kill needs a loopback cluster (drop --connect)\n";
     exit 1
-  | Ok (_ :: _ :: _), Ok (_ :: _), _ ->
+  | Ok (_ :: _ :: _) when addrs <> [] ->
     Printf.eprintf
       "--all needs a fresh cluster per protocol: drop --connect\n";
     exit 1
-  | Ok registers, Ok addrs, Ok kill_at ->
+  | Ok registers ->
     let run_one register =
       let w = Registry.clamp_writers register w in
       (* Geo profiles compile against the session's node numbering
@@ -687,8 +662,7 @@ let live protocol all s tol w r ops connect kills think rt_timeout
          artifact, not a violation). *)
       let cluster =
         match addrs with
-        | [] ->
-          Kv.Cluster.start ?faults ~shards:server_domains ~groups:1 ~s ~tol ()
+        | [] -> Kv.Cluster.start ?faults ~groups:1 ~s ~tol ()
         | addrs -> Kv.Cluster.connect ~addrs:(Array.of_list addrs) ~tol
       in
       Fun.protect
@@ -715,13 +689,13 @@ let live_cmd =
          ~doc:"Writes per writer (each reader does 2N reads).")
   in
   let connect =
-    Arg.(value & opt_all string []
+    Arg.(value & opt_all hostport_conv []
          & info [ "connect" ] ~docv:"HOST:PORT"
              ~doc:"Use an already-running server (repeat once per server) \
                    instead of spawning a loopback cluster.")
   in
   let kills =
-    Arg.(value & opt_all string []
+    Arg.(value & opt_all kill_conv []
          & info [ "kill" ] ~docv:"IDX@SEC"
              ~doc:"Kill server IDX after SEC seconds (repeatable; loopback \
                    only).")
@@ -734,45 +708,20 @@ let live_cmd =
     Arg.(value & opt float 1.0 & info [ "rt-timeout" ] ~docv:"SEC"
          ~doc:"Per-round-trip timeout before re-broadcasting.")
   in
-  let server_domains =
-    Arg.(value & opt int 1
-         & info [ "server-domains" ] ~docv:"N"
-             ~doc:"Reactor shards per loopback server: 1 runs each server's \
-                   event loop on one thread, N > 1 spawns one domain per \
-                   shard (incompatible with --connect).")
-  in
   Cmd.v
     (Cmd.info "live"
        ~doc:"Run a register protocol over real TCP sockets and check the \
              recorded history for atomicity.")
     Term.(const live $ protocol_arg $ all $ s_arg $ t_arg $ w_arg $ r_arg
-          $ ops $ connect $ kills $ think $ rt_timeout
-          $ server_domains $ geo_arg $ check_mode_arg)
+          $ ops $ connect $ kills $ think $ rt_timeout $ geo_arg
+          $ check_mode_arg)
 
 (* ------------------------------------------------------------------ *)
 (* kv                                                                   *)
 (* ------------------------------------------------------------------ *)
 
 let kv protocol groups s tol clients keys ops dist theta mix seed sample think
-    rt_timeout geo check =
-  let check =
-    match parse_check_mode check with
-    | Ok c -> c
-    | Error msg ->
-      Printf.eprintf "%s\n" msg;
-      exit 1
-  in
-  let geo_profile =
-    match geo with
-    | None -> None
-    | Some name -> (
-      match Live.Geo.find name with
-      | Some p -> Some p
-      | None ->
-        Printf.eprintf "unknown geo profile %S (profiles: %s)\n" name
-          (String.concat ", " (Live.Geo.names ()));
-        exit 1)
-  in
+    rt_timeout geo_profile check =
   let register =
     match find_protocol protocol with
     | Some r -> Ok r
@@ -850,23 +799,16 @@ let kv protocol groups s tol clients keys ops dist theta mix seed sample think
           Printf.printf "  starved clients %d, dropped replies %d\n"
             res.Kv.Session.starved res.Kv.Session.dropped;
         let all_atomic =
-          match (check, res.Kv.Session.online) with
-          | `Off, _ ->
-            Printf.printf "  atomicity: not checked (--check off)\n";
-            true
-          | `Live, Some r ->
-            flush stdout;
-            report_online r
-          | `Live, None -> true (* unreachable: live_check was requested *)
-          | `Batch, _ ->
-            Printf.printf "  sampled-key verdicts:\n";
-            List.for_all
-              (fun v ->
-                Printf.printf "    %-14s %4d ops  %s\n" v.Kv.Session.vkey
-                  v.Kv.Session.vops
-                  (if v.Kv.Session.atomic then "atomic" else "NOT ATOMIC");
-                v.Kv.Session.atomic)
-              res.Kv.Session.verdicts
+          verdict ~off:"  atomicity: not checked (--check off)" ~summary:false
+            check res.Kv.Session.online ~batch:(fun () ->
+              Printf.printf "  sampled-key verdicts:\n";
+              List.for_all
+                (fun v ->
+                  Printf.printf "    %-14s %4d ops  %s\n" v.Kv.Session.vkey
+                    v.Kv.Session.vops
+                    (if v.Kv.Session.atomic then "atomic" else "NOT ATOMIC");
+                  v.Kv.Session.atomic)
+                res.Kv.Session.verdicts)
         in
         if not all_atomic then exit 2)
 
@@ -937,19 +879,7 @@ let kv_cmd =
 (* chaos                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let chaos protocol scenario seed drop delay duplicate ops s tol server_domains
-    check =
-  if server_domains < 1 then begin
-    Printf.eprintf "--server-domains must be >= 1\n";
-    exit 1
-  end;
-  let check =
-    match parse_check_mode check with
-    | Ok c -> c
-    | Error msg ->
-      Printf.eprintf "%s\n" msg;
-      exit 1
-  in
+let chaos protocol scenario seed drop delay duplicate ops s tol check =
   match scenario with
   | "soak" -> (
     match find_protocol protocol with
@@ -959,7 +889,7 @@ let chaos protocol scenario seed drop delay duplicate ops s tol server_domains
     | Some register ->
       let sk =
         Kv.Chaos.soak ~seed ~drop ~delay ~duplicate ~s ~tol ~ops
-          ~server_shards:server_domains ~live_check:(check = `Live)
+          ~live_check:(check = `Live)
           ~on_violation:announce_violation ~register ()
       in
       let res = sk.Kv.Chaos.result in
@@ -980,20 +910,10 @@ let chaos protocol scenario seed drop delay duplicate ops s tol server_domains
         Format.printf "starved     : %d client(s) gave up without a quorum@."
           res.Kv.Session.starved;
       let atomic =
-        match (check, res.Kv.Session.online) with
-        | `Off, _ ->
-          Format.printf "atomicity   : not checked (--check off)@.";
-          true
-        | `Live, Some r ->
-          let ok = report_online r in
-          Format.printf "atomicity   : %s (streaming verdict)@."
-            (if ok then "OK" else "VIOLATED");
-          ok
-        | `Live, None -> true (* unreachable: live_check was requested *)
-        | `Batch, _ ->
-          Format.printf "atomicity   : %s@."
-            (if sk.Kv.Chaos.atomic then "OK" else "VIOLATED");
-          sk.Kv.Chaos.atomic
+        verdict check res.Kv.Session.online ~batch:(fun () ->
+            Format.printf "atomicity   : %s@."
+              (if sk.Kv.Chaos.atomic then "OK" else "VIOLATED");
+            sk.Kv.Chaos.atomic)
       in
       Format.printf "theory      : %s@."
         (if sk.Kv.Chaos.expected_atomic then
@@ -1002,9 +922,7 @@ let chaos protocol scenario seed drop delay duplicate ops s tol server_domains
       if sk.Kv.Chaos.expected_atomic && not atomic then exit 2)
   | ("recover" | "fresh") as m ->
     let mode = if m = "recover" then `Recover else `Fresh in
-    let o =
-      Kv.Chaos.restart_scenario ~server_shards:server_domains ~mode ()
-    in
+    let o = Kv.Chaos.restart_scenario ~mode () in
     Format.printf
       "scenario    : acknowledged write on quorum {0,1}; server 0 killed, \
        restarted %s; read from quorum {0,2}@."
@@ -1060,20 +978,13 @@ let chaos_cmd =
     Arg.(value & opt int 8 & info [ "ops" ] ~docv:"N"
          ~doc:"Writes per writer in the soak (each reader does 2N reads).")
   in
-  let server_domains =
-    Arg.(value & opt int 1
-         & info [ "server-domains" ] ~docv:"N"
-             ~doc:"Reactor shards per server: N > 1 puts the fault timers \
-                   and the kill/restart path under a sharded reactor.")
-  in
   Cmd.v
     (Cmd.info "chaos"
        ~doc:"Inject a deterministic seeded fault plan (drops, delays, \
              duplicates, truncations, server restarts) into a live cluster \
              and check the recorded history for atomicity.")
     Term.(const chaos $ protocol_arg $ scenario $ seed_arg $ drop
-          $ delay $ duplicate $ ops $ s_arg $ t_arg $ server_domains
-          $ check_mode_arg)
+          $ delay $ duplicate $ ops $ s_arg $ t_arg $ check_mode_arg)
 
 (* ------------------------------------------------------------------ *)
 (* geo                                                                  *)
@@ -1086,21 +997,6 @@ let geo_run list_profiles protocol profile s tol w r ops outage check =
       Live.Geo.profiles;
     exit 0
   end;
-  let check =
-    match parse_check_mode check with
-    | Ok c -> c
-    | Error msg ->
-      Printf.eprintf "%s\n" msg;
-      exit 1
-  in
-  let profile =
-    match Live.Geo.find profile with
-    | Some p -> p
-    | None ->
-      Printf.eprintf "unknown geo profile %S (profiles: %s)\n" profile
-        (String.concat ", " (Live.Geo.names ()));
-      exit 1
-  in
   match find_protocol protocol with
   | None ->
     Printf.eprintf "unknown protocol %S\n" protocol;
@@ -1117,18 +1013,17 @@ let geo_run list_profiles protocol profile s tol w r ops outage check =
     in
     let extra =
       if not outage then []
-      else begin
-        let out_region = Live.Geo.region_count profile - 1 in
-        let cut = Live.Geo.region_nodes profile ~s ~clients out_region in
-        let rest =
-          List.filter (fun n -> not (List.mem n cut)) (List.init s Fun.id)
-          @ List.filter (fun n -> not (List.mem n cut)) clients
-        in
-        Format.printf "outage      : region %s (nodes %s) cut 0.05s..0.30s@."
-          (Live.Geo.region_name profile out_region)
-          (String.concat "," (List.map string_of_int cut));
-        [ Live.Faults.partition ~from_:0.05 ~until:0.30 [ cut; rest ] ]
-      end
+      else
+        match Live.Geo.outage profile ~s ~clients with
+        | o ->
+          Format.printf "outage      : region %s (nodes %s) cut %.2fs..%.2fs@."
+            (Live.Geo.region_name profile o.region)
+            (String.concat "," (List.map string_of_int o.cut))
+            o.from_ o.until;
+          [ o.rule ]
+        | exception Invalid_argument msg ->
+          Printf.eprintf "mwreg geo --outage: %s\n" msg;
+          exit 1
     in
     let faults = Live.Geo.plan ~extra profile ~s ~clients in
     print_string (Live.Geo.describe profile);
@@ -1152,7 +1047,7 @@ let geo_cmd =
                    and exit.")
   in
   let profile =
-    Arg.(value & opt string "wan-3region"
+    Arg.(value & opt profile_conv Live.Geo.wan_3region
          & info [ "profile" ] ~docv:"PROFILE"
              ~doc:"Named WAN/geo profile to run under (see $(b,--list)).")
   in

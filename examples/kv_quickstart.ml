@@ -2,7 +2,7 @@
 
    Two shard groups of three servers each run on loopback; a consistent
    hash ring assigns every key to exactly one group.  Two clients first
-   operate by hand on keys that land on *different* shards — showing the
+   operate by hand on keys that land on *different* groups — showing the
    per-key W2R2 register running unchanged under the router — and then a
    small YCSB mix-A session drives the whole keyspace and has the
    atomicity checker pass verdicts on the hottest keys.

@@ -216,7 +216,7 @@ let shared_cells (st : Rules.state) =
   Hashtbl.iter
     (fun cell (os, has_write) ->
       (* A race needs a writer: arrays and tables built once and read
-         from every thread ([Mux.conns], shard tables) are immutable
+         from every thread ([Mux.conns]) are immutable
          in every execution that matters here. *)
       if has_write && SS.cardinal os >= 2 then Hashtbl.replace shared cell ())
     per_cell;

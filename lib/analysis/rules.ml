@@ -143,8 +143,8 @@ let blocking_calls =
    thread-per-connection server wrote replies under a per-connection
    write lock (handler thread vs. fault-plan delayer threads) and
    carried the only two exemptions.  The reactor's flush path is
-   non-blocking and lock-free — each shard owns its connections
-   outright — so nothing is exempt any more, and a new entry here
+   non-blocking and lock-free — the reactor thread owns its
+   connections outright — so nothing is exempt any more, and a new entry here
    should be treated as a design smell to justify, not a convenience. *)
 let blocking_allow : (string * string * string) list = []
 
@@ -193,30 +193,10 @@ let lock_free_allow : (string * string) list =
        thread" );
     ( "Transport.Codec.Stream.*",
       "a decode stream belongs to the one thread that reads its \
-       connection (demux thread / shard reactor)" );
-    (* -- transport/server: shard confinement ----------------------- *)
-    ( "Transport.Server.Outq.*",
-      "shard-confined: each reactor thread owns its connections' \
-       out-queues (see the reactor design comment)" );
-    ( "Transport.Server.timers",
-      "shard-confined: the timer list belongs to the shard's reactor \
-       thread" );
-    ( "Transport.Server.frames",
-      "shard-confined per-connection counter" );
-    ( "Transport.Server.want_write",
-      "shard-confined: poller interest toggles happen only on the \
-       owning reactor thread" );
-    ( "Transport.Server.sever",
-      "shard-confined: set and read only by the owning reactor \
-       thread while it processes the connection" );
-    ( "Transport.Server.rr",
-      "round-robin accept cursor: shard 0's thread only (field \
-       comment)" );
-    ( "Transport.Server.runners",
-      "guarded by the stopping Atomic.exchange gate: only the winning \
-       stop caller touches the list, after joining every shard" );
+       connection (demux thread / server reactor)" );
     ( "Transport.Netio.Poller.*",
-      "per-shard poller owned by its reactor thread" );
+      "a poller belongs to the one thread that waits in it (a \
+       server's reactor / the mux ticker)" );
     (* -- registers: served state's off-thread edges ----------------- *)
     ( "Registers.Replica.current",
       "bare sites are load (fresh instance) and post-stop snapshot \

@@ -30,18 +30,16 @@ type soak = {
 }
 
 let soak ?(seed = 0) ?(drop = 0.08) ?(delay = 0.03)
-    ?(duplicate = 0.1) ?(s = 5) ?(tol = 1) ?(ops = 8) ?(restart = true)
-    ?(server_shards = 1) ?live_check ?on_violation ~register () =
+    ?(duplicate = 0.1) ?(s = 5) ?(tol = 1) ?(ops = 8) ?live_check
+    ?on_violation ~register () =
   let faults = plan ~seed ~drop ~delay ~duplicate () in
-  let cluster =
-    Kv_cluster.start ~faults ~shards:server_shards ~groups:1 ~s ~tol ()
-  in
+  let cluster = Kv_cluster.start ~faults ~groups:1 ~s ~tol () in
   Fun.protect
     ~finally:(fun () -> Kv_cluster.shutdown cluster)
     (fun () ->
       let writers = Registry.clamp_writers register 2 in
       let readers = 2 in
-      let restarted = restart && tol >= 1 in
+      let restarted = tol >= 1 in
       let kill_at, restart_at =
         if restarted then ([ (0.05, 0, s - 1) ], [ (0.45, 0, s - 1, `Recover) ])
         else ([], [])
@@ -77,7 +75,7 @@ type restart_outcome = {
   history : Histories.History.t;
 }
 
-let restart_scenario ?(server_shards = 1) ~mode () =
+let restart_scenario ~mode () =
   let s = 3 and tol = 1 in
   let algo = Registry.client_algo Registry.abd_mwmr in
   (* Topology numbering: servers 0..2, writer 0 = node 3, reader 0 =
@@ -94,9 +92,7 @@ let restart_scenario ?(server_shards = 1) ~mode () =
           ~servers:[ 1 ] ();
       ]
   in
-  let kc =
-    Kv_cluster.start ~faults ~shards:server_shards ~groups:1 ~s ~tol ()
-  in
+  let kc = Kv_cluster.start ~faults ~groups:1 ~s ~tol () in
   let cluster = Kv_cluster.group kc 0 in
   Fun.protect
     ~finally:(fun () -> Kv_cluster.shutdown kc)

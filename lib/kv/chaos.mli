@@ -47,8 +47,6 @@ val soak :
   ?s:int ->
   ?tol:int ->
   ?ops:int ->
-  ?restart:bool ->
-  ?server_shards:int ->
   ?live_check:bool ->
   ?on_violation:(string -> Checker.Witness.t -> unit) ->
   register:Protocol.Register_intf.t ->
@@ -57,13 +55,9 @@ val soak :
 (** Run one seeded soak: [s] servers (default 5) tolerating [tol]
     (default 1), 2 writers × 2 readers (1 writer for single-writer
     protocols), [ops] writes per writer and [2·ops] reads per reader
-    (default 8), under {!plan}.  With [restart] (default true) server
-    [s-1] is killed 0.05s in and restarted with recovered state at
-    0.45s — so the soak also exercises {!Transport.Cluster.restart}
-    under load.
-    [server_shards] (default 1) runs every server with that many
-    reactor event loops ({!Kv_cluster.start}), putting the fault timers
-    and the restart path under a sharded reactor too.  [live_check]
+    (default 8), under {!plan}.  With [tol >= 1] server [s-1] is killed
+    0.05s in and restarted with recovered state at 0.45s — so the soak
+    also exercises {!Transport.Cluster.restart} under load.  [live_check]
     and [on_violation] forward to {!Kv_session.run} — the streaming
     checker then rides the whole storm, report in
     [result.Kv_session.online]. *)
@@ -78,10 +72,7 @@ type restart_outcome = {
 }
 
 val restart_scenario :
-  ?server_shards:int ->
-  mode:Transport.Cluster.restart_mode ->
-  unit ->
-  restart_outcome
+  mode:Transport.Cluster.restart_mode -> unit -> restart_outcome
 (** The deterministic crash-stop script, on a 3-server cluster
     ([tol = 1], quorum 2) running LS97 (W2R2):
 

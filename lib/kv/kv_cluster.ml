@@ -5,7 +5,7 @@ open Transport
    placement ring that says which group owns which key.  Groups never
    talk to each other — per-key atomicity composes: every key lives
    entirely inside one group's quorum system, so the whole keyspace is
-   atomic iff each register is (the property that lets shards scale
+   atomic iff each register is (the property that lets groups scale
    independently). *)
 
 type t = {
@@ -23,10 +23,10 @@ let of_groups cls ~s ~tol =
     tol;
   }
 
-let start ?faults ?shards ~groups ~s ~tol () =
+let start ?faults ~groups ~s ~tol () =
   if groups < 1 then invalid_arg "Kv_cluster.start: groups must be >= 1";
   of_groups ~s ~tol
-    (Array.init groups (fun _ -> Cluster.start ?faults ?shards ~s ~tol ()))
+    (Array.init groups (fun _ -> Cluster.start ?faults ~s ~tol ()))
 
 let connect ~addrs ~tol =
   of_groups ~s:(Array.length addrs) ~tol [| Cluster.connect ~addrs ~tol () |]

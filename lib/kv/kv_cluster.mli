@@ -5,23 +5,21 @@
     Groups never communicate — each key's register lives entirely inside
     one group's [S]/[S − tol] quorum system, so per-key atomicity (and
     therefore keyspace atomicity, which is per-key by definition)
-    composes across shards while throughput scales with the group
+    composes across groups while throughput scales with the group
     count. *)
 
 type t
 
 val start :
   ?faults:Transport.Faults.t ->
-  ?shards:int ->
   groups:int ->
   s:int ->
   tol:int ->
   unit ->
   t
 (** [start ~groups ~s ~tol ()] spawns [groups × s] servers:
-    [groups] clusters of [s], each tolerating [tol] crashes.  [shards]
-    is each server's reactor event-loop count, [faults] a plan installed
-    on every server of every group. *)
+    [groups] clusters of [s], each tolerating [tol] crashes.  [faults]
+    is a plan installed on every server of every group. *)
 
 val connect : addrs:Unix.sockaddr array -> tol:int -> t
 (** One group attached to already-running daemons (e.g. [mwreg serve]

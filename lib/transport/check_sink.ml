@@ -38,7 +38,6 @@ type report = {
 type t = {
   keyed : Checker.Online.Keyed.t;
   now_ : unit -> float;
-  interval : float;
   mutable ports : port list;
   mutable nports : int;
   stop_flag : bool Atomic.t;
@@ -47,11 +46,14 @@ type t = {
   mutable busy : float;
 }
 
-let create ?on_violation ?(interval = 0.001) ~now () =
+(* The checker thread's sleep between drains: short enough that the
+   window stays tight under continuous load. *)
+let interval = 0.001
+
+let create ?on_violation ~now () =
   {
     keyed = Checker.Online.Keyed.create ?on_violation ();
     now_ = now;
-    interval;
     ports = [];
     nports = 0;
     stop_flag = Atomic.make false;
@@ -127,7 +129,7 @@ let start t =
          (fun () ->
            while not (Atomic.get t.stop_flag) do
              drain_once t;
-             Thread.delay t.interval
+             Thread.delay interval
            done)
          ())
 

@@ -42,14 +42,12 @@ type report = {
 
 val create :
   ?on_violation:(string -> Checker.Witness.t -> unit) ->
-  ?interval:float ->
   now:(unit -> float) ->
   unit ->
   t
 (** [now] must be the same clock the client threads use to timestamp
-    operations (monotonic across threads).  [interval] is the checker
-    thread's sleep between drains (default 1ms: short enough that the
-    window stays tight under continuous load).  [on_violation] fires
+    operations (monotonic across threads).  The checker thread drains
+    every 1ms.  [on_violation] fires
     from the checker thread the moment a key's verdict turns. *)
 
 val port : t -> port

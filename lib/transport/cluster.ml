@@ -6,17 +6,16 @@ type t = {
   sockaddrs : Unix.sockaddr array;
   s : int;
   tol : int;
-  shards : int; (* reactor event loops per server; restarts reuse it *)
   faults : Faults.t option;
 }
 
-let start ?faults ?(shards = 1) ~s ~tol () =
+let start ?faults ~s ~tol () =
   if s < 2 then invalid_arg "Cluster.start: need at least 2 servers";
   if tol < 0 || tol >= s then invalid_arg "Cluster.start: need 0 <= tol < s";
   let keyspaces = Array.init s (fun _ -> Keyspace.create ()) in
   let servers =
     Array.init s (fun i ->
-        Some (Server.start ~id:i ~shards ?faults ~keyspace:keyspaces.(i) ()))
+        Some (Server.start ~id:i ?faults ~keyspace:keyspaces.(i) ()))
   in
   let sockaddrs =
     Array.map
@@ -26,7 +25,7 @@ let start ?faults ?(shards = 1) ~s ~tol () =
         | None -> assert false)
       servers
   in
-  { servers; keyspaces; sockaddrs; s; tol; shards; faults }
+  { servers; keyspaces; sockaddrs; s; tol; faults }
 
 let connect ~addrs ~tol () =
   let s = Array.length addrs in
@@ -38,7 +37,6 @@ let connect ~addrs ~tol () =
     sockaddrs = addrs;
     s;
     tol;
-    shards = 1;
     faults = None;
   }
 
@@ -93,9 +91,7 @@ let restart ?(mode = `Recover) t i =
     t.keyspaces.(i) <- keyspace;
     let port = port t i in
     let rec bind_retrying n =
-      match
-        Server.start ~port ~id:i ~shards:t.shards ?faults:t.faults ~keyspace ()
-      with
+      match Server.start ~port ~id:i ?faults:t.faults ~keyspace () with
       | sv -> sv
       | exception Unix.Unix_error (Unix.EADDRINUSE, _, _) when n > 0 ->
         Thread.delay 0.05;

@@ -8,13 +8,10 @@
 
 type t
 
-val start : ?faults:Faults.t -> ?shards:int -> s:int -> tol:int -> unit -> t
+val start : ?faults:Faults.t -> s:int -> tol:int -> unit -> t
 (** Spawn [s] servers tolerating [tol] crashes (quorum [s − tol]).
     [faults] installs a fault plan on every server's reply leg (see
-    {!Faults}); the client leg takes the plan separately.
-    [shards] (default 1) is each server's reactor event-loop count
-    ({!Server.start}); {!restart} reuses it, so a recovered server comes
-    back with the topology it crashed with. *)
+    {!Faults}); the client leg takes the plan separately. *)
 
 val connect : addrs:Unix.sockaddr array -> tol:int -> unit -> t
 (** Attach to already-running daemons (e.g. [mwreg serve] processes)

@@ -175,11 +175,28 @@ let rules p ~s ~clients =
 let plan ?(seed = 0) ?(extra = []) p ~s ~clients =
   Faults.create ~seed (rules p ~s ~clients @ extra)
 
-(* Every node (server or client) placed in region [k] — the raw
-   material for region-outage partitions. *)
-let region_nodes p ~s ~clients k =
-  let servers = List.init s Fun.id in
-  List.filter (fun n -> region_of p n = k) (servers @ clients)
+type outage = {
+  region : int;
+  cut : int list;
+  from_ : float;
+  until : float;
+  rule : Faults.rule;
+}
+
+let outage p ~s ~clients =
+  let region = region_count p - 1 in
+  if region < 1 then
+    invalid_arg
+      (Printf.sprintf "Geo.outage: profile %s has one region, no other to cut \
+                       it from" p.name);
+  let cut, rest =
+    List.partition
+      (fun n -> region_of p n = region)
+      (List.init s Fun.id @ clients)
+  in
+  let from_ = 0.05 and until = 0.30 in
+  let rule = Faults.partition ~from_ ~until [ cut; rest ] in
+  { region; cut; from_; until; rule }
 
 let describe p =
   let b = Buffer.create 256 in

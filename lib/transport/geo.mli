@@ -70,9 +70,19 @@ val plan : ?seed:int -> ?extra:Faults.rule list -> profile -> s:int -> clients:i
     {!Faults.partition} for a region outage) are appended after the geo
     rules.  [seed] drives the deterministic jitter draws. *)
 
-val region_nodes : profile -> s:int -> clients:int list -> int -> int list
-(** All nodes (servers and clients) placed in the given region — the
-    group list for region-outage partitions. *)
+type outage = {
+  region : int;  (** the cut region: the profile's last *)
+  cut : int list;  (** its nodes, servers first, then clients *)
+  from_ : float;
+  until : float;  (** the cut's window, seconds into the run *)
+  rule : Faults.rule;  (** the {!Faults.partition} to pass as [extra] *)
+}
+
+val outage : profile -> s:int -> clients:int list -> outage
+(** The region outage: the profile's last region partitioned away from
+    every other node from 0.05s to 0.30s into the run.  Raises
+    [Invalid_argument] on a one-region profile, which has nothing to cut
+    it from. *)
 
 val describe : profile -> string
 (** Human-readable delay/jitter matrix for [mwreg geo --list]. *)

@@ -85,10 +85,11 @@ val fd_int : Unix.file_descr -> int
     the reactor use for connection tables. *)
 
 module Poller : sig
-  (** A persistent interest set for a reactor shard: epoll(7) where the
+  (** A persistent interest set for one waiting thread (a server's
+      reactor, the mux ticker): epoll(7) where the
       platform has it, poll(2) over the registered set elsewhere.
       Level-triggered either way — an event repeats until its cause is
-      drained, so a shard that processes only part of a socket's data
+      drained, so a loop that processes only part of a socket's data
       is re-told on the next {!wait}. *)
 
   type t

@@ -19,15 +19,15 @@
  *   (prctl(PR_SET_TIMERSLACK)): with the default 50 µs, every wake-up
  *   lands up to 50 µs past its deadline, and a delayed frame's release
  *   pays it on both legs of a round trip.  Only the threads that wait
- *   here are changed (the reactor shards and the mux ticker, which
+ *   here are changed (the server reactors and the mux ticker, which
  *   sleep to staged-frame deadlines); a refused prctl keeps the
  *   default.
  * - poll (portable): mwreg_poll takes an array of encoded interests and
  *   rewrites each entry's bits with the revents.  Unlike select(2) it
  *   has no FD_SETSIZE cliff, which matters from ~1024 descriptors up.
  *
- * Both waits release the OCaml runtime lock, so one shard blocking in
- * epoll_wait never stalls the other shards (or the main thread).  The
+ * Both waits release the OCaml runtime lock, so one reactor blocking in
+ * epoll_wait never stalls the other threads (or the main thread).  The
  * OCaml arrays are copied to C memory before the lock is released: the
  * GC may move or compact heap blocks while we are not holding it.
  *
@@ -119,7 +119,7 @@ CAMLprim value mwreg_epoll_ctl(value vep, value vop, value vfd, value vbits)
 
 #ifdef MWREG_HAVE_EPOLL
 /* Set once epoll_pwait2 has failed with ENOSYS/EPERM; every later wait
-   goes straight to epoll_wait.  Racing shards can only both set it. */
+   goes straight to epoll_wait.  Racing threads can only both set it. */
 static volatile int mwreg_no_pwait2 = 0;
 
 /* Set once this thread has asked for 1 ns timer slack.  1, not 0: a

@@ -1,11 +1,11 @@
 open Registers
 
 (* A non-blocking reactor replaces the old thread-per-connection design:
-   each shard runs one event loop over an epoll/poll {!Netio.Poller},
-   owns a disjoint set of connections, and is the only thread that ever
-   touches them — connection state needs no locks at all.  The keyspace
-   stays shared behind [replica_lock] (the model's one-message-at-a-time
-   server), so shards scale the *socket* work, not the state machine. *)
+   one event loop over an epoll/poll {!Netio.Poller}, on one thread,
+   owns every connection and is the only thread that ever touches them
+   — connection state needs no locks at all.  The keyspace stays behind
+   [replica_lock] because other threads read it too (inspection,
+   recovery restarts). *)
 
 (* Per-connection outbound queue: a flat byte window [off, off+len) that
    replies are appended to and the flush path consumes from the front.
@@ -59,7 +59,7 @@ end
 
 type conn = {
   cfd : Unix.file_descr;
-  ckey : int; (* fd number: the shard's connection-table key *)
+  ckey : int; (* fd number: the connection-table key *)
   stream : Codec.Stream.t;
   outq : Outq.t;
   mutable want_write : bool; (* write interest registered *)
@@ -68,8 +68,8 @@ type conn = {
 }
 
 (* A delayed reply delivery (fault plan): encoded bytes parked on the
-   owning shard's timer list instead of a delayer thread's stack.  The
-   shard's poll timeout shrinks to the nearest deadline, and every timer
+   reactor's timer list instead of a delayer thread's stack.  The
+   reactor's poll timeout shrinks to the nearest deadline, and every timer
    due at a wake-up joins its connection's out-queue before that
    connection is flushed once: one write per link per wake-up.  A timer
    holds its connection record, not the fd number — a closed
@@ -78,22 +78,6 @@ type conn = {
    behaviour of the link being modelled. *)
 type timer = { due : float; tconn : conn; payload : string }
 
-type shard = {
-  snum : int;
-  poller : Netio.Poller.t;
-  wake_r : Unix.file_descr;
-  wake_w : Unix.file_descr;
-  lock : Mutex.t; (* guards [inbox] only *)
-  mutable inbox : Unix.file_descr list; (* conns handed over by shard 0 *)
-  conns : (int, conn) Hashtbl.t; (* shard-thread private *)
-  mutable timers : timer list; (* sorted by [due]; shard-thread private *)
-  rbuf : Bytes.t;
-  reply_buf : Buffer.t;
-  frame_buf : Buffer.t;
-}
-
-type runner = T of Thread.t | D of unit Domain.t
-
 type t = {
   id : int;
   listen_fd : Unix.file_descr;
@@ -101,11 +85,17 @@ type t = {
   keyspace : Keyspace.t; (* every register this server hosts *)
   replica_lock : Mutex.t; (* guards [keyspace] *)
   faults : Faults.t option;
-  shards : shard array;
+  poller : Netio.Poller.t;
+  wake_r : Unix.file_descr;
+  wake_w : Unix.file_descr; (* [stop] wakes the reactor through it *)
+  conns : (int, conn) Hashtbl.t; (* reactor-thread private *)
+  mutable timers : timer list; (* sorted by [due]; reactor-thread private *)
+  rbuf : Bytes.t;
+  reply_buf : Buffer.t;
+  frame_buf : Buffer.t;
   stopping : bool Atomic.t;
   live_conns : int Atomic.t;
-  mutable rr : int; (* round-robin shard cursor; shard 0's thread only *)
-  mutable runners : runner list;
+  mutable reactor : Thread.t option;
 }
 
 (* A peer closing its socket mid-write must surface as EPIPE on that
@@ -115,7 +105,7 @@ let ignore_sigpipe =
     (if Sys.os_type = "Unix" then
        try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with _ -> ())
 
-(* The idle tick: an upper bound on how long a shard sleeps when nothing
+(* The idle tick: an upper bound on how long the reactor sleeps when nothing
    is ready and no timer is due, and therefore on [stop]'s worst-case
    latency if a wakeup byte were ever lost. *)
 let tick = 0.2
@@ -140,25 +130,25 @@ let keyspace t = t.keyspace
 
 let connection_count t = Atomic.get t.live_conns
 
-(* [c] is still the connection its shard knows by its fd number (not a
-   closed one whose number a later accept reused). *)
-let alive sh c =
-  match Hashtbl.find_opt sh.conns c.ckey with
+(* [c] is still the connection the reactor knows by its fd number (not
+   a closed one whose number a later accept reused). *)
+let alive t c =
+  match Hashtbl.find_opt t.conns c.ckey with
   | Some c' -> c' == c
   | None -> false
 
 (* Read interest is off while the out-queue is over the ceiling. *)
-let set_interest sh c =
-  Netio.Poller.set sh.poller c.cfd
+let set_interest t c =
+  Netio.Poller.set t.poller c.cfd
     ~read:(c.outq.Outq.len <= outq_limit)
     ~write:c.want_write
 
-let close_conn t sh c =
-  if alive sh c then begin
-    Hashtbl.remove sh.conns c.ckey;
+let close_conn t c =
+  if alive t c then begin
+    Hashtbl.remove t.conns c.ckey;
     (* Unregister before close: the fd number is reusable the instant
        close returns, and the poller must never see it secondhand. *)
-    Netio.Poller.remove sh.poller c.cfd;
+    Netio.Poller.remove t.poller c.cfd;
     (try Unix.close c.cfd with Unix.Unix_error _ -> ());
     Atomic.decr t.live_conns
   end
@@ -167,33 +157,33 @@ let close_conn t sh c =
    EAGAIN registers write interest — the poller re-invokes us when the
    peer drains its side — and a drained queue clears it, so a slow
    reader costs exactly one interest toggle, never a blocked thread. *)
-let rec flush t sh c =
+let rec flush t c =
   if Outq.is_empty c.outq then begin
     if c.want_write then begin
       c.want_write <- false;
-      set_interest sh c
+      set_interest t c
     end;
-    if c.sever then close_conn t sh c
+    if c.sever then close_conn t c
   end
   else
     match Netio.write_nb c.cfd c.outq.Outq.buf c.outq.Outq.off c.outq.Outq.len with
     | Some n ->
       Outq.consume c.outq n;
-      flush t sh c
+      flush t c
     | None ->
       if not c.want_write then begin
         c.want_write <- true;
-        set_interest sh c
+        set_interest t c
       end
-    | exception Unix.Unix_error _ -> close_conn t sh c
+    | exception Unix.Unix_error _ -> close_conn t c
 
-let add_timer sh tm =
+let add_timer t tm =
   let rec ins = function
     | [] -> [ tm ]
     | hd :: _ as l when tm.due < hd.due -> tm :: l
     | hd :: tl -> hd :: ins tl
   in
-  sh.timers <- ins sh.timers
+  t.timers <- ins t.timers
 
 (* Run one wakeup's worth of decoded requests through the keyspace under
    a single lock acquisition (the batch fast path for multiplexed client
@@ -202,7 +192,7 @@ let add_timer sh tm =
    dispatches to its key's replica — the model's one-message-at-a-time
    server, per register.  The clock is read once per batch, so replies
    delayed by equal amounts share one deadline and leave together. *)
-let process_requests t sh c requests =
+let process_requests t c requests =
   let reps =
     Mutex.protect t.replica_lock (fun () ->
         List.map
@@ -210,15 +200,15 @@ let process_requests t sh c requests =
             (rt, client, key, Keyspace.handle t.keyspace ~key ~client req))
           requests)
   in
-  Buffer.clear sh.reply_buf;
+  Buffer.clear t.reply_buf;
   let t_now = match t.faults with None -> 0.0 | Some _ -> Clock.now () in
   List.iter
     (fun (rt, client, key, rep) ->
       let frame = Codec.Keyed_reply { key; rt; client; server = t.id; rep } in
       match t.faults with
       | None ->
-        Codec.encode_into sh.frame_buf frame;
-        Buffer.add_buffer sh.reply_buf sh.frame_buf
+        Codec.encode_into t.frame_buf frame;
+        Buffer.add_buffer t.reply_buf t.frame_buf
       | Some plan ->
         if not c.sever then begin
           c.frames <- c.frames + 1;
@@ -232,43 +222,43 @@ let process_requests t sh c requests =
                 (* A torn frame: ship a prefix, then sever (once the
                    queue drains).  The client's strict decoder rejects
                    the stream and reconnects. *)
-                Codec.encode_into sh.frame_buf frame;
-                let prefix = max 1 (Buffer.length sh.frame_buf / 2) in
-                Buffer.add_string sh.reply_buf
-                  (Buffer.sub sh.frame_buf 0 prefix);
+                Codec.encode_into t.frame_buf frame;
+                let prefix = max 1 (Buffer.length t.frame_buf / 2) in
+                Buffer.add_string t.reply_buf
+                  (Buffer.sub t.frame_buf 0 prefix);
                 c.sever <- true
               end
               else if after > 0.0 then
-                add_timer sh
+                add_timer t
                   { due = t_now +. after; tconn = c; payload = Codec.encode frame }
               else begin
-                Codec.encode_into sh.frame_buf frame;
-                Buffer.add_buffer sh.reply_buf sh.frame_buf
+                Codec.encode_into t.frame_buf frame;
+                Buffer.add_buffer t.reply_buf t.frame_buf
               end)
             ds
         end)
     reps;
-  if Buffer.length sh.reply_buf > 0 then Outq.add_buffer c.outq sh.reply_buf;
-  flush t sh c
+  if Buffer.length t.reply_buf > 0 then Outq.add_buffer c.outq t.reply_buf;
+  flush t c
 
 (* Release every timer due by [now]: each payload joins its
    connection's out-queue in deadline order (so a link keeps its order),
    then each connection touched is flushed once. *)
-let fire_timers t sh now =
+let fire_timers t now =
   let rec go touched =
-    match sh.timers with
+    match t.timers with
     | tm :: rest when tm.due <= now ->
-      sh.timers <- rest;
+      t.timers <- rest;
       let c = tm.tconn in
       (* A dead connection lost the frame while it was in flight. *)
-      if alive sh c && not c.sever then begin
+      if alive t c && not c.sever then begin
         Outq.add_string c.outq tm.payload;
         go (if List.memq c touched then touched else c :: touched)
       end
       else go touched
     | _ -> touched
   in
-  List.iter (fun c -> flush t sh c) (go [])
+  List.iter (flush t) (go [])
 
 (* Decode up to [max_batch] requests off [c]'s stream.  The flag reports
    a corrupt stream — a decode error, or a reply frame (only servers
@@ -291,61 +281,44 @@ let next_batch c =
    and leave the rest in the stream until a flush drains the queue (the
    writable path calls back here).  Returns [true] when the stream is
    corrupt: the caller severs. *)
-let rec serve t sh c =
-  if not (alive sh c) then false
+let rec serve t c =
+  if not (alive t c) then false
   else if c.outq.Outq.len > outq_limit then begin
-    set_interest sh c;
+    set_interest t c;
     false
   end
   else
     match next_batch c with
     | [], bad -> bad
     | requests, bad ->
-      process_requests t sh c requests;
-      bad || serve t sh c
+      process_requests t c requests;
+      bad || serve t c
 
 (* Readable event: drain the socket to EAGAIN through the incremental
    decoder, then answer its complete frames.  Frames decoded before an
    error still get answers; the error still severs. *)
-let handle_readable t sh c =
+let handle_readable t c =
   let closed = ref false in
   (try
      let more = ref true in
      while !more do
-       match Netio.read_nb c.cfd sh.rbuf 0 (Bytes.length sh.rbuf) with
+       match Netio.read_nb c.cfd t.rbuf 0 (Bytes.length t.rbuf) with
        | None -> more := false
        | Some 0 ->
          more := false;
          closed := true
        | Some n ->
-         Codec.Stream.feed c.stream sh.rbuf n;
+         Codec.Stream.feed c.stream t.rbuf n;
          (* A short read means the socket buffer is (currently) empty:
             skip the confirming EAGAIN syscall. *)
-         if n < Bytes.length sh.rbuf then more := false
+         if n < Bytes.length t.rbuf then more := false
      done
    with Unix.Unix_error _ -> closed := true);
-  if serve t sh c || !closed then close_conn t sh c
+  if serve t c || !closed then close_conn t c
 
-let register_conn sh fd =
-  let c =
-    {
-      cfd = fd;
-      ckey = Netio.fd_int fd;
-      stream = Codec.Stream.create ();
-      outq = Outq.create 4096;
-      want_write = false;
-      sever = false;
-      frames = 0;
-    }
-  in
-  Hashtbl.replace sh.conns c.ckey c;
-  Netio.Poller.add sh.poller fd ~want_write:false
-
-(* Accept runs in shard 0 and deals connections round-robin; a foreign
-   shard gets the fd through its locked inbox plus a wakeup byte.  Any
-   unexpected accept failure (e.g. EMFILE) just ends this round — the
-   level-triggered poller re-reports the backlog next tick. *)
-let do_accept t sh0 =
+(* Any unexpected accept failure (e.g. EMFILE) just ends this round —
+   the level-triggered poller re-reports the backlog next tick. *)
+let do_accept t =
   let more = ref true in
   while !more do
     match Netio.accept_nb t.listen_fd with
@@ -355,78 +328,65 @@ let do_accept t sh0 =
       (try Unix.setsockopt fd Unix.TCP_NODELAY true
        with Unix.Unix_error _ -> ());
       Netio.set_nonblock fd;
-      let sh = t.shards.(t.rr mod Array.length t.shards) in
-      t.rr <- t.rr + 1;
       Atomic.incr t.live_conns;
-      if sh == sh0 then register_conn sh fd
-      else begin
-        Mutex.protect sh.lock (fun () -> sh.inbox <- fd :: sh.inbox);
-        Netio.notify sh.wake_w
-      end
+      let c =
+        {
+          cfd = fd;
+          ckey = Netio.fd_int fd;
+          stream = Codec.Stream.create ();
+          outq = Outq.create 4096;
+          want_write = false;
+          sever = false;
+          frames = 0;
+        }
+      in
+      Hashtbl.replace t.conns c.ckey c;
+      Netio.Poller.add t.poller fd ~want_write:false
   done
 
-let drain_inbox t sh =
-  let fds =
-    Mutex.protect sh.lock (fun () ->
-        let l = sh.inbox in
-        sh.inbox <- [];
-        List.rev l)
-  in
-  List.iter
-    (fun fd ->
-      if Atomic.get t.stopping then begin
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        Atomic.decr t.live_conns
-      end
-      else register_conn sh fd)
-    fds
-
-let shard_loop t sh =
-  let wake_key = Netio.fd_int sh.wake_r in
-  let listen_key = if sh.snum = 0 then Netio.fd_int t.listen_fd else -1 in
+let reactor_loop t =
+  let wake_key = Netio.fd_int t.wake_r in
+  let listen_key = Netio.fd_int t.listen_fd in
   while not (Atomic.get t.stopping) do
     let timeout =
-      match sh.timers with
+      match t.timers with
       | [] -> tick
       | tm :: _ -> Float.max 0.0 (Float.min tick (tm.due -. Clock.now ()))
     in
     ignore
-      (Netio.Poller.wait sh.poller ~timeout
+      (Netio.Poller.wait t.poller ~timeout
          (fun fd ~readable ~writable ->
            let k = Netio.fd_int fd in
            if k = wake_key then begin
-             if readable then Netio.drain_wake sh.wake_r
+             if readable then Netio.drain_wake t.wake_r
            end
            else if k = listen_key then begin
-             if readable && not (Atomic.get t.stopping) then do_accept t sh
+             if readable && not (Atomic.get t.stopping) then do_accept t
            end
            else
-             match Hashtbl.find_opt sh.conns k with
+             match Hashtbl.find_opt t.conns k with
              | None -> () (* closed earlier in this same dispatch round *)
              | Some c ->
                if writable then begin
-                 flush t sh c;
+                 flush t c;
                  (* Once the queue is back under the ceiling, restore
                     read interest and answer what waited meanwhile. *)
-                 if alive sh c then begin
-                   set_interest sh c;
-                   if serve t sh c then close_conn t sh c
+                 if alive t c then begin
+                   set_interest t c;
+                   if serve t c then close_conn t c
                  end
                end;
                (* The flush may have severed the connection. *)
-               if readable && alive sh c then handle_readable t sh c));
-    drain_inbox t sh;
-    fire_timers t sh (Clock.now ())
+               if readable && alive t c then handle_readable t c));
+    fire_timers t (Clock.now ())
   done;
-  (* Teardown on the owning thread: close every connection (clients see
-     the crash as EOF/reset) and refuse late inbox handovers. *)
-  let remaining = Hashtbl.fold (fun _ c acc -> c :: acc) sh.conns [] in
-  List.iter (fun c -> close_conn t sh c) remaining;
-  drain_inbox t sh
+  (* Teardown on the reactor thread: close every connection (clients
+     see the crash as EOF/reset). *)
+  let remaining = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [] in
+  List.iter (close_conn t) remaining
 
-let start ?(host = "127.0.0.1") ?(port = 0) ?(id = 0) ?(shards = 1) ?faults
+let start ?(host = "127.0.0.1") ?(port = 0) ?(id = 0) ?faults
     ?(keyspace = Keyspace.create ()) () =
-  if shards < 1 then invalid_arg "Server.start: shards must be >= 1";
   Lazy.force ignore_sigpipe;
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt fd Unix.SO_REUSEADDR true;
@@ -444,27 +404,12 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?(id = 0) ?(shards = 1) ?faults
     | Unix.ADDR_INET (_, p) -> p
     | Unix.ADDR_UNIX _ -> assert false
   in
-  let mk_shard snum =
-    let wake_r, wake_w = Unix.pipe () in
-    Netio.set_nonblock wake_r;
-    Netio.set_nonblock wake_w;
-    let poller = Netio.Poller.create () in
-    Netio.Poller.add poller wake_r ~want_write:false;
-    {
-      snum;
-      poller;
-      wake_r;
-      wake_w;
-      lock = Mutex.create ();
-      inbox = [];
-      conns = Hashtbl.create 64;
-      timers = [];
-      rbuf = Bytes.create 65536;
-      reply_buf = Buffer.create 4096;
-      frame_buf = Buffer.create 512;
-    }
-  in
-  let shard_a = Array.init shards mk_shard in
+  let wake_r, wake_w = Unix.pipe () in
+  Netio.set_nonblock wake_r;
+  Netio.set_nonblock wake_w;
+  let poller = Netio.Poller.create () in
+  Netio.Poller.add poller wake_r ~want_write:false;
+  Netio.Poller.add poller fd ~want_write:false;
   let t =
     {
       id;
@@ -473,36 +418,28 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?(id = 0) ?(shards = 1) ?faults
       keyspace;
       replica_lock = Mutex.create ();
       faults;
-      shards = shard_a;
+      poller;
+      wake_r;
+      wake_w;
+      conns = Hashtbl.create 64;
+      timers = [];
+      rbuf = Bytes.create 65536;
+      reply_buf = Buffer.create 4096;
+      frame_buf = Buffer.create 512;
       stopping = Atomic.make false;
       live_conns = Atomic.make 0;
-      rr = 0;
-      runners = [];
+      reactor = None;
     }
   in
-  Netio.Poller.add shard_a.(0).poller fd ~want_write:false;
-  (* One shard rides a plain thread; more get a domain each, so shards
-     actually run in parallel instead of time-slicing one runtime lock. *)
-  t.runners <-
-    (if shards = 1 then
-       [ T (Thread.create (fun () -> shard_loop t shard_a.(0)) ()) ]
-     else
-       Array.to_list
-         (Array.map (fun sh -> D (Domain.spawn (fun () -> shard_loop t sh)))
-            shard_a));
+  t.reactor <- Some (Thread.create reactor_loop t);
   t
 
 let stop t =
   if not (Atomic.exchange t.stopping true) then begin
-    Array.iter (fun sh -> Netio.notify sh.wake_w) t.shards;
-    List.iter (function T th -> Thread.join th | D d -> Domain.join d)
-      t.runners;
-    t.runners <- [];
+    Netio.notify t.wake_w;
+    Option.iter Thread.join t.reactor;
     (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-    Array.iter
-      (fun sh ->
-        Netio.Poller.close sh.poller;
-        (try Unix.close sh.wake_r with Unix.Unix_error _ -> ());
-        (try Unix.close sh.wake_w with Unix.Unix_error _ -> ()))
-      t.shards
+    Netio.Poller.close t.poller;
+    (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
+    (try Unix.close t.wake_w with Unix.Unix_error _ -> ())
   end

@@ -19,10 +19,9 @@
     brings the queue back under: a peer that asks faster than it reads
     is slowed down, never cut off.
 
-    With [shards > 1] the connections are dealt round-robin across that
-    many event loops, one domain each; the keyspace itself stays behind
-    one lock (the model's one-message-at-a-time server), so shards scale
-    the socket work, not the state machine.
+    The event loop runs on one thread, which owns every connection, so
+    the server handles its messages one at a time in that thread's
+    dispatch order (the model's one-message-at-a-time server).
 
     Servers never talk to each other (the model's communication
     restriction is structural here: nothing ever dials out). *)
@@ -33,7 +32,6 @@ val start :
   ?host:string ->
   ?port:int ->
   ?id:int ->
-  ?shards:int ->
   ?faults:Faults.t ->
   ?keyspace:Registers.Keyspace.t ->
   unit ->
@@ -41,10 +39,9 @@ val start :
 (** Bind [host:port] (default [127.0.0.1:0] — port 0 picks an ephemeral
     port, see {!port}) and serve until {!stop}.  [id] is the server's
     index, echoed in every reply so clients can attribute messages.
-    [shards] (default 1) is the number of reactor event loops.
     [faults] subjects every reply frame to the plan's [From_server]
-    rules: drops and blackouts lose it, delays park it on the owning
-    shard's timer list and deliver it late (every reply due at one
+    rules: drops and blackouts lose it, delays park it on the
+    reactor's timer list and deliver it late (every reply due at one
     wake-up leaves in one write per connection), duplicates send it twice,
     truncation tears the frame mid-byte and severs the connection.
     [keyspace] (default fresh and empty) holds every register the
@@ -59,13 +56,13 @@ val keyspace : t -> Registers.Keyspace.t
 (** The hosted named-register table (inspection/tests/recovery). *)
 
 val connection_count : t -> int
-(** Live connections across all shards.  Observability for tests: must
+(** Live connections.  Observability for tests: must
     return to 0 once every client has disconnected — the reactor closes
     a connection the moment its socket reports EOF, with no reaper tick
     in between. *)
 
 val stop : t -> unit
 (** Crash the server: stop accepting, close every client connection,
-    join the shard loops.  Clients observe EOF/ECONNREFUSED — exactly
+    join the reactor thread.  Clients observe EOF/ECONNREFUSED — exactly
     the crash failures the [t]-tolerant quorum logic must survive.
     Idempotent. *)

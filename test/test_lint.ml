@@ -127,8 +127,8 @@ let test_blocking_positive () =
     "let handle_conn wlock fd b =\n\
     \  Mutex.protect wlock (fun () -> Netio.write_all fd b 0 4)\n"
     Rules.blocking_under_lock;
-  (* A reactor shard parking in its poller while holding a lock would
-     stall every connection the shard owns: the readiness waits are
+  (* A server's reactor parking in its poller while holding a lock
+     would stall every connection it owns: the readiness waits are
      classified as blocking. *)
   fires "poller wait under a lock" ~path:"lib/transport/foo.ml"
     "let m = Mutex.create ()\n\

@@ -793,9 +793,9 @@ let test_reactor_connection_churn () =
    reader.  Returns the result and the cluster (shut down, but its
    [running] set still reflects the run's kills). *)
 let run_register ?kill_at ?restart_at ?faults ?(rt_timeout = 0.5)
-    ?max_rt_retries ?live_check ?think ?(shards = 1) ~register ~s ~tol
-    ~writers ~readers ops =
-  let cluster = Kv.Kv_cluster.start ?faults ~shards ~groups:1 ~s ~tol () in
+    ?max_rt_retries ?live_check ?think ~register ~s ~tol ~writers ~readers
+    ops =
+  let cluster = Kv.Kv_cluster.start ?faults ~groups:1 ~s ~tol () in
   let res =
     Fun.protect
       ~finally:(fun () -> Kv.Kv_cluster.shutdown cluster)
@@ -806,30 +806,19 @@ let run_register ?kill_at ?restart_at ?faults ?(rt_timeout = 0.5)
   in
   (res, Kv.Kv_session.history res)
 
-let test_reactor_sharded_live () =
-  (* shards > 1: connections dealt round-robin across per-domain event
-     loops, kill + recover-restart mid-run, history still atomic. *)
+let test_reactor_live_kill_restart () =
+  (* A kill + recover-restart mid-run through [Kv_session.run]'s
+     schedule: the restarted server's fresh reactor takes the redialled
+     connection and the history stays atomic. *)
   let res, h =
-    run_register ~shards:2
+    run_register
       ~kill_at:[ (0.05, 0, 2) ]
       ~restart_at:[ (0.3, 0, 2, `Recover) ]
       ~register:Registry.abd_mwmr ~s:3 ~tol:1 ~writers:2 ~readers:2 6
   in
-  check bool "history atomic under sharded reactor" true
+  check bool "history atomic across the restart" true
     (Checker.Atomicity.is_atomic h);
   check int "no client starved" 0 res.Kv.Kv_session.starved
-
-let test_reactor_sharded_restart mode () =
-  (* The deterministic crash-stop script against sharded reactors: the
-     recover/fresh dichotomy must be exactly the single-shard one. *)
-  let o = Kv.Chaos.restart_scenario ~server_shards:2 ~mode () in
-  match mode with
-  | `Recover ->
-    check bool "recovered sharded restart atomic" true o.Kv.Chaos.atomic
-  | `Fresh ->
-    check bool "fresh sharded restart loses the write" false
-      o.Kv.Chaos.atomic;
-    check bool "checker produced a witness" true (o.Kv.Chaos.witness <> None)
 
 (* ------------------------------------------------------------------ *)
 (* Mux: the shared-connection client plane                              *)
@@ -1365,8 +1354,8 @@ let test_poller_oversleep () =
   (* A thread waiting in the poller runs with 1 ns timer slack, so an
      idle 0.3 ms wait oversleeps by microseconds, not by the kernel's
      default 50 us: on the calling thread, on a [Thread.create]d one
-     (the mux ticker, a reactor shard) and on a spawned domain (a
-     reactor shard under [--server-domains]). *)
+     (the mux ticker, a server's reactor) and on a spawned domain: the
+     slack is per OS thread, set on each thread's first wait. *)
   let oversleep () = idle_wait_median 200 -. 0.0003 in
   let caller = oversleep () in
   (* Without epoll_pwait2 waits round up to whole milliseconds. *)
@@ -1386,7 +1375,7 @@ let test_poller_oversleep () =
 
 let test_mux_sub_ms_round_trip () =
   (* 0.3 ms on each leg: the request parks on the mux's deadline queue,
-     the reply on the server shard's timer list.  Both must fire at
+     the reply on the server reactor's timer list.  Both must fire at
      their deadline for the round trip to stay near its 0.6 ms
      nominal. *)
   let faults =
@@ -1557,6 +1546,20 @@ let geo_symmetry_prop =
         <> Geo.base Geo.asym_updown ~src:b ~dst:a
       else sym Geo.asym_updown)
 
+let test_geo_outage () =
+  (* A one-region profile has nothing to cut its region from. *)
+  check bool "lan rejected" true
+    (match Geo.outage Geo.lan ~s:5 ~clients:[ 5; 6; 7; 8 ] with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  (* The bench GEO outage row's scenario: S=5, two writers and two
+     readers; the last region (ap-south) holds nodes n mod 3 = 2. *)
+  let o = Geo.outage Geo.wan_3region ~s:5 ~clients:[ 5; 6; 7; 8 ] in
+  check int "last region" 2 o.Geo.region;
+  check Alcotest.(list int) "cut nodes" [ 2; 5; 8 ] o.Geo.cut;
+  check (Alcotest.float 0.0) "window opens" 0.05 o.Geo.from_;
+  check (Alcotest.float 0.0) "window closes" 0.30 o.Geo.until
+
 let test_geo_wan3_live_atomic () =
   (* End to end: a live cluster under the wan-3region plan, streaming
      checker attached.  Atomicity must hold, nobody starves, and the
@@ -1696,12 +1699,8 @@ let () =
             test_reactor_backpressure_slow_reader;
           Alcotest.test_case "256 concurrent short-lived connections" `Quick
             test_reactor_connection_churn;
-          Alcotest.test_case "sharded: live run with kill/restart" `Quick
-            test_reactor_sharded_live;
-          Alcotest.test_case "sharded: restart recover" `Quick
-            (test_reactor_sharded_restart `Recover);
-          Alcotest.test_case "sharded: restart fresh" `Quick
-            (test_reactor_sharded_restart `Fresh);
+          Alcotest.test_case "live run with kill/restart" `Quick
+            test_reactor_live_kill_restart;
           Alcotest.test_case "a reader past the out-queue ceiling gets all"
             `Quick test_reactor_reader_past_ceiling;
           Alcotest.test_case "delayed reply never reaches a reused fd" `Quick
@@ -1775,6 +1774,8 @@ let () =
           Alcotest.test_case "both compilations read the same matrices"
             `Quick test_geo_compilations_agree;
           QCheck_alcotest.to_alcotest geo_symmetry_prop;
+          Alcotest.test_case "outage cuts the last region" `Quick
+            test_geo_outage;
           Alcotest.test_case "wan-3region live session atomic" `Quick
             test_geo_wan3_live_atomic;
         ] );
