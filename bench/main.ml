@@ -741,8 +741,8 @@ let live_exp () =
   section "LV. Live TCP: the same algorithm bodies over real loopback sockets";
   Printf.printf
     "Each row: a fresh S=5 t=1 loopback cluster (real server daemons, real\n\
-     TCP round trips), W writers x 20 writes and R readers x 40 reads, the\n\
-     recorded wall-clock history checked for atomicity.  Rounds/op must\n\
+     TCP round trips), W writers x 20 writes and R readers x 40 reads, every\n\
+     operation streamed through the live atomicity checker.  Rounds/op must\n\
      match Table 1 -- the paper's cost measure, now measured on sockets.\n\n";
   row "%-28s %-8s %-9s %-9s %-24s %-24s %s\n" "protocol" "ops/s" "write-rt"
     "read-rt" "write ms (p50/p95/p99)" "read ms (p50/p95/p99)" "atomic";
@@ -751,15 +751,17 @@ let live_exp () =
   let ops = !live_ops in
   List.iter
     (fun (register, w, r) ->
-      let m = run_register ~register ~s ~tol:t ~writers:w ~readers:r ops in
+      let m =
+        run_register ~live_check:true ~register ~s ~tol:t ~writers:w
+          ~readers:r ops
+      in
       let res = m.Results.result in
-      let h = Kv.Kv_session.history res in
-      let n_ops = Histories.History.length h in
-      let writes = Stats.writes h and reads = Stats.reads h in
-      let atomic = Checker.Atomicity.is_atomic h in
+      let writes = res.Kv.Kv_session.write_lat
+      and reads = res.Kv.Kv_session.read_lat in
+      let atomic = Results.streamed_atomic res in
       let name = Registers.Registry.name register in
       row "%-28s %-8.0f %-9.2f %-9.2f %-24s %-24s %b\n" name
-        (float_of_int n_ops /. res.Kv.Kv_session.duration)
+        res.Kv.Kv_session.throughput
         res.Kv.Kv_session.write_rounds res.Kv.Kv_session.read_rounds
         (Printf.sprintf "%.2f/%.2f/%.2f" (1e3 *. writes.Stats.p50)
            (1e3 *. writes.Stats.p95) (1e3 *. writes.Stats.p99))
@@ -840,14 +842,11 @@ let live_exp () =
               ~readers:(c / 2) row_ops
           in
           let res = m.Results.result in
-          let h = Kv.Kv_session.history res in
-          let n_ops = Histories.History.length h in
-          let writes = Stats.writes h and reads = Stats.reads h in
           let name = Registers.Registry.name register in
           row "%-28s %-6d %-7s %-6d %-10.0f %-10.2f %.2f\n" name c regime
-            n_ops
-            (float_of_int n_ops /. res.Kv.Kv_session.duration)
-            (1e3 *. writes.Stats.p50) (1e3 *. reads.Stats.p50);
+            res.Kv.Kv_session.ops res.Kv.Kv_session.throughput
+            (1e3 *. res.Kv.Kv_session.write_lat.Stats.p50)
+            (1e3 *. res.Kv.Kv_session.read_lat.Stats.p50);
           Results.add Results.live_scaling (regime, m))
         points)
     Registers.Registry.multi_writer;
@@ -882,13 +881,13 @@ let chaos_exp () =
       Gc.compact ();
       Unix.sleepf 0.15;
       let seed = base + i in
-      let sk = Kv.Chaos.soak ~seed ~ops ~register () in
+      let sk = Kv.Chaos.soak ~seed ~ops ~live_check:true ~register () in
       let res = sk.Kv.Chaos.result in
-      let n_ops = Histories.History.length (Kv.Kv_session.history res) in
       let name = Registers.Registry.name register in
-      row "%-28s %-6d %-5d %-8d %-9.2f %-9.2f %-8b %b\n" name seed n_ops
-        res.Kv.Kv_session.retries res.Kv.Kv_session.write_rounds
-        res.Kv.Kv_session.read_rounds sk.Kv.Chaos.atomic
+      row "%-28s %-6d %-5d %-8d %-9.2f %-9.2f %-8b %b\n" name seed
+        res.Kv.Kv_session.ops res.Kv.Kv_session.retries
+        res.Kv.Kv_session.write_rounds res.Kv.Kv_session.read_rounds
+        (Results.streamed_atomic res)
         sk.Kv.Chaos.expected_atomic;
       Results.add Results.chaos_soak sk)
     Registers.Registry.multi_writer;
@@ -923,8 +922,8 @@ let kv_exp () =
     "Each row: G independent S=3 t=1 shard groups behind the placement\n\
      ring, C closed-loop clients mixing reads and writes (YCSB mix A\n\
      unless noted) over K keys, zipfian (theta=%.2f) or uniform.  Every\n\
-     operation runs the multi-writer ABD body per key; the checker\n\
-     passes per-key atomicity verdicts on the sampled hottest ranks.\n\n"
+     operation runs the multi-writer ABD body per key and streams through\n\
+     the live atomicity checker, every key checked.\n\n"
     Ycsb.default_theta;
   let s = 3 and tol = 1 in
   let ops = !live_ops in
@@ -951,16 +950,13 @@ let kv_exp () =
             dist;
             mix;
             seed = 1000 + (17 * idx);
-            sample_keys = 4;
             think;
           }
         in
-        let res = Kv.Kv_session.run ?rt_timeout ~cluster spec in
-        let atomic =
-          List.for_all
-            (fun v -> v.Kv.Kv_session.atomic)
-            res.Kv.Kv_session.verdicts
+        let res =
+          Kv.Kv_session.run ?rt_timeout ~live_check:true ~cluster spec
         in
+        let atomic = Results.streamed_atomic res in
         let all = res.Kv.Kv_session.all_lat in
         row "%-9s %-3d %-5d %-7d %-8s %-4s %-6d %-9.0f %-7.2f %-7.2f %-7.2f %-7b %d\n"
           regime groups clients keys (Ycsb.dist_name dist)
@@ -1005,7 +1001,7 @@ let kv_exp () =
     [ 1; 2; 4 ];
   Printf.printf
     "\nShape check: group_ops spread tracks the ring (uniform keys land\n\
-     ~evenly; zipfian heads pin their shard), every sampled key is\n\
+     ~evenly; zipfian heads pin their shard), every key is\n\
      atomic, and in the scale-out regime (constant per-shard\n\
      offered load) the 4-group aggregate out-runs the 1-group baseline --\n\
      per-key quorums compose, so capacity scales with shard count.\n"
@@ -1044,9 +1040,8 @@ let soak_exp () =
       (List.length r.Transport.Check_sink.violations);
     Results.add Results.soak m
   in
-  (* KV: the million-op row.  sample_keys = 0 -- the batch path would
-     hold (and then quadratically check) the hottest key's ~7% of the
-     stream; the streaming checker covers every key in O(window). *)
+  (* KV: the million-op row; the streaming checker covers every key in
+     O(window). *)
   let clients = 8 in
   let kv_spec =
     {
@@ -1056,7 +1051,6 @@ let soak_exp () =
       dist = Ycsb.Zipfian Ycsb.default_theta;
       mix = Ycsb.A;
       seed = 4242;
-      sample_keys = 0;
       think = 0.0;
     }
   in
@@ -1098,20 +1092,15 @@ let soak_exp () =
   in
   let base = run_chaos ~live_check:false in
   let live = run_chaos ~live_check:true in
-  let history sk = Kv.Kv_session.history sk.Kv.Chaos.result in
   (match live.Kv.Chaos.result.Kv.Kv_session.online with
   | Some r ->
-    let ops = Histories.History.length (history live) in
-    let base_ops = Histories.History.length (history base) in
-    let base_d = base.Kv.Chaos.result.Kv.Kv_session.duration in
     emit
       {
         plane = "session";
         label = "chaos-storm";
-        ops;
+        ops = live.Kv.Chaos.result.Kv.Kv_session.ops;
         duration = live.Kv.Chaos.result.Kv.Kv_session.duration;
-        nocheck_throughput =
-          (if base_d > 0.0 then float_of_int base_ops /. base_d else 0.0);
+        nocheck_throughput = base.Kv.Chaos.result.Kv.Kv_session.throughput;
         expected_atomic = live.Kv.Chaos.expected_atomic;
         report = r;
       }
@@ -1170,21 +1159,18 @@ let geo_exp () =
             Float.max 1.0 (8.0 *. Transport.Geo.max_rtt profile)
           in
           let m =
-            run_register ~faults ~rt_timeout ~register ~s ~tol:t ~writers:w
-              ~readers:r ops
+            run_register ~faults ~rt_timeout ~live_check:true ~register ~s
+              ~tol:t ~writers:w ~readers:r ops
           in
           let res = m.Results.result in
-          let h = Kv.Kv_session.history res in
-          let n_ops = Histories.History.length h in
-          let writes = Stats.writes h and reads = Stats.reads h in
-          let atomic = Checker.Atomicity.is_atomic h in
           let name = Registers.Registry.name register in
           let pname = Transport.Geo.name profile in
           row "%-28s %-15s %-5d %-8.0f %-9.2f %-8.2f %-10.2f %-10.2f %b\n"
-            name pname n_ops
-            (float_of_int n_ops /. res.Kv.Kv_session.duration)
+            name pname res.Kv.Kv_session.ops res.Kv.Kv_session.throughput
             res.Kv.Kv_session.write_rounds res.Kv.Kv_session.read_rounds
-            (1e3 *. writes.Stats.p50) (1e3 *. reads.Stats.p50) atomic;
+            (1e3 *. res.Kv.Kv_session.write_lat.Stats.p50)
+            (1e3 *. res.Kv.Kv_session.read_lat.Stats.p50)
+            (Results.streamed_atomic res);
           Results.add Results.geo_rows (profile, m))
         Registers.Registry.all)
     geo_bench_profiles;
@@ -1218,12 +1204,10 @@ let geo_exp () =
       ~register ~s ~tol:t ~writers:w ~readers:r ops
   in
   let res = m.Results.result in
-  let h = Kv.Kv_session.history res in
-  let n_ops = Histories.History.length h in
-  let atomic = Results.outage_atomic m in
   let name = Registers.Registry.name register in
-  row "%-28s %-5d %-9d %-9d %-7s %b\n" name n_ops res.Kv.Kv_session.retries
-    res.Kv.Kv_session.starved "live" atomic;
+  row "%-28s %-5d %-9d %-9d %-7s %b\n" name res.Kv.Kv_session.ops
+    res.Kv.Kv_session.retries res.Kv.Kv_session.starved "live"
+    (Results.streamed_atomic res);
   Results.add Results.geo_outage
     ({ profile; region = o.region; window_s = o.until -. o.from_ }, m);
   Printf.printf

@@ -92,9 +92,9 @@ val geo_rows : (Transport.Geo.profile * run) table
 val geo_outage : (outage * run) table
 (** The run must carry the streaming checker's report. *)
 
-val outage_atomic : run -> bool
-(** An outage run's verdict: the streaming checker's and the batch
-    checker's (on the sampled key) must both be atomic. *)
+val streamed_atomic : Kv.Kv_session.result -> bool
+(** The streaming checker's verdict on a run; [false] for a run made
+    without [live_check]. *)
 
 val soak : soak_run table
 val chaos_base_seed : int table

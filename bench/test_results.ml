@@ -41,7 +41,7 @@ let kv_row ~regime ~groups ~clients ~keys ~dist ~tput =
       ("keys", num (float_of_int keys)); ("dist", Str dist); ("mix", Str "A");
       ("ops", num 100.0); ("duration_s", num 1.0);
       ("throughput_ops_per_s", num tput); ("latency_ms", ms); ("read_ms", ms);
-      ("write_ms", ms); ("sampled_keys", num 4.0); ("atomic", Bool true);
+      ("write_ms", ms); ("checked_keys", num 50.0); ("atomic", Bool true);
       ("starved", num 0.0); ("late", num 0.0); ("retries", num 0.0);
       ("dropped_replies", num 0.0); ("keys_touched", num 50.0);
       ( "group_ops",
@@ -231,6 +231,8 @@ let gates =
     ("geo required under --require-knee", true, remove [] "geo", "$");
     ( "at least one section", false,
       (fun d -> List.fold_left (fun d s -> remove [] s d) d (sections valid)), "$" );
+    ( "kv_scaling: every touched key checked", false,
+      set kv "checked_keys" (num 49.0), "$.kv_scaling[0].checked_keys" );
   ]
 
 let test_valid () =

@@ -40,16 +40,27 @@ let domains_arg =
 let pool_of_domains n =
   if n >= 1 then Pool.create ~domains:n () else Pool.create ()
 
+(* Each flag with a closed set of values is parsed once, by its
+   converter: a bad value is cmdliner's usage error before any command
+   runs.  Protocol names (including the w2r2/w2r1/... aliases) resolve
+   in the registry. *)
+let protocol_conv =
+  let parse name =
+    match Registry.find name with
+    | Some register -> Ok register
+    | None -> Error (Printf.sprintf "unknown protocol %S" name)
+  in
+  Arg.conv' ~docv:"NAME"
+    (parse, fun ppf r -> Format.pp_print_string ppf (Registry.name r))
+
+let protocol_opt default doc =
+  Arg.(value & opt protocol_conv default
+       & info [ "protocol"; "p" ] ~docv:"NAME" ~doc)
+
 let protocol_arg =
-  let doc =
+  protocol_opt Registry.fastread_w2r1
     "Register protocol: substring match against the registry (w2r2/ls97, \
      w2r1/huang, swmr/abd, dglv, naive)."
-  in
-  Arg.(value & opt string "w2r1" & info [ "protocol"; "p" ] ~docv:"NAME" ~doc)
-
-(* Name resolution (including the w2r2/w2r1/... aliases) lives entirely
-   in the registry. *)
-let find_protocol = Registry.find
 
 (* ------------------------------------------------------------------ *)
 (* sim                                                                  *)
@@ -57,65 +68,54 @@ let find_protocol = Registry.find
 
 let adversary_of_kind kind ~topology ~t ~seed =
   match kind with
-  | "none" -> Ok Adversary.none
-  | "skips" ->
-    Ok (Adversary.random_skips ~seed ~topology ~t_budget:t ~window:30.0)
-  | "crash" ->
-    Ok (Adversary.crash_random ~seed ~t ~at:20.0 ~s:topology.Topology.servers)
-  | other -> Error (Printf.sprintf "unknown adversary %S (none|skips|crash)" other)
+  | `None -> Adversary.none
+  | `Skips -> Adversary.random_skips ~seed ~topology ~t_budget:t ~window:30.0
+  | `Crash -> Adversary.crash_random ~seed ~t ~at:20.0 ~s:topology.Topology.servers
 
-let sim protocol s t w r seed ops adversary_kind =
-  match find_protocol protocol with
-  | None ->
-    Printf.eprintf "unknown protocol %S\n" protocol;
-    exit 1
-  | Some register ->
-    let topology = Topology.make ~servers:s ~writers:w ~readers:r in
-    (match adversary_of_kind adversary_kind ~topology ~t ~seed with
-    | Error msg ->
-      Printf.eprintf "%s\n" msg;
-      exit 1
-    | Ok adversary ->
-      let plans =
-        List.init w (fun i ->
-            Runtime.write_plan ~writer:i
-              ~start_at:(float_of_int (3 * i))
-              ~think:(10.0 +. float_of_int (7 * i))
-              ops)
-        @ List.init r (fun i ->
-              Runtime.read_plan ~reader:i
-                ~start_at:(1.0 +. float_of_int i)
-                ~think:(8.0 +. float_of_int (5 * i))
-                (2 * ops))
-      in
-      let v =
-        run_and_check ~seed ~register ~s ~t ~w ~r
-          ~adversary:(Adversary.apply adversary) plans
-      in
-      Format.printf "protocol    : %s@." (Registry.name register);
-      Format.printf "config      : S=%d t=%d W=%d R=%d seed=%d@." s t w r seed;
-      Format.printf "@[<v>%a@]@." History.pp v.outcome.Runtime.history;
-      Format.printf "consistency : %a@." Consistency.pp_level v.consistency;
-      (match v.atomicity_witness with
-      | None -> ()
-      | Some wit -> Format.printf "witness     : %a@." Witness.pp wit);
-      Format.printf "MWA0-4      : %s@."
-        (match v.mwa_failures with
-        | [] -> "all hold"
-        | fs -> String.concat ", " (List.map fst fs));
-      Format.printf "wait-free   : %b@." v.wait_free;
-      Format.printf "reads       : %a@." Stats.pp_summary
-        (Stats.reads v.outcome.Runtime.history);
-      Format.printf "writes      : %a@." Stats.pp_summary
-        (Stats.writes v.outcome.Runtime.history);
-      if v.consistency <> Consistency.Atomic then exit 2)
+let sim register s t w r seed ops adversary_kind =
+  let topology = Topology.make ~servers:s ~writers:w ~readers:r in
+  let adversary = adversary_of_kind adversary_kind ~topology ~t ~seed in
+  let plans =
+    List.init w (fun i ->
+        Runtime.write_plan ~writer:i
+          ~start_at:(float_of_int (3 * i))
+          ~think:(10.0 +. float_of_int (7 * i))
+          ops)
+    @ List.init r (fun i ->
+          Runtime.read_plan ~reader:i
+            ~start_at:(1.0 +. float_of_int i)
+            ~think:(8.0 +. float_of_int (5 * i))
+            (2 * ops))
+  in
+  let v =
+    run_and_check ~seed ~register ~s ~t ~w ~r
+      ~adversary:(Adversary.apply adversary) plans
+  in
+  Format.printf "protocol    : %s@." (Registry.name register);
+  Format.printf "config      : S=%d t=%d W=%d R=%d seed=%d@." s t w r seed;
+  Format.printf "@[<v>%a@]@." History.pp v.outcome.Runtime.history;
+  Format.printf "consistency : %a@." Consistency.pp_level v.consistency;
+  (match v.atomicity_witness with
+  | None -> ()
+  | Some wit -> Format.printf "witness     : %a@." Witness.pp wit);
+  Format.printf "MWA0-4      : %s@."
+    (match v.mwa_failures with
+    | [] -> "all hold"
+    | fs -> String.concat ", " (List.map fst fs));
+  Format.printf "wait-free   : %b@." v.wait_free;
+  Format.printf "reads       : %a@." Stats.pp_summary
+    (Stats.reads v.outcome.Runtime.history);
+  Format.printf "writes      : %a@." Stats.pp_summary
+    (Stats.writes v.outcome.Runtime.history);
+  if v.consistency <> Consistency.Atomic then exit 2
 
 let sim_cmd =
   let ops =
     Arg.(value & opt int 3 & info [ "ops" ] ~docv:"N" ~doc:"Writes per writer.")
   in
   let adversary =
-    Arg.(value & opt string "none"
+    Arg.(value
+         & opt (enum [ ("none", `None); ("skips", `Skips); ("crash", `Crash) ]) `None
          & info [ "adversary" ] ~docv:"KIND" ~doc:"none, skips or crash.")
   in
   Cmd.v
@@ -249,27 +249,22 @@ let table1_cmd =
 (* record / check                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let record protocol s t w r seed ops path =
-  match find_protocol protocol with
-  | None ->
-    Printf.eprintf "unknown protocol %S\n" protocol;
-    exit 1
-  | Some register ->
-    let spec =
-      {
-        Generator.default with
-        Generator.writers = w;
-        readers = r;
-        writes_per_writer = ops;
-        reads_per_reader = 2 * ops;
-        seed;
-      }
-    in
-    let env = Env.make ~seed ~s ~t ~w ~r () in
-    let out = Runtime.run ~register ~env ~plans:(Generator.plans spec) () in
-    Serial.to_file out.Runtime.history ~path;
-    Printf.printf "recorded %d operations to %s\n"
-      (History.length out.Runtime.history) path
+let record register s t w r seed ops path =
+  let spec =
+    {
+      Generator.default with
+      Generator.writers = w;
+      readers = r;
+      writes_per_writer = ops;
+      reads_per_reader = 2 * ops;
+      seed;
+    }
+  in
+  let env = Env.make ~seed ~s ~t ~w ~r () in
+  let out = Runtime.run ~register ~env ~plans:(Generator.plans spec) () in
+  Serial.to_file out.Runtime.history ~path;
+  Printf.printf "recorded %d operations to %s\n"
+    (History.length out.Runtime.history) path
 
 let check_file path k =
   match Serial.of_file ~path with
@@ -289,7 +284,8 @@ let check_file path k =
     end;
     Format.printf "operations   : %d@." (History.length h);
     Format.printf "consistency  : %a@." Consistency.pp_level (Consistency.classify h);
-    (match Atomicity.check h with
+    let verdict = Atomicity.check h in
+    (match verdict with
     | Ok () -> (
       match Atomicity.linearization h with
       | Some order ->
@@ -304,7 +300,7 @@ let check_file path k =
       (Staleness.max_staleness h);
     if k >= 0 then
       Format.printf "bounded by k=%d: %b@." k (Staleness.bounded_by h ~k);
-    if not (Atomicity.is_atomic h) then exit 2
+    if Result.is_error verdict then exit 2
 
 let record_cmd =
   let ops = Arg.(value & opt int 3 & info [ "ops" ] ~docv:"N") in
@@ -336,17 +332,12 @@ let check_cmd =
 (* exhaustive                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let exhaustive protocol s w r max_runs domains =
-  match find_protocol protocol with
-  | None ->
-    Printf.eprintf "unknown protocol %S\n" protocol;
-    exit 1
-  | Some register ->
-    let pool = pool_of_domains domains in
-    let o = Exhaustive.explore ~max_runs ~pool ~register ~s ~w ~r () in
-    Format.printf "%s, S=%d t=1 W=%d R=%d: %a@." (Registry.name register) s w r
-      Exhaustive.pp_outcome o;
-    if o.Exhaustive.violations > 0 then exit 2
+let exhaustive register s w r max_runs domains =
+  let pool = pool_of_domains domains in
+  let o = Exhaustive.explore ~max_runs ~pool ~register ~s ~w ~r () in
+  Format.printf "%s, S=%d t=1 W=%d R=%d: %a@." (Registry.name register) s w r
+    Exhaustive.pp_outcome o;
+  if o.Exhaustive.violations > 0 then exit 2
 
 let exhaustive_cmd =
   let max_runs =
@@ -366,30 +357,25 @@ let exhaustive_cmd =
 (* hunt                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let hunt protocol s t w r budget domains =
-  match find_protocol protocol with
+let hunt register s t w r budget domains =
+  Printf.printf "hunting for an atomicity violation of %s at S=%d t=%d W=%d R=%d...\n"
+    (Registry.name register) s t w r;
+  let pool = pool_of_domains domains in
+  let found, runs =
+    if Pool.domains pool > 1 then
+      Hunter.hunt ~seeds_per_shape:budget ~pool ~register ~s ~t ~w ~r ()
+    else Hunter.hunt ~seeds_per_shape:budget ~register ~s ~t ~w ~r ()
+  in
+  match found with
+  | Some f ->
+    Format.printf "%a@." Hunter.pp_found f;
+    exit 2
   | None ->
-    Printf.eprintf "unknown protocol %S\n" protocol;
-    exit 1
-  | Some register ->
-    Printf.printf "hunting for an atomicity violation of %s at S=%d t=%d W=%d R=%d...\n"
-      (Registry.name register) s t w r;
-    let pool = pool_of_domains domains in
-    let found, runs =
-      if Pool.domains pool > 1 then
-        Hunter.hunt ~seeds_per_shape:budget ~pool ~register ~s ~t ~w ~r ()
-      else Hunter.hunt ~seeds_per_shape:budget ~register ~s ~t ~w ~r ()
-    in
-    (match found with
-    | Some f ->
-      Format.printf "%a@." Hunter.pp_found f;
-      exit 2
-    | None ->
-      Printf.printf
-        "no violation in %d runs across %d schedule shapes (evidence of \
-         possibility, not proof)\n"
-        runs
-        (List.length Hunter.all_shapes))
+    Printf.printf
+      "no violation in %d runs across %d schedule shapes (evidence of \
+       possibility, not proof)\n"
+      runs
+      (List.length Hunter.all_shapes)
 
 let hunt_cmd =
   let budget =
@@ -440,8 +426,6 @@ let serve_cmd =
 (* live                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Each live flag is parsed once, by its converter: a bad value is
-   cmdliner's usage error before any command runs. *)
 let hostport_conv =
   let parse spec =
     match String.rindex_opt spec ':' with
@@ -499,17 +483,16 @@ let pp_ms ppf (st : Stats.summary) =
     (1e3 *. st.Stats.mean) (1e3 *. st.Stats.p50) (1e3 *. st.Stats.p95)
     (1e3 *. st.Stats.p99) (1e3 *. st.Stats.max)
 
-(* --check live|batch|off, shared by live / kv / chaos / geo. *)
+(* --check live|off, shared by live / kv / chaos / geo: whether the
+   run streams through the online checker. *)
 let check_mode_arg =
   Arg.(value
-       & opt (enum [ ("batch", `Batch); ("live", `Live); ("off", `Off) ]) `Batch
+       & opt (enum [ ("live", true); ("off", false) ]) true
        & info [ "check" ] ~docv:"MODE"
-           ~doc:"Atomicity checking: $(b,batch) checks the recorded \
-                 history after the run (the default), $(b,live) streams \
-                 every completed operation through the online checker \
-                 while the run is in flight — O(window) memory, \
-                 violations reported the moment a verdict turns — and \
-                 $(b,off) disables checking.")
+           ~doc:"Atomicity checking: $(b,live) (the default) streams every \
+                 operation through the online checker while the run is in \
+                 flight — O(window) memory, violations reported the moment \
+                 a verdict turns — and $(b,off) records and checks nothing.")
 
 (* --geo PROFILE, shared by live / kv. *)
 let geo_arg =
@@ -544,35 +527,33 @@ let report_online (r : Live.Check_sink.report) =
     r.Live.Check_sink.violations;
   Live.Check_sink.atomic r
 
-(* Prints a finished run's atomicity verdict under [--check] and
-   returns whether it held.  [`Live] reports the streaming checker
-   ([online] is present whenever live checking was requested), closed
-   by a one-line verdict with [summary]; [`Batch] defers to [batch]. *)
+(* Prints a finished run's atomicity verdict and returns whether it
+   held: the streaming checker's report ([online] is present exactly
+   when the run had [--check live]), closed by a one-line verdict with
+   [summary]. *)
 let verdict ?(off = "atomicity   : not checked (--check off)")
-    ?(summary = true) check online ~batch =
-  match check with
-  | `Off ->
+    ?(summary = true) online =
+  match online with
+  | None ->
     Format.printf "%s@." off;
     true
-  | `Live ->
-    let ok = report_online (Option.get online) in
+  | Some report ->
+    let ok = report_online report in
     if summary then
       Format.printf "atomicity   : %s (streaming verdict)@."
         (if ok then "OK" else "VIOLATED");
     ok
-  | `Batch -> batch ()
 
 (* One protocol against one (fresh or attached) single-group cluster.
-   Returns true when the recorded history is atomic. *)
+   Returns false only when the streaming checker saw a violation. *)
 let live_one ?faults ?max_rt_retries ~register ~cluster ~spec ~kill_at
     ~rt_timeout ~check () =
   let res =
     Kv.Session.run ?faults ?max_rt_retries ~kill_at ~rt_timeout
-      ~live_check:(check = `Live) ~on_violation:announce_violation ~register
-      ~cluster spec
+      ~live_check:check ~on_violation:announce_violation ~register ~cluster
+      spec
   in
-  let h = Kv.Session.history res in
-  let ops = History.length h in
+  let ops = res.Kv.Session.ops in
   let servers = Kv.Cluster.group cluster 0 in
   Format.printf "protocol    : %s@." (Registry.name register);
   Format.printf "cluster     : %s S=%d t=%d (quorum %d), mux transport@."
@@ -586,8 +567,8 @@ let live_one ?faults ?max_rt_retries ~register ~cluster ~spec ~kill_at
   Format.printf "round trips : write %.2f/op, read %.2f/op, late replies %d@."
     res.Kv.Session.write_rounds res.Kv.Session.read_rounds
     res.Kv.Session.late;
-  Format.printf "writes      : %a@." pp_ms (Stats.writes h);
-  Format.printf "reads       : %a@." pp_ms (Stats.reads h);
+  Format.printf "writes      : %a@." pp_ms res.Kv.Session.write_lat;
+  Format.printf "reads       : %a@." pp_ms res.Kv.Session.read_lat;
   let running = Live.Cluster.running servers in
   (match
      List.filter
@@ -601,20 +582,11 @@ let live_one ?faults ?max_rt_retries ~register ~cluster ~spec ~kill_at
   if res.Kv.Session.starved > 0 then
     Format.printf "starved     : %d client(s) gave up without a quorum@."
       res.Kv.Session.starved;
-  let ok =
-    verdict check res.Kv.Session.online ~batch:(fun () ->
-        match Atomicity.check h with
-        | Ok () ->
-          Format.printf "atomicity   : OK@.";
-          true
-        | Error wit ->
-          Format.printf "atomicity   : VIOLATED %a@." Witness.pp wit;
-          false)
-  in
+  let ok = verdict res.Kv.Session.online in
   Format.printf "@.";
   ok
 
-let live protocol all s tol w r ops addrs kill_at think rt_timeout geo_profile
+let live register all s tol w r ops addrs kill_at think rt_timeout geo_profile
     check =
   if Option.is_some geo_profile && addrs <> [] then begin
     Printf.eprintf
@@ -622,25 +594,15 @@ let live protocol all s tol w r ops addrs kill_at think rt_timeout geo_profile
        cluster (drop --connect)\n";
     exit 1
   end;
-  let registers =
-    if all then Ok Registry.all
-    else
-      match find_protocol protocol with
-      | Some register -> Ok [ register ]
-      | None -> Error (Printf.sprintf "unknown protocol %S" protocol)
-  in
-  match registers with
-  | Error msg ->
-    Printf.eprintf "%s\n" msg;
-    exit 1
-  | Ok _ when addrs <> [] && kill_at <> [] ->
+  match if all then Registry.all else [ register ] with
+  | _ when addrs <> [] && kill_at <> [] ->
     Printf.eprintf "--kill needs a loopback cluster (drop --connect)\n";
     exit 1
-  | Ok (_ :: _ :: _) when addrs <> [] ->
+  | _ :: _ :: _ when addrs <> [] ->
     Printf.eprintf
       "--all needs a fresh cluster per protocol: drop --connect\n";
     exit 1
-  | Ok registers ->
+  | registers ->
     let run_one register =
       let w = Registry.clamp_writers register w in
       (* Geo profiles compile against the session's node numbering
@@ -710,8 +672,8 @@ let live_cmd =
   in
   Cmd.v
     (Cmd.info "live"
-       ~doc:"Run a register protocol over real TCP sockets and check the \
-             recorded history for atomicity.")
+       ~doc:"Run a register protocol over real TCP sockets and check \
+             every operation for atomicity as it completes.")
     Term.(const live $ protocol_arg $ all $ s_arg $ t_arg $ w_arg $ r_arg
           $ ops $ connect $ kills $ think $ rt_timeout $ geo_arg
           $ check_mode_arg)
@@ -720,97 +682,69 @@ let live_cmd =
 (* kv                                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let kv protocol groups s tol clients keys ops dist theta mix seed sample think
+let kv register groups s tol clients keys ops dist theta mix seed think
     rt_timeout geo_profile check =
-  let register =
-    match find_protocol protocol with
-    | Some r -> Ok r
-    | None -> Error (Printf.sprintf "unknown protocol %S" protocol)
-  in
   let dist =
-    match dist with
-    | "zipfian" -> Ok (Ycsb.Zipfian theta)
-    | "uniform" -> Ok Ycsb.Uniform
-    | other -> Error (Printf.sprintf "unknown dist %S (zipfian|uniform)" other)
+    match dist with `Zipfian -> Ycsb.Zipfian theta | `Uniform -> Ycsb.Uniform
   in
-  let mix =
-    match Ycsb.mix_of_string mix with
-    | Some m -> Ok m
-    | None -> Error (Printf.sprintf "unknown mix %S (A|B|C)" mix)
+  (* KV client [i] is node [s + i] in every shard group, so one geo
+     plan covers all the per-group planes. *)
+  let faults =
+    Option.map
+      (fun p ->
+        Live.Geo.plan p ~s ~clients:(List.init clients (fun i -> s + i)))
+      geo_profile
   in
-  match (register, dist, mix) with
-  | Error msg, _, _ | _, Error msg, _ | _, _, Error msg ->
-    Printf.eprintf "%s\n" msg;
-    exit 1
-  | Ok register, Ok dist, Ok mix ->
-    (* KV client [i] is node [s + i] in every shard group, so one geo
-       plan covers all the per-group planes. *)
-    let faults =
-      Option.map
-        (fun p ->
-          Live.Geo.plan p ~s ~clients:(List.init clients (fun i -> s + i)))
-        geo_profile
-    in
-    let rt_timeout =
-      match geo_profile with
-      | Some p -> Float.max rt_timeout (8.0 *. Live.Geo.max_rtt p)
-      | None -> rt_timeout
-    in
-    let cluster = Kv.Cluster.start ?faults ~groups ~s ~tol () in
-    Fun.protect
-      ~finally:(fun () -> Kv.Cluster.shutdown cluster)
-      (fun () ->
-        let res =
-          Kv.Session.run ?faults ~rt_timeout ~register
-            ~live_check:(check = `Live) ~on_violation:announce_violation
-            ~cluster
-            {
-              Kv.Session.roles = Kv.Session.Mixed clients;
-              ops_per_client = ops;
-              keys;
-              dist;
-              mix;
-              seed;
-              sample_keys = sample;
-              think;
-            }
-        in
-        Printf.printf
-          "%s over %d shard group(s) (S=%d t=%d per group), %d clients, \
-           %d keys, %s/%s\n"
-          (Registry.name register) groups s tol clients keys
-          (Ycsb.dist_name dist) (Ycsb.mix_name mix);
-        Printf.printf
-          "  %d ops in %.3fs  (%.0f ops/s, %d distinct keys touched)\n"
-          res.Kv.Session.ops res.Kv.Session.duration
-          res.Kv.Session.throughput res.Kv.Session.keys_touched;
-        let ms name (st : Stats.summary) =
-          Printf.printf "  %-6s p50 %.2fms  p95 %.2fms  p99 %.2fms\n" name
-            (1e3 *. st.Stats.p50) (1e3 *. st.Stats.p95) (1e3 *. st.Stats.p99)
-        in
-        ms "all" res.Kv.Session.all_lat;
-        ms "read" res.Kv.Session.read_lat;
-        ms "write" res.Kv.Session.write_lat;
-        Printf.printf "  per-group ops: [%s]\n"
-          (String.concat "; "
-             (Array.to_list
-                (Array.map string_of_int res.Kv.Session.group_ops)));
-        if res.Kv.Session.starved > 0 || res.Kv.Session.dropped > 0 then
-          Printf.printf "  starved clients %d, dropped replies %d\n"
-            res.Kv.Session.starved res.Kv.Session.dropped;
-        let all_atomic =
-          verdict ~off:"  atomicity: not checked (--check off)" ~summary:false
-            check res.Kv.Session.online ~batch:(fun () ->
-              Printf.printf "  sampled-key verdicts:\n";
-              List.for_all
-                (fun v ->
-                  Printf.printf "    %-14s %4d ops  %s\n" v.Kv.Session.vkey
-                    v.Kv.Session.vops
-                    (if v.Kv.Session.atomic then "atomic" else "NOT ATOMIC");
-                  v.Kv.Session.atomic)
-                res.Kv.Session.verdicts)
-        in
-        if not all_atomic then exit 2)
+  let rt_timeout =
+    match geo_profile with
+    | Some p -> Float.max rt_timeout (8.0 *. Live.Geo.max_rtt p)
+    | None -> rt_timeout
+  in
+  let cluster = Kv.Cluster.start ?faults ~groups ~s ~tol () in
+  Fun.protect
+    ~finally:(fun () -> Kv.Cluster.shutdown cluster)
+    (fun () ->
+      let res =
+        Kv.Session.run ?faults ~rt_timeout ~register ~live_check:check
+          ~on_violation:announce_violation ~cluster
+          {
+            Kv.Session.roles = Kv.Session.Mixed clients;
+            ops_per_client = ops;
+            keys;
+            dist;
+            mix;
+            seed;
+            think;
+          }
+      in
+      Printf.printf
+        "%s over %d shard group(s) (S=%d t=%d per group), %d clients, \
+         %d keys, %s/%s\n"
+        (Registry.name register) groups s tol clients keys
+        (Ycsb.dist_name dist) (Ycsb.mix_name mix);
+      Printf.printf
+        "  %d ops in %.3fs  (%.0f ops/s, %d distinct keys touched)\n"
+        res.Kv.Session.ops res.Kv.Session.duration
+        res.Kv.Session.throughput res.Kv.Session.keys_touched;
+      let ms name (st : Stats.summary) =
+        Printf.printf "  %-6s p50 %.2fms  p95 %.2fms  p99 %.2fms\n" name
+          (1e3 *. st.Stats.p50) (1e3 *. st.Stats.p95) (1e3 *. st.Stats.p99)
+      in
+      ms "all" res.Kv.Session.all_lat;
+      ms "read" res.Kv.Session.read_lat;
+      ms "write" res.Kv.Session.write_lat;
+      Printf.printf "  per-group ops: [%s]\n"
+        (String.concat "; "
+           (Array.to_list
+              (Array.map string_of_int res.Kv.Session.group_ops)));
+      if res.Kv.Session.starved > 0 || res.Kv.Session.dropped > 0 then
+        Printf.printf "  starved clients %d, dropped replies %d\n"
+          res.Kv.Session.starved res.Kv.Session.dropped;
+      let all_atomic =
+        verdict ~off:"  atomicity: not checked (--check off)" ~summary:false
+          res.Kv.Session.online
+      in
+      if not all_atomic then exit 2)
 
 let kv_cmd =
   (* Default to the unconditionally-atomic multi-writer ABD: the KV
@@ -818,10 +752,9 @@ let kv_cmd =
      silently sit outside its R < S/t - 2 regime at any realistic client
      count. *)
   let protocol =
-    Arg.(value & opt string "w2r2"
-         & info [ "protocol"; "p" ] ~docv:"NAME"
-             ~doc:"Register protocol run per key (registry substring \
-                   match, as in $(b,sim)).")
+    protocol_opt Registry.abd_mwmr
+      "Register protocol run per key (registry substring match, as in \
+       $(b,sim))."
   in
   let groups =
     Arg.(value & opt int 2 & info [ "groups"; "g" ] ~docv:"G"
@@ -840,7 +773,9 @@ let kv_cmd =
          ~doc:"Operations per client.")
   in
   let dist =
-    Arg.(value & opt string "zipfian" & info [ "dist" ] ~docv:"DIST"
+    Arg.(value
+         & opt (enum [ ("zipfian", `Zipfian); ("uniform", `Uniform) ]) `Zipfian
+         & info [ "dist" ] ~docv:"DIST"
          ~doc:"Key popularity: $(b,zipfian) (rank 0 hottest) or \
                $(b,uniform).")
   in
@@ -849,15 +784,18 @@ let kv_cmd =
          & info [ "theta" ] ~docv:"THETA"
              ~doc:"Zipfian skew parameter (0 < THETA < 1).")
   in
+  let mix_conv =
+    let parse m =
+      Option.to_result (Ycsb.mix_of_string m)
+        ~none:(Printf.sprintf "unknown mix %S (A|B|C)" m)
+    in
+    Arg.conv' ~docv:"MIX"
+      (parse, fun ppf m -> Format.pp_print_string ppf (Ycsb.mix_name m))
+  in
   let mix =
-    Arg.(value & opt string "A" & info [ "mix" ] ~docv:"MIX"
+    Arg.(value & opt mix_conv Ycsb.A & info [ "mix" ] ~docv:"MIX"
          ~doc:"YCSB operation mix: $(b,A) 50/50, $(b,B) 95% reads, \
                $(b,C) read-only.")
-  in
-  let sample =
-    Arg.(value & opt int 4 & info [ "sample" ] ~docv:"N"
-         ~doc:"Hottest key ranks whose histories are recorded and \
-               atomicity-checked.")
   in
   let think =
     Arg.(value & opt float 0.0 & info [ "think" ] ~docv:"SEC"
@@ -870,58 +808,46 @@ let kv_cmd =
   Cmd.v
     (Cmd.info "kv"
        ~doc:"Drive a YCSB-shaped workload against a sharded multi-register \
-             keyspace and atomicity-check the sampled keys.")
+             keyspace and atomicity-check every key.")
     Term.(const kv $ protocol $ groups $ s_arg $ t_arg $ clients $ keys
-          $ ops $ dist $ theta $ mix $ seed_arg $ sample $ think
+          $ ops $ dist $ theta $ mix $ seed_arg $ think
           $ rt_timeout $ geo_arg $ check_mode_arg)
 
 (* ------------------------------------------------------------------ *)
 (* chaos                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let chaos protocol scenario seed drop delay duplicate ops s tol check =
+let chaos register scenario seed drop delay duplicate ops s tol check =
   match scenario with
-  | "soak" -> (
-    match find_protocol protocol with
-    | None ->
-      Printf.eprintf "unknown protocol %S\n" protocol;
-      exit 1
-    | Some register ->
-      let sk =
-        Kv.Chaos.soak ~seed ~drop ~delay ~duplicate ~s ~tol ~ops
-          ~live_check:(check = `Live)
-          ~on_violation:announce_violation ~register ()
-      in
-      let res = sk.Kv.Chaos.result in
-      Format.printf "protocol    : %s@." (Registry.name register);
-      Format.printf
-        "faults      : drop %.2f, delay <= %.3fs, duplicate %.2f (seed %d)@."
-        drop delay duplicate seed;
-      Format.printf "restart     : %s@."
-        (if sk.Kv.Chaos.restarted then
-           "one server killed mid-run, restarted with recovered state"
-         else "none");
-      Format.printf "ops         : %d in %.3fs; retries %d, late %d@."
-        (History.length (Kv.Session.history res))
-        res.Kv.Session.duration res.Kv.Session.retries res.Kv.Session.late;
-      Format.printf "round trips : write %.2f/op, read %.2f/op@."
-        res.Kv.Session.write_rounds res.Kv.Session.read_rounds;
-      if res.Kv.Session.starved > 0 then
-        Format.printf "starved     : %d client(s) gave up without a quorum@."
-          res.Kv.Session.starved;
-      let atomic =
-        verdict check res.Kv.Session.online ~batch:(fun () ->
-            Format.printf "atomicity   : %s@."
-              (if sk.Kv.Chaos.atomic then "OK" else "VIOLATED");
-            sk.Kv.Chaos.atomic)
-      in
-      Format.printf "theory      : %s@."
-        (if sk.Kv.Chaos.expected_atomic then
-           "possible regime — chaos must not break it"
-         else "impossible regime — no guarantee");
-      if sk.Kv.Chaos.expected_atomic && not atomic then exit 2)
-  | ("recover" | "fresh") as m ->
-    let mode = if m = "recover" then `Recover else `Fresh in
+  | `Soak ->
+    let sk =
+      Kv.Chaos.soak ~seed ~drop ~delay ~duplicate ~s ~tol ~ops
+        ~live_check:check ~on_violation:announce_violation ~register ()
+    in
+    let res = sk.Kv.Chaos.result in
+    Format.printf "protocol    : %s@." (Registry.name register);
+    Format.printf
+      "faults      : drop %.2f, delay <= %.3fs, duplicate %.2f (seed %d)@."
+      drop delay duplicate seed;
+    Format.printf "restart     : %s@."
+      (if sk.Kv.Chaos.restarted then
+         "one server killed mid-run, restarted with recovered state"
+       else "none");
+    Format.printf "ops         : %d in %.3fs; retries %d, late %d@."
+      res.Kv.Session.ops res.Kv.Session.duration res.Kv.Session.retries
+      res.Kv.Session.late;
+    Format.printf "round trips : write %.2f/op, read %.2f/op@."
+      res.Kv.Session.write_rounds res.Kv.Session.read_rounds;
+    if res.Kv.Session.starved > 0 then
+      Format.printf "starved     : %d client(s) gave up without a quorum@."
+        res.Kv.Session.starved;
+    let atomic = verdict res.Kv.Session.online in
+    Format.printf "theory      : %s@."
+      (if sk.Kv.Chaos.expected_atomic then
+         "possible regime — chaos must not break it"
+       else "impossible regime — no guarantee");
+    if sk.Kv.Chaos.expected_atomic && not atomic then exit 2
+  | (`Recover | `Fresh) as mode ->
     let o = Kv.Chaos.restart_scenario ~mode () in
     Format.printf
       "scenario    : acknowledged write on quorum {0,1}; server 0 killed, \
@@ -947,13 +873,14 @@ let chaos protocol scenario seed drop delay duplicate ops s tol check =
       (if as_expected then "as the crash-stop model predicts"
        else "UNEXPECTED");
     if not as_expected then exit 2
-  | other ->
-    Printf.eprintf "unknown scenario %S (soak|recover|fresh)\n" other;
-    exit 1
 
 let chaos_cmd =
   let scenario =
-    Arg.(value & opt string "soak"
+    Arg.(value
+         & opt
+             (enum
+                [ ("soak", `Soak); ("recover", `Recover); ("fresh", `Fresh) ])
+             `Soak
          & info [ "scenario" ] ~docv:"NAME"
              ~doc:"$(b,soak): seeded drop/delay/duplicate storm plus a \
                    kill-and-recover restart under a full workload. \
@@ -982,7 +909,7 @@ let chaos_cmd =
     (Cmd.info "chaos"
        ~doc:"Inject a deterministic seeded fault plan (drops, delays, \
              duplicates, truncations, server restarts) into a live cluster \
-             and check the recorded history for atomicity.")
+             and check it for atomicity.")
     Term.(const chaos $ protocol_arg $ scenario $ seed_arg $ drop
           $ delay $ duplicate $ ops $ s_arg $ t_arg $ check_mode_arg)
 
@@ -990,54 +917,49 @@ let chaos_cmd =
 (* geo                                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let geo_run list_profiles protocol profile s tol w r ops outage check =
+let geo_run list_profiles register profile s tol w r ops outage check =
   if list_profiles then begin
     List.iter
       (fun p -> print_string (Live.Geo.describe p); print_newline ())
       Live.Geo.profiles;
     exit 0
   end;
-  match find_protocol protocol with
-  | None ->
-    Printf.eprintf "unknown protocol %S\n" protocol;
-    exit 1
-  | Some register ->
-    let w = Registry.clamp_writers register w in
-    let clients = List.init (w + r) (fun i -> s + i) in
-    (* Under an outage the timeout must stay short so cut-off clients
-       retry their way across the window instead of stalling on one
-       round trip; without one it only needs to cover the worst RTT. *)
-    let rt_timeout, max_rt_retries =
-      if outage then (Float.max 0.3 (4.0 *. Live.Geo.max_rtt profile), 10)
-      else (Float.max 1.0 (8.0 *. Live.Geo.max_rtt profile), 3)
-    in
-    let extra =
-      if not outage then []
-      else
-        match Live.Geo.outage profile ~s ~clients with
-        | o ->
-          Format.printf "outage      : region %s (nodes %s) cut %.2fs..%.2fs@."
-            (Live.Geo.region_name profile o.region)
-            (String.concat "," (List.map string_of_int o.cut))
-            o.from_ o.until;
-          [ o.rule ]
-        | exception Invalid_argument msg ->
-          Printf.eprintf "mwreg geo --outage: %s\n" msg;
-          exit 1
-    in
-    let faults = Live.Geo.plan ~extra profile ~s ~clients in
-    print_string (Live.Geo.describe profile);
-    Format.printf "@.";
-    let cluster = Kv.Cluster.start ~faults ~groups:1 ~s ~tol () in
-    let ok =
-      Fun.protect
-        ~finally:(fun () -> Kv.Cluster.shutdown cluster)
-        (fun () ->
-          let spec = Kv.Session.register_spec ~writers:w ~readers:r ops in
-          live_one ~faults ~max_rt_retries ~register ~cluster ~spec
-            ~kill_at:[] ~rt_timeout ~check ())
-    in
-    if not ok then exit 2
+  let w = Registry.clamp_writers register w in
+  let clients = List.init (w + r) (fun i -> s + i) in
+  (* Under an outage the timeout must stay short so cut-off clients
+     retry their way across the window instead of stalling on one
+     round trip; without one it only needs to cover the worst RTT. *)
+  let rt_timeout, max_rt_retries =
+    if outage then (Float.max 0.3 (4.0 *. Live.Geo.max_rtt profile), 10)
+    else (Float.max 1.0 (8.0 *. Live.Geo.max_rtt profile), 3)
+  in
+  let extra =
+    if not outage then []
+    else
+      match Live.Geo.outage profile ~s ~clients with
+      | o ->
+        Format.printf "outage      : region %s (nodes %s) cut %.2fs..%.2fs@."
+          (Live.Geo.region_name profile o.region)
+          (String.concat "," (List.map string_of_int o.cut))
+          o.from_ o.until;
+        [ o.rule ]
+      | exception Invalid_argument msg ->
+        Printf.eprintf "mwreg geo --outage: %s\n" msg;
+        exit 1
+  in
+  let faults = Live.Geo.plan ~extra profile ~s ~clients in
+  print_string (Live.Geo.describe profile);
+  Format.printf "@.";
+  let cluster = Kv.Cluster.start ~faults ~groups:1 ~s ~tol () in
+  let ok =
+    Fun.protect
+      ~finally:(fun () -> Kv.Cluster.shutdown cluster)
+      (fun () ->
+        let spec = Kv.Session.register_spec ~writers:w ~readers:r ops in
+        live_one ~faults ~max_rt_retries ~register ~cluster ~spec
+          ~kill_at:[] ~rt_timeout ~check ())
+  in
+  if not ok then exit 2
 
 let geo_cmd =
   let list_profiles =

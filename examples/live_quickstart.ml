@@ -1,7 +1,7 @@
 (* Live quickstart: the same W2R1 register as examples/quickstart.ml,
    but over real TCP sockets instead of the simulator — five server
    daemons on loopback, one writer and one reader doing genuine network
-   round trips, and the recorded history linearized.
+   round trips, every operation checked for atomicity as it completes.
 
      dune exec examples/live_quickstart.exe *)
 
@@ -28,28 +28,30 @@ let () =
       print_endline "";
 
       let res =
-        Kv.Session.run ~register:Registry.fastread_w2r1 ~cluster
+        Kv.Session.run ~register:Registry.fastread_w2r1 ~live_check:true
+          ~cluster
           (Kv.Session.register_spec ~think:0.002 ~writers:1 ~readers:1 5)
       in
-      let h = Kv.Session.history res in
 
       Printf.printf "ran %d operations in %.1f ms (%.0f ops/s)\n"
-        (History.length h)
+        res.Kv.Session.ops
         (1e3 *. res.Kv.Session.duration)
-        (float_of_int (History.length h) /. res.Kv.Session.duration);
+        res.Kv.Session.throughput;
       Printf.printf "round trips: %.2f per write, %.2f per read\n"
         res.Kv.Session.write_rounds res.Kv.Session.read_rounds;
       print_endline "";
 
-      (match Atomicity.linearization h with
-      | Some order ->
-        print_endline "The history is atomic; one witnessing linearization:";
-        List.iter (fun o -> Format.printf "  %a@." Op.pp o) order
-      | None ->
+      let report = Option.get res.Kv.Session.online in
+      Printf.printf "streaming checker: %d operations checked, peak window %d\n"
+        report.Live.Check_sink.checked report.Live.Check_sink.peak_window;
+      if Live.Check_sink.atomic report then
+        print_endline "The history is atomic."
+      else begin
         print_endline "ATOMICITY VIOLATION (this should never happen):";
-        (match Atomicity.check h with
-        | Error w -> Format.printf "  %a@." Witness.pp w
-        | Ok () -> ()));
+        List.iter
+          (fun (_, w) -> Format.printf "  %a@." Witness.pp w)
+          report.Live.Check_sink.violations
+      end;
       print_endline "";
       print_endline
         "Same algorithm body, same checker — only the endpoint changed from";

@@ -25,7 +25,6 @@ type soak = {
   duplicate : float;
   restarted : bool;
   result : Kv_session.result;
-  atomic : bool;
   expected_atomic : bool;
 }
 
@@ -60,7 +59,6 @@ let soak ?(seed = 0) ?(drop = 0.08) ?(delay = 0.03)
         duplicate;
         restarted;
         result;
-        atomic = Checker.Atomicity.is_atomic (Kv_session.history result);
         expected_atomic =
           Quorums.Bounds.possible
             (Registry.design_point register)

@@ -7,9 +7,9 @@
     - {!soak}: a randomized-but-seeded fault schedule (drop / delay /
       duplicate on every link, plus a mid-run crash and
       restart-with-recovery) under a split-role {!Kv_session} run on
-      one register, verdict
-      from {!Checker.Atomicity}.  In the paper's possible regimes the
-      protocols must ride this out — lossy links only cost retries.
+      one register, verdict from the streaming checker.  In the paper's
+      possible regimes the protocols must ride this out — lossy links
+      only cost retries.
     - {!restart_scenario}: a deterministic script proving both halves
       of the crash-stop argument executable: a killed server restarted
       {e with} its recovered state preserves atomicity, while the same
@@ -33,7 +33,8 @@ type soak = {
   duplicate : float;
   restarted : bool;  (** Whether the kill → recover-restart event ran. *)
   result : Kv_session.result;
-  atomic : bool;
+      (** The run; its atomicity verdict is [result.online]'s, present
+          when the soak ran with [live_check]. *)
   expected_atomic : bool;
       (** {!Quorums.Bounds.possible} at the soak's (s,t,w,r): where the
           theory says "possible", chaos must not break atomicity. *)
@@ -58,9 +59,9 @@ val soak :
     (default 8), under {!plan}.  With [tol >= 1] server [s-1] is killed
     0.05s in and restarted with recovered state at 0.45s — so the soak
     also exercises {!Transport.Cluster.restart} under load.  [live_check]
-    and [on_violation] forward to {!Kv_session.run} — the streaming
-    checker then rides the whole storm, report in
-    [result.Kv_session.online]. *)
+    and [on_violation] forward to {!Kv_session.run}: the streaming
+    checker rides the whole storm, report in [result.Kv_session.online];
+    without [live_check] nothing is checked. *)
 
 type restart_outcome = {
   mode : Transport.Cluster.restart_mode;

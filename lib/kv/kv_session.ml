@@ -8,11 +8,10 @@ open Workload
    keys (and, for mixed clients, operation kinds) from its own seeded
    generator, running the chosen registry protocol per key through the
    placement router.  Every operation's latency lands in a
-   constant-memory histogram; full operation histories are kept only
-   for a small sampled key set, so the batch checker can pass per-key
-   verdicts without the driver holding millions of operations — and
-   with [live_check] the streaming checker covers every key in O(window)
-   memory on top.  A single register is the one-key, one-sample case. *)
+   constant-memory histogram.  With [live_check] every operation on
+   every key streams through the checker sink in O(window) memory;
+   without it nothing is recorded or checked.  A single register is
+   the one-key case. *)
 
 type roles = Mixed of int | Split of { writers : int; readers : int }
 
@@ -23,7 +22,6 @@ type spec = {
   dist : Ycsb.dist;
   mix : Ycsb.mix;
   seed : int;
-  sample_keys : int; (* record + check the first [sample_keys] ranks *)
   think : float;
 }
 
@@ -35,7 +33,6 @@ let default_spec =
     dist = Ycsb.Zipfian Ycsb.default_theta;
     mix = Ycsb.A;
     seed = 42;
-    sample_keys = 4;
     think = 0.0;
   }
 
@@ -47,17 +44,8 @@ let register_spec ?(think = 0.0) ~writers ~readers ops =
     dist = Ycsb.Uniform;
     mix = Ycsb.A;
     seed = 0;
-    sample_keys = 1;
     think;
   }
-
-type key_verdict = {
-  vkey : string;
-  vops : int; (* operations recorded against this key *)
-  atomic : bool;
-  witness : Checker.Witness.t option;
-  history : History.t;
-}
 
 type result = {
   duration : float;
@@ -68,7 +56,6 @@ type result = {
   write_lat : Stats.summary; (* latencies in seconds *)
   write_rounds : float;
   read_rounds : float;
-  verdicts : key_verdict list;
   starved : int; (* clients aborted by Unavailable *)
   late : int;
   retries : int;
@@ -77,42 +64,6 @@ type result = {
   keys_touched : int;
   online : Check_sink.report option;
 }
-
-let history r =
-  match r.verdicts with
-  | v :: _ -> v.history
-  | [] -> invalid_arg "Kv_session.history: no sampled key"
-
-(* One sampled operation, created at invocation (so an op pending at
-   the end of the run stays visible to the checker as pending) and
-   completed in the continuation. *)
-type sop = {
-  s_proc : Op.proc;
-  s_kind : Op.kind;
-  s_inv : float;
-  mutable s_resp : float option;
-  mutable s_result : int option;
-}
-
-let op_of_sop s =
-  {
-    Op.id = 0;
-    proc = s.s_proc;
-    kind = s.s_kind;
-    inv = s.s_inv;
-    resp = s.s_resp;
-    result = s.s_result;
-  }
-
-(* Ids must be unique; assigning them along invocation order keeps the
-   numbering readable (History.of_ops re-sorts by (inv, id) anyway). *)
-let history_of_key sops =
-  let ops =
-    List.sort
-      (fun (a : Op.t) b -> compare (a.Op.inv, a.Op.proc) (b.Op.inv, b.Op.proc))
-      (List.map op_of_sop sops)
-  in
-  History.of_ops (List.mapi (fun id (o : Op.t) -> { o with Op.id }) ops)
 
 let mean_rounds rounds ops =
   let ops = Array.fold_left ( + ) 0 ops in
@@ -163,15 +114,9 @@ let run ?(kill_at = []) ?(restart_at = []) ?rt_timeout ?max_rt_retries
   let t0 = Clock.now () in
   let now () = Clock.now () -. t0 in
   let ycsb = Ycsb.create ~dist:spec.dist ~keys:spec.keys in
-  let nsample = min spec.sample_keys spec.keys in
-  let sampled = Hashtbl.create (max 1 nsample) in
-  for rank = 0 to nsample - 1 do
-    Hashtbl.replace sampled (Ycsb.key_name rank) ()
-  done;
   let ngroups = Kv_cluster.group_count cluster in
-  (* Live checking covers every key, not just the sampled ranks: the
-     streaming checker's window stays bounded regardless of how many
-     operations flow, so there is no need to down-sample. *)
+  (* Live checking covers every key: the streaming checker's window
+     stays bounded regardless of how many operations flow. *)
   let sink =
     if live_check then Some (Check_sink.create ?on_violation ~now ())
     else None
@@ -180,13 +125,12 @@ let run ?(kill_at = []) ?(restart_at = []) ?rt_timeout ?max_rt_retries
     Array.init nclients (fun _ -> Option.map Check_sink.port sink)
   in
   (* Per-thread result slots — no cross-thread mutation, no locks.  All
-     timestamps come from one monotonic clock, so the merged per-key
-     histories order correctly.  Latencies go to per-thread
-     constant-memory histograms: the million-op soak records every
-     latency in ~5KB per series. *)
+     timestamps come from one monotonic clock, so the checker orders
+     operations from different clients correctly.  Latencies go to
+     per-thread constant-memory histograms: the million-op soak records
+     every latency in ~5KB per series. *)
   let read_hists = Array.init nclients (fun _ -> Stats.Hist.create ()) in
   let write_hists = Array.init nclients (fun _ -> Stats.Hist.create ()) in
-  let sample_logs = Array.make nclients [] in
   let group_ops = Array.init nclients (fun _ -> Array.make ngroups 0) in
   let touched = Array.init nclients (fun _ -> Hashtbl.create 64) in
   let starved = Array.make nclients false in
@@ -220,16 +164,25 @@ let run ?(kill_at = []) ?(restart_at = []) ?rt_timeout ?max_rt_retries
         f
     in
     let port = ports.(i) in
-    let invoke () =
-      match port with Some p -> Check_sink.invoked p | None -> now ()
-    in
-    let publish key s =
-      match port with
-      | Some p -> Check_sink.completed p ~key (op_of_sop s)
-      | None -> ()
-    in
+    (* The operation in flight, kept for the checker only: published
+       complete by [finish], or pending if the client aborts. *)
     let current = ref None in
-    let slog = ref [] in
+    let start key proc kind =
+      match port with
+      | None -> now ()
+      | Some p ->
+        let inv = Check_sink.invoked p in
+        current :=
+          Some (key, { Op.id = 0; proc; kind; inv; resp = None; result = None });
+        inv
+    in
+    let finish resp result =
+      match (port, !current) with
+      | Some p, Some (key, op) ->
+        current := None;
+        Check_sink.completed p ~key { op with Op.resp = Some resp; result }
+      | _ -> ()
+    in
     (try
        for n = 0 to nops - 1 do
          let rank = Ycsb.next_key ycsb rng in
@@ -237,20 +190,6 @@ let run ?(kill_at = []) ?(restart_at = []) ?rt_timeout ?max_rt_retries
          Hashtbl.replace touched.(i) key ();
          let g = Kv_cluster.group_of cluster key in
          group_ops.(i).(g) <- group_ops.(i).(g) + 1;
-         let start proc kind =
-           let s =
-             {
-               s_proc = proc;
-               s_kind = kind;
-               s_inv = invoke ();
-               s_resp = None;
-               s_result = None;
-             }
-           in
-           if Hashtbl.mem sampled key then slog := (key, s) :: !slog;
-           current := Some (key, s);
-           s
-         in
          let r0 = Router.rounds_completed cl in
          (match next_kind rng with
          | `Write ->
@@ -260,42 +199,38 @@ let run ?(kill_at = []) ?(restart_at = []) ?rt_timeout ?max_rt_retries
                key
            in
            let value = value_base + (id * spec.ops_per_client) + n in
-           let s = start (Op.Writer id) (Op.Write value) in
+           let inv = start key (Op.Writer id) (Op.Write value) in
            write ~payload:value ~k:(fun _tag ->
                let t1 = now () in
-               s.s_resp <- Some t1;
-               Stats.Hist.add write_hists.(i) (t1 -. s.s_inv);
+               Stats.Hist.add write_hists.(i) (t1 -. inv);
                write_rounds.(i) <-
                  write_rounds.(i) + Router.rounds_completed cl - r0;
-               writes_done.(i) <- writes_done.(i) + 1);
-           publish key s
+               writes_done.(i) <- writes_done.(i) + 1;
+               finish t1 None)
          | `Read ->
            let read =
              instance readers
                (fun ctx -> algo.Client_core.new_reader ctx ~reader:id)
                key
            in
-           let s = start (Op.Reader id) Op.Read in
+           let inv = start key (Op.Reader id) Op.Read in
            read ~k:(fun value _tag ->
                let t1 = now () in
-               s.s_resp <- Some t1;
-               s.s_result <- Some value;
-               Stats.Hist.add read_hists.(i) (t1 -. s.s_inv);
+               Stats.Hist.add read_hists.(i) (t1 -. inv);
                read_rounds.(i) <-
                  read_rounds.(i) + Router.rounds_completed cl - r0;
-               reads_done.(i) <- reads_done.(i) + 1);
-           publish key s);
+               reads_done.(i) <- reads_done.(i) + 1;
+               finish t1 (Some value)));
          if spec.think > 0.0 then Thread.delay spec.think
        done
-     with Endpoint.Unavailable _ ->
+     with Endpoint.Unavailable _ -> (
        starved.(i) <- true;
        (* Keep the aborted operation visible to the checker as
           pending — an interrupted write may have taken effect at a
           quorum minority. *)
-       (match !current with
-       | Some (key, s) when s.s_resp = None -> publish key s
+       match (port, !current) with
+       | Some p, Some (key, op) -> Check_sink.completed p ~key op
        | _ -> ()));
-    sample_logs.(i) <- !slog;
     late_counts.(i) <- Router.late_replies cl;
     retry_counts.(i) <- Router.retries cl;
     Router.close_client cl
@@ -343,22 +278,6 @@ let run ?(kill_at = []) ?(restart_at = []) ?rt_timeout ?max_rt_retries
   let ops =
     Array.fold_left ( + ) 0 writes_done + Array.fold_left ( + ) 0 reads_done
   in
-  let verdicts =
-    List.init nsample (fun rank ->
-        let key = Ycsb.key_name rank in
-        let sops =
-          List.concat_map
-            (List.filter_map (fun (k, s) -> if k = key then Some s else None))
-            (Array.to_list sample_logs)
-        in
-        let history = history_of_key sops in
-        let atomic, witness =
-          match Checker.Atomicity.check history with
-          | Ok () -> (true, None)
-          | Error w -> (false, Some w)
-        in
-        { vkey = key; vops = List.length sops; atomic; witness; history })
-  in
   let group_totals = Array.make ngroups 0 in
   Array.iter
     (fun per ->
@@ -377,7 +296,6 @@ let run ?(kill_at = []) ?(restart_at = []) ?rt_timeout ?max_rt_retries
     write_lat = Stats.Hist.summary write_h;
     write_rounds = mean_rounds write_rounds writes_done;
     read_rounds = mean_rounds read_rounds reads_done;
-    verdicts;
     starved = Array.fold_left (fun a b -> if b then a + 1 else a) 0 starved;
     late = Array.fold_left ( + ) 0 late_counts;
     retries = Array.fold_left ( + ) 0 retry_counts;

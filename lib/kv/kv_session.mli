@@ -5,13 +5,13 @@
     One OS thread per client; each draws keys (and, for mixed clients,
     operation kinds) from its own seeded generator and runs the chosen
     registry protocol per key through the placement {!Router}.  Every
-    operation's latency is recorded; full operation histories only for
-    the hottest [sample_keys] ranks, so {!Checker.Atomicity} can pass
-    per-key verdicts without the driver holding millions of
-    operations.  Round-trip accounting counts completed operations
-    only: rounds burned inside an operation that later aborted with
-    [Unavailable] are discarded, so a crash mid-run cannot skew the
-    Table-1 rounds columns. *)
+    operation's latency is recorded in a constant-memory histogram.
+    Atomicity has one switch, [run ~live_check]: on, every operation on
+    every key streams through a {!Transport.Check_sink}; off, no
+    operation is recorded or checked.  Round-trip accounting counts
+    completed operations only: rounds burned inside an operation that
+    later aborted with [Unavailable] are discarded, so a crash mid-run
+    cannot skew the Table-1 rounds columns. *)
 
 type roles =
   | Mixed of int
@@ -30,28 +30,15 @@ type spec = {
   dist : Workload.Ycsb.dist;
   mix : Workload.Ycsb.mix;  (** ignored by [Split] roles *)
   seed : int;
-  sample_keys : int;
-      (** record + atomicity-check the first [sample_keys] ranks *)
   think : float;  (** per-op pause in seconds; 0 = closed loop *)
 }
 
 val default_spec : spec
 
 val register_spec : ?think:float -> writers:int -> readers:int -> int -> spec
-(** [register_spec ~writers ~readers ops]: one register (one key,
-    sampled) under [Split] roles — [ops] writes per writer, [2 × ops]
-    reads per reader.  Its whole history is {!history}. *)
-
-type key_verdict = {
-  vkey : string;
-  vops : int;  (** operations recorded against this key *)
-  atomic : bool;
-  witness : Checker.Witness.t option;  (** present iff not [atomic] *)
-  history : Histories.History.t;
-      (** Timestamped in seconds since the run started, on the
-          monotonic {!Transport.Clock.now}; procs are [Writer id] /
-          [Reader id]. *)
-}
+(** [register_spec ~writers ~readers ops]: one register (one key)
+    under [Split] roles — [ops] writes per writer, [2 × ops] reads per
+    reader. *)
 
 type result = {
   duration : float;  (** Seconds from run start to the last join. *)
@@ -65,7 +52,6 @@ type result = {
           writers, 1.0 for the fast ones (the paper's Table 1 column,
           measured on real sockets). *)
   read_rounds : float;  (** Mean round trips per completed read. *)
-  verdicts : key_verdict list;  (** one per sampled key, rank order *)
   starved : int;
       (** clients aborted by [Endpoint.Unavailable] (0 whenever at most
           [tol] servers of a group were down) *)
@@ -80,10 +66,6 @@ type result = {
       (** Streaming checker report when the run had
           [~live_check:true]; [None] otherwise. *)
 }
-
-val history : result -> Histories.History.t
-(** The first sampled key's history: the whole run's under
-    {!register_spec}.  [Invalid_argument] if nothing was sampled. *)
 
 val run :
   ?kill_at:(float * int * int) list ->
@@ -110,9 +92,8 @@ val run :
     (e.g. a {!Transport.Geo} profile's latency rules) on every
     per-group plane and is {!Transport.Faults.arm}ed at run start, so
     its rule windows count from there.  [live_check] streams {e every}
-    key's completed operations through a {!Transport.Check_sink} into
-    the {!Checker.Online} checker while the run is in flight — the
-    checker's window stays bounded, so unlike the sampled batch path
-    this covers the whole keyspace; violations surface through
+    key's completed and aborted operations through a
+    {!Transport.Check_sink} into the {!Checker.Online} checker while the
+    run is in flight, in O(window) memory; violations surface through
     [on_violation] as they happen and the report lands in
     [result.online].  Raises [Invalid_argument] on bad specs. *)

@@ -5,7 +5,8 @@
     [S − t] replies in arrival order" — so the *same algorithm body* runs
     on two execution backends: the discrete-event simulator
     ({!Cluster_base}, over {!Protocol.Round_trip}) and the live TCP
-    transport ([Transport.Cluster], over real sockets).  The algorithms:
+    transport (the mux endpoints [Kv.Router] hands out, over real
+    sockets).  The algorithms:
     the two-round write of LS97/Algorithm 1, the classic two-round read
     with write-back, the local-clock one-round write used by the
     single-writer and naive protocols, the naive one-round read, and the

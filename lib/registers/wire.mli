@@ -7,7 +7,7 @@
     with their entire value vector (value → set of clients that updated
     it); each client protocol then uses as much or as little of that
     information as its algorithm needs.  This keeps one server
-    implementation honest across all six protocols: they differ only in
+    implementation honest across all eight protocols: they differ only in
     client logic and round counts. *)
 
 type value = { tag : Tstamp.t; payload : int }

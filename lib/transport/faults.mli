@@ -14,9 +14,8 @@
     A plan is shared by a whole cluster and consulted at the frame
     level:
 
-    - both client planes ({!Endpoint}, {!Mux}) consult the
-      [To_server] direction before sending a request frame to each
-      server;
+    - the client plane ({!Mux}) consults the [To_server] direction
+      before sending a request frame to each server;
     - the server ({!Server}) consults the [From_server] direction
       before sending each reply frame.  A delayed reply parks on the
       server reactor's timer list (there are no delayer threads):

@@ -288,6 +288,80 @@ let witness_kinds_no_gc =
       | Ok (), Error _ | Error _, Ok () ->
         QCheck.Test.fail_report "verdicts diverged")
 
+(* The live sink against the batch checker: a history replayed through
+   a [Check_sink], one port per process on its own thread (at least
+   three ports; spare ones stay idle), on a virtual clock the threads
+   advance in event order.  The thread owning the next event — an
+   invocation or a response — sets the clock to its time and publishes
+   it through [invoked] / [completed]; every third event it sleeps past
+   the sink's drain interval, so the checker thread advances the
+   watermark mid-run.  Pending operations are published after the last
+   event, as an aborted client publishes its operation. *)
+module Sink = Transport.Check_sink
+
+let sink_report h =
+  let clock = Atomic.make 0.0 in
+  let sink = Sink.create ~now:(fun () -> Atomic.get clock) () in
+  let ops = History.ops h in
+  let procs = List.sort_uniq compare (List.map (fun (o : Op.t) -> o.Op.proc) ops) in
+  let ports = Array.init (max 3 (List.length procs)) (fun _ -> Sink.port sink) in
+  let port_of (o : Op.t) =
+    let rec index i = function
+      | p :: rest -> if p = o.Op.proc then i else index (i + 1) rest
+      | [] -> assert false
+    in
+    index 0 procs
+  in
+  let events =
+    List.concat_map
+      (fun (o : Op.t) ->
+        (o.Op.inv, o, false)
+        :: (match o.Op.resp with Some t -> [ (t, o, true) ] | None -> []))
+      ops
+    |> List.stable_sort (fun (a, _, _) (b, _, _) -> Float.compare a b)
+    |> Array.of_list
+  in
+  let next = Atomic.make 0 in
+  let body i () =
+    let rec replay () =
+      let k = Atomic.get next in
+      if k < Array.length events then begin
+        let t, o, responded = events.(k) in
+        if port_of o = i then begin
+          Atomic.set clock t;
+          if responded then Sink.completed ports.(i) ~key:"k" o
+          else ignore (Sink.invoked ports.(i));
+          if k mod 3 = 2 then Thread.delay 0.0015;
+          Atomic.set next (k + 1)
+        end
+        else Thread.yield ();
+        replay ()
+      end
+    in
+    replay ();
+    List.iter
+      (fun (o : Op.t) ->
+        if port_of o = i && o.Op.resp = None then Sink.completed ports.(i) ~key:"k" o)
+      ops
+  in
+  Sink.start sink;
+  List.iter Thread.join
+    (List.init (Array.length ports) (fun i -> Thread.create (body i) ()));
+  Sink.stop sink
+
+let sink_agrees =
+  QCheck.Test.make ~name:"sink verdict matches batch (ports on threads)"
+    ~count:150
+    (QCheck.make
+       ~print:(fun h -> Format.asprintf "%a" History.pp h)
+       QCheck.Gen.(frequency [ (1, history_gen); (1, near_atomic_gen) ]))
+    (fun h ->
+      QCheck.assume (History.well_formed h = Ok ());
+      QCheck.assume (History.unique_writes h);
+      let report = sink_report h in
+      report.Sink.checked = History.length h
+      && Sink.atomic report = Atomicity.is_atomic h)
+
 (* ------------------------------------------------------------------ *)
 (* Handcrafted streaming cases                                          *)
 (* ------------------------------------------------------------------ *)
@@ -502,7 +576,7 @@ let test_recorder_hook_feeds_online () =
 
 let () =
   let qsuite = List.map QCheck_alcotest.to_alcotest
-      [ equiv_no_gc; equiv_gc; witness_kinds_no_gc; three_way ]
+      [ equiv_no_gc; equiv_gc; witness_kinds_no_gc; three_way; sink_agrees ]
   in
   Alcotest.run "online"
     [

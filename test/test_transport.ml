@@ -166,6 +166,34 @@ let test_codec_key_length_edge () =
     (rejects (declaring (Codec.max_key_len + 1)));
   check bool "declared key length -1" true (rejects (declaring (-1)))
 
+let test_codec_frame_length_edge () =
+  (* The 4-byte length prefix alone, declaring an [n]-byte body. *)
+  let prefix n =
+    let b = Bytes.create 4 in
+    Bytes.set_int32_be b 0 (Int32.of_int n);
+    b
+  in
+  let length_error f =
+    match f () with
+    | _ -> false
+    | exception Codec.Decode_error msg ->
+      String.starts_with ~prefix:"bad frame length" msg
+  in
+  let st = Codec.Stream.create () in
+  Codec.Stream.feed st (prefix Codec.max_frame_len) 4;
+  let before = Gc.allocated_bytes () in
+  check bool "a max_frame_len prefix waits for its body" true
+    (Codec.Stream.next st = None);
+  check bool "no body allocated while waiting" true
+    (Gc.allocated_bytes () -. before < 4096.0);
+  let st = Codec.Stream.create () in
+  Codec.Stream.feed st (prefix (Codec.max_frame_len + 1)) 4;
+  check bool "Stream rejects max_frame_len + 1 before any body byte" true
+    (length_error (fun () -> Codec.Stream.next st));
+  check bool "decode rejects max_frame_len + 1" true
+    (length_error (fun () ->
+         Codec.decode (Bytes.to_string (prefix (Codec.max_frame_len + 1)))))
+
 let test_codec_rejects_unkeyed_tags () =
   (* The retired unkeyed layout is the keyed one minus the key: a frame
      with key "" loses its tag byte and 8-byte key length, and the rest
@@ -789,35 +817,35 @@ let test_reactor_connection_churn () =
   Server.stop server
 
 (* A single register on a fresh one-group cluster through the live
-   workload driver: [ops] writes per writer, [2 × ops] reads per
-   reader.  Returns the result and the cluster (shut down, but its
-   [running] set still reflects the run's kills). *)
+   workload driver, streaming checker attached: [ops] writes per
+   writer, [2 × ops] reads per reader. *)
 let run_register ?kill_at ?restart_at ?faults ?(rt_timeout = 0.5)
-    ?max_rt_retries ?live_check ?think ~register ~s ~tol ~writers ~readers
-    ops =
+    ?max_rt_retries ?think ~register ~s ~tol ~writers ~readers ops =
   let cluster = Kv.Kv_cluster.start ?faults ~groups:1 ~s ~tol () in
-  let res =
-    Fun.protect
-      ~finally:(fun () -> Kv.Kv_cluster.shutdown cluster)
-      (fun () ->
-        Kv.Kv_session.run ?kill_at ?restart_at ?faults ~rt_timeout
-          ?max_rt_retries ?live_check ~register ~cluster
-          (Kv.Kv_session.register_spec ?think ~writers ~readers ops))
-  in
-  (res, Kv.Kv_session.history res)
+  Fun.protect
+    ~finally:(fun () -> Kv.Kv_cluster.shutdown cluster)
+    (fun () ->
+      Kv.Kv_session.run ?kill_at ?restart_at ?faults ~rt_timeout
+        ?max_rt_retries ~live_check:true ~register ~cluster
+        (Kv.Kv_session.register_spec ?think ~writers ~readers ops))
+
+(* The streaming checker's verdict on a run. *)
+let atomic (res : Kv.Kv_session.result) =
+  match res.Kv.Kv_session.online with
+  | Some r -> Check_sink.atomic r
+  | None -> Alcotest.fail "live_check:true returned no online report"
 
 let test_reactor_live_kill_restart () =
   (* A kill + recover-restart mid-run through [Kv_session.run]'s
      schedule: the restarted server's fresh reactor takes the redialled
      connection and the history stays atomic. *)
-  let res, h =
+  let res =
     run_register
       ~kill_at:[ (0.05, 0, 2) ]
       ~restart_at:[ (0.3, 0, 2, `Recover) ]
       ~register:Registry.abd_mwmr ~s:3 ~tol:1 ~writers:2 ~readers:2 6
   in
-  check bool "history atomic across the restart" true
-    (Checker.Atomicity.is_atomic h);
+  check bool "history atomic across the restart" true (atomic res);
   check int "no client starved" 0 res.Kv.Kv_session.starved
 
 (* ------------------------------------------------------------------ *)
@@ -910,15 +938,12 @@ let test_mux_quorum_with_dead_server () =
 (* Live cluster runs                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let atomic history =
-  match Checker.Atomicity.check history with Ok () -> true | Error _ -> false
-
 let test_live_ls97_atomic () =
-  let res, h =
+  let res =
     run_register ~register:Registry.abd_mwmr ~s:3 ~tol:1 ~writers:2
       ~readers:2 15
   in
-  check bool "history atomic" true (atomic h);
+  check bool "history atomic" true (atomic res);
   check int "no client starved" 0 res.Kv.Kv_session.starved;
   check bool "writes take two rounds" true
     (res.Kv.Kv_session.write_rounds = 2.0);
@@ -928,11 +953,11 @@ let test_live_ls97_atomic () =
 let test_live_w2r1_fast_read () =
   (* S=5 t=1 R=2: inside the R < S/t − 2 regime, so W2R1 must be atomic
      with strictly one-round reads — the paper's headline, on sockets. *)
-  let res, h =
+  let res =
     run_register ~register:Registry.fastread_w2r1 ~s:5 ~tol:1 ~writers:2
       ~readers:2 15
   in
-  check bool "history atomic" true (atomic h);
+  check bool "history atomic" true (atomic res);
   check bool "writes take two rounds" true
     (res.Kv.Kv_session.write_rounds = 2.0);
   check bool "reads are one round" true (res.Kv.Kv_session.read_rounds = 1.0)
@@ -958,7 +983,8 @@ let test_live_survives_t_kills () =
         let res =
           Kv.Kv_session.run
             ~kill_at:[ (0.02, 0, 0); (0.05, 0, 3) ]
-            ~rt_timeout:0.5 ~register:Registry.abd_mwmr ~cluster
+            ~rt_timeout:0.5 ~live_check:true ~register:Registry.abd_mwmr
+            ~cluster
             (Kv.Kv_session.register_spec ~think:0.004 ~writers:2 ~readers:2
                20)
         in
@@ -967,11 +993,10 @@ let test_live_survives_t_kills () =
           (List.filter (fun i -> not (List.mem i running)) [ 0; 1; 2; 3; 4 ]);
         res)
   in
-  let h = Kv.Kv_session.history res in
   check int "no client starved" 0 res.Kv.Kv_session.starved;
-  check bool "history atomic across the kills" true (atomic h);
-  check bool "all writes completed" true
-    (List.for_all Histories.Op.is_complete (Histories.History.ops h))
+  check bool "history atomic across the kills" true (atomic res);
+  (* 2 writers × 20 writes + 2 readers × 40 reads. *)
+  check int "all writes completed" 120 res.Kv.Kv_session.ops
 
 let test_rounds_accounting_under_overkill () =
   (* Kill MORE servers than the protocol tolerates, with a short timeout
@@ -981,7 +1006,7 @@ let test_rounds_accounting_under_overkill () =
      the per-op means: every completed LS97 write is exactly 2 rounds,
      so the mean over completed ops stays exactly 2.0 (or 0 if nothing
      completed) no matter where the crash landed. *)
-  let res, h =
+  let res =
     run_register
       ~kill_at:[ (0.03, 0, 0); (0.03, 0, 1) ]
       ~rt_timeout:0.05 ~max_rt_retries:0 ~think:0.002
@@ -994,17 +1019,17 @@ let test_rounds_accounting_under_overkill () =
   check bool "completed reads average exactly two rounds" true
     (res.Kv.Kv_session.read_rounds = 2.0
     || res.Kv.Kv_session.read_rounds = 0.0);
-  (* The merged history may end with pending ops (the aborted ones) but
+  (* The stream may end with pending ops (the aborted ones) but
      everything that responded must still be atomic. *)
-  check bool "history atomic" true (atomic h)
+  check bool "history atomic" true (atomic res)
 
 let test_live_adaptive_atomic () =
   (* The adaptive register beyond the fast-read threshold, on sockets. *)
-  let res, h =
+  let res =
     run_register ~register:Registry.adaptive ~s:3 ~tol:1 ~writers:2
       ~readers:3 10
   in
-  check bool "history atomic" true (atomic h);
+  check bool "history atomic" true (atomic res);
   check int "no client starved" 0 res.Kv.Kv_session.starved
 
 (* ------------------------------------------------------------------ *)
@@ -1569,17 +1594,12 @@ let test_geo_wan3_live_atomic () =
   let w = 2 and r = 2 in
   let clients = List.init (w + r) (fun i -> s + i) in
   let faults = Geo.plan profile ~s ~clients in
-  let res, h =
+  let res =
     run_register ~faults
       ~rt_timeout:(Float.max 1.0 (8.0 *. Geo.max_rtt profile))
-      ~live_check:true ~register:Registry.abd_mwmr ~s ~tol ~writers:w
-      ~readers:r 2
+      ~register:Registry.abd_mwmr ~s ~tol ~writers:w ~readers:r 2
   in
-  check bool "atomic under wan-3region" true (atomic h);
-  (match res.Kv.Kv_session.online with
-  | None -> Alcotest.fail "live_check:true returned no online report"
-  | Some rep ->
-    check bool "streaming verdict agrees" true (Check_sink.atomic rep));
+  check bool "atomic under wan-3region" true (atomic res);
   check int "no client starved" 0 res.Kv.Kv_session.starved;
   check bool "writes still two rounds" true
     (res.Kv.Kv_session.write_rounds = 2.0);
@@ -1590,56 +1610,57 @@ let test_geo_wan3_live_atomic () =
 
 let test_chaos_soak () =
   (* Seeded drop/delay/duplicate storm plus a kill → recover-restart,
-     inside a possible regime: the run must complete with the history
-     atomic, lossy links showing up only as retries — and the Table-1
+     inside a possible regime: the run must complete atomic, lossy
+     links showing up only as retries — and the Table-1
      rounds-per-completed-op contract intact. *)
   let sk =
-    Kv.Chaos.soak ~seed:3 ~ops:6 ~register:Registry.abd_mwmr ()
+    Kv.Chaos.soak ~seed:3 ~ops:6 ~live_check:true
+      ~register:Registry.abd_mwmr ()
   in
   let res = sk.Kv.Chaos.result in
   check bool "regime is possible" true sk.Kv.Chaos.expected_atomic;
-  check bool "atomic under chaos" true sk.Kv.Chaos.atomic;
+  check bool "atomic under chaos" true (atomic res);
   check int "no client starved" 0 res.Kv.Kv_session.starved;
   check bool "lossy links cost retries" true (res.Kv.Kv_session.retries > 0);
   check bool "completed writes still two rounds" true
     (res.Kv.Kv_session.write_rounds = 2.0)
 
+let test_live_check_chaos () =
+  (* Same storm as [test_chaos_soak], read from the streaming checker's
+     side: its report covers every completed operation (aborted
+     in-flight ops are fed as pending on top) and keeps its window
+     bounded. *)
+  let sk =
+    Kv.Chaos.soak ~seed:3 ~ops:6 ~live_check:true
+      ~register:Registry.abd_mwmr ()
+  in
+  let res = sk.Kv.Chaos.result in
+  match res.Kv.Kv_session.online with
+  | None -> Alcotest.fail "live_check:true returned no online report"
+  | Some r ->
+    check bool "online atomic" true (Check_sink.atomic r);
+    check bool "checked the whole stream" true
+      (r.Check_sink.checked >= res.Kv.Kv_session.ops);
+    check bool "window bounded" true
+      (r.Check_sink.peak_window <= r.Check_sink.checked)
+
 let test_live_check_session () =
   (* The streaming checker rides a healthy live session: the online
-     report must agree with the batch verdict on the merged history,
-     count every completed operation, and keep its window bounded. *)
-  let res, h =
-    run_register ~live_check:true ~register:Registry.abd_mwmr ~s:3 ~tol:1
-      ~writers:2 ~readers:2 15
+     report must count every completed operation on the one key and
+     keep its window bounded. *)
+  let res =
+    run_register ~register:Registry.abd_mwmr ~s:3 ~tol:1 ~writers:2
+      ~readers:2 15
   in
   (* 2 writers × 15 writes + 2 readers × 30 reads. *)
   match res.Kv.Kv_session.online with
   | None -> Alcotest.fail "live_check:true returned no online report"
   | Some r ->
     check bool "online atomic" true (Check_sink.atomic r);
-    check bool "batch agrees" true (atomic h);
     check int "every completed op checked" 90 r.Check_sink.checked;
     check int "single live key" 1 r.Check_sink.keys;
     check bool "window bounded well below history" true
       (r.Check_sink.peak_window > 0 && r.Check_sink.peak_window <= 90)
-
-let test_live_check_chaos () =
-  (* Same storm as [test_chaos_soak], with the streaming checker
-     attached: verdicts must agree and throughput accounting must not
-     lose operations (aborted in-flight ops are fed as pending). *)
-  let sk =
-    Kv.Chaos.soak ~seed:3 ~ops:6 ~live_check:true
-      ~register:Registry.abd_mwmr ()
-  in
-  check bool "regime is possible" true sk.Kv.Chaos.expected_atomic;
-  check bool "batch atomic under chaos" true sk.Kv.Chaos.atomic;
-  match sk.Kv.Chaos.result.Kv.Kv_session.online with
-  | None -> Alcotest.fail "live_check:true returned no online report"
-  | Some r ->
-    check bool "online agrees with batch" true (Check_sink.atomic r);
-    check bool "checked the whole stream" true (r.Check_sink.checked > 0);
-    check bool "window bounded" true
-      (r.Check_sink.peak_window <= r.Check_sink.checked)
 
 let test_restart_recover () =
   let o = Kv.Chaos.restart_scenario ~mode:`Recover () in
@@ -1670,6 +1691,8 @@ let () =
           Alcotest.test_case "rejects garbage" `Quick test_codec_rejects_garbage;
           Alcotest.test_case "key length at max_key_len" `Quick
             test_codec_key_length_edge;
+          Alcotest.test_case "frame length at max_frame_len" `Quick
+            test_codec_frame_length_edge;
           Alcotest.test_case "rejects retired unkeyed tags" `Quick
             test_codec_rejects_unkeyed_tags;
           QCheck_alcotest.to_alcotest codec_roundtrip_prop;
