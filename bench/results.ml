@@ -889,6 +889,16 @@ let schema t path v =
     | None -> [ err path "expected an object" ])
   | Value (c, _) -> check c path v
 
+(* A fresh row keeps six significant digits of every non-integral
+   number: no measurement here resolves more, and the digits past them
+   are noise that would churn the committed document on every run. *)
+let rec round_digits = function
+  | Num f when Float.is_finite f && not (Float.is_integer f) ->
+    Num (float_of_string (Printf.sprintf "%.6g" f))
+  | List items -> List (List.map round_digits items)
+  | Obj fields -> Obj (List.map (fun (k, v) -> (k, round_digits v)) fields)
+  | (Null | Bool _ | Num _ | Str _) as j -> j
+
 let add t m =
   let v, path =
     match t.layout with
@@ -897,6 +907,7 @@ let add t m =
         Printf.sprintf "%s[%d]" (table_path t) (List.length t.fresh) )
     | Value (_, get) -> (get m, table_path t)
   in
+  let v = round_digits v in
   match schema t path v with
   | [] -> (
     match t.layout with

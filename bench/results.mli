@@ -107,7 +107,8 @@ val kv_grid : (int * int * int * Workload.Ycsb.dist) list
 
 val add : 'm table -> 'm -> unit
 (** Encode a measurement and keep it for {!write}: a row appended to a
-    table of rows, or the value of a single-value table.
+    table of rows, or the value of a single-value table.  Every
+    non-integral number is rounded to 6 significant digits.
     [Invalid_argument] naming every failed check if the encoded value
     breaks a column check; nothing is kept then. *)
 

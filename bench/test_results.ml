@@ -346,6 +346,15 @@ let test_merge_refuses_garbage () =
           Alcotest.(check string) "left byte-identical" contents (read path)))
     [ "{ \"live\": [ {\"ops\": 1,} ] }"; "[]"; "" ]
 
+let test_add_rounds () =
+  add micro_ns_per_run [ ("est", 0.13481273600064014); ("whole", 3.0) ];
+  with_file "{}" (fun path ->
+      ignore (write path);
+      let lines = List.map String.trim (String.split_on_char '\n' (read path)) in
+      Alcotest.(check string) "0.13481273600064014 written as 0.134813"
+        "\"micro_ns_per_run\": { \"est\": 0.134813, \"whole\": 3 }"
+        (List.find (String.starts_with ~prefix:"\"micro_ns_per_run\"") lines))
+
 (* ------------------------------------------------------------------ *)
 (* Round trip                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -414,6 +423,8 @@ let () =
             test_merge_keeps_others;
           Alcotest.test_case "unparsable file left untouched" `Quick
             test_merge_refuses_garbage;
+          Alcotest.test_case "a fresh row keeps 6 significant digits" `Quick
+            test_add_rounds;
         ] );
       ("round trip", [ QCheck_alcotest.to_alcotest round_trip ]);
     ]

@@ -156,32 +156,26 @@ let impossibility strategy_name s seed explain =
     match strategy_name with
     | "seeded" -> Strategy.seeded seed
     | "wild" -> Strategy.seeded_wild seed
-    | name -> (
-      match
-        List.find_opt (fun st -> st.Strategy.name = name) Strategy.natural
-      with
-      | Some st -> st
-      | None ->
-        Printf.eprintf "unknown strategy %S; available: %s, seeded, wild\n" name
-          (String.concat ", "
-             (List.map (fun st -> st.Strategy.name) Strategy.natural));
-        exit 1)
+    | name -> List.find (fun st -> st.Strategy.name = name) Strategy.natural
   in
+  let finding, stats = W1r2_theorem.run ~s strategy in
   if explain then print_string (Report.explain ~s strategy)
   else begin
     Printf.printf "strategy: %s, S=%d\n\n" strategy.Strategy.name s;
-    let finding, stats = W1r2_theorem.run ~s strategy in
     Format.printf "%a@." W1r2_theorem.pp_finding finding;
     Printf.printf "\ncritical server i1: %s, links verified: %d (failed %d)\n"
       (match stats.W1r2_theorem.i1 with Some i -> string_of_int i | None -> "-")
       stats.W1r2_theorem.links_checked stats.W1r2_theorem.links_failed
   end;
-  let finding, _ = W1r2_theorem.run ~s strategy in
   if not (W1r2_theorem.found_violation finding) then exit 2
 
 let impossibility_cmd =
+  let names =
+    List.map (fun st -> st.Impossible.Strategy.name) Impossible.Strategy.natural
+    @ [ "seeded"; "wild" ]
+  in
   let strategy =
-    Arg.(value & opt string "majority-last"
+    Arg.(value & opt (enum (List.map (fun n -> (n, n)) names)) "majority-last"
          & info [ "strategy" ] ~docv:"NAME"
              ~doc:"A natural strategy name, or 'seeded'/'wild' (with --seed).")
   in

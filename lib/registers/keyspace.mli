@@ -7,8 +7,17 @@
     their {!Replica.freeze}d bytes and thawed on the next access.
     Demotion is loss-free — the frozen form carries the vector with its
     full [updated] certificate sets — so bounding memory never costs
-    atomicity, only a rebuild when a cold key is touched again, and a
-    demoted key costs a few words where a resident one costs tens.
+    atomicity, only a rebuild when a cold key is touched again.
+
+    Demoted keys live in one byte arena of records (key and frozen
+    bytes, each behind a LEB128 length) reached through an
+    open-addressing index of arena offsets.  A 12-byte key whose
+    replica holds one vector entry is a 23-byte record; with its index
+    slot and the arena's growth slack it costs 5.7 words (46 bytes) at
+    32 768 keys and [max_hot] 4 096, where a resident key costs about
+    22 words.  Thawing a key leaves its record dead; once the dead
+    bytes exceed the live ones, the live records are compacted into an
+    arena sized to them.
 
     Resident replicas sit on an intrusive recency list, moved to the
     front on every access.  Demotion runs in batches: once the hot set

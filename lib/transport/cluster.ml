@@ -59,20 +59,24 @@ let keyspace t i =
   if not (local t) then invalid_arg "Cluster.keyspace: remote cluster";
   t.keyspaces.(i)
 
+(* A crash leaves the state the server held when it stopped: its
+   keyspace, saved and reloaded all cold, is what a [`Recover] restart
+   serves. *)
 let kill t i =
   if not (local t) then invalid_arg "Cluster.kill: cannot kill remote servers";
   match t.servers.(i) with
   | None -> ()
   | Some sv ->
     t.servers.(i) <- None;
-    Server.stop sv
+    Server.stop sv;
+    t.keyspaces.(i) <- Keyspace.load (Server.snapshot sv)
 
 type restart_mode = [ `Recover | `Fresh ]
 
-(* Bring a killed server back on its original port.  [`Recover] rebuilds
-   its keyspace through the {!Keyspace.save}/{!Keyspace.load} state API —
-   the restart is then indistinguishable from a very slow server, which
-   the crash-stop proofs do cover.  [`Fresh] restarts with empty state:
+(* Bring a killed server back on its original port.  [`Recover] serves
+   the keyspace {!kill} rebuilt through the {!Keyspace.save}/
+   {!Keyspace.load} state API — the restart is then indistinguishable
+   from a very slow server, which the crash-stop proofs do cover.  [`Fresh] restarts with empty state:
    a model violation (acknowledged writes forgotten) that the atomicity
    checker must catch downstream.  The listen socket sets SO_REUSEADDR,
    but lingering TIME_WAIT pairs can still race the rebind, so EADDRINUSE
@@ -85,7 +89,7 @@ let restart ?(mode = `Recover) t i =
   | None ->
     let keyspace =
       match mode with
-      | `Recover -> Keyspace.load (Keyspace.save t.keyspaces.(i))
+      | `Recover -> t.keyspaces.(i)
       | `Fresh -> Keyspace.create ()
     in
     t.keyspaces.(i) <- keyspace;
@@ -106,5 +110,10 @@ let running t =
     |> List.mapi (fun i sv -> (i, sv))
     |> List.filter_map (fun (i, sv) -> Option.map (fun _ -> i) sv)
 
+(* No restart follows, so nothing is saved. *)
 let shutdown t =
-  if local t then Array.iteri (fun i _ -> kill t i) t.servers
+  Array.iteri
+    (fun i sv ->
+      t.servers.(i) <- None;
+      Option.iter Server.stop sv)
+    t.servers

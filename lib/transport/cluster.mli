@@ -38,8 +38,9 @@ val keyspace : t -> int -> Registers.Keyspace.t
     [`Recover] restarts through {!Registers.Keyspace.save}/[load]. *)
 
 val kill : t -> int -> unit
-(** Crash server [i]: connections sever, its port stops answering.
-    Idempotent. *)
+(** Crash server [i]: connections sever, its port stops answering, and
+    its keyspace is saved and reloaded all cold ({!Server.snapshot}),
+    the state a [`Recover] restart serves.  Idempotent. *)
 
 type restart_mode = [ `Recover | `Fresh ]
 (** How a {!kill}ed server comes back: [`Recover] carries its full

@@ -128,6 +128,9 @@ let port t = t.port
 
 let keyspace t = t.keyspace
 
+let snapshot t =
+  Mutex.protect t.replica_lock (fun () -> Keyspace.save t.keyspace)
+
 let connection_count t = Atomic.get t.live_conns
 
 (* [c] is still the connection the reactor knows by its fd number (not

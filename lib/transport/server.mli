@@ -53,7 +53,12 @@ val port : t -> int
 (** The actual bound port. *)
 
 val keyspace : t -> Registers.Keyspace.t
-(** The hosted named-register table (inspection/tests/recovery). *)
+(** The hosted named-register table (inspection/tests). *)
+
+val snapshot : t -> Registers.Keyspace.state
+(** The hosted keyspace's durable state ({!Registers.Keyspace.save}),
+    read under the replica lock, so it is safe on a running server
+    too (recovery). *)
 
 val connection_count : t -> int
 (** Live connections.  Observability for tests: must

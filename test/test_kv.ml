@@ -261,6 +261,67 @@ let test_keyspace_save_load () =
   check bool "and keeps matching" true
     (Keyspace.save reloaded = Keyspace.save reference)
 
+let test_keyspace_cold_key_edges () =
+  (* The cold store's record framing: keys of length 0, 127 and 128
+     (where the length varint grows to two bytes) and the wire maximum,
+     holding NUL and bytes >= 0x80, demote, thaw, save and load
+     exactly. *)
+  let key n = String.init n (fun i -> Char.chr (i * 131 land 0xff)) in
+  let keys = List.map key [ 0; 127; 128; Codec.max_key_len ] in
+  let ks = Keyspace.create ~max_hot:1 () in
+  let reference = Keyspace.create ~max_hot:max_int () in
+  let both key client req =
+    check bool "reply matches the reference" true
+      (Keyspace.handle ks ~key ~client req
+       = Keyspace.handle reference ~key ~client req)
+  in
+  List.iteri
+    (fun i key ->
+      both key i (Wire.Update { tag = tag (i + 1) i; payload = 100 + i }))
+    keys;
+  List.iteri (fun i key -> both key (i + 5) (Wire.Query [])) keys;
+  check int "one key resident" 1 (Keyspace.hot_count ks);
+  let saved = Keyspace.save ks in
+  check bool "save matches the reference" true
+    (saved = Keyspace.save reference);
+  check (Alcotest.list Alcotest.string) "keys kept byte for byte"
+    (List.sort compare keys) (List.map fst saved);
+  let reloaded = Keyspace.load ~max_hot:1 saved in
+  check bool "load ∘ save is the identity" true
+    (Keyspace.save reloaded = saved);
+  List.iter
+    (fun key ->
+      check bool "reloaded key answers as before" true
+        (Keyspace.handle reloaded ~key ~client:9 (Wire.Query [])
+         = Keyspace.handle reference ~key ~client:9 (Wire.Query [])))
+    keys
+
+let test_keyspace_cold_churn () =
+  (* 5 000 keys through a hot set of 4, touched four times over: the
+     cold store's index grows many times, thawed keys leave tombstones
+     that later demotions reuse, and the dead bytes pass the live ones
+     twice, so compaction moves every record twice.  Each reply and the
+     final state must match a keyspace that never demotes. *)
+  let nkeys = 5000 in
+  let ks = Keyspace.create ~max_hot:4 () in
+  let reference = Keyspace.create ~max_hot:max_int () in
+  for pass = 1 to 4 do
+    for i = 0 to nkeys - 1 do
+      let key = Ycsb.key_name ((i * 7919) mod nkeys) in
+      let req =
+        if pass mod 2 = 0 then Wire.Query []
+        else Wire.Update { tag = tag pass (i mod 3); payload = (pass * nkeys) + i }
+      in
+      if
+        Keyspace.handle ks ~key ~client:(i mod 5) req
+        <> Keyspace.handle reference ~key ~client:(i mod 5) req
+      then Alcotest.failf "pass %d: %s answered differently" pass key
+    done
+  done;
+  check int "every key kept" nkeys (Keyspace.key_count ks);
+  check bool "save matches the reference" true
+    (Keyspace.save ks = Keyspace.save reference)
+
 (* ------------------------------------------------------------------ *)
 (* YCSB generator                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -634,6 +695,10 @@ let () =
           Alcotest.test_case "save/load" `Quick test_keyspace_save_load;
           Alcotest.test_case "demotion at the max_hot edges" `Quick
             test_keyspace_demotion_edges;
+          Alcotest.test_case "cold keys at the length edges" `Quick
+            test_keyspace_cold_key_edges;
+          Alcotest.test_case "cold store growth, reuse and compaction" `Quick
+            test_keyspace_cold_churn;
           QCheck_alcotest.to_alcotest keyspace_model_prop;
         ] );
       ( "ycsb",
