@@ -3,14 +3,17 @@
      mwlint [--baseline FILE] [--fail-stale] [--rules]
             [--format text|json] [--lock-map FILE] DIR_OR_FILE...
 
-   Parses every .ml under the given roots (default: lib bin bench test
-   examples) into a Parsetree, runs the rule engine (see
-   lib/analysis/RULES.md), subtracts the checked-in baseline, and exits
-   non-zero on any new finding.  With [--fail-stale], a baseline entry
-   that no longer matches any finding is an error rather than a
-   warning — CI uses it to force the suppression file to shrink as debt
-   is paid off; the same holds for a [Rules.lock_free_allow] entry that
-   matches no thread-shared cell, so run it over the whole tree.
+   Parses every .ml and .mli under the given roots (default: lib bin
+   bench test examples perfbench) into a Parsetree, runs the rule
+   engine (see lib/analysis/RULES.md), subtracts the checked-in
+   baseline, and exits non-zero on any new finding.  With
+   [--fail-stale], a baseline entry that no longer matches any finding
+   is an error rather than a warning — CI uses it to force the
+   suppression file to shrink as debt is paid off; the same holds for
+   a [Rules.lock_free_allow] entry that matches no thread-shared cell
+   and a [Rules.export_keep] entry that excuses no unused export, so
+   run it over the whole tree (UNUSED-EXPORT needs every user in view
+   anyway).
    [--format json] prints one finding object per line (rule, severity,
    file, line, col, message) for annotation tooling;
    [--lock-map FILE] writes the inferred lock -> guarded-cells table
@@ -36,7 +39,8 @@ let () =
       );
       ( "--fail-stale",
         Arg.Set fail_stale,
-        " treat stale baseline and lock_free_allow entries as errors (exit 1)" );
+        " treat stale baseline, lock_free_allow and export_keep entries as \
+         errors (exit 1)" );
       ("--rules", Arg.Set list_rules, " list the rule catalog and exit");
       ( "--format",
         Arg.Symbol ([ "text"; "json" ], fun s -> format := s),
@@ -59,24 +63,27 @@ let () =
   end;
   let roots =
     match List.rev !roots with
-    | [] -> [ "lib"; "bin"; "bench"; "test"; "examples" ]
+    | [] -> [ "lib"; "bin"; "bench"; "test"; "examples"; "perfbench" ]
     | rs -> rs
   in
-  let files = Analysis.Source.find_ml_files ~roots in
+  let files = Analysis.Source.find_files ~ext:".ml" ~roots in
   if files = [] then begin
     Printf.eprintf "mwlint: no .ml files under: %s\n" (String.concat " " roots);
     exit 2
   end;
-  let sources =
-    List.map
-      (fun path ->
-        try Analysis.Source.parse_file path
-        with Analysis.Source.Parse_error msg ->
-          Printf.eprintf "mwlint: parse error:\n%s\n" msg;
-          exit 2)
-      files
+  let parse f path =
+    try f path
+    with Analysis.Source.Parse_error msg ->
+      Printf.eprintf "mwlint: parse error:\n%s\n" msg;
+      exit 2
   in
-  let result = Analysis.Engine.run sources in
+  let sources = List.map (parse Analysis.Source.parse_file) files in
+  let intfs =
+    List.map
+      (parse Analysis.Source.parse_interface_file)
+      (Analysis.Source.find_files ~ext:".mli" ~roots)
+  in
+  let result = Analysis.Engine.run ~intfs sources in
   let findings = result.Analysis.Engine.findings in
   (match !lock_map_path with
   | "" -> ()
@@ -94,35 +101,29 @@ let () =
         Printf.eprintf "mwlint: bad baseline %s: %s\n" !baseline_path msg;
         exit 2
   in
-  List.iter
-    (fun e ->
-      if e.Analysis.Baseline.col = None then
-        Printf.eprintf
-          "mwlint: note: baseline entry %s %s:%d uses the deprecated \
-           column-less format — add the column (RULE file:line:col why); \
-           support for the old format will be removed next release\n"
-          e.Analysis.Baseline.rule e.Analysis.Baseline.file
-          e.Analysis.Baseline.line)
-    entries;
   let fresh, stale = Analysis.Baseline.apply ~entries findings in
   List.iter
     (fun e ->
       Printf.eprintf
-        "mwlint: %s: stale baseline entry %s %s:%d (no such finding \
+        "mwlint: %s: stale baseline entry %s %s:%d:%d (no such finding \
          anymore — delete it)\n"
         (if !fail_stale then "error" else "warning")
         e.Analysis.Baseline.rule e.Analysis.Baseline.file
-        e.Analysis.Baseline.line)
+        e.Analysis.Baseline.line e.Analysis.Baseline.col)
     stale;
   let stale_allow = result.Analysis.Engine.stale_allow in
-  List.iter
-    (fun pat ->
-      Printf.eprintf
-        "mwlint: %s: stale lock_free_allow entry %s (matches no \
-         thread-shared cell — delete it from lib/analysis/rules.ml)\n"
-        (if !fail_stale then "error" else "warning")
-        pat)
-    stale_allow;
+  let stale_keep = result.Analysis.Engine.stale_keep in
+  let report_stale table what =
+    List.iter
+      (fun pat ->
+        Printf.eprintf
+          "mwlint: %s: stale %s entry %s (%s — delete it from \
+           lib/analysis/rules.ml)\n"
+          (if !fail_stale then "error" else "warning")
+          table pat what)
+  in
+  report_stale "lock_free_allow" "matches no thread-shared cell" stale_allow;
+  report_stale "export_keep" "excuses no unused export" stale_keep;
   (match !format with
   | "json" ->
     List.iter (fun f -> print_endline (Analysis.Finding.to_json f)) fresh
@@ -132,5 +133,8 @@ let () =
   if !format <> "json" then
     Printf.printf "mwlint: %d file(s), %d finding(s), %d suppressed\n"
       (List.length files) (List.length fresh) suppressed;
-  if fresh <> [] || (!fail_stale && (stale <> [] || stale_allow <> [])) then
+  if
+    fresh <> []
+    || (!fail_stale && (stale <> [] || stale_allow <> [] || stale_keep <> []))
+  then
     exit 1

@@ -2,10 +2,7 @@ type entry = {
   rule : string;
   file : string;
   line : int;
-  col : int option;
-      (* None: old-format entry (no column) — matches any column on the
-         line.  Deprecated; kept for one release so existing baselines
-         keep working while they are migrated. *)
+  col : int;
   justification : string;
 }
 
@@ -30,10 +27,9 @@ let parse_line lineno raw =
           (Printf.sprintf
              "line %d: suppression of %s has no justification" lineno rule)
       else
-        (* [file:line:col] (current) or [file:line] (deprecated): split
-           the last one or two ':'-separated integer components off the
-           path.  Paths never end in `:digits`, so the parse is
-           unambiguous. *)
+        (* [file:line:col]: split the last two ':'-separated integer
+           components off the path.  Paths never end in `:digits`, so
+           the parse is unambiguous. *)
         let int_suffix spec =
           match String.rindex_opt spec ':' with
           | None -> None
@@ -45,17 +41,19 @@ let parse_line lineno raw =
             | Some n when n >= 0 -> Some (String.sub spec 0 k, n)
             | Some _ | None -> None)
         in
-        match int_suffix locspec with
+        let parsed =
+          Option.bind (int_suffix locspec) (fun (prefix, col) ->
+              Option.map
+                (fun (file, line) -> (file, line, col))
+                (int_suffix prefix))
+        in
+        match parsed with
+        | Some (file, line, col) ->
+          Ok (Some { rule; file; line; col; justification })
         | None ->
           Error
             (Printf.sprintf "line %d: want file:line:col, got %S" lineno
-               locspec)
-        | Some (prefix, last) -> (
-          match int_suffix prefix with
-          | Some (file, line) ->
-            Ok (Some { rule; file; line; col = Some last; justification })
-          | None ->
-            Ok (Some { rule; file = prefix; line = last; col = None; justification })))
+               locspec))
 
 let load path =
   if not (Sys.file_exists path) then Ok []
@@ -78,7 +76,7 @@ let load path =
 
 let matches entry (f : Finding.t) =
   entry.rule = f.Finding.rule && entry.line = f.Finding.line
-  && (match entry.col with None -> true | Some c -> c = f.Finding.col)
+  && entry.col = f.Finding.col
   && (entry.file = f.Finding.file
      || Rules.path_matches ~suffix:entry.file f.Finding.file)
 

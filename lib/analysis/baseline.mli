@@ -9,18 +9,14 @@
     entry suppresses exactly one finding keyed by (rule, file, line,
     col), so a suppressed site that drifts shows up again on the next
     run — by design: suppressions are for deliberate, reviewed
-    exceptions, not for making the tool quiet.
-
-    The pre-column format [RULE file:LINE why] is still accepted for
-    one release: such an entry matches any column on its line and is
-    reported with a deprecation note, so existing baselines keep
-    working while they are migrated. *)
+    exceptions, not for making the tool quiet.  A line without the
+    column ([RULE file:LINE why]) is malformed. *)
 
 type entry = {
   rule : string;
   file : string;
   line : int;
-  col : int option;  (** [None]: deprecated old-format entry *)
+  col : int;
   justification : string;
 }
 

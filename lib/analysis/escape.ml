@@ -34,8 +34,6 @@ let find_sub ?(from = 0) hay pat =
 
 let spawn_tag = "<spawn:"
 
-let is_spawn_key key = find_sub key spawn_tag <> None
-
 (* The thread origin of a spawn-frame-derived key: the prefix ending at
    the LAST spawn tag.  A local function defined inside a spawned
    closure ([A.f.<spawn:10>.echo]) runs on the thread spawned at that

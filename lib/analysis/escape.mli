@@ -10,17 +10,10 @@
     origin (the benign per-thread-slot pattern), a documented
     precision tradeoff. *)
 
-val is_spawn_key : string -> bool
-(** Is this summary key a synthetic spawned-closure frame? *)
-
 val lookup : Rules.state -> f_mod:string -> string -> string option
 (** Resolve a recorded callee to a summary key, trying the caller's
     enclosing module prefixes for nested-module targets
     ([Outq.consume] inside [Server] finds [Server.Outq.consume]). *)
-
-val thread_origins : Rules.state -> (string, string list) Hashtbl.t
-(** Summary key -> distinct thread origins (spawn-site keys and/or
-    ["<main>"]) that can execute it. *)
 
 val access_counts : Rules.state -> string -> Rules.access -> bool
 (** Does this access (in the summary with the given key) count as a

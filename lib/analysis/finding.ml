@@ -22,8 +22,6 @@ let of_loc ~rule ~severity ~file (loc : Location.t) message =
     message;
   }
 
-let key f = (f.rule, f.file, f.line, f.col)
-
 let compare a b =
   compare
     (a.file, a.line, a.col, a.rule, a.message)

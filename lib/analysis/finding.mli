@@ -21,9 +21,6 @@ val of_loc :
   rule:string -> severity:severity -> file:string -> Location.t -> string -> t
 (** Anchor a finding at the start line/column of an AST location. *)
 
-val key : t -> string * string * int * int
-(** The (rule, file, line, col) identity used for baseline matching. *)
-
 val compare : t -> t -> int
 (** Order by file, then line, then column, then rule — the report
     order. *)

@@ -47,6 +47,8 @@ let shared_access = "SHARED-ACCESS"
 
 let atomic_discipline = "ATOMIC-DISCIPLINE"
 
+let unused_export = "UNUSED-EXPORT"
+
 let all_rules =
   [
     ( lock_order,
@@ -75,6 +77,10 @@ let all_rules =
       Finding.Error,
       "cross-thread signal flags are Atomic.t and atomic RMW uses \
        compare_and_set / fetch_and_add" );
+    ( unused_export,
+      Finding.Warning,
+      "every exported lib value has a user outside its module, and every \
+       lib module a user outside test/" );
   ]
 
 let severity_of rule =
@@ -185,6 +191,9 @@ let lock_free_allow : (string * string) list =
       "built before start (enforced by invalid_arg); the checker \
        thread is the sole reader afterwards — the completion path \
        itself is the CAS stack (queue/inflight are Atomic.t)" );
+    ( "Transport.Check_sink.next",
+      "a port's op-id counter: only [completed], on the port's owning \
+       client thread, reads or writes it" );
     ( "Transport.Mux.staging",
       "flusher-owned swap space: only the thread that set [flushing] \
        under the conn lock touches it until it clears the flag" );
@@ -221,19 +230,35 @@ let lock_free_allow : (string * string) list =
       "per-thread histograms, merged after the workers join" );
   ]
 
-(* An allowlist entry is an exact cell name or a module prefix
-   ("Simulation.*"): prefixes exist so a subsystem whose whole design
-   is single-owner (the simulation plane, the checkers) is one reviewed
+(* UNUSED-EXPORT keep list: (export, justification).  An export no
+   module outside its own reaches (or a module only test/ reaches) is
+   dead surface to delete, unless it is here for a reason a reviewer
+   can check.  Patterns as in [pattern_matches] below; an entry that
+   excuses no finding is stale and `--fail-stale` fails on it.
+   Line-keyed baseline entries would drift with every edit, so the
+   exceptions live here by name. *)
+let export_keep : (string * string) list =
+  [
+    ( "Impossibility.Realizability.*",
+      "certifies that every execution the W1R2 chain argument builds is \
+       legal under asynchrony with S - t replies per round; the proof's \
+       soundness check, run by the test suite over the chains" );
+  ]
+
+(* An allowlist or keep entry is an exact name or a module prefix
+   ("Simulation.*", which also matches the module "Simulation"
+   itself): prefixes exist so a subsystem whose whole design is
+   single-owner (the simulation plane, the checkers) is one reviewed
    decision instead of a dozen copies of it. *)
+let pattern_matches pat name =
+  pat = name
+  || String.ends_with ~suffix:".*" pat
+     &&
+     let m = String.sub pat 0 (String.length pat - 2) in
+     name = m || String.starts_with ~prefix:(m ^ ".") name
+
 let allow_entry cell =
-  let matches (pat, _) =
-    pat = cell
-    || String.ends_with ~suffix:".*" pat
-       && String.starts_with
-            ~prefix:(String.sub pat 0 (String.length pat - 1))
-            cell
-  in
-  List.find_opt matches lock_free_allow
+  List.find_opt (fun (pat, _) -> pattern_matches pat cell) lock_free_allow
 
 (* ------------------------------------------------------------------ *)
 (* Summaries shared across files (for LOCK-ORDER)                      *)
@@ -1001,6 +1026,7 @@ let module_name_of_path path =
   in
   match Filename.basename (Filename.dirname path) with
   | "" | "." | ".." | "lib" | "bin" | "test" | "bench" | "examples" -> base
+  | dir when wrapper_of_dir dir = base -> base (* a library's main module *)
   | dir -> wrapper_of_dir dir ^ "." ^ base
 
 let rec walk_structure ctx items =

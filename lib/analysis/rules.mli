@@ -1,5 +1,5 @@
-(** The mwlint rule set: eight repo-specific concurrency and
-    I/O-discipline rules over Parsetrees.  See [RULES.md] for the
+(** The mwlint rule set: nine repo-specific concurrency, I/O-discipline
+    and dead-surface rules over Parsetrees.  See [RULES.md] for the
     catalog with rationale; the allowlists live here so they are
     code-reviewed along with the rules they scope.
 
@@ -20,6 +20,7 @@ val condition_wait_loop : string
 val catch_all_exn : string
 val shared_access : string
 val atomic_discipline : string
+val unused_export : string
 
 val all_rules : (string * Finding.severity * string) list
 (** [(name, severity, one-line description)] for every shipped rule. *)
@@ -27,9 +28,6 @@ val all_rules : (string * Finding.severity * string) list
 val severity_of : string -> Finding.severity
 
 (** {1 Configuration} *)
-
-val spawn_calls : string list
-(** Calls whose closure/function arguments run on another thread. *)
 
 val lock_free_allow : (string * string) list
 (** [(cell, justification)]: shared cells deliberately accessed without
@@ -42,6 +40,21 @@ val lock_free_allow : (string * string) list
 val allow_entry : string -> (string * string) option
 (** The first [lock_free_allow] entry [(pattern, justification)] whose
     pattern matches the cell, if any. *)
+
+val export_keep : (string * string) list
+(** [(name, justification)]: lib exports UNUSED-EXPORT must not report
+    although nothing outside their module (or outside [test/]) uses
+    them.  Patterns as in [lock_free_allow]; mwlint [--fail-stale]
+    fails on one that excuses no finding. *)
+
+val pattern_matches : string -> string -> bool
+(** [pattern_matches pat name]: [pat] is [name], or [M.*] with [name]
+    being [M] or inside it. *)
+
+val module_name_of_path : string -> string
+(** The module a source file defines, namespaced by its dune library
+    wrapper ([lib/transport/mux.ml] is [Transport.Mux]); executables'
+    modules stay bare. *)
 
 (** {1 Analysis state}
 

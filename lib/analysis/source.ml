@@ -1,11 +1,13 @@
-type t = { path : string; ast : Parsetree.structure }
+type 'a file = { path : string; ast : 'a }
+type t = Parsetree.structure file
+type intf = Parsetree.signature file
 
 exception Parse_error of string
 
-let parse_string ~path src =
+let parse parser ~path src =
   let lexbuf = Lexing.from_string src in
   Lexing.set_filename lexbuf path;
-  match Parse.implementation lexbuf with
+  match parser lexbuf with
   | ast -> { path; ast }
   | exception exn ->
     let msg =
@@ -16,27 +18,32 @@ let parse_string ~path src =
     in
     raise (Parse_error msg)
 
-let parse_file path =
+let parse_string ~path src = parse Parse.implementation ~path src
+let parse_interface_string ~path src = parse Parse.interface ~path src
+
+let read path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let src = really_input_string ic (in_channel_length ic) in
-      parse_string ~path src)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let parse_file path = parse_string ~path (read path)
+let parse_interface_file path = parse_interface_string ~path (read path)
 
 let skip_dir entry =
   entry = "_build" || (String.length entry > 0 && entry.[0] = '.')
 
-let rec walk acc path =
+let rec walk ext acc path =
   if Sys.file_exists path then
     if Sys.is_directory path then
       Array.fold_left
         (fun acc entry ->
-          if skip_dir entry then acc else walk acc (Filename.concat path entry))
+          if skip_dir entry then acc
+          else walk ext acc (Filename.concat path entry))
         acc (Sys.readdir path)
-    else if Filename.check_suffix path ".ml" then path :: acc
+    else if Filename.check_suffix path ext then path :: acc
     else acc
   else acc
 
-let find_ml_files ~roots =
-  List.sort_uniq String.compare (List.fold_left walk [] roots)
+let find_files ~ext ~roots =
+  List.sort_uniq String.compare (List.fold_left (walk ext) [] roots)

@@ -1,13 +1,19 @@
 (** Loading repo sources into Parsetrees for the lint engine.
 
-    The engine works on plain [Parsetree.structure]s — no typing pass —
-    so any file the compiler can parse can be linted, including files
-    that currently fail to type-check. *)
+    The engine works on plain Parsetrees — no typing pass — so any file
+    the compiler can parse can be linted, including files that
+    currently fail to type-check. *)
 
-type t = {
+type 'a file = {
   path : string;  (** as given to the loader; findings carry it verbatim *)
-  ast : Parsetree.structure;
+  ast : 'a;
 }
+
+type t = Parsetree.structure file
+(** An implementation ([.ml]). *)
+
+type intf = Parsetree.signature file
+(** An interface ([.mli]); only UNUSED-EXPORT reads these. *)
 
 exception Parse_error of string
 (** Raised with a printable, located message when a source does not
@@ -18,9 +24,11 @@ val parse_string : path:string -> string -> t
     Used by the test fixtures; [path] also drives the path-scoped
     rules (allowlists match on it). *)
 
+val parse_interface_string : path:string -> string -> intf
 val parse_file : string -> t
+val parse_interface_file : string -> intf
 
-val find_ml_files : roots:string list -> string list
-(** All [.ml] files under the given roots (a root may itself be a
-    file), sorted; [_build], [.git] and other dot-directories are
+val find_files : ext:string -> roots:string list -> string list
+(** All files ending in [ext] under the given roots (a root may itself
+    be a file), sorted; [_build], [.git] and other dot-directories are
     skipped. *)

@@ -273,7 +273,6 @@ module Keyed = struct
       t.instances []
     |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-  let resident t = t.k_resident
   let peak_resident t = t.k_peak
   let ops_seen t = t.k_seen
   let violations t = List.rev t.viols

@@ -136,7 +136,6 @@ module Keyed : sig
   val finalize : t -> (string * (unit, Witness.t) result) list
   (** Per-key verdicts, sorted by key. *)
 
-  val resident : t -> int
   val peak_resident : t -> int
   val ops_seen : t -> int
   val violations : t -> (string * Witness.t) list

@@ -15,17 +15,6 @@
 
 open Histories
 
-type per_read = {
-  read : Op.t;
-  from_write : Op.t option;  (** [None] when the value was never written. *)
-  staleness : int;
-}
-
-val analyze : History.t -> per_read list
-(** Staleness of every completed read.  Pending reads are skipped; a read
-    of an unwritten value gets [from_write = None] and [staleness =
-    max_int].  Requires unique written values. *)
-
 val max_staleness : History.t -> int
 (** 0 for atomic-by-reads histories, [max_int] if some read returned an
     unwritten value. *)

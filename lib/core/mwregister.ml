@@ -7,7 +7,7 @@
     - {!Atomicity}, {!Online}, {!Linearizability}, {!Consistency},
       {!Mw_properties}: the checkers ({!Atomicity} is the batch face of
       {!Online}'s streaming zone check);
-    - {!Bounds}, {!Quorum}: Table 1's predicates;
+    - {!Bounds}: Table 1's predicates;
     - {!Env}, {!Runtime}, {!Register_intf}: running protocols;
     - {!Registry} and the individual protocol modules;
     - {!Impossibility} namespace: the mechanized proofs;
@@ -41,8 +41,6 @@ module Mw_properties = Checker.Mw_properties
 module Staleness = Checker.Staleness
 module Online = Checker.Online
 
-module Quorum = Quorums.Quorum
-module Coterie = Quorums.Coterie
 module Bounds = Quorums.Bounds
 
 module Topology = Protocol.Topology

@@ -2,13 +2,6 @@ type proc = Writer of int | Reader of int
 
 let proc_equal a b = a = b
 
-let compare_proc a b =
-  match (a, b) with
-  | Writer i, Writer j -> compare i j
-  | Reader i, Reader j -> compare i j
-  | Writer _, Reader _ -> -1
-  | Reader _, Writer _ -> 1
-
 let pp_proc ppf = function
   | Writer i -> Format.fprintf ppf "w%d" i
   | Reader i -> Format.fprintf ppf "r%d" i

@@ -10,7 +10,6 @@
 type proc = Writer of int | Reader of int
 
 val proc_equal : proc -> proc -> bool
-val compare_proc : proc -> proc -> int
 val pp_proc : Format.formatter -> proc -> unit
 
 type kind =

@@ -133,16 +133,3 @@ let pp ppf t =
         seq)
     t.arrivals;
   Format.fprintf ppf "@]"
-
-let pp_view ppf v =
-  let pp_entries ppf entries =
-    List.iter
-      (fun e ->
-        Format.fprintf ppf "s%d:[%a] " e.server
-          (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf " ")
-             Token.pp)
-          e.prefix)
-      entries
-  in
-  Format.fprintf ppf "@[<v2>reader %d view:@,round1: %around2: %a@]" v.reader
-    pp_entries v.round1 pp_entries v.round2

@@ -58,4 +58,3 @@ val digits_of_prefix : Token.t list -> int list
     information* of §4.1 ("12", "21", "1", …). *)
 
 val pp : Format.formatter -> t -> unit
-val pp_view : Format.formatter -> view -> unit

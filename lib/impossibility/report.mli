@@ -10,5 +10,3 @@
 val explain : s:int -> Strategy.t -> string
 (** The full narrative.  Ends with the finding (violation witness or, in
     principle, the unresolved escape hatch). *)
-
-val pp : s:int -> Strategy.t -> Format.formatter -> unit

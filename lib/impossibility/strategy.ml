@@ -26,6 +26,9 @@ let majority ~default digits =
   let twos = List.length (List.filter (Int.equal 2) digits) in
   if ones > twos then 1 else if twos > ones then 2 else default
 
+(* If every server visible in round 2 shows the same last-written digit,
+   return it, else [default].  With default 2 this is the paper's
+   "cannot differentiate Rel1 from Rel2 => return 2". *)
 let last_unanimous_else default =
   {
     name = Printf.sprintf "last-unanimous-else-%d" default;
@@ -42,6 +45,7 @@ let majority_last =
     decide = (fun v -> majority ~default:2 (last_digits v.Exec_model.round2));
   }
 
+(* Like [majority_last] but counting both rounds' prefixes. *)
 let weighted_last =
   {
     name = "weighted-last";
@@ -61,12 +65,15 @@ let first_server_rules =
         | [] -> 2);
   }
 
+(* Decide from round-1 prefixes only (ignores the second round). *)
 let round1_majority =
   {
     name = "round1-majority";
     decide = (fun v -> majority ~default:2 (last_digits v.Exec_model.round1));
   }
 
+(* The digit whose write token appears last across all round-2 prefixes
+   (by position from the end), majority-style. *)
 let latest_arrival =
   (* Score each digit by how close to the end of each prefix its write
      sits; the digit with the freshest aggregate position wins. *)
@@ -83,6 +90,10 @@ let latest_arrival =
         if score.(1) > score.(2) then 1 else 2);
   }
 
+(* When the other reader's first round is visible on a majority of
+   servers, lean on the freshest digit seen anywhere, else behave like
+   [majority_last]: exercises the parts of the view only read tokens
+   populate. *)
 let reader_aware =
   {
     name = "reader-aware";
@@ -113,6 +124,9 @@ let reader_aware =
         else majority ~default:2 (last_digits entries));
   }
 
+(* 1 only when every visible prefix (both rounds) ends in 1, else 2: the
+   most write-2-biased strategy that still honours the sequential
+   anchors. *)
 let pessimistic_quorum =
   {
     name = "pessimistic-quorum";

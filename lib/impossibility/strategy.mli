@@ -19,40 +19,16 @@ val decide : t -> Exec_model.view -> int
 
 (** {1 Natural strategies} *)
 
-val last_unanimous_else : int -> t
-(** If every server visible in round 2 shows the same last-written digit,
-    return it; otherwise return the given default.  With default 2 this
-    is the paper's "cannot differentiate Rel1 from Rel2 ⇒ return 2". *)
-
 val majority_last : t
 (** The digit that is last on a majority of round-2 servers (ties → 2). *)
-
-val weighted_last : t
-(** Like {!majority_last} but counting both rounds' prefixes. *)
 
 val first_server_rules : t
 (** The last digit on the lowest-numbered server the read reached. *)
 
-val round1_majority : t
-(** Decide from round-1 prefixes only (ignores the second round). *)
-
-val latest_arrival : t
-(** Return the digit whose write token appears *last* across all round-2
-    prefixes (by position from the end), majority-style. *)
-
-val reader_aware : t
-(** Uses coordination information: when the other reader's first round is
-    visible on a majority of servers, lean on the freshest digit seen
-    anywhere; otherwise behave like {!majority_last}.  Exercises the
-    parts of the view that only read tokens populate. *)
-
-val pessimistic_quorum : t
-(** Return 1 only when *every* visible prefix (both rounds) ends in 1;
-    otherwise 2 — the most write-2-biased strategy that still honours the
-    sequential anchors. *)
-
 val natural : t list
-(** The library above. *)
+(** The two above plus seven more decision rules (last-unanimous-else-2
+    and -1, weighted-last, round-1 majority, latest-arrival,
+    reader-aware, pessimistic-quorum; see [strategy.ml]). *)
 
 (** {1 Randomised strategies} *)
 

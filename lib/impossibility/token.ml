@@ -2,10 +2,6 @@ type t = W of int | R of { reader : int; round : int }
 
 let equal a b = a = b
 
-let compare = Stdlib.compare
-
-let is_write = function W _ -> true | R _ -> false
-
 let digit = function W d -> Some d | R _ -> None
 
 let pp ppf = function

@@ -12,9 +12,7 @@ type t =
       (** Round [round ∈ {1,2}] of reader [reader ∈ {1,2}] arrives. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 
-val is_write : t -> bool
 val digit : t -> int option
 (** [digit (W d)] = [Some d]. *)
 

@@ -66,8 +66,6 @@ let make ~groups =
     pts;
   { groups; points = Array.map fst pts; owners = Array.map snd pts }
 
-let groups t = t.groups
-
 (* First ring point at or clockwise-after the key's hash (unsigned),
    wrapping to point 0 past the ring's end: binary search for the
    leftmost point >= h. *)

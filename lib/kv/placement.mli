@@ -14,8 +14,6 @@ val make : groups:int -> t
 (** 128 points per group keep per-group load imbalance within a few
     tens of percent of the mean. *)
 
-val groups : t -> int
-
 val group_of : t -> string -> int
 (** The shard group owning [key], in [0 .. groups-1]. *)
 

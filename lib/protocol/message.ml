@@ -1,7 +1,3 @@
 type ('req, 'rep) t =
   | Request of { rt : int; client : int; payload : 'req }
   | Reply of { rt : int; server : int; payload : 'rep }
-
-let pp ~req ~rep ppf = function
-  | Request r -> Format.fprintf ppf "req[rt=%d c=%d %a]" r.rt r.client req r.payload
-  | Reply r -> Format.fprintf ppf "rep[rt=%d s=%d %a]" r.rt r.server rep r.payload

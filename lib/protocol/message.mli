@@ -8,10 +8,3 @@
 type ('req, 'rep) t =
   | Request of { rt : int; client : int; payload : 'req }
   | Reply of { rt : int; server : int; payload : 'rep }
-
-val pp :
-  req:(Format.formatter -> 'req -> unit) ->
-  rep:(Format.formatter -> 'rep -> unit) ->
-  Format.formatter ->
-  ('req, 'rep) t ->
-  unit

@@ -33,10 +33,5 @@ let proc_of_node t node =
     Some (Histories.Op.Reader (node - t.servers - t.writers))
   else None
 
-let server_index t node = if is_server t node then Some node else None
-
 let forbidden t ~src ~dst =
   (is_server t src && is_server t dst) || (is_client t src && is_client t dst)
-
-let pp ppf t =
-  Format.fprintf ppf "S=%d W=%d R=%d" t.servers t.writers t.readers

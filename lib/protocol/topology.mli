@@ -26,11 +26,6 @@ val is_client : t -> int -> bool
 val proc_of_node : t -> int -> Histories.Op.proc option
 (** The client process living at a node, [None] for servers. *)
 
-val server_index : t -> int -> int option
-(** Inverse of [server_node]. *)
-
 val forbidden : t -> src:int -> dst:int -> bool
 (** True for server→server and client→client messages, which the model
     does not allow. *)
-
-val pp : Format.formatter -> t -> unit

@@ -6,8 +6,6 @@ let design_point_to_string = function
   | W2R1 -> "W2R1"
   | W1R1 -> "W1R1"
 
-let pp_design_point ppf p = Format.pp_print_string ppf (design_point_to_string p)
-
 let all_design_points = [ W2R2; W1R2; W2R1; W1R1 ]
 
 let write_rounds = function W2R2 | W2R1 -> 2 | W1R2 | W1R1 -> 1

@@ -8,7 +8,6 @@
 
 type design_point = W2R2 | W1R2 | W2R1 | W1R1
 
-val pp_design_point : Format.formatter -> design_point -> unit
 val design_point_to_string : design_point -> string
 val all_design_points : design_point list
 

@@ -10,8 +10,6 @@ let equal a b = compare a b = 0
 
 let ( < ) a b = compare a b < 0
 
-let ( >= ) a b = compare a b >= 0
-
 let max a b = if a < b then b else a
 
 let next m ~wid = { ts = m.ts + 1; wid }

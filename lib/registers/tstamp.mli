@@ -16,8 +16,6 @@ val compare : t -> t -> int
 (** Lexicographic: [ts] first, then [wid]. *)
 
 val equal : t -> t -> bool
-val ( < ) : t -> t -> bool
-val ( >= ) : t -> t -> bool
 val max : t -> t -> t
 
 val next : t -> wid:int -> t

@@ -16,7 +16,6 @@ type value = { tag : Tstamp.t; payload : int }
 val initial_value_entry : value
 val compare_value : value -> value -> int
 val value_max : value -> value -> value
-val pp_value : Format.formatter -> value -> unit
 
 type req =
   | Query of value list

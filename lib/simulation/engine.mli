@@ -32,9 +32,6 @@ val schedule : t -> delay:float -> (unit -> unit) -> unit
 (** [schedule t ~delay f] is [schedule_at t ~time:(now t +. delay) f].
     Negative delays are clipped to zero. *)
 
-val step : t -> bool
-(** Execute the next pending event.  Returns [false] when none remain. *)
-
 val run : ?until:float -> ?max_events:int -> t -> unit
 (** Run until quiescence, or until the clock would pass [until], or until
     [max_events] events have been executed, whichever comes first. *)

@@ -65,7 +65,3 @@ let peek t = if t.size = 0 then None else Some t.data.(0)
 let clear t =
   t.data <- [||];
   t.size <- 0
-
-let to_list t =
-  let rec go i acc = if i < 0 then acc else go (i - 1) (t.data.(i) :: acc) in
-  go (t.size - 1) []

@@ -21,6 +21,3 @@ val pop : 'a t -> 'a option
 val peek : 'a t -> 'a option
 
 val clear : 'a t -> unit
-
-val to_list : 'a t -> 'a list
-(** Snapshot of the contents in arbitrary (heap) order. *)

@@ -8,8 +8,6 @@
 
 type t
 
-val name : t -> string
-
 val sample : t -> Rng.t -> src:int -> dst:int -> float
 (** Draw a delay for a message from [src] to [dst]. *)
 
@@ -32,7 +30,6 @@ val geo : region_of:(int -> int) -> local:float -> cross:float -> jitter:float -
     jitter in [\[0, jitter)].  [region_of] maps a node id to its region. *)
 
 val matrix :
-  name:string ->
   region_of:(int -> int) ->
   delay:float array array ->
   jitter:float array array ->
@@ -46,6 +43,3 @@ val matrix :
     live-transport fault rules, so "who is far from whom" means the
     same thing on the simulator and on sockets.  Raises
     [Invalid_argument] on shape mismatch. *)
-
-val custom : name:string -> (Rng.t -> src:int -> dst:int -> float) -> t
-(** Escape hatch for tests and adversarial schedules. *)

@@ -45,8 +45,6 @@ let create engine ~latency ?trace () =
     n_held_ever = 0;
   }
 
-let engine t = t.engine
-
 let log t ~tag detail =
   match t.trace with
   | None -> ()

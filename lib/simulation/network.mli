@@ -33,8 +33,6 @@ val create :
 (** A network whose default behaviour is to deliver every message after a
     delay drawn from [latency] using a stream split from the engine RNG. *)
 
-val engine : 'msg t -> Engine.t
-
 val register : 'msg t -> node:int -> ('msg envelope -> unit) -> unit
 (** Install the delivery handler for [node].  Re-registering replaces the
     handler.  Messages to unregistered nodes raise at delivery time. *)

@@ -42,8 +42,6 @@ let float t ~bound = unit_float t *. bound
 
 let float_in_range t ~lo ~hi = lo +. (unit_float t *. (hi -. lo))
 
-let bool t = Int64.logand (next_int64 t) 1L = 1L
-
 let exponential t ~mean =
   let u = unit_float t in
   (* Guard against log 0. *)
@@ -58,7 +56,3 @@ let shuffle t arr =
     arr.(i) <- arr.(j);
     arr.(j) <- tmp
   done
-
-let pick t arr =
-  assert (Array.length arr > 0);
-  arr.(int t ~bound:(Array.length arr))

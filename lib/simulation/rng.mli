@@ -36,14 +36,8 @@ val float : t -> bound:float -> float
 val float_in_range : t -> lo:float -> hi:float -> float
 (** Uniform in [\[lo, hi)]. *)
 
-val bool : t -> bool
-(** Fair coin. *)
-
 val exponential : t -> mean:float -> float
 (** Exponentially distributed sample with the given mean. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle driven by [t]. *)
-
-val pick : t -> 'a array -> 'a
-(** Uniformly random element of a non-empty array. *)

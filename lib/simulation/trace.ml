@@ -12,13 +12,6 @@ let length t = t.count
 
 let entries t = List.rev t.rev_entries
 
-let pp ppf t =
-  List.iter
-    (fun e -> Format.fprintf ppf "@[%10.3f %-8s %s@]@." e.time e.tag e.detail)
-    (entries t)
-
-let to_string t = Format.asprintf "%a" pp t
-
 let fingerprint t =
   List.fold_left
     (fun acc e -> Hashtbl.hash (acc, e.time, e.tag, e.detail))

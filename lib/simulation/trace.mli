@@ -5,8 +5,6 @@
     for the determinism regression test (same seed ⇒ byte-identical
     trace), and for the worked examples that print executions. *)
 
-type entry = { time : float; tag : string; detail : string }
-
 type t
 
 val create : unit -> t
@@ -14,13 +12,6 @@ val create : unit -> t
 val add : t -> time:float -> tag:string -> string -> unit
 
 val length : t -> int
-
-val entries : t -> entry list
-(** In chronological (insertion) order. *)
-
-val pp : Format.formatter -> t -> unit
-
-val to_string : t -> string
 
 val fingerprint : t -> int
 (** A cheap structural hash of the whole trace, for determinism tests. *)

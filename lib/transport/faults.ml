@@ -42,17 +42,10 @@ let rule ?dir ?(servers = []) ?(clients = []) ?(from_ = 0.0) ?(until = infinity)
 let cut ?dir ?servers ?clients ?from_ ?until () =
   rule ?dir ?servers ?clients ?from_ ?until ~prob:1.0 Drop
 
-let blackout ~server ~from_ ~until =
-  rule ~dir:From_server ~servers:[ server ] ~from_ ~until ~prob:1.0 Drop
-
 let partition ?(from_ = 0.0) ?(until = infinity) groups =
   Partition { groups; from_s = from_; until_s = until }
 
 let create ?(seed = 0) rules = { seed; rules; t0 = -1.0; lock = Mutex.create () }
-
-let none = create []
-
-let seed t = t.seed
 
 let arm t = Mutex.protect t.lock (fun () -> t.t0 <- Clock.now ())
 
@@ -179,14 +172,3 @@ let deliveries t ~dir ~server ~client ~rt ~salt =
       t.rules;
     !ds
   end
-
-let summary t =
-  let frames, parts =
-    List.fold_left
-      (fun (f, p) -> function Frame _ -> (f + 1, p) | Partition _ -> (f, p + 1))
-      (0, 0) t.rules
-  in
-  Printf.sprintf "seed %d, %d rule%s: %d frame, %d partition" t.seed
-    (frames + parts)
-    (if frames + parts = 1 then "" else "s")
-    frames parts

@@ -93,11 +93,6 @@ val cut :
     loses every request [c] sends to server [i] while replies (of
     earlier requests) still flow. *)
 
-val blackout : server:int -> from_:float -> until:float -> rule
-(** Server [server] receives and processes requests but none of its
-    replies reach any client during the window — the "mute server"
-    failure distinct from a crash (its state keeps advancing). *)
-
 val partition : ?from_:float -> ?until:float -> int list list -> rule
 (** Frames between nodes in different groups are lost, both directions.
     Nodes are {!Protocol.Topology} ids (servers [0..S-1], then the
@@ -109,11 +104,6 @@ type t
     clock; safe to share across every thread of a cluster. *)
 
 val create : ?seed:int -> rule list -> t
-
-val none : t
-(** The empty plan: every frame passes. *)
-
-val seed : t -> int
 
 val arm : t -> unit
 (** (Re)start the plan clock: rule windows are measured from here.
@@ -130,7 +120,3 @@ val deliveries :
 (** The fate of one frame: [[]] means dropped, one element is normal or
     faulted delivery, two elements a duplicate.  Pure in everything but
     the window clock. *)
-
-val summary : t -> string
-(** One-line human description ("seed 7, 3 rules: 2 frame, 1 partition"),
-    for logs and bench output. *)

@@ -43,7 +43,6 @@ let make ~name ~description ~regions ~delay ~jitter =
   { name; description; regions; delay; jitter }
 
 let name p = p.name
-let description p = p.description
 let region_count p = Array.length p.regions
 let region_name p k = p.regions.(k)
 
@@ -134,7 +133,7 @@ let names () = List.map (fun p -> p.name) profiles
 (* ------------------------------------------------------------------ *)
 
 let latency_model p =
-  Simulation.Latency.matrix ~name:p.name ~region_of:(region_of p)
+  Simulation.Latency.matrix ~region_of:(region_of p)
     ~delay:p.delay ~jitter:p.jitter
 
 (* The live-plane compilation: for every (client region a, server

@@ -15,9 +15,7 @@
 type profile
 
 val name : profile -> string
-val description : profile -> string
 
-val region_count : profile -> int
 val region_name : profile -> int -> string
 
 val region_of : profile -> int -> int
@@ -58,12 +56,6 @@ val names : unit -> string list
 
 val latency_model : profile -> Simulation.Latency.t
 (** Compile the profile for the simulated backend. *)
-
-val rules : profile -> s:int -> clients:int list -> Faults.rule list
-(** Compile the profile for the live transports: one
-    {!Faults.Latency} rule per populated (client region, server region)
-    pair and direction, carrying that pair's base/jitter.  [s] is the
-    server count; [clients] the client node ids (Topology numbering). *)
 
 val plan : ?seed:int -> ?extra:Faults.rule list -> profile -> s:int -> clients:int list -> Faults.t
 (** [rules] wrapped into a fault plan; [extra] rules (e.g. a

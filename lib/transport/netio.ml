@@ -185,8 +185,6 @@ module Poller = struct
       if t.ep >= 0 then epoll_ctl t.ep 2 k 0
     end
 
-  let registered t = Hashtbl.length t.interest
-
   let dispatch f e =
     let bits = e land 7 in
     if bits <> 0 then

@@ -111,9 +111,6 @@ module Poller : sig
   val remove : t -> Unix.file_descr -> unit
   (** Forget [fd].  Call before closing it. *)
 
-  val registered : t -> int
-  (** Number of registered descriptors. *)
-
   val wait :
     t ->
     timeout:float ->

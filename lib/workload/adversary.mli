@@ -21,8 +21,6 @@ val apply : t -> Control.t -> Engine.t -> unit
 
 val none : t
 
-val of_rules : rule list -> t
-
 val compose : t list -> t
 (** Route rules concatenate (earlier adversaries take precedence);
     crash plans union. *)

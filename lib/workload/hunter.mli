@@ -16,7 +16,6 @@ open Protocol
 
 type shape = Benign | Skips | Crash | Inversion | Starvation
 
-val shape_to_string : shape -> string
 val all_shapes : shape list
 
 type found = {

@@ -18,8 +18,6 @@ type summary = {
   p99 : float;
 }
 
-val empty : summary
-
 val of_latencies : float list -> summary
 
 val read_latencies : History.t -> float list

@@ -63,10 +63,6 @@ let create ~dist ~keys =
       { keys; dist; theta; zetan; alpha; eta }
     end
 
-let keys t = t.keys
-
-let dist t = t.dist
-
 let next_key t rng =
   match t.dist with
   | Uniform -> Rng.int rng ~bound:t.keys

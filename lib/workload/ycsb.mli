@@ -19,8 +19,6 @@ type mix =
 val default_theta : float
 (** The standard YCSB zipfian constant, 0.99. *)
 
-val read_fraction : mix -> float
-
 val mix_name : mix -> string
 (** ["A"], ["B"], ["C"]. *)
 
@@ -37,8 +35,6 @@ val create : dist:dist -> keys:int -> t
 (** [create ~dist ~keys] prepares a chooser over key ranks
     [0 .. keys-1].  O(keys) precompute for zipfian. *)
 
-val keys : t -> int
-val dist : t -> dist
 
 val next_key : t -> Simulation.Rng.t -> int
 (** The next operation's key rank.  Under [Zipfian _], rank 0 is

@@ -52,9 +52,6 @@ let test_facade_extensions_reachable () =
   (* Every extension module is re-exported through the facade. *)
   check bool "Online" true
     (Mwregister.Online.finalize (Mwregister.Online.create ()) = Ok ());
-  check bool "Coterie" true
-    (Mwregister.Coterie.pairwise_intersecting
-       (Mwregister.Coterie.grid ~rows:2 ~cols:2));
   check bool "Staleness" true
     (Mwregister.Staleness.max_staleness (Mwregister.History.of_ops []) = 0);
   check bool "Serial" true

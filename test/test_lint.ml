@@ -349,7 +349,7 @@ let test_atomic_discipline_negative () =
 
 (* Cross-file resolution (decl scoring, callee lookup) must not depend
    on scan order: the same fixture set in any order yields byte-equal
-   reports.  This is the property the CLI's sorted [find_ml_files] and
+   reports.  This is the property the CLI's sorted [find_files] and
    the baseline keys lean on. *)
 let order_fixtures =
   [
@@ -379,13 +379,99 @@ let order_stability_property =
     (fun files -> render (analyze_files files) = reference)
 
 (* ------------------------------------------------------------------ *)
+(* UNUSED-EXPORT                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* One library module, [Geom.Vec], whose [add] its own [scale] calls;
+   each case adds the files that use it. *)
+let unused ?(keep = []) files =
+  let files =
+    ( "lib/geom/vec.mli",
+      "val add : int -> int -> int\nval scale : int -> int -> int\n" )
+    :: ("lib/geom/vec.ml", "let add a b = a + b\nlet scale k a = k * add a 0\n")
+    :: files
+  in
+  let mlis, mls =
+    List.partition (fun (p, _) -> Filename.check_suffix p ".mli") files
+  in
+  let parse f = List.map (fun (path, src) -> f ~path src) in
+  let r =
+    Engine.run ~export_keep:keep
+      ~intfs:(parse Source.parse_interface_string mlis)
+      (parse Source.parse_string mls)
+  in
+  ( List.filter_map
+      (fun f ->
+        if f.Finding.rule = Rules.unused_export then Some f.Finding.message
+        else None)
+      r.Engine.findings,
+    r.Engine.stale_keep )
+
+let fires_once name pat files =
+  match fst (unused files) with
+  | [ m ] -> check Alcotest.bool (name ^ ": fires") true (contains m pat)
+  | ms ->
+    Alcotest.failf "%s: expected one finding, got %d" name (List.length ms)
+
+let test_unused_export_positive () =
+  fires_once "used only inside its module" "Geom.Vec.add is exported"
+    [ ("bin/main.ml", "let () = print_int (Geom.Vec.scale 2 3)\n") ];
+  fires_once "reached only from test/" "library module Geom.Vec"
+    [
+      ( "test/test_vec.ml",
+        "let () = assert (Geom.Vec.add 1 (Geom.Vec.scale 1 1) = 2)\n" );
+    ]
+
+let test_unused_export_negative () =
+  let quiet name files =
+    check Alcotest.(list string) (name ^ ": quiet") [] (fst (unused files))
+  in
+  let main src = [ ("bin/main.ml", src) ] in
+  quiet "open" (main "open Geom.Vec\nlet () = print_int (scale 2 (add 1 1))\n");
+  quiet "let open"
+    (main "let () = let open Geom in print_int (Vec.scale 2 (Vec.add 1 1))\n");
+  quiet "local open" (main "let () = print_int Geom.Vec.(scale 2 (add 1 1))\n");
+  quiet "module alias"
+    (main "module V = Geom.Vec\nlet () = print_int (V.scale 2 (V.add 1 1))\n");
+  quiet "facade alias"
+    [
+      ("lib/core/mwregister.ml", "module Vec = Geom.Vec\n");
+      ( "bin/main.ml",
+        "open Mwregister\nlet () = print_int (Vec.scale 2 (Vec.add 1 1))\n" );
+    ];
+  quiet "first-class module"
+    (main
+       "module type S = sig val add : int -> int -> int end\n\
+        let m = (module Geom.Vec : S)\n");
+  quiet "functor argument"
+    (main
+       "module F (X : sig val add : int -> int -> int end) = struct end\n\
+        module M = F (Geom.Vec)\n");
+  quiet "examples only"
+    [
+      ( "examples/ex.ml",
+        "let () = print_int (Geom.Vec.scale 2 (Geom.Vec.add 1 1))\n" );
+    ]
+
+let test_unused_export_keep () =
+  let findings, stale =
+    unused
+      ~keep:[ ("Geom.Vec.*", "why"); ("Geom.Gone.f", "why") ]
+      [ ("test/test_vec.ml", "let () = assert (Geom.Vec.scale 1 1 = 1)\n") ]
+  in
+  check Alcotest.(list string) "Module.* keeps the module and its values" []
+    findings;
+  check Alcotest.(list string) "an entry excusing nothing is stale"
+    [ "Geom.Gone.f" ] stale
+
+(* ------------------------------------------------------------------ *)
 (* Baseline mechanics                                                  *)
 (* ------------------------------------------------------------------ *)
 
 let finding ?(col = 1) rule file line =
   { Finding.rule; severity = Finding.Error; file; line; col; message = "m" }
 
-let entry ?col rule file line =
+let entry ~col rule file line =
   { Baseline.rule; file; line; col; justification = "j" }
 
 let test_baseline_apply () =
@@ -416,44 +502,30 @@ let test_baseline_col_is_identity () =
   check Alcotest.int "column mismatch is not suppressed" 1 (List.length fresh);
   check Alcotest.int "entry is stale" 1 (List.length stale)
 
-let test_baseline_old_format_matches_any_col () =
-  (* Deprecated column-less entry: matches any column on its line for
-     one release, so pre-migration baselines keep suppressing. *)
-  let fresh, stale =
-    Baseline.apply
-      ~entries:[ entry "SHARED-ACCESS" "lib/a.ml" 3 ]
-      [ finding ~col:11 "SHARED-ACCESS" "lib/a.ml" 3 ]
-  in
-  check Alcotest.int "old-format entry suppresses" 0 (List.length fresh);
-  check Alcotest.int "and is not stale" 0 (List.length stale)
-
-let test_baseline_load_formats () =
+let load_string text =
   let tmp = Filename.temp_file "mwlint" ".baseline" in
   let oc = open_out tmp in
-  output_string oc
-    "# comment\nRAW-IO lib/a.ml:3:7 reviewed\nRAW-IO lib/b.ml:9 legacy\n";
+  output_string oc text;
   close_out oc;
   let r = Baseline.load tmp in
   Sys.remove tmp;
-  match r with
+  r
+
+let test_baseline_load_line_col () =
+  match load_string "# comment\nRAW-IO lib/a.ml:3:7 reviewed\n" with
+  | Ok [ a ] ->
+    check Alcotest.int "line" 3 a.Baseline.line;
+    check Alcotest.int "column" 7 a.Baseline.col
+  | Ok l -> Alcotest.failf "expected one entry, got %d" (List.length l)
   | Error e -> Alcotest.fail ("load failed: " ^ e)
-  | Ok [ a; b ] ->
-    check Alcotest.(option int) "new format carries the column" (Some 7)
-      a.Baseline.col;
-    check Alcotest.int "new format line" 3 a.Baseline.line;
-    check Alcotest.(option int) "old format has no column" None b.Baseline.col;
-    check Alcotest.int "old format line" 9 b.Baseline.line
-  | Ok l -> Alcotest.failf "expected two entries, got %d" (List.length l)
+
+let test_baseline_load_rejects_columnless () =
+  check Alcotest.bool "column-less line rejected" true
+    (Result.is_error (load_string "RAW-IO lib/b.ml:9 legacy\n"))
 
 let test_baseline_load_rejects_bare () =
-  let tmp = Filename.temp_file "mwlint" ".baseline" in
-  let oc = open_out tmp in
-  output_string oc "RAW-IO lib/a.ml:3:7\n";
-  close_out oc;
-  let r = Baseline.load tmp in
-  Sys.remove tmp;
   check Alcotest.bool "justification-less line rejected" true
-    (match r with Ok _ -> false | Error _ -> true)
+    (Result.is_error (load_string "RAW-IO lib/a.ml:3:7\n"))
 
 (* ------------------------------------------------------------------ *)
 (* JSON output                                                          *)
@@ -525,16 +597,22 @@ let () =
           Alcotest.test_case "positive" `Quick test_atomic_discipline_positive;
           Alcotest.test_case "negative" `Quick test_atomic_discipline_negative;
         ] );
+      ( "unused-export",
+        [
+          Alcotest.test_case "positive" `Quick test_unused_export_positive;
+          Alcotest.test_case "negative" `Quick test_unused_export_negative;
+          Alcotest.test_case "keep list" `Quick test_unused_export_keep;
+        ] );
       ("determinism", [ QCheck_alcotest.to_alcotest order_stability_property ]);
       ( "baseline",
         [
           Alcotest.test_case "apply partitions" `Quick test_baseline_apply;
           Alcotest.test_case "column is identity" `Quick
             test_baseline_col_is_identity;
-          Alcotest.test_case "old format matches any column" `Quick
-            test_baseline_old_format_matches_any_col;
-          Alcotest.test_case "load accepts both formats" `Quick
-            test_baseline_load_formats;
+          Alcotest.test_case "load reads line and column" `Quick
+            test_baseline_load_line_col;
+          Alcotest.test_case "load rejects column-less lines" `Quick
+            test_baseline_load_rejects_columnless;
           Alcotest.test_case "load rejects bare suppressions" `Quick
             test_baseline_load_rejects_bare;
         ] );

@@ -1,104 +1,10 @@
-(* Tests for quorum systems and the Table 1 possibility predicates. *)
+(* Tests for the Table 1 possibility predicates. *)
 
 open Quorums
 
 let check = Alcotest.check
 let bool = Alcotest.bool
 let int = Alcotest.int
-
-let test_threshold_basics () =
-  let q = Quorum.threshold ~servers:5 ~quorum_size:4 in
-  check int "servers" 5 (Quorum.servers q);
-  check int "size" 4 (Quorum.quorum_size q);
-  check bool "is quorum" true (Quorum.is_quorum q [ 0; 1; 2; 3 ]);
-  check bool "too small" false (Quorum.is_quorum q [ 0; 1; 2 ]);
-  check bool "duplicates don't count" false (Quorum.is_quorum q [ 0; 0; 1; 2 ]);
-  check bool "out of range" false (Quorum.is_quorum q [ 0; 1; 2; 9 ])
-
-let test_threshold_validation () =
-  check bool "bad size raises" true
-    (try ignore (Quorum.threshold ~servers:3 ~quorum_size:0); false
-     with Invalid_argument _ -> true);
-  check bool "oversize raises" true
-    (try ignore (Quorum.threshold ~servers:3 ~quorum_size:4); false
-     with Invalid_argument _ -> true)
-
-let test_majority () =
-  check int "5 -> 3" 3 (Quorum.quorum_size (Quorum.majority ~servers:5));
-  check int "6 -> 4" 4 (Quorum.quorum_size (Quorum.majority ~servers:6));
-  check bool "majorities intersect" true
-    (Quorum.always_intersecting (Quorum.majority ~servers:7))
-
-let test_crash_tolerant () =
-  let q = Quorum.crash_tolerant ~servers:5 ~t:2 in
-  check int "S - t" 3 (Quorum.quorum_size q);
-  check int "tolerates" 2 (Quorum.tolerates q);
-  check bool "available under t crashes" true (Quorum.available_under q ~crashed:2);
-  check bool "unavailable beyond" false (Quorum.available_under q ~crashed:3)
-
-let test_intersection () =
-  (* S - t quorums intersect iff 2t < S: the ABD condition. *)
-  let good = Quorum.crash_tolerant ~servers:5 ~t:2 in
-  check bool "t < S/2 intersects" true (Quorum.always_intersecting good);
-  check int "overlap at least" 1 (Quorum.intersection_at_least good);
-  let bad = Quorum.crash_tolerant ~servers:4 ~t:2 in
-  check bool "t >= S/2 does not" false (Quorum.always_intersecting bad)
-
-(* ------------------------------------------------------------------ *)
-(* Coteries                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let test_coterie_majority () =
-  let c = Coterie.majority ~universe:5 in
-  check bool "intersecting" true (Coterie.pairwise_intersecting c);
-  check bool "minimal" true (Coterie.is_minimal c);
-  check int "quorum size" 3 (Coterie.min_quorum_size c);
-  check int "tolerates" 2 (Coterie.crash_tolerance c);
-  check bool "is_quorum" true (Coterie.is_quorum c [ 0; 2; 4 ]);
-  check bool "too small" false (Coterie.is_quorum c [ 0; 2 ])
-
-let test_coterie_grid () =
-  let c = Coterie.grid ~rows:3 ~cols:3 in
-  check bool "intersecting" true (Coterie.pairwise_intersecting c);
-  (* Row 0 + column 0 = {0,1,2,3,6}. *)
-  check bool "row+col is a quorum" true (Coterie.is_quorum c [ 0; 1; 2; 3; 6 ]);
-  check bool "a bare row is not" false (Coterie.is_quorum c [ 0; 1; 2 ]);
-  check int "quorum size 2*3-1" 5 (Coterie.min_quorum_size c);
-  (* Killing a full row kills every quorum: tolerance < rows. *)
-  check bool "row crash fatal" false (Coterie.available_under c ~crashed:[ 0; 1; 2 ]);
-  check bool "scattered crashes survivable" true
-    (Coterie.available_under c ~crashed:[ 0; 4 ])
-
-let test_coterie_grid_vs_majority_size () =
-  (* The point of grids: o(n) quorums. *)
-  let g = Coterie.grid ~rows:4 ~cols:4 in
-  let m = Coterie.majority ~universe:16 in
-  check bool "grid quorums smaller" true
-    (Coterie.min_quorum_size g < Coterie.min_quorum_size m)
-
-let test_coterie_validation () =
-  check bool "empty family" true
-    (try ignore (Coterie.of_lists ~universe:3 []); false
-     with Invalid_argument _ -> true);
-  check bool "out of range" true
-    (try ignore (Coterie.of_lists ~universe:3 [ [ 5 ] ]); false
-     with Invalid_argument _ -> true);
-  check bool "non-intersecting detectable" false
-    (Coterie.pairwise_intersecting (Coterie.of_lists ~universe:4 [ [ 0; 1 ]; [ 2; 3 ] ]))
-
-let test_coterie_threshold_matches_quorum () =
-  let c = Coterie.threshold ~universe:5 ~size:4 in
-  let q = Quorum.crash_tolerant ~servers:5 ~t:1 in
-  check bool "same tolerance" true (Coterie.crash_tolerance c = Quorum.tolerates q);
-  check bool "same min size" true (Coterie.min_quorum_size c = Quorum.quorum_size q)
-
-let coterie_intersection_property =
-  QCheck.Test.make ~name:"threshold coteries intersect iff 2*size > n" ~count:200
-    QCheck.(pair (int_range 2 7) (int_range 1 7))
-    (fun (n, size) ->
-      QCheck.assume (size <= n);
-      Coterie.pairwise_intersecting (Coterie.threshold ~universe:n ~size)
-      = (2 * size > n))
 
 (* ------------------------------------------------------------------ *)
 (* Table 1 predicates                                                   *)
@@ -191,23 +97,6 @@ let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "quorum"
     [
-      ( "quorum-systems",
-        [
-          tc "threshold basics" test_threshold_basics;
-          tc "validation" test_threshold_validation;
-          tc "majority" test_majority;
-          tc "crash tolerant" test_crash_tolerant;
-          tc "intersection" test_intersection;
-        ] );
-      ( "coteries",
-        [
-          tc "majority" test_coterie_majority;
-          tc "grid" test_coterie_grid;
-          tc "grid vs majority size" test_coterie_grid_vs_majority_size;
-          tc "validation" test_coterie_validation;
-          tc "threshold matches Quorum" test_coterie_threshold_matches_quorum;
-          QCheck_alcotest.to_alcotest coterie_intersection_property;
-        ] );
       ( "table1",
         [
           tc "W2R2 row" test_w2r2_row;

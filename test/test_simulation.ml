@@ -243,7 +243,7 @@ let test_latency_matrix () =
   let delay = [| [| 0.001; 0.030 |]; [| 0.010; 0.001 |] |] in
   let jitter = [| [| 0.0005; 0.003 |]; [| 0.001; 0.0005 |] |] in
   let l =
-    Latency.matrix ~name:"updown" ~region_of:(fun n -> n mod 2) ~delay ~jitter
+    Latency.matrix ~region_of:(fun n -> n mod 2) ~delay ~jitter
   in
   let rng = Rng.create ~seed:5 in
   let in_band ~src ~dst =
@@ -262,7 +262,7 @@ let test_latency_matrix () =
   done;
   check bool "shape mismatch rejected" true
     (match
-       Latency.matrix ~name:"bad" ~region_of:(fun n -> n) ~delay
+       Latency.matrix ~region_of:(fun n -> n) ~delay
          ~jitter:[| [| 0.0 |] |]
      with
     | _ -> false
