@@ -496,8 +496,10 @@ let geo_arg =
                  profile (see $(b,mwreg geo --list)): per-region-pair base \
                  delay plus jitter on both legs, compiled from the same \
                  matrices as the simulator's latency model for that \
-                 profile.  The round-trip timeout is raised to cover the \
-                 profile's worst RTT when needed.")
+                 profile.  Both legs are realised in this client process, \
+                 so it works against $(b,--connect)ed daemons too.  The \
+                 round-trip timeout is raised to cover the profile's worst \
+                 RTT when needed.")
 
 (* Mid-run hook: a verdict turning is worth a line the moment it
    happens, not minutes later when the run drains. *)
@@ -582,12 +584,6 @@ let live_one ?faults ?max_rt_retries ~register ~cluster ~spec ~kill_at
 
 let live register all s tol w r ops addrs kill_at think rt_timeout geo_profile
     check =
-  if Option.is_some geo_profile && addrs <> [] then begin
-    Printf.eprintf
-      "--geo shapes the servers' reply legs too, so it needs a loopback \
-       cluster (drop --connect)\n";
-    exit 1
-  end;
   match if all then Registry.all else [ register ] with
   | _ when addrs <> [] && kill_at <> [] ->
     Printf.eprintf "--kill needs a loopback cluster (drop --connect)\n";

@@ -230,13 +230,33 @@ let prefixes name =
   in
   go 0 []
 
-(* A lib interface's exported values, nested module signatures
-   included. *)
+(* A lib interface's exports, nested module signatures included: its
+   values, and its types with the constructors and labels that name
+   them. *)
+type export =
+  | Val of string
+  | Type of { name : string; parts : string list }
+
 let rec exports prefix items acc =
   List.fold_left
     (fun acc item ->
       match item.psig_desc with
-      | Psig_value vd -> (prefix ^ "." ^ vd.pval_name.txt, vd.pval_loc) :: acc
+      | Psig_value vd ->
+        (Val (prefix ^ "." ^ vd.pval_name.txt), vd.pval_loc) :: acc
+      | Psig_type (_, decls) ->
+        List.fold_left
+          (fun acc td ->
+            let parts =
+              match td.ptype_kind with
+              | Ptype_variant cs -> List.map (fun c -> c.pcd_name.txt) cs
+              | Ptype_record ls -> List.map (fun l -> l.pld_name.txt) ls
+              | Ptype_abstract | Ptype_open -> []
+            in
+            let q n = prefix ^ "." ^ n in
+            ( Type { name = q td.ptype_name.txt; parts = List.map q parts },
+              td.ptype_loc )
+            :: acc)
+          acc decls
       | Psig_module
           {
             pmd_name = { txt = Some n; _ };
@@ -246,6 +266,47 @@ let rec exports prefix items acc =
         exports (prefix ^ "." ^ n) s acc
       | _ -> acc)
     acc items
+
+(* The types an interface mentions by their bare name, as
+   [prefix.name]: in its values' types and in its other type
+   declarations (a declaration naming itself does not count).  Such a
+   type is part of the surface those items export, and is judged
+   through them. *)
+let rec mentions prefix items acc =
+  let collect ~self f =
+    let open Ast_iterator in
+    let it =
+      {
+        default_iterator with
+        typ =
+          (fun it t ->
+            (match t.ptyp_desc with
+            | Ptyp_constr ({ txt = Lident n; _ }, _) when Some n <> self ->
+              Hashtbl.replace acc (prefix ^ "." ^ n) ()
+            | _ -> ());
+            default_iterator.typ it t);
+      }
+    in
+    f it
+  in
+  List.iter
+    (fun item ->
+      match item.psig_desc with
+      | Psig_type (_, decls) ->
+        List.iter
+          (fun td ->
+            collect ~self:(Some td.ptype_name.txt) (fun it ->
+                it.type_declaration it td))
+          decls
+      | Psig_module
+          {
+            pmd_name = { txt = Some n; _ };
+            pmd_type = { pmty_desc = Pmty_signature s; _ };
+            _;
+          } ->
+        mentions (prefix ^ "." ^ n) s acc
+      | _ -> collect ~self:None (fun it -> it.signature_item it item))
+    items
 
 let census ~keep ~(intfs : Source.intf list) (sources : Source.t list) =
   let st = { aliases = Hashtbl.create 64; uses = [] } in
@@ -262,6 +323,7 @@ let census ~keep ~(intfs : Source.intf list) (sources : Source.t list) =
   (* path -> referencing modules: values, whole-module uses, and every
      module prefix reached from outside test/. *)
   let vals = Hashtbl.create 4096
+  and names = Hashtbl.create 4096
   and whole = Hashtbl.create 256
   and mods = Hashtbl.create 1024 in
   List.iter
@@ -271,7 +333,7 @@ let census ~keep ~(intfs : Source.intf list) (sources : Source.t list) =
           (match u.kind with
           | Value -> Hashtbl.add vals c u.from
           | Whole -> Hashtbl.add whole c u.from
-          | Name -> ());
+          | Name -> Hashtbl.add names c u.from);
           if not u.test then
             List.iter (fun m -> Hashtbl.add mods m u.from) (prefixes c))
         (List.concat_map (canonical st.aliases) u.paths))
@@ -286,23 +348,39 @@ let census ~keep ~(intfs : Source.intf list) (sources : Source.t list) =
   in
   let judge (i : Source.intf) =
     let m = Rules.module_name_of_path i.path in
-    let vs = exports m i.ast [] in
-    let unused_values =
+    let own = Hashtbl.create 16 in
+    mentions m i.ast own;
+    let reached tbl path =
+      used tbl ~own:m path || List.exists (used whole ~own:m) (prefixes path)
+    in
+    let unused_exports =
       List.filter_map
-        (fun (v, loc) ->
-          if used vals ~own:m v || List.exists (used whole ~own:m) (prefixes v)
-          then None
-          else
-            Some
-              (finding i loc v
-                 (Printf.sprintf
-                    "%s is exported but nothing outside %s uses it: delete \
-                     it or drop it from the .mli"
-                    v m)))
-        vs
+        (fun (e, loc) ->
+          match e with
+          | Val v ->
+            if reached vals v then None
+            else
+              Some
+                (finding i loc v
+                   (Printf.sprintf
+                      "%s is exported but nothing outside %s uses it: \
+                       delete it or drop it from the .mli"
+                      v m))
+          | Type { name; parts } ->
+            if Hashtbl.mem own name || List.exists (reached names) (name :: parts)
+            then None
+            else
+              Some
+                (finding i loc name
+                   (Printf.sprintf
+                      "type %s is exported but nothing outside %s names it, \
+                       its constructors or its labels: delete it or drop \
+                       it from the .mli"
+                      name m)))
+        (exports m i.ast [])
     in
     if used mods ~own:m m then
-      unused_values
+      unused_exports
     else
       let loc =
         match i.ast with item :: _ -> item.psig_loc | [] -> Location.none
@@ -310,7 +388,7 @@ let census ~keep ~(intfs : Source.intf list) (sources : Source.t list) =
       finding i loc m
         (Printf.sprintf
            "library module %s is reached only from test/: delete it" m)
-      :: unused_values
+      :: unused_exports
   in
   let in_lib (i : Source.intf) = List.mem "lib" (components i.path) in
   let raw = List.concat_map judge (List.filter in_lib intfs) in

@@ -1,8 +1,12 @@
 (** UNUSED-EXPORT: the library surface nothing runs.
 
-    Two findings, both anchored in a [lib/**/*.mli]:
+    Three findings, all anchored in a [lib/**/*.mli]:
     - an exported [val] that no [.ml] outside its own module references
       (every root counts: lib, bin, bench, examples, perfbench, test);
+    - an exported type that no file outside its own module names — not
+      the type, nor any of its constructors or labels — and that no
+      value or other type of its own interface mentions (such a type
+      is judged through those items);
     - a library module whose values, types and constructors are
       referenced only from [test/] (a facade's [module X = …] alias is
       not a reference).

@@ -79,8 +79,8 @@ let all_rules =
        compare_and_set / fetch_and_add" );
     ( unused_export,
       Finding.Warning,
-      "every exported lib value has a user outside its module, and every \
-       lib module a user outside test/" );
+      "every exported lib value and type has a user outside its module, \
+       and every lib module a user outside test/" );
   ]
 
 let severity_of rule =
@@ -192,20 +192,20 @@ let lock_free_allow : (string * string) list =
        thread is the sole reader afterwards — the completion path \
        itself is the CAS stack (queue/inflight are Atomic.t)" );
     ( "Transport.Check_sink.next",
-      "a port's op-id counter: only [completed], on the port's owning \
-       client thread, reads or writes it" );
-    ( "Transport.Mux.staging",
-      "flusher-owned swap space: only the thread that set [flushing] \
-       under the conn lock touches it until it clears the flag" );
-    ( "Transport.Mux.mb_out",
-      "per-handle write staging; a handle belongs to one client \
-       thread" );
+      "a port's op-id counter: only [completed] reads or writes it, and \
+       a port's completions never overlap: its client's operation \
+       completes on the mux loop, and the client thread publishes an \
+       aborted one only after that operation's exec has returned" );
+    ( "Transport.Outq.*",
+      "an out-queue has one owner: a server connection's belongs to the \
+       server's reactor thread, a mux link's is only touched under that \
+       link's Mux.lock" );
     ( "Transport.Codec.Stream.*",
       "a decode stream belongs to the one thread that reads its \
-       connection (demux thread / server reactor)" );
+       connection (a mux's event loop / a server's reactor)" );
     ( "Transport.Netio.Poller.*",
       "a poller belongs to the one thread that waits in it (a \
-       server's reactor / the mux ticker)" );
+       server's reactor / a mux's event loop)" );
     (* -- registers: served state's off-thread edges ----------------- *)
     ( "Registers.Replica.current",
       "bare sites are load (fresh instance) and post-stop snapshot \

@@ -19,7 +19,8 @@ val start :
   t
 (** [start ~groups ~s ~tol ()] spawns [groups × s] servers:
     [groups] clusters of [s], each tolerating [tol] crashes.  [faults]
-    is a plan installed on every server of every group. *)
+    is every group's link plan ({!Transport.Cluster.start}), realised
+    by the {!Router} on the deployment. *)
 
 val connect : addrs:Unix.sockaddr array -> tol:int -> t
 (** One group attached to already-running daemons (e.g. [mwreg serve]

@@ -59,7 +59,7 @@ type result = {
   retries : int;
       (** Round-trip re-broadcasts across all clients — 0 on a healthy
           run, and the price of lossy links under a fault plan. *)
-  dropped : int;  (** mux demux drops (unknown client / stale key) *)
+  dropped : int;  (** mux drops (unknown client / stale key) *)
   group_ops : int array;  (** operations routed to each shard group *)
   keys_touched : int;  (** distinct keys operated on *)
   online : Transport.Check_sink.report option;

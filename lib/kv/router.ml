@@ -17,12 +17,18 @@ type t = {
   readers : int; (* the ctx's r: how many clients may read *)
 }
 
+(* A group's plane realises the router's own plan, or else the plan the
+   group's cluster was started with: both legs of every link are shaped
+   client-side, so a plan given only to the cluster still applies. *)
 let create ?rt_timeout ?max_rt_retries ?faults ~clients kc =
   let muxes =
     Array.init (Kv_cluster.group_count kc) (fun g ->
+        let cl = Kv_cluster.group kc g in
+        let faults =
+          match faults with Some _ -> faults | None -> Cluster.faults cl
+        in
         Mux.create ?rt_timeout ?max_rt_retries ?faults
-          ~servers:(Cluster.addrs (Kv_cluster.group kc g))
-          ~quorum:(Kv_cluster.quorum kc) ())
+          ~servers:(Cluster.addrs cl) ~quorum:(Kv_cluster.quorum kc) ())
   in
   { kc; muxes; readers = clients }
 

@@ -21,8 +21,10 @@ val create :
     admissibility scan needs it): the whole client population for mixed
     clients, only the readers when writers and readers are split (see
     {!Kv_session.roles}).
-    [faults] installs a client-side fault plan on every per-group plane
-    — e.g. a {!Transport.Geo} profile's latency rules. *)
+    [faults] is the link plan every per-group plane realises on both
+    legs — e.g. a {!Transport.Geo} profile's latency rules; without it
+    each group's plane realises its cluster's plan
+    ({!Transport.Cluster.faults}), if any. *)
 
 type client
 (** One client's view: a mux handle per shard group plus its node

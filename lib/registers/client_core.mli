@@ -18,8 +18,9 @@ type endpoint = { exec : Wire.req -> ((int * Wire.rep) list -> unit) -> unit }
     all servers and calls [k replies] once a quorum of [(server_index,
     reply)] pairs has arrived, in arrival order.  The continuation may
     start another round trip (the two-round algorithms nest execs); on
-    the simulator it fires from the event loop, on the live transport it
-    runs in the calling client's thread. *)
+    the simulator it fires from the event loop, on the live transport
+    from the mux's event loop, and the live [exec] returns to its caller
+    once the whole chain has run. *)
 
 type ctx = {
   writer_ep : int -> endpoint;  (** Endpoint of writer [i] (0-based). *)

@@ -15,7 +15,7 @@ let start ?faults ~s ~tol () =
   let keyspaces = Array.init s (fun _ -> Keyspace.create ()) in
   let servers =
     Array.init s (fun i ->
-        Some (Server.start ~id:i ?faults ~keyspace:keyspaces.(i) ()))
+        Some (Server.start ~id:i ~keyspace:keyspaces.(i) ()))
   in
   let sockaddrs =
     Array.map
@@ -41,6 +41,8 @@ let connect ~addrs ~tol () =
   }
 
 let local t = Array.length t.servers > 0
+
+let faults t = t.faults
 
 let s t = t.s
 
@@ -95,7 +97,7 @@ let restart ?(mode = `Recover) t i =
     t.keyspaces.(i) <- keyspace;
     let port = port t i in
     let rec bind_retrying n =
-      match Server.start ~port ~id:i ?faults:t.faults ~keyspace () with
+      match Server.start ~port ~id:i ~keyspace () with
       | sv -> sv
       | exception Unix.Unix_error (Unix.EADDRINUSE, _, _) when n > 0 ->
         Thread.delay 0.05;

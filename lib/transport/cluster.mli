@@ -10,8 +10,9 @@ type t
 
 val start : ?faults:Faults.t -> s:int -> tol:int -> unit -> t
 (** Spawn [s] servers tolerating [tol] crashes (quorum [s − tol]).
-    [faults] installs a fault plan on every server's reply leg (see
-    {!Faults}); the client leg takes the plan separately. *)
+    [faults] is the cluster's link plan (see {!Faults}): the servers
+    realise nothing, and a [Kv.Router] on the cluster realises it on
+    both legs of every link unless it is given a plan of its own. *)
 
 val connect : addrs:Unix.sockaddr array -> tol:int -> unit -> t
 (** Attach to already-running daemons (e.g. [mwreg serve] processes)
@@ -22,6 +23,9 @@ val connect : addrs:Unix.sockaddr array -> tol:int -> unit -> t
 val local : t -> bool
 (** [true] for {!start} clusters (in-process servers), [false] for
     {!connect} ones. *)
+
+val faults : t -> Faults.t option
+(** The link plan given to {!start}; [None] for {!connect} clusters. *)
 
 val s : t -> int
 val tolerance : t -> int

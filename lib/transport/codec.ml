@@ -212,6 +212,17 @@ let decode_body body =
     fail "trailing garbage: %d of %d bytes consumed" c.pos (String.length body);
   frame
 
+let reply_route body =
+  let c = { data = body; pos = 0 } in
+  match get_byte c with
+  | 3 ->
+    let key = get_key c in
+    let rt = get_int c in
+    let client = get_int c in
+    Some (key, rt, client)
+  | 2 -> None
+  | b -> fail "unknown frame tag %d" b
+
 let decode s =
   if String.length s < 4 then fail "short frame: no length prefix";
   let n = Int32.to_int (String.get_int32_be s 0) in
@@ -251,7 +262,7 @@ module Stream = struct
       t.len <- needed
     end
 
-  let next t =
+  let next_body t =
     if t.len - t.pos < 4 then None
     else begin
       let n = Int32.to_int (Bytes.get_int32_be t.buf t.pos) in
@@ -260,7 +271,9 @@ module Stream = struct
       else begin
         let body = Bytes.sub_string t.buf (t.pos + 4) n in
         t.pos <- t.pos + 4 + n;
-        Some (decode_body body)
+        Some body
       end
     end
+
+  let next t = Option.map decode_body (next_body t)
 end

@@ -62,6 +62,18 @@ val decode : string -> frame
 (** Inverse of {!encode} on exactly one whole frame.
     @raise Decode_error on any malformation, including trailing bytes. *)
 
+val decode_body : string -> frame
+(** {!decode} of a frame's body, its length prefix already stripped
+    (what {!Stream.next_body} returns). *)
+
+val reply_route : string -> (string * int * int) option
+(** The [(key, rt, client)] of a reply frame's body, read without
+    decoding the reply itself; [None] for a request frame's body.  A
+    receiver that may hold a reply decides its fate from these and
+    keeps the compact encoded body meanwhile.
+    @raise Decode_error on a malformed header (the rest of the body is
+    checked only by {!decode_body}). *)
+
 (** Reassembles frames from an arbitrarily-chunked byte stream (TCP reads
     need not align with frame boundaries). *)
 module Stream : sig
@@ -75,4 +87,8 @@ module Stream : sig
   val next : t -> frame option
   (** The next complete frame, if one has fully arrived.
       @raise Decode_error if the buffered data is malformed. *)
+
+  val next_body : t -> string option
+  (** The next complete frame's body, undecoded ({!decode_body}).
+      @raise Decode_error on a malformed length prefix. *)
 end

@@ -11,18 +11,20 @@
 
     {2 Injection points}
 
-    A plan is shared by a whole cluster and consulted at the frame
-    level:
+    A plan is a cluster's link plan ({!Cluster.start}), and the client
+    plane ({!Mux}) realises both of its legs, at the frame level;
+    servers realise nothing:
 
-    - the client plane ({!Mux}) consults the [To_server] direction
-      before sending a request frame to each server;
-    - the server ({!Server}) consults the [From_server] direction
-      before sending each reply frame.  A delayed reply parks on the
-      server reactor's timer list (there are no delayer threads):
-      the reactor's poll timeout shrinks to the nearest deadline, and the
-      frame is appended to the connection's out-queue when it fires —
-      or silently dropped if the connection died first, which is also a
-      legal behaviour of the link being modelled.
+    - the [To_server] direction before sending a request frame to each
+      server.  A delayed request parks on its link's deadline queue;
+    - the [From_server] direction as each reply frame is read.  A
+      delayed reply is held in the mux loop's deadline heap and routed
+      when it falls due — or silently dropped if its link severed
+      first, which is also a legal behaviour of the link being
+      modelled.  A torn reply severs the link.
+
+    The mux's event loop sleeps to the nearest deadline of either leg
+    (there are no delayer threads).
 
     So a rule with [dir = Some To_server] faults the request leg only,
     [Some From_server] the reply leg only, and [None] both — the
@@ -32,9 +34,11 @@
 
     Every per-frame decision is a pure hash of
     [(seed, rule, direction, server, client, rt, salt)] — no hidden
-    PRNG state, no ordering sensitivity.  The [salt] is the sender's
-    retry attempt (clients) or per-connection frame counter (servers),
-    so a frame dropped on one attempt gets a fresh draw on the next:
+    PRNG state, no ordering sensitivity.  The [salt] is the retry
+    attempt on the request leg and, on the reply leg, the reply's
+    arrival index for its [(client, rt, server)] — so the draws do not
+    depend on how clients interleave on a shared connection, and a
+    frame dropped on one attempt gets a fresh draw on the next:
     lossy links starve nothing as long as the retry budget holds, which
     is exactly the regime the quorum round-trip contract is built for.
     Time windows measure seconds since the plan was {!arm}ed, on the

@@ -2,7 +2,7 @@ open Registers
 
 exception Unavailable of string
 
-(* All deadlines, ticker gates and backoff gates run on the monotonic
+(* All deadlines, scan gates and backoff gates run on the monotonic
    clock: a wall time step must not fire or stall every timeout at
    once. *)
 let now = Clock.now
@@ -14,78 +14,106 @@ let ignore_sigpipe =
     (if Sys.os_type = "Unix" then
        try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with _ -> ())
 
-type conn = {
+(* One TCP connection to one server, shared by every client of the mux.
+   The event loop is the only thread that dials, reads or closes it.
+   Everything a client thread may touch sits behind [lock]: the
+   out-queue, the descriptor it writes to, the staged request frames
+   and the redial gate.  The fields after [next_attempt] belong to the
+   loop alone. *)
+type link = {
   index : int; (* server index: the authoritative reply label *)
   addr : Unix.sockaddr;
-  lock : Mutex.t; (* guards fd, attempts, and the outgoing buffer *)
-  (* The write-combining path (flat combining, no dedicated sender
-     thread): an enqueuer appends its frame to [out] under [lock]; if
-     no flush is in progress it becomes the flusher, swapping the
-     accumulated bytes into [staging] and issuing one [write] per
-     batch.  Concurrent enqueuers find [flushing] set, append and
-     return without a syscall or a thread handoff — their frames ride
-     the current flusher's next iteration, arrive at the server as one
-     read, are replica-handled as a batch and answered in one reply
-     write. *)
-  out : Buffer.t;
-  mutable flushing : bool;
-  mutable staging : Bytes.t; (* flusher-owned swap space, reused *)
-  (* Frames a fault plan scheduled for later delivery on this link:
-     (due, payload copy, truncated), sorted by deadline, guarded by
-     [lock]; a fan-out's links share one read-only copy.  Senders park
-     here and move on — a delay scoped to one (client, server) link
-     must never stall another client's batch or the rest of a
-     fan-out.  Every flush merges the due entries into its batch, and
-     the ticker, which sleeps to exactly the earliest deadline, becomes
-     a quiet link's flusher: all frames due at one wake-up leave in one
-     write.  There are no delayer threads, mirroring the server
-     reactor's timer list. *)
-  mutable delayed : (float * Bytes.t * bool) list;
+  lock : Mutex.t;
+  (* Frames waiting for the next write.  An idle link's frame is
+     written by the thread that sends it; anything else (a connect in
+     progress, an earlier write the kernel cut short, frames the loop
+     queued during its wake-up) rides the loop's next flush, so all the
+     frames queued on a link between two flushes leave in one write. *)
+  out : Outq.t;
+  mutable fd : Unix.file_descr option; (* [None] while the link is down *)
+  mutable connected : bool; (* [false] while a connect is in progress *)
   (* A truncated delivery's prefix is in [out]: sever the link once the
-     batch carrying it is written.  Guarded by [lock]. *)
+     write carrying it drains the queue. *)
   mutable tear : bool;
-  mutable fd : Unix.file_descr option;
+  (* Request frames a fault plan scheduled for later delivery on this
+     link: (due, payload copy, truncated), sorted by deadline; a
+     fan-out's links share one read-only copy.  The loop, which sleeps
+     to exactly the earliest deadline, merges every frame due at a
+     wake-up into [out] before it flushes: one write per link per
+     wake-up, and no frame before its deadline. *)
+  mutable delayed : (float * Bytes.t * bool) list;
+  mutable next_attempt : float; (* monotonic gate for the next connect *)
   mutable attempts : int; (* consecutive failed connects *)
-  mutable next_attempt : float; (* wall-clock gate for the next connect *)
+  mutable lfd : Unix.file_descr option; (* the loop's view of [fd] *)
+  mutable stream : Codec.Stream.t; (* this connection's reply decoder *)
+  mutable epoch : int; (* bumped on every sever *)
+  mutable want_write : bool; (* write interest registered *)
+}
+
+(* A reply the plan's [From_server] rules hold past its arrival: it is
+   decoded and routed when [due] passes, unless its link severed in
+   between ([epoch] moved on), which loses it with the link.  It is
+   held encoded, a quarter of its decoded size. *)
+type held = {
+  h_due : float;
+  h_seq : int; (* arrival order: equal deadlines route in it *)
+  h_link : link;
+  h_epoch : int;
+  h_key : string;
+  h_rt : int;
+  h_client : int;
+  h_body : string; (* the frame's body, as read *)
 }
 
 type mailbox = {
   client : int;
   mb_lock : Mutex.t;
   mb_cond : Condition.t;
-  (* State of the (single) in-flight round trip.  [mb_rt = -1] means no
-     round trip is open: anything routed then is late.  [mb_key] is the
-     open round trip's register key: a reply whose key differs cannot
-     count toward this quorum and is dropped, never delivered. *)
+  (* The operation.  [mb_busy] is set by the outer {!exec} until it
+     returns: an [exec] on a busy handle comes from a continuation and
+     only opens the next round.  [mb_done] releases the outer call,
+     with [mb_exn] to re-raise on its thread. *)
+  mutable mb_busy : bool;
+  mutable mb_done : bool;
+  mutable mb_exn : (exn * Printexc.raw_backtrace) option;
+  (* The open round.  [mb_rt = -1] means none: anything routed then is
+     late.  [mb_key] is its register key: a reply whose key differs
+     cannot count toward this quorum and is dropped, never delivered. *)
   mutable mb_rt : int;
   mutable mb_key : string;
-  mb_from : bool array; (* per-server dedup for the open round trip *)
+  mb_from : bool array; (* per-server dedup for the open round *)
   mutable mb_replies : (int * Wire.rep) list; (* newest first *)
   mutable mb_n : int;
+  mutable mb_k : (int * Wire.rep) list -> unit;
+  mutable mb_attempt : int; (* re-broadcasts of the open round so far *)
+  mutable mb_deadline : float;
   mutable mb_late : int;
   mutable mb_next_rt : int;
-  mutable mb_deadline : float; (* ticker wakes the waiter only past this *)
   mutable mb_completed : int;
-  mutable mb_retried : int; (* re-broadcasts after a round-trip timeout *)
-  (* Reused send path: the frame is encoded once per operation into
-     [enc], blitted into [out], and the same bytes go to every
-     connection — allocation-free once both have reached steady size. *)
+  mutable mb_retried : int;
+  (* The open round's request, encoded once: the same bytes go to every
+     link and are re-sent as they are on a timeout. *)
   mb_enc : Buffer.t;
   mutable mb_out : Bytes.t;
+  mutable mb_len : int;
+  (* Reply-leg salts, loop-private: how many replies of (rt, server)
+     have arrived, for the last [gens] round ids of this client. *)
+  arr_rt : int array;
+  arr_n : int array;
 }
 
 type t = {
-  conns : conn array;
+  links : link array;
   quorum : int;
   rt_timeout : float;
   max_rt_retries : int;
   faults : Faults.t option;
-  (* The ticker sleeps in [poller] on the read end of its own wake pipe.
-     [armed] is the deadline it is asleep until, [neg_infinity] while it
-     is awake: a sender whose fan-out staged a frame due before [armed]
-     writes one byte to [wake_w], so the ticker re-arms for the earlier
-     deadline instead of oversleeping it (geo profiles go down to
-     sub-millisecond bases). *)
+  (* The loop sleeps in [poller] on its links and on the read end of a
+     wake pipe.  [armed] is the deadline it is asleep until,
+     [neg_infinity] while it is awake: a client thread whose fan-out
+     staged a frame due before [armed] writes one byte to [wake_w], so
+     the loop re-arms for the earlier deadline instead of oversleeping
+     it. *)
   poller : Netio.Poller.t;
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
@@ -98,352 +126,654 @@ type t = {
      round this client really ran; a dropped one could never have been
      delivered anywhere. *)
   dropped : int Atomic.t;
-  mutable demuxers : Thread.t list; (* joined on shutdown *)
-  mutable ticker : Thread.t option;
+  held : held Simulation.Heap.t; (* loop-private *)
+  mutable held_seq : int;
+  rbuf : Bytes.t; (* the loop's read buffer, shared by every link *)
+  mutable thread : Thread.t option;
   stopping : bool Atomic.t;
 }
 
 type handle = { mux : t; mb : mailbox }
 
-(* ------------------------------------------------------------------ *)
-(* Reply routing (demux threads)                                       *)
-(* ------------------------------------------------------------------ *)
+(* Round ids whose reply arrivals a mailbox remembers (a power of 2). *)
+let gens = 8
 
-let route t ~server_index ~client ~rt ~key rep =
-  let mb =
-    Mutex.protect t.routes_lock (fun () -> Hashtbl.find_opt t.routes client)
-  in
-  match mb with
-  | None ->
-    (* Client released its handle (or the peer invented an id): there is
-       no mailbox this could ever belong to. *)
-    Atomic.incr t.dropped
-  | Some mb ->
-    Mutex.protect mb.mb_lock (fun () ->
-        if mb.mb_rt = rt then begin
-          if key <> mb.mb_key then
-            (* Same round-trip id, wrong register: a stale or corrupt
-               key route.  Counting it toward the quorum would hand the
-               waiter another key's value — drop it instead, and never
-               touch the dedup/reply state, so the real replies still
-               complete the round (no wedge). *)
-            Atomic.incr t.dropped
-          else if not mb.mb_from.(server_index) then begin
-            mb.mb_from.(server_index) <- true;
-            mb.mb_replies <- (server_index, rep) :: mb.mb_replies;
-            mb.mb_n <- mb.mb_n + 1;
-            (* Quorum-gated wake-up: replies below the quorum cannot
-               unblock the waiter, so signalling them would only burn a
-               scheduler pass per straggler.  The ticker covers timeout
-               detection for rounds that never get there. *)
-            if mb.mb_n >= t.quorum then Condition.signal mb.mb_cond
-          end
-          else mb.mb_late <- mb.mb_late + 1
-        end
-        else mb.mb_late <- mb.mb_late + 1)
+(* A link whose out-queue grew past this (a server that stopped
+   reading) drops new frames until it drains: a lossy link, which the
+   round-trip retries cover, instead of unbounded memory. *)
+let out_limit = 4 * 1024 * 1024
 
-(* The demux thread owns [fd] for the life of one connection: it is the
-   only reader, and on any failure it severs the connection — but only
-   if the conn still points at its own fd (a reconnect may already have
-   replaced it). *)
-let disconnect c fd =
-  Mutex.protect c.lock (fun () ->
-      match c.fd with
-      | Some cur when cur == fd -> c.fd <- None
-      | _ -> ());
-  try Unix.close fd with Unix.Unix_error _ -> ()
-
-let demux t c fd () =
-  let stream = Codec.Stream.create () in
-  let buf = Bytes.create 65536 in
-  (try
-     let stop = ref false in
-     while not !stop do
-       match Netio.read fd buf 0 (Bytes.length buf) with
-       | 0 -> stop := true
-       | n ->
-         Codec.Stream.feed stream buf n;
-         let rec drain () =
-           match Codec.Stream.next stream with
-           | Some (Codec.Keyed_reply { key; rt; client; server = _; rep }) ->
-             (* Route by (client, rt); the connection's own index is the
-                authoritative server label, not the peer-reported one. *)
-             route t ~server_index:c.index ~client ~rt ~key rep;
-             drain ()
-           | Some (Codec.Keyed_request _) ->
-             (* Servers never send requests; cut the broken peer off. *)
-             stop := true
-           | None -> ()
-         in
-         drain ()
-       | exception Unix.Unix_error _ -> stop := true
-     done
-   with Codec.Decode_error _ -> ());
-  disconnect c fd
+(* A client thread's wake-up call; never after shutdown, when the
+   pipe's descriptor number may already belong to someone else. *)
+let wake t = if not (Atomic.get t.stopping) then Netio.notify t.wake_w
 
 (* ------------------------------------------------------------------ *)
-(* Connecting and sending                                              *)
+(* Connections (loop thread)                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Exponentially backed-off reconnect; [c.lock] must be held.  The
-   gate doubles from [connect_backoff] up to a cap of 64× and then
-   keeps probing at that interval: a server that stays down past any
-   fixed budget is still redialed once {!Cluster.restart} brings it
-   back, while a dead one costs one refused connect per ~1.3 s.  A
-   fresh connection gets a fresh demux thread.  Every failure mode —
-   including [socket] itself (EMFILE under fd pressure) and a failed
-   [Thread.create] — lands in the backoff path rather than escaping:
-   an exception thrown past a caller holding [c.lock] would poison the
-   connection (and wedge [shutdown]) forever. *)
+(* Reconnects back off exponentially: the gate doubles from
+   [connect_backoff] up to a cap of 64× and then keeps probing at that
+   interval, so a server that stays down past any fixed budget is still
+   redialed once {!Cluster.restart} brings it back, while a dead one
+   costs one refused connect per ~1.3 s.  The frames queued for a link
+   that cannot be redialed yet are lost, as on a dead link. *)
 let connect_backoff = 0.02
 
-let backoff c =
-  c.attempts <- c.attempts + 1;
-  c.next_attempt <-
-    now () +. (connect_backoff *. float_of_int (1 lsl min c.attempts 6))
+let backoff l =
+  l.attempts <- l.attempts + 1;
+  let gate =
+    now () +. (connect_backoff *. float_of_int (1 lsl min l.attempts 6))
+  in
+  Mutex.protect l.lock (fun () ->
+      l.next_attempt <- gate;
+      Outq.clear l.out;
+      l.tear <- false)
 
-let try_connect t c =
-  match c.fd with
-  | Some fd -> Some fd
+let set_write t l fd w =
+  if l.want_write <> w then begin
+    l.want_write <- w;
+    Netio.Poller.set t.poller fd ~read:true ~write:w
+  end
+
+(* Close the link: what was queued or staged on it and every reply it
+   holds are lost with it.  A link that severs is redialed as soon as
+   something is sent on it again. *)
+let sever t l =
+  match l.lfd with
+  | None -> ()
+  | Some fd ->
+    Mutex.protect l.lock (fun () ->
+        l.fd <- None;
+        l.connected <- false;
+        Outq.clear l.out;
+        l.delayed <- [];
+        l.tear <- false);
+    l.lfd <- None;
+    l.epoch <- l.epoch + 1;
+    l.want_write <- false;
+    Netio.Poller.remove t.poller fd;
+    try Unix.close fd with Unix.Unix_error _ -> ()
+
+(* A non-blocking dial: a connect that cannot complete at once leaves
+   the link connecting, with write interest on; the loop finishes it
+   when the socket turns writable.  Every failure mode — [socket]
+   itself included (EMFILE under fd pressure) — lands in the backoff
+   path. *)
+let dial t l =
+  match Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 with
+  | exception Unix.Unix_error _ -> backoff l
+  | fd -> (
+    let up connected =
+      Mutex.protect l.lock (fun () ->
+          l.fd <- Some fd;
+          l.connected <- connected);
+      if connected then l.attempts <- 0;
+      l.lfd <- Some fd;
+      l.stream <- Codec.Stream.create ();
+      (* Write interest until the first flush: it finishes a pending
+         connect, and flushes what was queued while the link was
+         down. *)
+      l.want_write <- true;
+      Netio.Poller.add t.poller fd ~want_write:true
+    in
+    match
+      Netio.set_nonblock fd;
+      Unix.setsockopt fd Unix.TCP_NODELAY true;
+      Unix.connect fd l.addr
+    with
+    | () -> up true
+    | exception
+        Unix.Unix_error ((Unix.EINPROGRESS | Unix.EINTR | Unix.EAGAIN), _, _)
+      ->
+      up false
+    | exception Unix.Unix_error _ ->
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      backoff l)
+
+(* The socket of a connecting link turned writable: the connect is
+   done, one way or the other. *)
+let finish_connect t l fd =
+  match Unix.getsockopt_error fd with
   | None ->
-    if Atomic.get t.stopping || now () < c.next_attempt then None
-    else begin
-      match Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 with
-      | exception Unix.Unix_error _ ->
-        backoff c;
-        None
-      | fd -> (
-        match
-          Unix.connect fd c.addr;
-          Unix.setsockopt fd Unix.TCP_NODELAY true
-        with
-        | () -> (
-          c.fd <- Some fd;
-          c.attempts <- 0;
-          match Thread.create (demux t c fd) () with
-          | th ->
-            Mutex.protect t.routes_lock (fun () ->
-                t.demuxers <- th :: t.demuxers);
-            Some fd
-          | exception _ ->
-            (* No demux thread was created, so this thread is the fd's
-               only owner and may close it directly. *)
-            c.fd <- None;
-            (try Unix.close fd with Unix.Unix_error _ -> ());
-            backoff c;
-            None)
-        | exception Unix.Unix_error _ ->
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          backoff c;
-          None)
-    end
+    Mutex.protect l.lock (fun () -> l.connected <- true);
+    l.attempts <- 0
+  | Some _ | (exception Unix.Unix_error _) ->
+    sever t l;
+    backoff l
 
-(* The entries of a (sorted) deadline queue still pending at [t_now]. *)
+(* ------------------------------------------------------------------ *)
+(* Sending                                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Move the staged frames due by [t_now] into [l.out], in deadline
+   order; [l.lock] must be held.  A due truncated entry ends the run:
+   its prefix goes in last and [l.tear] severs the link once that write
+   drains, so the due frames behind it are lost with the link, as on a
+   real corrupting one. *)
 let rec not_due t_now = function
   | (due, _, _) :: l when due <= t_now -> not_due t_now l
   | l -> l
 
-(* Move the staged deliveries due by [t_now] into [c.out], in deadline
-   order; [c.lock] must be held.  A due truncated entry ends the run:
-   its prefix goes in last and [c.tear] severs the link once that batch
-   is written, so the due frames behind it are lost with the link, as
-   on a real corrupting one. *)
-let merge_due c t_now =
-  let rec go = function
-    | (due, payload, truncated) :: rest when due <= t_now ->
-      if truncated then begin
-        Buffer.add_subbytes c.out payload 0 (max 1 (Bytes.length payload / 2));
-        c.tear <- true;
-        c.delayed <- not_due t_now rest
-      end
-      else begin
-        Buffer.add_bytes c.out payload;
-        go rest
-      end
-    | l -> c.delayed <- l
-  in
-  go c.delayed
-
-(* Drain the link as its flusher, a role the caller claimed by setting
-   [c.flushing] under [c.lock] with the link up.  Each iteration merges
-   the staged deliveries that have come due, swaps the accumulated
-   bytes into [staging] and writes them in one [write_all] with the
-   lock dropped; meanwhile other enqueuers just append, and their bytes
-   ride the next iteration.  On a write error (or after a torn frame)
-   the link is severed ([shutdown], not [close] — the demux thread is
-   the fd's sole closer) and the staged batch is dropped; the
-   round-trip retry loop re-broadcasts after reconnect.  Frames that
-   other clients appended to [c.out] while the write ran unlocked are
-   NOT part of that batch and stay queued: the next flusher sends them
-   once the link is back. *)
-let flush c =
-  Mutex.lock c.lock;
-  let more = ref true in
-  while !more do
-    merge_due c (now ());
-    let blen = Buffer.length c.out in
-    if blen = 0 then more := false
-    else begin
-      if blen > Bytes.length c.staging then
-        c.staging <- Bytes.create (max blen (2 * Bytes.length c.staging));
-      Buffer.blit c.out 0 c.staging 0 blen;
-      Buffer.clear c.out;
-      let tear = c.tear in
-      c.tear <- false;
-      match c.fd with
-      | None -> more := false (* the link died since the append: drop *)
-      | Some fd ->
-        Mutex.unlock c.lock;
-        let wrote =
-          match Netio.write_all fd c.staging 0 blen with
-          | () -> true
-          | exception Unix.Unix_error _ -> false
-        in
-        Mutex.lock c.lock;
-        if tear || not wrote then begin
-          (try Unix.shutdown fd Unix.SHUTDOWN_ALL
-           with Unix.Unix_error _ -> ());
-          (match c.fd with
-          | Some cur when cur == fd -> c.fd <- None
-          | _ -> ());
-          more := false
-        end
+let rec merge_due l t_now =
+  match l.delayed with
+  | (due, payload, truncated) :: rest when due <= t_now ->
+    if truncated then begin
+      Outq.add_subbytes l.out payload 0 (max 1 (Bytes.length payload / 2));
+      l.tear <- true;
+      l.delayed <- not_due t_now rest
     end
-  done;
-  c.flushing <- false;
-  Mutex.unlock c.lock
+    else begin
+      Outq.add_subbytes l.out payload 0 (Bytes.length payload);
+      l.delayed <- rest;
+      merge_due l t_now
+    end
+  | _ -> ()
 
-(* Send a frame on the shared connection: all [len] bytes, or with
-   [~torn] a prefix of them, after which the link is severed (a
-   truncation fault poisons the shared stream, so every rider
-   reconnects and retries — what a corrupting link costs on this
-   plane).  The caller appends under [c.lock]; if no flush is in
-   progress it becomes the flusher — uncontended, that is one inline
-   [write] with no thread handoff.  While a flush is running it just
-   appends and returns — the active flusher carries the bytes: no
-   syscall, no signal, no context switch.  A link that is down and
-   cannot be redialed yet drops the frame; the round-trip retry loop
-   re-broadcasts. *)
-let enqueue ?(torn = false) t c bytes len =
-  if
-    Mutex.protect c.lock (fun () ->
-        match try_connect t c with
-        | None -> false
-        | Some _ ->
-          if torn then begin
-            Buffer.add_subbytes c.out bytes 0 (max 1 (len / 2));
-            c.tear <- true
-          end
-          else Buffer.add_subbytes c.out bytes 0 len;
-          let claimed = not c.flushing in
-          c.flushing <- true;
-          claimed)
-  then flush c
-
-(* Park one scheduled delivery on the link's deadline queue (sorted
-   insert, after any entry with the same deadline; queues hold a
-   handful of frames, the reactor's timer-list idiom).  The payload is
-   never written once staged, so one copy can sit on every link's
-   queue.  Staging does not wake the ticker: the caller stages a whole
-   fan-out, then wakes it at most once, for the earliest deadline. *)
-let stage_delayed c ~due payload truncated =
-  Mutex.protect c.lock (fun () ->
-      let rec ins = function
-        | [] -> [ (due, payload, truncated) ]
-        | ((d, _, _) :: _) as l when due < d -> (due, payload, truncated) :: l
-        | e :: rest -> e :: ins rest
+(* Queue a frame on the link — all [len] bytes, or with [~torn] a
+   prefix of them, after which the link is severed (a truncation fault
+   poisons the shared stream, so every rider's round retries).  From a
+   client thread on an idle, connected link the frame is written at
+   once, with no hand-off to the loop; everywhere else it joins
+   [out] for the loop's next flush.  A link that is down takes the
+   frame if it may be redialed now, and drops it otherwise: the
+   round-trip retries re-send.  Returns whether the loop must be woken
+   (a dial to start, or a write the kernel cut short). *)
+let enqueue l ~from_loop ~torn bytes len =
+  Mutex.protect l.lock (fun () ->
+      let add () =
+        if torn then begin
+          Outq.add_subbytes l.out bytes 0 (max 1 (len / 2));
+          l.tear <- true
+        end
+        else Outq.add_subbytes l.out bytes 0 len
       in
-      c.delayed <- ins c.delayed)
-
-(* The ticker's half of the delay drain, for a link whose earliest
-   staged frame is due: the ticker becomes its flusher, so every frame
-   due at this wake-up leaves in one write.  If a flush is already
-   running the due frames join its queue instead, to ride its next
-   iteration.  A link that is down and cannot be redialed yet loses
-   its due frames, as a dead link would. *)
-let release_due t c t_now =
-  let claimed =
-    Mutex.protect c.lock (fun () ->
-        match c.delayed with
-        | (due, _, _) :: _ when due <= t_now -> (
-          if c.flushing then begin
-            merge_due c t_now;
+      if Outq.length l.out > out_limit then false
+      else
+        match l.fd with
+        | None ->
+          if now () < l.next_attempt then false
+          else begin
+            let first = Outq.is_empty l.out in
+            add ();
+            first && not from_loop
+          end
+        | Some fd ->
+          if from_loop || (not l.connected) || not (Outq.is_empty l.out) then begin
+            add ();
             false
           end
-          else
-            match try_connect t c with
-            | Some _ ->
-              c.flushing <- true;
-              true
-            | None ->
-              c.delayed <- not_due t_now c.delayed;
-              false)
-        | [] | _ :: _ -> false)
+          else begin
+            add ();
+            match Outq.flush l.out fd with
+            | true ->
+              if l.tear then begin
+                (* The loop reads the EOF and severs. *)
+                l.tear <- false;
+                try Unix.shutdown fd Unix.SHUTDOWN_ALL
+                with Unix.Unix_error _ -> ()
+              end;
+              false
+            | false -> true
+            | exception Unix.Unix_error _ ->
+              Outq.clear l.out;
+              (try Unix.shutdown fd Unix.SHUTDOWN_ALL
+               with Unix.Unix_error _ -> ());
+              false
+          end)
+
+(* Park one scheduled delivery on the link's deadline queue (sorted
+   insert, after any entry with the same deadline).  The payload is
+   never written once staged, so one copy can sit on every link's
+   queue. *)
+let stage_delayed l ~due payload truncated =
+  Mutex.protect l.lock (fun () ->
+      let rec ins = function
+        | [] -> [ (due, payload, truncated) ]
+        | ((d, _, _) :: _) as rest when due < d -> (due, payload, truncated) :: rest
+        | e :: rest -> e :: ins rest
+      in
+      l.delayed <- ins l.delayed)
+
+(* Send the open round's request to every server that has not answered
+   it yet; [mb.mb_lock] must be held.  Under a plan each link's copy
+   meets the [To_server] rules, salted by the attempt number so a frame
+   dropped now draws afresh on the next re-broadcast; delayed copies
+   park on their link's deadline queue, never in the sender. *)
+let broadcast t mb ~from_loop =
+  let len = mb.mb_len in
+  let wake_loop = ref false in
+  (match t.faults with
+  | None ->
+    Array.iter
+      (fun l ->
+        if (not mb.mb_from.(l.index))
+           && enqueue l ~from_loop ~torn:false mb.mb_out len
+        then wake_loop := true)
+      t.links
+  | Some plan ->
+    (* One clock read per fan-out: copies staged together share their
+       deadline and leave in one write per link.  One payload copy is
+       shared by every staged delivery ([mb_out] is reused by the next
+       round). *)
+    let t0 = now () in
+    let payload = lazy (Bytes.sub mb.mb_out 0 len) in
+    let earliest = ref infinity in
+    Array.iter
+      (fun l ->
+        if not mb.mb_from.(l.index) then
+          List.iter
+            (fun { Faults.after; truncated } ->
+              if after > 0.0 then begin
+                let due = t0 +. after in
+                stage_delayed l ~due (Lazy.force payload) truncated;
+                earliest := Float.min !earliest due
+              end
+              else if enqueue l ~from_loop ~torn:truncated mb.mb_out len
+              then wake_loop := true)
+            (Faults.deliveries plan ~dir:Faults.To_server ~server:l.index
+               ~client:mb.client ~rt:mb.mb_rt ~salt:mb.mb_attempt))
+      t.links;
+    (* Every insert happens before [armed] is read, and the loop stores
+       [armed] before it rescans the queues, so either its rescan sees
+       the staged frames or this read sees its deadline and wakes it
+       early: no deadline is overslept.  The loop's own sends need no
+       wake-up: it re-arms after them. *)
+    if !earliest < Atomic.get t.armed then wake_loop := true);
+  if !wake_loop && not from_loop then wake t
+
+(* ------------------------------------------------------------------ *)
+(* Rounds and operations                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Release the outer {!exec}; [mb.mb_lock] must be held. *)
+let finish mb result =
+  mb.mb_rt <- -1;
+  mb.mb_deadline <- infinity;
+  mb.mb_replies <- [];
+  mb.mb_exn <- result;
+  mb.mb_done <- true;
+  Condition.signal mb.mb_cond
+
+(* Open round [mb_next_rt] for [req] on [key] and send it; [mb.mb_lock]
+   must be held. *)
+let open_round t mb ~key ~from_loop req k =
+  let rt = mb.mb_next_rt in
+  mb.mb_next_rt <- rt + 1;
+  mb.mb_rt <- rt;
+  mb.mb_key <- key;
+  Array.fill mb.mb_from 0 (Array.length mb.mb_from) false;
+  mb.mb_replies <- [];
+  mb.mb_n <- 0;
+  mb.mb_k <- k;
+  mb.mb_attempt <- 0;
+  mb.mb_deadline <- now () +. t.rt_timeout;
+  Codec.encode_into mb.mb_enc
+    (Codec.Keyed_request { key; rt; client = mb.client; req });
+  let len = Buffer.length mb.mb_enc in
+  if len > Bytes.length mb.mb_out then
+    mb.mb_out <- Bytes.create (max len (2 * Bytes.length mb.mb_out));
+  Buffer.blit mb.mb_enc 0 mb.mb_out 0 len;
+  mb.mb_len <- len;
+  broadcast t mb ~from_loop
+
+let exec ~key h req k =
+  let t = h.mux and mb = h.mb in
+  Mutex.lock mb.mb_lock;
+  (* On a busy handle the call comes from a continuation, on the loop:
+     it opens the next round and returns, and the loop runs [k] when
+     that round's quorum is in. *)
+  let nested = mb.mb_busy in
+  match open_round t mb ~key ~from_loop:nested req k with
+  | exception e ->
+    (* The request could not be encoded: no round is open. *)
+    mb.mb_rt <- -1;
+    mb.mb_deadline <- infinity;
+    Mutex.unlock mb.mb_lock;
+    raise e
+  | () when nested -> Mutex.unlock mb.mb_lock
+  | () ->
+    mb.mb_busy <- true;
+    mb.mb_done <- false;
+    while not mb.mb_done do
+      Condition.wait mb.mb_cond mb.mb_lock
+    done;
+    mb.mb_busy <- false;
+    let result = mb.mb_exn in
+    mb.mb_exn <- None;
+    Mutex.unlock mb.mb_lock;
+    Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) result
+
+(* The open round reached its quorum: run its continuation here, on the
+   loop.  The operation is over once the continuation returns without
+   opening another round, or raises. *)
+let complete mb k replies =
+  match k replies with
+  | () -> Mutex.protect mb.mb_lock (fun () -> if mb.mb_rt < 0 then finish mb None)
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    Mutex.protect mb.mb_lock (fun () -> finish mb (Some (e, bt)))
+
+(* Route one reply to [mb].  [body] is decoded only if the reply counts
+   toward the open round: a late or duplicate reply is counted without
+   paying for its decode.  Returns [false] on a corrupt body. *)
+let route t mb ~server_index ~rt ~key body =
+  Mutex.lock mb.mb_lock;
+  if mb.mb_rt = rt && rt >= 0 && (key <> mb.mb_key || not mb.mb_from.(server_index))
+  then begin
+    if key <> mb.mb_key then begin
+      (* Same round-trip id, wrong register: a stale or corrupt key
+         route.  Counting it toward the quorum would hand the round
+         another key's value — drop it instead, and never touch the
+         dedup/reply state, so the real replies still complete the
+         round (no wedge). *)
+      Atomic.incr t.dropped;
+      Mutex.unlock mb.mb_lock;
+      true
+    end
+    else
+      match Codec.decode_body body with
+      | Codec.Keyed_reply { rep; _ } ->
+        mb.mb_from.(server_index) <- true;
+        mb.mb_replies <- (server_index, rep) :: mb.mb_replies;
+        mb.mb_n <- mb.mb_n + 1;
+        if mb.mb_n >= t.quorum then begin
+          let k = mb.mb_k and replies = List.rev mb.mb_replies in
+          mb.mb_rt <- -1;
+          mb.mb_deadline <- infinity;
+          mb.mb_replies <- [];
+          mb.mb_completed <- mb.mb_completed + 1;
+          Mutex.unlock mb.mb_lock;
+          complete mb k replies
+        end
+        else Mutex.unlock mb.mb_lock;
+        true
+      | Codec.Keyed_request _ | (exception Codec.Decode_error _) ->
+        Mutex.unlock mb.mb_lock;
+        false
+  end
+  else begin
+    mb.mb_late <- mb.mb_late + 1;
+    Mutex.unlock mb.mb_lock;
+    true
+  end
+
+(* The arrival index of a reply for (rt, server) — its [From_server]
+   salt.  It counts this client's own replies only, so the plan's
+   decisions do not depend on how clients interleave on a shared
+   connection.  A reply more than [gens] rounds behind its client's
+   newest draws as a first arrival. *)
+let arrival t mb ~server ~rt =
+  let s = Array.length t.links in
+  let g = rt land (gens - 1) in
+  if mb.arr_rt.(g) < rt then begin
+    mb.arr_rt.(g) <- rt;
+    Array.fill mb.arr_n (g * s) s 0
+  end;
+  if mb.arr_rt.(g) = rt then begin
+    let i = (g * s) + server in
+    let n = mb.arr_n.(i) in
+    mb.arr_n.(i) <- n + 1;
+    n
+  end
+  else 0
+
+let lookup t client =
+  Mutex.lock t.routes_lock;
+  let mb = Hashtbl.find_opt t.routes client in
+  Mutex.unlock t.routes_lock;
+  mb
+
+(* Route a reply read off link [l] to its client's mailbox [mb], or
+   count it dropped when no client owns it (a released handle, or a
+   peer inventing ids).  The link's own index is the authoritative
+   server label, not the peer-reported one.  A corrupt body severs the
+   link: returns [false] once the link is gone. *)
+let deliver t l mb ~key ~rt body =
+  let ok =
+    match mb with
+    | Some mb -> route t mb ~server_index:l.index ~rt ~key body
+    | None ->
+      Atomic.incr t.dropped;
+      true
   in
-  if claimed then flush c
+  if not ok then sever t l;
+  ok
 
-(* Nearest staged deadline across every link; [infinity] when idle. *)
+(* One reply body read off link [l] at [t_read].  Under a plan the
+   reply leg decides its fate here, from the frame's header alone —
+   lost, held until a deadline, delivered twice, or torn, which severs
+   the link.  A request frame (servers never send one) or a corrupt
+   header severs the link too. *)
+let receive t l ~t_read body =
+  match Codec.reply_route body with
+  | Some (key, rt, client) -> (
+    let mb = lookup t client in
+    match (t.faults, mb) with
+    | None, _ | _, None -> deliver t l mb ~key ~rt body
+    | Some plan, Some m ->
+      let ds =
+        Faults.deliveries plan ~dir:Faults.From_server ~server:l.index ~client
+          ~rt ~salt:(arrival t m ~server:l.index ~rt)
+      in
+      if List.exists (fun d -> d.Faults.truncated) ds then begin
+        sever t l;
+        false
+      end
+      else
+        List.fold_left
+          (fun up { Faults.after; truncated = _ } ->
+            if not up then false
+            else if after > 0.0 then begin
+              t.held_seq <- t.held_seq + 1;
+              Simulation.Heap.push t.held
+                {
+                  h_due = t_read +. after;
+                  h_seq = t.held_seq;
+                  h_link = l;
+                  h_epoch = l.epoch;
+                  h_key = key;
+                  h_rt = rt;
+                  h_client = client;
+                  h_body = body;
+                };
+              true
+            end
+            else deliver t l mb ~key ~rt body)
+          true ds)
+  | None | (exception Codec.Decode_error _) ->
+    sever t l;
+    false
+
+(* Route every held reply due by [t_now], in deadline order. *)
+let rec release_held t t_now =
+  match Simulation.Heap.peek t.held with
+  | Some h when h.h_due <= t_now ->
+    ignore (Simulation.Heap.pop t.held);
+    if h.h_link.epoch = h.h_epoch then
+      ignore
+        (deliver t h.h_link (lookup t h.h_client) ~key:h.h_key ~rt:h.h_rt
+           h.h_body);
+    release_held t t_now
+  | _ -> ()
+
+(* Readable: drain the socket to EAGAIN through the link's decoder, then
+   handle its complete frames.  The clock is read once per batch, so
+   replies held by equal amounts share a deadline and route together.
+   EOF, an error, a corrupt stream or a request frame (servers never
+   send one) severs the link. *)
+let on_readable t l fd =
+  let closed = ref false in
+  (try
+     let more = ref true in
+     while !more do
+       match Netio.read_nb fd t.rbuf 0 (Bytes.length t.rbuf) with
+       | None -> more := false
+       | Some 0 ->
+         more := false;
+         closed := true
+       | Some n ->
+         Codec.Stream.feed l.stream t.rbuf n;
+         if n < Bytes.length t.rbuf then more := false
+     done
+   with Unix.Unix_error _ -> closed := true);
+  let t_read = match t.faults with None -> 0.0 | Some _ -> now () in
+  let rec drain () =
+    match Codec.Stream.next_body l.stream with
+    | Some body -> if receive t l ~t_read body then drain ()
+    | None -> if !closed then sever t l
+    | exception Codec.Decode_error _ -> sever t l
+  in
+  drain ()
+
+(* The loop's write pass over one link: merge the staged frames that
+   have come due, then write what is queued — or dial a link that is
+   down and has something to send, or drop it if the link may not be
+   redialed yet. *)
+let service t l t_now =
+  (* Runs once per link per wake-up: plain lock/unlock, since nothing
+     below raises, and no closure to allocate. *)
+  match l.lfd with
+  | None ->
+    Mutex.lock l.lock;
+    merge_due l t_now;
+    let redial =
+      if Outq.is_empty l.out then false
+      else if t_now >= l.next_attempt then true
+      else begin
+        Outq.clear l.out;
+        l.tear <- false;
+        false
+      end
+    in
+    Mutex.unlock l.lock;
+    if redial && not (Atomic.get t.stopping) then dial t l
+  | Some fd -> (
+    Mutex.lock l.lock;
+    merge_due l t_now;
+    let r =
+      if not l.connected then `Connecting
+      else
+        match Outq.flush l.out fd with
+        | true ->
+          if l.tear then begin
+            l.tear <- false;
+            `Sever
+          end
+          else `Drained
+        | false -> `Blocked
+        | exception Unix.Unix_error _ -> `Sever
+    in
+    Mutex.unlock l.lock;
+    match r with
+    | `Connecting -> ()
+    | `Drained -> set_write t l fd false
+    | `Blocked -> set_write t l fd true
+    | `Sever -> sever t l)
+
+(* Nearest staged request deadline across every link; [infinity] when
+   none. *)
 let next_delayed_due t =
-  Array.fold_left
-    (fun acc c ->
-      Mutex.protect c.lock (fun () ->
-          match c.delayed with
-          | (d, _, _) :: _ -> Float.min acc d
-          | [] -> acc))
-    infinity t.conns
+  let next = ref infinity in
+  for i = 0 to Array.length t.links - 1 do
+    let l = t.links.(i) in
+    Mutex.lock l.lock;
+    (match l.delayed with
+    | (d, _, _) :: _ -> if d < !next then next := d
+    | [] -> ());
+    Mutex.unlock l.lock
+  done;
+  !next
 
-(* ------------------------------------------------------------------ *)
-(* Lifecycle                                                           *)
-(* ------------------------------------------------------------------ *)
+let snapshot_routes t =
+  Mutex.protect t.routes_lock (fun () ->
+      Hashtbl.fold (fun _ mb acc -> mb :: acc) t.routes [])
 
-(* Timeouts are detected on wake-up, and the stdlib condvar has no timed
-   wait — one ticker thread per mux broadcasts every few tens of
-   milliseconds so blocked operations re-check their deadline.  Normal
-   completions never wait for a tick: every routed reply signals its
-   mailbox directly. *)
+(* Re-broadcast every round past its deadline to the servers still
+   missing, or give the operation up with [Unavailable] once its retry
+   budget is spent. *)
+let scan_timeouts t t_now =
+  List.iter
+    (fun mb ->
+      Mutex.protect mb.mb_lock (fun () ->
+          if mb.mb_rt >= 0 && t_now >= mb.mb_deadline then
+            if mb.mb_attempt >= t.max_rt_retries then
+              finish mb
+                (Some
+                   ( Unavailable
+                       (Printf.sprintf
+                          "client %d: %d/%d replies after %d attempts of %.3fs"
+                          mb.client mb.mb_n t.quorum (mb.mb_attempt + 1)
+                          t.rt_timeout),
+                     Printexc.get_callstack 0 ))
+            else begin
+              mb.mb_attempt <- mb.mb_attempt + 1;
+              mb.mb_retried <- mb.mb_retried + 1;
+              mb.mb_deadline <- t_now +. t.rt_timeout;
+              broadcast t mb ~from_loop:true
+            end))
+    (snapshot_routes t)
+
+(* Round timeouts are checked at this cadence; normal completions never
+   wait for it. *)
 let tick_period t = Float.max 0.005 (Float.min 0.05 (t.rt_timeout /. 4.0))
 
-let ticker_body t () =
-  (* Two deadlines share one sleep: the timeout scan at its own cadence
-     (tick_period — delivering a staged frame must not drag every
-     blocked mailbox through the scheduler) and the earliest staged
-     delivery, to the nanosecond (the poller's wait runs this thread
-     with 1 ns timer slack, so the wake-up lands at the deadline, not
-     up to 50 µs after it).  At each wake-up every link with a
-     due frame is flushed once, carrying all its due frames in one
-     write.  With no frame staged (no delay plan, or all delivered) the
-     ticker wakes only for the scan, a stage or [shutdown]. *)
+(* One ready descriptor: the wake pipe, or one of the links. *)
+let on_ready t fd ~readable ~writable =
+  if fd == t.wake_r then Netio.drain_wake t.wake_r
+  else
+    for i = 0 to Array.length t.links - 1 do
+      let l = t.links.(i) in
+      match l.lfd with
+      | Some lfd when lfd == fd ->
+        if writable && not (Mutex.protect l.lock (fun () -> l.connected)) then
+          finish_connect t l lfd;
+        (* [finish_connect] may have severed the link. *)
+        if readable && l.lfd <> None then on_readable t l lfd
+      | Some _ | None -> ()
+    done
+
+let loop t =
+  (* Optimistic first dial; a failure leaves the link in backoff. *)
+  Array.iter (fun l -> dial t l) t.links;
   let next_scan = ref (now () +. tick_period t) in
   while not (Atomic.get t.stopping) do
     Atomic.set t.armed neg_infinity;
     let t_now = now () in
-    Array.iter (fun c -> release_due t c t_now) t.conns;
+    release_held t t_now;
     if t_now >= !next_scan then begin
       next_scan := t_now +. tick_period t;
-      let mbs =
-        Mutex.protect t.routes_lock (fun () ->
-            Hashtbl.fold (fun _ mb acc -> mb :: acc) t.routes [])
-      in
-      List.iter
-        (fun mb ->
-          Mutex.protect mb.mb_lock (fun () ->
-              (* Wake a waiter only when its round has actually timed
-                 out; broadcasting every tick would drag every blocked
-                 client through the scheduler 20 times a second for
-                 nothing. *)
-              if mb.mb_rt >= 0 && t_now >= mb.mb_deadline then
-                Condition.broadcast mb.mb_cond))
-        mbs
+      scan_timeouts t t_now
     end;
-    let target = Float.min !next_scan (next_delayed_due t) in
+    for i = 0 to Array.length t.links - 1 do
+      service t t.links.(i) t_now
+    done;
+    let target =
+      match Simulation.Heap.peek t.held with
+      | Some h -> Float.min !next_scan h.h_due
+      | None -> !next_scan
+    in
+    let target = Float.min target (next_delayed_due t) in
     Atomic.set t.armed target;
-    (* A frame staged since the drain saw [neg_infinity] and did not
-       write to the pipe: this rescan, after the store, catches it. *)
+    (* A frame staged since the pass above saw [neg_infinity] and did
+       not wake the loop: this rescan, after the store, catches it. *)
     let target = Float.min target (next_delayed_due t) in
     ignore
       (Netio.Poller.wait t.poller ~timeout:(target -. now ())
-         (fun _ ~readable:_ ~writable:_ -> Netio.drain_wake t.wake_r))
-  done
+         (fun fd ~readable ~writable -> on_ready t fd ~readable ~writable))
+  done;
+  Array.iter (sever t) t.links;
+  (* A caller still blocked in [exec] gets an answer instead of a hang. *)
+  List.iter
+    (fun mb ->
+      Mutex.protect mb.mb_lock (fun () ->
+          if mb.mb_busy && not mb.mb_done then
+            finish mb
+              (Some (Unavailable "mux shut down", Printexc.get_callstack 0))))
+    (snapshot_routes t)
+
+(* ------------------------------------------------------------------ *)
+(* Lifecycle                                                           *)
+(* ------------------------------------------------------------------ *)
 
 let create ?(rt_timeout = 1.0) ?(max_rt_retries = 3) ?faults ~servers ~quorum
     () =
@@ -458,21 +788,24 @@ let create ?(rt_timeout = 1.0) ?(max_rt_retries = 3) ?faults ~servers ~quorum
   Netio.Poller.add poller wake_r ~want_write:false;
   let t =
     {
-      conns =
+      links =
         Array.mapi
           (fun index addr ->
             {
               index;
               addr;
               lock = Mutex.create ();
-              out = Buffer.create 4096;
-              flushing = false;
-              staging = Bytes.create 4096;
-              delayed = [];
-              tear = false;
+              out = Outq.create 4096;
               fd = None;
-              attempts = 0;
+              connected = false;
+              tear = false;
+              delayed = [];
               next_attempt = 0.0;
+              attempts = 0;
+              lfd = None;
+              stream = Codec.Stream.create ();
+              epoch = 0;
+              want_write = false;
             })
           servers;
       quorum;
@@ -486,36 +819,47 @@ let create ?(rt_timeout = 1.0) ?(max_rt_retries = 3) ?faults ~servers ~quorum
       routes = Hashtbl.create 16;
       routes_lock = Mutex.create ();
       dropped = Atomic.make 0;
-      demuxers = [];
-      ticker = None;
+      held =
+        Simulation.Heap.create ~cmp:(fun a b ->
+            match Float.compare a.h_due b.h_due with
+            | 0 -> Int.compare a.h_seq b.h_seq
+            | c -> c);
+      held_seq = 0;
+      rbuf = Bytes.create 65536;
+      thread = None;
       stopping = Atomic.make false;
     }
   in
-  (* Optimistic first dial; failures just leave the conn in backoff. *)
-  Array.iter
-    (fun c -> Mutex.protect c.lock (fun () -> ignore (try_connect t c)))
-    t.conns;
-  t.ticker <- Some (Thread.create (ticker_body t) ());
+  t.thread <- Some (Thread.create (fun () -> loop t) ());
   t
 
 let client t ~client =
+  let s = Array.length t.links in
   let mb =
     {
       client;
       mb_lock = Mutex.create ();
       mb_cond = Condition.create ();
+      mb_busy = false;
+      mb_done = false;
+      mb_exn = None;
       mb_rt = -1;
       mb_key = "";
-      mb_from = Array.make (Array.length t.conns) false;
+      mb_from = Array.make s false;
       mb_replies = [];
       mb_n = 0;
+      mb_k = ignore;
+      mb_attempt = 0;
+      mb_deadline = infinity;
       mb_late = 0;
       mb_next_rt = 0;
-      mb_deadline = infinity;
       mb_completed = 0;
       mb_retried = 0;
       mb_enc = Buffer.create 256;
       mb_out = Bytes.create 256;
+      mb_len = 0;
+      arr_rt = Array.make gens (-1);
+      arr_n = Array.make (gens * s) 0;
     }
   in
   Mutex.protect t.routes_lock (fun () -> Hashtbl.replace t.routes client mb);
@@ -529,152 +873,22 @@ let release h =
 
 let shutdown t =
   if not (Atomic.exchange t.stopping true) then begin
-    (* Severing the sockets pops every demux thread out of [read] and
-       fails any in-flight flusher's write. *)
-    Array.iter
-      (fun c ->
-        Mutex.protect c.lock (fun () ->
-            match c.fd with
-            | Some fd -> (
-              try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-            | None -> ()))
-      t.conns;
-    let demuxers =
-      Mutex.protect t.routes_lock (fun () ->
-          let ds = t.demuxers in
-          t.demuxers <- [];
-          ds)
-    in
-    List.iter Thread.join demuxers;
     Netio.notify t.wake_w;
-    (match t.ticker with
+    (match t.thread with
     | Some th ->
       Thread.join th;
-      t.ticker <- None
+      t.thread <- None
     | None -> ());
-    (* A sender racing this shutdown must not write to the pipe's
-       descriptor number once it is closed and possibly reused. *)
-    Atomic.set t.armed neg_infinity;
     Netio.Poller.close t.poller;
     (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
     try Unix.close t.wake_w with Unix.Unix_error _ -> ()
   end
 
-(* ------------------------------------------------------------------ *)
-(* The round trip                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let exec ~key h req k =
-  let t = h.mux and mb = h.mb in
-  let rt =
-    Mutex.protect mb.mb_lock (fun () ->
-        let rt = mb.mb_next_rt in
-        mb.mb_next_rt <- rt + 1;
-        mb.mb_rt <- rt;
-        mb.mb_key <- key;
-        Array.fill mb.mb_from 0 (Array.length mb.mb_from) false;
-        mb.mb_replies <- [];
-        mb.mb_n <- 0;
-        mb.mb_deadline <- now () +. t.rt_timeout;
-        rt)
-  in
-  (* Encode once; the same bytes go out on all S shared connections. *)
-  Codec.encode_into mb.mb_enc
-    (Codec.Keyed_request { key; rt; client = mb.client; req });
-  let len = Buffer.length mb.mb_enc in
-  if len > Bytes.length mb.mb_out then
-    mb.mb_out <- Bytes.create (max len (2 * Bytes.length mb.mb_out));
-  Buffer.blit mb.mb_enc 0 mb.mb_out 0 len;
-  let attempt = ref 0 in
-  let broadcast () =
-    (* One clock read per fan-out: copies staged together (duplicates,
-       or every link under one latency) share their deadline and leave
-       in one write per link. *)
-    let t0 = now () in
-    (* One payload copy shared by every staged delivery ([mb.mb_out] is
-       reused by the next operation), and one ticker wake-up for the
-       earliest of their deadlines. *)
-    let payload = lazy (Bytes.sub mb.mb_out 0 len) in
-    let earliest = ref infinity in
-    Array.iter
-      (fun c ->
-        (* Racy read of [mb_from] outside the mailbox lock: the worst
-           case is a duplicate send to a server that replied this very
-           instant, and replica operations are idempotent. *)
-        if not mb.mb_from.(c.index) then
-          match t.faults with
-          | None -> enqueue t c mb.mb_out len
-          | Some plan ->
-            (* Salted by the attempt number: a frame dropped now draws
-               afresh on the next re-broadcast. *)
-            let ds =
-              Faults.deliveries plan ~dir:Faults.To_server ~server:c.index
-                ~client:mb.client ~rt ~salt:!attempt
-            in
-            List.iter
-              (fun { Faults.after; truncated } ->
-                if after > 0.0 then begin
-                  (* Park on the link's deadline queue — never sleep in
-                     the sender: a delay scoped to this link must not
-                     stall other clients' batches or the rest of this
-                     fan-out. *)
-                  let due = t0 +. after in
-                  stage_delayed c ~due (Lazy.force payload) truncated;
-                  earliest := Float.min !earliest due
-                end
-                else enqueue ~torn:truncated t c mb.mb_out len)
-              ds)
-      t.conns;
-    (* Every insert happens before [armed] is read, and the ticker
-       stores [armed] before it rescans the queues, so either the
-       ticker's rescan sees the staged frames or this read sees the
-       ticker's deadline and wakes it early: no deadline is
-       overslept. *)
-    if !earliest < Atomic.get t.armed then Netio.notify t.wake_w
-  in
-  broadcast ();
-  let give_up = ref false in
-  Mutex.lock mb.mb_lock;
-  while mb.mb_n < t.quorum && not !give_up do
-    Condition.wait mb.mb_cond mb.mb_lock;
-    if mb.mb_n < t.quorum && now () >= mb.mb_deadline then begin
-      (* Round-trip timed out: re-broadcast to the servers still
-         missing (reconnecting dropped links), bounded. *)
-      if !attempt >= t.max_rt_retries then give_up := true
-      else begin
-        incr attempt;
-        mb.mb_retried <- mb.mb_retried + 1;
-        Mutex.unlock mb.mb_lock;
-        broadcast ();
-        Mutex.lock mb.mb_lock;
-        mb.mb_deadline <- now () +. t.rt_timeout
-      end
-    end
-  done;
-  let nreplies = mb.mb_n in
-  let replies = List.rev mb.mb_replies in
-  mb.mb_rt <- -1;
-  mb.mb_deadline <- infinity;
-  mb.mb_replies <- [];
-  Mutex.unlock mb.mb_lock;
-  if nreplies >= t.quorum then begin
-    Mutex.protect mb.mb_lock (fun () ->
-        mb.mb_completed <- mb.mb_completed + 1);
-    k replies
-  end
-  else
-    raise
-      (Unavailable
-         (Printf.sprintf "client %d: %d/%d replies after %d attempts of %.3fs"
-            mb.client nreplies t.quorum (!attempt + 1) t.rt_timeout))
-
 let rounds_completed h =
   Mutex.protect h.mb.mb_lock (fun () -> h.mb.mb_completed)
 
-let late_replies h =
-  Mutex.protect h.mb.mb_lock (fun () -> h.mb.mb_late)
+let late_replies h = Mutex.protect h.mb.mb_lock (fun () -> h.mb.mb_late)
 
-let retries h =
-  Mutex.protect h.mb.mb_lock (fun () -> h.mb.mb_retried)
+let retries h = Mutex.protect h.mb.mb_lock (fun () -> h.mb.mb_retried)
 
 let dropped_replies t = Atomic.get t.dropped

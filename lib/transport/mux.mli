@@ -1,42 +1,48 @@
 (** The live client data plane: one TCP connection per server per
-    process, shared by every client endpoint.
+    process, shared by every client endpoint, and one event-loop thread
+    that owns them all.
 
     Giving each client its own [S] sockets would cost [C × S] sockets
     for [C] clients and a fresh poll loop inside every operation — at
     production client counts that drowns the paper's round-trip
     economics in transport overhead.  The mux instead runs:
 
-    - [S] shared connections, each written under a per-connection lock
-      with a reused encode buffer (no per-frame allocation once warm);
-    - one demux reader thread per connection that decodes
-      [Keyed_reply] frames and routes them by [(client, rt)] into
-      per-client mailboxes
-      (mutex + condvar) — no [select], no per-iteration fd scans;
-    - {!exec} = encode once, enqueue on the [S] shared connections,
-      block on the caller's own mailbox until quorum or timeout;
-    - one ticker thread that wakes rounds past their timeout and, under
-      a fault plan's delays, releases staged frames at their deadlines:
-      every frame due on a link at one wake-up leaves in one write, in
-      deadline order, and none leaves before its deadline.
+    - [S] shared non-blocking connections, each with an out-queue
+      behind a per-link lock: a client thread writes its frame itself
+      when the link is idle, and otherwise leaves it for the loop's
+      next write, which carries everything queued on the link;
+    - one event loop that dials and redials every link without
+      blocking, reads and decodes [Keyed_reply] frames, routes them by
+      [(client, rt)] to per-client mailboxes, re-broadcasts timed-out
+      rounds, and runs each round's continuation the moment its quorum
+      is routed — so a client thread blocks once per operation, not
+      once per round;
+    - the fault plan's two legs ({!Faults}): request frames meet the
+      [To_server] rules as they are sent, replies the [From_server]
+      rules as they are read.  Delayed frames park on a deadline queue
+      (requests per link, replies in one heap) that the loop sleeps to
+      exactly; every frame due on a link at one wake-up leaves in one
+      write, in deadline order, and none leaves or is routed before its
+      deadline.
 
     The round-trip contract is the simulator's {!Protocol.Round_trip}:
     broadcast to all [S] servers, complete on the first [S − t] replies
     in arrival order, count stragglers late, re-broadcast on timeout a
     bounded number of times, raise {!Unavailable} when the retry budget
-    is spent.  Crashed servers sever their connection (the demux thread
-    sees EOF) and reconnects back off exponentially to a capped
-    interval at which they keep probing, so [t] real kills remain
-    survivable and a restarted server is always redialed.
+    is spent.  Crashed servers sever their connection (the loop reads
+    EOF) and reconnects back off exponentially to a capped interval at
+    which they keep probing, so [t] real kills remain survivable and a
+    restarted server is always redialed.
 
-    One {!handle} belongs to one client thread; operations are
-    sequential per client, so a single in-flight round trip per mailbox
+    One {!handle} serves one client thread; operations are sequential
+    per client, so a single in-flight round trip per mailbox
     suffices. *)
 
 exception Unavailable of string
 (** Raised by {!exec} when no quorum answered within the retry budget. *)
 
 type t
-(** The shared data plane: [S] connections plus their demux threads. *)
+(** The shared data plane: [S] connections plus their event loop. *)
 
 type handle
 (** One client's view of the plane: a mailbox plus round-trip counters. *)
@@ -49,14 +55,16 @@ val create :
   quorum:int ->
   unit ->
   t
-(** Dial every server (tolerating failures) and start the demux
-    threads.  [rt_timeout] (default 1s) bounds each round trip and
+(** Start the event loop, which dials every server (tolerating
+    failures).  [rt_timeout] (default 1s) bounds each round trip and
     [max_rt_retries] (default 3) bounds its re-broadcasts.  A failed
     connect is retried after 40 ms, doubling to a 1.28 s cap that holds
-    for as long as the server stays down.  [faults] subjects every
-    outgoing request frame to the plan's [To_server] rules ({!Faults})
-    — note a truncated frame severs the {e shared} connection, so every
-    rider reconnects and retries. *)
+    for as long as the server stays down.  [faults] is the link plan
+    the mux realises on both legs ({!Faults}): its [To_server] rules
+    for every request frame sent, its [From_server] rules for every
+    reply read.  A truncated frame on either leg severs the {e shared}
+    connection, so every rider reconnects and retries, and the replies
+    a severed link held are lost with it. *)
 
 val client : t -> client:int -> handle
 (** Register client [client] (its node id, {!Protocol.Topology}
@@ -69,12 +77,28 @@ val exec :
   Registers.Wire.req ->
   ((int * Registers.Wire.rep) list -> unit) ->
   unit
-(** One round trip over the shared connections.  The continuation
-    receives [(server_index, reply)] pairs in arrival order and runs in
-    the calling thread.  The request addresses register [key] of each
-    server's keyspace ([Codec.Keyed_request]); only replies echoing the
-    same key count toward the quorum — a reply for any other key is
-    dropped (see {!dropped_replies}), never delivered.
+(** One round trip over the shared connections.  The request addresses
+    register [key] of each server's keyspace ([Codec.Keyed_request]);
+    only replies echoing the same key count toward the quorum — a reply
+    for any other key is dropped (see {!dropped_replies}), never
+    delivered.  The continuation receives [(server_index, reply)] pairs
+    in arrival order, and runs on the mux's event loop as soon as the
+    quorum is routed, not on the calling thread.
+
+    - The outer call (on a handle with no operation in progress)
+      returns once the operation's whole continuation chain has
+      returned.
+    - [exec] called from inside a continuation opens the next round on
+      the same handle and returns at once; its continuation runs when
+      that round's quorum is in.
+    - An exception raised by a continuation ends the operation and is
+      raised by the outer call, on the caller's thread, and so is
+      [Unavailable] once a round's retry budget is spent (a reply that
+      arrives after that counts as late).
+    - Continuations of one handle never run concurrently.  They run on
+      the loop, so they must not block, and must not start an
+      operation on another handle of the same mux.
+
     @raise Unavailable when fewer than [quorum] servers answered. *)
 
 val rounds_completed : handle -> int
@@ -98,7 +122,8 @@ val release : handle -> unit
     dropped; the shared connections stay up for other clients. *)
 
 val shutdown : t -> unit
-(** Sever every connection, stop the demux and ticker threads, and join
-    them; the ticker is woken through its pipe rather than waited out.
-    Closes the ticker's pipe and poller, so a create/shutdown cycle
-    leaves no descriptor behind.  Idempotent. *)
+(** Stop the event loop and join it: the loop is woken through its pipe
+    rather than waited out, severs every connection, and fails an
+    operation still in progress with {!Unavailable}.  Closes the loop's
+    pipe and poller, so a create/shutdown cycle leaves no descriptor
+    behind.  Idempotent. *)

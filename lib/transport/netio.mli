@@ -1,4 +1,4 @@
-(** Socket I/O for the server reactor and both client planes — the
+(** Socket I/O for the server reactor and the mux's event loop — the
     transport's single sanctioned raw-I/O module (mwlint's RAW-IO rule
     points every [Unix.read]/[write]/[accept]/[select] outside this file
     back here).
@@ -24,7 +24,8 @@
 
 type counts = {
   writes : int;  (** {!write_all} [write(2)] calls (blocking sockets). *)
-  writes_nb : int;  (** {!write_nb} [write(2)] calls (reactor sockets). *)
+  writes_nb : int;
+      (** {!write_nb} [write(2)] calls (reactor and mux sockets). *)
   reads : int;
       (** [read(2)] calls from {!read}, {!read_nb} and {!drain_wake}. *)
   waits : int;  (** {!Poller.wait} calls: one epoll/poll wait each. *)
@@ -86,7 +87,7 @@ val fd_int : Unix.file_descr -> int
 
 module Poller : sig
   (** A persistent interest set for one waiting thread (a server's
-      reactor, the mux ticker): epoll(7) where the
+      reactor, a mux's event loop): epoll(7) where the
       platform has it, poll(2) over the registered set elsewhere.
       Level-triggered either way — an event repeats until its cause is
       drained, so a loop that processes only part of a socket's data
@@ -122,9 +123,11 @@ module Poller : sig
       and whole milliseconds, rounded up, on the poll(2) fallback and
       on kernels without epoll_pwait2.  On Linux the first epoll wait
       on a thread sets that thread's timer slack to 1 ns (from the
-      default 50 µs), so a wake-up lands at its deadline: a thread that
-      waits here is one that sleeps to staged-frame deadlines.  Where
-      the kernel refuses, the default slack stays.
+      default 50 µs), so a wake-up lands at its deadline: the thread
+      that waits here is a mux's event loop, which sleeps to the
+      deadlines of staged requests and held replies alike (both legs of
+      a link), or a server's reactor.  Where the kernel refuses, the
+      default slack stays.
       Errors (EPOLLERR/HUP, POLLNVAL) are reported as [readable]: the
       owner's read path observes the failure and drops the connection.
       The callback may [add]/[set]/[remove] freely, including for the

@@ -7,76 +7,13 @@ open Registers
    [replica_lock] because other threads read it too (inspection,
    recovery restarts). *)
 
-(* Per-connection outbound queue: a flat byte window [off, off+len) that
-   replies are appended to and the flush path consumes from the front.
-   Batched writes coalesce here — everything a wakeup produced leaves in
-   one write — and when the peer stops reading, the queue grows while
-   write interest keeps backpressure visible to the poller, up to
-   [outq_limit], past which the connection's requests wait unread. *)
-module Outq = struct
-  type t = { mutable buf : Bytes.t; mutable off : int; mutable len : int }
-
-  let create n = { buf = Bytes.create n; off = 0; len = 0 }
-
-  let is_empty q = q.len = 0
-
-  let ensure q extra =
-    let need = q.len + extra in
-    if q.off + need > Bytes.length q.buf then
-      if need <= Bytes.length q.buf then begin
-        (* Enough total room: slide the window back to the start. *)
-        Bytes.blit q.buf q.off q.buf 0 q.len;
-        q.off <- 0
-      end
-      else begin
-        let cap = ref (max 4096 (2 * Bytes.length q.buf)) in
-        while !cap < need do
-          cap := 2 * !cap
-        done;
-        let nb = Bytes.create !cap in
-        Bytes.blit q.buf q.off nb 0 q.len;
-        q.buf <- nb;
-        q.off <- 0
-      end
-
-  let add_buffer q b =
-    let n = Buffer.length b in
-    ensure q n;
-    Buffer.blit b 0 q.buf (q.off + q.len) n;
-    q.len <- q.len + n
-
-  let add_string q s =
-    let n = String.length s in
-    ensure q n;
-    Bytes.blit_string s 0 q.buf (q.off + q.len) n;
-    q.len <- q.len + n
-
-  let consume q n =
-    q.off <- q.off + n;
-    q.len <- q.len - n;
-    if q.len = 0 then q.off <- 0
-end
-
 type conn = {
   cfd : Unix.file_descr;
   ckey : int; (* fd number: the connection-table key *)
   stream : Codec.Stream.t;
   outq : Outq.t;
   mutable want_write : bool; (* write interest registered *)
-  mutable sever : bool; (* close once the out-queue drains *)
-  mutable frames : int; (* reply frames decided; salts the fault plan *)
 }
-
-(* A delayed reply delivery (fault plan): encoded bytes parked on the
-   reactor's timer list instead of a delayer thread's stack.  The
-   reactor's poll timeout shrinks to the nearest deadline, and every timer
-   due at a wake-up joins its connection's out-queue before that
-   connection is flushed once: one write per link per wake-up.  A timer
-   holds its connection record, not the fd number — a closed
-   connection's number is reused by the next accept — so a timer whose
-   connection died meanwhile just drops the frame, also a legal
-   behaviour of the link being modelled. *)
-type timer = { due : float; tconn : conn; payload : string }
 
 type t = {
   id : int;
@@ -84,14 +21,11 @@ type t = {
   port : int;
   keyspace : Keyspace.t; (* every register this server hosts *)
   replica_lock : Mutex.t; (* guards [keyspace] *)
-  faults : Faults.t option;
   poller : Netio.Poller.t;
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr; (* [stop] wakes the reactor through it *)
   conns : (int, conn) Hashtbl.t; (* reactor-thread private *)
-  mutable timers : timer list; (* sorted by [due]; reactor-thread private *)
   rbuf : Bytes.t;
-  reply_buf : Buffer.t;
   frame_buf : Buffer.t;
   stopping : bool Atomic.t;
   live_conns : int Atomic.t;
@@ -105,9 +39,9 @@ let ignore_sigpipe =
     (if Sys.os_type = "Unix" then
        try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with _ -> ())
 
-(* The idle tick: an upper bound on how long the reactor sleeps when nothing
-   is ready and no timer is due, and therefore on [stop]'s worst-case
-   latency if a wakeup byte were ever lost. *)
+(* The idle tick: an upper bound on how long the reactor sleeps when
+   nothing is ready, and therefore on [stop]'s worst-case latency if a
+   wakeup byte were ever lost. *)
 let tick = 0.2
 
 (* Backpressure ceiling for one connection's out-queue.  A peer that
@@ -143,7 +77,7 @@ let alive t c =
 (* Read interest is off while the out-queue is over the ceiling. *)
 let set_interest t c =
   Netio.Poller.set t.poller c.cfd
-    ~read:(c.outq.Outq.len <= outq_limit)
+    ~read:(Outq.length c.outq <= outq_limit)
     ~write:c.want_write
 
 let close_conn t c =
@@ -160,41 +94,27 @@ let close_conn t c =
    EAGAIN registers write interest — the poller re-invokes us when the
    peer drains its side — and a drained queue clears it, so a slow
    reader costs exactly one interest toggle, never a blocked thread. *)
-let rec flush t c =
-  if Outq.is_empty c.outq then begin
+let flush t c =
+  match Outq.flush c.outq c.cfd with
+  | true ->
     if c.want_write then begin
       c.want_write <- false;
       set_interest t c
-    end;
-    if c.sever then close_conn t c
-  end
-  else
-    match Netio.write_nb c.cfd c.outq.Outq.buf c.outq.Outq.off c.outq.Outq.len with
-    | Some n ->
-      Outq.consume c.outq n;
-      flush t c
-    | None ->
-      if not c.want_write then begin
-        c.want_write <- true;
-        set_interest t c
-      end
-    | exception Unix.Unix_error _ -> close_conn t c
-
-let add_timer t tm =
-  let rec ins = function
-    | [] -> [ tm ]
-    | hd :: _ as l when tm.due < hd.due -> tm :: l
-    | hd :: tl -> hd :: ins tl
-  in
-  t.timers <- ins t.timers
+    end
+  | false ->
+    if not c.want_write then begin
+      c.want_write <- true;
+      set_interest t c
+    end
+  | exception Unix.Unix_error _ -> close_conn t c
 
 (* Run one wakeup's worth of decoded requests through the keyspace under
    a single lock acquisition (the batch fast path for multiplexed client
-   connections), decide each reply frame's fate under the fault plan,
-   and coalesce every immediate delivery into one flush.  Each request
-   dispatches to its key's replica — the model's one-message-at-a-time
-   server, per register.  The clock is read once per batch, so replies
-   delayed by equal amounts share one deadline and leave together. *)
+   connections) and coalesce the batch's replies into one flush.  Each
+   request dispatches to its key's replica — the model's
+   one-message-at-a-time server, per register.  The server realises no
+   fault plan: both legs of a link are shaped by the client's mux, so a
+   reply leaves the moment its batch is handled. *)
 let process_requests t c requests =
   let reps =
     Mutex.protect t.replica_lock (fun () ->
@@ -203,65 +123,13 @@ let process_requests t c requests =
             (rt, client, key, Keyspace.handle t.keyspace ~key ~client req))
           requests)
   in
-  Buffer.clear t.reply_buf;
-  let t_now = match t.faults with None -> 0.0 | Some _ -> Clock.now () in
   List.iter
     (fun (rt, client, key, rep) ->
-      let frame = Codec.Keyed_reply { key; rt; client; server = t.id; rep } in
-      match t.faults with
-      | None ->
-        Codec.encode_into t.frame_buf frame;
-        Buffer.add_buffer t.reply_buf t.frame_buf
-      | Some plan ->
-        if not c.sever then begin
-          c.frames <- c.frames + 1;
-          let ds =
-            Faults.deliveries plan ~dir:Faults.From_server ~server:t.id
-              ~client ~rt ~salt:c.frames
-          in
-          List.iter
-            (fun { Faults.after; truncated } ->
-              if truncated then begin
-                (* A torn frame: ship a prefix, then sever (once the
-                   queue drains).  The client's strict decoder rejects
-                   the stream and reconnects. *)
-                Codec.encode_into t.frame_buf frame;
-                let prefix = max 1 (Buffer.length t.frame_buf / 2) in
-                Buffer.add_string t.reply_buf
-                  (Buffer.sub t.frame_buf 0 prefix);
-                c.sever <- true
-              end
-              else if after > 0.0 then
-                add_timer t
-                  { due = t_now +. after; tconn = c; payload = Codec.encode frame }
-              else begin
-                Codec.encode_into t.frame_buf frame;
-                Buffer.add_buffer t.reply_buf t.frame_buf
-              end)
-            ds
-        end)
+      Codec.encode_into t.frame_buf
+        (Codec.Keyed_reply { key; rt; client; server = t.id; rep });
+      Outq.add_buffer c.outq t.frame_buf)
     reps;
-  if Buffer.length t.reply_buf > 0 then Outq.add_buffer c.outq t.reply_buf;
   flush t c
-
-(* Release every timer due by [now]: each payload joins its
-   connection's out-queue in deadline order (so a link keeps its order),
-   then each connection touched is flushed once. *)
-let fire_timers t now =
-  let rec go touched =
-    match t.timers with
-    | tm :: rest when tm.due <= now ->
-      t.timers <- rest;
-      let c = tm.tconn in
-      (* A dead connection lost the frame while it was in flight. *)
-      if alive t c && not c.sever then begin
-        Outq.add_string c.outq tm.payload;
-        go (if List.memq c touched then touched else c :: touched)
-      end
-      else go touched
-    | _ -> touched
-  in
-  List.iter (flush t) (go [])
 
 (* Decode up to [max_batch] requests off [c]'s stream.  The flag reports
    a corrupt stream — a decode error, or a reply frame (only servers
@@ -286,7 +154,7 @@ let next_batch c =
    corrupt: the caller severs. *)
 let rec serve t c =
   if not (alive t c) then false
-  else if c.outq.Outq.len > outq_limit then begin
+  else if Outq.length c.outq > outq_limit then begin
     set_interest t c;
     false
   end
@@ -339,8 +207,6 @@ let do_accept t =
           stream = Codec.Stream.create ();
           outq = Outq.create 4096;
           want_write = false;
-          sever = false;
-          frames = 0;
         }
       in
       Hashtbl.replace t.conns c.ckey c;
@@ -351,13 +217,8 @@ let reactor_loop t =
   let wake_key = Netio.fd_int t.wake_r in
   let listen_key = Netio.fd_int t.listen_fd in
   while not (Atomic.get t.stopping) do
-    let timeout =
-      match t.timers with
-      | [] -> tick
-      | tm :: _ -> Float.max 0.0 (Float.min tick (tm.due -. Clock.now ()))
-    in
     ignore
-      (Netio.Poller.wait t.poller ~timeout
+      (Netio.Poller.wait t.poller ~timeout:tick
          (fun fd ~readable ~writable ->
            let k = Netio.fd_int fd in
            if k = wake_key then begin
@@ -380,15 +241,14 @@ let reactor_loop t =
                  end
                end;
                (* The flush may have severed the connection. *)
-               if readable && alive t c then handle_readable t c));
-    fire_timers t (Clock.now ())
+               if readable && alive t c then handle_readable t c))
   done;
   (* Teardown on the reactor thread: close every connection (clients
      see the crash as EOF/reset). *)
   let remaining = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [] in
   List.iter (close_conn t) remaining
 
-let start ?(host = "127.0.0.1") ?(port = 0) ?(id = 0) ?faults
+let start ?(host = "127.0.0.1") ?(port = 0) ?(id = 0)
     ?(keyspace = Keyspace.create ()) () =
   Lazy.force ignore_sigpipe;
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -420,14 +280,11 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?(id = 0) ?faults
       port;
       keyspace;
       replica_lock = Mutex.create ();
-      faults;
       poller;
       wake_r;
       wake_w;
       conns = Hashtbl.create 64;
-      timers = [];
       rbuf = Bytes.create 65536;
-      reply_buf = Buffer.create 4096;
       frame_buf = Buffer.create 512;
       stopping = Atomic.make false;
       live_conns = Atomic.make 0;

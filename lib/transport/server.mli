@@ -32,18 +32,14 @@ val start :
   ?host:string ->
   ?port:int ->
   ?id:int ->
-  ?faults:Faults.t ->
   ?keyspace:Registers.Keyspace.t ->
   unit ->
   t
 (** Bind [host:port] (default [127.0.0.1:0] — port 0 picks an ephemeral
     port, see {!port}) and serve until {!stop}.  [id] is the server's
     index, echoed in every reply so clients can attribute messages.
-    [faults] subjects every reply frame to the plan's [From_server]
-    rules: drops and blackouts lose it, delays park it on the
-    reactor's timer list and deliver it late (every reply due at one
-    wake-up leaves in one write per connection), duplicates send it twice,
-    truncation tears the frame mid-byte and severs the connection.
+    A server realises no fault plan: both legs of a link are shaped by
+    the client's {!Mux}, so every reply leaves with its batch.
     [keyspace] (default fresh and empty) holds every register the
     server hosts: a [Codec.Keyed_request] dispatches to the named
     per-key replica and is answered with a [Keyed_reply] echoing the

@@ -1,6 +1,8 @@
 open Protocol
 open Simulation
 
+(* A route rule: [None] means "no opinion"; the first rule with an
+   opinion wins, default [Network.Deliver]. *)
 type rule = src:int -> dst:int -> now:float -> Network.action option
 
 type t = { rules : rule list; crashes : (float * int) list }

@@ -10,10 +10,6 @@
 open Protocol
 open Simulation
 
-type rule = src:int -> dst:int -> now:float -> Network.action option
-(** [None] means "no opinion"; the first rule with an opinion wins,
-    default {!Network.Deliver}. *)
-
 type t
 
 val apply : t -> Control.t -> Engine.t -> unit

@@ -1,5 +1,5 @@
 (* The sharded KV keyspace: placement ring properties, keyspace
-   eviction, the keyed reactor path, mux demux hardening, and the
+   eviction, the keyed reactor path, mux routing hardening, and the
    YCSB driver end-to-end over the mux plane. *)
 
 open Kv
@@ -457,7 +457,7 @@ let test_reactor_interleaved_keyed_frames () =
     (Keyspace.key_count (Server.keyspace server))
 
 (* ------------------------------------------------------------------ *)
-(* Mux demux hardening                                                  *)
+(* Mux routing hardening                                              *)
 (* ------------------------------------------------------------------ *)
 
 let test_mux_drops_unknown_client_and_stale_key () =

@@ -453,6 +453,51 @@ let test_unused_export_negative () =
         "let () = print_int (Geom.Vec.scale 2 (Geom.Vec.add 1 1))\n" );
     ]
 
+(* Exported types: [t] its own values mention; [kind], [dims] and
+   [spare] only the files a case adds can reach, by a constructor, a
+   label or the type's name. *)
+let test_unused_export_types () =
+  let shape main =
+    unused
+      [
+        ( "lib/geom/shape.mli",
+          "type t
+           type kind = Circle | Square
+           type dims = { w : int; h : int }
+           type spare = int
+           val unit : t
+           val area : t -> int
+" );
+        ( "lib/geom/shape.ml",
+          "type t = int
+           type kind = Circle | Square
+           type dims = { w : int; h : int }
+           type spare = int
+           let unit = 1
+           let area x = x
+" );
+        ( "bin/main.ml",
+          "let () = print_int (Geom.Vec.scale 1 (Geom.Vec.add 1 1))
+           let () = print_int (Geom.Shape.area Geom.Shape.unit)
+" ^ main );
+      ]
+    |> fst
+  in
+  let findings = shape "" in
+  check Alcotest.int "three unreached types fire" 3 (List.length findings);
+  List.iter
+    (fun ty ->
+      check Alcotest.bool (ty ^ " fires") true
+        (List.exists (fun m -> contains m ("type Geom.Shape." ^ ty)) findings))
+    [ "kind"; "dims"; "spare" ];
+  check Alcotest.(list string) "a constructor, a label and a name reach them"
+    []
+    (shape
+       "let k = Geom.Shape.Circle
+        let d = { Geom.Shape.w = 1; h = 2 }
+        let s : Geom.Shape.spare = 0
+")
+
 let test_unused_export_keep () =
   let findings, stale =
     unused
@@ -602,6 +647,7 @@ let () =
           Alcotest.test_case "positive" `Quick test_unused_export_positive;
           Alcotest.test_case "negative" `Quick test_unused_export_negative;
           Alcotest.test_case "keep list" `Quick test_unused_export_keep;
+          Alcotest.test_case "exported types" `Quick test_unused_export_types;
         ] );
       ("determinism", [ QCheck_alcotest.to_alcotest order_stability_property ]);
       ( "baseline",

@@ -707,49 +707,10 @@ let test_reactor_reader_past_ceiling () =
   check bool "the replies overran the out-queue ceiling" true
     (!bytes > 4 * 1024 * 1024)
 
-let test_reactor_delayed_reply_stays_on_its_conn () =
-  (* A delayed reply belongs to the connection that asked.  Client A's
-     reply is parked for 0.2 s; A closes, and B's new socket usually
-     gets A's fd number on the server.  B must receive its own reply,
-     never A's. *)
-  let faults =
-    Faults.create
-      [
-        Faults.rule ~dir:Faults.From_server
-          (Faults.Latency { base = 0.2; jitter = 0.0 });
-      ]
-  in
-  let server = Server.start ~id:0 ~faults () in
-  let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server) in
-  let a = raw_connect addr in
-  raw_send a (query_frame ~rt:7 ~client:70);
-  Unix.close a;
-  let deadline = Clock.now () +. 1.0 in
-  while Server.connection_count server > 0 && Clock.now () < deadline do
-    Thread.delay 0.005
-  done;
-  let b = raw_connect addr in
-  raw_send b (query_frame ~rt:0 ~client:71);
-  let first = raw_read_frames b (Codec.Stream.create ()) (Bytes.create 8192) 1 in
-  Unix.close b;
-  Server.stop server;
-  match[@warning "-4"] first with
-  | [ Codec.Keyed_reply { client = 71; rt = 0; _ } ] -> ()
-  | [ Codec.Keyed_reply { client; rt; _ } ] ->
-    Alcotest.failf "B received client %d's reply to rt %d" client rt
-  | _ -> Alcotest.fail "expected one reply"
-
 let test_reactor_due_replies_one_write () =
-  (* 64 queries decoded in one batch under a constant 20 ms reply delay
-     share one deadline: they leave in one write, in request order. *)
-  let faults =
-    Faults.create
-      [
-        Faults.rule ~dir:Faults.From_server
-          (Faults.Latency { base = 0.02; jitter = 0.0 });
-      ]
-  in
-  let server = Server.start ~id:0 ~faults () in
+  (* 64 queries decoded in one batch are answered together: their
+     replies leave in one write, in request order. *)
+  let server = Server.start ~id:0 () in
   let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server) in
   let fd = raw_connect addr in
   let n = 64 in
@@ -852,9 +813,73 @@ let test_reactor_live_kill_restart () =
 (* Mux: the shared-connection client plane                              *)
 (* ------------------------------------------------------------------ *)
 
+(* A scripted server: a loopback listener whose first accepted
+   connection [script] serves on its own thread.  Returns the address
+   to dial and a function that waits for [script] to return and closes
+   everything. *)
+let scripted_server ?rcvbuf script =
+  let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt listener Unix.SO_REUSEADDR true;
+  (* Set on the listener, so the accepted socket starts with it. *)
+  Option.iter (Unix.setsockopt_int listener Unix.SO_RCVBUF) rcvbuf;
+  Unix.bind listener (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen listener 8;
+  let addr = Unix.getsockname listener in
+  let th =
+    Thread.create
+      (fun () ->
+        (* A blocking listener: accept_nb parks until the mux dials. *)
+        match Netio.accept_nb listener with
+        | Some fd ->
+          (try script fd with
+          | Unix.Unix_error _ | Failure _ | Codec.Decode_error _ -> ());
+          Unix.close fd
+        | None -> ())
+      ()
+  in
+  ( addr,
+    fun () ->
+      Thread.join th;
+      Unix.close listener )
+
+(* The next request off [fd]; [Failure] at EOF. *)
+let next_request fd st buf =
+  let rec go () =
+    match Codec.Stream.next st with
+    | Some (Codec.Keyed_request { key; rt; client; _ }) -> (key, rt, client)
+    | Some (Codec.Keyed_reply _) -> failwith "a client sent a reply"
+    | None ->
+      let n = Netio.read fd buf 0 (Bytes.length buf) in
+      if n = 0 then failwith "closed";
+      Codec.Stream.feed st buf n;
+      go ()
+  in
+  go ()
+
+let ack_frame ~key ~rt ~client =
+  Codec.encode
+    (Codec.Keyed_reply
+       {
+         key;
+         rt;
+         client;
+         server = 0;
+         rep = Wire.Write_ack { current = Wire.initial_value_entry };
+       })
+
+(* Answers every request at once, with blocking writes, until the mux
+   hangs up. *)
+let echo_server () =
+  scripted_server (fun fd ->
+      let st = Codec.Stream.create () and buf = Bytes.create 65536 in
+      while true do
+        let key, rt, client = next_request fd st buf in
+        raw_send fd (ack_frame ~key ~rt ~client)
+      done)
+
 let test_mux_interleaved_clients () =
   (* Many concurrent clients over ONE shared connection per server: the
-     demux must route every reply to the mailbox that opened the round
+     loop must route every reply to the mailbox that opened the round
      trip.  Any cross-client delivery would either strand an exec (its
      quorum never fills → Unavailable) or surface as a late/dropped
      frame, so "every op completes, exactly one round trip each, zero
@@ -1274,8 +1299,10 @@ let test_mux_hol_across_servers () =
 
 let test_mux_due_copies_one_write () =
   (* Duplicate + constant latency on the request leg: both copies of
-     each round's request are staged with one deadline, and the ticker
-     releases them in one write — R rounds cost exactly R writes. *)
+     each round's request are staged with one deadline, and the loop
+     releases them in one write — R rounds cost exactly R writes.  The
+     scripted server answers with blocking writes, so every
+     non-blocking write counted is the mux's. *)
   let faults =
     Faults.create
       [
@@ -1284,8 +1311,7 @@ let test_mux_due_copies_one_write () =
           (Faults.Latency { base = 0.02; jitter = 0.0 });
       ]
   in
-  let server = Server.start ~id:0 () in
-  let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server) in
+  let addr, stop = echo_server () in
   let mux = Mux.create ~faults ~servers:[| addr |] ~quorum:1 () in
   let ep = Mux.client mux ~client:90 in
   let rounds = 10 in
@@ -1295,13 +1321,13 @@ let test_mux_due_copies_one_write () =
   done;
   let after = Netio.counts () in
   Mux.shutdown mux;
-  Server.stop server;
+  stop ();
   check int "one client write per round" rounds
-    (after.Netio.writes - before.Netio.writes)
+    (after.Netio.writes_nb - before.Netio.writes_nb)
 
 let test_mux_fanout_one_notify () =
   (* Each link's request is due earlier than the previous link's (3, 2,
-     1 ms), so waking the ticker per staged frame would write its pipe
+     1 ms), so waking the loop per staged frame would write its pipe
      once per link; a fan-out stages all three and writes it at most
      once. *)
   let servers = Array.init 3 (fun i -> Server.start ~id:i ()) in
@@ -1334,8 +1360,277 @@ let test_mux_fanout_one_notify () =
     (Printf.sprintf "%d wake-pipe writes over %d rounds <= %d" n rounds rounds)
     true (n <= rounds)
 
+let test_mux_held_reply_dies_with_link () =
+  (* A held reply belongs to the connection it arrived on.  Client 70's
+     replies are held 0.2 s; its server crashes while one is held and
+     comes back on the same port.  The held reply must die with the
+     link: client 70's round completes only through its re-broadcast,
+     never early on the dead connection's reply, and client 71 gets
+     its own reply over the new connection. *)
+  let faults =
+    Faults.create
+      [
+        Faults.rule ~dir:Faults.From_server ~clients:[ 70 ]
+          (Faults.Latency { base = 0.2; jitter = 0.0 });
+      ]
+  in
+  let server = Server.start ~id:0 () in
+  let port = Server.port server in
+  let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, port) in
+  let mux = Mux.create ~rt_timeout:0.5 ~faults ~servers:[| addr |] ~quorum:1 () in
+  let a = Mux.client mux ~client:70 and b = Mux.client mux ~client:71 in
+  let a_elapsed = ref 0.0 in
+  let ta =
+    Thread.create
+      (fun () ->
+        let t0 = Clock.now () in
+        Mux.exec ~key a (Wire.Query []) (fun _ -> ());
+        a_elapsed := Clock.now () -. t0)
+      ()
+  in
+  Thread.delay 0.05;
+  Server.stop server;
+  let rec restart n =
+    match Server.start ~port ~id:0 () with
+    | sv -> sv
+    | exception Unix.Unix_error (Unix.EADDRINUSE, _, _) when n > 0 ->
+      Thread.delay 0.05;
+      restart (n - 1)
+  in
+  let server = restart 40 in
+  let got = ref [] in
+  Mux.exec ~key b (Wire.Query []) (fun rs -> got := List.map fst rs);
+  Thread.join ta;
+  Mux.shutdown mux;
+  Server.stop server;
+  check (Alcotest.list int) "client 71 answered over the new link" [ 0 ] !got;
+  check int "client 70 needed its re-broadcast" 1 (Mux.retries a);
+  check bool
+    (Printf.sprintf "client 70 took %.0f ms >= 500 ms" (!a_elapsed *. 1e3))
+    true (!a_elapsed >= 0.5);
+  check int "the held reply was never routed" 0 (Mux.late_replies a);
+  check int "nothing misrouted" 0 (Mux.dropped_replies mux)
+
+let test_mux_due_replies_one_wakeup () =
+  (* 64 replies read in one batch under a constant 20 ms reply delay
+     share one deadline: the loop routes them all at one wake-up, in
+     the order they were written.  The scripted server collects all 64
+     requests, then answers them in one write. *)
+  let faults =
+    Faults.create
+      [
+        Faults.rule ~dir:Faults.From_server
+          (Faults.Latency { base = 0.02; jitter = 0.0 });
+      ]
+  in
+  let n = 64 in
+  let written = ref [] in
+  let addr, stop =
+    scripted_server (fun fd ->
+        let st = Codec.Stream.create () and buf = Bytes.create 65536 in
+        let reqs = List.init n (fun _ -> next_request fd st buf) in
+        written := List.map (fun (_, _, client) -> client) reqs;
+        raw_send fd
+          (String.concat ""
+             (List.map (fun (key, rt, client) -> ack_frame ~key ~rt ~client) reqs));
+        (* Hold the connection until the mux hangs up. *)
+        ignore (next_request fd st buf))
+  in
+  let mux = Mux.create ~faults ~servers:[| addr |] ~quorum:1 () in
+  let routed = ref [] in
+  let threads =
+    List.init n (fun i ->
+        let h = Mux.client mux ~client:(200 + i) in
+        Thread.create
+          (fun () ->
+            Mux.exec ~key h (Wire.Query []) (fun _ ->
+                routed := (200 + i, (Netio.counts ()).Netio.waits) :: !routed))
+          ())
+  in
+  List.iter Thread.join threads;
+  Mux.shutdown mux;
+  stop ();
+  let routed = List.rev !routed in
+  check (Alcotest.list int) "routed in the order written" !written
+    (List.map fst routed);
+  check int "all routed at one wake-up" 1
+    (List.length (List.sort_uniq compare (List.map snd routed)))
+
+let test_mux_continuation_off_caller () =
+  (* A two-round operation: its first continuation runs on the loop,
+     not on the caller, opens the second round from there, and the
+     outer call returns only once the second continuation has run. *)
+  let server = Server.start ~id:0 () in
+  let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server) in
+  let mux = Mux.create ~servers:[| addr |] ~quorum:1 () in
+  let h = Mux.client mux ~client:12 in
+  let caller = Thread.id (Thread.self ()) in
+  let first = ref caller and second = ref None in
+  Mux.exec ~key h (Wire.Query []) (fun _ ->
+      first := Thread.id (Thread.self ());
+      Mux.exec ~key h (Wire.Update (value 1 0 1)) (fun _ ->
+          second := Some (Thread.id (Thread.self ()))));
+  Mux.shutdown mux;
+  Server.stop server;
+  check bool "first continuation off the caller's thread" true (!first <> caller);
+  check bool "second continuation ran before exec returned" true
+    (!second = Some !first);
+  check int "two rounds" 2 (Mux.rounds_completed h)
+
+exception Boom of int
+
+let test_mux_continuation_exn () =
+  (* An exception raised in a continuation — of the first round or of a
+     nested one, or by a nested [exec] whose request cannot be encoded —
+     reaches the caller, and the handle runs on. *)
+  let server = Server.start ~id:0 () in
+  let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server) in
+  let mux = Mux.create ~servers:[| addr |] ~quorum:1 () in
+  let h = Mux.client mux ~client:13 in
+  let raised f = match f () with () -> None | exception Boom n -> Some n in
+  let r1 = raised (fun () -> Mux.exec ~key h (Wire.Query []) (fun _ -> raise (Boom 1))) in
+  let r2 =
+    raised (fun () ->
+        Mux.exec ~key h (Wire.Query []) (fun _ ->
+            Mux.exec ~key h (Wire.Query []) (fun _ -> raise (Boom 2))))
+  in
+  let long_key = String.make (Codec.max_key_len + 1) 'k' in
+  let r3 =
+    match
+      Mux.exec ~key h (Wire.Query []) (fun _ ->
+          Mux.exec ~key:long_key h (Wire.Query []) (fun _ -> ()))
+    with
+    | () -> false
+    | exception Invalid_argument _ -> true
+  in
+  let ok = ref false in
+  Mux.exec ~key h (Wire.Query []) (fun _ -> ok := true);
+  Mux.shutdown mux;
+  Server.stop server;
+  check (Alcotest.option int) "first-round exception" (Some 1) r1;
+  check (Alcotest.option int) "nested-round exception" (Some 2) r2;
+  check bool "a nested exec's encoding failure" true r3;
+  check bool "the handle runs on" true !ok
+
+let test_mux_unavailable_then_late () =
+  (* A round that exhausts its retries raises [Unavailable] on the
+     caller; the reply the server sends afterwards counts as late. *)
+  let answer = Atomic.make false in
+  let addr, stop =
+    scripted_server (fun fd ->
+        let st = Codec.Stream.create () and buf = Bytes.create 65536 in
+        let key, rt, client = next_request fd st buf in
+        while not (Atomic.get answer) do
+          Thread.delay 0.005
+        done;
+        raw_send fd (ack_frame ~key ~rt ~client);
+        (* Hold the connection until the mux hangs up. *)
+        while true do
+          ignore (next_request fd st buf)
+        done)
+  in
+  let mux =
+    Mux.create ~rt_timeout:0.05 ~max_rt_retries:1 ~servers:[| addr |] ~quorum:1
+      ()
+  in
+  let h = Mux.client mux ~client:14 in
+  let unavailable =
+    match Mux.exec ~key h (Wire.Query []) (fun _ -> ()) with
+    | () -> false
+    | exception Mux.Unavailable _ -> true
+  in
+  Atomic.set answer true;
+  let deadline = Clock.now () +. 2.0 in
+  while Mux.late_replies h = 0 && Clock.now () < deadline do
+    Thread.delay 0.005
+  done;
+  let late = Mux.late_replies h in
+  Mux.shutdown mux;
+  stop ();
+  check bool "Unavailable raised on the caller" true unavailable;
+  check int "one re-broadcast" 1 (Mux.retries h);
+  check int "the reply after the give-up is late" 1 late
+
+let test_mux_stalled_server () =
+  (* Server 2 accepts and never reads, with a 4 KiB receive buffer.
+     Once the kernel's buffers for its link are full, the link must
+     neither block the loop nor any client: every round completes on
+     servers 0 and 1. *)
+  let servers = Array.init 2 (fun i -> Server.start ~id:i ()) in
+  let release = Atomic.make false in
+  let stalled, stop =
+    scripted_server ~rcvbuf:4096 (fun _ ->
+        while not (Atomic.get release) do
+          Thread.delay 0.01
+        done)
+  in
+  let addrs =
+    [|
+      Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port servers.(0));
+      Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port servers.(1));
+      stalled;
+    |]
+  in
+  let mux = Mux.create ~servers:addrs ~quorum:2 () in
+  let h = Mux.client mux ~client:15 in
+  (* ~1 KiB requests: 3 000 rounds push ~3 MB at the stalled link. *)
+  let key = String.make Codec.max_key_len 'k' in
+  let rounds = 3000 and done_ = ref 0 in
+  let t0 = Clock.now () in
+  for _ = 1 to rounds do
+    Mux.exec ~key h (Wire.Query []) (fun rs ->
+        if List.sort compare (List.map fst rs) = [ 0; 1 ] then incr done_)
+  done;
+  let elapsed = Clock.now () -. t0 in
+  Atomic.set release true;
+  Mux.shutdown mux;
+  stop ();
+  Array.iter Server.stop servers;
+  check int "every round completed on the reading servers" rounds !done_;
+  check int "no round timed out" 0 (Mux.retries h);
+  check bool (Printf.sprintf "%d rounds in %.2f s < 20 s" rounds elapsed) true
+    (elapsed < 20.0)
+
+let test_mux_reply_salts_ignore_interleaving () =
+  (* The reply leg's decisions are salted by each reply's arrival index
+     for its (client, round, server), so the same seed drops the same
+     replies whether four clients run one after another or all at once
+     on the shared connection: every client needs the same
+     re-broadcasts in both runs. *)
+  let run concurrent =
+    let server = Server.start ~id:0 () in
+    let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server) in
+    let faults =
+      Faults.create ~seed:5
+        [ Faults.rule ~dir:Faults.From_server ~prob:0.3 Faults.Drop ]
+    in
+    let mux =
+      Mux.create ~rt_timeout:0.1 ~max_rt_retries:20 ~faults ~servers:[| addr |]
+        ~quorum:1 ()
+    in
+    let hs = Array.init 4 (fun c -> Mux.client mux ~client:(20 + c)) in
+    let body h () =
+      for _ = 1 to 8 do
+        Mux.exec ~key h (Wire.Query []) (fun _ -> ())
+      done
+    in
+    if concurrent then
+      List.iter Thread.join
+        (Array.to_list (Array.map (fun h -> Thread.create (body h) ()) hs))
+    else Array.iter (fun h -> body h ()) hs;
+    let retries = Array.map Mux.retries hs in
+    Mux.shutdown mux;
+    Server.stop server;
+    retries
+  in
+  let one_by_one = run false in
+  let at_once = run true in
+  check bool "the plan drops some replies" true
+    (Array.fold_left ( + ) 0 one_by_one > 0);
+  check (Alcotest.array int) "same re-broadcasts per client" one_by_one at_once
+
 (* ------------------------------------------------------------------ *)
-(* Timer resolution and the ticker's lifecycle                          *)
+(* Timer resolution and the loop's lifecycle                          *)
 (* ------------------------------------------------------------------ *)
 
 (* Timing assertions take the median of many samples: a busy host can
@@ -1379,7 +1674,7 @@ let test_poller_oversleep () =
   (* A thread waiting in the poller runs with 1 ns timer slack, so an
      idle 0.3 ms wait oversleeps by microseconds, not by the kernel's
      default 50 us: on the calling thread, on a [Thread.create]d one
-     (the mux ticker, a server's reactor) and on a spawned domain: the
+     (a mux's loop, a server's reactor) and on a spawned domain: the
      slack is per OS thread, set on each thread's first wait. *)
   let oversleep () = idle_wait_median 200 -. 0.0003 in
   let caller = oversleep () in
@@ -1399,14 +1694,14 @@ let test_poller_oversleep () =
     [ ("calling thread", caller); ("thread", thread); ("domain", domain) ]
 
 let test_mux_sub_ms_round_trip () =
-  (* 0.3 ms on each leg: the request parks on the mux's deadline queue,
-     the reply on the server reactor's timer list.  Both must fire at
-     their deadline for the round trip to stay near its 0.6 ms
-     nominal. *)
+  (* 0.3 ms on each leg, both realised by the mux: the request parks on
+     its link's deadline queue, the reply in the loop's held heap.  Both
+     must fire at their deadline for the round trip to stay near its
+     0.6 ms nominal. *)
   let faults =
     Faults.create [ Faults.rule (Faults.Latency { base = 0.0003; jitter = 0.0 }) ]
   in
-  let server = Server.start ~id:0 ~faults () in
+  let server = Server.start ~id:0 () in
   let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server) in
   let mux = Mux.create ~faults ~servers:[| addr |] ~quorum:1 () in
   let ep = Mux.client mux ~client:10 in
@@ -1424,10 +1719,35 @@ let test_mux_sub_ms_round_trip () =
   check bool (Printf.sprintf "median round trip %.3f ms < 1.5 ms" (m *. 1e3))
     true (m < 0.0015)
 
+let test_mux_reply_leg_delays () =
+  (* A [From_server]-only plan against a server that realises nothing:
+     the mux holds the reply, so the round trip cannot beat the reply
+     leg's 50 ms. *)
+  let faults =
+    Faults.create
+      [
+        Faults.rule ~dir:Faults.From_server
+          (Faults.Latency { base = 0.05; jitter = 0.0 });
+      ]
+  in
+  let server = Server.start ~id:0 () in
+  let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server) in
+  let mux = Mux.create ~faults ~servers:[| addr |] ~quorum:1 () in
+  let ep = Mux.client mux ~client:11 in
+  let t0 = Clock.now () in
+  Mux.exec ~key ep (Wire.Query []) (fun _ -> ());
+  let elapsed = Clock.now () -. t0 in
+  Mux.shutdown mux;
+  Server.stop server;
+  check bool (Printf.sprintf "round trip %.1f ms >= 50 ms" (elapsed *. 1e3))
+    true (elapsed >= 0.05);
+  check bool (Printf.sprintf "round trip %.1f ms < 500 ms" (elapsed *. 1e3))
+    true (elapsed < 0.5)
+
 let test_mux_lifecycle () =
-  (* create/shutdown leaks no descriptor (the ticker's pipe and poller,
-     the connections), and shutdown wakes the sleeping ticker through
-     its pipe instead of waiting out its 50 ms tick. *)
+  (* create/shutdown leaks no descriptor (the loop's pipe and poller,
+     the connections), and shutdown wakes the sleeping loop through its
+     pipe instead of waiting out its 50 ms timeout scan. *)
   if not (Sys.file_exists "/proc/self/fd") then Alcotest.skip ();
   let fds () = Array.length (Sys.readdir "/proc/self/fd") in
   let server = Server.start ~id:0 () in
@@ -1443,7 +1763,7 @@ let test_mux_lifecycle () =
     let mux = Mux.create ~servers:[| addr |] ~quorum:1 () in
     let ep = Mux.client mux ~client:10 in
     Mux.exec ~key ep (Wire.Query []) (fun _ -> ());
-    (* Let the ticker reach its sleep. *)
+    (* Let the loop reach its sleep. *)
     Thread.delay 0.002;
     let t0 = Clock.now () in
     Mux.shutdown mux;
@@ -1726,8 +2046,6 @@ let () =
             test_reactor_live_kill_restart;
           Alcotest.test_case "a reader past the out-queue ceiling gets all"
             `Quick test_reactor_reader_past_ceiling;
-          Alcotest.test_case "delayed reply never reaches a reused fd" `Quick
-            test_reactor_delayed_reply_stays_on_its_conn;
           Alcotest.test_case "replies due together leave in one write"
             `Quick test_reactor_due_replies_one_write;
         ] );
@@ -1743,7 +2061,7 @@ let () =
             `Quick test_mux_hol_across_servers;
           Alcotest.test_case "redials a server restarted after a long outage"
             `Slow test_mux_redials_long_restart;
-                 Alcotest.test_case "idle epoll wait has sub-ms resolution" `Quick
+          Alcotest.test_case "idle epoll wait has sub-ms resolution" `Quick
             test_poller_sub_ms_timeout;
           Alcotest.test_case "idle waits oversleep < 40 us on every thread"
             `Quick test_poller_oversleep;
@@ -1755,6 +2073,22 @@ let () =
             test_mux_due_copies_one_write;
           Alcotest.test_case "one wake-pipe write per fan-out" `Quick
             test_mux_fanout_one_notify;
+          Alcotest.test_case "a held reply dies with its link" `Quick
+            test_mux_held_reply_dies_with_link;
+          Alcotest.test_case "due replies route at one wake-up"
+            `Quick test_mux_due_replies_one_wakeup;
+          Alcotest.test_case "a reply-leg plan delays a plan-less server"
+            `Quick test_mux_reply_leg_delays;
+          Alcotest.test_case "continuations run off the caller's thread"
+            `Quick test_mux_continuation_off_caller;
+          Alcotest.test_case "a continuation's exception reaches the caller"
+            `Quick test_mux_continuation_exn;
+          Alcotest.test_case "Unavailable on the caller, then a late reply"
+            `Quick test_mux_unavailable_then_late;
+          Alcotest.test_case "a server that stops reading stalls nothing"
+            `Quick test_mux_stalled_server;
+          Alcotest.test_case "reply-leg draws ignore client interleaving"
+            `Quick test_mux_reply_salts_ignore_interleaving;
         ] );
       ( "live",
         [
