@@ -28,61 +28,6 @@ let row fmt = Printf.printf (fmt ^^ "%!")
 let pool = ref (Parallel.Pool.create ~domains:1 ())
 
 (* ------------------------------------------------------------------ *)
-(* Shared workload machinery                                            *)
-(* ------------------------------------------------------------------ *)
-
-let mixed_plans ~w ~r ~ops =
-  List.init w (fun i ->
-      Runtime.write_plan ~writer:i
-        ~start_at:(float_of_int (3 * i))
-        ~think:(10.0 +. float_of_int (7 * i))
-        ops)
-  @ List.init r (fun i ->
-        Runtime.read_plan ~reader:i
-          ~start_at:(1.0 +. float_of_int i)
-          ~think:(8.0 +. float_of_int (5 * i))
-          (2 * ops))
-
-(* One run under a random schedule (latency + optional random skips +
-   optional crash), returning (atomic, wait_free). *)
-let run_once ~register ~s ~t ~w ~r ~seed ~shape =
-  let latency =
-    match seed mod 3 with
-    | 0 -> Simulation.Latency.constant 2.0
-    | 1 -> Simulation.Latency.uniform ~lo:1.0 ~hi:10.0
-    | _ -> Simulation.Latency.exponential ~mean:4.0
-  in
-  let env = Env.make ~seed ~latency ~s ~t ~w ~r () in
-  let topology = env.Env.topology in
-  let adversary =
-    match shape with
-    | `Benign -> Adversary.none
-    | `Skips -> Adversary.random_skips ~seed ~topology ~t_budget:t ~window:30.0
-    | `Crash -> Adversary.crash_random ~seed ~t ~at:20.0 ~s
-    | `Inversion ->
-      (* deterministic writer-order inversion exercised via plans below *)
-      Adversary.none
-  in
-  let plans =
-    match shape with
-    | `Inversion ->
-      [
-        Runtime.write_plan ~writer:(w - 1) ~start_at:0.0 1;
-        Runtime.write_plan ~writer:0 ~start_at:100.0 1;
-        Runtime.read_plan ~reader:0 ~start_at:200.0 1;
-      ]
-    | _ -> mixed_plans ~w ~r ~ops:3
-  in
-  let out =
-    Runtime.run ~register ~env ~plans ~adversary:(Adversary.apply adversary) ()
-  in
-  let atomic = Checker.Atomicity.is_atomic out.Runtime.history in
-  let wait_free =
-    List.for_all Histories.Op.is_complete (Histories.History.ops out.Runtime.history)
-  in
-  (atomic, wait_free)
-
-(* ------------------------------------------------------------------ *)
 (* T1: Table 1 — the design-space matrix                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -92,7 +37,7 @@ let t1_configs = [ (5, 1, 2, 2); (7, 3, 2, 2); (6, 1, 3, 3); (9, 2, 2, 2) ]
    certificate-starvation attack.  The shape × seed runs are independent
    and fan out over [pool]; counts merge in task order. *)
 let t1_cell pool ~register ~s ~t ~w ~r =
-  let shapes = [ `Benign; `Skips; `Crash; `Inversion ] in
+  let shapes = Hunter.[ Benign; Skips; Crash; Inversion ] in
   let tasks =
     List.concat_map
       (fun shape -> List.init 50 (fun i -> (shape, i + 1)))
@@ -100,7 +45,9 @@ let t1_cell pool ~register ~s ~t ~w ~r =
   in
   let verdicts =
     Parallel.Pool.map pool
-      (fun (shape, seed) -> fst (run_once ~register ~s ~t ~w ~r ~seed ~shape))
+      (fun (shape, seed) ->
+        Checker.Atomicity.is_atomic
+          (Hunter.run ~register ~s ~t ~w ~r ~seed shape).Runtime.history)
       tasks
   in
   let runs = ref 0 and broken = ref 0 in
@@ -183,7 +130,8 @@ let fig2 () =
           ~w:2 ~r:2 ()
       in
       let out =
-        Runtime.run ~register ~env ~plans:(mixed_plans ~w:2 ~r:2 ~ops:4) ()
+        Runtime.run ~register ~env
+          ~plans:(Hunter.mixed_plans ~w:2 ~r:2 ~ops:4) ()
       in
       let writes = Stats.writes out.Runtime.history in
       let reads = Stats.reads out.Runtime.history in
@@ -213,7 +161,7 @@ let fig2 () =
                   Runtime.write_plan ~writer:0 ~start_at:100.0 1;
                   Runtime.read_plan ~reader:0 ~start_at:200.0 1;
                 ]
-              else mixed_plans ~w:2 ~r:2 ~ops:3
+              else Hunter.mixed_plans ~w:2 ~r:2 ~ops:3
             in
             let out =
               Runtime.run ~register ~env ~plans
@@ -436,7 +384,7 @@ let alg12 () =
             in
             let out =
               Runtime.run ~register:Registers.Registry.fastread_w2r1 ~env
-                ~plans:(mixed_plans ~w ~r ~ops:3)
+                ~plans:(Hunter.mixed_plans ~w ~r ~ops:3)
                 ~adversary:(Adversary.apply adversary) ()
             in
             List.iter
@@ -481,7 +429,8 @@ let latency_exp () =
       for seed = 1 to 30 do
         let env = Env.make ~seed ~latency ~s:5 ~t:1 ~w:2 ~r:2 () in
         let out =
-          Runtime.run ~register ~env ~plans:(mixed_plans ~w:2 ~r:2 ~ops:4) ()
+          Runtime.run ~register ~env
+            ~plans:(Hunter.mixed_plans ~w:2 ~r:2 ~ops:4) ()
         in
         reads_acc := Stats.read_latencies out.Runtime.history @ !reads_acc;
         writes_acc := Stats.write_latencies out.Runtime.history @ !writes_acc
@@ -623,7 +572,7 @@ let semifast () =
           in
           let out =
             Runtime.run ~register:Registers.Registry.adaptive ~env
-              ~plans:(mixed_plans ~w:2 ~r ~ops:3) ()
+              ~plans:(Hunter.mixed_plans ~w:2 ~r ~ops:3) ()
           in
           let reads = Stats.reads out.Runtime.history in
           row "S=%-2d t=%-2d R=%-4d %-18s %-14s %.2f\n" s t r
@@ -1153,13 +1102,10 @@ let geo_exp () =
           let r = 2 in
           let clients = List.init (w + r) (fun i -> s + i) in
           let faults = Transport.Geo.plan profile ~s ~clients in
-          (* Far enough above the worst profile round trip that a
-             slow-but-healthy link never reads as loss. *)
-          let rt_timeout =
-            Float.max 1.0 (8.0 *. Transport.Geo.max_rtt profile)
-          in
+          let b = Transport.Geo.budget profile in
           let m =
-            run_register ~faults ~rt_timeout ~live_check:true ~register ~s
+            run_register ~faults ~rt_timeout:b.rt_timeout
+              ~max_rt_retries:b.max_rt_retries ~live_check:true ~register ~s
               ~tol:t ~writers:w ~readers:r ops
           in
           let res = m.Results.result in
@@ -1200,8 +1146,10 @@ let geo_exp () =
   let faults = Transport.Geo.plan profile ~s ~clients ~extra:[ o.rule ] in
   let register = Registers.Registry.abd_mwmr in
   let m =
-    run_register ~faults ~rt_timeout:0.3 ~max_rt_retries:10 ~live_check:true
-      ~register ~s ~tol:t ~writers:w ~readers:r ops
+    let b = Transport.Geo.outage_budget profile in
+    run_register ~faults ~rt_timeout:b.rt_timeout
+      ~max_rt_retries:b.max_rt_retries ~live_check:true ~register ~s ~tol:t
+      ~writers:w ~readers:r ops
   in
   let res = m.Results.result in
   let name = Registers.Registry.name register in
@@ -1232,7 +1180,7 @@ let micro () =
            in
            let out =
              Runtime.run ~register:Registers.Registry.fastread_w2r1 ~env
-               ~plans:(mixed_plans ~w:2 ~r:2 ~ops:2)
+               ~plans:(Hunter.mixed_plans ~w:2 ~r:2 ~ops:2)
                ()
            in
            ignore (Checker.Atomicity.is_atomic out.Runtime.history)))
@@ -1245,7 +1193,7 @@ let micro () =
     in
     let out =
       Runtime.run ~register:Registers.Registry.abd_mwmr ~env
-        ~plans:(mixed_plans ~w:2 ~r:2 ~ops:6)
+        ~plans:(Hunter.mixed_plans ~w:2 ~r:2 ~ops:6)
         ()
     in
     out.Runtime.history

@@ -75,21 +75,10 @@ let adversary_of_kind kind ~topology ~t ~seed =
 let sim register s t w r seed ops adversary_kind =
   let topology = Topology.make ~servers:s ~writers:w ~readers:r in
   let adversary = adversary_of_kind adversary_kind ~topology ~t ~seed in
-  let plans =
-    List.init w (fun i ->
-        Runtime.write_plan ~writer:i
-          ~start_at:(float_of_int (3 * i))
-          ~think:(10.0 +. float_of_int (7 * i))
-          ops)
-    @ List.init r (fun i ->
-          Runtime.read_plan ~reader:i
-            ~start_at:(1.0 +. float_of_int i)
-            ~think:(8.0 +. float_of_int (5 * i))
-            (2 * ops))
-  in
   let v =
     run_and_check ~seed ~register ~s ~t ~w ~r
-      ~adversary:(Adversary.apply adversary) plans
+      ~adversary:(Adversary.apply adversary)
+      (Hunter.mixed_plans ~w ~r ~ops)
   in
   Format.printf "protocol    : %s@." (Registry.name register);
   Format.printf "config      : S=%d t=%d W=%d R=%d seed=%d@." s t w r seed;
@@ -442,7 +431,7 @@ let hostport_conv =
   in
   Arg.conv' ~docv:"HOST:PORT" (parse, print)
 
-(* IDX@SEC: kill the one group's server IDX after SEC seconds. *)
+(* IDX@SEC: kill the first group's server IDX after SEC seconds. *)
 let kill_conv =
   let parse spec =
     match String.index_opt spec '@' with
@@ -453,23 +442,30 @@ let kill_conv =
           float_of_string_opt
             (String.sub spec (i + 1) (String.length spec - i - 1)) )
       with
-      | Some idx, Some at -> Ok (at, 0, idx)
+      | Some idx, Some at -> Ok (at, 0, idx, Kv.Session.Kill)
       | _ -> Error (Printf.sprintf "bad kill spec %S (want IDX@SEC)" spec))
   in
-  let print ppf (at, _, idx) = Format.fprintf ppf "%d@@%g" idx at in
+  let print ppf (at, _, idx, _) = Format.fprintf ppf "%d@@%g" idx at in
   Arg.conv' ~docv:"IDX@SEC" (parse, print)
 
-let profile_conv =
-  let parse name =
-    match Live.Geo.find name with
-    | Some p -> Ok p
-    | None ->
-      Error
-        (Printf.sprintf "unknown geo profile %S (profiles: %s)" name
-           (String.concat ", " (Live.Geo.names ())))
+(* --geo PROFILE, or --geo list for the profiles' matrices. *)
+let geo_conv =
+  let parse = function
+    | "list" -> Ok `List
+    | name -> (
+      match Live.Geo.find name with
+      | Some p -> Ok (`Profile p)
+      | None ->
+        Error
+          (Printf.sprintf "unknown geo profile %S (profiles: %s, or list)"
+             name
+             (String.concat ", " (Live.Geo.names ()))))
   in
-  Arg.conv' ~docv:"PROFILE"
-    (parse, fun ppf p -> Format.pp_print_string ppf (Live.Geo.name p))
+  let print ppf = function
+    | `List -> Format.pp_print_string ppf "list"
+    | `Profile p -> Format.pp_print_string ppf (Live.Geo.name p)
+  in
+  Arg.conv' ~docv:"PROFILE" (parse, print)
 
 let pp_ms ppf (st : Stats.summary) =
   Format.fprintf ppf
@@ -477,8 +473,8 @@ let pp_ms ppf (st : Stats.summary) =
     (1e3 *. st.Stats.mean) (1e3 *. st.Stats.p50) (1e3 *. st.Stats.p95)
     (1e3 *. st.Stats.p99) (1e3 *. st.Stats.max)
 
-(* --check live|off, shared by live / kv / chaos / geo: whether the
-   run streams through the online checker. *)
+(* --check live|off, shared by live / chaos: whether the run streams
+   through the online checker. *)
 let check_mode_arg =
   Arg.(value
        & opt (enum [ ("live", true); ("off", false) ]) true
@@ -488,279 +484,237 @@ let check_mode_arg =
                  flight — O(window) memory, violations reported the moment \
                  a verdict turns — and $(b,off) records and checks nothing.")
 
-(* --geo PROFILE, shared by live / kv. *)
-let geo_arg =
-  Arg.(value & opt (some profile_conv) None
-       & info [ "geo" ] ~docv:"PROFILE"
-           ~doc:"Shape every client<->server link with the named WAN/geo \
-                 profile (see $(b,mwreg geo --list)): per-region-pair base \
-                 delay plus jitter on both legs, compiled from the same \
-                 matrices as the simulator's latency model for that \
-                 profile.  Both legs are realised in this client process, \
-                 so it works against $(b,--connect)ed daemons too.  The \
-                 round-trip timeout is raised to cover the profile's worst \
-                 RTT when needed.")
-
 (* Mid-run hook: a verdict turning is worth a line the moment it
    happens, not minutes later when the run drains. *)
 let announce_violation key w =
   Format.printf "live check  : key %s VIOLATED mid-run: %a@." key Witness.pp w
 
-(* Prints the streaming checker's report; returns whether every key
-   stayed atomic. *)
-let report_online (r : Live.Check_sink.report) =
-  Format.printf
-    "live check  : %d op(s) over %d key(s); peak window %d resident op(s)@."
-    r.Live.Check_sink.checked r.Live.Check_sink.keys
-    r.Live.Check_sink.peak_window;
-  Format.printf
-    "              %.0f ops/s through the checker (%.3fs busy, %d batches)@."
-    r.Live.Check_sink.checker_ops_per_sec r.Live.Check_sink.busy
-    r.Live.Check_sink.batches;
-  List.iter
-    (fun (key, w) ->
-      Format.printf "  key %-12s VIOLATED %a@." key Witness.pp w)
-    r.Live.Check_sink.violations;
-  Live.Check_sink.atomic r
-
 (* Prints a finished run's atomicity verdict and returns whether it
    held: the streaming checker's report ([online] is present exactly
-   when the run had [--check live]), closed by a one-line verdict with
-   [summary]. *)
-let verdict ?(off = "atomicity   : not checked (--check off)")
-    ?(summary = true) online =
+   when the run had [--check live]), closed by a one-line verdict. *)
+let verdict online =
   match online with
   | None ->
-    Format.printf "%s@." off;
+    Format.printf "atomicity   : not checked (--check off)@.";
     true
-  | Some report ->
-    let ok = report_online report in
-    if summary then
-      Format.printf "atomicity   : %s (streaming verdict)@."
-        (if ok then "OK" else "VIOLATED");
+  | Some (r : Live.Check_sink.report) ->
+    Format.printf
+      "live check  : %d op(s) over %d key(s); peak window %d resident op(s)@."
+      r.Live.Check_sink.checked r.Live.Check_sink.keys
+      r.Live.Check_sink.peak_window;
+    Format.printf
+      "              %.0f ops/s through the checker (%.3fs busy, %d batches)@."
+      r.Live.Check_sink.checker_ops_per_sec r.Live.Check_sink.busy
+      r.Live.Check_sink.batches;
+    List.iter
+      (fun (key, w) ->
+        Format.printf "  key %-12s VIOLATED %a@." key Witness.pp w)
+      r.Live.Check_sink.violations;
+    let ok = Live.Check_sink.atomic r in
+    Format.printf "atomicity   : %s (streaming verdict)@."
+      (if ok then "OK" else "VIOLATED");
     ok
 
-(* One protocol against one (fresh or attached) single-group cluster.
-   Returns false only when the streaming checker saw a violation. *)
-let live_one ?faults ?max_rt_retries ~register ~cluster ~spec ~kill_at
-    ~rt_timeout ~check () =
-  let res =
-    Kv.Session.run ?faults ?max_rt_retries ~kill_at ~rt_timeout
-      ~live_check:check ~on_violation:announce_violation ~register ~cluster
-      spec
-  in
-  let ops = res.Kv.Session.ops in
-  let servers = Kv.Cluster.group cluster 0 in
+(* One finished run against [cluster]; returns whether it stayed
+   atomic. *)
+let report ~register ~cluster (spec : Kv.Session.spec)
+    (res : Kv.Session.result) =
+  let groups = Kv.Cluster.group_count cluster in
+  let g0 = Kv.Cluster.group cluster 0 in
   Format.printf "protocol    : %s@." (Registry.name register);
-  Format.printf "cluster     : %s S=%d t=%d (quorum %d), mux transport@."
-    (if Live.Cluster.local servers then "loopback" else "remote")
-    (Live.Cluster.s servers)
-    (Live.Cluster.tolerance servers)
-    (Live.Cluster.quorum servers);
-  Format.printf "ops         : %d in %.3fs (%.0f ops/s)@." ops
-    res.Kv.Session.duration
-    (float_of_int ops /. res.Kv.Session.duration);
-  Format.printf "round trips : write %.2f/op, read %.2f/op, late replies %d@."
-    res.Kv.Session.write_rounds res.Kv.Session.read_rounds
-    res.Kv.Session.late;
+  Format.printf
+    "cluster     : %s, %d group(s) of S=%d t=%d (quorum %d), mux transport@."
+    (if Live.Cluster.local g0 then "loopback" else "remote")
+    groups (Live.Cluster.s g0) (Live.Cluster.tolerance g0)
+    (Live.Cluster.quorum g0);
+  let keys =
+    if spec.Kv.Session.keys = 1 then "1 key"
+    else
+      Printf.sprintf "%d keys %s" spec.Kv.Session.keys
+        (Ycsb.dist_name spec.Kv.Session.dist)
+  in
+  (match spec.Kv.Session.roles with
+  | Kv.Session.Mixed c ->
+    Format.printf "workload    : %d mixed client(s) x %d ops, YCSB %s, %s@." c
+      spec.Kv.Session.ops_per_client
+      (Ycsb.mix_name spec.Kv.Session.mix)
+      keys
+  | Kv.Session.Split { writers; readers } ->
+    Format.printf
+      "workload    : %d writer(s) x %d writes, %d reader(s) x %d reads, %s@."
+      writers spec.Kv.Session.ops_per_client readers
+      (2 * spec.Kv.Session.ops_per_client)
+      keys);
+  Format.printf "ops         : %d in %.3fs (%.0f ops/s), %d key(s) touched@."
+    res.Kv.Session.ops res.Kv.Session.duration res.Kv.Session.throughput
+    res.Kv.Session.keys_touched;
+  Format.printf
+    "round trips : write %.2f/op, read %.2f/op, late replies %d, retries %d@."
+    res.Kv.Session.write_rounds res.Kv.Session.read_rounds res.Kv.Session.late
+    res.Kv.Session.retries;
+  Format.printf "all         : %a@." pp_ms res.Kv.Session.all_lat;
   Format.printf "writes      : %a@." pp_ms res.Kv.Session.write_lat;
   Format.printf "reads       : %a@." pp_ms res.Kv.Session.read_lat;
-  let running = Live.Cluster.running servers in
-  (match
-     List.filter
-       (fun i -> not (List.mem i running))
-       (List.init (Live.Cluster.s servers) Fun.id)
-   with
-  | [] -> ()
-  | killed ->
-    Format.printf "killed      : %s@."
-      (String.concat ", " (List.map string_of_int killed)));
+  if groups > 1 then
+    Format.printf "per group   : %s ops@."
+      (String.concat ", "
+         (Array.to_list (Array.map string_of_int res.Kv.Session.group_ops)));
+  let killed =
+    List.concat_map
+      (fun g ->
+        let c = Kv.Cluster.group cluster g in
+        let running = Live.Cluster.running c in
+        List.filter_map
+          (fun i ->
+            if List.mem i running then None
+            else if groups = 1 then Some (string_of_int i)
+            else Some (Printf.sprintf "%d.%d" g i))
+          (List.init (Live.Cluster.s c) Fun.id))
+      (List.init groups Fun.id)
+  in
+  if killed <> [] then
+    Format.printf "killed      : %s@." (String.concat ", " killed);
   if res.Kv.Session.starved > 0 then
     Format.printf "starved     : %d client(s) gave up without a quorum@."
       res.Kv.Session.starved;
+  if res.Kv.Session.dropped > 0 then
+    Format.printf "dropped     : %d stray reply(ies)@." res.Kv.Session.dropped;
   let ok = verdict res.Kv.Session.online in
   Format.printf "@.";
   ok
 
-let live register all s tol w r ops addrs kill_at think rt_timeout geo_profile
-    check =
-  match if all then Registry.all else [ register ] with
-  | _ when addrs <> [] && kill_at <> [] ->
-    Printf.eprintf "--kill needs a loopback cluster (drop --connect)\n";
-    exit 1
-  | _ :: _ :: _ when addrs <> [] ->
-    Printf.eprintf
-      "--all needs a fresh cluster per protocol: drop --connect\n";
-    exit 1
-  | registers ->
-    let run_one register =
-      let w = Registry.clamp_writers register w in
-      (* Geo profiles compile against the session's node numbering
-         (servers 0..s-1, then the w+r clients), so the plan is built
-         after the writer clamp. *)
-      let faults =
-        Option.map
-          (fun p ->
-            Live.Geo.plan p ~s ~clients:(List.init (w + r) (fun i -> s + i)))
-          geo_profile
-      in
-      let rt_timeout =
-        match geo_profile with
-        | Some p -> Float.max rt_timeout (8.0 *. Live.Geo.max_rtt p)
-        | None -> rt_timeout
-      in
-      (* A fresh cluster per protocol: replica state must not leak
-         between runs (a stale value surfacing in a read would be an
-         artifact, not a violation). *)
-      let cluster =
-        match addrs with
-        | [] -> Kv.Cluster.start ?faults ~groups:1 ~s ~tol ()
-        | addrs -> Kv.Cluster.connect ~addrs:(Array.of_list addrs) ~tol
-      in
-      Fun.protect
-        ~finally:(fun () -> Kv.Cluster.shutdown cluster)
-        (fun () ->
-          let spec =
-            Kv.Session.register_spec ~think ~writers:w ~readers:r ops
-          in
-          live_one ?faults ~register ~cluster ~spec ~kill_at ~rt_timeout
-            ~check ())
-    in
-    let ok = List.for_all run_one registers in
-    if not ok then exit 2
+(* A set-up the command or the library refuses (a writer bound, a bad
+   size, an outage on a one-region profile) exits 1 with its message. *)
+let refuse msg =
+  Printf.eprintf "mwreg live: %s\n" msg;
+  exit 1
 
-let live_cmd =
-  let all =
-    Arg.(value & flag
-         & info [ "all" ]
-             ~doc:"Run every registered protocol (smoke mode; single-writer \
-                   protocols are clamped to W=1).")
-  in
-  let ops =
-    Arg.(value & opt int 20 & info [ "ops" ] ~docv:"N"
-         ~doc:"Writes per writer (each reader does 2N reads).")
-  in
-  let connect =
-    Arg.(value & opt_all hostport_conv []
-         & info [ "connect" ] ~docv:"HOST:PORT"
-             ~doc:"Use an already-running server (repeat once per server) \
-                   instead of spawning a loopback cluster.")
-  in
-  let kills =
-    Arg.(value & opt_all kill_conv []
-         & info [ "kill" ] ~docv:"IDX@SEC"
-             ~doc:"Kill server IDX after SEC seconds (repeatable; loopback \
-                   only).")
-  in
-  let think =
-    Arg.(value & opt float 0.0 & info [ "think" ] ~docv:"SEC"
-         ~doc:"Think time between a client's operations.")
-  in
-  let rt_timeout =
-    Arg.(value & opt float 1.0 & info [ "rt-timeout" ] ~docv:"SEC"
-         ~doc:"Per-round-trip timeout before re-broadcasting.")
-  in
-  Cmd.v
-    (Cmd.info "live"
-       ~doc:"Run a register protocol over real TCP sockets and check \
-             every operation for atomicity as it completes.")
-    Term.(const live $ protocol_arg $ all $ s_arg $ t_arg $ w_arg $ r_arg
-          $ ops $ connect $ kills $ think $ rt_timeout $ geo_arg
-          $ check_mode_arg)
+let refused f = try f () with Invalid_argument msg -> refuse msg
 
-(* ------------------------------------------------------------------ *)
-(* kv                                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let kv register groups s tol clients keys ops dist theta mix seed think
-    rt_timeout geo_profile check =
+let live register all s tol w r clients ops keys groups dist theta mix seed
+    think rt_timeout addrs crashes geo outage check =
+  let profile =
+    match geo with
+    | Some `List ->
+      List.iter
+        (fun p -> print_string (Live.Geo.describe p); print_newline ())
+        Live.Geo.profiles;
+      exit 0
+    | Some (`Profile p) -> Some p
+    | None -> None
+  in
+  if addrs <> [] && crashes <> [] then
+    refuse "--kill needs a loopback cluster (drop --connect)";
+  if addrs <> [] && all then
+    refuse "--all needs a fresh cluster per protocol: drop --connect";
+  if addrs <> [] && groups > 1 then
+    refuse "--connect attaches one group of servers: drop --groups";
+  if outage && profile = None then refuse "--outage needs --geo PROFILE";
+  let s = if addrs = [] then s else List.length addrs in
   let dist =
     match dist with `Zipfian -> Ycsb.Zipfian theta | `Uniform -> Ycsb.Uniform
   in
-  (* KV client [i] is node [s + i] in every shard group, so one geo
-     plan covers all the per-group planes. *)
-  let faults =
-    Option.map
-      (fun p ->
-        Live.Geo.plan p ~s ~clients:(List.init clients (fun i -> s + i)))
-      geo_profile
+  let run_one register =
+    let roles, nclients =
+      match clients with
+      | Some c -> (Kv.Session.Mixed c, c)
+      | None ->
+        let w = if all then Registry.clamp_writers register w else w in
+        (Kv.Session.Split { writers = w; readers = r }, w + r)
+    in
+    let spec =
+      { Kv.Session.roles; ops_per_client = ops; keys; dist; mix; seed; think }
+    in
+    (* Client [i] is node [s + i] in every group (the Topology
+       numbering), so one plan shapes every group's links.  A client
+       count below one is [Kv.Session.run]'s to refuse. *)
+    let nodes = List.init (max 0 nclients) (fun i -> s + i) in
+    let faults, budget =
+      match profile with
+      | None -> (None, None)
+      | Some p ->
+        let o =
+          if outage then
+            Some (refused (fun () -> Live.Geo.outage p ~s ~clients:nodes))
+          else None
+        in
+        print_string (Live.Geo.describe p);
+        let extra, budget =
+          match o with
+          | None -> ([], Live.Geo.budget p)
+          | Some o ->
+            Format.printf
+              "outage      : region %s (nodes %s) cut %.2fs..%.2fs@."
+              (Live.Geo.region_name p o.region)
+              (String.concat "," (List.map string_of_int o.cut))
+              o.from_ o.until;
+            ([ o.rule ], Live.Geo.outage_budget p)
+        in
+        (Some (Live.Geo.plan ~extra p ~s ~clients:nodes), Some budget)
+    in
+    let rt_timeout =
+      if rt_timeout <> None then rt_timeout
+      else Option.map (fun b -> b.Live.Geo.rt_timeout) budget
+    in
+    let max_rt_retries =
+      Option.map (fun b -> b.Live.Geo.max_rt_retries) budget
+    in
+    (* A fresh cluster per protocol: replica state must not leak
+       between runs (a stale value surfacing in a read would be an
+       artifact, not a violation). *)
+    let cluster =
+      refused (fun () ->
+          match addrs with
+          | [] -> Kv.Cluster.start ?faults ~groups ~s ~tol ()
+          | addrs -> Kv.Cluster.connect ~addrs:(Array.of_list addrs) ~tol)
+    in
+    Fun.protect
+      ~finally:(fun () -> Kv.Cluster.shutdown cluster)
+      (fun () ->
+        let res =
+          refused (fun () ->
+              Kv.Session.run ~crashes ?rt_timeout ?max_rt_retries ?faults
+                ~register ~live_check:check ~on_violation:announce_violation
+                ~cluster spec)
+        in
+        report ~register ~cluster spec res)
   in
-  let rt_timeout =
-    match geo_profile with
-    | Some p -> Float.max rt_timeout (8.0 *. Live.Geo.max_rtt p)
-    | None -> rt_timeout
-  in
-  let cluster = Kv.Cluster.start ?faults ~groups ~s ~tol () in
-  Fun.protect
-    ~finally:(fun () -> Kv.Cluster.shutdown cluster)
-    (fun () ->
-      let res =
-        Kv.Session.run ?faults ~rt_timeout ~register ~live_check:check
-          ~on_violation:announce_violation ~cluster
-          {
-            Kv.Session.roles = Kv.Session.Mixed clients;
-            ops_per_client = ops;
-            keys;
-            dist;
-            mix;
-            seed;
-            think;
-          }
-      in
-      Printf.printf
-        "%s over %d shard group(s) (S=%d t=%d per group), %d clients, \
-         %d keys, %s/%s\n"
-        (Registry.name register) groups s tol clients keys
-        (Ycsb.dist_name dist) (Ycsb.mix_name mix);
-      Printf.printf
-        "  %d ops in %.3fs  (%.0f ops/s, %d distinct keys touched)\n"
-        res.Kv.Session.ops res.Kv.Session.duration
-        res.Kv.Session.throughput res.Kv.Session.keys_touched;
-      let ms name (st : Stats.summary) =
-        Printf.printf "  %-6s p50 %.2fms  p95 %.2fms  p99 %.2fms\n" name
-          (1e3 *. st.Stats.p50) (1e3 *. st.Stats.p95) (1e3 *. st.Stats.p99)
-      in
-      ms "all" res.Kv.Session.all_lat;
-      ms "read" res.Kv.Session.read_lat;
-      ms "write" res.Kv.Session.write_lat;
-      Printf.printf "  per-group ops: [%s]\n"
-        (String.concat "; "
-           (Array.to_list
-              (Array.map string_of_int res.Kv.Session.group_ops)));
-      if res.Kv.Session.starved > 0 || res.Kv.Session.dropped > 0 then
-        Printf.printf "  starved clients %d, dropped replies %d\n"
-          res.Kv.Session.starved res.Kv.Session.dropped;
-      let all_atomic =
-        verdict ~off:"  atomicity: not checked (--check off)" ~summary:false
-          res.Kv.Session.online
-      in
-      if not all_atomic then exit 2)
+  let ok = List.for_all run_one (if all then Registry.all else [ register ]) in
+  if not ok then exit 2
 
-let kv_cmd =
-  (* Default to the unconditionally-atomic multi-writer ABD: the KV
-     driver reports r = clients, and a default fast-read protocol would
-     silently sit outside its R < S/t - 2 regime at any realistic client
-     count. *)
+let live_cmd =
+  (* Default to the multi-writer ABD, atomic at any reader count: a
+     fast-read default would silently leave its R < S/t - 2 regime as
+     soon as the run has a few readers or mixed clients. *)
   let protocol =
     protocol_opt Registry.abd_mwmr
-      "Register protocol run per key (registry substring match, as in \
-       $(b,sim))."
+      "Register protocol run per key: substring match against the \
+       registry (w2r2/ls97, w2r1/huang, swmr/abd, dglv, naive)."
   in
-  let groups =
-    Arg.(value & opt int 2 & info [ "groups"; "g" ] ~docv:"G"
-         ~doc:"Shard groups (each its own S-server quorum system).")
+  let all =
+    Arg.(value & flag
+         & info [ "all" ]
+             ~doc:"Run every registered protocol (smoke mode; with split \
+                   roles, single-writer protocols are clamped to W=1).")
   in
   let clients =
-    Arg.(value & opt int 8 & info [ "clients"; "c" ] ~docv:"C"
-         ~doc:"Closed-loop client threads (each both writes and reads).")
-  in
-  let keys =
-    Arg.(value & opt int 1000 & info [ "keys"; "k" ] ~docv:"K"
-         ~doc:"Keyspace size.")
+    Arg.(value & opt (some int) None & info [ "clients"; "c" ] ~docv:"C"
+         ~doc:"Mixed roles: C closed-loop YCSB clients, each both writing \
+               and reading (per $(b,--mix)), in place of the split \
+               $(b,-w) writers and $(b,-r) readers.")
   in
   let ops =
-    Arg.(value & opt int 50 & info [ "ops" ] ~docv:"N"
-         ~doc:"Operations per client.")
+    Arg.(value & opt int 20 & info [ "ops" ] ~docv:"N"
+         ~doc:"Operations per client: with split roles each writer writes N \
+               times and each reader reads 2N times.")
+  in
+  let keys =
+    Arg.(value & opt int 1 & info [ "keys"; "k" ] ~docv:"K"
+         ~doc:"Keyspace size (1: a single register).")
+  in
+  let groups =
+    Arg.(value & opt int 1 & info [ "groups"; "g" ] ~docv:"G"
+         ~doc:"Shard groups (each its own S-server quorum system).")
   in
   let dist =
     Arg.(value
@@ -784,24 +738,62 @@ let kv_cmd =
   in
   let mix =
     Arg.(value & opt mix_conv Ycsb.A & info [ "mix" ] ~docv:"MIX"
-         ~doc:"YCSB operation mix: $(b,A) 50/50, $(b,B) 95% reads, \
-               $(b,C) read-only.")
+         ~doc:"YCSB operation mix of $(b,--clients): $(b,A) 50/50, $(b,B) \
+               95% reads, $(b,C) read-only.")
   in
   let think =
     Arg.(value & opt float 0.0 & info [ "think" ] ~docv:"SEC"
          ~doc:"Think time between a client's operations.")
   in
   let rt_timeout =
-    Arg.(value & opt float 1.0 & info [ "rt-timeout" ] ~docv:"SEC"
-         ~doc:"Per-round-trip timeout before re-broadcasting.")
+    Arg.(value & opt (some float) None & info [ "rt-timeout" ] ~docv:"SEC"
+         ~doc:"Per-round-trip timeout before re-broadcasting (default 1s, \
+               or the $(b,--geo) profile's round-trip budget).")
+  in
+  let connect =
+    Arg.(value & opt_all hostport_conv []
+         & info [ "connect" ] ~docv:"HOST:PORT"
+             ~doc:"Use an already-running server (repeat once per server) \
+                   instead of spawning a loopback cluster.")
+  in
+  let kills =
+    Arg.(value & opt_all kill_conv []
+         & info [ "kill" ] ~docv:"IDX@SEC"
+             ~doc:"Kill the first group's server IDX after SEC seconds \
+                   (repeatable; loopback only).")
+  in
+  let geo =
+    Arg.(value & opt (some geo_conv) None
+         & info [ "geo" ] ~docv:"PROFILE"
+             ~doc:"Shape every client<->server link with the named WAN/geo \
+                   profile: per-region-pair base delay plus jitter on both \
+                   legs, compiled from the same matrices as the simulator's \
+                   latency model for that profile, with the round-trip \
+                   budget declared next to it.  Both legs are realised in \
+                   this client process, so it works against \
+                   $(b,--connect)ed daemons too.  $(b,--geo list) prints \
+                   every profile's matrices and exits.")
+  in
+  let outage =
+    Arg.(value & flag
+         & info [ "outage" ]
+             ~doc:"With $(b,--geo): cut the profile's last region off from \
+                   0.05s to 0.30s into the run, under the profile's outage \
+                   budget (short timeout, more retries): its clients must \
+                   ride the window out on retries while the majority side \
+                   keeps committing.  Refused on a one-region profile.")
   in
   Cmd.v
-    (Cmd.info "kv"
-       ~doc:"Drive a YCSB-shaped workload against a sharded multi-register \
-             keyspace and atomicity-check every key.")
-    Term.(const kv $ protocol $ groups $ s_arg $ t_arg $ clients $ keys
-          $ ops $ dist $ theta $ mix $ seed_arg $ think
-          $ rt_timeout $ geo_arg $ check_mode_arg)
+    (Cmd.info "live"
+       ~doc:"Run a workload on a live cluster over real TCP sockets — one \
+             register with split writers and readers, or a sharded YCSB \
+             keyspace — and check every operation for atomicity as it \
+             completes.  Exits 2 on a violation and 1 on a set-up the \
+             library refuses.")
+    Term.(const live $ protocol $ all $ s_arg $ t_arg $ w_arg $ r_arg
+          $ clients $ ops $ keys $ groups $ dist $ theta $ mix $ seed_arg
+          $ think $ rt_timeout $ connect $ kills $ geo $ outage
+          $ check_mode_arg)
 
 (* ------------------------------------------------------------------ *)
 (* chaos                                                                *)
@@ -904,87 +896,6 @@ let chaos_cmd =
           $ delay $ duplicate $ ops $ s_arg $ t_arg $ check_mode_arg)
 
 (* ------------------------------------------------------------------ *)
-(* geo                                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let geo_run list_profiles register profile s tol w r ops outage check =
-  if list_profiles then begin
-    List.iter
-      (fun p -> print_string (Live.Geo.describe p); print_newline ())
-      Live.Geo.profiles;
-    exit 0
-  end;
-  let w = Registry.clamp_writers register w in
-  let clients = List.init (w + r) (fun i -> s + i) in
-  (* Under an outage the timeout must stay short so cut-off clients
-     retry their way across the window instead of stalling on one
-     round trip; without one it only needs to cover the worst RTT. *)
-  let rt_timeout, max_rt_retries =
-    if outage then (Float.max 0.3 (4.0 *. Live.Geo.max_rtt profile), 10)
-    else (Float.max 1.0 (8.0 *. Live.Geo.max_rtt profile), 3)
-  in
-  let extra =
-    if not outage then []
-    else
-      match Live.Geo.outage profile ~s ~clients with
-      | o ->
-        Format.printf "outage      : region %s (nodes %s) cut %.2fs..%.2fs@."
-          (Live.Geo.region_name profile o.region)
-          (String.concat "," (List.map string_of_int o.cut))
-          o.from_ o.until;
-        [ o.rule ]
-      | exception Invalid_argument msg ->
-        Printf.eprintf "mwreg geo --outage: %s\n" msg;
-        exit 1
-  in
-  let faults = Live.Geo.plan ~extra profile ~s ~clients in
-  print_string (Live.Geo.describe profile);
-  Format.printf "@.";
-  let cluster = Kv.Cluster.start ~faults ~groups:1 ~s ~tol () in
-  let ok =
-    Fun.protect
-      ~finally:(fun () -> Kv.Cluster.shutdown cluster)
-      (fun () ->
-        let spec = Kv.Session.register_spec ~writers:w ~readers:r ops in
-        live_one ~faults ~max_rt_retries ~register ~cluster ~spec
-          ~kill_at:[] ~rt_timeout ~check ())
-  in
-  if not ok then exit 2
-
-let geo_cmd =
-  let list_profiles =
-    Arg.(value & flag
-         & info [ "list" ]
-             ~doc:"Print every named profile's region/delay/jitter matrices \
-                   and exit.")
-  in
-  let profile =
-    Arg.(value & opt profile_conv Live.Geo.wan_3region
-         & info [ "profile" ] ~docv:"PROFILE"
-             ~doc:"Named WAN/geo profile to run under (see $(b,--list)).")
-  in
-  let ops =
-    Arg.(value & opt int 20 & info [ "ops" ] ~docv:"N"
-         ~doc:"Writes per writer (each reader does 2N reads).")
-  in
-  let outage =
-    Arg.(value & flag
-         & info [ "outage" ]
-             ~doc:"Compose the profile with a partition that cuts the last \
-                   region off from 0.05s to 0.30s into the run: its clients \
-                   must ride the window out on retries while the majority \
-                   side keeps committing, and the history must stay atomic.")
-  in
-  Cmd.v
-    (Cmd.info "geo"
-       ~doc:"Run a register protocol over a live cluster whose links are \
-             shaped by a named WAN/geo profile — the same per-region-pair \
-             delay/jitter matrices the simulator's latency model uses — \
-             optionally composing a region outage on top.")
-    Term.(const geo_run $ list_profiles $ protocol_arg $ profile $ s_arg
-          $ t_arg $ w_arg $ r_arg $ ops $ outage $ check_mode_arg)
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   let info =
@@ -996,4 +907,4 @@ let () =
        (Cmd.group info
           [ sim_cmd; threshold_cmd; impossibility_cmd; sieve_cmd; table1_cmd;
             record_cmd; check_cmd; exhaustive_cmd; hunt_cmd; serve_cmd;
-            live_cmd; kv_cmd; geo_cmd; chaos_cmd ]))
+            live_cmd; chaos_cmd ]))

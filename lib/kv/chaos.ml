@@ -39,15 +39,17 @@ let soak ?(seed = 0) ?(drop = 0.08) ?(delay = 0.03)
       let writers = Registry.clamp_writers register 2 in
       let readers = 2 in
       let restarted = tol >= 1 in
-      let kill_at, restart_at =
-        if restarted then ([ (0.05, 0, s - 1) ], [ (0.45, 0, s - 1, `Recover) ])
-        else ([], [])
+      let crashes =
+        if restarted then
+          Kv_session.
+            [ (0.05, 0, s - 1, Kill); (0.45, 0, s - 1, Restart `Recover) ]
+        else []
       in
       (* A lossy link costs retries, so the retry budget is the one knob
          that must be generous: the quorum contract starves only if a
          whole rt_timeout × budget window stays unlucky. *)
       let result =
-        Kv_session.run ~kill_at ~restart_at ~faults ~rt_timeout:0.3
+        Kv_session.run ~crashes ~faults ~rt_timeout:0.3
           ~max_rt_retries:10 ?live_check ?on_violation ~register ~cluster
           (Kv_session.register_spec ~writers ~readers ops)
       in

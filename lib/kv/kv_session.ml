@@ -70,7 +70,9 @@ let mean_rounds rounds ops =
   if ops = 0 then 0.0
   else float_of_int (Array.fold_left ( + ) 0 rounds) /. float_of_int ops
 
-let run ?(kill_at = []) ?(restart_at = []) ?rt_timeout ?max_rt_retries
+type crash = Kill | Restart of Cluster.restart_mode
+
+let run ?(crashes = []) ?rt_timeout ?max_rt_retries
     ?faults ?(register = Registry.abd_mwmr) ?(live_check = false)
     ?on_violation ~cluster spec =
   (* [may_write]: clients that issue writes, checked against the
@@ -235,29 +237,24 @@ let run ?(kill_at = []) ?(restart_at = []) ?rt_timeout ?max_rt_retries
     retry_counts.(i) <- Router.retries cl;
     Router.close_client cl
   in
-  (* One scheduler thread replays the merged crash/restart timeline in
-     order — a kill and its restart stay correctly sequenced even when
-     their times collide. *)
-  let events =
-    List.stable_sort
-      (fun (a, _) (b, _) -> compare a b)
-      (List.map (fun (at, g, idx) -> (at, (g, idx, None))) kill_at
-      @ List.map (fun (at, g, idx, mode) -> (at, (g, idx, Some mode)))
-          restart_at)
-  in
+  (* One scheduler thread replays the crash schedule in time order —
+     a kill and its restart stay correctly sequenced even when their
+     times collide. *)
   let scheduler =
-    if events = [] then None
+    if crashes = [] then None
     else
       Some
         (Thread.create
-           (List.iter (fun (at, (g, idx, restart)) ->
+           (List.iter (fun (at, g, idx, crash) ->
                 let wait = at -. now () in
                 if wait > 0.0 then Thread.delay wait;
                 let group = Kv_cluster.group cluster g in
-                match restart with
-                | None -> Cluster.kill group idx
-                | Some mode -> Cluster.restart ~mode group idx))
-           events)
+                match crash with
+                | Kill -> Cluster.kill group idx
+                | Restart mode -> Cluster.restart ~mode group idx))
+           (List.stable_sort
+              (fun (a, _, _, _) (b, _, _, _) -> Float.compare a b)
+              crashes))
   in
   Option.iter Check_sink.start sink;
   let threads = List.init nclients (fun i -> Thread.create (body i) ()) in

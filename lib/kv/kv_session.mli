@@ -67,9 +67,10 @@ type result = {
           [~live_check:true]; [None] otherwise. *)
 }
 
+type crash = Kill | Restart of Transport.Cluster.restart_mode
+
 val run :
-  ?kill_at:(float * int * int) list ->
-  ?restart_at:(float * int * int * Transport.Cluster.restart_mode) list ->
+  ?crashes:(float * int * int * crash) list ->
   ?rt_timeout:float ->
   ?max_rt_retries:int ->
   ?faults:Transport.Faults.t ->
@@ -83,15 +84,15 @@ val run :
     sharded keyspace.  [register] defaults to the multi-writer ABD
     descendant ({!Registers.Registry.abd_mwmr}); protocols with a writer
     bound (e.g. single-writer naive registers) are rejected when more
-    clients than the bound may write.  [kill_at] schedules real
-    crashes: [(secs, group, server)] kills server [server] of shard
-    group [group] that many seconds into the run; [restart_at]
-    [(secs, group, server, mode)] brings it back through
-    {!Transport.Cluster.restart} — kills and restarts replay as one
-    time-ordered schedule.  [faults] installs a client-side fault plan
-    (e.g. a {!Transport.Geo} profile's latency rules) on every
-    per-group plane and is {!Transport.Faults.arm}ed at run start, so
-    its rule windows count from there.  [live_check] streams {e every}
+    clients than the bound may write.  [crashes] is the run's crash
+    schedule: [(secs, group, server, Kill)] kills server [server] of
+    shard group [group] that many seconds into the run, and
+    [(secs, group, server, Restart mode)] brings it back through
+    {!Transport.Cluster.restart}; one thread replays the schedule in
+    time order (list order between equal times).  [faults] installs a
+    client-side fault plan (e.g. a {!Transport.Geo} profile's latency
+    rules) on every per-group plane and is {!Transport.Faults.arm}ed at
+    run start, so its rule windows count from there.  [live_check] streams {e every}
     key's completed and aborted operations through a
     {!Transport.Check_sink} into the {!Checker.Online} checker while the
     run is in flight, in O(window) memory; violations surface through

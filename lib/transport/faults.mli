@@ -6,8 +6,7 @@
     plan makes the link half executable: a set of {e rules} describing
     which frames to drop, delay, duplicate or truncate on which
     client↔server links during which time windows, plus absolute
-    connectivity faults (one-way link cuts, partitions, per-server
-    reply blackouts).
+    connectivity faults (one-way link cuts and partitions).
 
     {2 Injection points}
 

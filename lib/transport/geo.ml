@@ -57,7 +57,7 @@ let base p ~src ~dst = p.delay.(region_of p src).(region_of p dst)
 let jitter_bound p ~src ~dst = p.jitter.(region_of p src).(region_of p dst)
 
 (* Worst-case round trip under the profile: the slowest (there, back)
-   pair including jitter.  Callers size rt_timeout from this. *)
+   pair including jitter.  Both budgets below are sized from it. *)
 let max_rtt p =
   let r = Array.length p.regions in
   let worst = ref 0.0 in
@@ -71,6 +71,14 @@ let max_rtt p =
     done
   done;
   !worst
+
+type budget = { rt_timeout : float; max_rt_retries : int }
+
+let budget p =
+  { rt_timeout = Float.max 1.0 (8.0 *. max_rtt p); max_rt_retries = 3 }
+
+let outage_budget p =
+  { rt_timeout = Float.max 0.3 (4.0 *. max_rtt p); max_rt_retries = 10 }
 
 (* ------------------------------------------------------------------ *)
 (* The named profiles                                                  *)

@@ -32,7 +32,21 @@ val jitter_bound : profile -> src:int -> dst:int -> float
 
 val max_rtt : profile -> float
 (** Worst-case round trip (both legs, including jitter) over all region
-    pairs — use it to size [rt_timeout]. *)
+    pairs. *)
+
+type budget = { rt_timeout : float; max_rt_retries : int }
+(** A profiled run's round-trip budget, as {!Mux.create} takes it. *)
+
+val budget : profile -> budget
+(** The plain budget: a timeout of [max 1.0 (8 × max_rtt)], far enough
+    above the worst round trip that a slow-but-healthy link never reads
+    as loss, and the mux's default 3 retries. *)
+
+val outage_budget : profile -> budget
+(** The budget under a region {!outage}: a short timeout of [max 0.3
+    (4 × max_rtt)] with 10 retries, so a cut-off client retries its way
+    across the window instead of stalling on one round trip; [timeout ×
+    retries] outlasts the window plus one worst round trip. *)
 
 val lan : profile
 (** One region, ~0.6ms RTT: the control. *)
@@ -77,4 +91,4 @@ val outage : profile -> s:int -> clients:int list -> outage
     it from. *)
 
 val describe : profile -> string
-(** Human-readable delay/jitter matrix for [mwreg geo --list]. *)
+(** Human-readable delay/jitter matrix for [mwreg live --geo list]. *)

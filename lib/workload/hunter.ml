@@ -31,30 +31,21 @@ let mixed_plans ~w ~r ~ops =
           ~think:(8.0 +. float_of_int (5 * i))
           (2 * ops))
 
-let run_shape ~register ~s ~t ~w ~r ~seed shape =
+let run ~register ~s ~t ~w ~r ~seed shape =
   match shape with
   | Starvation ->
-    let v = Threshold.attack ~register ~s ~t ~r in
-    ( (match v.Threshold.witness with
-      | None -> None
-      | Some _ ->
-        (* Re-derive the full witness for the report. *)
-        let env =
-          Env.make ~seed:1 ~latency:(Simulation.Latency.constant 1.0) ~s ~t
-            ~w:2 ~r ()
-        in
-        let topology = env.Env.topology in
-        let out =
-          Runtime.run ~register ~env
-            ~plans:(Adversary.threshold_plans ~topology)
-            ~adversary:
-              (Adversary.apply (Adversary.certificate_starvation ~topology ~t ()))
-            ()
-        in
-        (match Checker.Atomicity.check out.Runtime.history with
-        | Ok () -> None
-        | Error wit -> Some wit)),
-      v.Threshold.mwa_failure )
+    (* The certificate-starvation attack: one fixed schedule, whatever
+       the seed and writer count. *)
+    let env =
+      Env.make ~seed:1 ~latency:(Simulation.Latency.constant 1.0) ~s ~t ~w:2
+        ~r ()
+    in
+    let topology = env.Env.topology in
+    Runtime.run ~register ~env
+      ~plans:(Adversary.threshold_plans ~topology)
+      ~adversary:
+        (Adversary.apply (Adversary.certificate_starvation ~topology ~t ()))
+      ()
   | (Benign | Skips | Crash | Inversion) as shape ->
     let latency =
       match seed mod 3 with
@@ -80,23 +71,24 @@ let run_shape ~register ~s ~t ~w ~r ~seed shape =
         ]
       | Benign | Skips | Crash | Starvation -> mixed_plans ~w ~r ~ops:3
     in
-    let out =
-      Runtime.run ~register ~env ~plans ~adversary:(Adversary.apply adversary) ()
-    in
-    let witness =
-      match Checker.Atomicity.check out.Runtime.history with
-      | Ok () -> None
-      | Error wit -> Some wit
-    in
-    let mwa =
-      match
-        Checker.Mw_properties.failures
-          (Checker.Mw_properties.check out.Runtime.tagged)
-      with
-      | [] -> None
-      | (name, _) :: _ -> Some name
-    in
-    (witness, mwa)
+    Runtime.run ~register ~env ~plans ~adversary:(Adversary.apply adversary) ()
+
+let run_shape ~register ~s ~t ~w ~r ~seed shape =
+  let out = run ~register ~s ~t ~w ~r ~seed shape in
+  let witness =
+    match Checker.Atomicity.check out.Runtime.history with
+    | Ok () -> None
+    | Error wit -> Some wit
+  in
+  let mwa =
+    match
+      Checker.Mw_properties.failures
+        (Checker.Mw_properties.check out.Runtime.tagged)
+    with
+    | [] -> None
+    | (name, _) :: _ -> Some name
+  in
+  (witness, mwa)
 
 let hunt ?(shapes = all_shapes) ?(seeds_per_shape = 50) ?pool ~register ~s ~t
     ~w ~r () =

@@ -26,6 +26,27 @@ type found = {
   mwa_failure : string option;
 }
 
+val mixed_plans : w:int -> r:int -> ops:int -> Runtime.plan list
+(** The simulator's standard mixed schedule: writer [i] does [ops]
+    writes from time [3i], [10 + 7i] apart; reader [j] does [2 × ops]
+    reads from time [1 + j], [8 + 5j] apart. *)
+
+val run :
+  register:Register_intf.t ->
+  s:int ->
+  t:int ->
+  w:int ->
+  r:int ->
+  seed:int ->
+  shape ->
+  Runtime.outcome
+(** One run of a shape, unchecked.  [Benign], [Skips] and [Crash] run
+    {!mixed_plans} with 3 writes per writer under a latency model and
+    adversary drawn from [seed]; [Inversion] runs the writer-inversion
+    pattern (writer [w-1] writes, then writer 0, then reader 0 reads);
+    [Starvation] is {!Threshold.attack}'s certificate-starvation
+    schedule, which ignores [seed] and [w]. *)
+
 val run_shape :
   register:Register_intf.t ->
   s:int ->
@@ -35,8 +56,8 @@ val run_shape :
   seed:int ->
   shape ->
   (Checker.Witness.t option * string option)
-(** One run: the atomicity witness (if violated) and the first MWA
-    property violated (if any). *)
+(** {!run} checked: the atomicity witness (if violated) and the first
+    MWA property violated (if any). *)
 
 val hunt :
   ?shapes:shape list ->

@@ -1,5 +1,3 @@
-open Protocol
-
 type verdict = {
   s : int;
   t : int;
@@ -11,35 +9,17 @@ type verdict = {
 }
 
 let attack ~register ~s ~t ~r =
-  let env =
-    Env.make ~seed:1 ~latency:(Simulation.Latency.constant 1.0) ~s ~t ~w:2 ~r ()
-  in
-  let topology = env.Env.topology in
-  let adversary = Adversary.certificate_starvation ~topology ~t () in
-  let plans = Adversary.threshold_plans ~topology in
-  let out =
-    Runtime.run ~register ~env ~plans
-      ~adversary:(Adversary.apply adversary) ()
-  in
-  let atomic = Checker.Atomicity.is_atomic out.Runtime.history in
-  let witness =
-    match Checker.Atomicity.check out.Runtime.history with
-    | Ok () -> None
-    | Error w -> Some (Checker.Witness.short w)
-  in
-  let mwa_failure =
-    match Checker.Mw_properties.failures (Checker.Mw_properties.check out.Runtime.tagged) with
-    | [] -> None
-    | (name, _) :: _ -> Some name
+  let witness, mwa_failure =
+    Hunter.run_shape ~register ~s ~t ~w:2 ~r ~seed:1 Hunter.Starvation
   in
   {
     s;
     t;
     r;
     predicted_possible = Quorums.Bounds.w2r1_possible ~s ~t ~r;
-    atomic;
+    atomic = witness = None;
     mwa_failure;
-    witness;
+    witness = Option.map Checker.Witness.short witness;
   }
 
 let sweep ~register ~s ~t ~r_max =

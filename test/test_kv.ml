@@ -617,6 +617,42 @@ let test_session_live_check () =
     check bool "window bounded" true
       (r.Transport.Check_sink.peak_window <= 60)
 
+let test_split_roles_many_keys () =
+  (* Split writers and readers over a 20-key keyspace on two groups:
+     every touched key is checked, and each protocol's rounds stay at
+     its Table 1 column, however many registers the roles spread
+     over.  A fresh cluster per protocol: values the first run wrote
+     would read as never written in the second. *)
+  List.iter
+    (fun (register, write_rounds, read_rounds) ->
+      let name = Registry.name register in
+      let cluster = Kv_cluster.start ~groups:2 ~s:5 ~tol:1 () in
+      Fun.protect ~finally:(fun () -> Kv_cluster.shutdown cluster) @@ fun () ->
+      let res =
+        Kv_session.run ~register ~live_check:true ~cluster
+          {
+            Kv_session.default_spec with
+            roles = Kv_session.Split { writers = 2; readers = 2 };
+            ops_per_client = 10;
+            keys = 20;
+            dist = Ycsb.Uniform;
+          }
+      in
+      check int (name ^ ": every op completed") 60 res.Kv_session.ops;
+      check bool (name ^ ": several keys touched") true
+        (res.Kv_session.keys_touched > 1);
+      (match res.Kv_session.online with
+      | None -> Alcotest.fail "live_check:true returned no online report"
+      | Some r ->
+        check bool (name ^ ": atomic") true (Transport.Check_sink.atomic r);
+        check int (name ^ ": every touched key checked")
+          res.Kv_session.keys_touched r.Transport.Check_sink.keys);
+      check (Alcotest.float 0.0) (name ^ ": write rounds") write_rounds
+        res.Kv_session.write_rounds;
+      check (Alcotest.float 0.0) (name ^ ": read rounds") read_rounds
+        res.Kv_session.read_rounds)
+    [ (Registry.abd_mwmr, 2.0, 2.0); (Registry.fastread_w2r1, 2.0, 1.0) ]
+
 let test_session_rejects_bounded_writers () =
   let cluster = Kv_cluster.start ~groups:1 ~s:3 ~tol:1 () in
   Fun.protect ~finally:(fun () -> Kv_cluster.shutdown cluster) @@ fun () ->
@@ -726,6 +762,8 @@ let () =
             test_connect_split_roles;
           Alcotest.test_case "live checker over all keys" `Quick
             test_session_live_check;
+          Alcotest.test_case "split roles over many keys" `Quick
+            test_split_roles_many_keys;
           Alcotest.test_case "writer bound rejected" `Quick
             test_session_rejects_bounded_writers;
           Alcotest.test_case "recover restart keeps the keyspace" `Quick

@@ -780,13 +780,13 @@ let test_reactor_connection_churn () =
 (* A single register on a fresh one-group cluster through the live
    workload driver, streaming checker attached: [ops] writes per
    writer, [2 × ops] reads per reader. *)
-let run_register ?kill_at ?restart_at ?faults ?(rt_timeout = 0.5)
+let run_register ?crashes ?faults ?(rt_timeout = 0.5)
     ?max_rt_retries ?think ~register ~s ~tol ~writers ~readers ops =
   let cluster = Kv.Kv_cluster.start ?faults ~groups:1 ~s ~tol () in
   Fun.protect
     ~finally:(fun () -> Kv.Kv_cluster.shutdown cluster)
     (fun () ->
-      Kv.Kv_session.run ?kill_at ?restart_at ?faults ~rt_timeout
+      Kv.Kv_session.run ?crashes ?faults ~rt_timeout
         ?max_rt_retries ~live_check:true ~register ~cluster
         (Kv.Kv_session.register_spec ?think ~writers ~readers ops))
 
@@ -802,8 +802,7 @@ let test_reactor_live_kill_restart () =
      connection and the history stays atomic. *)
   let res =
     run_register
-      ~kill_at:[ (0.05, 0, 2) ]
-      ~restart_at:[ (0.3, 0, 2, `Recover) ]
+      ~crashes:Kv.Kv_session.[ (0.05, 0, 2, Kill); (0.3, 0, 2, Restart `Recover) ]
       ~register:Registry.abd_mwmr ~s:3 ~tol:1 ~writers:2 ~readers:2 6
   in
   check bool "history atomic across the restart" true (atomic res);
@@ -1007,7 +1006,7 @@ let test_live_survives_t_kills () =
       (fun () ->
         let res =
           Kv.Kv_session.run
-            ~kill_at:[ (0.02, 0, 0); (0.05, 0, 3) ]
+            ~crashes:Kv.Kv_session.[ (0.02, 0, 0, Kill); (0.05, 0, 3, Kill) ]
             ~rt_timeout:0.5 ~live_check:true ~register:Registry.abd_mwmr
             ~cluster
             (Kv.Kv_session.register_spec ~think:0.004 ~writers:2 ~readers:2
@@ -1033,7 +1032,7 @@ let test_rounds_accounting_under_overkill () =
      completed) no matter where the crash landed. *)
   let res =
     run_register
-      ~kill_at:[ (0.03, 0, 0); (0.03, 0, 1) ]
+      ~crashes:Kv.Kv_session.[ (0.03, 0, 0, Kill); (0.03, 0, 1, Kill) ]
       ~rt_timeout:0.05 ~max_rt_retries:0 ~think:0.002
       ~register:Registry.abd_mwmr ~s:3 ~tol:1 ~writers:2 ~readers:2 50
   in
@@ -1905,6 +1904,24 @@ let test_geo_outage () =
   check (Alcotest.float 0.0) "window opens" 0.05 o.Geo.from_;
   check (Alcotest.float 0.0) "window closes" 0.30 o.Geo.until
 
+let test_geo_outage_budget () =
+  (* A client cut off when the window opens must still hold its round
+     trip open past the window's close plus one worst round trip: on
+     every profile with a region to cut, the outage budget's timeout x
+     retries outlasts both. *)
+  List.iter
+    (fun p ->
+      match Geo.outage p ~s:5 ~clients:[ 5; 6; 7; 8 ] with
+      | exception Invalid_argument _ -> ()
+      | o ->
+        let b = Geo.outage_budget p in
+        check bool
+          (Geo.name p ^ ": timeout x retries outlasts the window")
+          true
+          (b.Geo.rt_timeout *. float_of_int b.Geo.max_rt_retries
+          > o.Geo.until -. o.Geo.from_ +. Geo.max_rtt p))
+    Geo.profiles
+
 let test_geo_wan3_live_atomic () =
   (* End to end: a live cluster under the wan-3region plan, streaming
      checker attached.  Atomicity must hold, nobody starves, and the
@@ -1915,9 +1932,9 @@ let test_geo_wan3_live_atomic () =
   let clients = List.init (w + r) (fun i -> s + i) in
   let faults = Geo.plan profile ~s ~clients in
   let res =
-    run_register ~faults
-      ~rt_timeout:(Float.max 1.0 (8.0 *. Geo.max_rtt profile))
-      ~register:Registry.abd_mwmr ~s ~tol ~writers:w ~readers:r 2
+    let b = Geo.budget profile in
+    run_register ~faults ~rt_timeout:b.Geo.rt_timeout
+      ~max_rt_retries:b.Geo.max_rt_retries ~register:Registry.abd_mwmr ~s ~tol ~writers:w ~readers:r 2
   in
   check bool "atomic under wan-3region" true (atomic res);
   check int "no client starved" 0 res.Kv.Kv_session.starved;
@@ -2133,6 +2150,8 @@ let () =
           QCheck_alcotest.to_alcotest geo_symmetry_prop;
           Alcotest.test_case "outage cuts the last region" `Quick
             test_geo_outage;
+          Alcotest.test_case "outage budget outlasts the window" `Quick
+            test_geo_outage_budget;
           Alcotest.test_case "wan-3region live session atomic" `Quick
             test_geo_wan3_live_atomic;
         ] );
