@@ -1079,8 +1079,8 @@ let geo_exp () =
     "Each row: a fresh S=5 t=1 loopback cluster whose every client<->server\n\
      link is shaped by the named profile -- per-region-pair base delay plus\n\
      jitter, compiled from the same matrices the simulator's latency model\n\
-     draws from (node region = id mod regions).  Delayed frames park on\n\
-     per-link deadline queues, never in a sleeping sender, so one far\n\
+     draws from (node region = id mod regions).  Delayed frames wait in\n\
+     the mux's deadline heap, never in a sleeping sender, so one far\n\
      region cannot stall another link's traffic.  Rounds/op is the paper's\n\
      cost measure: under WAN delays every saved round is ~one RTT off the\n\
      latency column.\n\n";

@@ -489,6 +489,18 @@ let check_mode_arg =
 let announce_violation key w =
   Format.printf "live check  : key %s VIOLATED mid-run: %a@." key Witness.pp w
 
+(* A run in which every client starved before completing an operation
+   (no quorum ever answered: a dead cluster, a cut network) checked
+   nothing, so its "atomicity : OK" must not pass: exit 1. *)
+let exit_if_starved cmd (res : Kv.Session.result) =
+  if res.Kv.Session.ops = 0 && res.Kv.Session.starved > 0 then begin
+    Printf.eprintf
+      "mwreg %s: every client starved: no operation completed (no quorum \
+       of servers answered)\n"
+      cmd;
+    exit 1
+  end
+
 (* Prints a finished run's atomicity verdict and returns whether it
    held: the streaming checker's report ([online] is present exactly
    when the run had [--check live]), closed by a one-line verdict. *)
@@ -677,7 +689,9 @@ let live register all s tol w r clients ops keys groups dist theta mix seed
                 ~register ~live_check:check ~on_violation:announce_violation
                 ~cluster spec)
         in
-        report ~register ~cluster spec res)
+        let ok = report ~register ~cluster spec res in
+        exit_if_starved "live" res;
+        ok)
   in
   let ok = List.for_all run_one (if all then Registry.all else [ register ]) in
   if not ok then exit 2
@@ -788,8 +802,9 @@ let live_cmd =
        ~doc:"Run a workload on a live cluster over real TCP sockets — one \
              register with split writers and readers, or a sharded YCSB \
              keyspace — and check every operation for atomicity as it \
-             completes.  Exits 2 on a violation and 1 on a set-up the \
-             library refuses.")
+             completes.  Exits 2 on a violation, and 1 on a set-up the \
+             library refuses or when every client starved without \
+             completing an operation (no quorum answered).")
     Term.(const live $ protocol $ all $ s_arg $ t_arg $ w_arg $ r_arg
           $ clients $ ops $ keys $ groups $ dist $ theta $ mix $ seed_arg
           $ think $ rt_timeout $ connect $ kills $ geo $ outage
@@ -828,7 +843,8 @@ let chaos register scenario seed drop delay duplicate ops s tol check =
       (if sk.Kv.Chaos.expected_atomic then
          "possible regime — chaos must not break it"
        else "impossible regime — no guarantee");
-    if sk.Kv.Chaos.expected_atomic && not atomic then exit 2
+    if sk.Kv.Chaos.expected_atomic && not atomic then exit 2;
+    exit_if_starved "chaos" res
   | (`Recover | `Fresh) as mode ->
     let o = Kv.Chaos.restart_scenario ~mode () in
     Format.printf
@@ -890,8 +906,10 @@ let chaos_cmd =
   Cmd.v
     (Cmd.info "chaos"
        ~doc:"Inject a deterministic seeded fault plan (drops, delays, \
-             duplicates, truncations, server restarts) into a live cluster \
-             and check it for atomicity.")
+             duplicates, server restarts) into a live cluster and check \
+             it for atomicity.  Exits 2 when a possible-regime run \
+             breaks atomicity and 1 when every client starved without \
+             completing an operation.")
     Term.(const chaos $ protocol_arg $ scenario $ seed_arg $ drop
           $ delay $ duplicate $ ops $ s_arg $ t_arg $ check_mode_arg)
 

@@ -206,6 +206,11 @@ let lock_free_allow : (string * string) list =
     ( "Transport.Netio.Poller.*",
       "a poller belongs to the one thread that waits in it (a \
        server's reactor / a mux's event loop)" );
+    ( "Simulation.Heap.*",
+      "a heap has one owner: a simulation engine's event queue belongs \
+       to that engine's thread; a mux's staged-frame heap is shared by \
+       its client threads and its event loop, and only touched under \
+       that mux's Mux.staged_lock" );
     (* -- registers: served state's off-thread edges ----------------- *)
     ( "Registers.Replica.current",
       "bare sites are load (fresh instance) and post-stop snapshot \

@@ -9,7 +9,12 @@ let plan ?(seed = 0) ?(drop = 0.08) ?(delay = 0.03) ?(duplicate = 0.1) () =
     else rules
   in
   let rules =
-    if delay > 0.0 then Faults.rule ~prob:0.25 (Faults.Delay delay) :: rules
+    (* A delay up to [delay]: a quarter of it always, the rest drawn
+       uniformly per copy. *)
+    if delay > 0.0 then
+      Faults.rule ~prob:0.25
+        (Faults.Latency { base = delay /. 4.0; jitter = 0.75 *. delay })
+      :: rules
     else rules
   in
   let rules =

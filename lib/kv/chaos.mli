@@ -22,8 +22,9 @@ val plan :
 (** The standard soak plan, all links and both directions: each frame
     independently dropped with probability [drop] (default 0.08),
     delayed up to [delay] seconds with probability 0.25 (default max
-    0.03s), duplicated with probability [duplicate] (default 0.1).
-    Pass 0 to disable any of the three. *)
+    0.03s: a {!Transport.Faults.Latency} rule of [delay /. 4] plus a
+    jitter below the other three quarters), duplicated with probability
+    [duplicate] (default 0.1).  Pass 0 to disable any of the three. *)
 
 type soak = {
   register : Protocol.Register_intf.t;

@@ -262,6 +262,19 @@ module Stream = struct
       t.len <- needed
     end
 
+  let fill t fd rbuf =
+    let rec go () =
+      match Netio.read_nb fd rbuf 0 (Bytes.length rbuf) with
+      | None -> true
+      | Some 0 -> false
+      | Some n ->
+        feed t rbuf n;
+        (* A short read means the socket buffer is (currently) empty:
+           skip the confirming EAGAIN syscall. *)
+        n < Bytes.length rbuf || go ()
+    in
+    try go () with Unix.Unix_error _ -> false
+
   let next_body t =
     if t.len - t.pos < 4 then None
     else begin

@@ -84,6 +84,13 @@ module Stream : sig
   val feed : t -> bytes -> int -> unit
   (** [feed t buf n] appends the first [n] bytes of [buf]. *)
 
+  val fill : t -> Unix.file_descr -> bytes -> bool
+  (** [fill t fd buf] reads the non-blocking socket [fd] through [buf]
+      into [t] until it has nothing buffered ({!Netio.read_nb}).
+      Returns [false] once the peer closed or the read failed: the
+      caller handles the frames already in [t], then drops the
+      connection. *)
+
   val next : t -> frame option
   (** The next complete frame, if one has fully arrived.
       @raise Decode_error if the buffered data is malformed. *)

@@ -1,11 +1,6 @@
 type dir = To_server | From_server
 
-type kind =
-  | Drop
-  | Delay of float
-  | Duplicate
-  | Truncate
-  | Latency of { base : float; jitter : float }
+type kind = Drop | Duplicate | Latency of { base : float; jitter : float }
 
 type frame_rule = {
   kind : kind;
@@ -33,10 +28,9 @@ let rule ?dir ?(servers = []) ?(clients = []) ?(from_ = 0.0) ?(until = infinity)
   if not (prob >= 0.0 && prob <= 1.0) then
     invalid_arg "Faults.rule: prob out of [0,1]";
   (match kind with
-  | Delay d when not (d > 0.0) -> invalid_arg "Faults.rule: delay must be > 0"
   | Latency { base; jitter } when not (base >= 0.0 && jitter >= 0.0 && base +. jitter > 0.0)
     -> invalid_arg "Faults.rule: latency must have base, jitter >= 0 and base + jitter > 0"
-  | Drop | Delay _ | Duplicate | Truncate | Latency _ -> ());
+  | Drop | Duplicate | Latency _ -> ());
   Frame { kind; prob; dir; servers; clients; from_s = from_; until_s = until }
 
 let cut ?dir ?servers ?clients ?from_ ?until () =
@@ -104,10 +98,6 @@ let partitioned groups ~server ~client =
   | Some a, Some b -> a <> b
   | _ -> false
 
-type delivery = { after : float; truncated : bool }
-
-let pass = { after = 0.0; truncated = false }
-
 let deliveries t ~dir ~server ~client ~rt ~salt =
   let e = elapsed t in
   let blocked =
@@ -121,7 +111,7 @@ let deliveries t ~dir ~server ~client ~rt ~salt =
   in
   if blocked then []
   else begin
-    let ds = ref [ pass ] in
+    let ds = ref [ 0.0 ] in
     List.iteri
       (fun i ru ->
         match ru with
@@ -135,40 +125,26 @@ let deliveries t ~dir ~server ~client ~rt ~salt =
           then
             (match r.kind with
             | Drop -> ds := []
-            | Delay dmax ->
-              (* Deterministic magnitude in (dmax/4, dmax]: large enough
-                 to matter, bounded so plans stay schedulable.  Each
-                 scheduled copy draws independently (j = 1 + copy index),
-                 so a duplicated frame's two copies land at distinct
-                 deadlines — two slow paths through the network, not one
-                 path taken twice. *)
-              ds :=
-                List.mapi
-                  (fun ci dv ->
-                    let u = draw t i ~dir ~server ~client ~rt ~salt (1 + ci) in
-                    { dv with after = dv.after +. (dmax *. (0.25 +. (0.75 *. u))) })
-                  !ds
             | Latency { base; jitter } ->
               (* A modelled link: the full base propagation delay plus a
                  uniform jitter in [0, jitter) — the same distribution
                  the simulator's geo latency models draw from, so one
-                 profile means the same thing on both backends.  Jitter
-                 is per copy, like [Delay]. *)
+                 profile means the same thing on both backends.  Each
+                 copy draws its jitter independently (j = 1 + copy
+                 index), so a duplicated frame's two copies land at
+                 distinct deadlines — two paths through the network,
+                 not one path taken twice. *)
               ds :=
                 List.mapi
-                  (fun ci dv ->
+                  (fun ci after ->
                     let extra =
                       if jitter > 0.0 then
                         jitter *. draw t i ~dir ~server ~client ~rt ~salt (1 + ci)
                       else 0.0
                     in
-                    { dv with after = dv.after +. base +. extra })
+                    after +. base +. extra)
                   !ds
-            | Duplicate -> ds := !ds @ [ pass ]
-            | Truncate -> (
-              match !ds with
-              | dv :: rest -> ds := { dv with truncated = true } :: rest
-              | [] -> ())))
+            | Duplicate -> ds := !ds @ [ 0.0 ]))
       t.rules;
     !ds
   end

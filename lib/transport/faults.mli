@@ -4,9 +4,9 @@
     reorder, duplicate or lose messages, and up to [t] of [S] servers
     may crash.  {!Cluster.kill} exercises only the crash half.  A fault
     plan makes the link half executable: a set of {e rules} describing
-    which frames to drop, delay, duplicate or truncate on which
-    client↔server links during which time windows, plus absolute
-    connectivity faults (one-way link cuts and partitions).
+    which frames to drop, delay or duplicate on which client↔server
+    links during which time windows, plus absolute connectivity faults
+    (one-way link cuts and partitions).
 
     {2 Injection points}
 
@@ -15,15 +15,14 @@
     servers realise nothing:
 
     - the [To_server] direction before sending a request frame to each
-      server.  A delayed request parks on its link's deadline queue;
-    - the [From_server] direction as each reply frame is read.  A
-      delayed reply is held in the mux loop's deadline heap and routed
-      when it falls due — or silently dropped if its link severed
-      first, which is also a legal behaviour of the link being
-      modelled.  A torn reply severs the link.
+      server;
+    - the [From_server] direction as each reply frame is read.
 
-    The mux's event loop sleeps to the nearest deadline of either leg
-    (there are no delayer threads).
+    A delayed frame of either leg waits in the mux's one deadline heap
+    and is sent or routed when it falls due — or silently dropped if
+    its link severed first, which is also a legal behaviour of the
+    link being modelled.  The mux's event loop sleeps to the heap's
+    nearest deadline (there are no delayer threads).
 
     So a rule with [dir = Some To_server] faults the request leg only,
     [Some From_server] the reply leg only, and [None] both — the
@@ -49,21 +48,15 @@ type dir =
 
 type kind =
   | Drop  (** lose the frame *)
-  | Delay of float
-      (** deliver late: a deterministic fraction of the given maximum
-          delay, in seconds.  When a frame is also duplicated, each
-          scheduled copy draws its own independent magnitude. *)
   | Duplicate  (** deliver the frame twice *)
-  | Truncate
-      (** deliver only a prefix of the frame's bytes, then sever the
-          link — the receiver's strict decoder rejects the stream and
-          the connection is re-established *)
   | Latency of { base : float; jitter : float }
-      (** a modelled link, not a fault: every matching frame takes
-          [base] seconds plus a uniform jitter in [\[0, jitter)] — the
-          distribution {!Simulation.Latency} geo models draw from.
-          {!Geo} compiles its region-pair matrices into rule sets of
-          this kind, one per (client region, server region, direction).
+      (** deliver late: every matching frame takes [base] seconds plus
+          a uniform jitter in [\[0, jitter)] — the distribution
+          {!Simulation.Latency} geo models draw from.  {!Geo} compiles
+          its region-pair matrices into rule sets of this kind, one per
+          (client region, server region, direction); a random delay up
+          to [d] is [{ base = d /. 4.; jitter = 0.75 *. d }].  When a
+          frame is also duplicated, each copy draws its own jitter.
           [base], [jitter] must be [>= 0] and not both zero. *)
 
 type rule
@@ -113,13 +106,9 @@ val arm : t -> unit
     [Kv.Kv_session.run] arms its plan at run start; plans used outside
     a run arm themselves at first consultation. *)
 
-type delivery = { after : float; truncated : bool }
-(** One scheduled copy of a frame: deliver [after] seconds from now
-    ([0.0] = immediately); when [truncated], deliver only a prefix and
-    sever the link. *)
-
 val deliveries :
-  t -> dir:dir -> server:int -> client:int -> rt:int -> salt:int -> delivery list
-(** The fate of one frame: [[]] means dropped, one element is normal or
-    faulted delivery, two elements a duplicate.  Pure in everything but
-    the window clock. *)
+  t -> dir:dir -> server:int -> client:int -> rt:int -> salt:int -> float list
+(** The fate of one frame: the delay, in seconds from now, of each copy
+    to deliver ([0.0] = immediately).  [[]] means dropped, one element
+    is normal or delayed delivery, two elements a duplicate.  Pure in
+    everything but the window clock. *)

@@ -13,8 +13,8 @@
      for the simulated backend;
    - [rules]/[plan] compile them into {!Faults.Latency} rule sets —
      one rule per (client region, server region, direction) — for the
-     live transports, whose delay injection parks frames on per-link
-     deadline queues instead of sleeping in senders. *)
+     live transport, whose delay injection holds frames in the mux's
+     deadline heap instead of sleeping in senders. *)
 
 type profile = {
   name : string;

@@ -7,19 +7,12 @@ exception Unavailable of string
    once. *)
 let now = Clock.now
 
-(* A server crashing mid-write must surface as EPIPE on that write, not
-   kill the client process. *)
-let ignore_sigpipe =
-  lazy
-    (if Sys.os_type = "Unix" then
-       try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with _ -> ())
-
 (* One TCP connection to one server, shared by every client of the mux.
    The event loop is the only thread that dials, reads or closes it.
    Everything a client thread may touch sits behind [lock]: the
-   out-queue, the descriptor it writes to, the staged request frames
-   and the redial gate.  The fields after [next_attempt] belong to the
-   loop alone. *)
+   out-queue, the descriptor it writes to and the redial gate.  The
+   fields after [next_attempt] belong to the loop alone, but for
+   [epoch], which client threads read as they stage a frame. *)
 type link = {
   index : int; (* server index: the authoritative reply label *)
   addr : Unix.sockaddr;
@@ -32,37 +25,31 @@ type link = {
   out : Outq.t;
   mutable fd : Unix.file_descr option; (* [None] while the link is down *)
   mutable connected : bool; (* [false] while a connect is in progress *)
-  (* A truncated delivery's prefix is in [out]: sever the link once the
-     write carrying it drains the queue. *)
-  mutable tear : bool;
-  (* Request frames a fault plan scheduled for later delivery on this
-     link: (due, payload copy, truncated), sorted by deadline; a
-     fan-out's links share one read-only copy.  The loop, which sleeps
-     to exactly the earliest deadline, merges every frame due at a
-     wake-up into [out] before it flushes: one write per link per
-     wake-up, and no frame before its deadline. *)
-  mutable delayed : (float * Bytes.t * bool) list;
   mutable next_attempt : float; (* monotonic gate for the next connect *)
   mutable attempts : int; (* consecutive failed connects *)
   mutable lfd : Unix.file_descr option; (* the loop's view of [fd] *)
   mutable stream : Codec.Stream.t; (* this connection's reply decoder *)
-  mutable epoch : int; (* bumped on every sever *)
+  epoch : int Atomic.t; (* bumped on every sever *)
   mutable want_write : bool; (* write interest registered *)
 }
 
-(* A reply the plan's [From_server] rules hold past its arrival: it is
-   decoded and routed when [due] passes, unless its link severed in
-   between ([epoch] moved on), which loses it with the link.  It is
-   held encoded, a quarter of its decoded size. *)
-type held = {
-  h_due : float;
-  h_seq : int; (* arrival order: equal deadlines route in it *)
-  h_link : link;
-  h_epoch : int;
-  h_key : string;
-  h_rt : int;
-  h_client : int;
-  h_body : string; (* the frame's body, as read *)
+(* A frame the plan delays, on either leg: a request is sent on [link]
+   when [due] passes, a reply is decoded and routed then — unless the
+   link severed in between ([epoch] moved on), which loses the frame
+   with the link. *)
+type frame =
+  (* The fan-out's one payload copy, shared read-only by every link it
+     is staged on. *)
+  | Request of Bytes.t
+  (* Held encoded, a quarter of its decoded size. *)
+  | Reply of { key : string; rt : int; client : int; body : string }
+
+type staged = {
+  due : float;
+  seq : int; (* staging order: equal deadlines leave in it *)
+  link : link;
+  epoch : int;
+  frame : frame;
 }
 
 type mailbox = {
@@ -126,8 +113,12 @@ type t = {
      round this client really ran; a dropped one could never have been
      delivered anywhere. *)
   dropped : int Atomic.t;
-  held : held Simulation.Heap.t; (* loop-private *)
-  mutable held_seq : int;
+  (* Every frame the plan delays, both legs, in deadline order: client
+     threads push a fan-out's requests, the loop pushes replies and
+     pops what is due. *)
+  staged : staged Simulation.Heap.t; (* under [staged_lock] *)
+  mutable staged_seq : int; (* under [staged_lock] *)
+  staged_lock : Mutex.t;
   rbuf : Bytes.t; (* the loop's read buffer, shared by every link *)
   mutable thread : Thread.t option;
   stopping : bool Atomic.t;
@@ -166,8 +157,7 @@ let backoff l =
   in
   Mutex.protect l.lock (fun () ->
       l.next_attempt <- gate;
-      Outq.clear l.out;
-      l.tear <- false)
+      Outq.clear l.out)
 
 let set_write t l fd w =
   if l.want_write <> w then begin
@@ -175,9 +165,9 @@ let set_write t l fd w =
     Netio.Poller.set t.poller fd ~read:true ~write:w
   end
 
-(* Close the link: what was queued or staged on it and every reply it
-   holds are lost with it.  A link that severs is redialed as soon as
-   something is sent on it again. *)
+(* Close the link: what was queued on it and every frame staged on it
+   (moving [epoch] on) are lost with it.  A link that severs is
+   redialed as soon as something is sent on it again. *)
 let sever t l =
   match l.lfd with
   | None -> ()
@@ -185,11 +175,9 @@ let sever t l =
     Mutex.protect l.lock (fun () ->
         l.fd <- None;
         l.connected <- false;
-        Outq.clear l.out;
-        l.delayed <- [];
-        l.tear <- false);
+        Outq.clear l.out);
     l.lfd <- None;
-    l.epoch <- l.epoch + 1;
+    Atomic.incr l.epoch;
     l.want_write <- false;
     Netio.Poller.remove t.poller fd;
     try Unix.close fd with Unix.Unix_error _ -> ()
@@ -245,48 +233,15 @@ let finish_connect t l fd =
 (* Sending                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Move the staged frames due by [t_now] into [l.out], in deadline
-   order; [l.lock] must be held.  A due truncated entry ends the run:
-   its prefix goes in last and [l.tear] severs the link once that write
-   drains, so the due frames behind it are lost with the link, as on a
-   real corrupting one. *)
-let rec not_due t_now = function
-  | (due, _, _) :: l when due <= t_now -> not_due t_now l
-  | l -> l
-
-let rec merge_due l t_now =
-  match l.delayed with
-  | (due, payload, truncated) :: rest when due <= t_now ->
-    if truncated then begin
-      Outq.add_subbytes l.out payload 0 (max 1 (Bytes.length payload / 2));
-      l.tear <- true;
-      l.delayed <- not_due t_now rest
-    end
-    else begin
-      Outq.add_subbytes l.out payload 0 (Bytes.length payload);
-      l.delayed <- rest;
-      merge_due l t_now
-    end
-  | _ -> ()
-
-(* Queue a frame on the link — all [len] bytes, or with [~torn] a
-   prefix of them, after which the link is severed (a truncation fault
-   poisons the shared stream, so every rider's round retries).  From a
-   client thread on an idle, connected link the frame is written at
-   once, with no hand-off to the loop; everywhere else it joins
-   [out] for the loop's next flush.  A link that is down takes the
-   frame if it may be redialed now, and drops it otherwise: the
-   round-trip retries re-send.  Returns whether the loop must be woken
-   (a dial to start, or a write the kernel cut short). *)
-let enqueue l ~from_loop ~torn bytes len =
+(* Queue a frame on the link.  From a client thread on an idle,
+   connected link it is written at once, with no hand-off to the loop;
+   everywhere else it joins [out] for the loop's next flush.  A link
+   that is down takes the frame if it may be redialed now, and drops
+   it otherwise: the round-trip retries re-send.  Returns whether the
+   loop must be woken (a dial to start, or a write the kernel cut
+   short). *)
+let enqueue l ~from_loop bytes len =
   Mutex.protect l.lock (fun () ->
-      let add () =
-        if torn then begin
-          Outq.add_subbytes l.out bytes 0 (max 1 (len / 2));
-          l.tear <- true
-        end
-        else Outq.add_subbytes l.out bytes 0 len
-      in
       if Outq.length l.out > out_limit then false
       else
         match l.fd with
@@ -294,51 +249,34 @@ let enqueue l ~from_loop ~torn bytes len =
           if now () < l.next_attempt then false
           else begin
             let first = Outq.is_empty l.out in
-            add ();
+            Outq.add_subbytes l.out bytes 0 len;
             first && not from_loop
           end
         | Some fd ->
-          if from_loop || (not l.connected) || not (Outq.is_empty l.out) then begin
-            add ();
-            false
-          end
-          else begin
-            add ();
+          let idle = (not from_loop) && l.connected && Outq.is_empty l.out in
+          Outq.add_subbytes l.out bytes 0 len;
+          if not idle then false
+          else
             match Outq.flush l.out fd with
-            | true ->
-              if l.tear then begin
-                (* The loop reads the EOF and severs. *)
-                l.tear <- false;
-                try Unix.shutdown fd Unix.SHUTDOWN_ALL
-                with Unix.Unix_error _ -> ()
-              end;
-              false
+            | true -> false
             | false -> true
             | exception Unix.Unix_error _ ->
               Outq.clear l.out;
               (try Unix.shutdown fd Unix.SHUTDOWN_ALL
                with Unix.Unix_error _ -> ());
-              false
-          end)
+              false)
 
-(* Park one scheduled delivery on the link's deadline queue (sorted
-   insert, after any entry with the same deadline).  The payload is
-   never written once staged, so one copy can sit on every link's
-   queue. *)
-let stage_delayed l ~due payload truncated =
-  Mutex.protect l.lock (fun () ->
-      let rec ins = function
-        | [] -> [ (due, payload, truncated) ]
-        | ((d, _, _) :: _) as rest when due < d -> (due, payload, truncated) :: rest
-        | e :: rest -> e :: ins rest
-      in
-      l.delayed <- ins l.delayed)
+(* Stage one delayed frame; [t.staged_lock] must be held. *)
+let push t ~due l frame =
+  t.staged_seq <- t.staged_seq + 1;
+  Simulation.Heap.push t.staged
+    { due; seq = t.staged_seq; link = l; epoch = Atomic.get l.epoch; frame }
 
 (* Send the open round's request to every server that has not answered
    it yet; [mb.mb_lock] must be held.  Under a plan each link's copy
    meets the [To_server] rules, salted by the attempt number so a frame
    dropped now draws afresh on the next re-broadcast; delayed copies
-   park on their link's deadline queue, never in the sender. *)
+   wait in the loop's deadline heap, never in the sender. *)
 let broadcast t mb ~from_loop =
   let len = mb.mb_len in
   let wake_loop = ref false in
@@ -346,39 +284,40 @@ let broadcast t mb ~from_loop =
   | None ->
     Array.iter
       (fun l ->
-        if (not mb.mb_from.(l.index))
-           && enqueue l ~from_loop ~torn:false mb.mb_out len
+        if (not mb.mb_from.(l.index)) && enqueue l ~from_loop mb.mb_out len
         then wake_loop := true)
       t.links
   | Some plan ->
     (* One clock read per fan-out: copies staged together share their
-       deadline and leave in one write per link.  One payload copy is
-       shared by every staged delivery ([mb_out] is reused by the next
-       round). *)
+       deadline and leave in one write per link. *)
     let t0 = now () in
-    let payload = lazy (Bytes.sub mb.mb_out 0 len) in
-    let earliest = ref infinity in
+    let delayed = ref [] in
     Array.iter
       (fun l ->
         if not mb.mb_from.(l.index) then
           List.iter
-            (fun { Faults.after; truncated } ->
-              if after > 0.0 then begin
-                let due = t0 +. after in
-                stage_delayed l ~due (Lazy.force payload) truncated;
-                earliest := Float.min !earliest due
-              end
-              else if enqueue l ~from_loop ~torn:truncated mb.mb_out len
-              then wake_loop := true)
+            (fun after ->
+              if after > 0.0 then delayed := (t0 +. after, l) :: !delayed
+              else if enqueue l ~from_loop mb.mb_out len then wake_loop := true)
             (Faults.deliveries plan ~dir:Faults.To_server ~server:l.index
                ~client:mb.client ~rt:mb.mb_rt ~salt:mb.mb_attempt))
       t.links;
-    (* Every insert happens before [armed] is read, and the loop stores
-       [armed] before it rescans the queues, so either its rescan sees
-       the staged frames or this read sees its deadline and wakes it
-       early: no deadline is overslept.  The loop's own sends need no
-       wake-up: it re-arms after them. *)
-    if !earliest < Atomic.get t.armed then wake_loop := true);
+    if !delayed <> [] then begin
+      (* One payload copy for every staged delivery ([mb_out] is reused
+         by the next round), and one heap lock per fan-out. *)
+      let frame = Request (Bytes.sub mb.mb_out 0 len) in
+      Mutex.protect t.staged_lock (fun () ->
+          List.iter (fun (due, l) -> push t ~due l frame) (List.rev !delayed));
+      (* Every push happens before [armed] is read, and the loop stores
+         [armed] before it peeks at the heap again, so either its peek
+         sees these frames or this read sees its deadline and wakes it
+         early: no deadline is overslept.  The loop's own sends need no
+         wake-up: it re-arms after them. *)
+      let earliest =
+        List.fold_left (fun m (due, _) -> Float.min m due) infinity !delayed
+      in
+      if earliest < Atomic.get t.armed then wake_loop := true
+    end);
   if !wake_loop && not from_loop then wake t
 
 (* ------------------------------------------------------------------ *)
@@ -541,9 +480,8 @@ let deliver t l mb ~key ~rt body =
 
 (* One reply body read off link [l] at [t_read].  Under a plan the
    reply leg decides its fate here, from the frame's header alone —
-   lost, held until a deadline, delivered twice, or torn, which severs
-   the link.  A request frame (servers never send one) or a corrupt
-   header severs the link too. *)
+   lost, held until a deadline, or delivered twice.  A request frame
+   (servers never send one) or a corrupt header severs the link. *)
 let receive t l ~t_read body =
   match Codec.reply_route body with
   | Some (key, rt, client) -> (
@@ -551,50 +489,50 @@ let receive t l ~t_read body =
     match (t.faults, mb) with
     | None, _ | _, None -> deliver t l mb ~key ~rt body
     | Some plan, Some m ->
-      let ds =
-        Faults.deliveries plan ~dir:Faults.From_server ~server:l.index ~client
-          ~rt ~salt:(arrival t m ~server:l.index ~rt)
-      in
-      if List.exists (fun d -> d.Faults.truncated) ds then begin
-        sever t l;
-        false
-      end
-      else
-        List.fold_left
-          (fun up { Faults.after; truncated = _ } ->
-            if not up then false
-            else if after > 0.0 then begin
-              t.held_seq <- t.held_seq + 1;
-              Simulation.Heap.push t.held
-                {
-                  h_due = t_read +. after;
-                  h_seq = t.held_seq;
-                  h_link = l;
-                  h_epoch = l.epoch;
-                  h_key = key;
-                  h_rt = rt;
-                  h_client = client;
-                  h_body = body;
-                };
-              true
-            end
-            else deliver t l mb ~key ~rt body)
-          true ds)
+      List.fold_left
+        (fun up after ->
+          if not up then false
+          else if after > 0.0 then begin
+            Mutex.protect t.staged_lock (fun () ->
+                push t ~due:(t_read +. after) l
+                  (Reply { key; rt; client; body }));
+            true
+          end
+          else deliver t l mb ~key ~rt body)
+        true
+        (Faults.deliveries plan ~dir:Faults.From_server ~server:l.index ~client
+           ~rt ~salt:(arrival t m ~server:l.index ~rt)))
   | None | (exception Codec.Decode_error _) ->
     sever t l;
     false
 
-(* Route every held reply due by [t_now], in deadline order. *)
-let rec release_held t t_now =
-  match Simulation.Heap.peek t.held with
-  | Some h when h.h_due <= t_now ->
-    ignore (Simulation.Heap.pop t.held);
-    if h.h_link.epoch = h.h_epoch then
-      ignore
-        (deliver t h.h_link (lookup t h.h_client) ~key:h.h_key ~rt:h.h_rt
-           h.h_body);
-    release_held t t_now
-  | _ -> ()
+(* Pop every staged frame due by [t_now], in deadline order, then act
+   on them with the heap unlocked — a routed reply's continuation may
+   stage its next round.  A due request joins its link's out-queue for
+   this wake-up's one write per link; a due reply is routed.  Frames
+   whose link severed since they were staged are dropped. *)
+let release_due t t_now =
+  Mutex.lock t.staged_lock;
+  let rec pop acc =
+    match Simulation.Heap.peek t.staged with
+    | Some e when e.due <= t_now ->
+      ignore (Simulation.Heap.pop t.staged);
+      pop (e :: acc)
+    | _ -> List.rev acc
+  in
+  let due = pop [] in
+  Mutex.unlock t.staged_lock;
+  List.iter
+    (fun e ->
+      let l = e.link in
+      if Atomic.get l.epoch = e.epoch then
+        match e.frame with
+        | Request payload ->
+          Mutex.protect l.lock (fun () ->
+              Outq.add_subbytes l.out payload 0 (Bytes.length payload))
+        | Reply { key; rt; client; body } ->
+          ignore (deliver t l (lookup t client) ~key ~rt body))
+    due
 
 (* Readable: drain the socket to EAGAIN through the link's decoder, then
    handle its complete frames.  The clock is read once per batch, so
@@ -602,46 +540,30 @@ let rec release_held t t_now =
    EOF, an error, a corrupt stream or a request frame (servers never
    send one) severs the link. *)
 let on_readable t l fd =
-  let closed = ref false in
-  (try
-     let more = ref true in
-     while !more do
-       match Netio.read_nb fd t.rbuf 0 (Bytes.length t.rbuf) with
-       | None -> more := false
-       | Some 0 ->
-         more := false;
-         closed := true
-       | Some n ->
-         Codec.Stream.feed l.stream t.rbuf n;
-         if n < Bytes.length t.rbuf then more := false
-     done
-   with Unix.Unix_error _ -> closed := true);
+  let open_ = Codec.Stream.fill l.stream fd t.rbuf in
   let t_read = match t.faults with None -> 0.0 | Some _ -> now () in
   let rec drain () =
     match Codec.Stream.next_body l.stream with
     | Some body -> if receive t l ~t_read body then drain ()
-    | None -> if !closed then sever t l
+    | None -> if not open_ then sever t l
     | exception Codec.Decode_error _ -> sever t l
   in
   drain ()
 
-(* The loop's write pass over one link: merge the staged frames that
-   have come due, then write what is queued — or dial a link that is
-   down and has something to send, or drop it if the link may not be
-   redialed yet. *)
+(* The loop's write pass over one link: write what is queued — or dial
+   a link that is down and has something to send, or drop it if the
+   link may not be redialed yet. *)
 let service t l t_now =
   (* Runs once per link per wake-up: plain lock/unlock, since nothing
      below raises, and no closure to allocate. *)
   match l.lfd with
   | None ->
     Mutex.lock l.lock;
-    merge_due l t_now;
     let redial =
       if Outq.is_empty l.out then false
       else if t_now >= l.next_attempt then true
       else begin
         Outq.clear l.out;
-        l.tear <- false;
         false
       end
     in
@@ -649,17 +571,11 @@ let service t l t_now =
     if redial && not (Atomic.get t.stopping) then dial t l
   | Some fd -> (
     Mutex.lock l.lock;
-    merge_due l t_now;
     let r =
       if not l.connected then `Connecting
       else
         match Outq.flush l.out fd with
-        | true ->
-          if l.tear then begin
-            l.tear <- false;
-            `Sever
-          end
-          else `Drained
+        | true -> `Drained
         | false -> `Blocked
         | exception Unix.Unix_error _ -> `Sever
     in
@@ -670,19 +586,16 @@ let service t l t_now =
     | `Blocked -> set_write t l fd true
     | `Sever -> sever t l)
 
-(* Nearest staged request deadline across every link; [infinity] when
-   none. *)
-let next_delayed_due t =
-  let next = ref infinity in
-  for i = 0 to Array.length t.links - 1 do
-    let l = t.links.(i) in
-    Mutex.lock l.lock;
-    (match l.delayed with
-    | (d, _, _) :: _ -> if d < !next then next := d
-    | [] -> ());
-    Mutex.unlock l.lock
-  done;
-  !next
+(* The nearest staged deadline; [infinity] when nothing is staged. *)
+let next_due t =
+  Mutex.lock t.staged_lock;
+  let d =
+    match Simulation.Heap.peek t.staged with
+    | Some e -> e.due
+    | None -> infinity
+  in
+  Mutex.unlock t.staged_lock;
+  d
 
 let snapshot_routes t =
   Mutex.protect t.routes_lock (fun () ->
@@ -739,7 +652,7 @@ let loop t =
   while not (Atomic.get t.stopping) do
     Atomic.set t.armed neg_infinity;
     let t_now = now () in
-    release_held t t_now;
+    release_due t t_now;
     if t_now >= !next_scan then begin
       next_scan := t_now +. tick_period t;
       scan_timeouts t t_now
@@ -747,16 +660,12 @@ let loop t =
     for i = 0 to Array.length t.links - 1 do
       service t t.links.(i) t_now
     done;
-    let target =
-      match Simulation.Heap.peek t.held with
-      | Some h -> Float.min !next_scan h.h_due
-      | None -> !next_scan
-    in
-    let target = Float.min target (next_delayed_due t) in
+    let target = Float.min !next_scan (next_due t) in
     Atomic.set t.armed target;
     (* A frame staged since the pass above saw [neg_infinity] and did
-       not wake the loop: this rescan, after the store, catches it. *)
-    let target = Float.min target (next_delayed_due t) in
+       not wake the loop: this second peek, after the store, catches
+       it. *)
+    let target = Float.min target (next_due t) in
     ignore
       (Netio.Poller.wait t.poller ~timeout:(target -. now ())
          (fun fd ~readable ~writable -> on_ready t fd ~readable ~writable))
@@ -777,7 +686,7 @@ let loop t =
 
 let create ?(rt_timeout = 1.0) ?(max_rt_retries = 3) ?faults ~servers ~quorum
     () =
-  Lazy.force ignore_sigpipe;
+  Netio.ignore_sigpipe ();
   let n = Array.length servers in
   if quorum <= 0 || quorum > n then
     invalid_arg "Mux.create: quorum out of range";
@@ -798,13 +707,11 @@ let create ?(rt_timeout = 1.0) ?(max_rt_retries = 3) ?faults ~servers ~quorum
               out = Outq.create 4096;
               fd = None;
               connected = false;
-              tear = false;
-              delayed = [];
               next_attempt = 0.0;
               attempts = 0;
               lfd = None;
               stream = Codec.Stream.create ();
-              epoch = 0;
+              epoch = Atomic.make 0;
               want_write = false;
             })
           servers;
@@ -819,12 +726,13 @@ let create ?(rt_timeout = 1.0) ?(max_rt_retries = 3) ?faults ~servers ~quorum
       routes = Hashtbl.create 16;
       routes_lock = Mutex.create ();
       dropped = Atomic.make 0;
-      held =
+      staged =
         Simulation.Heap.create ~cmp:(fun a b ->
-            match Float.compare a.h_due b.h_due with
-            | 0 -> Int.compare a.h_seq b.h_seq
+            match Float.compare a.due b.due with
+            | 0 -> Int.compare a.seq b.seq
             | c -> c);
-      held_seq = 0;
+      staged_seq = 0;
+      staged_lock = Mutex.create ();
       rbuf = Bytes.create 65536;
       thread = None;
       stopping = Atomic.make false;

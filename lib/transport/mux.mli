@@ -19,11 +19,10 @@
       once per round;
     - the fault plan's two legs ({!Faults}): request frames meet the
       [To_server] rules as they are sent, replies the [From_server]
-      rules as they are read.  Delayed frames park on a deadline queue
-      (requests per link, replies in one heap) that the loop sleeps to
-      exactly; every frame due on a link at one wake-up leaves in one
-      write, in deadline order, and none leaves or is routed before its
-      deadline.
+      rules as they are read.  Delayed frames of both legs wait in one
+      deadline heap that the loop sleeps to exactly; every request due
+      on a link at one wake-up leaves in one write, in deadline order,
+      and no frame leaves or is routed before its deadline.
 
     The round-trip contract is the simulator's {!Protocol.Round_trip}:
     broadcast to all [S] servers, complete on the first [S − t] replies
@@ -62,9 +61,8 @@ val create :
     for as long as the server stays down.  [faults] is the link plan
     the mux realises on both legs ({!Faults}): its [To_server] rules
     for every request frame sent, its [From_server] rules for every
-    reply read.  A truncated frame on either leg severs the {e shared}
-    connection, so every rider reconnects and retries, and the replies
-    a severed link held are lost with it. *)
+    reply read.  The frames a severed link had staged, on either leg,
+    are lost with it. *)
 
 val client : t -> client:int -> handle
 (** Register client [client] (its node id, {!Protocol.Topology}

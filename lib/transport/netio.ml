@@ -50,6 +50,14 @@ let rec read fd buf pos len =
   | n -> n
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> read fd buf pos len
 
+let ignore_sigpipe =
+  let once =
+    lazy
+      (if Sys.os_type = "Unix" then
+         try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with _ -> ())
+  in
+  fun () -> Lazy.force once
+
 (* ------------------------------------------------------------------ *)
 (* Non-blocking variants                                               *)
 (* ------------------------------------------------------------------ *)

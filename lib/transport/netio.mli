@@ -46,6 +46,11 @@ val write_all : Unix.file_descr -> bytes -> int -> int -> unit
 val read : Unix.file_descr -> bytes -> int -> int -> int
 (** [Unix.read], restarted on [EINTR]. *)
 
+val ignore_sigpipe : unit -> unit
+(** Ignore SIGPIPE process-wide (once), so a peer that closes its
+    socket mid-write surfaces as EPIPE on that write instead of killing
+    the process.  Every event loop calls it before its first socket. *)
+
 (** {1 Non-blocking variants} *)
 
 val set_nonblock : Unix.file_descr -> unit

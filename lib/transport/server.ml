@@ -32,13 +32,6 @@ type t = {
   mutable reactor : Thread.t option;
 }
 
-(* A peer closing its socket mid-write must surface as EPIPE on that
-   write, not kill the whole process. *)
-let ignore_sigpipe =
-  lazy
-    (if Sys.os_type = "Unix" then
-       try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with _ -> ())
-
 (* The idle tick: an upper bound on how long the reactor sleeps when
    nothing is ready, and therefore on [stop]'s worst-case latency if a
    wakeup byte were ever lost. *)
@@ -169,23 +162,8 @@ let rec serve t c =
    decoder, then answer its complete frames.  Frames decoded before an
    error still get answers; the error still severs. *)
 let handle_readable t c =
-  let closed = ref false in
-  (try
-     let more = ref true in
-     while !more do
-       match Netio.read_nb c.cfd t.rbuf 0 (Bytes.length t.rbuf) with
-       | None -> more := false
-       | Some 0 ->
-         more := false;
-         closed := true
-       | Some n ->
-         Codec.Stream.feed c.stream t.rbuf n;
-         (* A short read means the socket buffer is (currently) empty:
-            skip the confirming EAGAIN syscall. *)
-         if n < Bytes.length t.rbuf then more := false
-     done
-   with Unix.Unix_error _ -> closed := true);
-  if serve t c || !closed then close_conn t c
+  let open_ = Codec.Stream.fill c.stream c.cfd t.rbuf in
+  if serve t c || not open_ then close_conn t c
 
 (* Any unexpected accept failure (e.g. EMFILE) just ends this round —
    the level-triggered poller re-reports the backlog next tick. *)
@@ -250,7 +228,7 @@ let reactor_loop t =
 
 let start ?(host = "127.0.0.1") ?(port = 0) ?(id = 0)
     ?(keyspace = Keyspace.create ()) () =
-  Lazy.force ignore_sigpipe;
+  Netio.ignore_sigpipe ();
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt fd Unix.SO_REUSEADDR true;
   let addr = Unix.ADDR_INET (Unix.inet_addr_of_string host, port) in

@@ -1168,14 +1168,18 @@ let test_faults_deterministic () =
          at 0 = [] && at 1 <> [])
        (List.init 100 Fun.id))
 
+(* A delay of up to 50 ms: 12.5 ms plus a per-copy jitter below
+   37.5 ms. *)
+let delay_05 = Faults.Latency { base = 0.0125; jitter = 0.0375 }
+
 let test_dup_delay_independent_copies () =
-  (* Duplicate + Delay composed: both copies of a frame must draw their
+  (* Duplicate + a jittered delay composed: both copies of a frame must draw their
      own deadline (shared deadlines would make the duplicate invisible
      to reordering-sensitive code paths), stay within the rule's bound,
      and replay bit-identically from the seed. *)
   let mk () =
     Faults.create ~seed:11
-      [ Faults.rule Faults.Duplicate; Faults.rule (Faults.Delay 0.05) ]
+      [ Faults.rule Faults.Duplicate; Faults.rule delay_05 ]
   in
   let probe plan i =
     Faults.deliveries plan ~dir:Faults.From_server ~server:(i mod 4)
@@ -1186,12 +1190,12 @@ let test_dup_delay_independent_copies () =
     (List.for_all (fun d -> List.length d = 2) ds);
   check bool "deadlines within the delay bound" true
     (List.for_all
-       (List.for_all (fun d -> d.Faults.after >= 0.0 && d.Faults.after <= 0.05))
+       (List.for_all (fun d -> d >= 0.0 && d <= 0.05))
        ds);
   check bool "copies draw independent deadlines" true
     (List.exists
        (function
-         | [ a; b ] -> a.Faults.after <> b.Faults.after
+         | [ a; b ] -> a <> b
          | [] | [ _ ] | _ :: _ :: _ -> false)
        ds);
   check bool "replay is deterministic" true (ds = List.init 200 (probe (mk ())))
@@ -1205,7 +1209,7 @@ let staged_deliveries_prop =
     (fun (seed, server, client, rt) ->
       let mk () =
         Faults.create ~seed
-          [ Faults.rule Faults.Duplicate; Faults.rule (Faults.Delay 0.05) ]
+          [ Faults.rule Faults.Duplicate; Faults.rule delay_05 ]
       in
       let p1 = mk () and p2 = mk () in
       List.for_all
@@ -1214,18 +1218,13 @@ let staged_deliveries_prop =
           let d2 = Faults.deliveries p2 ~dir ~server ~client ~rt ~salt:0 in
           d1 = d2
           && List.length d1 = 2
-          && List.for_all
-               (fun d ->
-                 d.Faults.after >= 0.0
-                 && d.Faults.after <= 0.05
-                 && not d.Faults.truncated)
-               d1)
+          && List.for_all (fun d -> d >= 0.0 && d <= 0.05) d1)
         [ Faults.To_server; Faults.From_server ])
 
 let test_mux_hol_isolation () =
   (* Head-of-line regression: a staged (delayed) frame of one mux client
-     must park on the shared connection's deadline queue, not sleep in
-     the sender with the connection lock held.  Client 100's 0.4s-delayed
+     must wait in the mux's deadline heap, not sleep in the sender with
+     the connection lock held.  Client 100's 0.4s-delayed
      op rides out its deadline while client 101 pushes ten ops through
      the same connection at full speed. *)
   let server = Server.start ~id:0 () in
@@ -1408,6 +1407,58 @@ let test_mux_held_reply_dies_with_link () =
     (Printf.sprintf "client 70 took %.0f ms >= 500 ms" (!a_elapsed *. 1e3))
     true (!a_elapsed >= 0.5);
   check int "the held reply was never routed" 0 (Mux.late_replies a);
+  check int "nothing misrouted" 0 (Mux.dropped_replies mux)
+
+let test_mux_staged_request_dies_with_link () =
+  (* The request-leg twin: a staged request belongs to the connection
+     it was staged on.  Client 80's requests wait 0.2 s in the mux; its
+     server crashes while one waits and comes back on the same port.
+     The staged request must die with the link, not leave on the
+     redialed one: client 80's round completes only through its
+     re-broadcast (0.5 s timeout, then the retry's own 0.2 s), and
+     client 81 gets its own reply over the new connection. *)
+  let faults =
+    Faults.create
+      [
+        Faults.rule ~dir:Faults.To_server ~clients:[ 80 ]
+          (Faults.Latency { base = 0.2; jitter = 0.0 });
+      ]
+  in
+  let server = Server.start ~id:0 () in
+  let port = Server.port server in
+  let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, port) in
+  let mux = Mux.create ~rt_timeout:0.5 ~faults ~servers:[| addr |] ~quorum:1 () in
+  let a = Mux.client mux ~client:80 and b = Mux.client mux ~client:81 in
+  let a_elapsed = ref 0.0 in
+  let ta =
+    Thread.create
+      (fun () ->
+        let t0 = Clock.now () in
+        Mux.exec ~key a (Wire.Query []) (fun _ -> ());
+        a_elapsed := Clock.now () -. t0)
+      ()
+  in
+  Thread.delay 0.05;
+  Server.stop server;
+  let rec restart n =
+    match Server.start ~port ~id:0 () with
+    | sv -> sv
+    | exception Unix.Unix_error (Unix.EADDRINUSE, _, _) when n > 0 ->
+      Thread.delay 0.05;
+      restart (n - 1)
+  in
+  let server = restart 40 in
+  let got = ref [] in
+  Mux.exec ~key b (Wire.Query []) (fun rs -> got := List.map fst rs);
+  Thread.join ta;
+  Mux.shutdown mux;
+  Server.stop server;
+  check (Alcotest.list int) "client 81 answered over the new link" [ 0 ] !got;
+  check int "client 80 needed its re-broadcast" 1 (Mux.retries a);
+  check bool
+    (Printf.sprintf "client 80 took %.0f ms >= 700 ms" (!a_elapsed *. 1e3))
+    true (!a_elapsed >= 0.7);
+  check int "the staged request was never answered" 0 (Mux.late_replies a);
   check int "nothing misrouted" 0 (Mux.dropped_replies mux)
 
 let test_mux_due_replies_one_wakeup () =
@@ -1693,9 +1744,9 @@ let test_poller_oversleep () =
     [ ("calling thread", caller); ("thread", thread); ("domain", domain) ]
 
 let test_mux_sub_ms_round_trip () =
-  (* 0.3 ms on each leg, both realised by the mux: the request parks on
-     its link's deadline queue, the reply in the loop's held heap.  Both
-     must fire at their deadline for the round trip to stay near its
+  (* 0.3 ms on each leg, both realised by the mux: the request and then
+     the reply wait in the loop's deadline heap.  Both must fire at
+     their deadline for the round trip to stay near its
      0.6 ms nominal. *)
   let faults =
     Faults.create [ Faults.rule (Faults.Latency { base = 0.0003; jitter = 0.0 }) ]
@@ -1848,14 +1899,14 @@ let test_geo_compilations_agree () =
                Faults.deliveries plan ~dir:Faults.To_server ~server:srv
                  ~client:c ~rt:1 ~salt:0
              with
-            | [ d ] -> band ~src:c ~dst:srv d.Faults.after "request leg"
+            | [ d ] -> band ~src:c ~dst:srv d "request leg"
             | [] | _ :: _ ->
               Alcotest.fail "geo rule must stage exactly one copy");
             (match
                Faults.deliveries plan ~dir:Faults.From_server ~server:srv
                  ~client:c ~rt:1 ~salt:0
              with
-            | [ d ] -> band ~src:srv ~dst:c d.Faults.after "reply leg"
+            | [ d ] -> band ~src:srv ~dst:c d "reply leg"
             | [] | _ :: _ ->
               Alcotest.fail "geo rule must stage exactly one copy");
             for _ = 1 to 10 do
@@ -2092,6 +2143,8 @@ let () =
             test_mux_fanout_one_notify;
           Alcotest.test_case "a held reply dies with its link" `Quick
             test_mux_held_reply_dies_with_link;
+          Alcotest.test_case "a staged request dies with its link" `Quick
+            test_mux_staged_request_dies_with_link;
           Alcotest.test_case "due replies route at one wake-up"
             `Quick test_mux_due_replies_one_wakeup;
           Alcotest.test_case "a reply-leg plan delays a plan-less server"
