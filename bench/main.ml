@@ -642,530 +642,13 @@ let exhaustive () =
      exactly the writer-inverted ones, with a minimal counterexample.\n"
 
 (* ------------------------------------------------------------------ *)
-(* BENCH_results.json and the live experiments' budgets                 *)
+(* B*: micro-benchmarks                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Machine-readable results: the experiments add their rows to the
-   tables declared in results.ml, and the document is written once,
-   after all requested experiments ran, so `-- micro live` produces one
-   combined document. *)
+(* Machine-readable results: micro adds its rows to the tables declared
+   in results.ml, and the document is written once, after all requested
+   experiments ran. *)
 let bench_results_path = "BENCH_results.json"
-
-(* Writes and reads per client in the live experiments; --live-ops N
-   scales it down so CI smoke runs finish in seconds. *)
-let live_ops = ref 20
-
-(* Base seed for the chaos soak; each row derives its own seed from it
-   so the whole sweep replays from one number (--chaos-seed N). *)
-let chaos_seed = ref 0
-
-(* Completed operations the soak experiment pushes through the
-   streaming checker; --soak-ops N scales it down for CI smoke. *)
-let soak_ops = ref 1_000_000
-
-(* ------------------------------------------------------------------ *)
-(* LV: the live TCP benchmark                                           *)
-(* ------------------------------------------------------------------ *)
-
-(* One single-register run (split roles, [ops] writes per writer and
-   2 x [ops] reads per reader) on a fresh one-group loopback cluster. *)
-let run_register ?faults ?rt_timeout ?max_rt_retries ?live_check ~register ~s
-    ~tol ~writers ~readers ops =
-  let cluster = Kv.Kv_cluster.start ?faults ~groups:1 ~s ~tol () in
-  Fun.protect
-    ~finally:(fun () -> Kv.Kv_cluster.shutdown cluster)
-    (fun () ->
-      let result =
-        Kv.Kv_session.run ?faults ?rt_timeout ?max_rt_retries ?live_check
-          ~register ~cluster
-          (Kv.Kv_session.register_spec ~writers ~readers ops)
-      in
-      { Results.register; s; tol; writers; readers; result })
-
-let live_exp () =
-  (* When this runs after the micro phase, bechamel's garbage is still
-     on the major heap; collect it up front so the first live rows don't
-     pay another phase's GC debt. *)
-  Gc.compact ();
-  section "LV. Live TCP: the same algorithm bodies over real loopback sockets";
-  Printf.printf
-    "Each row: a fresh S=5 t=1 loopback cluster (real server daemons, real\n\
-     TCP round trips), W writers x 20 writes and R readers x 40 reads, every\n\
-     operation streamed through the live atomicity checker.  Rounds/op must\n\
-     match Table 1 -- the paper's cost measure, now measured on sockets.\n\n";
-  row "%-28s %-8s %-9s %-9s %-24s %-24s %s\n" "protocol" "ops/s" "write-rt"
-    "read-rt" "write ms (p50/p95/p99)" "read ms (p50/p95/p99)" "atomic";
-  row "%s\n" (String.make 112 '-');
-  let s = 5 and t = 1 in
-  let ops = !live_ops in
-  List.iter
-    (fun (register, w, r) ->
-      let m =
-        run_register ~live_check:true ~register ~s ~tol:t ~writers:w
-          ~readers:r ops
-      in
-      let res = m.Results.result in
-      let writes = res.Kv.Kv_session.write_lat
-      and reads = res.Kv.Kv_session.read_lat in
-      let atomic = Results.streamed_atomic res in
-      let name = Registers.Registry.name register in
-      row "%-28s %-8.0f %-9.2f %-9.2f %-24s %-24s %b\n" name
-        res.Kv.Kv_session.throughput
-        res.Kv.Kv_session.write_rounds res.Kv.Kv_session.read_rounds
-        (Printf.sprintf "%.2f/%.2f/%.2f" (1e3 *. writes.Stats.p50)
-           (1e3 *. writes.Stats.p95) (1e3 *. writes.Stats.p99))
-        (Printf.sprintf "%.2f/%.2f/%.2f" (1e3 *. reads.Stats.p50)
-           (1e3 *. reads.Stats.p95) (1e3 *. reads.Stats.p99))
-        atomic;
-      Results.add Results.live m)
-    [
-      (Registers.Registry.abd_swmr, 1, 2);
-      (Registers.Registry.abd_mwmr, 2, 2);
-      (Registers.Registry.fastread_w2r1, 2, 2);
-      (Registers.Registry.adaptive, 2, 2);
-    ];
-  Printf.printf
-    "\nShape check: the simulator's round-trip economics survive contact with\n\
-     real sockets -- W2R1 reads cost one round trip (half of W2R2's two) and\n\
-     every history stays atomic.\n";
-  (* ---------------------------------------------------------------- *)
-  (* The client-scaling sweep over the shared mux plane against the
-     reactor server.  Per (protocol, client count): a fresh S=5 t=1
-     cluster, C/2 writers and C/2 readers hammering it with no think
-     time (C counts total clients), all C clients sharing S
-     connections.  Atomicity is already certified by the table above
-     and the test suite, so these rows measure raw throughput only.    *)
-  section "LV-S. Client scaling: shared mux plane";
-  Printf.printf
-    "S=5 t=1, C total clients (half writers, half readers), no think time.\n\
-     Steady rows run the full per-client op budget (scaled down past\n\
-     C=64 to keep total work bounded); short rows run 2 writes per\n\
-     writer so connection setup stays inside the measured window.\n\n";
-  row "%-28s %-6s %-7s %-6s %-10s %-10s %s\n" "protocol" "C" "regime" "ops"
-    "ops/s" "write-p50" "read-p50";
-  row "%s\n" (String.make 82 '-');
-  (* Per-client op budget for the steady regime: high client counts
-     multiply the total op count, so the budget shrinks as C grows —
-     the row still measures sustained concurrency (every client holds
-     its connections for many round trips), just without turning the
-     C=1024 row into minutes of wall clock. *)
-  let steady_ops c =
-    if c <= 64 then ops
-    else if c <= 256 then max 2 (ops / 2)
-    else max 2 (ops / 4)
-  in
-  (* Steady rows at every count the thread-per-connection server could
-     and could not reach (its accept loop spawned a thread per conn and
-     fell over near FD_SETSIZE; the reactor's poll/epoll waits do not),
-     plus short-lived-client rows at the contended counts: short
-     sessions keep connection setup inside the measured window, where
-     long sessions amortise it away. *)
-  (* Heaviest rows go last: the C=1024 teardown churn — thousands of
-     TIME_WAIT conns, a thousand client threads unwinding — would
-     otherwise bleed into whichever row starts next. *)
-  let points =
-    List.map (fun c -> (c, steady_ops c, "steady")) [ 2; 4; 8; 16; 32; 64 ]
-    @ (if ops > 2 then
-         [ (64, 2, "short"); (256, 2, "short"); (1024, 2, "short") ]
-       else [])
-    @ [ (256, steady_ops 256, "steady"); (1024, steady_ops 1024, "steady") ]
-  in
-  List.iter
-    (fun register ->
-      List.iter
-        (fun (c, row_ops, regime) ->
-          (* Each row starts from a settled machine: collect the
-             previous row's garbage and give its cluster teardown
-             (thread unwinding, socket close handshakes) a moment to
-             drain — the rows compare client counts, so none may
-             inherit its predecessor's debris. *)
-          Gc.compact ();
-          Unix.sleepf 0.25;
-          (* Past ~128 clients on a small box, a round trip can sit
-             behind hundreds of queued peers; a generous per-round-trip
-             timeout keeps scheduling delay from registering as loss
-             and triggering retries. *)
-          let rt_timeout = if c >= 128 then Some 5.0 else None in
-          let m =
-            run_register ?rt_timeout ~register ~s ~tol:t ~writers:(c / 2)
-              ~readers:(c / 2) row_ops
-          in
-          let res = m.Results.result in
-          let name = Registers.Registry.name register in
-          row "%-28s %-6d %-7s %-6d %-10.0f %-10.2f %.2f\n" name c regime
-            res.Kv.Kv_session.ops res.Kv.Kv_session.throughput
-            (1e3 *. res.Kv.Kv_session.write_lat.Stats.p50)
-            (1e3 *. res.Kv.Kv_session.read_lat.Stats.p50);
-          Results.add Results.live_scaling (regime, m))
-        points)
-    Registers.Registry.multi_writer;
-  Printf.printf
-    "\nShape check: the thread-per-connection server peaked near C=32 and\n\
-     could not cross FD_SETSIZE at all; the reactor sustains C=1024 with\n\
-     every client riding the same S shared connections.\n"
-
-(* ------------------------------------------------------------------ *)
-(* CH: the chaos soak                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let chaos_exp () =
-  Gc.compact ();
-  section "CH. Chaos soak: seeded fault schedules over the live transport";
-  Printf.printf
-    "Each row: a fresh S=5 t=1 cluster whose every link drops, delays and\n\
-     duplicates frames under a deterministic seeded plan, with one server\n\
-     killed mid-run and restarted from its recovered snapshot.  Inside the\n\
-     possible regimes the verdict must stay atomic: lossy links may only\n\
-     show up as round-trip retries, never as a consistency violation.\n\n";
-  row "%-28s %-6s %-5s %-8s %-9s %-9s %-8s %s\n" "protocol" "seed" "ops"
-    "retries" "write-rt" "read-rt" "atomic" "expected";
-  row "%s\n" (String.make 86 '-');
-  let ops = max 2 (!live_ops / 2) in
-  let base = !chaos_seed in
-  Results.add Results.chaos_base_seed base;
-  List.iteri
-    (fun i register ->
-      (* Same hygiene as the scaling sweep: no row inherits its
-         predecessor's teardown debris. *)
-      Gc.compact ();
-      Unix.sleepf 0.15;
-      let seed = base + i in
-      let sk = Kv.Chaos.soak ~seed ~ops ~live_check:true ~register () in
-      let res = sk.Kv.Chaos.result in
-      let name = Registers.Registry.name register in
-      row "%-28s %-6d %-5d %-8d %-9.2f %-9.2f %-8b %b\n" name seed
-        res.Kv.Kv_session.ops res.Kv.Kv_session.retries
-        res.Kv.Kv_session.write_rounds res.Kv.Kv_session.read_rounds
-        (Results.streamed_atomic res)
-        sk.Kv.Chaos.expected_atomic;
-      Results.add Results.chaos_soak sk)
-    Registers.Registry.multi_writer;
-  (* The deterministic restart-fidelity script: both halves of the
-     crash-stop argument. *)
-  Printf.printf
-    "\nRestart fidelity (S=3 t=1, write confined to {0,1}, read to {0,2},\n\
-     server 0 killed and restarted between them):\n\n";
-  row "%-10s %-8s %s\n" "mode" "atomic" "read";
-  row "%s\n" (String.make 38 '-');
-  List.iter
-    (fun (mode_name, mode) ->
-      let o = Kv.Chaos.restart_scenario ~mode () in
-      row "%-10s %-8b %s\n" mode_name o.Kv.Chaos.atomic
-        (match o.Kv.Chaos.read_value with
-        | Some v -> string_of_int v
-        | None -> "-");
-      Results.add Results.chaos_restart o)
-    [ ("recover", `Recover); ("fresh", `Fresh) ];
-  Printf.printf
-    "\nShape check: recover-restarts behave as slow servers (atomic, as the\n\
-     paper's crash-stop model promises); a fresh restart forgets an\n\
-     acknowledged write and the checker catches it with a witness.\n"
-
-(* ------------------------------------------------------------------ *)
-(* KV: the sharded keyspace under a YCSB-shaped load                    *)
-(* ------------------------------------------------------------------ *)
-
-let kv_exp () =
-  section "KV. Sharded keyspace: YCSB-shaped load over consistent-hash groups";
-  Printf.printf
-    "Each row: G independent S=3 t=1 shard groups behind the placement\n\
-     ring, C closed-loop clients mixing reads and writes (YCSB mix A\n\
-     unless noted) over K keys, zipfian (theta=%.2f) or uniform.  Every\n\
-     operation runs the multi-writer ABD body per key and streams through\n\
-     the live atomicity checker, every key checked.\n\n"
-    Ycsb.default_theta;
-  let s = 3 and tol = 1 in
-  let ops = !live_ops in
-  row "%-9s %-3s %-5s %-7s %-8s %-4s %-6s %-9s %-7s %-7s %-7s %-7s %s\n"
-    "regime" "G" "C" "K" "dist" "mix" "ops" "ops/s" "p50" "p95" "p99" "atomic"
-    "dropped";
-  row "%s\n" (String.make 94 '-');
-  let run_row ?(regime = "closed") ?(think = 0.0) idx groups clients keys dist
-      mix =
-    (* Same per-row hygiene as LV-S: rows compare shard counts, so no
-       row may inherit its predecessor's teardown debris. *)
-    Gc.compact ();
-    Unix.sleepf 0.25;
-    let cluster = Kv.Kv_cluster.start ~groups ~s ~tol () in
-    Fun.protect
-      ~finally:(fun () -> Kv.Kv_cluster.shutdown cluster)
-      (fun () ->
-        let rt_timeout = if clients >= 128 then Some 5.0 else None in
-        let spec =
-          {
-            Kv.Kv_session.roles = Kv.Kv_session.Mixed clients;
-            ops_per_client = ops;
-            keys;
-            dist;
-            mix;
-            seed = 1000 + (17 * idx);
-            think;
-          }
-        in
-        let res =
-          Kv.Kv_session.run ?rt_timeout ~live_check:true ~cluster spec
-        in
-        let atomic = Results.streamed_atomic res in
-        let all = res.Kv.Kv_session.all_lat in
-        row "%-9s %-3d %-5d %-7d %-8s %-4s %-6d %-9.0f %-7.2f %-7.2f %-7.2f %-7b %d\n"
-          regime groups clients keys (Ycsb.dist_name dist)
-          (Ycsb.mix_name mix)
-          res.Kv.Kv_session.ops
-          res.Kv.Kv_session.throughput (1e3 *. all.Stats.p50)
-          (1e3 *. all.Stats.p95) (1e3 *. all.Stats.p99) atomic
-          res.Kv.Kv_session.dropped;
-        Results.add Results.kv_scaling { regime; groups; spec; kv = res })
-  in
-  let idx = ref 0 in
-  let zipf = Ycsb.Zipfian Ycsb.default_theta in
-  (* The acceptance grid: G x C x K x dist, all at mix A.  The light
-     client count runs first so a regression at C=256 is attributable
-     (its rows land after the C=64 baseline). *)
-  List.iter
-    (fun (groups, clients, keys, dist) ->
-      incr idx;
-      run_row !idx groups clients keys dist Ycsb.A)
-    Results.kv_grid;
-  (* Mix B (95% read) and C (read-only) at one mid-size point: the read
-     fraction moves the latency profile, not the verdicts. *)
-  List.iter
-    (fun mix ->
-      incr idx;
-      run_row !idx 2 64 1_000 zipf mix)
-    [ Ycsb.B; Ycsb.C ];
-  (* The scale-out regime: hold the per-shard offered load constant and
-     grow the client population with the group count (the standard YCSB
-     cluster-scaling shape).  The closed-loop grid above saturates the
-     host CPU, so its rows measure per-op cost, not capacity; with a
-     think time the offered load sits below one group's capacity, and
-     the aggregate throughput a deployment absorbs grows with its shard
-     count — this is where the 4-group rows must beat the 1-group
-     baseline. *)
-  let scale_think = 0.04 and per_group_clients = 64 in
-  List.iter
-    (fun groups ->
-      incr idx;
-      run_row ~regime:"scaleout" ~think:scale_think !idx groups
-        (per_group_clients * groups) 1_000 zipf Ycsb.A)
-    [ 1; 2; 4 ];
-  Printf.printf
-    "\nShape check: group_ops spread tracks the ring (uniform keys land\n\
-     ~evenly; zipfian heads pin their shard), every key is\n\
-     atomic, and in the scale-out regime (constant per-shard\n\
-     offered load) the 4-group aggregate out-runs the 1-group baseline --\n\
-     per-key quorums compose, so capacity scales with shard count.\n"
-
-(* ------------------------------------------------------------------ *)
-(* SK: the streaming checker at soak scale                              *)
-(* ------------------------------------------------------------------ *)
-
-let soak_exp () =
-  Gc.compact ();
-  section "SK. Soak: streaming atomicity checker at million-op scale";
-  Printf.printf
-    "Each row runs the same workload twice -- checking off, then the\n\
-     streaming checker attached (--check live) -- so the throughput\n\
-     columns measure the checker's contention cost directly.  The\n\
-     checker's memory is its peak window (resident operations), not the\n\
-     history length: the batch checker would hold every one of the ops\n\
-     below.  KV row: mix A zipfian over the sharded keyspace, every key\n\
-     checked.  Session row: the chaos storm (drop/delay/duplicate plus\n\
-     a kill and recover-restart) with the checker riding along.\n\n";
-  row "%-9s %-22s %-9s %-10s %-10s %-7s %-8s %-10s %-7s %s\n" "plane"
-    "label" "ops" "ops/s" "nocheck" "keys" "window" "check/s" "atomic"
-    "violations";
-  row "%s\n" (String.make 108 '-');
-  let emit (m : Results.soak_run) =
-    let r = m.Results.report in
-    let tput =
-      if m.Results.duration > 0.0 then float_of_int m.Results.ops /. m.Results.duration
-      else 0.0
-    in
-    row "%-9s %-22s %-9d %-10.0f %-10.0f %-7d %-8d %-10.0f %-7b %d\n"
-      m.Results.plane m.Results.label m.Results.ops tput
-      m.Results.nocheck_throughput r.Transport.Check_sink.keys
-      r.Transport.Check_sink.peak_window
-      r.Transport.Check_sink.checker_ops_per_sec (Transport.Check_sink.atomic r)
-      (List.length r.Transport.Check_sink.violations);
-    Results.add Results.soak m
-  in
-  (* KV: the million-op row; the streaming checker covers every key in
-     O(window). *)
-  let clients = 8 in
-  let kv_spec =
-    {
-      Kv.Kv_session.roles = Kv.Kv_session.Mixed clients;
-      ops_per_client = max 1 (!soak_ops / clients);
-      keys = 1_000;
-      dist = Ycsb.Zipfian Ycsb.default_theta;
-      mix = Ycsb.A;
-      seed = 4242;
-      think = 0.0;
-    }
-  in
-  let run_kv ~live_check =
-    Gc.compact ();
-    Unix.sleepf 0.25;
-    let cluster = Kv.Kv_cluster.start ~groups:2 ~s:3 ~tol:1 () in
-    Fun.protect
-      ~finally:(fun () -> Kv.Kv_cluster.shutdown cluster)
-      (fun () -> Kv.Kv_session.run ~live_check ~cluster kv_spec)
-  in
-  let base = run_kv ~live_check:false in
-  let live = run_kv ~live_check:true in
-  (match live.Kv.Kv_session.online with
-  | Some r ->
-    emit
-      {
-        plane = "kv";
-        label = "mixA-zipfian-allkeys";
-        ops = live.Kv.Kv_session.ops;
-        duration = live.Kv.Kv_session.duration;
-        nocheck_throughput = base.Kv.Kv_session.throughput;
-        expected_atomic = true;
-        report = r;
-      }
-  | None -> ());
-  (* Session: the chaos storm.  Fault delays bound this plane to tens
-     of ops/s, so the row rides at soak_ops/10000 writes per writer
-     (6x that in total ops, ~100s per run at the full budget) -- the
-     checker must hold its window bound through drops, retries, and
-     the kill/recover-restart.  The million-op volume claim belongs to
-     the KV row above. *)
-  let chaos_ops = max 8 (!soak_ops / 10_000) in
-  let run_chaos ~live_check =
-    Gc.compact ();
-    Unix.sleepf 0.25;
-    Kv.Chaos.soak ~seed:!chaos_seed ~ops:chaos_ops ~live_check
-      ~register:Registers.Registry.abd_mwmr ()
-  in
-  let base = run_chaos ~live_check:false in
-  let live = run_chaos ~live_check:true in
-  (match live.Kv.Chaos.result.Kv.Kv_session.online with
-  | Some r ->
-    emit
-      {
-        plane = "session";
-        label = "chaos-storm";
-        ops = live.Kv.Chaos.result.Kv.Kv_session.ops;
-        duration = live.Kv.Chaos.result.Kv.Kv_session.duration;
-        nocheck_throughput = base.Kv.Chaos.result.Kv.Kv_session.throughput;
-        expected_atomic = live.Kv.Chaos.expected_atomic;
-        report = r;
-      }
-  | None -> ());
-  Printf.printf
-    "\nShape check: the window column stays orders of magnitude below the\n\
-     ops column (O(active keys + in-flight), not O(history)) and the\n\
-     checked count covers the whole stream.  The feed is contention-free\n\
-     (clients never block on the checker), so the live/nocheck gap is the\n\
-     checker's CPU share: near zero with a spare core, bounded by the\n\
-     checker's busy fraction plus scheduling churn on a single core.\n"
-
-(* ------------------------------------------------------------------ *)
-(* GEO: WAN/geo profiles over the live transport                        *)
-(* ------------------------------------------------------------------ *)
-
-(* The acceptance grid runs three named profiles; asym-updown stays a
-   CLI/test citizen (its point is the direction-dependent matrix, not
-   another throughput column). *)
-let geo_bench_profiles =
-  [ Transport.Geo.lan; Transport.Geo.wan_3region; Transport.Geo.mixed_1ms_80ms ]
-
-let geo_exp () =
-  Gc.compact ();
-  section "GEO. WAN/geo profiles: one geography, every protocol";
-  Printf.printf
-    "Each row: a fresh S=5 t=1 loopback cluster whose every client<->server\n\
-     link is shaped by the named profile -- per-region-pair base delay plus\n\
-     jitter, compiled from the same matrices the simulator's latency model\n\
-     draws from (node region = id mod regions).  Delayed frames wait in\n\
-     the mux's deadline heap, never in a sleeping sender, so one far\n\
-     region cannot stall another link's traffic.  Rounds/op is the paper's\n\
-     cost measure: under WAN delays every saved round is ~one RTT off the\n\
-     latency column.\n\n";
-  row "%-28s %-15s %-5s %-8s %-9s %-8s %-10s %-10s %s\n" "protocol"
-    "profile" "ops" "ops/s" "write-rt" "read-rt" "write-p50" "read-p50"
-    "atomic";
-  row "%s\n" (String.make 108 '-');
-  let s = 5 and t = 1 in
-  let ops = max 2 (!live_ops / 4) in
-  List.iter
-    (fun profile ->
-      List.iter
-        (fun register ->
-          (* Same hygiene as LV-S: no row inherits its predecessor's
-             teardown debris. *)
-          Gc.compact ();
-          Unix.sleepf 0.15;
-          let w = Registers.Registry.clamp_writers register 2 in
-          let r = 2 in
-          let clients = List.init (w + r) (fun i -> s + i) in
-          let faults = Transport.Geo.plan profile ~s ~clients in
-          let b = Transport.Geo.budget profile in
-          let m =
-            run_register ~faults ~rt_timeout:b.rt_timeout
-              ~max_rt_retries:b.max_rt_retries ~live_check:true ~register ~s
-              ~tol:t ~writers:w ~readers:r ops
-          in
-          let res = m.Results.result in
-          let name = Registers.Registry.name register in
-          let pname = Transport.Geo.name profile in
-          row "%-28s %-15s %-5d %-8.0f %-9.2f %-8.2f %-10.2f %-10.2f %b\n"
-            name pname res.Kv.Kv_session.ops res.Kv.Kv_session.throughput
-            res.Kv.Kv_session.write_rounds res.Kv.Kv_session.read_rounds
-            (1e3 *. res.Kv.Kv_session.write_lat.Stats.p50)
-            (1e3 *. res.Kv.Kv_session.read_lat.Stats.p50)
-            (Results.streamed_atomic res);
-          Results.add Results.geo_rows (profile, m))
-        Registers.Registry.all)
-    geo_bench_profiles;
-  (* The region-outage scenario: wan-3region with its smallest region
-     (one server, two clients) partitioned away for a window mid-run,
-     on top of the geo delays.  Quorum is 4 of 5; the cut region's
-     clients see zero reachable quorum during the window and must ride
-     it out on round-trip retries, while the majority side keeps
-     exactly a quorum — atomicity must hold throughout, and the
-     streaming checker delivers the verdict live. *)
-  let profile = Transport.Geo.wan_3region in
-  let w = 2 and r = 2 in
-  let clients = List.init (w + r) (fun i -> s + i) in
-  let o = Transport.Geo.outage profile ~s ~clients in
-  Printf.printf
-    "\nRegion outage: %s region %s (nodes %s) partitioned away %.2fs-%.2fs\n\
-     into the run, on top of the profile's delays; streaming checker on.\n\n"
-    (Transport.Geo.name profile)
-    (Transport.Geo.region_name profile o.region)
-    (String.concat "," (List.map string_of_int o.cut))
-    o.from_ o.until;
-  row "%-28s %-5s %-9s %-9s %-7s %s\n" "protocol" "ops" "retries" "starved"
-    "check" "atomic";
-  row "%s\n" (String.make 66 '-');
-  Gc.compact ();
-  Unix.sleepf 0.15;
-  let faults = Transport.Geo.plan profile ~s ~clients ~extra:[ o.rule ] in
-  let register = Registers.Registry.abd_mwmr in
-  let m =
-    let b = Transport.Geo.outage_budget profile in
-    run_register ~faults ~rt_timeout:b.rt_timeout
-      ~max_rt_retries:b.max_rt_retries ~live_check:true ~register ~s ~tol:t
-      ~writers:w ~readers:r ops
-  in
-  let res = m.Results.result in
-  let name = Registers.Registry.name register in
-  row "%-28s %-5d %-9d %-9d %-7s %b\n" name res.Kv.Kv_session.ops
-    res.Kv.Kv_session.retries res.Kv.Kv_session.starved "live"
-    (Results.streamed_atomic res);
-  Results.add Results.geo_outage
-    ({ profile; region = o.region; window_s = o.until -. o.from_ }, m);
-  Printf.printf
-    "\nShape check: rounds/op are profile-invariant (the paper's cost\n\
-     measure counts rounds, not milliseconds) while p50 latency scales\n\
-     with the profile's RTT -- so every round a fast protocol saves is\n\
-     worth ~80ms under wan-3region vs ~1ms under lan.  The region outage\n\
-     costs the cut region's clients retries, never atomicity.\n"
-
-(* ------------------------------------------------------------------ *)
 
 let micro () =
   section "B*. Bechamel micro-benchmarks (one Test.make per table/figure path)";
@@ -1411,18 +894,10 @@ let experiments =
     ("sf", semifast);
     ("wk", w1rk);
     ("ex", exhaustive);
-    ("live", live_exp);
-    ("kv", kv_exp);
-    ("chaos", chaos_exp);
-    ("geo", geo_exp);
-    ("sk", soak_exp);
     ("micro", micro);
   ]
 
-let run domains lo so seed requested =
-  live_ops := lo;
-  soak_ops := so;
-  chaos_seed := seed;
+let run domains requested =
   let domains =
     match domains with Some n -> n | None -> Parallel.Pool.default_domains ()
   in
@@ -1461,21 +936,6 @@ let () =
              ~doc:"Domain-pool size for the parallel sweeps (default: \
                    $(b,MWREG_DOMAINS), else the recommended domain count).")
   in
-  let live_ops =
-    Arg.(value & opt positive !live_ops
-         & info [ "live-ops" ] ~docv:"N"
-             ~doc:"Writes per writer in the live, chaos, geo and kv rows.")
-  in
-  let soak_ops =
-    Arg.(value & opt positive !soak_ops
-         & info [ "soak-ops" ] ~docv:"N"
-             ~doc:"Total operation budget of the streaming-checker soak.")
-  in
-  let chaos_seed =
-    Arg.(value & opt int !chaos_seed
-         & info [ "chaos-seed" ] ~docv:"SEED"
-             ~doc:"Base seed of the chaos soak's fault plans.")
-  in
   let requested =
     Arg.(value & pos_all (enum experiments) []
          & info [] ~docv:"EXPERIMENT"
@@ -1485,6 +945,6 @@ let () =
   let cmd =
     Cmd.v
       (Cmd.info "main" ~doc:"Regenerate the paper's tables and figures.")
-      Term.(const run $ domains $ live_ops $ soak_ops $ chaos_seed $ requested)
+      Term.(const run $ domains $ requested)
   in
   exit (match Cmd.eval_value cmd with Ok _ -> 0 | Error _ -> 1)

@@ -1,90 +1,16 @@
-(* The BENCH_results.json declarations: every gate fires on a document
-   that breaks it, the schema reports each defect with its path, the
-   writer merges sections without disturbing the ones it did not
-   regenerate, and the printer round-trips through the parser. *)
+(* The BENCH_results.json declarations: the validator accepts a
+   conforming document and reports each defect with its path, an
+   undeclared section is an error, the writer merges sections without
+   disturbing the ones it did not regenerate, and the printer
+   round-trips through the parser. *)
 
 open Results
 
 let num n = Num n
-let ms = Obj [ ("mean", num 1.0); ("p50", num 1.0); ("p95", num 2.0); ("p99", num 3.0) ]
 
 (* ------------------------------------------------------------------ *)
-(* A minimal document passing every gate, --require-knee included      *)
+(* A minimal valid document                                             *)
 (* ------------------------------------------------------------------ *)
-
-let run_cols ~protocol =
-  [
-    ("protocol", Str protocol); ("design_point", Str "W2R2"); ("s", num 5.0);
-    ("t", num 1.0); ("writers", num 2.0); ("readers", num 2.0);
-    ("ops", num 10.0); ("duration_s", num 0.5);
-    ("throughput_ops_per_s", num 20.0); ("write_rounds_per_op", num 2.0);
-    ("read_rounds_per_op", num 2.0); ("write_ms", ms); ("read_ms", ms);
-    ("atomic", Bool true);
-  ]
-
-let scaling_row ~clients ~tput =
-  Obj
-    [
-      ("protocol", Str "LS97 ABD-MW"); ("path", Str "mux"); ("server", Str "reactor");
-      ("clients", num clients); ("regime", Str "steady");
-      ("writers", num (clients /. 2.0)); ("readers", num (clients /. 2.0));
-      ("ops", num 100.0); ("duration_s", num 1.0);
-      ("throughput_ops_per_s", num tput); ("write_p50_ms", num 1.0);
-      ("read_p50_ms", num 1.0);
-    ]
-
-let kv_row ~regime ~groups ~clients ~keys ~dist ~tput =
-  Obj
-    [
-      ("plane", Str "mux"); ("regime", Str regime); ("think_s", num 0.0);
-      ("groups", num (float_of_int groups)); ("clients", num (float_of_int clients));
-      ("keys", num (float_of_int keys)); ("dist", Str dist); ("mix", Str "A");
-      ("ops", num 100.0); ("duration_s", num 1.0);
-      ("throughput_ops_per_s", num tput); ("latency_ms", ms); ("read_ms", ms);
-      ("write_ms", ms); ("checked_keys", num 50.0); ("atomic", Bool true);
-      ("starved", num 0.0); ("late", num 0.0); ("retries", num 0.0);
-      ("dropped_replies", num 0.0); ("keys_touched", num 50.0);
-      ( "group_ops",
-        List (List.init groups (fun _ -> num (100.0 /. float_of_int groups))) );
-    ]
-
-let kv_rows =
-  List.concat_map
-    (fun groups ->
-      List.concat_map
-        (fun clients ->
-          List.concat_map
-            (fun keys ->
-              List.map
-                (fun dist -> kv_row ~regime:"closed" ~groups ~clients ~keys ~dist ~tput:100.0)
-                [ "zipfian"; "uniform" ])
-            [ 1_000; 100_000 ])
-        [ 64; 256 ])
-    [ 1; 2; 4 ]
-  @ [
-      kv_row ~regime:"scaleout" ~groups:1 ~clients:64 ~keys:1_000 ~dist:"zipfian" ~tput:100.0;
-      kv_row ~regime:"scaleout" ~groups:4 ~clients:256 ~keys:1_000 ~dist:"zipfian" ~tput:300.0;
-    ]
-
-let soak_row ~plane ~ops =
-  Obj
-    [
-      ("plane", Str plane); ("label", Str (plane ^ "-run")); ("ops", num ops);
-      ("duration_s", num 10.0); ("throughput_ops_per_s", num (ops /. 10.0));
-      ("throughput_nocheck_ops_per_s", num (ops /. 9.0)); ("checked", num ops);
-      ("keys", num 100.0); ("peak_window", num 50.0);
-      ("checker_ops_per_s", num 1e5); ("batches", num 10.0);
-      ("violations", num 0.0); ("atomic", Bool true); ("expected_atomic", Bool true);
-    ]
-
-let restart_row ~mode ~atomic ~witness =
-  Obj
-    [
-      ("mode", Str mode); ("transport", Str "mux"); ("atomic", Bool atomic);
-      ("read_value", num 0.0); ("witness", witness);
-    ]
-
-let profiles = [| "lan"; "wan-3region"; "mixed-1ms-80ms" |]
 
 let valid =
   Obj
@@ -101,58 +27,6 @@ let valid =
               ];
           ] );
       ("micro_ns_per_run", Obj [ ("f2-streaming-checker", num 123.5) ]);
-      ("live", List [ Obj (run_cols ~protocol:"LS97 ABD-MW") ]);
-      ("live_scaling", List [ scaling_row ~clients:1024.0 ~tput:400.0 ]);
-      ("kv_scaling", List kv_rows);
-      ( "geo",
-        Obj
-          [
-            ( "rows",
-              List
-                (List.init 8 (fun i ->
-                     Obj
-                       (("profile", Str profiles.(i mod 3))
-                       :: run_cols ~protocol:(Printf.sprintf "protocol-%d" i)
-                       @ [ ("transport", Str "mux") ]))) );
-            ( "outage",
-              List
-                [
-                  Obj
-                    [
-                      ("profile", Str "wan-3region"); ("protocol", Str "LS97 ABD-MW");
-                      ("transport", Str "mux"); ("region", Str "ap-south");
-                      ("window_s", num 0.25); ("ops", num 30.0); ("duration_s", num 2.0);
-                      ("retries", num 2.0); ("unavailable", num 0.0);
-                      ("check", Str "live"); ("atomic", Bool true);
-                    ];
-                ] );
-          ] );
-      ("soak", List [ soak_row ~plane:"kv" ~ops:1e6; soak_row ~plane:"session" ~ops:600.0 ]);
-      ( "chaos",
-        Obj
-          [
-            ("base_seed", num 0.0);
-            ( "soak",
-              List
-                [
-                  Obj
-                    [
-                      ("protocol", Str "LS97 ABD-MW"); ("transport", Str "mux");
-                      ("seed", num 0.0); ("drop", num 0.05); ("delay_s", num 0.03);
-                      ("duplicate", num 0.1); ("restarted", Bool true); ("ops", num 12.0);
-                      ("duration_s", num 1.0); ("write_rounds_per_op", num 2.0);
-                      ("read_rounds_per_op", num 2.0); ("retries", num 3.0);
-                      ("late", num 1.0); ("unavailable", num 0.0); ("atomic", Bool true);
-                      ("expected_atomic", Bool true);
-                    ];
-                ] );
-            ( "restart",
-              List
-                [
-                  restart_row ~mode:"recover" ~atomic:true ~witness:Null;
-                  restart_row ~mode:"fresh" ~atomic:false ~witness:(Str "stale read");
-                ] );
-          ] );
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -179,105 +53,65 @@ let remove path key = at path (function
   | Obj fields -> Obj (List.filter (fun (k, _) -> k <> key) fields)
   | Null | Bool _ | Num _ | Str _ | List _ -> Alcotest.fail "not an object")
 
-let drop_rows path keep = at path (function
-  | List items -> List (List.filteri (fun i _ -> keep i) items)
-  | Null | Bool _ | Num _ | Str _ | Obj _ -> Alcotest.fail "not an array")
-
 let has_error_at path errors =
   List.exists (fun e -> String.starts_with ~prefix:(path ^ ": ") e) errors
 
 let show errors = String.concat "\n  " ("" :: errors)
 
 (* ------------------------------------------------------------------ *)
-(* Gates                                                                *)
+(* Document-level gates                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* (name, knee only, mutation, path of the expected error) *)
-let gates =
-  let sc = [ K "live_scaling"; I 0 ] and kv = [ K "kv_scaling"; I 0 ] in
-  let soak i = [ K "soak"; I i ] and restart i = [ K "chaos"; K "restart"; I i ] in
-  let geo_row i = [ K "geo"; K "rows"; I i ] in
-  [
-    ( "live_scaling: a steady row at C >= 1024", false,
-      (fun d -> set sc "clients" (num 512.0) d |> set sc "writers" (num 256.0) |> set sc "readers" (num 256.0)),
-      "$.live_scaling" );
-    ("live_scaling: clients = writers + readers", false, set sc "clients" (num 2048.0), "$.live_scaling[0].clients");
-    ("live_scaling: C=16 knee floor", true, set sc "throughput_ops_per_s" (num 100.0), "$.live_scaling");
-    ("kv_scaling: atomic rows", false, set kv "atomic" (Bool false), "$.kv_scaling[0]");
-    ( "kv_scaling: group_ops length", false,
-      set kv "group_ops" (List [ num 50.0; num 50.0 ]), "$.kv_scaling[0].group_ops" );
-    ("kv_scaling: group_ops sum", false, set kv "group_ops" (List [ num 99.0 ]), "$.kv_scaling[0].group_ops");
-    ("kv_scaling: grid completeness", true, drop_rows [ K "kv_scaling" ] (fun i -> i <> 5), "$.kv_scaling");
-    ( "kv_scaling: 4-group scale-out beats 1-group", true,
-      set [ K "kv_scaling"; I 25 ] "throughput_ops_per_s" (num 50.0), "$.kv_scaling" );
-    ("soak: both planes", false, drop_rows [ K "soak" ] (fun i -> i = 0), "$.soak");
-    ("soak: checked >= ops", false, set (soak 1) "checked" (num 599.0), "$.soak[1]");
-    ("soak: atomic vs violations", false, set (soak 0) "violations" (num 1.0), "$.soak[0]");
-    ( "soak: expected_atomic", false,
-      (fun d -> set (soak 0) "atomic" (Bool false) d |> set (soak 0) "violations" (num 1.0)), "$.soak[0]" );
-    ("soak: 1e6-op headline", true, set (soak 0) "peak_window" (num 200_000.0), "$.soak");
-    ( "chaos: expected-atomic soak rows", false,
-      set [ K "chaos"; K "soak"; I 0 ] "atomic" (Bool false), "$.chaos.soak[0]" );
-    ("chaos: recover atomic", false, set (restart 0) "atomic" (Bool false), "$.chaos.restart[0]");
-    ("chaos: fresh non-atomic", false, set (restart 1) "atomic" (Bool true), "$.chaos.restart[1]");
-    ("chaos: fresh witness", false, set (restart 1) "witness" Null, "$.chaos.restart[1].witness");
-    ( "geo: 3 profiles", false,
-      (fun d -> set (geo_row 2) "profile" (Str "lan") d |> set (geo_row 5) "profile" (Str "lan")),
-      "$.geo.rows" );
-    ("geo: 8 protocols", false, set (geo_row 7) "protocol" (Str "protocol-0"), "$.geo.rows");
-    ("geo: atomic rows", false, set (geo_row 3) "atomic" (Bool false), "$.geo.rows[3]");
-    ("geo: outage checked live", false, set [ K "geo"; K "outage"; I 0 ] "check" (Str "batch"), "$.geo.outage[0].check");
-    ("geo: outage atomic", false, set [ K "geo"; K "outage"; I 0 ] "atomic" (Bool false), "$.geo.outage[0]");
-    ("geo required under --require-knee", true, remove [] "geo", "$");
-    ( "at least one section", false,
-      (fun d -> List.fold_left (fun d s -> remove [] s d) d (sections valid)), "$" );
-    ( "kv_scaling: every touched key checked", false,
-      set kv "checked_keys" (num 49.0), "$.kv_scaling[0].checked_keys" );
-  ]
-
 let test_valid () =
-  List.iter
-    (fun require_knee ->
-      match validate ~require_knee valid with
-      | [] -> ()
-      | errors -> Alcotest.failf "valid document rejected:%s" (show errors))
-    [ false; true ]
+  match validate valid with
+  | [] -> ()
+  | errors -> Alcotest.failf "valid document rejected:%s" (show errors)
 
-let gate_case (name, knee_only, mutate, path) =
-  Alcotest.test_case name `Quick (fun () ->
-      let doc = mutate valid in
-      let knee = validate ~require_knee:true doc in
-      if not (has_error_at path knee) then
-        Alcotest.failf "with --require-knee: no error at %s:%s" path (show knee);
-      let plain = validate ~require_knee:false doc in
-      if knee_only then begin
-        if plain <> [] then Alcotest.failf "knee-only gate fired without the flag:%s" (show plain)
-      end
-      else if not (has_error_at path plain) then
-        Alcotest.failf "without --require-knee: no error at %s:%s" path (show plain))
+let test_at_least_one_section () =
+  let doc = List.fold_left (fun d s -> remove [] s d) valid (sections valid) in
+  if not (has_error_at "$" (validate doc)) then
+    Alcotest.failf "no error at $:%s" (show (validate doc))
+
+let expect_error doc expected =
+  let errors = validate doc in
+  if not (List.mem expected errors) then
+    Alcotest.failf "expected %S among:%s" expected (show errors)
+
+(* A section the harness no longer declares (one it used to write, or
+   one nobody ever did) is reported, not carried along unchecked. *)
+let test_undeclared_section () =
+  List.iter
+    (fun key ->
+      let doc =
+        at [] (function
+          | Obj fields -> Obj (fields @ [ (key, List []) ])
+          | Null | Bool _ | Num _ | Str _ | List _ -> Alcotest.fail "not an object")
+          valid
+      in
+      expect_error doc (Printf.sprintf "$: undeclared section %S" key))
+    [ "live"; "geo"; "soak"; "extra" ]
 
 (* ------------------------------------------------------------------ *)
 (* Schema                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let expect_error doc expected =
-  let errors = validate ~require_knee:false doc in
-  if not (List.mem expected errors) then
-    Alcotest.failf "expected %S among:%s" expected (show errors)
+let wall = [ K "wall_clock"; I 0 ]
 
 let test_missing_key () =
-  expect_error (remove [ K "live"; I 0 ] "ops" valid) "$.live[0]: missing key \"ops\""
+  expect_error (remove wall "runs" valid) "$.wall_clock[0]: missing key \"runs\""
 
 let test_wrong_type () =
-  expect_error (set [ K "live"; I 0 ] "atomic" (Str "yes") valid) "$.live[0].atomic: expected a bool"
+  expect_error
+    (set [] "micro_ns_per_run" (Obj [ ("f2-streaming-checker", Str "fast") ]) valid)
+    "$.micro_ns_per_run.f2-streaming-checker: expected a number"
 
+(* Neither section has a free-text column; the header's
+   [generated_by] is the document's one. *)
 let test_empty_string () =
-  expect_error (set [ K "live"; I 0 ] "protocol" (Str "") valid) "$.live[0].protocol: empty string"
+  expect_error (set [] "generated_by" (Str "") valid) "$.generated_by: empty string"
 
 let test_negative_counter () =
-  expect_error
-    (set [ K "kv_scaling"; I 0 ] "retries" (num (-1.0)) valid)
-    "$.kv_scaling[0].retries: must be >= 0"
+  expect_error (set wall "violations" (num (-1.0)) valid) "$.wall_clock[0].violations: must be >= 0"
 
 let sweep =
   { runs = 10; broken = 0; seq_s = 1.0; par_s = 1.0; domains = 1; speedup = 1.0 }
@@ -316,22 +150,27 @@ let section key = (key, Option.get (member key valid))
 
 let test_merge_keeps_others () =
   add micro_ns_per_run [ ("fresh", 2.5) ];
-  (* Y and Z written out of declared order, with a stale copy of X. *)
+  (* Written out of declared order: a stale copy of the regenerated
+     section ahead of the one this run leaves alone, and a section
+     nothing declares, which the writer drops. *)
   let existing =
-    Obj [ section "chaos"; ("micro_ns_per_run", Obj [ ("stale", num 1.0) ]); section "live" ]
+    Obj
+      [
+        ("micro_ns_per_run", Obj [ ("stale", num 1.0) ]);
+        ("live", List [ Obj [ ("ops", num 1.0) ] ]);
+        section "wall_clock";
+      ]
   in
   with_file (print existing) (fun path ->
       let written = write path in
       Alcotest.(check (list string)) "sections reported"
-        [ "micro_ns_per_run"; "live"; "chaos" ] written;
+        [ "wall_clock"; "micro_ns_per_run" ] written;
       let doc = parse (read path) in
       Alcotest.(check (list string)) "document order"
-        [ "generated_by"; "recommended_domain_count"; "micro_ns_per_run"; "live"; "chaos" ]
+        [ "generated_by"; "recommended_domain_count"; "wall_clock"; "micro_ns_per_run" ]
         (keys doc);
-      List.iter
-        (fun k ->
-          Alcotest.(check bool) (k ^ " kept value-equal") true (member k doc = member k valid))
-        [ "live"; "chaos" ];
+      Alcotest.(check bool) "wall_clock kept value-equal" true
+        (member "wall_clock" doc = member "wall_clock" valid);
       Alcotest.(check bool) "regenerated section replaced" true
         (member "micro_ns_per_run" doc = Some (Obj [ ("fresh", num 2.5) ])))
 
@@ -407,8 +246,12 @@ let () =
   Alcotest.run "results"
     [
       ( "gates",
-        Alcotest.test_case "minimal valid document" `Quick test_valid
-        :: List.map gate_case gates );
+        [
+          Alcotest.test_case "minimal valid document" `Quick test_valid;
+          Alcotest.test_case "at least one section" `Quick test_at_least_one_section;
+          Alcotest.test_case "an undeclared section is an error" `Quick
+            test_undeclared_section;
+        ] );
       ( "schema",
         [
           Alcotest.test_case "missing key" `Quick test_missing_key;

@@ -1,13 +1,13 @@
 (* Validation of BENCH_results.json against the section declarations in
    results.ml.
 
-     dune exec bench/validate_results.exe [-- [--require-knee] PATH]
+     dune exec bench/validate_results.exe [-- PATH]
 
    CI runs this after every smoke bench and on the committed document.
    Exit status 0 on a conforming file, 1 with one diagnostic per error
    otherwise (and on a bad command line). *)
 
-let validate require_knee path =
+let validate path =
   match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error msg ->
     Printf.eprintf "cannot read %s: %s\n" path msg;
@@ -18,7 +18,7 @@ let validate require_knee path =
       Printf.eprintf "%s: JSON parse error %s\n" path msg;
       1
     | doc -> (
-      match Results.validate ~require_knee doc with
+      match Results.validate doc with
       | [] ->
         Printf.printf "%s: schema OK (%d section(s))\n" path
           (List.length (Results.sections doc));
@@ -27,19 +27,13 @@ let validate require_knee path =
         List.iter (Printf.eprintf "%s: %s\n" path) errors;
         1))
 
-(* Stdlib [Arg] rather than cmdliner: cmdliner accepts any unambiguous
-   prefix of a long option, and a mistyped flag must fail here, not
-   pass as the flag it resembles. *)
+(* Stdlib [Arg]: the tool takes no option, so any argument that looks
+   like one (a mistyped path, a flag from an older validator) fails
+   instead of being read as a PATH. *)
 let () =
-  let require_knee = ref false and paths = ref [] in
-  let specs =
-    [
-      ( "--require-knee",
-        Arg.Set require_knee,
-        " Also apply the gates of the committed full-budget document" );
-    ]
-  in
-  let usage = "validate_results [--require-knee] [PATH]" in
+  let paths = ref [] in
+  let specs = [] in
+  let usage = "validate_results [PATH]" in
   match Arg.parse_argv Sys.argv specs (fun p -> paths := p :: !paths) usage with
   | exception Arg.Bad msg ->
     prerr_string msg;
@@ -49,8 +43,8 @@ let () =
     exit 0
   | () -> (
     match !paths with
-    | [] -> exit (validate !require_knee "BENCH_results.json")
-    | [ path ] -> exit (validate !require_knee path)
+    | [] -> exit (validate "BENCH_results.json")
+    | [ path ] -> exit (validate path)
     | _ :: _ :: _ ->
       prerr_string "validate_results: more than one PATH\n";
       prerr_string (Arg.usage_string specs usage);

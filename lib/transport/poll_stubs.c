@@ -19,9 +19,9 @@
  *   (prctl(PR_SET_TIMERSLACK)): with the default 50 µs, every wake-up
  *   lands up to 50 µs past its deadline, and a delayed frame's release
  *   pays it on both legs of a round trip.  Only the threads that wait
- *   here are changed (the server reactors and the mux ticker, which
- *   sleep to staged-frame deadlines); a refused prctl keeps the
- *   default.
+ *   here are changed (the server reactors, and each mux's event loop,
+ *   which sleeps to the deadline of the next staged frame); a refused
+ *   prctl keeps the default.
  * - poll (portable): mwreg_poll takes an array of encoded interests and
  *   rewrites each entry's bits with the revents.  Unlike select(2) it
  *   has no FD_SETSIZE cliff, which matters from ~1024 descriptors up.

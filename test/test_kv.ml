@@ -549,6 +549,7 @@ let test_session_mux () =
   in
   check int "no client starved" 0 res.Kv_session.starved;
   check int "every op completed" 60 res.Kv_session.ops;
+  check int "one group_ops entry per group" 2 (Array.length res.Kv_session.group_ops);
   check int "every op routed to a group" 60
     (Array.fold_left ( + ) 0 res.Kv_session.group_ops);
   check bool "unchecked run has no report" true (res.Kv_session.online = None);
@@ -566,7 +567,35 @@ let test_session_mixed_rounds () =
   in
   check int "no client starved" 0 res.Kv_session.starved;
   check bool "writes take two rounds" true (res.Kv_session.write_rounds = 2.0);
-  check bool "reads take two rounds" true (res.Kv_session.read_rounds = 2.0)
+  check bool "reads take two rounds" true (res.Kv_session.read_rounds = 2.0);
+  (* Split roles, every registered protocol on a fresh S=5 t=1 cluster
+     (two writers, clamped for single-writer protocols, and two
+     readers): rounds/op are its design point's Table-1 row.  Two
+     protocols differ by design: the W3R1 write takes three rounds, and
+     an adaptive read takes one or two. *)
+  List.iter
+    (fun register ->
+      let name = Registry.name register in
+      let cluster = Kv_cluster.start ~groups:1 ~s:5 ~tol:1 () in
+      Fun.protect ~finally:(fun () -> Kv_cluster.shutdown cluster) @@ fun () ->
+      let res =
+        Kv_session.run ~register ~cluster
+          (Kv_session.register_spec
+             ~writers:(Registry.clamp_writers register 2) ~readers:2 3)
+      in
+      let dp = Registry.design_point register in
+      let write_rounds =
+        if register == Registry.slow_write_w3r1 then 3
+        else Quorums.Bounds.write_rounds dp
+      in
+      check int (name ^ ": no client starved") 0 res.Kv_session.starved;
+      check bool (name ^ ": write rounds") true
+        (res.Kv_session.write_rounds = float_of_int write_rounds);
+      let reads = res.Kv_session.read_rounds in
+      check bool (name ^ ": read rounds") true
+        (if register == Registry.adaptive then reads >= 1.0 && reads <= 2.0
+         else reads = float_of_int (Quorums.Bounds.read_rounds dp)))
+    Registry.all
 
 let test_connect_split_roles () =
   (* An attached cluster (the [mwreg live --connect] path): split roles
