@@ -235,43 +235,60 @@ let decode s =
 (* Incremental reassembly over a byte stream                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Frames are read at an offset and the consumed prefix is dropped
-   once per [feed], not once per frame, so draining [k] buffered frames
-   costs O(k) rather than O(k²). *)
+(* Frames are read at an offset, and the consumed prefix is dropped
+   only when the tail runs short of room, not once per frame, so
+   draining [k] buffered frames costs O(k) rather than O(k²). *)
 module Stream = struct
   type t = { mutable buf : Bytes.t; mutable pos : int; mutable len : int }
 
   let create () = { buf = Bytes.create 4096; pos = 0; len = 0 }
 
-  let feed t src n =
-    if n > 0 then begin
-      let live = t.len - t.pos in
-      let needed = live + n in
-      if needed > Bytes.length t.buf then begin
-        let cap = ref (Bytes.length t.buf) in
-        while !cap < needed do
-          cap := !cap * 2
-        done;
-        let buf = Bytes.create !cap in
-        Bytes.blit t.buf t.pos buf 0 live;
-        t.buf <- buf
-      end
-      else Bytes.blit t.buf t.pos t.buf 0 live;
+  (* Make room for [n] more bytes after [len]: drop the consumed
+     prefix, and grow (doubling) only when the unconsumed bytes and [n]
+     do not fit in the buffer as it is. *)
+  let reserve t n =
+    if t.pos = t.len then begin
       t.pos <- 0;
-      Bytes.blit src 0 t.buf live n;
-      t.len <- needed
+      t.len <- 0
+    end;
+    if Bytes.length t.buf - t.len < n then begin
+      let live = t.len - t.pos in
+      let cap = ref (Bytes.length t.buf) in
+      while !cap < live + n do
+        cap := !cap * 2
+      done;
+      let buf =
+        if !cap > Bytes.length t.buf then Bytes.create !cap else t.buf
+      in
+      Bytes.blit t.buf t.pos buf 0 live;
+      t.buf <- buf;
+      t.pos <- 0;
+      t.len <- live
     end
 
-  let fill t fd rbuf =
+  let feed t src n =
+    if n > 0 then begin
+      reserve t n;
+      Bytes.blit src 0 t.buf t.len n;
+      t.len <- t.len + n
+    end
+
+  (* The least room a read is offered: a stream whose unconsumed bytes
+     leave less than this after compaction grows. *)
+  let min_read = 1024
+
+  let fill t fd =
     let rec go () =
-      match Netio.read_nb fd rbuf 0 (Bytes.length rbuf) with
+      reserve t min_read;
+      let room = Bytes.length t.buf - t.len in
+      match Netio.read_nb fd t.buf t.len room with
       | None -> true
       | Some 0 -> false
       | Some n ->
-        feed t rbuf n;
+        t.len <- t.len + n;
         (* A short read means the socket buffer is (currently) empty:
            skip the confirming EAGAIN syscall. *)
-        n < Bytes.length rbuf || go ()
+        n < room || go ()
     in
     try go () with Unix.Unix_error _ -> false
 

@@ -84,12 +84,16 @@ module Stream : sig
   val feed : t -> bytes -> int -> unit
   (** [feed t buf n] appends the first [n] bytes of [buf]. *)
 
-  val fill : t -> Unix.file_descr -> bytes -> bool
-  (** [fill t fd buf] reads the non-blocking socket [fd] through [buf]
-      into [t] until it has nothing buffered ({!Netio.read_nb}).
+  val fill : t -> Unix.file_descr -> bool
+  (** [fill t fd] reads the non-blocking socket [fd] straight into
+      [t]'s own buffer ({!Netio.read_nb}), stopping at a short read or
+      EAGAIN.  Before each read it drops the consumed prefix if the
+      tail has too little room, and grows the buffer (doubling, as
+      {!feed} does) only if the unconsumed bytes still leave too
+      little: a frame larger than the buffer, or one wake-up's backlog.
       Returns [false] once the peer closed or the read failed: the
-      caller handles the frames already in [t], then drops the
-      connection. *)
+      caller handles the frames already in [t] (never a partial one),
+      then drops the connection. *)
 
   val next : t -> frame option
   (** The next complete frame, if one has fully arrived.

@@ -119,7 +119,6 @@ type t = {
   staged : staged Simulation.Heap.t; (* under [staged_lock] *)
   mutable staged_seq : int; (* under [staged_lock] *)
   staged_lock : Mutex.t;
-  rbuf : Bytes.t; (* the loop's read buffer, shared by every link *)
   mutable thread : Thread.t option;
   stopping : bool Atomic.t;
 }
@@ -540,7 +539,7 @@ let release_due t t_now =
    EOF, an error, a corrupt stream or a request frame (servers never
    send one) severs the link. *)
 let on_readable t l fd =
-  let open_ = Codec.Stream.fill l.stream fd t.rbuf in
+  let open_ = Codec.Stream.fill l.stream fd in
   let t_read = match t.faults with None -> 0.0 | Some _ -> now () in
   let rec drain () =
     match Codec.Stream.next_body l.stream with
@@ -733,7 +732,6 @@ let create ?(rt_timeout = 1.0) ?(max_rt_retries = 3) ?faults ~servers ~quorum
             | c -> c);
       staged_seq = 0;
       staged_lock = Mutex.create ();
-      rbuf = Bytes.create 65536;
       thread = None;
       stopping = Atomic.make false;
     }

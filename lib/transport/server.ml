@@ -5,7 +5,9 @@ open Registers
    owns every connection and is the only thread that ever touches them
    — connection state needs no locks at all.  The keyspace stays behind
    [replica_lock] because other threads read it too (inspection,
-   recovery restarts). *)
+   recovery restarts).  Every reactor thread of the process lives on
+   one server domain (below), so serving a request never waits for the
+   runtime lock of the domain the clients run on. *)
 
 type conn = {
   cfd : Unix.file_descr;
@@ -25,11 +27,10 @@ type t = {
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr; (* [stop] wakes the reactor through it *)
   conns : (int, conn) Hashtbl.t; (* reactor-thread private *)
-  rbuf : Bytes.t;
   frame_buf : Buffer.t;
   stopping : bool Atomic.t;
   live_conns : int Atomic.t;
-  mutable reactor : Thread.t option;
+  closed : Semaphore.Binary.t; (* released once the reactor has exited *)
 }
 
 (* The idle tick: an upper bound on how long the reactor sleeps when
@@ -162,7 +163,7 @@ let rec serve t c =
    decoder, then answer its complete frames.  Frames decoded before an
    error still get answers; the error still severs. *)
 let handle_readable t c =
-  let open_ = Codec.Stream.fill c.stream c.cfd t.rbuf in
+  let open_ = Codec.Stream.fill c.stream c.cfd in
   if serve t c || not open_ then close_conn t c
 
 (* Any unexpected accept failure (e.g. EMFILE) just ends this round —
@@ -226,6 +227,46 @@ let reactor_loop t =
   let remaining = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [] in
   List.iter (close_conn t) remaining
 
+let run_reactor t =
+  Fun.protect
+    ~finally:(fun () -> Semaphore.Binary.release t.closed)
+    (fun () -> reactor_loop t)
+
+(* The server domain.  The first [start] spawns it; its one thread then
+   waits for servers to arrive and starts each one's reactor thread, so
+   every reactor of the process — whatever the number of servers,
+   groups or restarts — shares that domain and its runtime lock.  The
+   domain is never joined: it lives as long as the process. *)
+let domain_lock = Mutex.create ()
+
+let domain_wake = Condition.create ()
+
+let arrivals : t Queue.t = Queue.create () (* under [domain_lock] *)
+
+let domain_spawned = ref false (* under [domain_lock] *)
+
+let rec server_domain () =
+  let t =
+    Mutex.protect domain_lock (fun () ->
+        while Queue.is_empty arrivals do
+          Condition.wait domain_wake domain_lock
+        done;
+        Queue.pop arrivals)
+  in
+  ignore (Thread.create run_reactor t);
+  server_domain ()
+
+let launch t =
+  let first =
+    Mutex.protect domain_lock (fun () ->
+        Queue.push t arrivals;
+        Condition.signal domain_wake;
+        let first = not !domain_spawned in
+        domain_spawned := true;
+        first)
+  in
+  if first then ignore (Domain.spawn server_domain)
+
 let start ?(host = "127.0.0.1") ?(port = 0) ?(id = 0)
     ?(keyspace = Keyspace.create ()) () =
   Netio.ignore_sigpipe ();
@@ -262,20 +303,19 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?(id = 0)
       wake_r;
       wake_w;
       conns = Hashtbl.create 64;
-      rbuf = Bytes.create 65536;
       frame_buf = Buffer.create 512;
       stopping = Atomic.make false;
       live_conns = Atomic.make 0;
-      reactor = None;
+      closed = Semaphore.Binary.make false;
     }
   in
-  t.reactor <- Some (Thread.create reactor_loop t);
+  launch t;
   t
 
 let stop t =
   if not (Atomic.exchange t.stopping true) then begin
     Netio.notify t.wake_w;
-    Option.iter Thread.join t.reactor;
+    Semaphore.Binary.acquire t.closed;
     (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
     Netio.Poller.close t.poller;
     (try Unix.close t.wake_r with Unix.Unix_error _ -> ());

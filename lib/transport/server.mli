@@ -21,7 +21,13 @@
 
     The event loop runs on one thread, which owns every connection, so
     the server handles its messages one at a time in that thread's
-    dispatch order (the model's one-message-at-a-time server).
+    dispatch order (the model's one-message-at-a-time server).  Every
+    reactor thread of a process runs on one server domain, which the
+    first {!start} spawns and which hosts every server started after
+    it (restarts included); the process's clients, mux event loops and
+    [Check_sink] drain stay on the caller's domain, so serving a
+    request never waits for their runtime lock.  A process has at most
+    one server domain, never joined: it lives until the process exits.
 
     Servers never talk to each other (the model's communication
     restriction is structural here: nothing ever dials out). *)
@@ -36,7 +42,8 @@ val start :
   unit ->
   t
 (** Bind [host:port] (default [127.0.0.1:0] — port 0 picks an ephemeral
-    port, see {!port}) and serve until {!stop}.  [id] is the server's
+    port, see {!port}) and serve until {!stop}, from a reactor thread
+    on the server domain (spawned by the first call).  [id] is the server's
     index, echoed in every reply so clients can attribute messages.
     A server realises no fault plan: both legs of a link are shaped by
     the client's {!Mux}, so every reply leaves with its batch.
@@ -64,6 +71,7 @@ val connection_count : t -> int
 
 val stop : t -> unit
 (** Crash the server: stop accepting, close every client connection,
-    join the reactor thread.  Clients observe EOF/ECONNREFUSED — exactly
-    the crash failures the [t]-tolerant quorum logic must survive.
-    Idempotent. *)
+    and return once the reactor thread has closed them all and exited
+    (the server domain itself lives on).  Clients observe
+    EOF/ECONNREFUSED — exactly the crash failures the [t]-tolerant
+    quorum logic must survive.  Idempotent. *)

@@ -424,6 +424,95 @@ let test_stream_mixed_chunks () =
   check int "frame count" (List.length frames) (List.length !out);
   check bool "order preserved" true (List.rev !out = frames)
 
+(* [Stream.fill] over a socketpair: [f writer reader] writes into
+   [writer]; [reader] is non-blocking, as a reactor's sockets are. *)
+let with_socketpair f =
+  let w, r = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Netio.set_nonblock r;
+  let close fd = try Unix.close fd with Unix.Unix_error _ -> () in
+  Fun.protect
+    ~finally:(fun () ->
+      close w;
+      close r)
+    (fun () -> f w r)
+
+let write_string fd s =
+  Netio.write_all fd (Bytes.of_string s) 0 (String.length s)
+
+let test_fill_large_frame () =
+  (* A 9.6 KiB frame, more than the stream's initial 4 KiB, written in
+     three pieces: no frame until the last byte is in. *)
+  let frame =
+    Codec.Keyed_request
+      {
+        key;
+        rt = 1;
+        client = 2;
+        req = Wire.Query (List.init 400 (fun i -> value i 1 i));
+      }
+  in
+  let wire = Codec.encode frame in
+  check bool "larger than 4 KiB" true (String.length wire > 4096);
+  with_socketpair (fun w r ->
+      let st = Codec.Stream.create () in
+      let third = String.length wire / 3 in
+      let pieces =
+        [
+          String.sub wire 0 third;
+          String.sub wire third third;
+          String.sub wire (2 * third) (String.length wire - (2 * third));
+        ]
+      in
+      List.iteri
+        (fun i piece ->
+          write_string w piece;
+          check bool "fill: still open" true (Codec.Stream.fill st r);
+          let out = drain_stream st in
+          if i < 2 then
+            check int "no frame before the last piece" 0 (List.length out)
+          else check bool "the frame, whole" true (out = [ frame ]))
+        pieces)
+
+let test_fill_many_small_frames () =
+  (* 1 000 small frames in one write: one fill takes them all. *)
+  let frames =
+    List.init 1000 (fun i ->
+        Codec.Keyed_request
+          {
+            key = Printf.sprintf "k%d" i;
+            rt = i;
+            client = 3;
+            req = Wire.Query [];
+          })
+  in
+  with_socketpair (fun w r ->
+      write_string w (String.concat "" (List.map Codec.encode frames));
+      let st = Codec.Stream.create () in
+      check bool "fill: still open" true (Codec.Stream.fill st r);
+      let out = drain_stream st in
+      check int "frame count" 1000 (List.length out);
+      check bool "order preserved" true (out = frames))
+
+let test_fill_eof_mid_frame () =
+  (* The peer closes halfway through a frame: [fill] reports the close
+     and the stream yields no partial frame.  The half frame comes back
+     in a short read, which ends the first call without a confirming
+     read; the next readable event's call reads the EOF. *)
+  let wire = Codec.encode (List.nth sample_frames 4) in
+  with_socketpair (fun w r ->
+      write_string w (String.sub wire 0 (String.length wire / 2));
+      Unix.shutdown w Unix.SHUTDOWN_SEND;
+      let st = Codec.Stream.create () in
+      check bool "fill: a short read" true (Codec.Stream.fill st r);
+      check bool "fill: closed" false (Codec.Stream.fill st r);
+      check bool "no partial frame" true (Codec.Stream.next st = None))
+
+let test_fill_empty_socket () =
+  with_socketpair (fun _ r ->
+      let st = Codec.Stream.create () in
+      check bool "fill: still open" true (Codec.Stream.fill st r);
+      check bool "no frame" true (Codec.Stream.next st = None))
+
 (* ------------------------------------------------------------------ *)
 (* A real loopback server                                               *)
 (* ------------------------------------------------------------------ *)
@@ -1794,12 +1883,39 @@ let test_mux_reply_leg_delays () =
   check bool (Printf.sprintf "round trip %.1f ms < 500 ms" (elapsed *. 1e3))
     true (elapsed < 0.5)
 
+(* [cycle] once to warm up (the server domain and its own threads start
+   once per process, with the first server), then [n] times more: the
+   process must hold as many descriptors and threads as after the
+   warm-up.  [settle] waits out what closes asynchronously. *)
+let leaks_nothing ~what ~n ~settle cycle =
+  let count dir = Array.length (Sys.readdir dir) in
+  cycle ();
+  settle ();
+  (* A stopped reactor's or a joined loop's thread leaves
+     /proc/self/task a moment after it returns. *)
+  Thread.delay 0.05;
+  let fds = count "/proc/self/fd" and tasks = count "/proc/self/task" in
+  for _ = 1 to n do
+    cycle ()
+  done;
+  settle ();
+  let deadline = Clock.now () +. 2.0 in
+  while count "/proc/self/task" > tasks && Clock.now () < deadline do
+    Thread.delay 0.001
+  done;
+  check int (Printf.sprintf "%s: descriptors after %d cycles" what n) fds
+    (count "/proc/self/fd");
+  check int (Printf.sprintf "%s: threads after %d cycles" what n) tasks
+    (count "/proc/self/task")
+
 let test_mux_lifecycle () =
   (* create/shutdown leaks no descriptor (the loop's pipe and poller,
-     the connections), and shutdown wakes the sleeping loop through its
-     pipe instead of waiting out its 50 ms timeout scan. *)
-  if not (Sys.file_exists "/proc/self/fd") then Alcotest.skip ();
-  let fds () = Array.length (Sys.readdir "/proc/self/fd") in
+     the connections) and no thread, and shutdown wakes the sleeping
+     loop through its pipe instead of waiting out its 50 ms timeout
+     scan.  The same holds for a cluster's start, kill, restart and
+     shutdown: every reactor, restarted ones included, runs on the one
+     server domain, and each restarted server binds its old port. *)
+  if not (Sys.file_exists "/proc/self/task") then Alcotest.skip ();
   let server = Server.start ~id:0 () in
   let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server) in
   let settle () =
@@ -1809,7 +1925,8 @@ let test_mux_lifecycle () =
       Thread.delay 0.001
     done
   in
-  let cycle () =
+  let times = ref [] in
+  let mux_cycle () =
     let mux = Mux.create ~servers:[| addr |] ~quorum:1 () in
     let ep = Mux.client mux ~client:10 in
     Mux.exec ~key ep (Wire.Query []) (fun _ -> ());
@@ -1817,17 +1934,24 @@ let test_mux_lifecycle () =
     Thread.delay 0.002;
     let t0 = Clock.now () in
     Mux.shutdown mux;
-    Clock.now () -. t0
+    times := (Clock.now () -. t0) :: !times
   in
-  ignore (cycle ());
-  settle ();
-  let before = fds () in
-  let times = List.init 20 (fun _ -> cycle ()) in
-  settle ();
-  let after = fds () in
+  let cluster_cycle () =
+    let cl = Cluster.start ~s:3 ~tol:1 () in
+    Cluster.kill cl 0;
+    Cluster.restart cl 0;
+    (* Quorum 3 over the addresses [start] bound: the round trip needs
+       the restarted server, answering on its old port. *)
+    let mux = Mux.create ~servers:(Cluster.addrs cl) ~quorum:3 () in
+    Mux.exec ~key (Mux.client mux ~client:10) (Wire.Query []) (fun _ -> ());
+    Mux.shutdown mux;
+    Cluster.shutdown cl
+  in
+  leaks_nothing ~what:"mux" ~n:20 ~settle mux_cycle;
   Server.stop server;
-  check int "descriptors after 20 cycles" before after;
-  let worst = List.fold_left Float.max 0.0 times in
+  leaks_nothing ~what:"cluster" ~n:50 ~settle:ignore cluster_cycle;
+  (* The warm-up cycle's shutdown is not timed. *)
+  let worst = List.fold_left Float.max 0.0 (List.tl (List.rev !times)) in
   check bool
     (Printf.sprintf "slowest shutdown %.2f ms < 25 ms (half a tick)"
        (worst *. 1e3))
@@ -2083,6 +2207,13 @@ let () =
             test_codec_frame_length_edge;
           Alcotest.test_case "rejects retired unkeyed tags" `Quick
             test_codec_rejects_unkeyed_tags;
+          Alcotest.test_case "fill: a frame over 4 KiB, several reads" `Quick
+            test_fill_large_frame;
+          Alcotest.test_case "fill: 1 000 frames in one write" `Quick
+            test_fill_many_small_frames;
+          Alcotest.test_case "fill: EOF mid-frame" `Quick
+            test_fill_eof_mid_frame;
+          Alcotest.test_case "fill: empty socket" `Quick test_fill_empty_socket;
           QCheck_alcotest.to_alcotest codec_roundtrip_prop;
           QCheck_alcotest.to_alcotest codec_prefix_prop;
           QCheck_alcotest.to_alcotest codec_encode_into_prop;
