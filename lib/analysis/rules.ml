@@ -198,8 +198,8 @@ let lock_free_allow : (string * string) list =
        aborted one only after that operation's exec has returned" );
     ( "Transport.Outq.*",
       "an out-queue has one owner: a server connection's belongs to the \
-       server's reactor thread, a mux link's is only touched under that \
-       link's Mux.lock" );
+       server's reactor thread, a mux link's to the mux's event loop, \
+       which alone writes the link" );
     ( "Transport.Codec.Stream.*",
       "a decode stream belongs to the one thread that reads its \
        connection (a mux's event loop / a server's reactor)" );
@@ -601,9 +601,9 @@ let site_of ctx loc =
   { s_file = ctx.file; s_line = line_of loc; s_col = col_of loc }
 
 (* Locks are identified by their final field/variable name, qualified
-   by the defining module: precise enough to separate [Server.wlock]
-   from [Mux.lock], coarse enough that every instance of a
-   per-connection lock is one graph node (which is exactly what a
+   by the defining module: precise enough to separate
+   [Server.replica_lock] from [Mux.mb_lock], coarse enough that every
+   instance of a per-mailbox lock is one graph node (which is exactly what a
    lock-ORDER discipline is about). *)
 let lock_name ctx e =
   let base =

@@ -8,35 +8,30 @@ exception Unavailable of string
 let now = Clock.now
 
 (* One TCP connection to one server, shared by every client of the mux.
-   The event loop is the only thread that dials, reads or closes it.
-   Everything a client thread may touch sits behind [lock]: the
-   out-queue, the descriptor it writes to and the redial gate.  The
-   fields after [next_attempt] belong to the loop alone, but for
-   [epoch], which client threads read as they stage a frame. *)
+   The event loop owns it outright, as a server's reactor owns its
+   connections: it alone dials, writes, reads and closes it.  Client
+   threads only stage requests for it in the deadline heap, reading
+   [epoch] as they do. *)
 type link = {
   index : int; (* server index: the authoritative reply label *)
   addr : Unix.sockaddr;
-  lock : Mutex.t;
-  (* Frames waiting for the next write.  An idle link's frame is
-     written by the thread that sends it; anything else (a connect in
-     progress, an earlier write the kernel cut short, frames the loop
-     queued during its wake-up) rides the loop's next flush, so all the
-     frames queued on a link between two flushes leave in one write. *)
+  (* Requests due and not yet written: every request due on the link at
+     one wake-up joins it and leaves in that wake-up's one write, and a
+     write the kernel cut short leaves the rest for the next. *)
   out : Outq.t;
   mutable fd : Unix.file_descr option; (* [None] while the link is down *)
   mutable connected : bool; (* [false] while a connect is in progress *)
   mutable next_attempt : float; (* monotonic gate for the next connect *)
   mutable attempts : int; (* consecutive failed connects *)
-  mutable lfd : Unix.file_descr option; (* the loop's view of [fd] *)
   mutable stream : Codec.Stream.t; (* this connection's reply decoder *)
   epoch : int Atomic.t; (* bumped on every sever *)
   mutable want_write : bool; (* write interest registered *)
 }
 
-(* A frame the plan delays, on either leg: a request is sent on [link]
-   when [due] passes, a reply is decoded and routed then — unless the
-   link severed in between ([epoch] moved on), which loses the frame
-   with the link. *)
+(* A frame waiting in the deadline heap: a request is sent on [link]
+   when [due] passes, a reply the plan delays is decoded and routed
+   then — unless the link severed in between ([epoch] moved on), which
+   loses the frame with the link. *)
 type frame =
   (* The fan-out's one payload copy, shared read-only by every link it
      is staged on. *)
@@ -98,9 +93,9 @@ type t = {
   (* The loop sleeps in [poller] on its links and on the read end of a
      wake pipe.  [armed] is the deadline it is asleep until,
      [neg_infinity] while it is awake: a client thread whose fan-out
-     staged a frame due before [armed] writes one byte to [wake_w], so
-     the loop re-arms for the earlier deadline instead of oversleeping
-     it. *)
+     staged a request due before [armed] writes one byte to [wake_w],
+     so the loop re-arms for the earlier deadline instead of
+     oversleeping it. *)
   poller : Netio.Poller.t;
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
@@ -113,9 +108,9 @@ type t = {
      round this client really ran; a dropped one could never have been
      delivered anywhere. *)
   dropped : int Atomic.t;
-  (* Every frame the plan delays, both legs, in deadline order: client
-     threads push a fan-out's requests, the loop pushes replies and
-     pops what is due. *)
+  (* Every request, and every reply the plan delays, in deadline order:
+     client threads push a fan-out's requests, the loop pushes replies
+     and pops what is due. *)
   staged : staged Simulation.Heap.t; (* under [staged_lock] *)
   mutable staged_seq : int; (* under [staged_lock] *)
   staged_lock : Mutex.t;
@@ -129,7 +124,7 @@ type handle = { mux : t; mb : mailbox }
 let gens = 8
 
 (* A link whose out-queue grew past this (a server that stopped
-   reading) drops new frames until it drains: a lossy link, which the
+   reading) drops due requests until it drains: a lossy link, which the
    round-trip retries cover, instead of unbounded memory. *)
 let out_limit = 4 * 1024 * 1024
 
@@ -151,12 +146,9 @@ let connect_backoff = 0.02
 
 let backoff l =
   l.attempts <- l.attempts + 1;
-  let gate =
-    now () +. (connect_backoff *. float_of_int (1 lsl min l.attempts 6))
-  in
-  Mutex.protect l.lock (fun () ->
-      l.next_attempt <- gate;
-      Outq.clear l.out)
+  l.next_attempt <-
+    now () +. (connect_backoff *. float_of_int (1 lsl min l.attempts 6));
+  Outq.clear l.out
 
 let set_write t l fd w =
   if l.want_write <> w then begin
@@ -168,14 +160,12 @@ let set_write t l fd w =
    (moving [epoch] on) are lost with it.  A link that severs is
    redialed as soon as something is sent on it again. *)
 let sever t l =
-  match l.lfd with
+  match l.fd with
   | None -> ()
   | Some fd ->
-    Mutex.protect l.lock (fun () ->
-        l.fd <- None;
-        l.connected <- false;
-        Outq.clear l.out);
-    l.lfd <- None;
+    l.fd <- None;
+    l.connected <- false;
+    Outq.clear l.out;
     Atomic.incr l.epoch;
     l.want_write <- false;
     Netio.Poller.remove t.poller fd;
@@ -191,11 +181,9 @@ let dial t l =
   | exception Unix.Unix_error _ -> backoff l
   | fd -> (
     let up connected =
-      Mutex.protect l.lock (fun () ->
-          l.fd <- Some fd;
-          l.connected <- connected);
+      l.fd <- Some fd;
+      l.connected <- connected;
       if connected then l.attempts <- 0;
-      l.lfd <- Some fd;
       l.stream <- Codec.Stream.create ();
       (* Write interest until the first flush: it finishes a pending
          connect, and flushes what was queued while the link was
@@ -222,7 +210,7 @@ let dial t l =
 let finish_connect t l fd =
   match Unix.getsockopt_error fd with
   | None ->
-    Mutex.protect l.lock (fun () -> l.connected <- true);
+    l.connected <- true;
     l.attempts <- 0
   | Some _ | (exception Unix.Unix_error _) ->
     sever t l;
@@ -232,92 +220,49 @@ let finish_connect t l fd =
 (* Sending                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Queue a frame on the link.  From a client thread on an idle,
-   connected link it is written at once, with no hand-off to the loop;
-   everywhere else it joins [out] for the loop's next flush.  A link
-   that is down takes the frame if it may be redialed now, and drops
-   it otherwise: the round-trip retries re-send.  Returns whether the
-   loop must be woken (a dial to start, or a write the kernel cut
-   short). *)
-let enqueue l ~from_loop bytes len =
-  Mutex.protect l.lock (fun () ->
-      if Outq.length l.out > out_limit then false
-      else
-        match l.fd with
-        | None ->
-          if now () < l.next_attempt then false
-          else begin
-            let first = Outq.is_empty l.out in
-            Outq.add_subbytes l.out bytes 0 len;
-            first && not from_loop
-          end
-        | Some fd ->
-          let idle = (not from_loop) && l.connected && Outq.is_empty l.out in
-          Outq.add_subbytes l.out bytes 0 len;
-          if not idle then false
-          else
-            match Outq.flush l.out fd with
-            | true -> false
-            | false -> true
-            | exception Unix.Unix_error _ ->
-              Outq.clear l.out;
-              (try Unix.shutdown fd Unix.SHUTDOWN_ALL
-               with Unix.Unix_error _ -> ());
-              false)
-
-(* Stage one delayed frame; [t.staged_lock] must be held. *)
+(* Stage one frame; [t.staged_lock] must be held. *)
 let push t ~due l frame =
   t.staged_seq <- t.staged_seq + 1;
   Simulation.Heap.push t.staged
     { due; seq = t.staged_seq; link = l; epoch = Atomic.get l.epoch; frame }
 
-(* Send the open round's request to every server that has not answered
-   it yet; [mb.mb_lock] must be held.  Under a plan each link's copy
-   meets the [To_server] rules, salted by the attempt number so a frame
-   dropped now draws afresh on the next re-broadcast; delayed copies
-   wait in the loop's deadline heap, never in the sender. *)
+(* Stage the open round's request for every server that has not
+   answered it yet; [mb.mb_lock] must be held.  A copy is due at the
+   fan-out's one clock read, or, under a plan, when its [To_server]
+   rules say, salted by the attempt number so a frame dropped now draws
+   afresh on the next re-broadcast.  Every copy waits in the loop's
+   deadline heap, never in the sender: the loop alone writes a link, and
+   copies due together leave in one write per link. *)
 let broadcast t mb ~from_loop =
-  let len = mb.mb_len in
-  let wake_loop = ref false in
-  (match t.faults with
-  | None ->
-    Array.iter
-      (fun l ->
-        if (not mb.mb_from.(l.index)) && enqueue l ~from_loop mb.mb_out len
-        then wake_loop := true)
-      t.links
-  | Some plan ->
-    (* One clock read per fan-out: copies staged together share their
-       deadline and leave in one write per link. *)
-    let t0 = now () in
-    let delayed = ref [] in
-    Array.iter
-      (fun l ->
-        if not mb.mb_from.(l.index) then
+  let t0 = now () in
+  let staged = ref [] in
+  Array.iteri
+    (fun i l ->
+      if not mb.mb_from.(i) then
+        match t.faults with
+        | None -> staged := (t0, l) :: !staged
+        | Some plan ->
           List.iter
-            (fun after ->
-              if after > 0.0 then delayed := (t0 +. after, l) :: !delayed
-              else if enqueue l ~from_loop mb.mb_out len then wake_loop := true)
-            (Faults.deliveries plan ~dir:Faults.To_server ~server:l.index
+            (fun after -> staged := (t0 +. after, l) :: !staged)
+            (Faults.deliveries plan ~dir:Faults.To_server ~server:i
                ~client:mb.client ~rt:mb.mb_rt ~salt:mb.mb_attempt))
-      t.links;
-    if !delayed <> [] then begin
-      (* One payload copy for every staged delivery ([mb_out] is reused
-         by the next round), and one heap lock per fan-out. *)
-      let frame = Request (Bytes.sub mb.mb_out 0 len) in
-      Mutex.protect t.staged_lock (fun () ->
-          List.iter (fun (due, l) -> push t ~due l frame) (List.rev !delayed));
-      (* Every push happens before [armed] is read, and the loop stores
-         [armed] before it peeks at the heap again, so either its peek
-         sees these frames or this read sees its deadline and wakes it
-         early: no deadline is overslept.  The loop's own sends need no
-         wake-up: it re-arms after them. *)
-      let earliest =
-        List.fold_left (fun m (due, _) -> Float.min m due) infinity !delayed
-      in
-      if earliest < Atomic.get t.armed then wake_loop := true
-    end);
-  if !wake_loop && not from_loop then wake t
+    t.links;
+  if !staged <> [] then begin
+    (* One payload copy for every copy staged ([mb_out] is reused by the
+       next round), and one heap lock per fan-out. *)
+    let frame = Request (Bytes.sub mb.mb_out 0 mb.mb_len) in
+    Mutex.protect t.staged_lock (fun () ->
+        List.iter (fun (due, l) -> push t ~due l frame) (List.rev !staged));
+    (* Every push happens before [armed] is read, and the loop stores
+       [armed] before it peeks at the heap again, so either its peek
+       sees these frames or this read sees its deadline and wakes it
+       early: no deadline is overslept.  The loop's own sends need no
+       wake-up: it re-arms after them. *)
+    let earliest =
+      List.fold_left (fun m (due, _) -> Float.min m due) infinity !staged
+    in
+    if (not from_loop) && earliest < Atomic.get t.armed then wake t
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Rounds and operations                                               *)
@@ -508,8 +453,9 @@ let receive t l ~t_read body =
 (* Pop every staged frame due by [t_now], in deadline order, then act
    on them with the heap unlocked — a routed reply's continuation may
    stage its next round.  A due request joins its link's out-queue for
-   this wake-up's one write per link; a due reply is routed.  Frames
-   whose link severed since they were staged are dropped. *)
+   this wake-up's one write per link, unless the queue is past
+   [out_limit]; a due reply is routed.  Frames whose link severed since
+   they were staged are dropped. *)
 let release_due t t_now =
   Mutex.lock t.staged_lock;
   let rec pop acc =
@@ -527,8 +473,8 @@ let release_due t t_now =
       if Atomic.get l.epoch = e.epoch then
         match e.frame with
         | Request payload ->
-          Mutex.protect l.lock (fun () ->
-              Outq.add_subbytes l.out payload 0 (Bytes.length payload))
+          if Outq.length l.out <= out_limit then
+            Outq.add_subbytes l.out payload 0 (Bytes.length payload)
         | Reply { key; rt; client; body } ->
           ignore (deliver t l (lookup t client) ~key ~rt body))
     due
@@ -553,37 +499,17 @@ let on_readable t l fd =
    a link that is down and has something to send, or drop it if the
    link may not be redialed yet. *)
 let service t l t_now =
-  (* Runs once per link per wake-up: plain lock/unlock, since nothing
-     below raises, and no closure to allocate. *)
-  match l.lfd with
+  match l.fd with
   | None ->
-    Mutex.lock l.lock;
-    let redial =
-      if Outq.is_empty l.out then false
-      else if t_now >= l.next_attempt then true
-      else begin
-        Outq.clear l.out;
-        false
-      end
-    in
-    Mutex.unlock l.lock;
-    if redial && not (Atomic.get t.stopping) then dial t l
-  | Some fd -> (
-    Mutex.lock l.lock;
-    let r =
-      if not l.connected then `Connecting
-      else
-        match Outq.flush l.out fd with
-        | true -> `Drained
-        | false -> `Blocked
-        | exception Unix.Unix_error _ -> `Sever
-    in
-    Mutex.unlock l.lock;
-    match r with
-    | `Connecting -> ()
-    | `Drained -> set_write t l fd false
-    | `Blocked -> set_write t l fd true
-    | `Sever -> sever t l)
+    if not (Outq.is_empty l.out) then
+      if t_now < l.next_attempt then Outq.clear l.out
+      else if not (Atomic.get t.stopping) then dial t l
+  | Some fd when l.connected -> (
+    match Outq.flush l.out fd with
+    | true -> set_write t l fd false
+    | false -> set_write t l fd true
+    | exception Unix.Unix_error _ -> sever t l)
+  | Some _ -> ()
 
 (* The nearest staged deadline; [infinity] when nothing is staged. *)
 let next_due t =
@@ -635,12 +561,11 @@ let on_ready t fd ~readable ~writable =
   else
     for i = 0 to Array.length t.links - 1 do
       let l = t.links.(i) in
-      match l.lfd with
-      | Some lfd when lfd == fd ->
-        if writable && not (Mutex.protect l.lock (fun () -> l.connected)) then
-          finish_connect t l lfd;
+      match l.fd with
+      | Some own when own == fd ->
+        if writable && not l.connected then finish_connect t l fd;
         (* [finish_connect] may have severed the link. *)
-        if readable && l.lfd <> None then on_readable t l lfd
+        if readable && l.fd <> None then on_readable t l fd
       | Some _ | None -> ()
     done
 
@@ -702,13 +627,11 @@ let create ?(rt_timeout = 1.0) ?(max_rt_retries = 3) ?faults ~servers ~quorum
             {
               index;
               addr;
-              lock = Mutex.create ();
               out = Outq.create 4096;
               fd = None;
               connected = false;
               next_attempt = 0.0;
               attempts = 0;
-              lfd = None;
               stream = Codec.Stream.create ();
               epoch = Atomic.make 0;
               want_write = false;

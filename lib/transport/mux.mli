@@ -7,22 +7,24 @@
     production client counts that drowns the paper's round-trip
     economics in transport overhead.  The mux instead runs:
 
-    - [S] shared non-blocking connections, each with an out-queue
-      behind a per-link lock: a client thread writes its frame itself
-      when the link is idle, and otherwise leaves it for the loop's
-      next write, which carries everything queued on the link;
+    - [S] shared non-blocking connections, each private to the event
+      loop as a server's connections are to its reactor: a client
+      thread never writes a socket, it stages its request in the
+      loop's deadline heap and wakes the loop when it sleeps past the
+      request's deadline;
     - one event loop that dials and redials every link without
-      blocking, reads and decodes [Keyed_reply] frames, routes them by
-      [(client, rt)] to per-client mailboxes, re-broadcasts timed-out
-      rounds, and runs each round's continuation the moment its quorum
-      is routed — so a client thread blocks once per operation, not
-      once per round;
-    - the fault plan's two legs ({!Faults}): request frames meet the
-      [To_server] rules as they are sent, replies the [From_server]
-      rules as they are read.  Delayed frames of both legs wait in one
-      deadline heap that the loop sleeps to exactly; every request due
-      on a link at one wake-up leaves in one write, in deadline order,
-      and no frame leaves or is routed before its deadline.
+      blocking, writes every request, reads and decodes [Keyed_reply]
+      frames, routes them by [(client, rt)] to per-client mailboxes,
+      re-broadcasts timed-out rounds, and runs each round's
+      continuation the moment its quorum is routed — so a client
+      thread blocks once per operation, not once per round;
+    - one deadline heap that the loop sleeps to exactly.  With no plan
+      a request is due as it is sent; under a plan ({!Faults}) request
+      frames meet the [To_server] rules as they are sent and replies
+      the [From_server] rules as they are read, and delayed replies
+      wait in the same heap.  Every request due on a link at one
+      wake-up leaves in one write, in deadline order, and no frame
+      leaves or is routed before its deadline.
 
     The round-trip contract is the simulator's {!Protocol.Round_trip}:
     broadcast to all [S] servers, complete on the first [S − t] replies

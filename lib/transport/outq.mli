@@ -3,8 +3,8 @@
     writes consume from the front.  Everything queued between two
     flushes leaves in one [write(2)]; a write the kernel cuts short
     leaves the remainder queued for the next flush.  Not thread-safe:
-    its owner (a reactor, or whoever holds a mux link's lock) is the
-    only one to touch it. *)
+    its owner (a server's reactor, or a mux's event loop) is the only
+    one to touch it. *)
 
 type t
 

@@ -1387,65 +1387,76 @@ let test_mux_hol_across_servers () =
 let test_mux_due_copies_one_write () =
   (* Duplicate + constant latency on the request leg: both copies of
      each round's request are staged with one deadline, and the loop
-     releases them in one write — R rounds cost exactly R writes.  The
-     scripted server answers with blocking writes, so every
-     non-blocking write counted is the mux's. *)
-  let faults =
-    Faults.create
-      [
-        Faults.rule ~dir:Faults.To_server Faults.Duplicate;
-        Faults.rule ~dir:Faults.To_server
-          (Faults.Latency { base = 0.02; jitter = 0.0 });
-      ]
+     releases them in one write — R rounds cost exactly R writes.  With
+     no plan, each round's one copy is due at once and the loop writes
+     it: R writes again.  The scripted server answers with blocking
+     writes, so every non-blocking write counted is the mux's. *)
+  let run what faults =
+    let addr, stop = echo_server () in
+    let mux = Mux.create ?faults ~servers:[| addr |] ~quorum:1 () in
+    let ep = Mux.client mux ~client:90 in
+    let rounds = 10 in
+    let before = Netio.counts () in
+    for _ = 1 to rounds do
+      Mux.exec ~key ep (Wire.Query []) (fun _ -> ())
+    done;
+    let after = Netio.counts () in
+    Mux.shutdown mux;
+    stop ();
+    check int
+      (what ^ ": one client write per round")
+      rounds
+      (after.Netio.writes_nb - before.Netio.writes_nb)
   in
-  let addr, stop = echo_server () in
-  let mux = Mux.create ~faults ~servers:[| addr |] ~quorum:1 () in
-  let ep = Mux.client mux ~client:90 in
-  let rounds = 10 in
-  let before = Netio.counts () in
-  for _ = 1 to rounds do
-    Mux.exec ~key ep (Wire.Query []) (fun _ -> ())
-  done;
-  let after = Netio.counts () in
-  Mux.shutdown mux;
-  stop ();
-  check int "one client write per round" rounds
-    (after.Netio.writes_nb - before.Netio.writes_nb)
+  run "duplicate + latency"
+    (Some
+       (Faults.create
+          [
+            Faults.rule ~dir:Faults.To_server Faults.Duplicate;
+            Faults.rule ~dir:Faults.To_server
+              (Faults.Latency { base = 0.02; jitter = 0.0 });
+          ]));
+  run "no plan" None
 
 let test_mux_fanout_one_notify () =
   (* Each link's request is due earlier than the previous link's (3, 2,
      1 ms), so waking the loop per staged frame would write its pipe
      once per link; a fan-out stages all three and writes it at most
-     once. *)
-  let servers = Array.init 3 (fun i -> Server.start ~id:i ()) in
-  let addrs =
-    Array.map
-      (fun s -> Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port s))
-      servers
+     once.  With no plan all three copies are due at once: one wake-up
+     again, never one per link. *)
+  let run what faults =
+    let servers = Array.init 3 (fun i -> Server.start ~id:i ()) in
+    let addrs =
+      Array.map
+        (fun s -> Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port s))
+        servers
+    in
+    let mux = Mux.create ?faults ~servers:addrs ~quorum:3 () in
+    let ep = Mux.client mux ~client:91 in
+    Mux.exec ~key ep (Wire.Query []) (fun _ -> ());
+    let rounds = 30 in
+    let before = Netio.counts () in
+    for _ = 1 to rounds do
+      Mux.exec ~key ep (Wire.Query []) (fun _ -> ())
+    done;
+    let after = Netio.counts () in
+    Mux.shutdown mux;
+    Array.iter Server.stop servers;
+    let n = after.Netio.notifies - before.Netio.notifies in
+    check bool
+      (Printf.sprintf "%s: %d wake-pipe writes over %d rounds <= %d" what n
+         rounds rounds)
+      true (n <= rounds)
   in
-  let faults =
-    Faults.create
-      (List.mapi
-         (fun i base ->
-           Faults.rule ~dir:Faults.To_server ~servers:[ i ]
-             (Faults.Latency { base; jitter = 0.0 }))
-         [ 0.003; 0.002; 0.001 ])
-  in
-  let mux = Mux.create ~faults ~servers:addrs ~quorum:3 () in
-  let ep = Mux.client mux ~client:91 in
-  Mux.exec ~key ep (Wire.Query []) (fun _ -> ());
-  let rounds = 30 in
-  let before = Netio.counts () in
-  for _ = 1 to rounds do
-    Mux.exec ~key ep (Wire.Query []) (fun _ -> ())
-  done;
-  let after = Netio.counts () in
-  Mux.shutdown mux;
-  Array.iter Server.stop servers;
-  let n = after.Netio.notifies - before.Netio.notifies in
-  check bool
-    (Printf.sprintf "%d wake-pipe writes over %d rounds <= %d" n rounds rounds)
-    true (n <= rounds)
+  run "staggered latency"
+    (Some
+       (Faults.create
+          (List.mapi
+             (fun i base ->
+               Faults.rule ~dir:Faults.To_server ~servers:[ i ]
+                 (Faults.Latency { base; jitter = 0.0 }))
+             [ 0.003; 0.002; 0.001 ])));
+  run "no plan" None
 
 let test_mux_held_reply_dies_with_link () =
   (* A held reply belongs to the connection it arrived on.  Client 70's
@@ -1694,7 +1705,10 @@ let test_mux_stalled_server () =
   (* Server 2 accepts and never reads, with a 4 KiB receive buffer.
      Once the kernel's buffers for its link are full, the link must
      neither block the loop nor any client: every round completes on
-     servers 0 and 1. *)
+     servers 0 and 1.  The rounds push more at the stalled link than
+     its out-queue ceiling (4 MiB) and the largest send buffer the
+     kernel grows (4 MiB, Linux's default tcp_wmem maximum) together
+     hold, so the loop's drop of due requests past the ceiling runs. *)
   let servers = Array.init 2 (fun i -> Server.start ~id:i ()) in
   let release = Atomic.make false in
   let stalled, stop =
@@ -1712,9 +1726,10 @@ let test_mux_stalled_server () =
   in
   let mux = Mux.create ~servers:addrs ~quorum:2 () in
   let h = Mux.client mux ~client:15 in
-  (* ~1 KiB requests: 3 000 rounds push ~3 MB at the stalled link. *)
+  (* ~1 KiB requests: 10 000 rounds push ~10.5 MB at the stalled
+     link. *)
   let key = String.make Codec.max_key_len 'k' in
-  let rounds = 3000 and done_ = ref 0 in
+  let rounds = 10_000 and done_ = ref 0 in
   let t0 = Clock.now () in
   for _ = 1 to rounds do
     Mux.exec ~key h (Wire.Query []) (fun rs ->
@@ -2266,7 +2281,7 @@ let () =
             `Quick test_poller_oversleep;
           Alcotest.test_case "0.3 ms legs give a sub-1.5 ms round trip" `Quick
             test_mux_sub_ms_round_trip;
-          Alcotest.test_case "create/shutdown leaks nothing, wakes ticker"
+          Alcotest.test_case "leaks no fd or thread, shuts down fast"
             `Quick test_mux_lifecycle;
           Alcotest.test_case "copies due together leave in one write" `Quick
             test_mux_due_copies_one_write;
