@@ -6,15 +6,20 @@ type 'a t = {
 
 let create ~cmp = { cmp; data = [||]; size = 0 }
 
+(* What a slot past [size] holds: an immediate, so the array keeps no
+   popped element reachable.  Arrays are made with it, so [data] is
+   never a flat float array and takes an ['a] of any kind. *)
+let vacant () = Obj.magic 0
+
 let size t = t.size
 
 let is_empty t = t.size = 0
 
-let grow t x =
+let grow t =
   let cap = Array.length t.data in
   if t.size = cap then begin
     let ncap = max 16 (2 * cap) in
-    let ndata = Array.make ncap x in
+    let ndata = Array.make ncap (vacant ()) in
     Array.blit t.data 0 ndata 0 t.size;
     t.data <- ndata
   end
@@ -43,7 +48,7 @@ let rec sift_down t i =
   end
 
 let push t x =
-  grow t x;
+  grow t;
   t.data.(t.size) <- x;
   t.size <- t.size + 1;
   sift_up t (t.size - 1)
@@ -53,8 +58,10 @@ let pop t =
   else begin
     let top = t.data.(0) in
     t.size <- t.size - 1;
+    let last = t.data.(t.size) in
+    t.data.(t.size) <- vacant ();
     if t.size > 0 then begin
-      t.data.(0) <- t.data.(t.size);
+      t.data.(0) <- last;
       sift_down t 0
     end;
     Some top

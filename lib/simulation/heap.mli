@@ -16,7 +16,8 @@ val is_empty : 'a t -> bool
 val push : 'a t -> 'a -> unit
 
 val pop : 'a t -> 'a option
-(** Removes and returns the minimum, or [None] when empty. *)
+(** Removes and returns the minimum, or [None] when empty.  The heap
+    keeps no reference to a popped element. *)
 
 val peek : 'a t -> 'a option
 

@@ -2,23 +2,49 @@ type dir = To_server | From_server
 
 type kind = Drop | Duplicate | Latency of { base : float; jitter : float }
 
+(* A rule's server or client set, as a byte per node id below the
+   largest one listed; [None] (from [[]]) is every node. *)
+type members = Bytes.t option
+
+let check_ids what ids =
+  if List.exists (fun x -> x < 0) ids then
+    invalid_arg (Printf.sprintf "Faults.%s: node ids must be >= 0" what)
+
+let members what = function
+  | [] -> None
+  | ids ->
+    check_ids what ids;
+    let b = Bytes.make (1 + List.fold_left max 0 ids) '\000' in
+    List.iter (fun x -> Bytes.set b x '\001') ids;
+    Some b
+
+let mem m x =
+  match m with
+  | None -> true
+  | Some b -> x >= 0 && x < Bytes.length b && Bytes.get b x <> '\000'
+
 type frame_rule = {
   kind : kind;
   prob : float;
   dir : dir option; (* None = both directions *)
-  servers : int list; (* [] = all *)
-  clients : int list; (* [] = all *)
+  servers : members;
+  clients : members;
   from_s : float;
   until_s : float;
 }
 
 type rule =
   | Frame of frame_rule
-  | Partition of { groups : int list list; from_s : float; until_s : float }
+  | Partition of {
+      group : int array; (* node id -> its first group, or -1 *)
+      from_s : float;
+      until_s : float;
+    }
 
 type t = {
   seed : int;
   rules : rule list;
+  timed : bool; (* some rule has a window: consult the clock *)
   mutable t0 : float; (* negative until armed *)
   lock : Mutex.t;
 }
@@ -31,15 +57,42 @@ let rule ?dir ?(servers = []) ?(clients = []) ?(from_ = 0.0) ?(until = infinity)
   | Latency { base; jitter } when not (base >= 0.0 && jitter >= 0.0 && base +. jitter > 0.0)
     -> invalid_arg "Faults.rule: latency must have base, jitter >= 0 and base + jitter > 0"
   | Drop | Duplicate | Latency _ -> ());
-  Frame { kind; prob; dir; servers; clients; from_s = from_; until_s = until }
+  Frame
+    {
+      kind;
+      prob;
+      dir;
+      servers = members "rule" servers;
+      clients = members "rule" clients;
+      from_s = from_;
+      until_s = until;
+    }
 
 let cut ?dir ?servers ?clients ?from_ ?until () =
   rule ?dir ?servers ?clients ?from_ ?until ~prob:1.0 Drop
 
 let partition ?(from_ = 0.0) ?(until = infinity) groups =
-  Partition { groups; from_s = from_; until_s = until }
+  let nodes = List.concat groups in
+  check_ids "partition" nodes;
+  let group = Array.make (1 + List.fold_left max (-1) nodes) (-1) in
+  List.iteri
+    (fun g -> List.iter (fun x -> if group.(x) < 0 then group.(x) <- g))
+    groups;
+  Partition { group; from_s = from_; until_s = until }
 
-let create ?(seed = 0) rules = { seed; rules; t0 = -1.0; lock = Mutex.create () }
+(* Whether a window is anything but "always": seconds since [arm] are
+   never negative. *)
+let windowed from_s until_s = not (from_s <= 0.0 && until_s = infinity)
+
+let create ?(seed = 0) rules =
+  let timed =
+    List.exists
+      (function
+        | Frame { from_s; until_s; _ } | Partition { from_s; until_s; _ } ->
+          windowed from_s until_s)
+      rules
+  in
+  { seed; rules; timed; t0 = -1.0; lock = Mutex.create () }
 
 let arm t = Mutex.protect t.lock (fun () -> t.t0 <- Clock.now ())
 
@@ -78,34 +131,29 @@ let draw t i ~dir ~server ~client ~rt ~salt j =
 (* Rule evaluation                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let mem_or_all l x = l = [] || List.mem x l
-
 let frame_matches r ~dir ~server ~client ~e =
   (match r.dir with None -> true | Some d -> d = dir)
-  && mem_or_all r.servers server
-  && mem_or_all r.clients client
+  && mem r.servers server
+  && mem r.clients client
   && e >= r.from_s && e < r.until_s
 
-let group_of groups x =
-  let rec go i = function
-    | [] -> None
-    | g :: rest -> if List.mem x g then Some i else go (i + 1) rest
-  in
-  go 0 groups
+let group_of group x =
+  if x >= 0 && x < Array.length group then group.(x) else -1
 
-let partitioned groups ~server ~client =
-  match (group_of groups server, group_of groups client) with
-  | Some a, Some b -> a <> b
-  | _ -> false
+let partitioned group ~server ~client =
+  let a = group_of group server and b = group_of group client in
+  a >= 0 && b >= 0 && a <> b
 
 let deliveries t ~dir ~server ~client ~rt ~salt =
-  let e = elapsed t in
+  (* With no windowed rule every window holds at any [e >= 0], so the
+     clock and its lock are skipped. *)
+  let e = if t.timed then elapsed t else 0.0 in
   let blocked =
     List.exists
       (function
-        | Partition { groups; from_s; until_s } ->
+        | Partition { group; from_s; until_s } ->
           e >= from_s && e < until_s
-          && partitioned groups ~server ~client
+          && partitioned group ~server ~client
         | Frame _ -> false)
       t.rules
   in

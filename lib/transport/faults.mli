@@ -72,7 +72,8 @@ val rule :
   rule
 (** A probabilistic frame rule.  [servers]/[clients] restrict the links
     it applies to ([[]], the default, means all; clients are named by
-    their {!Protocol.Topology} node ids).  [from_]/[until] bound the
+    their {!Protocol.Topology} node ids, and a negative id is
+    [Invalid_argument]).  [from_]/[until] bound the
     active window in seconds since {!arm} (defaults: always active).
     [prob] (default [1.0]) is the per-frame firing probability. *)
 
@@ -93,7 +94,8 @@ val partition : ?from_:float -> ?until:float -> int list list -> rule
 (** Frames between nodes in different groups are lost, both directions.
     Nodes are {!Protocol.Topology} ids (servers [0..S-1], then the
     clients: client [i] of a [Kv.Router] is node [S + i]); nodes absent
-    from every group are unaffected. *)
+    from every group are unaffected.  A negative id is
+    [Invalid_argument]. *)
 
 type t
 (** A fault plan: a seed plus a rule list.  Immutable but for the arm
@@ -111,4 +113,7 @@ val deliveries :
 (** The fate of one frame: the delay, in seconds from now, of each copy
     to deliver ([0.0] = immediately).  [[]] means dropped, one element
     is normal or delayed delivery, two elements a duplicate.  Pure in
-    everything but the window clock. *)
+    everything but the window clock, which a plan with no windowed rule
+    never reads.  Each rule's server and client sets are resolved to
+    per-node lookups when the rule is made, so a call walks the rule
+    list once with no list membership search. *)

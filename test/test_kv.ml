@@ -298,9 +298,9 @@ let test_keyspace_cold_key_edges () =
 
 let test_keyspace_cold_churn () =
   (* 5 000 keys through a hot set of 4, touched four times over: the
-     cold store's index grows many times, thawed keys leave tombstones
-     that later demotions reuse, and the dead bytes pass the live ones
-     twice, so compaction moves every record twice.  Each reply and the
+     index grows many times, every thaw and demotion rewrites a key's
+     index word in place, and the dead bytes pass the live ones twice,
+     so compaction moves every record twice.  Each reply and the
      final state must match a keyspace that never demotes. *)
   let nkeys = 5000 in
   let ks = Keyspace.create ~max_hot:4 () in
@@ -321,6 +321,57 @@ let test_keyspace_cold_churn () =
   check int "every key kept" nkeys (Keyspace.key_count ks);
   check bool "save matches the reference" true
     (Keyspace.save ks = Keyspace.save reference)
+
+(* A keyspace filled the way a benchmark set-up fills it: per key, one
+   Query and one Update of the [current] it returned, from 32 client
+   ids.  Words reachable from the keyspace, per key. *)
+let words_per_key ?max_hot nkeys =
+  let ks = Keyspace.create ?max_hot () in
+  for i = 0 to nkeys - 1 do
+    let key = Ycsb.key_name i and client = 3 + (i mod 32) in
+    match Keyspace.handle ks ~key ~client (Wire.Query []) with
+    | Wire.Read_ack { current; _ } ->
+      ignore (Keyspace.handle ks ~key ~client (Wire.Update current))
+    | Wire.Write_ack _ -> Alcotest.fail "query answered with a write ack"
+  done;
+  check int "every key kept" nkeys (Keyspace.key_count ks);
+  float_of_int (Obj.reachable_words (Obj.repr ks)) /. float_of_int nkeys
+
+let test_keyspace_footprint () =
+  (* Pins what a key costs, resident and demoted, so a layout change
+     cannot grow it unnoticed.  The bounds sit a little above the
+     measured figures (EXPERIMENTS.md §PB-10). *)
+  List.iter
+    (fun (what, max_hot, nkeys, bound) ->
+      let w = words_per_key ?max_hot nkeys in
+      Printf.printf "%s: %.2f words per key\n%!" what w;
+      if w > bound then
+        Alcotest.failf "%s: %.2f words per key, over the %.2f bound" what w
+          bound)
+    [
+      ("16 keys", None, 16, 20.5);
+      ("4 096 keys, all resident", None, 4096, 18.0);
+      ("32 768 keys, max_hot 4 096", Some 4096, 32768, 6.3);
+      ("262 144 keys", None, 262144, 4.9);
+    ]
+
+let test_index_word_bounds () =
+  (* An index word keeps 31 bits of arena offset: the largest offset
+     round-trips through a 4-byte slot, the next one raises instead of
+     wrapping onto another record. *)
+  let top = (1 lsl 31) - 2 in
+  let ix = Flat_index.create 4 in
+  Flat_index.set ix 3 (Flat_index.cold top);
+  let w = Flat_index.get ix 3 in
+  check bool "a cold word" false (Flat_index.is_resident w);
+  check int "the largest offset round-trips" top (Flat_index.offset w);
+  Flat_index.set ix 2 (Flat_index.resident ((1 lsl 31) - 1));
+  check int "so does the largest slot number" ((1 lsl 31) - 1)
+    (Flat_index.slot (Flat_index.get ix 2));
+  check int "neighbours untouched" Flat_index.empty (Flat_index.get ix 1);
+  match Flat_index.cold (top + 1) with
+  | w -> Alcotest.failf "offset %d encoded as %#x" (top + 1) w
+  | exception Failure _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* YCSB generator                                                       *)
@@ -763,6 +814,9 @@ let () =
             test_keyspace_cold_key_edges;
           Alcotest.test_case "cold store growth, reuse and compaction" `Quick
             test_keyspace_cold_churn;
+          Alcotest.test_case "words per key" `Quick test_keyspace_footprint;
+          Alcotest.test_case "index words past 31 bits raise" `Quick
+            test_index_word_bounds;
           QCheck_alcotest.to_alcotest keyspace_model_prop;
         ] );
       ( "ycsb",

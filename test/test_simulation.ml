@@ -113,6 +113,33 @@ let test_heap_duplicates () =
   let drained = List.init 4 (fun _ -> Option.get (Heap.pop h)) in
   check (Alcotest.list int) "dups kept" [ 1; 1; 2; 2 ] drained
 
+let test_heap_pop_releases () =
+  (* A popped element is the caller's alone: once it is dropped, the
+     heap does not keep it alive, whether the heap emptied or a later
+     element moved into its slot. *)
+  let h = Heap.create ~cmp:(fun a b -> compare !a !b) in
+  let weak = Weak.create 3 in
+  let push i =
+    let x = ref i in
+    Weak.set weak i (Some x);
+    Heap.push h x
+  in
+  List.iter push [ 0; 1; 2 ];
+  let pop () = ignore (Sys.opaque_identity (Heap.pop h)) in
+  pop ();
+  pop ();
+  Gc.full_major ();
+  check bool "first popped element freed" false (Weak.check weak 0);
+  check bool "second popped element freed" false (Weak.check weak 1);
+  check bool "the one still queued kept" true (Weak.check weak 2);
+  pop ();
+  Gc.full_major ();
+  check bool "the last one freed once the heap empties" false
+    (Weak.check weak 2);
+  check bool "the emptied heap still works" true
+    (push 0;
+     Heap.size h = 1)
+
 let heap_sort_property =
   QCheck.Test.make ~name:"heap drain equals List.sort" ~count:300
     QCheck.(list small_int)
@@ -431,6 +458,7 @@ let () =
           tc "basic" test_heap_basic;
           tc "clear" test_heap_clear;
           tc "duplicates" test_heap_duplicates;
+          tc "pop releases the element" test_heap_pop_releases;
           QCheck_alcotest.to_alcotest heap_sort_property;
         ] );
       ( "engine",

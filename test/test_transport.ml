@@ -1310,6 +1310,147 @@ let staged_deliveries_prop =
           && List.for_all (fun d -> d >= 0.0 && d <= 0.05) d1)
         [ Faults.To_server; Faults.From_server ])
 
+(* The rule walk [Faults.deliveries] is specified by, over plain rule
+   data and an explicit window clock [e]: every rule a linear scan,
+   every server and client set a list search.  Its hash is the plan's
+   documented per-frame mix, so the two must agree bit for bit. *)
+type spec_rule =
+  | S_frame of {
+      kind : Faults.kind;
+      prob : float;
+      dir : Faults.dir option;
+      servers : int list;
+      clients : int list;
+      from_s : float;
+      until_s : float;
+    }
+  | S_partition of { groups : int list list; from_s : float; until_s : float }
+
+let spec_deliveries ~seed rules ~e ~dir ~server ~client ~rt ~salt =
+  let mix h k =
+    let h = (h lxor k) * 0x2545F4914F6CDD1D in
+    let h = h lxor (h lsr 29) in
+    let h = h * 0x27220A95 in
+    h lxor (h lsr 32)
+  in
+  let draw i j =
+    let d = match dir with Faults.To_server -> 1 | Faults.From_server -> 2 in
+    let h = mix (seed + 0x51ED) ((i * 8) + d) in
+    let h = mix (mix (mix (mix h server) client) rt) ((salt * 16) + j) in
+    float_of_int (h land 0x3FFFFFFF) /. 1073741824.0
+  in
+  let mem_or_all l x = l = [] || List.mem x l in
+  let group_of groups x =
+    let rec go i = function
+      | [] -> None
+      | g :: rest -> if List.mem x g then Some i else go (i + 1) rest
+    in
+    go 0 groups
+  in
+  let blocked =
+    List.exists
+      (function
+        | S_partition { groups; from_s; until_s } -> (
+          e >= from_s && e < until_s
+          &&
+          match (group_of groups server, group_of groups client) with
+          | Some a, Some b -> a <> b
+          | _ -> false)
+        | S_frame _ -> false)
+      rules
+  in
+  if blocked then []
+  else begin
+    let ds = ref [ 0.0 ] in
+    List.iteri
+      (fun i -> function
+        | S_partition _ -> ()
+        | S_frame r ->
+          if
+            !ds <> []
+            && (match r.dir with None -> true | Some d -> d = dir)
+            && mem_or_all r.servers server && mem_or_all r.clients client
+            && e >= r.from_s && e < r.until_s
+            && (r.prob >= 1.0 || draw i 0 < r.prob)
+          then
+            match r.kind with
+            | Faults.Drop -> ds := []
+            | Faults.Latency { base; jitter } ->
+              ds :=
+                List.mapi
+                  (fun ci after ->
+                    after +. base
+                    +. if jitter > 0.0 then jitter *. draw i (1 + ci) else 0.0)
+                  !ds
+            | Faults.Duplicate -> ds := !ds @ [ 0.0 ])
+      rules;
+    !ds
+  end
+
+let to_rule = function
+  | S_frame { kind; prob; dir; servers; clients; from_s; until_s } ->
+    Faults.rule ?dir ~servers ~clients ~from_:from_s ~until:until_s ~prob kind
+  | S_partition { groups; from_s; until_s } ->
+    Faults.partition ~from_:from_s ~until:until_s groups
+
+let faults_spec_prop =
+  (* Plans over servers 0-4 and clients 5-12 (probed up to 13, which no
+     rule names) mixing partitions, windows,
+     drops, duplicates and latencies: every frame's fate matches the
+     spec walk.  Window edges sit at 0 and 1000 s, so the plan's own
+     clock (milliseconds since [arm]) and the spec's [e = 1] fall in
+     the same windows. *)
+  let gen =
+    let open QCheck.Gen in
+    let subset lo hi =
+      list_size (int_range 0 3) (int_range lo hi) >|= List.sort_uniq compare
+    in
+    let window =
+      oneofl
+        [ (0.0, infinity); (-1.0, infinity); (0.0, 1000.0); (1000.0, infinity);
+          (0.0, 0.0) ]
+    in
+    let kind =
+      oneofl
+        [
+          Faults.Drop;
+          Faults.Duplicate;
+          Faults.Latency { base = 0.01; jitter = 0.02 };
+          Faults.Latency { base = 0.0; jitter = 0.02 };
+          Faults.Latency { base = 0.01; jitter = 0.0 };
+        ]
+    in
+    let frame =
+      kind >>= fun kind ->
+      oneofl [ 0.3; 0.7; 1.0 ] >>= fun prob ->
+      opt (oneofl [ Faults.To_server; Faults.From_server ]) >>= fun dir ->
+      subset 0 4 >>= fun servers ->
+      subset 5 12 >>= fun clients ->
+      window >|= fun (from_s, until_s) ->
+      S_frame { kind; prob; dir; servers; clients; from_s; until_s }
+    in
+    let part =
+      list_size (int_range 1 3) (subset 0 12) >>= fun groups ->
+      window >|= fun (from_s, until_s) -> S_partition { groups; from_s; until_s }
+    in
+    pair small_nat (list_size (int_range 0 6) (frequency [ (4, frame); (1, part) ]))
+  in
+  QCheck.Test.make ~count:300 ~name:"fault decisions match the spec walk"
+    (QCheck.make gen)
+    (fun (seed, rules) ->
+      let plan = Faults.create ~seed (List.map to_rule rules) in
+      Faults.arm plan;
+      List.for_all
+        (fun (server, client, rt, salt, dir) ->
+          Faults.deliveries plan ~dir ~server ~client ~rt ~salt
+          = spec_deliveries ~seed rules ~e:1.0 ~dir ~server ~client ~rt ~salt)
+        (List.init 200 (fun k ->
+             ( k mod 5,
+               5 + (k / 5 mod 9),
+               k / 40,
+               k mod 3,
+               if k mod 2 = 0 then Faults.To_server else Faults.From_server ))))
+
 let test_mux_hol_isolation () =
   (* Head-of-line regression: a staged (delayed) frame of one mux client
      must wait in the mux's deadline heap, not sleep in the sender with
@@ -2329,6 +2470,7 @@ let () =
           Alcotest.test_case "duplicate+delay: independent copy deadlines"
             `Quick test_dup_delay_independent_copies;
           QCheck_alcotest.to_alcotest staged_deliveries_prop;
+          QCheck_alcotest.to_alcotest faults_spec_prop;
           Alcotest.test_case "soak atomic under faults (mux)" `Quick
             test_chaos_soak;
           Alcotest.test_case "live checker on healthy session" `Quick
