@@ -1,31 +1,28 @@
 (* mwlint: the repo's AST-driven concurrency & I/O-discipline lint.
 
-     mwlint [--baseline FILE] [--fail-stale] [--rules]
-            [--format text|json] [--lock-map FILE] DIR_OR_FILE...
+     mwlint [--fail-stale] [--rules] [--format text|json]
+            [--lock-map FILE] DIR_OR_FILE...
 
    Parses every .ml and .mli under the given roots (default: lib bin
    bench test examples perfbench) into a Parsetree, runs the rule
-   engine (see lib/analysis/RULES.md), subtracts the checked-in
-   baseline, and exits non-zero on any new finding.  With
-   [--fail-stale], a baseline entry that no longer matches any finding
-   is an error rather than a warning — CI uses it to force the
-   suppression file to shrink as debt is paid off; the same holds for
-   a [Rules.lock_free_allow] entry that matches no thread-shared cell
-   and a [Rules.export_keep] entry that excuses no unused export, so
-   run it over the whole tree (UNUSED-EXPORT needs every user in view
-   anyway).
+   engine (see lib/analysis/RULES.md) and exits non-zero on any
+   finding.  A finding is excused only by name, in
+   [Rules.lock_free_allow] or [Rules.export_keep].  With
+   [--fail-stale], a [lock_free_allow] entry that matches no
+   thread-shared cell or an [export_keep] entry that excuses no unused
+   export is an error rather than a warning, so run it over the whole
+   tree (UNUSED-EXPORT needs every user in view anyway).
    [--format json] prints one finding object per line (rule, severity,
    file, line, col, message) for annotation tooling;
    [--lock-map FILE] writes the inferred lock -> guarded-cells table
-   ("-" for stdout).  Exit codes: 0 clean, 1 new findings (or stale
-   entries under [--fail-stale]), 2 usage / parse / baseline errors. *)
+   ("-" for stdout).  Exit codes: 0 clean, 1 findings (or stale
+   entries under [--fail-stale]), 2 usage / parse errors. *)
 
 let usage =
-  "mwlint [--baseline FILE] [--fail-stale] [--rules] [--format text|json] \
-   [--lock-map FILE] [DIR_OR_FILE...]"
+  "mwlint [--fail-stale] [--rules] [--format text|json] [--lock-map FILE] \
+   [DIR_OR_FILE...]"
 
 let () =
-  let baseline_path = ref "" in
   let fail_stale = ref false in
   let list_rules = ref false in
   let format = ref "text" in
@@ -33,14 +30,10 @@ let () =
   let roots = ref [] in
   Arg.parse
     [
-      ( "--baseline",
-        Arg.Set_string baseline_path,
-        "FILE checked-in suppression file (RULE file:line:col justification)"
-      );
       ( "--fail-stale",
         Arg.Set fail_stale,
-        " treat stale baseline, lock_free_allow and export_keep entries as \
-         errors (exit 1)" );
+        " treat stale lock_free_allow and export_keep entries as errors \
+         (exit 1)" );
       ("--rules", Arg.Set list_rules, " list the rule catalog and exit");
       ( "--format",
         Arg.Symbol ([ "text"; "json" ], fun s -> format := s),
@@ -92,25 +85,6 @@ let () =
     let oc = open_out path in
     output_string oc result.Analysis.Engine.lock_map;
     close_out oc);
-  let entries =
-    if !baseline_path = "" then []
-    else
-      match Analysis.Baseline.load !baseline_path with
-      | Ok entries -> entries
-      | Error msg ->
-        Printf.eprintf "mwlint: bad baseline %s: %s\n" !baseline_path msg;
-        exit 2
-  in
-  let fresh, stale = Analysis.Baseline.apply ~entries findings in
-  List.iter
-    (fun e ->
-      Printf.eprintf
-        "mwlint: %s: stale baseline entry %s %s:%d:%d (no such finding \
-         anymore — delete it)\n"
-        (if !fail_stale then "error" else "warning")
-        e.Analysis.Baseline.rule e.Analysis.Baseline.file
-        e.Analysis.Baseline.line e.Analysis.Baseline.col)
-    stale;
   let stale_allow = result.Analysis.Engine.stale_allow in
   let stale_keep = result.Analysis.Engine.stale_keep in
   let report_stale table what =
@@ -126,15 +100,11 @@ let () =
   report_stale "export_keep" "excuses no unused export" stale_keep;
   (match !format with
   | "json" ->
-    List.iter (fun f -> print_endline (Analysis.Finding.to_json f)) fresh
+    List.iter (fun f -> print_endline (Analysis.Finding.to_json f)) findings
   | _ ->
-    List.iter (fun f -> print_endline (Analysis.Finding.to_string f)) fresh);
-  let suppressed = List.length findings - List.length fresh in
+    List.iter (fun f -> print_endline (Analysis.Finding.to_string f)) findings);
   if !format <> "json" then
-    Printf.printf "mwlint: %d file(s), %d finding(s), %d suppressed\n"
-      (List.length files) (List.length fresh) suppressed;
-  if
-    fresh <> []
-    || (!fail_stale && (stale <> [] || stale_allow <> [] || stale_keep <> []))
-  then
-    exit 1
+    Printf.printf "mwlint: %d file(s), %d finding(s)\n" (List.length files)
+      (List.length findings);
+  if findings <> [] || (!fail_stale && (stale_allow <> [] || stale_keep <> []))
+  then exit 1

@@ -377,7 +377,15 @@ let hunt_cmd =
 (* ------------------------------------------------------------------ *)
 
 let serve host port id =
-  let server = Live.Server.start ~host ~port ~id () in
+  let server =
+    try Live.Server.start ~host ~port ~id () with
+    | Invalid_argument msg ->
+      Printf.eprintf "mwreg serve: %s\n" msg;
+      exit 1
+    | Unix.Unix_error (e, fn, _) ->
+      Printf.eprintf "mwreg serve: %s: %s\n" fn (Unix.error_message e);
+      exit 1
+  in
   Printf.printf "mwreg server %d listening on %s:%d\n%!" id host
     (Live.Server.port server);
   (* Serve until the process is killed — which is exactly how clients
@@ -420,9 +428,11 @@ let hostport_conv =
           int_of_string_opt
             (String.sub spec (i + 1) (String.length spec - i - 1)) )
       with
-      | Some addr, Some port -> Ok (Unix.ADDR_INET (addr, port))
+      | Some addr, Some port when port >= 0 && port <= 65535 ->
+        Ok (Unix.ADDR_INET (addr, port))
       | None, _ -> Error (Printf.sprintf "bad host in %S" spec)
-      | _, None -> Error (Printf.sprintf "bad port in %S" spec))
+      | Some _, (Some _ | None) ->
+        Error (Printf.sprintf "bad port in %S (want 0..65535)" spec))
   in
   let print ppf = function
     | Unix.ADDR_INET (a, p) ->

@@ -2,7 +2,7 @@
 
     The column is part of the identity: two distinct findings of the
     same rule on the same line (e.g. two shared fields accessed in one
-    expression) must not collapse into one baseline key. *)
+    expression) must not collapse into one. *)
 
 type severity = Error | Warning
 

@@ -144,16 +144,6 @@ let blocking_calls =
       "Thread.join";
     ]
 
-(* (file, enclosing function, callee) triples exempt from
-   BLOCKING-UNDER-LOCK.  Empty since the reactor rewrite: the old
-   thread-per-connection server wrote replies under a per-connection
-   write lock (handler thread vs. fault-plan delayer threads) and
-   carried the only two exemptions.  The reactor's flush path is
-   non-blocking and lock-free — the reactor thread owns its
-   connections outright — so nothing is exempt any more, and a new entry here
-   should be treated as a design smell to justify, not a convenience. *)
-let blocking_allow : (string * string * string) list = []
-
 (* CATCH-ALL-EXN fires only when the guarded body touches these
    modules: a wildcard around pure code is style, a wildcard around
    I/O swallows link failures (the exact bug class behind the PR-4
@@ -172,7 +162,6 @@ let spawn_calls =
     "Pool.run_tasks";
     "Pool.map";
     "Pool.map_reduce";
-    "Pool.iter_seeds";
   ]
 
 (* SHARED-ACCESS lock-free allowlist: (cell, justification).  A cell is
@@ -240,7 +229,7 @@ let lock_free_allow : (string * string) list =
    dead surface to delete, unless it is here for a reason a reviewer
    can check.  Patterns as in [pattern_matches] below; an entry that
    excuses no finding is stale and `--fail-stale` fails on it.
-   Line-keyed baseline entries would drift with every edit, so the
+   An excuse keyed by line would drift with every edit, so the
    exceptions live here by name. *)
 let export_keep : (string * string) list =
   [
@@ -729,19 +718,6 @@ let remove_last held name =
   in
   List.rev (go (List.rev held))
 
-let blocking_allowed ctx callee =
-  (* The enclosing *named* function: synthetic frames (spawned-closure
-     summaries) don't rename the region for allowlisting purposes. *)
-  let fn =
-    match List.find_opt (fun f -> f = "" || f.[0] <> '<') ctx.fn_stack with
-    | Some f -> f
-    | None -> "<top>"
-  in
-  List.exists
-    (fun (file, func, call) ->
-      path_matches ~suffix:file ctx.file && func = fn && call = callee)
-    blocking_allow
-
 let check_ident ctx path loc =
   if path = "Unix.gettimeofday" && not (in_files wall_clock_files ctx.file)
   then
@@ -994,9 +970,7 @@ and walk_apply ctx held e hd args =
             | None -> ())
           args
       | None -> ());
-      if List.mem path blocking_calls && held <> []
-         && not (blocking_allowed ctx path)
-      then
+      if List.mem path blocking_calls && held <> [] then
         report ctx ~rule:blocking_under_lock loc
           (Printf.sprintf
              "blocking call %s lexically inside a held-lock region (held: \

@@ -118,5 +118,3 @@ val lock_order_findings : state -> Finding.t list
 val findings : state -> Finding.t list
 (** The single-file findings recorded so far (unsorted). *)
 
-val path_matches : suffix:string -> string -> bool
-(** Whole-component suffix match used by every path-scoped allowlist. *)

@@ -26,7 +26,6 @@ module Sim = Simulation.Engine
 module Rng = Simulation.Rng
 module Latency = Simulation.Latency
 module Net = Simulation.Network
-module Trace = Simulation.Trace
 
 module Op = Histories.Op
 module History = Histories.History

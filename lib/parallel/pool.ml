@@ -86,24 +86,3 @@ let map pool f xs =
 
 let map_reduce pool ~map:fm ~reduce ~init xs =
   List.fold_left reduce init (map pool fm xs)
-
-let iter_seeds pool ?chunk ~lo ~hi f =
-  if hi >= lo then begin
-    let count = hi - lo + 1 in
-    let chunk =
-      match chunk with
-      | Some c -> max 1 c
-      | None ->
-        (* Aim for ~4 chunks per worker: enough slack for the cursor to
-           balance uneven costs, few enough that lock traffic stays
-           negligible.  Tiny sweeps collapse into one inline chunk. *)
-        max 1 (count / (4 * pool.domains))
-    in
-    let chunks = (count + chunk - 1) / chunk in
-    run_tasks pool chunks (fun c ->
-        let a = lo + (c * chunk) in
-        let b = min hi (a + chunk - 1) in
-        for seed = a to b do
-          f seed
-        done)
-  end

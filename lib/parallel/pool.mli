@@ -47,12 +47,3 @@ val map_reduce :
 (** [map_reduce pool ~map ~reduce ~init xs] maps in parallel, then folds
     the results left-to-right in input order — deterministic even for
     non-commutative [reduce]. *)
-
-val iter_seeds : t -> ?chunk:int -> lo:int -> hi:int -> (int -> unit) -> unit
-(** [iter_seeds pool ~lo ~hi f] calls [f seed] for every seed in
-    [lo..hi] inclusive, handing out contiguous chunks of [chunk] seeds
-    at a time to amortise the cursor lock.  When [chunk] is omitted it
-    is sized to roughly 4 chunks per worker, so big sweeps see almost no
-    cursor traffic and tiny sweeps collapse into one inline chunk.
-    [f]'s side effects must be disjoint per seed (e.g. each seed writes
-    its own array slot). *)

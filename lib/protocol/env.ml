@@ -5,18 +5,16 @@ type t = {
   topology : Topology.t;
   tolerance : int;
   latency : Latency.t;
-  trace : Trace.t option;
 }
 
-let make ?(seed = 42) ?(latency = Latency.uniform ~lo:1.0 ~hi:10.0)
-    ?(tracing = false) ~s ~t ~w ~r () =
+let make ?(seed = 42) ?(latency = Latency.uniform ~lo:1.0 ~hi:10.0) ~s ~t ~w
+    ~r () =
   if t < 0 || t >= s then invalid_arg "Env.make: need 0 <= t < s";
   {
     engine = Engine.create ~seed ();
     topology = Topology.make ~servers:s ~writers:w ~readers:r;
     tolerance = t;
     latency;
-    trace = (if tracing then Some (Trace.create ()) else None);
   }
 
 let quorum_size t = t.topology.Topology.servers - t.tolerance

@@ -7,13 +7,11 @@ type t = {
   topology : Topology.t;
   tolerance : int;          (** t — crash faults to survive. *)
   latency : Latency.t;
-  trace : Trace.t option;
 }
 
 val make :
   ?seed:int ->
   ?latency:Latency.t ->
-  ?tracing:bool ->
   s:int ->
   t:int ->
   w:int ->
@@ -21,7 +19,7 @@ val make :
   unit ->
   t
 (** Fresh engine + topology.  Defaults: seed 42, latency
-    [uniform ~lo:1.0 ~hi:10.0], no tracing.  Validates [0 ≤ t < s]. *)
+    [uniform ~lo:1.0 ~hi:10.0].  Validates [0 ≤ t < s]. *)
 
 val quorum_size : t -> int
 (** [S − t], the reply count every round-trip waits for. *)

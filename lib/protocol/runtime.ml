@@ -11,10 +11,11 @@ type outcome = {
   net_stats : Network.stats;
   sim_time : float;
   events : int;
-  trace : Trace.t option;
 }
 
-let run ~register ~env ~plans ?adversary ?(deadline = 1e7) () =
+let deadline = 1e7
+
+let run ~register ~env ~plans ?adversary () =
   let module R = (val register : Register_intf.S) in
   let engine = env.Env.engine in
   let cluster = R.create env in
@@ -88,7 +89,6 @@ let run ~register ~env ~plans ?adversary ?(deadline = 1e7) () =
     net_stats = ctl.Control.net_stats ();
     sim_time = Engine.now engine;
     events = Engine.processed engine;
-    trace = env.Env.trace;
   }
 
 let repeat n step ~think =

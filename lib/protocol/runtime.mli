@@ -28,7 +28,6 @@ type outcome = {
   net_stats : Network.stats;
   sim_time : float;
   events : int;
-  trace : Trace.t option;
 }
 
 val run :
@@ -36,13 +35,12 @@ val run :
   env:Env.t ->
   plans:plan list ->
   ?adversary:(Control.t -> Engine.t -> unit) ->
-  ?deadline:float ->
   unit ->
   outcome
 (** Execute the plans.  [adversary] runs once after cluster creation and
-    may install route filters or schedule crashes.  [deadline] caps
-    virtual time (default 1e7) as a safety net against blocked clients;
-    operations still in flight then appear pending in the history. *)
+    may install route filters or schedule crashes.  Virtual time is
+    capped at 1e7 as a safety net against blocked clients; operations
+    still in flight then appear pending in the history. *)
 
 val write_plan : writer:int -> ?start_at:float -> ?think:float -> int -> plan
 (** [write_plan ~writer n] — n writes separated by [think] (default 0). *)

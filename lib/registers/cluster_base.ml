@@ -15,9 +15,7 @@ let create ?(name = "Cluster_base.create") ?max_writers (env : Env.t)
       (Printf.sprintf "%s accepts at most %d writer(s), got %d" name m (Env.w env))
   | _ -> ());
   let topo = env.Env.topology in
-  let net =
-    Network.create env.Env.engine ~latency:env.Env.latency ?trace:env.Env.trace ()
-  in
+  let net = Network.create env.Env.engine ~latency:env.Env.latency in
   Network.forbid net (fun ~src ~dst -> Topology.forbidden topo ~src ~dst);
   for i = 0 to topo.Topology.servers - 1 do
     Server.attach ~net ~node:(Topology.server_node topo i)

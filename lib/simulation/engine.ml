@@ -51,19 +51,16 @@ let step t =
 
 let stop t = t.stop_requested <- true
 
-let run ?until ?max_events t =
+let run ?until t =
   t.stop_requested <- false;
-  let budget = ref (match max_events with None -> max_int | Some n -> n) in
   let continue () =
     (not t.stop_requested)
-    && !budget > 0
     &&
     match Heap.peek t.queue with
     | None -> false
     | Some ev -> ( match until with None -> true | Some u -> ev.time <= u)
   in
   while continue () do
-    decr budget;
     ignore (step t : bool)
   done
 

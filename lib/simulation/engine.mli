@@ -32,9 +32,9 @@ val schedule : t -> delay:float -> (unit -> unit) -> unit
 (** [schedule t ~delay f] is [schedule_at t ~time:(now t +. delay) f].
     Negative delays are clipped to zero. *)
 
-val run : ?until:float -> ?max_events:int -> t -> unit
-(** Run until quiescence, or until the clock would pass [until], or until
-    [max_events] events have been executed, whichever comes first. *)
+val run : ?until:float -> t -> unit
+(** Run until quiescence, or until the clock would pass [until], whichever
+    comes first. *)
 
 val stop : t -> unit
 (** Request that [run] return after the current event. *)

@@ -1,5 +1,4 @@
 type 'msg envelope = {
-  id : int;
   src : int;
   dst : int;
   sent_at : float;
@@ -14,41 +13,32 @@ type 'msg t = {
   engine : Engine.t;
   latency : Latency.t;
   rng : Rng.t;
-  trace : Trace.t option;
   handlers : (int, 'msg envelope -> unit) Hashtbl.t;
   crashed : (int, unit) Hashtbl.t;
   mutable filter : ('msg envelope -> action) option;
   mutable forbidden : (src:int -> dst:int -> bool) list;
   held : 'msg envelope Queue.t; (* FIFO: original send order *)
-  mutable next_id : int;
   mutable n_sent : int;
   mutable n_delivered : int;
   mutable n_dropped : int;
   mutable n_held_ever : int;
 }
 
-let create engine ~latency ?trace () =
+let create engine ~latency =
   {
     engine;
     latency;
     rng = Rng.split (Engine.rng engine);
-    trace;
     handlers = Hashtbl.create 64;
     crashed = Hashtbl.create 8;
     filter = None;
     forbidden = [];
     held = Queue.create ();
-    next_id = 0;
     n_sent = 0;
     n_delivered = 0;
     n_dropped = 0;
     n_held_ever = 0;
   }
-
-let log t ~tag detail =
-  match t.trace with
-  | None -> ()
-  | Some tr -> Trace.add tr ~time:(Engine.now t.engine) ~tag detail
 
 let register t ~node handler = Hashtbl.replace t.handlers node handler
 
@@ -56,21 +46,13 @@ let is_crashed t node = Hashtbl.mem t.crashed node
 
 let crashed_count t = Hashtbl.length t.crashed
 
-let crash t node =
-  if not (is_crashed t node) then begin
-    Hashtbl.replace t.crashed node ();
-    log t ~tag:"crash" (Printf.sprintf "node %d crashed" node)
-  end
+let crash t node = Hashtbl.replace t.crashed node ()
 
-let drop t env reason =
-  t.n_dropped <- t.n_dropped + 1;
-  log t ~tag:"drop"
-    (Printf.sprintf "#%d %d->%d (%s)" env.id env.src env.dst reason)
+let drop t = t.n_dropped <- t.n_dropped + 1
 
 let deliver_later t env ~delay =
   Engine.schedule t.engine ~delay (fun () ->
-      if is_crashed t env.dst || is_crashed t env.src then
-        drop t env "endpoint crashed before delivery"
+      if is_crashed t env.dst || is_crashed t env.src then drop t
       else begin
         match Hashtbl.find_opt t.handlers env.dst with
         | None ->
@@ -79,8 +61,6 @@ let deliver_later t env ~delay =
                env.dst)
         | Some h ->
           t.n_delivered <- t.n_delivered + 1;
-          log t ~tag:"deliver"
-            (Printf.sprintf "#%d %d->%d" env.id env.src env.dst);
           h env
       end)
 
@@ -92,11 +72,9 @@ let send t ~src ~dst payload =
           (Printf.sprintf "Network: send %d->%d is forbidden by the model"
              src dst))
     t.forbidden;
-  let env = { id = t.next_id; src; dst; sent_at = Engine.now t.engine; payload } in
-  t.next_id <- t.next_id + 1;
+  let env = { src; dst; sent_at = Engine.now t.engine; payload } in
   t.n_sent <- t.n_sent + 1;
-  log t ~tag:"send" (Printf.sprintf "#%d %d->%d" env.id src dst);
-  if is_crashed t src || is_crashed t dst then drop t env "endpoint crashed"
+  if is_crashed t src || is_crashed t dst then drop t
   else begin
     let action =
       match t.filter with None -> Deliver | Some f -> f env
@@ -108,24 +86,17 @@ let send t ~src ~dst payload =
     | Delay d -> deliver_later t env ~delay:d
     | Hold ->
       t.n_held_ever <- t.n_held_ever + 1;
-      Queue.add env t.held;
-      log t ~tag:"hold" (Printf.sprintf "#%d %d->%d" env.id src dst)
-    | Drop -> drop t env "filtered"
+      Queue.add env t.held
+    | Drop -> drop t
   end
 
 let set_filter t f = t.filter <- f
 
 let forbid t p = t.forbidden <- p :: t.forbidden
 
-let release_held ?(keep = fun _ -> false) t =
-  let kept, released = List.partition keep (List.of_seq (Queue.to_seq t.held)) in
-  Queue.clear t.held;
-  List.iter (fun env -> Queue.add env t.held) kept;
-  List.iter
-    (fun env ->
-      log t ~tag:"release" (Printf.sprintf "#%d %d->%d" env.id env.src env.dst);
-      deliver_later t env ~delay:0.0)
-    released
+let release_held t =
+  Queue.iter (fun env -> deliver_later t env ~delay:0.0) t.held;
+  Queue.clear t.held
 
 let held_count t = Queue.length t.held
 

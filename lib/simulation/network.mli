@@ -12,7 +12,6 @@
     instantiates it with its own message type. *)
 
 type 'msg envelope = {
-  id : int;          (** Unique, monotonically increasing per network. *)
   src : int;
   dst : int;
   sent_at : float;
@@ -28,8 +27,7 @@ type action =
 
 type 'msg t
 
-val create :
-  Engine.t -> latency:Latency.t -> ?trace:Trace.t -> unit -> 'msg t
+val create : Engine.t -> latency:Latency.t -> 'msg t
 (** A network whose default behaviour is to deliver every message after a
     delay drawn from [latency] using a stream split from the engine RNG. *)
 
@@ -54,9 +52,8 @@ val crash : 'msg t -> int -> unit
 val is_crashed : 'msg t -> int -> bool
 val crashed_count : 'msg t -> int
 
-val release_held : ?keep:('msg envelope -> bool) -> 'msg t -> unit
-(** Deliver (immediately, in original send order) every held message not
-    matched by [keep]; messages matched by [keep] stay held. *)
+val release_held : 'msg t -> unit
+(** Deliver (immediately, in original send order) every held message. *)
 
 val held_count : 'msg t -> int
 

@@ -68,8 +68,8 @@ let rule ?dir ?(servers = []) ?(clients = []) ?(from_ = 0.0) ?(until = infinity)
       until_s = until;
     }
 
-let cut ?dir ?servers ?clients ?from_ ?until () =
-  rule ?dir ?servers ?clients ?from_ ?until ~prob:1.0 Drop
+let cut ?dir ?servers ?clients () =
+  rule ?dir ?servers ?clients ~prob:1.0 Drop
 
 let partition ?(from_ = 0.0) ?(until = infinity) groups =
   let nodes = List.concat groups in

@@ -81,8 +81,6 @@ val cut :
   ?dir:dir ->
   ?servers:int list ->
   ?clients:int list ->
-  ?from_:float ->
-  ?until:float ->
   unit ->
   rule
 (** An absolute link cut: [rule ~prob:1.0 Drop].  With [dir] this is a

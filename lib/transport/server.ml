@@ -269,10 +269,18 @@ let launch t =
 
 let start ?(host = "127.0.0.1") ?(port = 0) ?(id = 0)
     ?(keyspace = Keyspace.create ()) () =
+  if port < 0 || port > 65535 then
+    invalid_arg (Printf.sprintf "Server.start: port %d is outside 0..65535" port);
+  let inet =
+    try Unix.inet_addr_of_string host
+    with Failure _ ->
+      invalid_arg
+        (Printf.sprintf "Server.start: host %S is not a numeric address" host)
+  in
   Netio.ignore_sigpipe ();
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt fd Unix.SO_REUSEADDR true;
-  let addr = Unix.ADDR_INET (Unix.inet_addr_of_string host, port) in
+  let addr = Unix.ADDR_INET (inet, port) in
   (try Unix.bind fd addr
    with e ->
      (try Unix.close fd with Unix.Unix_error _ -> ());

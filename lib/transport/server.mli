@@ -42,7 +42,9 @@ val start :
   unit ->
   t
 (** Bind [host:port] (default [127.0.0.1:0] — port 0 picks an ephemeral
-    port, see {!port}) and serve until {!stop}, from a reactor thread
+    port, see {!port}; a port outside [0..65535] or a [host] that is
+    not a numeric IPv4 address is [Invalid_argument], raised before any
+    socket opens) and serve until {!stop}, from a reactor thread
     on the server domain (spawned by the first call).  [id] is the server's
     index, echoed in every reply so clients can attribute messages.
     A server realises no fault plan: both legs of a link are shaped by

@@ -41,11 +41,11 @@ let crash_random ~seed ~t ~at ~s =
   Rng.shuffle rng all;
   crash_at (List.init t (fun i -> (at, all.(i))))
 
-let hold_route ?(from_time = 0.0) ~src ~dst () =
+let hold_route ~src ~dst =
   of_rules
     [
-      (fun ~src:s ~dst:d ~now ->
-        if s = src && d = dst && now >= from_time then Some Network.Hold else None);
+      (fun ~src:s ~dst:d ~now:_ ->
+        if s = src && d = dst then Some Network.Hold else None);
     ]
 
 let delay_route ~delay ~src ~dst =

@@ -28,10 +28,10 @@ val crash_at : (float * int) list -> t
 val crash_random : seed:int -> t:int -> at:float -> s:int -> t
 (** Crash a pseudo-randomly chosen set of [t] distinct servers at [at]. *)
 
-val hold_route : ?from_time:float -> src:int -> dst:int -> unit -> t
-(** Hold every message on one directed link from [from_time] on (the
-    paper's "skip": delivery happens when the runtime releases held
-    messages after the execution proper). *)
+val hold_route : src:int -> dst:int -> t
+(** Hold every message on one directed link (the paper's "skip":
+    delivery happens when the runtime releases held messages after the
+    execution proper). *)
 
 val delay_route : delay:float -> src:int -> dst:int -> t
 

@@ -350,7 +350,7 @@ let test_atomic_discipline_negative () =
 (* Cross-file resolution (decl scoring, callee lookup) must not depend
    on scan order: the same fixture set in any order yields byte-equal
    reports.  This is the property the CLI's sorted [find_files] and
-   the baseline keys lean on. *)
+   the report order lean on. *)
 let order_fixtures =
   [
     ("test/fix_bare.ml", shared_bare_src);
@@ -510,69 +510,6 @@ let test_unused_export_keep () =
     [ "Geom.Gone.f" ] stale
 
 (* ------------------------------------------------------------------ *)
-(* Baseline mechanics                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let finding ?(col = 1) rule file line =
-  { Finding.rule; severity = Finding.Error; file; line; col; message = "m" }
-
-let entry ~col rule file line =
-  { Baseline.rule; file; line; col; justification = "j" }
-
-let test_baseline_apply () =
-  let entries =
-    [ entry ~col:5 "RAW-IO" "lib/a.ml" 3; entry ~col:9 "RAW-IO" "lib/b.ml" 9 ]
-  in
-  let fs =
-    [
-      finding ~col:5 "RAW-IO" "lib/a.ml" 3; finding ~col:5 "RAW-IO" "lib/a.ml" 4;
-    ]
-  in
-  let fresh, stale = Baseline.apply ~entries fs in
-  check Alcotest.int "one unsuppressed finding" 1 (List.length fresh);
-  check Alcotest.int "one stale entry" 1 (List.length stale);
-  match stale with
-  | [ e ] ->
-    check Alcotest.string "stale is the b.ml entry" "lib/b.ml" e.Baseline.file
-  | _ -> Alcotest.fail "expected exactly one stale entry"
-
-let test_baseline_col_is_identity () =
-  (* Same rule/file/line at another column is a DIFFERENT finding: a
-     column-bearing entry must not swallow it. *)
-  let fresh, stale =
-    Baseline.apply
-      ~entries:[ entry ~col:5 "SHARED-ACCESS" "lib/a.ml" 3 ]
-      [ finding ~col:11 "SHARED-ACCESS" "lib/a.ml" 3 ]
-  in
-  check Alcotest.int "column mismatch is not suppressed" 1 (List.length fresh);
-  check Alcotest.int "entry is stale" 1 (List.length stale)
-
-let load_string text =
-  let tmp = Filename.temp_file "mwlint" ".baseline" in
-  let oc = open_out tmp in
-  output_string oc text;
-  close_out oc;
-  let r = Baseline.load tmp in
-  Sys.remove tmp;
-  r
-
-let test_baseline_load_line_col () =
-  match load_string "# comment\nRAW-IO lib/a.ml:3:7 reviewed\n" with
-  | Ok [ a ] ->
-    check Alcotest.int "line" 3 a.Baseline.line;
-    check Alcotest.int "column" 7 a.Baseline.col
-  | Ok l -> Alcotest.failf "expected one entry, got %d" (List.length l)
-  | Error e -> Alcotest.fail ("load failed: " ^ e)
-
-let test_baseline_load_rejects_columnless () =
-  check Alcotest.bool "column-less line rejected" true
-    (Result.is_error (load_string "RAW-IO lib/b.ml:9 legacy\n"))
-
-let test_baseline_load_rejects_bare () =
-  check Alcotest.bool "justification-less line rejected" true
-    (Result.is_error (load_string "RAW-IO lib/a.ml:3:7\n"))
-
-(* ------------------------------------------------------------------ *)
 (* JSON output                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -650,17 +587,5 @@ let () =
           Alcotest.test_case "exported types" `Quick test_unused_export_types;
         ] );
       ("determinism", [ QCheck_alcotest.to_alcotest order_stability_property ]);
-      ( "baseline",
-        [
-          Alcotest.test_case "apply partitions" `Quick test_baseline_apply;
-          Alcotest.test_case "column is identity" `Quick
-            test_baseline_col_is_identity;
-          Alcotest.test_case "load reads line and column" `Quick
-            test_baseline_load_line_col;
-          Alcotest.test_case "load rejects column-less lines" `Quick
-            test_baseline_load_rejects_columnless;
-          Alcotest.test_case "load rejects bare suppressions" `Quick
-            test_baseline_load_rejects_bare;
-        ] );
       ("json", [ Alcotest.test_case "finding to_json" `Quick test_finding_json ]);
     ]

@@ -51,19 +51,6 @@ let test_map_reduce_ordered () =
         expected got)
     [ 1; 4 ]
 
-let test_iter_seeds_covers_range () =
-  let lo = 3 and hi = 77 in
-  let seen = Array.make (hi + 1) 0 in
-  let pool = Pool.create ~domains:4 () in
-  (* Each seed touches only its own slot, so tasks are state-disjoint. *)
-  Pool.iter_seeds pool ~chunk:5 ~lo ~hi (fun seed -> seen.(seed) <- seen.(seed) + 1);
-  for seed = lo to hi do
-    check int (Printf.sprintf "seed %d once" seed) 1 seen.(seed)
-  done;
-  for seed = 0 to lo - 1 do
-    check int (Printf.sprintf "seed %d untouched" seed) 0 seen.(seed)
-  done
-
 let test_exception_reraised () =
   let pool = Pool.create ~domains:4 () in
   Alcotest.check_raises "task failure reaches the caller"
@@ -334,7 +321,6 @@ let () =
         [
           Alcotest.test_case "map matches List.map" `Quick test_map_matches_list_map;
           Alcotest.test_case "map_reduce is ordered" `Quick test_map_reduce_ordered;
-          Alcotest.test_case "iter_seeds covers range" `Quick test_iter_seeds_covers_range;
           Alcotest.test_case "exceptions re-raised" `Quick test_exception_reraised;
         ] );
       ( "determinism",

@@ -51,7 +51,7 @@ let test_topology_validation () =
    + the request. *)
 let make_rig ?(latency = Latency.constant 1.0) ~servers ~quorum () =
   let e = Engine.create () in
-  let net = Network.create e ~latency () in
+  let net = Network.create e ~latency in
   for srv = 0 to servers - 1 do
     Server.attach ~net ~node:srv ~handler:(fun ~client:_ req -> (srv * 100) + req)
   done;
@@ -122,7 +122,7 @@ let test_round_trip_tolerates_crash_within_budget () =
 
 let test_quorum_validation () =
   let e = Engine.create () in
-  let net = Network.create e ~latency:(Latency.constant 1.0) () in
+  let net = Network.create e ~latency:(Latency.constant 1.0) in
   check bool "quorum 0 rejected" true
     (try
        ignore (Round_trip.create ~net ~node:9 ~servers:[| 0; 1 |] ~quorum:0);

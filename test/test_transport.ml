@@ -553,6 +553,19 @@ let test_server_roundtrip () =
   Mux.shutdown mux;
   Server.stop server
 
+let test_server_refuses_bad_address () =
+  let refused ?host port =
+    match Server.start ?host ~port () with
+    | server ->
+      Server.stop server;
+      false
+    | exception Invalid_argument _ -> true
+  in
+  check bool "port 70000 refused" true (refused 70000);
+  check bool "port -5 refused" true (refused (-5));
+  check bool "port 65536 refused" true (refused 65536);
+  check bool "hostname refused" true (refused ~host:"localhost" 0)
+
 let test_server_survives_garbage () =
   (* A peer speaking garbage gets disconnected; the server keeps serving
      well-formed clients. *)
@@ -2384,6 +2397,8 @@ let () =
       ( "server",
         [
           Alcotest.test_case "round trips" `Quick test_server_roundtrip;
+          Alcotest.test_case "refuses a port outside 0..65535" `Quick
+            test_server_refuses_bad_address;
           Alcotest.test_case "survives garbage peers" `Quick
             test_server_survives_garbage;
           Alcotest.test_case "reaps finished handlers" `Quick

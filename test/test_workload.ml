@@ -188,7 +188,7 @@ let test_adversary_compose () =
 
 let test_adversary_hold_route () =
   (* Holding one client->server link is within the t=1 budget. *)
-  let out = run_with (Adversary.hold_route ~src:5 ~dst:0 ()) standard_plans in
+  let out = run_with (Adversary.hold_route ~src:5 ~dst:0) standard_plans in
   check bool "completes" true (all_complete out);
   check bool "atomic" true (Checker.Atomicity.is_atomic out.Runtime.history)
 
