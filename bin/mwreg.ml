@@ -5,7 +5,15 @@
      mwreg threshold -s 6 -t 1 --r-max 6
      mwreg impossibility --strategy majority-last -s 4
      mwreg sieve -s 8 --flip 1 --flip 5
-     mwreg table1 *)
+     mwreg table1
+     mwreg live -p w2r2 --drop 0.08 --delay 0.03 --duplicate 0.1 \
+       --kill 4@0.05..0.45
+
+   Exit codes: 2 on an atomicity violation (for [live], only in a
+   regime Table 1 calls possible: an impossible regime's violation is
+   printed and the run exits 0), 1 on a set-up the command or library
+   refuses and on a live run in which every client starved, 124 on a
+   usage error. *)
 
 open Cmdliner
 open Mwregister
@@ -345,9 +353,7 @@ let hunt register s t w r budget domains =
     (Registry.name register) s t w r;
   let pool = pool_of_domains domains in
   let found, runs =
-    if Pool.domains pool > 1 then
-      Hunter.hunt ~seeds_per_shape:budget ~pool ~register ~s ~t ~w ~r ()
-    else Hunter.hunt ~seeds_per_shape:budget ~register ~s ~t ~w ~r ()
+    Hunter.hunt ~seeds_per_shape:budget ~pool ~register ~s ~t ~w ~r ()
   in
   match found with
   | Some f ->
@@ -441,22 +447,64 @@ let hostport_conv =
   in
   Arg.conv' ~docv:"HOST:PORT" (parse, print)
 
-(* IDX@SEC: kill the first group's server IDX after SEC seconds. *)
+(* IDX@SEC kills the first group's server IDX after SEC seconds;
+   IDX@SEC..SEC also restarts it, with its recovered state, at the
+   second time, which must come after the first. *)
 let kill_conv =
   let parse spec =
-    match String.index_opt spec '@' with
-    | None -> Error (Printf.sprintf "bad kill spec %S (want IDX@SEC)" spec)
-    | Some i -> (
+    let parsed =
       match
-        ( int_of_string_opt (String.sub spec 0 i),
-          float_of_string_opt
-            (String.sub spec (i + 1) (String.length spec - i - 1)) )
+        Scanf.sscanf_opt spec "%d@%f..%f%!" (fun i a b -> (i, a, Some b))
       with
-      | Some idx, Some at -> Ok (at, 0, idx, Kv.Session.Kill)
-      | _ -> Error (Printf.sprintf "bad kill spec %S (want IDX@SEC)" spec))
+      | Some _ as kill -> kill
+      | None -> Scanf.sscanf_opt spec "%d@%f%!" (fun i a -> (i, a, None))
+    in
+    let bad why = Error (Printf.sprintf "bad kill spec %S (%s)" spec why) in
+    match parsed with
+    | Some (_, at, Some back) when back <= at ->
+      bad "the restart must come after the kill"
+    | Some kill -> Ok kill
+    | None -> bad "want IDX@SEC or IDX@SEC..SEC"
   in
-  let print ppf (at, _, idx, _) = Format.fprintf ppf "%d@@%g" idx at in
-  Arg.conv' ~docv:"IDX@SEC" (parse, print)
+  let print ppf (idx, at, back) =
+    Format.fprintf ppf "%d@@%g" idx at;
+    Option.iter (Format.fprintf ppf "..%g") back
+  in
+  Arg.conv' ~docv:"IDX@SEC[..SEC]" (parse, print)
+
+let crash_schedule kills =
+  List.concat_map
+    (fun (idx, at, back) ->
+      (at, 0, idx, Kv.Session.Kill)
+      :: Option.fold back ~none:[] ~some:(fun b ->
+             [ (b, 0, idx, Kv.Session.Restart `Recover) ]))
+    kills
+
+(* The storm of --drop/--delay/--duplicate, on every link in both
+   directions: each frame dropped with probability [drop], delayed with
+   probability 0.25 by up to [delay] seconds (a quarter of it always,
+   the rest drawn per copy), duplicated with probability [duplicate].
+   0 turns a rule off; a value out of range is [Faults.rule]'s to
+   refuse.  The list order is the plan's rule order, so a seed makes
+   the same decisions run after run. *)
+let storm_rules ~drop ~delay ~duplicate =
+  let open Live.Faults in
+  List.concat
+    [
+      (if drop <> 0.0 then [ rule ~prob:drop Drop ] else []);
+      (if delay <> 0.0 then
+         [
+           rule ~prob:0.25
+             (Latency { base = delay /. 4.0; jitter = 0.75 *. delay });
+         ]
+       else []);
+      (if duplicate <> 0.0 then [ rule ~prob:duplicate Duplicate ] else []);
+    ]
+
+(* A storm's round-trip budget: a lossy link costs retries, so the
+   retry count is the generous knob.  The quorum contract starves only
+   if a whole rt_timeout × retries window stays unlucky. *)
+let storm_budget = { Live.Geo.rt_timeout = 0.3; max_rt_retries = 10 }
 
 (* --geo PROFILE, or --geo list for the profiles' matrices. *)
 let geo_conv =
@@ -483,8 +531,8 @@ let pp_ms ppf (st : Stats.summary) =
     (1e3 *. st.Stats.mean) (1e3 *. st.Stats.p50) (1e3 *. st.Stats.p95)
     (1e3 *. st.Stats.p99) (1e3 *. st.Stats.max)
 
-(* --check live|off, shared by live / chaos: whether the run streams
-   through the online checker. *)
+(* --check live|off: whether the run streams through the online
+   checker. *)
 let check_mode_arg =
   Arg.(value
        & opt (enum [ ("live", true); ("off", false) ]) true
@@ -502,12 +550,11 @@ let announce_violation key w =
 (* A run in which every client starved before completing an operation
    (no quorum ever answered: a dead cluster, a cut network) checked
    nothing, so its "atomicity : OK" must not pass: exit 1. *)
-let exit_if_starved cmd (res : Kv.Session.result) =
+let exit_if_starved (res : Kv.Session.result) =
   if res.Kv.Session.ops = 0 && res.Kv.Session.starved > 0 then begin
-    Printf.eprintf
-      "mwreg %s: every client starved: no operation completed (no quorum \
-       of servers answered)\n"
-      cmd;
+    prerr_string
+      "mwreg live: every client starved: no operation completed (no quorum \
+       of servers answered)\n";
     exit 1
   end
 
@@ -537,9 +584,9 @@ let verdict online =
       (if ok then "OK" else "VIOLATED");
     ok
 
-(* One finished run against [cluster]; returns whether it stayed
-   atomic. *)
-let report ~register ~cluster (spec : Kv.Session.spec)
+(* One finished run against [cluster]; returns whether it passes:
+   atomic, or in a regime where Table 1 ([possible]) promises nothing. *)
+let report ~register ~cluster ~possible (spec : Kv.Session.spec)
     (res : Kv.Session.result) =
   let groups = Kv.Cluster.group_count cluster in
   let g0 = Kv.Cluster.group cluster 0 in
@@ -602,8 +649,10 @@ let report ~register ~cluster (spec : Kv.Session.spec)
   if res.Kv.Session.dropped > 0 then
     Format.printf "dropped     : %d stray reply(ies)@." res.Kv.Session.dropped;
   let ok = verdict res.Kv.Session.online in
-  Format.printf "@.";
-  ok
+  Format.printf "theory      : %s@.@."
+    (if possible then "possible regime — a violation fails the run"
+     else "impossible regime — no guarantee");
+  ok || not possible
 
 (* A set-up the command or the library refuses (a writer bound, a bad
    size, an outage on a one-region profile) exits 1 with its message. *)
@@ -614,7 +663,7 @@ let refuse msg =
 let refused f = try f () with Invalid_argument msg -> refuse msg
 
 let live register all s tol w r clients ops keys groups dist theta mix seed
-    think rt_timeout addrs crashes geo outage check =
+    think rt_timeout addrs kills drop delay duplicate geo outage check =
   let profile =
     match geo with
     | Some `List ->
@@ -625,24 +674,28 @@ let live register all s tol w r clients ops keys groups dist theta mix seed
     | Some (`Profile p) -> Some p
     | None -> None
   in
-  if addrs <> [] && crashes <> [] then
+  if addrs <> [] && kills <> [] then
     refuse "--kill needs a loopback cluster (drop --connect)";
   if addrs <> [] && all then
     refuse "--all needs a fresh cluster per protocol: drop --connect";
   if addrs <> [] && groups > 1 then
     refuse "--connect attaches one group of servers: drop --groups";
   if outage && profile = None then refuse "--outage needs --geo PROFILE";
+  if List.exists (fun (idx, _, _) -> idx < 0 || idx >= s) kills then
+    refuse (Printf.sprintf "--kill names a server outside 0..%d" (s - 1));
   let s = if addrs = [] then s else List.length addrs in
   let dist =
     match dist with `Zipfian -> Ycsb.Zipfian theta | `Uniform -> Ycsb.Uniform
   in
+  let storm = refused (fun () -> storm_rules ~drop ~delay ~duplicate) in
+  let crashes = crash_schedule kills in
   let run_one register =
-    let roles, nclients =
+    let roles, nclients, w, r =
       match clients with
-      | Some c -> (Kv.Session.Mixed c, c)
+      | Some c -> (Kv.Session.Mixed c, c, c, c)
       | None ->
         let w = if all then Registry.clamp_writers register w else w in
-        (Kv.Session.Split { writers = w; readers = r }, w + r)
+        (Kv.Session.Split { writers = w; readers = r }, w + r, w, r)
     in
     let spec =
       { Kv.Session.roles; ops_per_client = ops; keys; dist; mix; seed; think }
@@ -653,7 +706,8 @@ let live register all s tol w r clients ops keys groups dist theta mix seed
     let nodes = List.init (max 0 nclients) (fun i -> s + i) in
     let faults, budget =
       match profile with
-      | None -> (None, None)
+      | None when storm = [] -> (None, None)
+      | None -> (Some (Live.Faults.create ~seed storm), Some storm_budget)
       | Some p ->
         let o =
           if outage then
@@ -663,17 +717,21 @@ let live register all s tol w r clients ops keys groups dist theta mix seed
         print_string (Live.Geo.describe p);
         let extra, budget =
           match o with
-          | None -> ([], Live.Geo.budget p)
+          | None -> (storm, Live.Geo.budget p)
           | Some o ->
             Format.printf
               "outage      : region %s (nodes %s) cut %.2fs..%.2fs@."
               (Live.Geo.region_name p o.region)
               (String.concat "," (List.map string_of_int o.cut))
               o.from_ o.until;
-            ([ o.rule ], Live.Geo.outage_budget p)
+            (o.rule :: storm, Live.Geo.outage_budget p)
         in
-        (Some (Live.Geo.plan ~extra p ~s ~clients:nodes), Some budget)
+        (Some (Live.Geo.plan ~seed ~extra p ~s ~clients:nodes), Some budget)
     in
+    if storm <> [] then
+      Format.printf
+        "faults      : drop %.2f, delay <= %.3fs, duplicate %.2f (seed %d)@."
+        drop delay duplicate seed;
     let rt_timeout =
       if rt_timeout <> None then rt_timeout
       else Option.map (fun b -> b.Live.Geo.rt_timeout) budget
@@ -699,8 +757,11 @@ let live register all s tol w r clients ops keys groups dist theta mix seed
                 ~register ~live_check:check ~on_violation:announce_violation
                 ~cluster spec)
         in
-        let ok = report ~register ~cluster spec res in
-        exit_if_starved "live" res;
+        let possible =
+          Bounds.possible (Registry.design_point register) ~s ~t:tol ~w ~r
+        in
+        let ok = report ~register ~cluster ~possible spec res in
+        exit_if_starved res;
         ok)
   in
   let ok = List.for_all run_one (if all then Registry.all else [ register ]) in
@@ -771,8 +832,9 @@ let live_cmd =
   in
   let rt_timeout =
     Arg.(value & opt (some float) None & info [ "rt-timeout" ] ~docv:"SEC"
-         ~doc:"Per-round-trip timeout before re-broadcasting (default 1s, \
-               or the $(b,--geo) profile's round-trip budget).")
+         ~doc:"Per-round-trip timeout before re-broadcasting (default 1s; \
+               under $(b,--geo) the profile's round-trip budget, else \
+               under a storm 0.3s with 10 retries).")
   in
   let connect =
     Arg.(value & opt_all hostport_conv []
@@ -782,9 +844,24 @@ let live_cmd =
   in
   let kills =
     Arg.(value & opt_all kill_conv []
-         & info [ "kill" ] ~docv:"IDX@SEC"
-             ~doc:"Kill the first group's server IDX after SEC seconds \
-                   (repeatable; loopback only).")
+         & info [ "kill" ] ~docv:"IDX@SEC[..SEC]"
+             ~doc:"Kill the first group's server IDX after SEC seconds; \
+                   with $(b,..SEC), restart it with its recovered state at \
+                   that later time (repeatable; loopback only).")
+  in
+  let storm name docv doc =
+    Arg.(value & opt float 0.0 & info [ name ] ~docv ~doc)
+  in
+  let drop =
+    storm "drop" "P" "Storm: per-frame drop probability (0: off)."
+  in
+  let delay =
+    storm "delay" "SEC"
+      "Storm: delay a frame with probability 0.25 by up to SEC seconds \
+       (0: off)."
+  in
+  let duplicate =
+    storm "duplicate" "P" "Storm: per-frame duplication probability (0: off)."
   in
   let geo =
     Arg.(value & opt (some geo_conv) None
@@ -811,117 +888,20 @@ let live_cmd =
     (Cmd.info "live"
        ~doc:"Run a workload on a live cluster over real TCP sockets — one \
              register with split writers and readers, or a sharded YCSB \
-             keyspace — and check every operation for atomicity as it \
-             completes.  Exits 2 on a violation, and 1 on a set-up the \
-             library refuses or when every client starved without \
-             completing an operation (no quorum answered).")
+             keyspace — optionally under a seeded storm of dropped, \
+             delayed and duplicated frames ($(b,--seed) seeds it) and \
+             server kills and restarts, and check every operation for \
+             atomicity as it completes.  Each run prints Table 1's verdict \
+             at its S, t, W and R (W = R = C for mixed clients).  Exits 2 \
+             on a violation in a regime Table 1 calls possible; in an \
+             impossible regime a violation is printed and the run exits 0. \
+             Exits 1 on a set-up the library refuses or when every client \
+             starved without completing an operation (no quorum \
+             answered).")
     Term.(const live $ protocol $ all $ s_arg $ t_arg $ w_arg $ r_arg
           $ clients $ ops $ keys $ groups $ dist $ theta $ mix $ seed_arg
-          $ think $ rt_timeout $ connect $ kills $ geo $ outage
-          $ check_mode_arg)
-
-(* ------------------------------------------------------------------ *)
-(* chaos                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let chaos register scenario seed drop delay duplicate ops s tol check =
-  match scenario with
-  | `Soak ->
-    let sk =
-      Kv.Chaos.soak ~seed ~drop ~delay ~duplicate ~s ~tol ~ops
-        ~live_check:check ~on_violation:announce_violation ~register ()
-    in
-    let res = sk.Kv.Chaos.result in
-    Format.printf "protocol    : %s@." (Registry.name register);
-    Format.printf
-      "faults      : drop %.2f, delay <= %.3fs, duplicate %.2f (seed %d)@."
-      drop delay duplicate seed;
-    Format.printf "restart     : %s@."
-      (if sk.Kv.Chaos.restarted then
-         "one server killed mid-run, restarted with recovered state"
-       else "none");
-    Format.printf "ops         : %d in %.3fs; retries %d, late %d@."
-      res.Kv.Session.ops res.Kv.Session.duration res.Kv.Session.retries
-      res.Kv.Session.late;
-    Format.printf "round trips : write %.2f/op, read %.2f/op@."
-      res.Kv.Session.write_rounds res.Kv.Session.read_rounds;
-    if res.Kv.Session.starved > 0 then
-      Format.printf "starved     : %d client(s) gave up without a quorum@."
-        res.Kv.Session.starved;
-    let atomic = verdict res.Kv.Session.online in
-    Format.printf "theory      : %s@."
-      (if sk.Kv.Chaos.expected_atomic then
-         "possible regime — chaos must not break it"
-       else "impossible regime — no guarantee");
-    if sk.Kv.Chaos.expected_atomic && not atomic then exit 2;
-    exit_if_starved "chaos" res
-  | (`Recover | `Fresh) as mode ->
-    let o = Kv.Chaos.restart_scenario ~mode () in
-    Format.printf
-      "scenario    : acknowledged write on quorum {0,1}; server 0 killed, \
-       restarted %s; read from quorum {0,2}@."
-      (match mode with
-      | `Recover -> "with its recovered snapshot"
-      | `Fresh -> "with fresh (empty) state");
-    Format.printf "read        : %s@."
-      (match o.Kv.Chaos.read_value with
-      | Some v -> string_of_int v
-      | None -> "(no response)");
-    (match o.Kv.Chaos.witness with
-    | Some w -> Format.printf "witness     : %s@." w
-    | None -> ());
-    Format.printf "atomicity   : %s@."
-      (if o.Kv.Chaos.atomic then "OK" else "VIOLATED");
-    let as_expected =
-      match mode with
-      | `Recover -> o.Kv.Chaos.atomic
-      | `Fresh -> (not o.Kv.Chaos.atomic) && o.Kv.Chaos.witness <> None
-    in
-    Format.printf "verdict     : %s@."
-      (if as_expected then "as the crash-stop model predicts"
-       else "UNEXPECTED");
-    if not as_expected then exit 2
-
-let chaos_cmd =
-  let scenario =
-    Arg.(value
-         & opt
-             (enum
-                [ ("soak", `Soak); ("recover", `Recover); ("fresh", `Fresh) ])
-             `Soak
-         & info [ "scenario" ] ~docv:"NAME"
-             ~doc:"$(b,soak): seeded drop/delay/duplicate storm plus a \
-                   kill-and-recover restart under a full workload. \
-                   $(b,recover) / $(b,fresh): the deterministic \
-                   restart-fidelity script — recover must stay atomic, \
-                   fresh must yield a checker witness.")
-  in
-  let drop =
-    Arg.(value & opt float 0.08 & info [ "drop" ] ~docv:"P"
-         ~doc:"Per-frame drop probability (0 disables).")
-  in
-  let delay =
-    Arg.(value & opt float 0.03 & info [ "delay" ] ~docv:"SEC"
-         ~doc:"Max per-frame delay; each frame is delayed with probability \
-               0.25 (0 disables).")
-  in
-  let duplicate =
-    Arg.(value & opt float 0.1 & info [ "duplicate" ] ~docv:"P"
-         ~doc:"Per-frame duplication probability (0 disables).")
-  in
-  let ops =
-    Arg.(value & opt int 8 & info [ "ops" ] ~docv:"N"
-         ~doc:"Writes per writer in the soak (each reader does 2N reads).")
-  in
-  Cmd.v
-    (Cmd.info "chaos"
-       ~doc:"Inject a deterministic seeded fault plan (drops, delays, \
-             duplicates, server restarts) into a live cluster and check \
-             it for atomicity.  Exits 2 when a possible-regime run \
-             breaks atomicity and 1 when every client starved without \
-             completing an operation.")
-    Term.(const chaos $ protocol_arg $ scenario $ seed_arg $ drop
-          $ delay $ duplicate $ ops $ s_arg $ t_arg $ check_mode_arg)
+          $ think $ rt_timeout $ connect $ kills $ drop $ delay $ duplicate
+          $ geo $ outage $ check_mode_arg)
 
 (* ------------------------------------------------------------------ *)
 
@@ -935,4 +915,4 @@ let () =
        (Cmd.group info
           [ sim_cmd; threshold_cmd; impossibility_cmd; sieve_cmd; table1_cmd;
             record_cmd; check_cmd; exhaustive_cmd; hunt_cmd; serve_cmd;
-            live_cmd; chaos_cmd ]))
+            live_cmd ]))

@@ -86,7 +86,6 @@ module Kv = struct
   module Cluster = Kv.Kv_cluster
   module Router = Kv.Router
   module Session = Kv.Kv_session
-  module Chaos = Kv.Chaos
 end
 
 module Adversary = Workload.Adversary

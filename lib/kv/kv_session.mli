@@ -1,6 +1,8 @@
 (** The live workload driver: every live run — a YCSB keyspace soak or a
-    single register with fixed writers and readers — goes through
-    {!run}.
+    single register with fixed writers and readers, healthy or under a
+    seeded storm of dropped, delayed and duplicated frames with server
+    kills and restarts ([mwreg live --drop … --kill 4@0.05..0.45]) —
+    goes through {!run}.
 
     One OS thread per client; each draws keys (and, for mixed clients,
     operation kinds) from its own seeded generator and runs the chosen
@@ -91,8 +93,9 @@ val run :
     {!Transport.Cluster.restart}; one thread replays the schedule in
     time order (list order between equal times).  [faults] installs a
     client-side fault plan (e.g. a {!Transport.Geo} profile's latency
-    rules) on every per-group plane and is {!Transport.Faults.arm}ed at
-    run start, so its rule windows count from there.  [live_check] streams {e every}
+    rules, a storm's drop/delay/duplicate rules, or both) on every
+    per-group plane and is {!Transport.Faults.arm}ed at run start, so
+    its rule windows count from there.  [live_check] streams {e every}
     key's completed and aborted operations through a
     {!Transport.Check_sink} into the {!Checker.Online} checker while the
     run is in flight, in O(window) memory; violations surface through

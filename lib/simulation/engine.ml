@@ -6,7 +6,6 @@ type t = {
   queue : event Heap.t;
   master_rng : Rng.t;
   mutable executed : int;
-  mutable stop_requested : bool;
 }
 
 let compare_event a b =
@@ -20,7 +19,6 @@ let create ?(seed = 42) () =
     queue = Heap.create ~cmp:compare_event;
     master_rng = Rng.create ~seed;
     executed = 0;
-    stop_requested = false;
   }
 
 let now t = t.clock
@@ -49,13 +47,8 @@ let step t =
     ev.action ();
     true
 
-let stop t = t.stop_requested <- true
-
 let run ?until t =
-  t.stop_requested <- false;
   let continue () =
-    (not t.stop_requested)
-    &&
     match Heap.peek t.queue with
     | None -> false
     | Some ev -> ( match until with None -> true | Some u -> ev.time <= u)
@@ -64,8 +57,4 @@ let run ?until t =
     ignore (step t : bool)
   done
 
-let pending t = Heap.size t.queue
-
 let processed t = t.executed
-
-let is_quiescent t = Heap.is_empty t.queue

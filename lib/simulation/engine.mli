@@ -36,13 +36,5 @@ val run : ?until:float -> t -> unit
 (** Run until quiescence, or until the clock would pass [until], whichever
     comes first. *)
 
-val stop : t -> unit
-(** Request that [run] return after the current event. *)
-
-val pending : t -> int
-(** Number of scheduled-but-not-executed events. *)
-
 val processed : t -> int
 (** Total number of events executed so far. *)
-
-val is_quiescent : t -> bool

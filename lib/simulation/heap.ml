@@ -68,7 +68,3 @@ let pop t =
   end
 
 let peek t = if t.size = 0 then None else Some t.data.(0)
-
-let clear t =
-  t.data <- [||];
-  t.size <- 0

@@ -20,5 +20,3 @@ val pop : 'a t -> 'a option
     keeps no reference to a popped element. *)
 
 val peek : 'a t -> 'a option
-
-val clear : 'a t -> unit

@@ -8,12 +8,6 @@ let uniform ~lo ~hi rng ~src:_ ~dst:_ = Rng.float_in_range rng ~lo ~hi
 
 let exponential ~mean rng ~src:_ ~dst:_ = Rng.exponential rng ~mean
 
-let lognormal_like ~median ~spread =
-  assert (spread >= 1.0);
-  fun rng ~src:_ ~dst:_ ->
-    let g = Rng.float_in_range rng ~lo:(-1.0) ~hi:1.0 in
-    median *. (spread ** g)
-
 let geo ~region_of ~local ~cross ~jitter rng ~src ~dst =
   let base = if region_of src = region_of dst then local else cross in
   base +. Rng.float rng ~bound:jitter

@@ -20,10 +20,6 @@ val uniform : lo:float -> hi:float -> t
 val exponential : mean:float -> t
 (** Exponential delays (heavy-ish tail) with the given mean. *)
 
-val lognormal_like : median:float -> spread:float -> t
-(** A skewed distribution approximating WAN behaviour: [median * spread^g]
-    where [g] is a centered uniform sample.  [spread >= 1.0]. *)
-
 val geo : region_of:(int -> int) -> local:float -> cross:float -> jitter:float -> t
 (** Geo-replication model: messages within a region take about [local],
     messages across regions about [cross], each perturbed by a uniform

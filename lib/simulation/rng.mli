@@ -14,9 +14,6 @@ val create : seed:int -> t
 (** [create ~seed] builds a generator from a 63-bit seed.  Two generators
     built from the same seed produce identical streams. *)
 
-val copy : t -> t
-(** [copy t] is an independent generator with the same current state. *)
-
 val split : t -> t
 (** [split t] advances [t] and returns a new generator whose stream is
     decorrelated from [t]'s subsequent output. *)

@@ -55,11 +55,3 @@ let plans spec =
         })
   in
   writer_plans @ reader_plans
-
-let closed_loop spec ~duration =
-  (* Approximate per-op cost: think time plus a couple of round-trips;
-     the engine stops at quiescence anyway, this only sizes the plans. *)
-  let per_op = spec.mean_think +. 1.0 in
-  let count = max 1 (int_of_float (duration /. per_op)) in
-  plans
-    { spec with writes_per_writer = count; reads_per_reader = count }

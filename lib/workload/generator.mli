@@ -22,9 +22,3 @@ val default : spec
 
 val plans : spec -> Runtime.plan list
 (** One plan per client, think times exponential with the given mean. *)
-
-val closed_loop :
-  spec -> duration:float -> Runtime.plan list
-(** Clients issue operations back-to-back (think times still drawn, so
-    schedules vary) until their expected makespan reaches [duration]:
-    the op counts in [spec] are ignored and derived from [duration]. *)

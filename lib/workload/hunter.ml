@@ -92,31 +92,11 @@ let run_shape ~register ~s ~t ~w ~r ~seed shape =
 
 let hunt ?(shapes = all_shapes) ?(seeds_per_shape = 50) ?pool ~register ~s ~t
     ~w ~r () =
+  let seeds shape =
+    if shape = Starvation || shape = Inversion then 1 else seeds_per_shape
+  in
   match pool with
-  | None ->
-    (* Sequential hunt stops at the first witness. *)
-    let runs = ref 0 in
-    let result = ref None in
-    (try
-       List.iter
-         (fun shape ->
-           let seeds =
-             if shape = Starvation || shape = Inversion then 1
-             else seeds_per_shape
-           in
-           for seed = 1 to seeds do
-             incr runs;
-             match run_shape ~register ~s ~t ~w ~r ~seed shape with
-             | Some witness, mwa_failure ->
-               result :=
-                 Some { shape; seed; runs_tried = !runs; witness; mwa_failure };
-               raise Exit
-             | None, _ -> ()
-           done)
-         shapes
-     with Exit -> ());
-    (!result, !runs)
-  | Some pool ->
+  | Some pool when Parallel.Pool.domains pool > 1 ->
     (* Parallel hunt: every (shape, seed) run is independent, so fan the
        whole budget out and report the find with the smallest index in
        the sequential visit order — same witness, same [runs_tried], as
@@ -124,11 +104,7 @@ let hunt ?(shapes = all_shapes) ?(seeds_per_shape = 50) ?pool ~register ~s ~t
     let tasks =
       List.concat_map
         (fun shape ->
-          let seeds =
-            if shape = Starvation || shape = Inversion then 1
-            else seeds_per_shape
-          in
-          List.init seeds (fun i -> (shape, i + 1)))
+          List.init (seeds shape) (fun i -> (shape, i + 1)))
         shapes
     in
     let outcomes =
@@ -144,6 +120,25 @@ let hunt ?(shapes = all_shapes) ?(seeds_per_shape = 50) ?pool ~register ~s ~t
       | _ :: tasks, (None, _) :: outcomes -> first (idx + 1) tasks outcomes
     in
     first 0 tasks outcomes
+  | Some _ | None ->
+    (* Sequential hunt stops at the first witness. *)
+    let runs = ref 0 in
+    let result = ref None in
+    (try
+       List.iter
+         (fun shape ->
+           for seed = 1 to seeds shape do
+             incr runs;
+             match run_shape ~register ~s ~t ~w ~r ~seed shape with
+             | Some witness, mwa_failure ->
+               result :=
+                 Some { shape; seed; runs_tried = !runs; witness; mwa_failure };
+               raise Exit
+             | None, _ -> ()
+           done)
+         shapes
+     with Exit -> ());
+    (!result, !runs)
 
 let pp_found ppf f =
   Format.fprintf ppf

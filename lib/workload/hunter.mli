@@ -71,7 +71,9 @@ val hunt :
   unit ->
   (found option * int)
 (** Search; returns the first find and the total runs executed.  With
-    [pool] the shape × seed sweep fans out over domains; the reported
+    a [pool] of more than one domain the shape × seed sweep fans out
+    over its domains; without one, or with a one-domain pool, the hunt
+    runs sequentially and stops at the first find.  The reported
     find (shape, seed, [runs_tried]) is the one the sequential hunt
     would report.  A parallel hunt that finds a witness executes the
     whole budget instead of stopping early, so the run count returned on

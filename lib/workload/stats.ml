@@ -103,8 +103,6 @@ module Hist = struct
     if x < t.mn then t.mn <- x;
     if x > t.mx then t.mx <- x
 
-  let count t = t.n
-
   let merge ~into src =
     Array.iteri (fun i c -> into.bins.(i) <- into.bins.(i) + c) src.bins;
     into.n <- into.n + src.n;

@@ -42,7 +42,6 @@ module Hist : sig
 
   val create : unit -> t
   val add : t -> float -> unit
-  val count : t -> int
 
   val merge : into:t -> t -> unit
   (** Fold [src] into [into] — how per-thread histograms aggregate

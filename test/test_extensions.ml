@@ -335,14 +335,6 @@ let test_generator_runs_atomic () =
       (History.well_formed out.Runtime.history = Ok ())
   done
 
-let test_generator_closed_loop () =
-  let spec = Workload.Generator.default in
-  let plans = Workload.Generator.closed_loop spec ~duration:200.0 in
-  let total_steps =
-    List.fold_left (fun acc p -> acc + List.length p.Runtime.steps) 0 plans
-  in
-  check bool "scales with duration" true (total_steps > 20)
-
 (* ------------------------------------------------------------------ *)
 (* Partition adversary                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -627,7 +619,6 @@ let () =
         [
           tc "shapes" test_generator_shapes;
           tc "runs atomic" test_generator_runs_atomic;
-          tc "closed loop" test_generator_closed_loop;
         ] );
       ("partition", [ tc "heals" test_partition_heals ]);
       ( "exhaustive",
