@@ -645,9 +645,9 @@ let exhaustive () =
 (* B*: micro-benchmarks                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Machine-readable results: micro adds its rows to the tables declared
-   in results.ml, and the document is written once, after all requested
-   experiments ran. *)
+(* Machine-readable results: micro writes the whole of
+   BENCH_results.json, declared in results.ml; no other experiment
+   touches it. *)
 let bench_results_path = "BENCH_results.json"
 
 let micro () =
@@ -872,9 +872,13 @@ let micro () =
   if (seq_runs, seq_broken) <> (par_runs, par_broken) then
     row "WARNING: parallel verdicts diverge from sequential (%d,%d vs %d,%d)\n"
       seq_runs seq_broken par_runs par_broken;
-  Results.add Results.micro_ns_per_run (List.rev !estimates);
-  Results.add Results.wall_clock
-    { runs = seq_runs; broken = seq_broken; seq_s; par_s; domains; speedup }
+  Results.write bench_results_path
+    {
+      recommended_domains = Domain.recommended_domain_count ();
+      wall_clock = { runs = seq_runs; broken = seq_broken; seq_s; par_s; domains; speedup };
+      micro_ns_per_run = List.rev !estimates;
+    };
+  Printf.printf "\nwrote %s\n" bench_results_path
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                               *)
@@ -910,15 +914,7 @@ let run domains requested =
   in
   Printf.printf
     "mwregister benchmark harness — reproducing Huang, Huang & Wei (PODC 2020)\n";
-  List.iter (fun f -> f ()) requested;
-  match Results.write bench_results_path with
-  | [] -> ()
-  | sections ->
-    Printf.printf "\nwrote %s (sections: %s)\n" bench_results_path
-      (String.concat ", " sections)
-  | exception Failure msg ->
-    prerr_endline msg;
-    exit 1
+  List.iter (fun f -> f ()) requested
 
 let () =
   let open Cmdliner in

@@ -1,35 +1,8 @@
 (** BENCH_results.json, declared once.
 
-    The document is a header ([generated_by], [recommended_domain_count])
-    followed by result sections in a fixed order.  Each section is one
-    table, which declares every column once: its key, its check (type
-    and bound) and the function computing it from the table's
-    measurement.  The bench harness fills tables with {!add} and writes
-    them with {!write}; the validator runs {!validate} against the same
-    declarations. *)
-
-(** {1 JSON} *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | List of json list
-  | Obj of (string * json) list
-
-exception Parse_error of string
-
-val parse : string -> json
-(** Strict parser for one JSON document; [Parse_error] with the byte
-    offset otherwise.  Objects keep their member order. *)
-
-val print : json -> string
-(** Indented JSON.  Integral numbers print bare, others in the fewest
-    digits that parse back to the same float, so
-    [parse (print j) = j].  [Invalid_argument] on a non-finite number. *)
-
-(** {1 Measurements} *)
+    The file is one value of {!t} in one fixed layout: the bench prints
+    it with {!write}, and the validator accepts a file only when
+    {!of_string} reads it back and {!errors} finds nothing. *)
 
 type sweep = {
   runs : int;
@@ -41,36 +14,30 @@ type sweep = {
 }
 (** The T1 sweep timed sequentially and on the domain pool. *)
 
-(** {1 Tables} *)
+type t = {
+  recommended_domains : int;  (** [Domain.recommended_domain_count ()] *)
+  wall_clock : sweep;
+  micro_ns_per_run : (string * float) list;  (** bechamel estimate per test *)
+}
 
-type 'm table
-(** Where measurements of type ['m] land in the document. *)
+val errors : t -> string list
+(** Every broken bound as ["key: message"]; [[]] when none is.  Counts
+    are [>= 0]; durations, domain counts, the speedup and every estimate
+    are [> 0] and finite (a NaN fails); the estimates are non-empty and
+    each name prints without escapes. *)
 
-val wall_clock : sweep table
-val micro_ns_per_run : (string * float) list table
+val to_string : t -> string
+(** The file's bytes: the header, [wall_clock] and [micro_ns_per_run]
+    keys in that order, one member per line, two spaces of indent per
+    level.  Integral numbers print bare, others in six significant
+    digits, and the speedup is first rounded to two decimals. *)
 
-val add : 'm table -> 'm -> unit
-(** Encode a measurement and keep it for {!write}: a row appended to a
-    table of rows, or the value of a single-value table.  Every
-    non-integral number is rounded to 6 significant digits.
-    [Invalid_argument] naming every failed check if the encoded value
-    breaks a column check; nothing is kept then. *)
+val of_string : string -> (t, string) result
+(** Reads back exactly what {!to_string} prints: [Error] on any other
+    byte sequence, naming where reading stopped or the first line that
+    differs from the value's own print. *)
 
-(** {1 Documents} *)
-
-val sections : json -> string list
-(** The declared sections a document holds, in declaration order. *)
-
-val validate : json -> string list
-(** Every error of a document as ["path: message"]; [[]] when it
-    conforms.  Each present section is checked against its columns; at
-    least one section must be present, and a top-level key that is
-    neither a header key nor a declared section is an error. *)
-
-val write : string -> string list
-(** Merge this run's sections into the document at the path and return
-    the section keys it now holds, in order; [[]] and no write when no
-    table was added to.  Declared sections this run did not regenerate
-    are kept from the existing document, undeclared keys are dropped,
-    and the header is rewritten.  [Failure], leaving the file untouched,
-    when the existing file does not parse as a JSON object. *)
+val write : string -> t -> unit
+(** Overwrite the file at the path with {!to_string}.  [Invalid_argument]
+    naming every error, and the file left untouched, when {!errors} is
+    not empty. *)

@@ -1,144 +1,131 @@
-(* The BENCH_results.json declarations: the validator accepts a
-   conforming document and reports each defect with its path, an
-   undeclared section is an error, the writer merges sections without
-   disturbing the ones it did not regenerate, and the printer
-   round-trips through the parser. *)
+(* The BENCH_results.json declaration: the validator's rule (the file
+   reads back through [of_string] and its value has no [errors])
+   accepts a conforming file and the committed one and rejects each
+   defect, [write] refuses a value that breaks a bound, and [of_string]
+   reads back whatever [to_string] prints. *)
 
 open Results
 
-let num n = Num n
-
 (* ------------------------------------------------------------------ *)
-(* A minimal valid document                                             *)
+(* A minimal valid file                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let valid =
-  Obj
-    [
-      ("generated_by", Str "test"); ("recommended_domain_count", num 1.0);
-      ( "wall_clock",
-        List
-          [
-            Obj
-              [
-                ("experiment", Str "t1-measurement-sweep"); ("runs", num 10.0);
-                ("violations", num 1.0); ("sequential_s", num 1.5);
-                ("parallel_s", num 1.0); ("domains", num 2.0); ("speedup", num 1.5);
-              ];
-          ] );
-      ("micro_ns_per_run", Obj [ ("f2-streaming-checker", num 123.5) ]);
-    ]
+let value =
+  {
+    recommended_domains = 1;
+    wall_clock =
+      { runs = 10; broken = 1; seq_s = 1.5; par_s = 1.0; domains = 2; speedup = 1.5 };
+    micro_ns_per_run = [ ("f2-streaming-checker", 123.5) ];
+  }
 
-(* ------------------------------------------------------------------ *)
-(* Document surgery                                                     *)
-(* ------------------------------------------------------------------ *)
+let valid = to_string value
 
-type step = K of string | I of int
-
-(* [at path f doc] replaces the value at [path] by [f] of it. *)
-let rec at path f doc =
-  match (path, doc) with
-  | [], v -> f v
-  | K k :: rest, Obj fields ->
-    Obj (List.map (fun (k', v) -> if k' = k then (k', at rest f v) else (k', v)) fields)
-  | I i :: rest, List items -> List (List.mapi (fun j v -> if j = i then at rest f v else v) items)
-  | (K _ | I _) :: _, (Null | Bool _ | Num _ | Str _ | List _ | Obj _) ->
-    Alcotest.fail "bad surgery path"
-
-let set path key v = at path (function
-  | Obj fields -> Obj (List.map (fun (k, x) -> if k = key then (k, v) else (k, x)) fields)
-  | Null | Bool _ | Num _ | Str _ | List _ -> Alcotest.fail "not an object")
-
-let remove path key = at path (function
-  | Obj fields -> Obj (List.filter (fun (k, _) -> k <> key) fields)
-  | Null | Bool _ | Num _ | Str _ | List _ -> Alcotest.fail "not an object")
-
-let has_error_at path errors =
-  List.exists (fun e -> String.starts_with ~prefix:(path ^ ": ") e) errors
+(* What validate_results.exe reports for a file's contents. *)
+let validate contents =
+  match of_string contents with
+  | Ok t -> errors t
+  | Error msg -> [ msg ]
 
 let show errors = String.concat "\n  " ("" :: errors)
 
+(* [replace sub by s] is [s] with its first [sub] replaced by [by]. *)
+let replace sub by s =
+  let n = String.length sub in
+  let rec find i =
+    if i + n > String.length s then Alcotest.failf "%S not in the file" sub
+    else if String.sub s i n = sub then i
+    else find (i + 1)
+  in
+  let i = find 0 in
+  String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
+
+let rejected what contents =
+  if validate contents = [] then Alcotest.failf "%s: accepted\n%s" what contents
+
+let expect_error expected errors =
+  if not (List.mem expected errors) then
+    Alcotest.failf "expected %S among:%s" expected (show errors)
+
 (* ------------------------------------------------------------------ *)
-(* Document-level gates                                                 *)
+(* File-level gates                                                     *)
 (* ------------------------------------------------------------------ *)
 
 let test_valid () =
   match validate valid with
   | [] -> ()
-  | errors -> Alcotest.failf "valid document rejected:%s" (show errors)
+  | errors -> Alcotest.failf "valid file rejected:%s" (show errors)
 
 let test_at_least_one_section () =
-  let doc = List.fold_left (fun d s -> remove [] s d) valid (sections valid) in
-  if not (has_error_at "$" (validate doc)) then
-    Alcotest.failf "no error at $:%s" (show (validate doc))
+  rejected "header only"
+    "{\n\
+    \  \"generated_by\": \"dune exec bench/main.exe -- micro\",\n\
+    \  \"recommended_domain_count\": 1\n\
+     }\n"
 
-let expect_error doc expected =
-  let errors = validate doc in
-  if not (List.mem expected errors) then
-    Alcotest.failf "expected %S among:%s" expected (show errors)
-
-(* A section the harness no longer declares (one it used to write, or
-   one nobody ever did) is reported, not carried along unchecked. *)
+(* A section the harness no longer writes (one it used to, or one
+   nobody ever did) is rejected, not carried along unchecked. *)
 let test_undeclared_section () =
   List.iter
-    (fun key ->
-      let doc =
-        at [] (function
-          | Obj fields -> Obj (fields @ [ (key, List []) ])
-          | Null | Bool _ | Num _ | Str _ | List _ -> Alcotest.fail "not an object")
-          valid
-      in
-      expect_error doc (Printf.sprintf "$: undeclared section %S" key))
+    (fun key -> rejected key (replace "\n  }\n}\n" (Printf.sprintf "\n  },\n  %S: []\n}\n" key) valid))
     [ "live"; "geo"; "soak"; "extra" ]
+
+let test_committed () =
+  let committed = In_channel.with_open_bin "../BENCH_results.json" In_channel.input_all in
+  match of_string committed with
+  | Error msg -> Alcotest.failf "the committed file does not read back: %s" msg
+  | Ok t ->
+    Alcotest.(check string) "re-printed byte for byte" committed (to_string t);
+    Alcotest.(check (list string)) "no errors" [] (errors t)
+
+(* A reformatted file holds the same JSON, but not the bytes the bench
+   writes. *)
+let test_reformatted () =
+  rejected "tab indent" (replace "  \"runs\"" "\t\"runs\"" valid);
+  rejected "one line" (String.concat " " (String.split_on_char '\n' valid));
+  rejected "trailing zero" (replace "123.5" "123.50" valid);
+  rejected "no final newline" (String.sub valid 0 (String.length valid - 1));
+  rejected "trailing bytes" (valid ^ "{}\n")
 
 (* ------------------------------------------------------------------ *)
 (* Schema                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let wall = [ K "wall_clock"; I 0 ]
-
-let test_missing_key () =
-  expect_error (remove wall "runs" valid) "$.wall_clock[0]: missing key \"runs\""
+let test_missing_key () = rejected "no runs" (replace "      \"runs\": 10,\n" "" valid)
 
 let test_wrong_type () =
-  expect_error
-    (set [] "micro_ns_per_run" (Obj [ ("f2-streaming-checker", Str "fast") ]) valid)
-    "$.micro_ns_per_run.f2-streaming-checker: expected a number"
+  rejected "a string estimate" (replace "123.5" "\"fast\"" valid);
+  rejected "a fractional count" (replace "\"runs\": 10" "\"runs\": 10.5" valid)
 
-(* Neither section has a free-text column; the header's
-   [generated_by] is the document's one. *)
+(* The header's [generated_by] names the command that writes the file. *)
 let test_empty_string () =
-  expect_error (set [] "generated_by" (Str "") valid) "$.generated_by: empty string"
+  let line = "\"generated_by\": \"dune exec bench/main.exe -- micro\"" in
+  rejected "empty" (replace line "\"generated_by\": \"\"" valid);
+  rejected "another command" (replace line "\"generated_by\": \"by hand\"" valid)
 
 let test_negative_counter () =
-  expect_error (set wall "violations" (num (-1.0)) valid) "$.wall_clock[0].violations: must be >= 0"
+  expect_error "wall_clock.violations: must be >= 0, got -1"
+    (validate (replace "\"violations\": 1," "\"violations\": -1," valid))
 
-let sweep =
-  { runs = 10; broken = 0; seq_s = 1.0; par_s = 1.0; domains = 1; speedup = 1.0 }
+let test_zero_domains () =
+  expect_error "wall_clock.domains: must be > 0 and finite, got 0"
+    (validate (replace "\"domains\": 2," "\"domains\": 0," valid));
+  expect_error "recommended_domain_count: must be > 0 and finite, got 0"
+    (validate (replace "\"recommended_domain_count\": 1," "\"recommended_domain_count\": 0," valid))
 
-let test_add_raises () =
-  let raises what f =
-    match f () with
-    | () -> Alcotest.failf "%s: Results.add accepted a bad row" what
-    | exception Invalid_argument _ -> ()
-  in
-  raises "negative duration" (fun () ->
-      add wall_clock { sweep with seq_s = -1.0 });
-  raises "zero domains" (fun () -> add wall_clock { sweep with domains = 0 });
-  raises "non-positive estimate" (fun () -> add micro_ns_per_run [ ("x", 0.0) ]);
-  raises "no estimates" (fun () -> add micro_ns_per_run [])
+let test_bad_estimate () =
+  List.iter
+    (fun (text, shown) ->
+      expect_error ("micro_ns_per_run.f2-streaming-checker: must be > 0 and finite, got " ^ shown)
+        (validate (replace "123.5" text valid)))
+    [ ("0", "0"); ("-1.5", "-1.5") ];
+  rejected "a NaN in the file" (replace "123.5" "nan" valid);
+  expect_error "micro_ns_per_run.x: must be > 0 and finite, got nan"
+    (errors { value with micro_ns_per_run = [ ("x", Float.nan) ] })
 
-(* ------------------------------------------------------------------ *)
-(* Merge                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let member key = function
-  | Obj fields -> List.assoc_opt key fields
-  | Null | Bool _ | Num _ | Str _ | List _ -> None
-
-let keys = function
-  | Obj fields -> List.map fst fields
-  | Null | Bool _ | Num _ | Str _ | List _ -> []
+let test_empty_micro () =
+  rejected "an empty map in the file"
+    (replace "\n    \"f2-streaming-checker\": 123.5\n  }" "}" valid);
+  expect_error "micro_ns_per_run: empty" (errors { value with micro_ns_per_run = [] })
 
 let with_file contents f =
   let path = Filename.temp_file "bench_results" ".json" in
@@ -146,101 +133,81 @@ let with_file contents f =
   Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
 
 let read path = In_channel.with_open_bin path In_channel.input_all
-let section key = (key, Option.get (member key valid))
 
-let test_merge_keeps_others () =
-  add micro_ns_per_run [ ("fresh", 2.5) ];
-  (* Written out of declared order: a stale copy of the regenerated
-     section ahead of the one this run leaves alone, and a section
-     nothing declares, which the writer drops. *)
-  let existing =
-    Obj
-      [
-        ("micro_ns_per_run", Obj [ ("stale", num 1.0) ]);
-        ("live", List [ Obj [ ("ops", num 1.0) ] ]);
-        section "wall_clock";
-      ]
-  in
-  with_file (print existing) (fun path ->
-      let written = write path in
-      Alcotest.(check (list string)) "sections reported"
-        [ "wall_clock"; "micro_ns_per_run" ] written;
-      let doc = parse (read path) in
-      Alcotest.(check (list string)) "document order"
-        [ "generated_by"; "recommended_domain_count"; "wall_clock"; "micro_ns_per_run" ]
-        (keys doc);
-      Alcotest.(check bool) "wall_clock kept value-equal" true
-        (member "wall_clock" doc = member "wall_clock" valid);
-      Alcotest.(check bool) "regenerated section replaced" true
-        (member "micro_ns_per_run" doc = Some (Obj [ ("fresh", num 2.5) ])))
-
-let test_merge_refuses_garbage () =
-  add micro_ns_per_run [ ("fresh", 2.5) ];
+let test_write_refuses () =
+  let sweep = value.wall_clock in
   List.iter
-    (fun contents ->
-      with_file contents (fun path ->
-          (match write path with
-          | _ -> Alcotest.failf "wrote over %S" contents
-          | exception Failure _ -> ());
-          Alcotest.(check string) "left byte-identical" contents (read path)))
-    [ "{ \"live\": [ {\"ops\": 1,} ] }"; "[]"; "" ]
+    (fun (what, t) ->
+      with_file "untouched" (fun path ->
+          (match write path t with
+          | () -> Alcotest.failf "%s: Results.write accepted a bad value" what
+          | exception Invalid_argument _ -> ());
+          Alcotest.(check string) (what ^ ": file untouched") "untouched" (read path)))
+    [
+      ("negative duration", { value with wall_clock = { sweep with seq_s = -1.0 } });
+      ("zero domains", { value with wall_clock = { sweep with domains = 0 } });
+      ("speedup rounds to 0", { value with wall_clock = { sweep with speedup = 0.004 } });
+      ("non-positive estimate", { value with micro_ns_per_run = [ ("x", 0.0) ] });
+      ("no estimates", { value with micro_ns_per_run = [] });
+      ("a name needing escapes", { value with micro_ns_per_run = [ ("a\"b", 1.0) ] });
+    ]
 
-let test_add_rounds () =
-  add micro_ns_per_run [ ("est", 0.13481273600064014); ("whole", 3.0) ];
-  with_file "{}" (fun path ->
-      ignore (write path);
+(* ------------------------------------------------------------------ *)
+(* Writing                                                              *)
+(* ------------------------------------------------------------------ *)
+
+let test_write_rounds () =
+  with_file "" (fun path ->
+      write path
+        {
+          value with
+          wall_clock = { value.wall_clock with seq_s = 0.8554541234; speedup = 1.8149 };
+          micro_ns_per_run = [ ("est", 0.13481273600064014); ("whole", 6759240.0) ];
+        };
       let lines = List.map String.trim (String.split_on_char '\n' (read path)) in
-      Alcotest.(check string) "0.13481273600064014 written as 0.134813"
-        "\"micro_ns_per_run\": { \"est\": 0.134813, \"whole\": 3 }"
-        (List.find (String.starts_with ~prefix:"\"micro_ns_per_run\"") lines))
+      List.iter
+        (fun line ->
+          if not (List.mem line lines) then Alcotest.failf "no line %S in\n%s" line (read path))
+        [
+          "\"sequential_s\": 0.855454,"; "\"speedup\": 1.81"; "\"est\": 0.134813,";
+          "\"whole\": 6759240";
+        ])
 
 (* ------------------------------------------------------------------ *)
 (* Round trip                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let gen_json =
+(* Values [to_string] prints exactly: finite numbers of at most six
+   significant digits, a speedup of two decimals, bare names. *)
+let gen_t =
   let open QCheck.Gen in
-  let chr =
-    frequency
-      [
-        (4, printable);
-        (1, oneofl [ '"'; '\\'; '/'; '\n'; '\t'; '\r' ]);
-        (1, map Char.chr (int_range 0 31));
-        (1, map Char.chr (int_range 128 255));
-      ]
-  in
-  let str = string_size ~gen:chr (int_range 0 10) in
-  let finite f = if Float.is_finite f then f else 0.1 in
+  let six x = float_of_string (Printf.sprintf "%.6g" x) in
   let number =
     oneof
       [
         map float_of_int (int_range (-1_000_000) 1_000_000);
-        map (fun (a, b) -> float_of_int a /. float_of_int (b + 1)) (pair small_signed_int small_nat);
-        map finite float;
+        map six (float_range (-1e3) 1e3);
+        map (fun f -> if Float.is_finite f then six f else 0.5) float;
       ]
   in
-  let scalar =
-    oneof
-      [
-        return Null; map (fun b -> Bool b) bool; map (fun f -> Num f) number;
-        map (fun s -> Str s) str;
-      ]
+  let name =
+    string_size ~gen:(map (function '"' | '\\' -> '_' | c -> c) (char_range ' ' '~')) (int_range 1 12)
   in
-  sized
-    (fix (fun self n ->
-         if n <= 1 then scalar
-         else
-           frequency
-             [
-               (1, scalar);
-               (1, map (fun l -> List l) (list_size (int_range 0 5) (self (n / 3))));
-               (1, map (fun l -> Obj l) (list_size (int_range 0 5) (pair str (self (n / 3)))));
-             ]))
+  let* recommended_domains = small_signed_int in
+  let* runs = small_signed_int and* broken = small_signed_int and* domains = small_signed_int in
+  let* seq_s = number and* par_s = number in
+  let* speedup = map (fun k -> float_of_int k /. 100.0) (int_range (-999_999) 999_999) in
+  let+ micro_ns_per_run = list_size (int_range 1 5) (pair name number) in
+  {
+    recommended_domains;
+    wall_clock = { runs; broken; seq_s; par_s; domains; speedup };
+    micro_ns_per_run;
+  }
 
 let round_trip =
-  QCheck.Test.make ~name:"parse (print j) = j" ~count:500
-    (QCheck.make ~print:print gen_json)
-    (fun j -> parse (print j) = j)
+  QCheck.Test.make ~name:"of_string (to_string t) = Ok t" ~count:500
+    (QCheck.make ~print:to_string gen_t)
+    (fun t -> of_string (to_string t) = Ok t)
 
 let () =
   Alcotest.run "results"
@@ -251,6 +218,9 @@ let () =
           Alcotest.test_case "at least one section" `Quick test_at_least_one_section;
           Alcotest.test_case "an undeclared section is an error" `Quick
             test_undeclared_section;
+          Alcotest.test_case "the committed file re-prints byte for byte" `Quick
+            test_committed;
+          Alcotest.test_case "a reformatted file is rejected" `Quick test_reformatted;
         ] );
       ( "schema",
         [
@@ -258,16 +228,15 @@ let () =
           Alcotest.test_case "wrong type" `Quick test_wrong_type;
           Alcotest.test_case "empty string" `Quick test_empty_string;
           Alcotest.test_case "negative counter" `Quick test_negative_counter;
-          Alcotest.test_case "add rejects a bad row" `Quick test_add_raises;
+          Alcotest.test_case "zero domains" `Quick test_zero_domains;
+          Alcotest.test_case "a non-positive or NaN estimate" `Quick test_bad_estimate;
+          Alcotest.test_case "an empty micro map" `Quick test_empty_micro;
+          Alcotest.test_case "write refuses a bad value" `Quick test_write_refuses;
         ] );
-      ( "merge",
+      ( "write",
         [
-          Alcotest.test_case "keeps other sections, declared order" `Quick
-            test_merge_keeps_others;
-          Alcotest.test_case "unparsable file left untouched" `Quick
-            test_merge_refuses_garbage;
-          Alcotest.test_case "a fresh row keeps 6 significant digits" `Quick
-            test_add_rounds;
+          Alcotest.test_case "values keep six significant digits" `Quick
+            test_write_rounds;
         ] );
       ("round trip", [ QCheck_alcotest.to_alcotest round_trip ]);
     ]

@@ -681,8 +681,6 @@ let live register all s tol w r clients ops keys groups dist theta mix seed
   if addrs <> [] && groups > 1 then
     refuse "--connect attaches one group of servers: drop --groups";
   if outage && profile = None then refuse "--outage needs --geo PROFILE";
-  if List.exists (fun (idx, _, _) -> idx < 0 || idx >= s) kills then
-    refuse (Printf.sprintf "--kill names a server outside 0..%d" (s - 1));
   let s = if addrs = [] then s else List.length addrs in
   let dist =
     match dist with `Zipfian -> Ycsb.Zipfian theta | `Uniform -> Ycsb.Uniform

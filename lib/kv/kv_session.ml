@@ -89,6 +89,16 @@ let run ?(crashes = []) ?rt_timeout ?max_rt_retries
       (writers + readers, writers, readers)
   in
   if spec.keys < 1 then invalid_arg "Kv_session.run: keys must be >= 1";
+  let ngroups = Kv_cluster.group_count cluster in
+  List.iter
+    (fun (_, g, idx, _) ->
+      if g < 0 || g >= ngroups || idx < 0 || idx >= Kv_cluster.s cluster then
+        invalid_arg
+          (Printf.sprintf
+             "Kv_session.run: crash of server %d in group %d (servers \
+              0..%d, groups 0..%d)"
+             idx g (Kv_cluster.s cluster - 1) (ngroups - 1)))
+    crashes;
   (match Registry.max_writers register with
   | Some m when may_write > m ->
     invalid_arg
@@ -116,7 +126,6 @@ let run ?(crashes = []) ?rt_timeout ?max_rt_retries
   let t0 = Clock.now () in
   let now () = Clock.now () -. t0 in
   let ycsb = Ycsb.create ~dist:spec.dist ~keys:spec.keys in
-  let ngroups = Kv_cluster.group_count cluster in
   (* Live checking covers every key: the streaming checker's window
      stays bounded regardless of how many operations flow. *)
   let sink =

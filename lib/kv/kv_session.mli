@@ -100,4 +100,9 @@ val run :
     {!Transport.Check_sink} into the {!Checker.Online} checker while the
     run is in flight, in O(window) memory; violations surface through
     [on_violation] as they happen and the report lands in
-    [result.online].  Raises [Invalid_argument] on bad specs. *)
+    [result.online].  Raises [Invalid_argument], before any thread
+    starts, on a client count below one (no split writer or reader, or
+    [Mixed n] with [n < 1]), a negative writer or reader count, fewer
+    than one key, more writers than [register] accepts, and a [crashes]
+    entry whose group is outside [0..groups-1] or whose server is
+    outside [0..S-1]. *)

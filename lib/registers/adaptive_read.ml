@@ -48,19 +48,7 @@ let read_core ?(note = fun _ -> ()) (ctx : Client_core.ctx) ~reader ~val_queue ~
   let s = ctx.Client_core.s in
   let t = ctx.Client_core.t in
   ep.Client_core.exec (Wire.Query !val_queue) (fun replies ->
-      let seen = Client_core.vector_values replies in
-      let merged =
-        List.fold_left
-          (fun acc (v : Wire.value) ->
-            if
-              List.exists
-                (fun (u : Wire.value) -> Tstamp.equal u.Wire.tag v.Wire.tag)
-                acc
-            then acc
-            else v :: acc)
-          !val_queue seen
-      in
-      val_queue := Client_core.bound_queue merged;
+      let seen = Client_core.merge_queue val_queue replies in
       let degrees = safe_degrees ~s ~t in
       (* Only the *newest* observed value may be returned fast: returning
          an older value, however well certified, would be a stale read

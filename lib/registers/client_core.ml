@@ -69,6 +69,16 @@ let all_values replies =
   Hashtbl.fold (fun _ v acc -> v :: acc) tbl []
   |> List.sort (fun a b -> Wire.compare_value b a)
 
+let merge_queue val_queue replies =
+  let seen = all_values replies in
+  let add acc (v : Wire.value) =
+    if List.exists (fun (u : Wire.value) -> Tstamp.equal u.Wire.tag v.Wire.tag) acc
+    then acc
+    else v :: acc
+  in
+  val_queue := bound_queue (List.fold_left add !val_queue seen);
+  seen
+
 (* ------------------------------------------------------------------ *)
 (* The admissible predicate                                            *)
 (* ------------------------------------------------------------------ *)
@@ -132,8 +142,6 @@ let admissible ~s ~t ~value ~replies ~degree =
 (* Writers                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let vector_values = all_values
-
 let two_round_write ctx ~writer ~payload ~last_written ~k =
   let ep = ctx.writer_ep writer in
   ep.exec (Wire.Query [ !last_written ]) (fun replies ->
@@ -187,19 +195,7 @@ let fast_read ?probe ctx ~reader ~val_queue ~k =
   let r = ctx.r in
   ep.exec (Wire.Query !val_queue) (fun replies ->
       (* Fold everything seen into the queue for the next read. *)
-      let seen = all_values replies in
-      let merged =
-        List.fold_left
-          (fun acc (v : Wire.value) ->
-            if
-              List.exists
-                (fun (u : Wire.value) -> Tstamp.equal u.Wire.tag v.Wire.tag)
-                acc
-            then acc
-            else v :: acc)
-          !val_queue seen
-      in
-      val_queue := bound_queue merged;
+      let seen = merge_queue val_queue replies in
       let degrees = List.init (r + 1) (fun i -> i + 1) in
       let max_seen =
         List.fold_left Wire.value_max (max_current replies) seen

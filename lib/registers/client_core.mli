@@ -52,18 +52,17 @@ val admissible :
 val max_current : (int * Wire.rep) list -> Wire.value
 (** Largest [valᵢ] among READACK replies (initial value if none). *)
 
-val vector_values : (int * Wire.rep) list -> Wire.value list
-(** All distinct values appearing in the replies' vectors, largest
-    first. *)
-
 val max_queue : int
 (** Upper bound on a reader's valQueue length after a merge. *)
 
-val bound_queue : Wire.value list -> Wire.value list
-(** The {!max_queue} largest values, descending — the recency window a
-    reader carries between rounds.  Mirrors the replica-side
-    {!Replica.max_vector} bound: without it every QUERY grows with the
-    length of the run. *)
+val merge_queue : Wire.value list ref -> (int * Wire.rep) list -> Wire.value list
+(** [merge_queue val_queue replies], a fast read's first step: fold
+    every value in the READACK replies' vectors into [val_queue] (once
+    per tag), keep its {!max_queue} largest values, descending, and
+    return the distinct values the vectors carry, largest first.  The
+    bound is the recency window a reader carries between rounds and
+    mirrors the replica-side {!Replica.max_vector} bound: without it
+    every QUERY grows with the length of the run. *)
 
 val two_round_write :
   ctx ->

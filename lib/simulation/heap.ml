@@ -11,10 +11,6 @@ let create ~cmp = { cmp; data = [||]; size = 0 }
    never a flat float array and takes an ['a] of any kind. *)
 let vacant () = Obj.magic 0
 
-let size t = t.size
-
-let is_empty t = t.size = 0
-
 let grow t =
   let cap = Array.length t.data in
   if t.size = cap then begin

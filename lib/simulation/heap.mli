@@ -10,9 +10,6 @@ type 'a t
 val create : cmp:('a -> 'a -> int) -> 'a t
 (** Empty heap ordered by [cmp] (smallest element extracted first). *)
 
-val size : 'a t -> int
-val is_empty : 'a t -> bool
-
 val push : 'a t -> 'a -> unit
 
 val pop : 'a t -> 'a option

@@ -744,6 +744,27 @@ let test_session_rejects_bounded_writers () =
         (Kv_session.run ~register:Registry.abd_swmr ~cluster
            { Kv_session.default_spec with roles = Kv_session.Mixed 2 }))
 
+(* A crash entry outside the cluster is refused before any client or
+   schedule thread starts, so nothing is killed. *)
+let test_session_rejects_bad_crashes () =
+  let cluster = Kv_cluster.start ~groups:2 ~s:3 ~tol:1 () in
+  Fun.protect ~finally:(fun () -> Kv_cluster.shutdown cluster) @@ fun () ->
+  List.iter
+    (fun (what, g, idx) ->
+      (match
+         Kv_session.run ~crashes:[ (0.0, g, idx, Kv_session.Kill) ] ~cluster
+           Kv_session.default_spec
+       with
+      | _ -> Alcotest.failf "%s: run accepted the crash" what
+      | exception Invalid_argument _ -> ());
+      List.iter
+        (fun g ->
+          Alcotest.(check (list int)) (what ^ ": nothing killed") [ 0; 1; 2 ]
+            (Cluster.running (Kv_cluster.group cluster g)))
+        [ 0; 1 ])
+    [ ("server 3 of 3", 0, 3); ("server -1", 0, -1); ("group 2 of 2", 2, 0);
+      ("group -1", -1, 0) ]
+
 let test_recover_restart_preserves_keyspace () =
   (* Two servers, tol 0, so the quorum is both of them: writes reach
      server 0 before acking, and a post-restart read cannot complete
@@ -849,6 +870,8 @@ let () =
             test_split_roles_many_keys;
           Alcotest.test_case "writer bound rejected" `Quick
             test_session_rejects_bounded_writers;
+          Alcotest.test_case "crash outside the cluster rejected" `Quick
+            test_session_rejects_bad_crashes;
           Alcotest.test_case "recover restart keeps the keyspace" `Quick
             test_recover_restart_preserves_keyspace;
         ] );

@@ -377,25 +377,6 @@ let test_freeze_extremes () =
   check bool "small replica, few bytes" true
     (String.length (Replica.freeze (Replica.create ())) <= 8)
 
-let test_bound_queue () =
-  let vs = List.init (Client_core.max_queue + 9) (fun i -> value (i + 1) 0 i) in
-  let q = Client_core.bound_queue vs in
-  check int "queue capped" Client_core.max_queue (List.length q);
-  (match q with
-  | hd :: _ ->
-    check bool "largest first" true
-      (Tstamp.equal hd.Wire.tag (tag (Client_core.max_queue + 9) 0))
-  | [] -> Alcotest.fail "empty queue");
-  check bool "descending" true
-    (List.for_all2
-       (fun (a : Wire.value) b -> Wire.compare_value a b > 0)
-       (List.filteri (fun i _ -> i < List.length q - 1) q)
-       (List.tl q))
-
-(* ------------------------------------------------------------------ *)
-(* The admissible predicate                                             *)
-(* ------------------------------------------------------------------ *)
-
 (* Build a READACK reply carrying [vector] entries (value, updated). *)
 let ack server entries =
   let current =
@@ -404,6 +385,40 @@ let ack server entries =
       Wire.initial_value_entry entries
   in
   (server, Wire.Read_ack { current; vector = entries })
+
+let test_bound_queue () =
+  let n = Client_core.max_queue + 9 in
+  let vs = List.init n (fun i -> value (i + 1) 0 i) in
+  (* Two servers report overlapping halves, so some values arrive twice. *)
+  let replies =
+    [
+      ack 0 (List.filteri (fun i _ -> i < (2 * n / 3)) vs |> List.map (fun v -> (v, [])));
+      ack 1 (List.filteri (fun i _ -> i >= n / 3) vs |> List.map (fun v -> (v, [])));
+    ]
+  in
+  let val_queue = ref [ Wire.initial_value_entry ] in
+  let descending l =
+    List.for_all2
+      (fun (a : Wire.value) b -> Wire.compare_value a b > 0)
+      (List.filteri (fun i _ -> i < List.length l - 1) l)
+      (List.tl l)
+  in
+  let seen = Client_core.merge_queue val_queue replies in
+  check int "every distinct value seen" n (List.length seen);
+  check bool "seen descending" true (descending seen);
+  let q = !val_queue in
+  check int "queue capped" Client_core.max_queue (List.length q);
+  (match q with
+  | hd :: _ ->
+    check bool "largest first" true (Tstamp.equal hd.Wire.tag (tag n 0))
+  | [] -> Alcotest.fail "empty queue");
+  check bool "descending" true (descending q);
+  ignore (Client_core.merge_queue val_queue replies);
+  check bool "a second merge adds no duplicate" true (!val_queue = q)
+
+(* ------------------------------------------------------------------ *)
+(* The admissible predicate                                             *)
+(* ------------------------------------------------------------------ *)
 
 let v1 = value 1 0 101
 
