@@ -183,23 +183,37 @@ let lock_free_allow : (string * string) list =
     ( "Transport.Check_sink.next",
       "a port's op-id counter: only [completed] reads or writes it, and \
        a port's completions never overlap: its client's operation \
-       completes on the mux loop, and the client thread publishes an \
+       completes on the event loop, and the client thread publishes an \
        aborted one only after that operation's exec has returned" );
     ( "Transport.Outq.*",
-      "an out-queue has one owner: a server connection's belongs to the \
-       server's reactor thread, a mux link's to the mux's event loop, \
-       which alone writes the link" );
+      "an out-queue has one owner, the process's event loop \
+       (Transport.Loop): a server connection's and a mux link's alike \
+       are written by the loop's thread alone" );
     ( "Transport.Codec.Stream.*",
       "a decode stream belongs to the one thread that reads its \
-       connection (a mux's event loop / a server's reactor)" );
+       connection: the process's event loop, for a server connection \
+       and a mux link alike" );
     ( "Transport.Netio.Poller.*",
-      "a poller belongs to the one thread that waits in it (a \
-       server's reactor / a mux's event loop)" );
+      "a poller belongs to the one thread that waits in it: the \
+       process's event loop (Transport.Loop) has the only one" );
+    ( "Transport.Loop.tickers",
+      "loop-private: read by the loop's thread, and written only by \
+       add_ticker/remove_ticker, which run in closures submitted to the \
+       loop (Mux.create, Mux.shutdown); mwlint sees a submitted closure \
+       on its submitter's thread" );
+    ( "Transport.Server.want_write",
+      "loop-private: a server connection's write interest is read and \
+       written only by handlers the process's event loop dispatches; \
+       mwlint sees them on the thread that called Server.start" );
+    ( "Transport.Server.stopped",
+      "loop-private: read and written only inside the closure Server.stop \
+       hands to Loop.call, which runs on the loop's thread; mwlint sees \
+       it on the thread that called Server.stop" );
     ( "Simulation.Heap.*",
       "a heap has one owner: a simulation engine's event queue belongs \
        to that engine's thread; a mux's staged-frame heap is shared by \
-       its client threads and its event loop, and only touched under \
-       that mux's Mux.staged_lock" );
+       its client threads and the process's event loop, and only \
+       touched under that mux's Mux.staged_lock" );
     (* -- registers: served state's off-thread edges ----------------- *)
     ( "Registers.Replica.current",
       "bare sites are load (fresh instance) and post-stop snapshot \

@@ -19,7 +19,7 @@ type endpoint = { exec : Wire.req -> ((int * Wire.rep) list -> unit) -> unit }
     reply)] pairs has arrived, in arrival order.  The continuation may
     start another round trip (the two-round algorithms nest execs); on
     the simulator it fires from the event loop, on the live transport
-    from the mux's event loop, and the live [exec] returns to its caller
+    from the process's one event loop, and the live [exec] returns to its caller
     once the whole chain has run. *)
 
 type ctx = {

@@ -1,6 +1,6 @@
 (** The one time source for transport deadlines and live histories.
 
-    Round-trip deadlines, reconnect backoff gates, the mux loop's sleeps and
+    Round-trip deadlines, reconnect backoff gates, the event loop's sleeps and
     fault-plan windows all measure {e durations}, so they must not move
     when the wall clock steps (NTP slew, manual adjustment, suspend):
     a backwards step would stall every timeout, a forwards step would

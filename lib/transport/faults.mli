@@ -21,8 +21,9 @@
     A delayed frame of either leg waits in the mux's one deadline heap
     and is sent or routed when it falls due — or silently dropped if
     its link severed first, which is also a legal behaviour of the
-    link being modelled.  The mux's event loop sleeps to the heap's
-    nearest deadline (there are no delayer threads).
+    link being modelled.  The process's event loop sleeps to the
+    nearest deadline of every mux's heap (there are no delayer
+    threads).
 
     So a rule with [dir = Some To_server] faults the request leg only,
     [Some From_server] the reply leg only, and [None] both — the

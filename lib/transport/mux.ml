@@ -8,10 +8,10 @@ exception Unavailable of string
 let now = Clock.now
 
 (* One TCP connection to one server, shared by every client of the mux.
-   The event loop owns it outright, as a server's reactor owns its
-   connections: it alone dials, writes, reads and closes it.  Client
-   threads only stage requests for it in the deadline heap, reading
-   [epoch] as they do. *)
+   The process's event loop ({!Loop}) owns it outright, as it owns a
+   server's connections: it alone dials, writes, reads and closes it.
+   Client threads only stage requests for it in the deadline heap,
+   reading [epoch] as they do. *)
 type link = {
   index : int; (* server index: the authoritative reply label *)
   addr : Unix.sockaddr;
@@ -90,16 +90,6 @@ type t = {
   rt_timeout : float;
   max_rt_retries : int;
   faults : Faults.t option;
-  (* The loop sleeps in [poller] on its links and on the read end of a
-     wake pipe.  [armed] is the deadline it is asleep until,
-     [neg_infinity] while it is awake: a client thread whose fan-out
-     staged a request due before [armed] writes one byte to [wake_w],
-     so the loop re-arms for the earlier deadline instead of
-     oversleeping it. *)
-  poller : Netio.Poller.t;
-  wake_r : Unix.file_descr;
-  wake_w : Unix.file_descr;
-  armed : float Atomic.t;
   routes : (int, mailbox) Hashtbl.t;
   routes_lock : Mutex.t;
   (* Replies that matched no open round trip at all: unknown client
@@ -114,8 +104,10 @@ type t = {
   staged : staged Simulation.Heap.t; (* under [staged_lock] *)
   mutable staged_seq : int; (* under [staged_lock] *)
   staged_lock : Mutex.t;
-  mutable thread : Thread.t option;
-  stopping : bool Atomic.t;
+  (* Loop-private: the next timeout scan, and the ticker that runs this
+     mux on the loop. *)
+  mutable next_scan : float;
+  mutable ticker : Loop.ticker option;
 }
 
 type handle = { mux : t; mb : mailbox }
@@ -127,10 +119,6 @@ let gens = 8
    reading) drops due requests until it drains: a lossy link, which the
    round-trip retries cover, instead of unbounded memory. *)
 let out_limit = 4 * 1024 * 1024
-
-(* A client thread's wake-up call; never after shutdown, when the
-   pipe's descriptor number may already belong to someone else. *)
-let wake t = if not (Atomic.get t.stopping) then Netio.notify t.wake_w
 
 (* ------------------------------------------------------------------ *)
 (* Connections (loop thread)                                           *)
@@ -150,16 +138,16 @@ let backoff l =
     now () +. (connect_backoff *. float_of_int (1 lsl min l.attempts 6));
   Outq.clear l.out
 
-let set_write t l fd w =
+let set_write l fd w =
   if l.want_write <> w then begin
     l.want_write <- w;
-    Netio.Poller.set t.poller fd ~read:true ~write:w
+    Loop.set fd ~read:true ~write:w
   end
 
 (* Close the link: what was queued on it and every frame staged on it
    (moving [epoch] on) are lost with it.  A link that severs is
    redialed as soon as something is sent on it again. *)
-let sever t l =
+let sever l =
   match l.fd with
   | None -> ()
   | Some fd ->
@@ -168,53 +156,8 @@ let sever t l =
     Outq.clear l.out;
     Atomic.incr l.epoch;
     l.want_write <- false;
-    Netio.Poller.remove t.poller fd;
+    Loop.unwatch fd;
     try Unix.close fd with Unix.Unix_error _ -> ()
-
-(* A non-blocking dial: a connect that cannot complete at once leaves
-   the link connecting, with write interest on; the loop finishes it
-   when the socket turns writable.  Every failure mode — [socket]
-   itself included (EMFILE under fd pressure) — lands in the backoff
-   path. *)
-let dial t l =
-  match Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 with
-  | exception Unix.Unix_error _ -> backoff l
-  | fd -> (
-    let up connected =
-      l.fd <- Some fd;
-      l.connected <- connected;
-      if connected then l.attempts <- 0;
-      l.stream <- Codec.Stream.create ();
-      (* Write interest until the first flush: it finishes a pending
-         connect, and flushes what was queued while the link was
-         down. *)
-      l.want_write <- true;
-      Netio.Poller.add t.poller fd ~want_write:true
-    in
-    match
-      Netio.set_nonblock fd;
-      Unix.setsockopt fd Unix.TCP_NODELAY true;
-      Unix.connect fd l.addr
-    with
-    | () -> up true
-    | exception
-        Unix.Unix_error ((Unix.EINPROGRESS | Unix.EINTR | Unix.EAGAIN), _, _)
-      ->
-      up false
-    | exception Unix.Unix_error _ ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      backoff l)
-
-(* The socket of a connecting link turned writable: the connect is
-   done, one way or the other. *)
-let finish_connect t l fd =
-  match Unix.getsockopt_error fd with
-  | None ->
-    l.connected <- true;
-    l.attempts <- 0
-  | Some _ | (exception Unix.Unix_error _) ->
-    sever t l;
-    backoff l
 
 (* ------------------------------------------------------------------ *)
 (* Sending                                                             *)
@@ -253,15 +196,15 @@ let broadcast t mb ~from_loop =
     let frame = Request (Bytes.sub mb.mb_out 0 mb.mb_len) in
     Mutex.protect t.staged_lock (fun () ->
         List.iter (fun (due, l) -> push t ~due l frame) (List.rev !staged));
-    (* Every push happens before [armed] is read, and the loop stores
-       [armed] before it peeks at the heap again, so either its peek
-       sees these frames or this read sees its deadline and wakes it
-       early: no deadline is overslept.  The loop's own sends need no
-       wake-up: it re-arms after them. *)
-    let earliest =
-      List.fold_left (fun m (due, _) -> Float.min m due) infinity !staged
-    in
-    if (not from_loop) && earliest < Atomic.get t.armed then wake t
+    (* Every push happens before {!Loop.wake_before} reads the loop's
+       deadline, and the loop publishes that deadline before it peeks
+       at this heap again ({!next_due}), so either its peek sees these
+       frames or the read sees its deadline and wakes it early: no
+       deadline is overslept.  The loop's own sends need no wake-up: it
+       re-arms after them. *)
+    if not from_loop then
+      Loop.wake_before
+        (List.fold_left (fun m (due, _) -> Float.min m due) infinity !staged)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -306,6 +249,12 @@ let exec ~key h req k =
      it opens the next round and returns, and the loop runs [k] when
      that round's quorum is in. *)
   let nested = mb.mb_busy in
+  if (not nested) && Loop.on_loop () then begin
+    Mutex.unlock mb.mb_lock;
+    invalid_arg
+      "Mux.exec: an operation started on the event loop's thread (from a \
+       continuation?) would wait for itself"
+  end;
   match open_round t mb ~key ~from_loop:nested req k with
   | exception e ->
     (* The request could not be encoded: no round is open. *)
@@ -419,7 +368,7 @@ let deliver t l mb ~key ~rt body =
       Atomic.incr t.dropped;
       true
   in
-  if not ok then sever t l;
+  if not ok then sever l;
   ok
 
 (* One reply body read off link [l] at [t_read].  Under a plan the
@@ -447,7 +396,7 @@ let receive t l ~t_read body =
         (Faults.deliveries plan ~dir:Faults.From_server ~server:l.index ~client
            ~rt ~salt:(arrival t m ~server:l.index ~rt)))
   | None | (exception Codec.Decode_error _) ->
-    sever t l;
+    sever l;
     false
 
 (* Pop every staged frame due by [t_now], in deadline order, then act
@@ -490,10 +439,66 @@ let on_readable t l fd =
   let rec drain () =
     match Codec.Stream.next_body l.stream with
     | Some body -> if receive t l ~t_read body then drain ()
-    | None -> if not open_ then sever t l
-    | exception Codec.Decode_error _ -> sever t l
+    | None -> if not open_ then sever l
+    | exception Codec.Decode_error _ -> sever l
   in
   drain ()
+
+(* The socket of a connecting link turned writable: the connect is
+   done, one way or the other. *)
+let finish_connect l fd =
+  match Unix.getsockopt_error fd with
+  | None ->
+    l.connected <- true;
+    l.attempts <- 0
+  | Some _ | (exception Unix.Unix_error _) ->
+    sever l;
+    backoff l
+
+(* One ready event on link [l]'s socket [fd] — unless [fd] is no longer
+   the link's, closed and its number reused since the event was
+   reported. *)
+let on_link t l fd ~readable ~writable =
+  match l.fd with
+  | Some own when own == fd ->
+    if writable && not l.connected then finish_connect l fd;
+    (* [finish_connect] may have severed the link. *)
+    if readable && l.fd <> None then on_readable t l fd
+  | Some _ | None -> ()
+
+(* A non-blocking dial: a connect that cannot complete at once leaves
+   the link connecting, with write interest on; the loop finishes it
+   when the socket turns writable.  Every failure mode — [socket]
+   itself included (EMFILE under fd pressure) — lands in the backoff
+   path. *)
+let dial t l =
+  match Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 with
+  | exception Unix.Unix_error _ -> backoff l
+  | fd -> (
+    let up connected =
+      l.fd <- Some fd;
+      l.connected <- connected;
+      if connected then l.attempts <- 0;
+      l.stream <- Codec.Stream.create ();
+      (* Write interest until the first flush: it finishes a pending
+         connect, and flushes what was queued while the link was
+         down. *)
+      l.want_write <- true;
+      Loop.watch fd ~want_write:true (on_link t l fd)
+    in
+    match
+      Netio.set_nonblock fd;
+      Unix.setsockopt fd Unix.TCP_NODELAY true;
+      Unix.connect fd l.addr
+    with
+    | () -> up true
+    | exception
+        Unix.Unix_error ((Unix.EINPROGRESS | Unix.EINTR | Unix.EAGAIN), _, _)
+      ->
+      up false
+    | exception Unix.Unix_error _ ->
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      backoff l)
 
 (* The loop's write pass over one link: write what is queued — or dial
    a link that is down and has something to send, or drop it if the
@@ -503,12 +508,12 @@ let service t l t_now =
   | None ->
     if not (Outq.is_empty l.out) then
       if t_now < l.next_attempt then Outq.clear l.out
-      else if not (Atomic.get t.stopping) then dial t l
+      else dial t l
   | Some fd when l.connected -> (
     match Outq.flush l.out fd with
-    | true -> set_write t l fd false
-    | false -> set_write t l fd true
-    | exception Unix.Unix_error _ -> sever t l)
+    | true -> set_write l fd false
+    | false -> set_write l fd true
+    | exception Unix.Unix_error _ -> sever l)
   | Some _ -> ()
 
 (* The nearest staged deadline; [infinity] when nothing is staged. *)
@@ -555,54 +560,18 @@ let scan_timeouts t t_now =
    wait for it. *)
 let tick_period t = Float.max 0.005 (Float.min 0.05 (t.rt_timeout /. 4.0))
 
-(* One ready descriptor: the wake pipe, or one of the links. *)
-let on_ready t fd ~readable ~writable =
-  if fd == t.wake_r then Netio.drain_wake t.wake_r
-  else
-    for i = 0 to Array.length t.links - 1 do
-      let l = t.links.(i) in
-      match l.fd with
-      | Some own when own == fd ->
-        if writable && not l.connected then finish_connect t l fd;
-        (* [finish_connect] may have severed the link. *)
-        if readable && l.fd <> None then on_readable t l fd
-      | Some _ | None -> ()
-    done
-
-let loop t =
-  (* Optimistic first dial; a failure leaves the link in backoff. *)
-  Array.iter (fun l -> dial t l) t.links;
-  let next_scan = ref (now () +. tick_period t) in
-  while not (Atomic.get t.stopping) do
-    Atomic.set t.armed neg_infinity;
-    let t_now = now () in
-    release_due t t_now;
-    if t_now >= !next_scan then begin
-      next_scan := t_now +. tick_period t;
-      scan_timeouts t t_now
-    end;
-    for i = 0 to Array.length t.links - 1 do
-      service t t.links.(i) t_now
-    done;
-    let target = Float.min !next_scan (next_due t) in
-    Atomic.set t.armed target;
-    (* A frame staged since the pass above saw [neg_infinity] and did
-       not wake the loop: this second peek, after the store, catches
-       it. *)
-    let target = Float.min target (next_due t) in
-    ignore
-      (Netio.Poller.wait t.poller ~timeout:(target -. now ())
-         (fun fd ~readable ~writable -> on_ready t fd ~readable ~writable))
-  done;
-  Array.iter (sever t) t.links;
-  (* A caller still blocked in [exec] gets an answer instead of a hang. *)
-  List.iter
-    (fun mb ->
-      Mutex.protect mb.mb_lock (fun () ->
-          if mb.mb_busy && not mb.mb_done then
-            finish mb
-              (Some (Unavailable "mux shut down", Printexc.get_callstack 0))))
-    (snapshot_routes t)
+(* The mux's turn at the start of each loop iteration: release what is
+   due, re-broadcast or give up the rounds past their deadline, and
+   write each link once. *)
+let step t t_now =
+  release_due t t_now;
+  if t_now >= t.next_scan then begin
+    t.next_scan <- t_now +. tick_period t;
+    scan_timeouts t t_now
+  end;
+  for i = 0 to Array.length t.links - 1 do
+    service t t.links.(i) t_now
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
@@ -610,15 +579,9 @@ let loop t =
 
 let create ?(rt_timeout = 1.0) ?(max_rt_retries = 3) ?faults ~servers ~quorum
     () =
-  Netio.ignore_sigpipe ();
   let n = Array.length servers in
   if quorum <= 0 || quorum > n then
     invalid_arg "Mux.create: quorum out of range";
-  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
-  Netio.set_nonblock wake_r;
-  Netio.set_nonblock wake_w;
-  let poller = Netio.Poller.create () in
-  Netio.Poller.add poller wake_r ~want_write:false;
   let t =
     {
       links =
@@ -641,10 +604,6 @@ let create ?(rt_timeout = 1.0) ?(max_rt_retries = 3) ?faults ~servers ~quorum
       rt_timeout;
       max_rt_retries;
       faults;
-      poller;
-      wake_r;
-      wake_w;
-      armed = Atomic.make neg_infinity;
       routes = Hashtbl.create 16;
       routes_lock = Mutex.create ();
       dropped = Atomic.make 0;
@@ -655,11 +614,22 @@ let create ?(rt_timeout = 1.0) ?(max_rt_retries = 3) ?faults ~servers ~quorum
             | c -> c);
       staged_seq = 0;
       staged_lock = Mutex.create ();
-      thread = None;
-      stopping = Atomic.make false;
+      next_scan = 0.0;
+      ticker = None;
     }
   in
-  t.thread <- Some (Thread.create (fun () -> loop t) ());
+  (* Requests staged before the loop runs this wait in the heap. *)
+  Loop.submit (fun () ->
+      let tk =
+        {
+          Loop.step = step t;
+          deadline = (fun () -> Float.min t.next_scan (next_due t));
+        }
+      in
+      t.ticker <- Some tk;
+      Loop.add_ticker tk;
+      (* Optimistic first dial; a failure leaves the link in backoff. *)
+      Array.iter (dial t) t.links);
   t
 
 let client t ~client =
@@ -700,18 +670,19 @@ let release h =
       | Some mb when mb == h.mb -> Hashtbl.remove h.mux.routes h.mb.client
       | _ -> ())
 
+(* On the loop: sever every link and answer a caller still blocked in
+   [exec] instead of leaving it to hang.  Every step is idempotent. *)
 let shutdown t =
-  if not (Atomic.exchange t.stopping true) then begin
-    Netio.notify t.wake_w;
-    (match t.thread with
-    | Some th ->
-      Thread.join th;
-      t.thread <- None
-    | None -> ());
-    Netio.Poller.close t.poller;
-    (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
-    try Unix.close t.wake_w with Unix.Unix_error _ -> ()
-  end
+  Loop.call ~who:"Mux.shutdown" (fun () ->
+      Option.iter Loop.remove_ticker t.ticker;
+      Array.iter sever t.links;
+      List.iter
+        (fun mb ->
+          Mutex.protect mb.mb_lock (fun () ->
+              if mb.mb_busy && not mb.mb_done then
+                finish mb
+                  (Some (Unavailable "mux shut down", Printexc.get_callstack 0))))
+        (snapshot_routes t))
 
 let rounds_completed h =
   Mutex.protect h.mb.mb_lock (fun () -> h.mb.mb_completed)

@@ -1,6 +1,7 @@
 (** The live client data plane: one TCP connection per server per
-    process, shared by every client endpoint, and one event-loop thread
-    that owns them all.
+    process, shared by every client endpoint, and owned by the process's
+    one event loop ({!Loop}), which serves every in-process {!Server}
+    too.
 
     Giving each client its own [S] sockets would cost [C × S] sockets
     for [C] clients and a fresh poll loop inside every operation — at
@@ -8,16 +9,19 @@
     economics in transport overhead.  The mux instead runs:
 
     - [S] shared non-blocking connections, each private to the event
-      loop as a server's connections are to its reactor: a client
-      thread never writes a socket, it stages its request in the
-      loop's deadline heap and wakes the loop when it sleeps past the
-      request's deadline;
-    - one event loop that dials and redials every link without
+      loop as a server's connections are: a client thread never writes
+      a socket, it stages its request in the mux's deadline heap and
+      wakes the loop when it sleeps past the request's deadline;
+    - the event loop, which dials and redials every link without
       blocking, writes every request, reads and decodes [Keyed_reply]
       frames, routes them by [(client, rt)] to per-client mailboxes,
       re-broadcasts timed-out rounds, and runs each round's
       continuation the moment its quorum is routed — so a client
-      thread blocks once per operation, not once per round;
+      thread blocks once per operation, not once per round.  At the
+      start of each of its iterations the loop does every mux's due
+      work (due frames, timeouts, one write per link); a mux has no
+      thread of its own, and neither has an in-process server, so a
+      round trip to one crosses no thread hand-off;
     - one deadline heap that the loop sleeps to exactly.  With no plan
       a request is due as it is sent; under a plan ({!Faults}) request
       frames meet the [To_server] rules as they are sent and replies
@@ -37,7 +41,13 @@
 
     One {!handle} serves one client thread; operations are sequential
     per client, so a single in-flight round trip per mailbox
-    suffices. *)
+    suffices.
+
+    The loop's thread is alone on a domain of its own, spawned by the
+    first {!create} or {!Server.start} of the process and never joined.
+    So a process that only dials remote daemons ([mwreg live
+    --connect]) runs two domains too: its client threads on the
+    caller's, and the loop on its own. *)
 
 exception Unavailable of string
 (** Raised by {!exec} when no quorum answered within the retry budget. *)
@@ -56,8 +66,8 @@ val create :
   quorum:int ->
   unit ->
   t
-(** Start the event loop, which dials every server (tolerating
-    failures).  [rt_timeout] (default 1s) bounds each round trip and
+(** Hand the mux to the process's event loop (spawning the loop on
+    first use), which dials every server (tolerating failures).  [rt_timeout] (default 1s) bounds each round trip and
     [max_rt_retries] (default 3) bounds its re-broadcasts.  A failed
     connect is retried after 40 ms, doubling to a 1.28 s cap that holds
     for as long as the server stays down.  [faults] is the link plan
@@ -82,7 +92,7 @@ val exec :
     only replies echoing the same key count toward the quorum — a reply
     for any other key is dropped (see {!dropped_replies}), never
     delivered.  The continuation receives [(server_index, reply)] pairs
-    in arrival order, and runs on the mux's event loop as soon as the
+    in arrival order, and runs on the process's event loop as soon as the
     quorum is routed, not on the calling thread.
 
     - The outer call (on a handle with no operation in progress)
@@ -96,10 +106,14 @@ val exec :
       [Unavailable] once a round's retry budget is spent (a reply that
       arrives after that counts as late).
     - Continuations of one handle never run concurrently.  They run on
-      the loop, so they must not block, and must not start an
-      operation on another handle of the same mux.
+      the loop, which every mux and in-process server of the process
+      shares, so they must not block, and must not start an operation
+      on another handle of any mux ([Invalid_argument]), nor call
+      {!shutdown} or {!Server.stop} ([Invalid_argument] too).
 
-    @raise Unavailable when fewer than [quorum] servers answered. *)
+    @raise Unavailable when fewer than [quorum] servers answered.
+    @raise Invalid_argument when an operation is started on the event
+    loop's thread. *)
 
 val rounds_completed : handle -> int
 (** Round trips that reached their quorum. *)
@@ -122,8 +136,12 @@ val release : handle -> unit
     dropped; the shared connections stay up for other clients. *)
 
 val shutdown : t -> unit
-(** Stop the event loop and join it: the loop is woken through its pipe
-    rather than waited out, severs every connection, and fails an
-    operation still in progress with {!Unavailable}.  Closes the loop's
-    pipe and poller, so a create/shutdown cycle leaves no descriptor
-    behind.  Idempotent. *)
+(** Take the mux off the event loop and return once the loop has done
+    it: the loop is woken through its pipe rather than waited out,
+    severs every connection of the mux, and fails an operation still in
+    progress with {!Unavailable}.  The loop runs on for the rest of the
+    process, so a create/shutdown cycle leaves no descriptor and no
+    thread behind.  Idempotent.
+    @raise Invalid_argument when called on the event loop's thread
+    (from a continuation, say): it would wait for its own
+    acknowledgement. *)

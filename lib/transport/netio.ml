@@ -2,7 +2,7 @@
    RAW-IO): every syscall that moves bytes or waits for readiness lives
    here, wrapped with one EINTR policy — blocking variants retry, the
    non-blocking variants retry EINTR but surface EAGAIN/EWOULDBLOCK as
-   [None] so a reactor can park the descriptor until the poller says
+   [None] so the event loop can park the descriptor until the poller says
    otherwise. *)
 
 (* ------------------------------------------------------------------ *)
@@ -122,8 +122,8 @@ let drain_wake =
 (* Readiness waits                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* On Unix a file descriptor is the int; the poller and the reactor key
-   their tables by it. *)
+(* On Unix a file descriptor is the int; the poller and the event loop
+   key their tables by it. *)
 external fd_int : Unix.file_descr -> int = "%identity"
 external fd_of_int : int -> Unix.file_descr = "%identity"
 

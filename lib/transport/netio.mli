@@ -1,4 +1,4 @@
-(** Socket I/O for the server reactor and the mux's event loop — the
+(** Socket I/O for the process's event loop ({!Loop}) — the
     transport's single sanctioned raw-I/O module (mwlint's RAW-IO rule
     points every [Unix.read]/[write]/[accept]/[select] outside this file
     back here).
@@ -7,7 +7,7 @@
     without [SA_RESTART], so any syscall can be interrupted mid-flight;
     an interrupted call is not a dead link.  Blocking variants retry
     EINTR until they complete.  Non-blocking variants ([*_nb]) also
-    retry EINTR, but return [None] on EAGAIN/EWOULDBLOCK so a reactor
+    retry EINTR, but return [None] on EAGAIN/EWOULDBLOCK so the loop
     can park the descriptor with its {!Poller} instead of blocking a
     thread.  Every other error still propagates: real link failures
     surface where callers expect them. *)
@@ -25,7 +25,7 @@
 type counts = {
   writes : int;  (** {!write_all} [write(2)] calls (blocking sockets). *)
   writes_nb : int;
-      (** {!write_nb} [write(2)] calls (reactor and mux sockets). *)
+      (** {!write_nb} [write(2)] calls (server and mux sockets). *)
   reads : int;
       (** [read(2)] calls from {!read}, {!read_nb} and {!drain_wake}. *)
   waits : int;  (** {!Poller.wait} calls: one epoll/poll wait each. *)
@@ -49,7 +49,7 @@ val read : Unix.file_descr -> bytes -> int -> int -> int
 val ignore_sigpipe : unit -> unit
 (** Ignore SIGPIPE process-wide (once), so a peer that closes its
     socket mid-write surfaces as EPIPE on that write instead of killing
-    the process.  Every event loop calls it before its first socket. *)
+    the process.  The event loop calls it before its first socket. *)
 
 (** {1 Non-blocking variants} *)
 
@@ -73,7 +73,7 @@ val accept_nb : Unix.file_descr -> Unix.file_descr option
 
 (** {1 Wakeup pipes}
 
-    A reactor blocked in its poller is woken by writing a byte to a
+    A loop blocked in its poller is woken by writing a byte to a
     pipe whose read end it watches.  Both calls are non-blocking and
     swallow failure: a full pipe already guarantees a wakeup, and a
     closed one means there is nobody left to wake. *)
@@ -88,11 +88,11 @@ val drain_wake : Unix.file_descr -> unit
 
 val fd_int : Unix.file_descr -> int
 (** The descriptor's integer (Unix-only build): the key the poller and
-    the reactor use for connection tables. *)
+    the loop use for their tables. *)
 
 module Poller : sig
-  (** A persistent interest set for one waiting thread (a server's
-      reactor, a mux's event loop): epoll(7) where the
+  (** A persistent interest set for one waiting thread (the process's
+      event loop): epoll(7) where the
       platform has it, poll(2) over the registered set elsewhere.
       Level-triggered either way — an event repeats until its cause is
       drained, so a loop that processes only part of a socket's data
@@ -129,9 +129,9 @@ module Poller : sig
       on kernels without epoll_pwait2.  On Linux the first epoll wait
       on a thread sets that thread's timer slack to 1 ns (from the
       default 50 µs), so a wake-up lands at its deadline: the thread
-      that waits here is a mux's event loop, which sleeps to the
-      deadlines of staged requests and held replies alike (both legs of
-      a link), or a server's reactor.  Where the kernel refuses, the
+      that waits here is the process's event loop, which sleeps to the
+      deadlines of every mux's staged requests and held replies alike
+      (both legs of a link).  Where the kernel refuses, the
       default slack stays.
       Errors (EPOLLERR/HUP, POLLNVAL) are reported as [readable]: the
       owner's read path observes the failure and drops the connection.

@@ -1,9 +1,9 @@
-(** A connection's outbound byte queue, shared by the server reactor
-    and the mux's links: frames are appended at the back, non-blocking
+(** A connection's outbound byte queue, for server connections and mux
+    links alike: frames are appended at the back, non-blocking
     writes consume from the front.  Everything queued between two
     flushes leaves in one [write(2)]; a write the kernel cuts short
     leaves the remainder queued for the next flush.  Not thread-safe:
-    its owner (a server's reactor, or a mux's event loop) is the only
+    its owner, the process's event loop ({!Loop}), is the only
     one to touch it. *)
 
 type t

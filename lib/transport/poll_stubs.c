@@ -1,5 +1,7 @@
-/* Readiness-notification stubs for the reactor server and the sockets
- * client plane.
+/* Readiness-notification stubs for Netio.Poller, which the transport's
+ * one event loop per process (Transport.Loop) waits in: every
+ * in-process server's listen socket and connections, every mux link,
+ * and the loop's wake pipe.
  *
  * Two backends share one event encoding.  An event (and, for poll, an
  * interest) is a single OCaml int:
@@ -8,31 +10,34 @@
  *
  * - epoll (Linux): mwreg_epoll_create returns -1 where epoll does not
  *   exist, and the OCaml side falls back to poll over its own interest
- *   registry.  Level-triggered, matching the reactor's drain-to-EAGAIN
- *   read loop.  The wait takes its timeout in nanoseconds and sleeps in
+ *   registry.  Level-triggered, matching the loop's drain-to-EAGAIN
+ *   read paths.  The wait takes its timeout in nanoseconds and sleeps in
  *   epoll_pwait2(2), so a 0.3 ms delivery deadline wakes at 0.3 ms, not
  *   at the next whole millisecond.  A kernel without epoll_pwait2
  *   (before 5.11, or a seccomp filter that refuses it) is detected on
  *   the first call and remembered; from then on epoll_wait(2) runs with
  *   the timeout rounded up to milliseconds.  The first wait on each
  *   thread also sets that thread's timer slack to 1 ns
- *   (prctl(PR_SET_TIMERSLACK)): with the default 50 µs, every wake-up
- *   lands up to 50 µs past its deadline, and a delayed frame's release
+ *   (prctl(PR_SET_TIMERSLACK)): with the default 50 us, every wake-up
+ *   lands up to 50 us past its deadline, and a delayed frame's release
  *   pays it on both legs of a round trip.  Only the threads that wait
- *   here are changed (the server reactors, and each mux's event loop,
- *   which sleeps to the deadline of the next staged frame); a refused
- *   prctl keeps the default.
+ *   here are changed: the event loop's, which sleeps to the deadline of
+ *   the next frame any mux has staged (and any other thread that waits
+ *   in a poller of its own, as the tests do); a refused prctl keeps the
+ *   default.
  * - poll (portable): mwreg_poll takes an array of encoded interests and
  *   rewrites each entry's bits with the revents.  Unlike select(2) it
  *   has no FD_SETSIZE cliff, which matters from ~1024 descriptors up.
  *
- * Both waits release the OCaml runtime lock, so one reactor blocking in
- * epoll_wait never stalls the other threads (or the main thread).  The
- * OCaml arrays are copied to C memory before the lock is released: the
- * GC may move or compact heap blocks while we are not holding it.
+ * Every stub here releases the OCaml runtime lock around its syscalls
+ * (the waits, epoll_create and epoll_ctl alike), and none holds it
+ * across one: a thread blocked in the wait never stalls the other
+ * threads of its domain.  The OCaml arrays are copied
+ * to C memory before the lock is released: the GC may move or compact
+ * heap blocks while we are not holding it.
  *
- * EINTR is reported as "0 events ready"; the callers' loops re-check
- * their deadlines and wait again, mirroring Netio's EINTR policy.
+ * EINTR is reported as "0 events ready"; the loop re-checks its
+ * deadlines and waits again, mirroring Netio's EINTR policy.
  */
 
 #define _GNU_SOURCE
@@ -70,8 +75,11 @@ static void mwreg_sys_fail(const char *who)
 CAMLprim value mwreg_epoll_create(value unit)
 {
 #ifdef MWREG_HAVE_EPOLL
-  int ep = epoll_create1(0);
+  int ep;
   (void)unit;
+  caml_release_runtime_system();
+  ep = epoll_create1(0);
+  caml_acquire_runtime_system();
   return Val_int(ep); /* -1 on failure: caller falls back to poll */
 #else
   (void)unit;
@@ -79,11 +87,33 @@ CAMLprim value mwreg_epoll_create(value unit)
 #endif
 }
 
+#ifdef MWREG_HAVE_EPOLL
+/* One epoll_ctl, with registry drift tolerated rather than fatal: a
+   re-add becomes a modify, a modify of a forgotten fd becomes an add,
+   deleting an absent (or already-closed) fd is a no-op.  Returns 0, or
+   the errno of the failure.  Runs without the runtime lock: touches no
+   OCaml value. */
+static int mwreg_epoll_ctl_nolock(int ep, int op, int fd,
+                                  struct epoll_event *ev)
+{
+  if (epoll_ctl(ep, op, fd, ev) == 0) return 0;
+  if (op == EPOLL_CTL_ADD && errno == EEXIST) {
+    if (epoll_ctl(ep, EPOLL_CTL_MOD, fd, ev) == 0) return 0;
+  } else if (op == EPOLL_CTL_MOD && errno == ENOENT) {
+    if (epoll_ctl(ep, EPOLL_CTL_ADD, fd, ev) == 0) return 0;
+  } else if (op == EPOLL_CTL_DEL && (errno == ENOENT || errno == EBADF)) {
+    return 0;
+  }
+  return errno;
+}
+#endif
+
 CAMLprim value mwreg_epoll_ctl(value vep, value vop, value vfd, value vbits)
 {
 #ifdef MWREG_HAVE_EPOLL
   struct epoll_event ev;
   int bits = Int_val(vbits);
+  int ep = Int_val(vep), fd = Int_val(vfd), err;
   int op = Int_val(vop) == 0   ? EPOLL_CTL_ADD
            : Int_val(vop) == 1 ? EPOLL_CTL_MOD
                                : EPOLL_CTL_DEL;
@@ -91,20 +121,12 @@ CAMLprim value mwreg_epoll_ctl(value vep, value vop, value vfd, value vbits)
   ev.events = 0;
   if (bits & MWREG_RD) ev.events |= EPOLLIN;
   if (bits & MWREG_WR) ev.events |= EPOLLOUT;
-  ev.data.fd = Int_val(vfd);
-  if (epoll_ctl(Int_val(vep), op, Int_val(vfd), &ev) == -1) {
-    /* Registry drift is tolerated, not fatal: a re-add becomes a
-       modify, a modify of a forgotten fd becomes an add, deleting an
-       absent (or already-closed) fd is a no-op. */
-    if (op == EPOLL_CTL_ADD && errno == EEXIST) {
-      if (epoll_ctl(Int_val(vep), EPOLL_CTL_MOD, Int_val(vfd), &ev) == 0)
-        return Val_unit;
-    } else if (op == EPOLL_CTL_MOD && errno == ENOENT) {
-      if (epoll_ctl(Int_val(vep), EPOLL_CTL_ADD, Int_val(vfd), &ev) == 0)
-        return Val_unit;
-    } else if (op == EPOLL_CTL_DEL && (errno == ENOENT || errno == EBADF)) {
-      return Val_unit;
-    }
+  ev.data.fd = fd;
+  caml_release_runtime_system();
+  err = mwreg_epoll_ctl_nolock(ep, op, fd, &ev);
+  caml_acquire_runtime_system();
+  if (err != 0) {
+    errno = err;
     mwreg_sys_fail("epoll_ctl");
   }
   return Val_unit;

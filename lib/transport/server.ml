@@ -1,13 +1,11 @@
 open Registers
 
 (* A non-blocking reactor replaces the old thread-per-connection design:
-   one event loop over an epoll/poll {!Netio.Poller}, on one thread,
-   owns every connection and is the only thread that ever touches them
-   — connection state needs no locks at all.  The keyspace stays behind
-   [replica_lock] because other threads read it too (inspection,
-   recovery restarts).  Every reactor thread of the process lives on
-   one server domain (below), so serving a request never waits for the
-   runtime lock of the domain the clients run on. *)
+   the server's listen socket and every connection are watched by the
+   process's one event loop ({!Loop}), and that loop's thread is the
+   only one that ever touches them — connection state needs no locks at
+   all.  The keyspace stays behind [replica_lock] because other threads
+   read it too (inspection, recovery restarts). *)
 
 type conn = {
   cfd : Unix.file_descr;
@@ -23,26 +21,17 @@ type t = {
   port : int;
   keyspace : Keyspace.t; (* every register this server hosts *)
   replica_lock : Mutex.t; (* guards [keyspace] *)
-  poller : Netio.Poller.t;
-  wake_r : Unix.file_descr;
-  wake_w : Unix.file_descr; (* [stop] wakes the reactor through it *)
-  conns : (int, conn) Hashtbl.t; (* reactor-thread private *)
+  conns : (int, conn) Hashtbl.t; (* loop-private, as are the two below *)
   frame_buf : Buffer.t;
-  stopping : bool Atomic.t;
+  mutable stopped : bool;
   live_conns : int Atomic.t;
-  closed : Semaphore.Binary.t; (* released once the reactor has exited *)
 }
-
-(* The idle tick: an upper bound on how long the reactor sleeps when
-   nothing is ready, and therefore on [stop]'s worst-case latency if a
-   wakeup byte were ever lost. *)
-let tick = 0.2
 
 (* Backpressure ceiling for one connection's out-queue.  A peer that
    stops reading (or reads far slower than it asks) would otherwise grow
    its queue without bound — the quorum keeps completing on the other
    replicas, so nothing upstream ever slows down for it.  Above the
-   ceiling the reactor stops decoding that connection's requests (they
+   ceiling the server stops decoding that connection's requests (they
    wait in its stream) and drops its read interest, so the kernel's
    buffers push back on the peer; the first flush that brings the queue
    under the ceiling resumes it.  One batch of at most [max_batch]
@@ -61,7 +50,7 @@ let snapshot t =
 
 let connection_count t = Atomic.get t.live_conns
 
-(* [c] is still the connection the reactor knows by its fd number (not
+(* [c] is still the connection the server knows by its fd number (not
    a closed one whose number a later accept reused). *)
 let alive t c =
   match Hashtbl.find_opt t.conns c.ckey with
@@ -69,17 +58,15 @@ let alive t c =
   | None -> false
 
 (* Read interest is off while the out-queue is over the ceiling. *)
-let set_interest t c =
-  Netio.Poller.set t.poller c.cfd
-    ~read:(Outq.length c.outq <= outq_limit)
-    ~write:c.want_write
+let set_interest c =
+  Loop.set c.cfd ~read:(Outq.length c.outq <= outq_limit) ~write:c.want_write
 
 let close_conn t c =
   if alive t c then begin
     Hashtbl.remove t.conns c.ckey;
     (* Unregister before close: the fd number is reusable the instant
        close returns, and the poller must never see it secondhand. *)
-    Netio.Poller.remove t.poller c.cfd;
+    Loop.unwatch c.cfd;
     (try Unix.close c.cfd with Unix.Unix_error _ -> ());
     Atomic.decr t.live_conns
   end
@@ -93,12 +80,12 @@ let flush t c =
   | true ->
     if c.want_write then begin
       c.want_write <- false;
-      set_interest t c
+      set_interest c
     end
   | false ->
     if not c.want_write then begin
       c.want_write <- true;
-      set_interest t c
+      set_interest c
     end
   | exception Unix.Unix_error _ -> close_conn t c
 
@@ -149,7 +136,7 @@ let next_batch c =
 let rec serve t c =
   if not (alive t c) then false
   else if Outq.length c.outq > outq_limit then begin
-    set_interest t c;
+    set_interest c;
     false
   end
   else
@@ -166,8 +153,22 @@ let handle_readable t c =
   let open_ = Codec.Stream.fill c.stream c.cfd in
   if serve t c || not open_ then close_conn t c
 
+(* One ready event on connection [c]. *)
+let on_conn t c ~readable ~writable =
+  if writable && alive t c then begin
+    flush t c;
+    (* Once the queue is back under the ceiling, restore read interest
+       and answer what waited meanwhile. *)
+    if alive t c then begin
+      set_interest c;
+      if serve t c then close_conn t c
+    end
+  end;
+  (* The flush may have severed the connection. *)
+  if readable && alive t c then handle_readable t c
+
 (* Any unexpected accept failure (e.g. EMFILE) just ends this round —
-   the level-triggered poller re-reports the backlog next tick. *)
+   the level-triggered poller re-reports the backlog next time. *)
 let do_accept t =
   let more = ref true in
   while !more do
@@ -189,83 +190,8 @@ let do_accept t =
         }
       in
       Hashtbl.replace t.conns c.ckey c;
-      Netio.Poller.add t.poller fd ~want_write:false
+      Loop.watch fd ~want_write:false (on_conn t c)
   done
-
-let reactor_loop t =
-  let wake_key = Netio.fd_int t.wake_r in
-  let listen_key = Netio.fd_int t.listen_fd in
-  while not (Atomic.get t.stopping) do
-    ignore
-      (Netio.Poller.wait t.poller ~timeout:tick
-         (fun fd ~readable ~writable ->
-           let k = Netio.fd_int fd in
-           if k = wake_key then begin
-             if readable then Netio.drain_wake t.wake_r
-           end
-           else if k = listen_key then begin
-             if readable && not (Atomic.get t.stopping) then do_accept t
-           end
-           else
-             match Hashtbl.find_opt t.conns k with
-             | None -> () (* closed earlier in this same dispatch round *)
-             | Some c ->
-               if writable then begin
-                 flush t c;
-                 (* Once the queue is back under the ceiling, restore
-                    read interest and answer what waited meanwhile. *)
-                 if alive t c then begin
-                   set_interest t c;
-                   if serve t c then close_conn t c
-                 end
-               end;
-               (* The flush may have severed the connection. *)
-               if readable && alive t c then handle_readable t c))
-  done;
-  (* Teardown on the reactor thread: close every connection (clients
-     see the crash as EOF/reset). *)
-  let remaining = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [] in
-  List.iter (close_conn t) remaining
-
-let run_reactor t =
-  Fun.protect
-    ~finally:(fun () -> Semaphore.Binary.release t.closed)
-    (fun () -> reactor_loop t)
-
-(* The server domain.  The first [start] spawns it; its one thread then
-   waits for servers to arrive and starts each one's reactor thread, so
-   every reactor of the process — whatever the number of servers,
-   groups or restarts — shares that domain and its runtime lock.  The
-   domain is never joined: it lives as long as the process. *)
-let domain_lock = Mutex.create ()
-
-let domain_wake = Condition.create ()
-
-let arrivals : t Queue.t = Queue.create () (* under [domain_lock] *)
-
-let domain_spawned = ref false (* under [domain_lock] *)
-
-let rec server_domain () =
-  let t =
-    Mutex.protect domain_lock (fun () ->
-        while Queue.is_empty arrivals do
-          Condition.wait domain_wake domain_lock
-        done;
-        Queue.pop arrivals)
-  in
-  ignore (Thread.create run_reactor t);
-  server_domain ()
-
-let launch t =
-  let first =
-    Mutex.protect domain_lock (fun () ->
-        Queue.push t arrivals;
-        Condition.signal domain_wake;
-        let first = not !domain_spawned in
-        domain_spawned := true;
-        first)
-  in
-  if first then ignore (Domain.spawn server_domain)
 
 let start ?(host = "127.0.0.1") ?(port = 0) ?(id = 0)
     ?(keyspace = Keyspace.create ()) () =
@@ -277,7 +203,6 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?(id = 0)
       invalid_arg
         (Printf.sprintf "Server.start: host %S is not a numeric address" host)
   in
-  Netio.ignore_sigpipe ();
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt fd Unix.SO_REUSEADDR true;
   let addr = Unix.ADDR_INET (inet, port) in
@@ -285,7 +210,7 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?(id = 0)
    with e ->
      (try Unix.close fd with Unix.Unix_error _ -> ());
      raise e);
-  (* A reactor accepts thousands of near-simultaneous connects (the
+  (* A server accepts thousands of near-simultaneous connects (the
      high-C sweep opens them in a burst): give the backlog headroom. *)
   Unix.listen fd 1024;
   Netio.set_nonblock fd;
@@ -294,12 +219,6 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?(id = 0)
     | Unix.ADDR_INET (_, p) -> p
     | Unix.ADDR_UNIX _ -> assert false
   in
-  let wake_r, wake_w = Unix.pipe () in
-  Netio.set_nonblock wake_r;
-  Netio.set_nonblock wake_w;
-  let poller = Netio.Poller.create () in
-  Netio.Poller.add poller wake_r ~want_write:false;
-  Netio.Poller.add poller fd ~want_write:false;
   let t =
     {
       id;
@@ -307,25 +226,27 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?(id = 0)
       port;
       keyspace;
       replica_lock = Mutex.create ();
-      poller;
-      wake_r;
-      wake_w;
       conns = Hashtbl.create 64;
       frame_buf = Buffer.create 512;
-      stopping = Atomic.make false;
+      stopped = false;
       live_conns = Atomic.make 0;
-      closed = Semaphore.Binary.make false;
     }
   in
-  launch t;
+  (* Connects that arrive before the loop watches the socket wait in
+     its backlog. *)
+  Loop.submit (fun () ->
+      Loop.watch fd ~want_write:false (fun ~readable ~writable:_ ->
+          if readable then do_accept t));
   t
 
+(* On the loop: close the listen socket and every connection (clients
+   see the crash as EOF/reset). *)
 let stop t =
-  if not (Atomic.exchange t.stopping true) then begin
-    Netio.notify t.wake_w;
-    Semaphore.Binary.acquire t.closed;
-    (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-    Netio.Poller.close t.poller;
-    (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
-    (try Unix.close t.wake_w with Unix.Unix_error _ -> ())
-  end
+  Loop.call ~who:"Server.stop" (fun () ->
+      if not t.stopped then begin
+        t.stopped <- true;
+        Loop.unwatch t.listen_fd;
+        (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
+        let remaining = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [] in
+        List.iter (close_conn t) remaining
+      end)

@@ -1827,6 +1827,41 @@ let test_mux_continuation_exn () =
   check bool "a nested exec's encoding failure" true r3;
   check bool "the handle runs on" true !ok
 
+let test_loop_self_wait_raises () =
+  (* [Mux.shutdown] and [Server.stop] wait for the loop's
+     acknowledgement, and an operation on another handle waits for its
+     own continuations, so called from a continuation, on the loop's
+     own thread, each would wait for itself: each raises
+     [Invalid_argument] naming the call instead, and the outer [exec]
+     re-raises it.  The mux and the server run on. *)
+  let server = Server.start ~id:0 () in
+  let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server) in
+  let mux = Mux.create ~servers:[| addr |] ~quorum:1 () in
+  let h = Mux.client mux ~client:14 in
+  let raised f =
+    match Mux.exec ~key h (Wire.Query []) (fun _ -> f ()) with
+    | () -> "no exception"
+    | exception Invalid_argument msg -> msg
+  in
+  let in_shutdown = raised (fun () -> Mux.shutdown mux) in
+  let in_stop = raised (fun () -> Server.stop server) in
+  let other = Mux.client mux ~client:15 in
+  let in_exec =
+    raised (fun () -> Mux.exec ~key other (Wire.Query []) (fun _ -> ()))
+  in
+  let ok = ref false in
+  Mux.exec ~key h (Wire.Query []) (fun _ -> ok := true);
+  Mux.shutdown mux;
+  Server.stop server;
+  let names who msg = String.starts_with ~prefix:(who ^ ":") msg in
+  check bool ("Mux.shutdown in a continuation: " ^ in_shutdown) true
+    (names "Mux.shutdown" in_shutdown);
+  check bool ("Server.stop in a continuation: " ^ in_stop) true
+    (names "Server.stop" in_stop);
+  check bool ("Mux.exec on another handle in a continuation: " ^ in_exec)
+    true (names "Mux.exec" in_exec);
+  check bool "the mux and the server run on" true !ok
+
 let test_mux_unavailable_then_late () =
   (* A round that exhausts its retries raises [Unavailable] on the
      caller; the reply the server sends afterwards counts as late. *)
@@ -1993,8 +2028,8 @@ let test_poller_oversleep () =
   (* A thread waiting in the poller runs with 1 ns timer slack, so an
      idle 0.3 ms wait oversleeps by microseconds, not by the kernel's
      default 50 us: on the calling thread, on a [Thread.create]d one
-     (a mux's loop, a server's reactor) and on a spawned domain: the
-     slack is per OS thread, set on each thread's first wait. *)
+     and on a spawned domain, where the event loop runs: the slack is
+     per OS thread, set on each thread's first wait. *)
   let oversleep () = idle_wait_median 200 -. 0.0003 in
   let caller = oversleep () in
   (* Without epoll_pwait2 waits round up to whole milliseconds. *)
@@ -2063,16 +2098,16 @@ let test_mux_reply_leg_delays () =
   check bool (Printf.sprintf "round trip %.1f ms < 500 ms" (elapsed *. 1e3))
     true (elapsed < 0.5)
 
-(* [cycle] once to warm up (the server domain and its own threads start
-   once per process, with the first server), then [n] times more: the
+(* [cycle] once to warm up (the event loop's domain and its threads
+   start once per process, with the first server), then [n] times more: the
    process must hold as many descriptors and threads as after the
    warm-up.  [settle] waits out what closes asynchronously. *)
 let leaks_nothing ~what ~n ~settle cycle =
   let count dir = Array.length (Sys.readdir dir) in
   cycle ();
   settle ();
-  (* A stopped reactor's or a joined loop's thread leaves
-     /proc/self/task a moment after it returns. *)
+  (* A finished thread leaves /proc/self/task a moment after it
+     returns. *)
   Thread.delay 0.05;
   let fds = count "/proc/self/fd" and tasks = count "/proc/self/task" in
   for _ = 1 to n do
@@ -2089,12 +2124,12 @@ let leaks_nothing ~what ~n ~settle cycle =
     (count "/proc/self/task")
 
 let test_mux_lifecycle () =
-  (* create/shutdown leaks no descriptor (the loop's pipe and poller,
-     the connections) and no thread, and shutdown wakes the sleeping
-     loop through its pipe instead of waiting out its 50 ms timeout
-     scan.  The same holds for a cluster's start, kill, restart and
-     shutdown: every reactor, restarted ones included, runs on the one
-     server domain, and each restarted server binds its old port. *)
+  (* create/shutdown leaks no descriptor (the connections) and no
+     thread, and shutdown wakes the sleeping loop through its pipe
+     instead of waiting out its 50 ms timeout scan.  The same holds for
+     a cluster's start, kill, restart and shutdown: every server,
+     restarted ones included, runs on the process's one event loop,
+     and each restarted server binds its old port. *)
   if not (Sys.file_exists "/proc/self/task") then Alcotest.skip ();
   let server = Server.start ~id:0 () in
   let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server) in
@@ -2128,6 +2163,29 @@ let test_mux_lifecycle () =
     Cluster.shutdown cl
   in
   leaks_nothing ~what:"mux" ~n:20 ~settle mux_cycle;
+  (* One loop thread serves every server and every mux of the process:
+     with one server and its mux up, a second cluster (S = 7) and two
+     more muxes over it add no thread. *)
+  let tasks () = Array.length (Sys.readdir "/proc/self/task") in
+  let first = Mux.create ~servers:[| addr |] ~quorum:1 () in
+  Mux.exec ~key (Mux.client first ~client:20) (Wire.Query []) (fun _ -> ());
+  let before = tasks () in
+  let cl = Cluster.start ~s:7 ~tol:3 () in
+  let more =
+    List.map
+      (fun quorum -> Mux.create ~servers:(Cluster.addrs cl) ~quorum ())
+      [ 4; 7 ]
+  in
+  List.iteri
+    (fun i m ->
+      Mux.exec ~key (Mux.client m ~client:(21 + i)) (Wire.Query []) (fun _ ->
+          ()))
+    more;
+  let after = tasks () in
+  List.iter Mux.shutdown (first :: more);
+  Cluster.shutdown cl;
+  check int "threads with a second cluster (S = 7) and two more muxes" before
+    after;
   Server.stop server;
   leaks_nothing ~what:"cluster" ~n:50 ~settle:ignore cluster_cycle;
   (* The warm-up cycle's shutdown is not timed. *)
@@ -2544,6 +2602,8 @@ let () =
             `Quick test_mux_continuation_off_caller;
           Alcotest.test_case "a continuation's exception reaches the caller"
             `Quick test_mux_continuation_exn;
+          Alcotest.test_case "shutdown or stop on the loop's thread raises"
+            `Quick test_loop_self_wait_raises;
           Alcotest.test_case "Unavailable on the caller, then a late reply"
             `Quick test_mux_unavailable_then_late;
           Alcotest.test_case "a server that stops reading stalls nothing"
