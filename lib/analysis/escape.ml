@@ -3,9 +3,11 @@
    The walker records every closure passed to Thread.create /
    Domain.spawn / Pool entry points under a synthetic [<spawn:LINE>]
    summary, and bare function arguments to those calls as calls from
-   that summary.  Each spawn SITE is a thread origin; the main thread
-   is one more origin, rooted at every summary no spawn frame can
-   reach.
+   that summary.  Each spawn SITE is a thread origin, and every
+   [<loop:LINE>] frame (code the event loop runs, see
+   [Rules.loop_calls]) has the one origin [<loop>], whichever thread
+   created it.  The main thread is one more origin, rooted at every
+   summary no frame can reach.
 
    A cell is thread-shared when its accesses span at least TWO
    origins: a race needs two threads.  One origin is not enough —
@@ -34,24 +36,35 @@ let find_sub ?(from = 0) hay pat =
 
 let spawn_tag = "<spawn:"
 
-(* The thread origin of a spawn-frame-derived key: the prefix ending at
-   the LAST spawn tag.  A local function defined inside a spawned
-   closure ([A.f.<spawn:10>.echo]) runs on the thread spawned at that
-   site, not on a thread of its own; a spawn inside a spawn
-   ([A.f.<spawn:10>.<spawn:20>]) is a genuinely new thread. *)
+let loop_tag = "<loop:"
+
+let loop_origin = "<loop>"
+
+let rec last_tag key tag from acc =
+  match find_sub ~from key tag with
+  | None -> acc
+  | Some i -> last_tag key tag (i + 1) (Some i)
+
+(* The thread origin of a frame-derived key, from its LAST frame tag.
+   A spawn frame's origin is the prefix ending at its tag: a local
+   function defined inside a spawned closure ([A.f.<spawn:10>.echo])
+   runs on the thread spawned at that site, not on a thread of its own;
+   a spawn inside a spawn ([A.f.<spawn:10>.<spawn:20>]) is a genuinely
+   new thread.  Every loop frame ([A.f.<loop:12>], wherever it sits)
+   has the one origin [<loop>]: one thread runs all of them. *)
 let origin_of_key key =
-  let rec last_tag from acc =
-    match find_sub ~from key spawn_tag with
-    | None -> acc
-    | Some i -> last_tag (i + 1) (Some i)
-  in
-  match last_tag 0 None with
-  | None -> None
-  | Some i -> (
+  match (last_tag key spawn_tag 0 None, last_tag key loop_tag 0 None) with
+  | None, None -> None
+  | None, Some _ -> Some loop_origin
+  | Some s, Some l when l > s -> Some loop_origin
+  | Some i, _ -> (
     (* extend to the closing '>' of the tag *)
     match String.index_from_opt key i '>' with
     | Some j -> Some (String.sub key 0 (j + 1))
     | None -> Some key)
+
+let loop_lock key =
+  if origin_of_key key = Some loop_origin then [ loop_origin ] else []
 
 (* Resolve a recorded callee name to a summary key.  [resolve] in the
    walker already qualifies unqualified names with the caller's module,
@@ -124,10 +137,10 @@ let mark_reachable (st : Rules.state) origins ~origin roots =
   List.iter visit roots
 
 (* origins : summary key -> distinct thread origins that can execute
-   it.  Every summary derived from a spawn frame (the frame itself and
-   local functions defined inside it) roots the origin of its spawn
-   site; the main thread is rooted at every summary no spawn frame
-   reaches (anything NOT spawn-reachable runs, if at all, on the
+   it.  Every summary derived from a frame (the frame itself and local
+   functions defined inside it) roots its frame's origin: its spawn
+   site, or [<loop>]; the main thread is rooted at every summary no
+   frame reaches (anything NOT frame-reachable runs, if at all, on the
    spawning side). *)
 let thread_origins (st : Rules.state) =
   let origins = Hashtbl.create 64 in

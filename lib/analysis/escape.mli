@@ -8,7 +8,12 @@
     binding — can execute under two distinct origins: a race needs two
     threads.  Threads spawned at the same syntactic site count as one
     origin (the benign per-thread-slot pattern), a documented
-    precision tradeoff. *)
+    precision tradeoff.  Code the event loop runs
+    ([Rules.loop_calls]) has the one origin [<loop>]. *)
+
+val loop_lock : string -> string list
+(** [["<loop>"]], the pseudo-lock {!Lockmap} credits to code the event
+    loop runs, for a loop frame's summary key; [[]] for any other. *)
 
 val lookup : Rules.state -> f_mod:string -> string -> string option
 (** Resolve a recorded callee to a summary key, trying the caller's

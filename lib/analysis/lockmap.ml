@@ -11,9 +11,12 @@
    credit the callee's accesses with it.  An instance-blind lexical
    analysis cannot prove the bare caller runs concurrently (the repo's
    simulators call handler functions single-threaded that the server
-   calls under its replica lock), so pessimism here would drown the
+   calls on its event loop), so pessimism here would drown the
    report in false positives.  The spawn frames have no callers, so
-   spawned closures correctly start with nothing held.
+   spawned closures correctly start with nothing held.  The loop frames
+   have none either, but start holding the pseudo-lock [<loop>]: the
+   event loop runs one closure at a time on one thread, so its code
+   excludes other loop code exactly as one mutex would.
 
    Ownership is majority co-occurrence: the lock held at the most
    sites owns the cell.  Full coverage lands in the --lock-map
@@ -30,7 +33,9 @@ module SS = Set.Make (String)
    pure union converges to the least fixpoint of a monotone map. *)
 let entry_held (st : Rules.state) =
   let h = Hashtbl.create 64 in
-  Hashtbl.iter (fun key _ -> Hashtbl.replace h key SS.empty) st.funcs;
+  Hashtbl.iter
+    (fun key _ -> Hashtbl.replace h key (SS.of_list (Escape.loop_lock key)))
+    st.funcs;
   let get key = Option.value ~default:SS.empty (Hashtbl.find_opt h key) in
   let changed = ref true in
   while !changed do

@@ -23,7 +23,8 @@
      fresh stack: they are walked with an empty held set under an
      anonymous summary that no call site can reach, so their locks
      never leak into the spawner's acquisition set (their own nesting
-     edges still enter the global lock-order graph). *)
+     edges still enter the global lock-order graph).  Closures handed
+     to the event loop ([loop_calls]) get a [<loop:LINE>] summary. *)
 
 open Parsetree
 
@@ -164,6 +165,19 @@ let spawn_calls =
     "Pool.map_reduce";
   ]
 
+(* Calls whose closure and function arguments run on the process's one
+   event loop (Transport.Loop), whatever thread made the call.  The
+   escape pass gives them one thread origin, "<loop>", as it does the
+   then-branch of [if Loop.on_loop () then ...] and the spawn in
+   Transport.Loop that starts the loop's own thread. *)
+let loop_calls =
+  [ "Loop.submit"; "Loop.await"; "Loop.call"; "Loop.watch"; "Loop.add_ticker" ]
+
+(* [Loop.submit] from another module, [Transport.Loop.submit] once
+   [resolve] qualifies a bare [submit] inside Loop itself. *)
+let names_one_of calls path =
+  List.exists (fun c -> String.ends_with ~suffix:c path) calls
+
 (* SHARED-ACCESS lock-free allowlist: (cell, justification).  A cell is
    the declaring-module-qualified name of a mutable field, or the
    function-qualified name of a ref/array/table binding.  Every entry
@@ -185,10 +199,6 @@ let lock_free_allow : (string * string) list =
        a port's completions never overlap: its client's operation \
        completes on the event loop, and the client thread publishes an \
        aborted one only after that operation's exec has returned" );
-    ( "Transport.Outq.*",
-      "an out-queue has one owner, the process's event loop \
-       (Transport.Loop): a server connection's and a mux link's alike \
-       are written by the loop's thread alone" );
     ( "Transport.Codec.Stream.*",
       "a decode stream belongs to the one thread that reads its \
        connection: the process's event loop, for a server connection \
@@ -196,34 +206,24 @@ let lock_free_allow : (string * string) list =
     ( "Transport.Netio.Poller.*",
       "a poller belongs to the one thread that waits in it: the \
        process's event loop (Transport.Loop) has the only one" );
-    ( "Transport.Loop.tickers",
-      "loop-private: read by the loop's thread, and written only by \
-       add_ticker/remove_ticker, which run in closures submitted to the \
-       loop (Mux.create, Mux.shutdown); mwlint sees a submitted closure \
-       on its submitter's thread" );
-    ( "Transport.Server.want_write",
-      "loop-private: a server connection's write interest is read and \
-       written only by handlers the process's event loop dispatches; \
-       mwlint sees them on the thread that called Server.start" );
-    ( "Transport.Server.stopped",
-      "loop-private: read and written only inside the closure Server.stop \
-       hands to Loop.call, which runs on the loop's thread; mwlint sees \
-       it on the thread that called Server.stop" );
     ( "Simulation.Heap.*",
       "a heap has one owner: a simulation engine's event queue belongs \
-       to that engine's thread; a mux's staged-frame heap is shared by \
-       its client threads and the process's event loop, and only \
-       touched under that mux's Mux.staged_lock" );
+       to that engine's thread, and a mux's staged-frame heap to the \
+       process's event loop, the only thread that stages or releases \
+       a frame" );
     (* -- registers: served state's off-thread edges ----------------- *)
     ( "Registers.Replica.current",
-      "bare sites are load (fresh instance) and post-stop snapshot \
-       getters; all in-service access runs under Server.replica_lock" );
+      "bare sites are load, filling a fresh instance on the thread \
+       that recovers a killed server before Server.start hands it to \
+       the event loop; all in-service access runs on the loop" );
     ( "Registers.Replica.vector",
-      "bare sites are load (fresh instance) and post-stop snapshot \
-       getters; all in-service access runs under Server.replica_lock" );
+      "bare sites are load, filling a fresh instance on the thread \
+       that recovers a killed server before Server.start hands it to \
+       the event loop; all in-service access runs on the loop" );
     ( "Registers.Replica.updated",
-      "bare sites are load (fresh instance) and post-stop snapshot \
-       getters; all in-service access runs under Server.replica_lock" );
+      "bare sites are load, filling a fresh instance on the thread \
+       that recovers a killed server before Server.start hands it to \
+       the event loop; all in-service access runs on the loop" );
     (* -- single-threaded planes driven from worker harnesses -------- *)
     ( "Simulation.*",
       "discrete-event simulation instances are single-threaded by \
@@ -604,10 +604,10 @@ let site_of ctx loc =
   { s_file = ctx.file; s_line = line_of loc; s_col = col_of loc }
 
 (* Locks are identified by their final field/variable name, qualified
-   by the defining module: precise enough to separate
-   [Server.replica_lock] from [Mux.mb_lock], coarse enough that every
-   instance of a per-mailbox lock is one graph node (which is exactly what a
-   lock-ORDER discipline is about). *)
+   by the defining module: precise enough to separate [Pool.m] from
+   [Loop.init_lock], coarse enough that every instance of a per-task
+   lock is one graph node (which is exactly what a lock-ORDER
+   discipline is about). *)
 let lock_name ctx e =
   let base =
     match e.pexp_desc with
@@ -814,7 +814,15 @@ let rec walk ctx held e =
     held
   | Pexp_ifthenelse (c, a, b) ->
     let held = walk ctx held c in
-    ignore (walk ctx held a);
+    (* The then-branch of [if Loop.on_loop ()] runs on the loop's
+       thread, with what the caller holds. *)
+    (match c.pexp_desc with
+    | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, _)
+      when names_one_of [ "Loop.on_loop" ] (lid_path txt) ->
+      walk_frame ctx held
+        (Printf.sprintf "<loop:%d>" (line_of c.pexp_loc))
+        [ (Asttypes.Nolabel, a) ]
+    | _ -> ignore (walk ctx held a));
     Option.iter (fun b -> ignore (walk ctx held b)) b;
     held
   | Pexp_while (cond, body) ->
@@ -944,26 +952,14 @@ and walk_apply ctx held e hd args =
     | _, _ when List.mem path spawn_calls ->
       (* The spawned closure starts on a fresh stack: walk it with no
          held locks under an unreachable summary, so its acquisitions
-         never count as the spawner's.  Bare function arguments
-         ([Domain.spawn worker]) are recorded as calls from the spawn
-         frame so the escape pass can reach their bodies; the owned
-         set is cleared because the closure runs after publication. *)
-      let tag = Printf.sprintf "<spawn:%d>" (line_of loc) in
-      ctx.fn_stack <- tag :: ctx.fn_stack;
-      let saved_owned = ctx.owned in
-      ctx.owned <- [];
-      List.iter
-        (fun (_, a) ->
-          (match a.pexp_desc with
-          | Pexp_ident { txt; _ } ->
-            record_call ctx []
-              (resolve ctx (strip_stdlib (lid_path txt)))
-              a.pexp_loc
-          | _ -> ());
-          ignore (walk ctx [] a))
-        args;
-      ctx.owned <- saved_owned;
-      ctx.fn_stack <- List.tl ctx.fn_stack;
+         never count as the spawner's.  The spawn that starts the event
+         loop's thread is the loop's origin. *)
+      let kind = if ctx.modname = "Transport.Loop" then "loop" else "spawn" in
+      walk_frame ctx [] (Printf.sprintf "<%s:%d>" kind (line_of loc)) args;
+      held
+    | _, _ when names_one_of loop_calls (resolve ctx path) ->
+      record_call ctx held (resolve ctx path) loc;
+      walk_frame ctx [] (Printf.sprintf "<loop:%d>" (line_of loc)) args;
       held
     | "Condition.wait", _ ->
       if ctx.while_depth = 0 then
@@ -993,6 +989,28 @@ and walk_apply ctx held e hd args =
              (String.concat ", " held));
       record_call ctx held (resolve ctx path) loc;
       walk_args held)
+
+(* Walk [args] under a frame summary [tag] that no call site reaches,
+   starting with [held].  Bare function arguments ([Domain.spawn
+   worker]) are recorded as calls from the frame so the escape pass can
+   reach their bodies; the owned set is cleared because the frame runs
+   after publication. *)
+and walk_frame ctx held tag args =
+  ctx.fn_stack <- tag :: ctx.fn_stack;
+  let saved_owned = ctx.owned in
+  ctx.owned <- [];
+  List.iter
+    (fun (_, a) ->
+      (match a.pexp_desc with
+      | Pexp_ident { txt; _ } ->
+        record_call ctx held
+          (resolve ctx (strip_stdlib (lid_path txt)))
+          a.pexp_loc
+      | _ -> ());
+      ignore (walk ctx held a))
+    args;
+  ctx.owned <- saved_owned;
+  ctx.fn_stack <- List.tl ctx.fn_stack
 
 (* ------------------------------------------------------------------ *)
 (* Structure traversal                                                 *)

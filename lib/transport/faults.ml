@@ -45,8 +45,7 @@ type t = {
   seed : int;
   rules : rule list;
   timed : bool; (* some rule has a window: consult the clock *)
-  mutable t0 : float; (* negative until armed *)
-  lock : Mutex.t;
+  t0 : float Atomic.t; (* negative until armed *)
 }
 
 let rule ?dir ?(servers = []) ?(clients = []) ?(from_ = 0.0) ?(until = infinity)
@@ -92,14 +91,15 @@ let create ?(seed = 0) rules =
           windowed from_s until_s)
       rules
   in
-  { seed; rules; timed; t0 = -1.0; lock = Mutex.create () }
+  { seed; rules; timed; t0 = Atomic.make (-1.0) }
 
-let arm t = Mutex.protect t.lock (fun () -> t.t0 <- Clock.now ())
+let arm t = Atomic.set t.t0 (Clock.now ())
 
+(* Arms on first use; a concurrent {!arm} wins the race. *)
 let elapsed t =
-  Mutex.protect t.lock (fun () ->
-      if t.t0 < 0.0 then t.t0 <- Clock.now ();
-      Clock.now () -. t.t0)
+  let t0 = Atomic.get t.t0 in
+  if t0 < 0.0 then ignore (Atomic.compare_and_set t.t0 t0 (Clock.now ()));
+  Clock.now () -. Atomic.get t.t0
 
 (* ------------------------------------------------------------------ *)
 (* Deterministic per-frame randomness                                  *)
@@ -146,7 +146,7 @@ let partitioned group ~server ~client =
 
 let deliveries t ~dir ~server ~client ~rt ~salt =
   (* With no windowed rule every window holds at any [e >= 0], so the
-     clock and its lock are skipped. *)
+     clock is skipped. *)
   let e = if t.timed then elapsed t else 0.0 in
   let blocked =
     List.exists

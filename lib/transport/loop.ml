@@ -2,7 +2,7 @@
    owns one poller, one wake pipe and every descriptor the transport
    serves or dials; the handler table and the ticker list are touched
    by that thread only, so they need no lock.  Other threads reach it
-   through the inbox and the [armed] deadline, both [Atomic]. *)
+   through the inbox and the [armed] flag, both [Atomic]. *)
 
 type ticker = { step : float -> unit; deadline : unit -> float }
 
@@ -10,10 +10,9 @@ type t = {
   poller : Netio.Poller.t;
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
-  (* The deadline the loop is asleep until, [neg_infinity] while it is
-     awake: a thread that staged work due before it writes the wake
-     pipe, so the loop re-arms instead of oversleeping. *)
-  armed : float Atomic.t;
+  (* Set while the loop is about to sleep or asleep: the first
+     submission to clear it writes the wake pipe, once per sleep. *)
+  armed : bool Atomic.t;
   handlers : (int, readable:bool -> writable:bool -> unit) Hashtbl.t;
   mutable tickers : ticker list;
   (* Submitted work, newest first: a CAS-pushed stack the loop takes
@@ -56,17 +55,21 @@ let run l =
   Atomic.set loop_thread (Thread.id (Thread.self ()));
   let dispatch = dispatch l in
   while true do
-    Atomic.set l.armed neg_infinity;
+    Atomic.set l.armed false;
     drain_inbox l;
     let t_now = Clock.now () in
     step_all t_now l.tickers;
     let target = earliest (t_now +. idle) l.tickers in
-    Atomic.set l.armed target;
-    (* Work staged since the pass above saw [neg_infinity] and did not
-       wake the loop: this second peek, after the store, catches it. *)
-    let target = earliest target l.tickers in
-    ignore
-      (Netio.Poller.wait l.poller ~timeout:(target -. Clock.now ()) dispatch)
+    Atomic.set l.armed true;
+    (* A submission pushed since the drain above saw [armed] unset and
+       wrote no wake-up: this second peek, after the store, catches it,
+       and the wait only polls. *)
+    let timeout =
+      match Atomic.get l.inbox with
+      | [] -> target -. Clock.now ()
+      | _ :: _ -> 0.0
+    in
+    ignore (Netio.Poller.wait l.poller ~timeout dispatch)
   done
 
 (* Created, and its domain spawned, by the first caller. *)
@@ -93,7 +96,7 @@ let get () =
               poller;
               wake_r;
               wake_w;
-              armed = Atomic.make neg_infinity;
+              armed = Atomic.make false;
               handlers = Hashtbl.create 64;
               tickers = [];
               inbox = Atomic.make [];
@@ -118,29 +121,41 @@ let submit f =
     if not (Atomic.compare_and_set l.inbox jobs (f :: jobs)) then push ()
   in
   push ();
-  Netio.notify l.wake_w
+  (* The push happens before this read, and the loop sets [armed]
+     before it peeks at the inbox again, so either that peek sees the
+     push or this read sees [armed] and wakes it. *)
+  if Atomic.get l.armed && Atomic.compare_and_set l.armed true false then
+    Netio.notify l.wake_w
 
-let call ~who f =
+type 'a handoff = {
+  ready : Semaphore.Binary.t;
+  outcome : ('a, exn * Printexc.raw_backtrace) result option Atomic.t;
+}
+
+let handoff () =
+  { ready = Semaphore.Binary.make false; outcome = Atomic.make None }
+
+let give h r =
+  Atomic.set h.outcome (Some r);
+  Semaphore.Binary.release h.ready
+
+let await ~who h f =
   if on_loop () then
     invalid_arg
       (who
      ^ ": called on the event loop's thread (from a continuation?), which \
         would wait for itself");
-  let result = ref (Ok ()) and ack = Semaphore.Binary.make false in
-  submit (fun () ->
-      (result :=
-         match f () with
-         | () -> Ok ()
-         | exception e -> Error (e, Printexc.get_raw_backtrace ()));
-      Semaphore.Binary.release ack);
-  Semaphore.Binary.acquire ack;
-  match !result with
-  | Ok () -> ()
-  | Error (e, bt) -> Printexc.raise_with_backtrace e bt
+  submit f;
+  Semaphore.Binary.acquire h.ready;
+  match Atomic.exchange h.outcome None with
+  | Some (Ok v) -> v
+  | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
+  | None -> assert false (* released only by [give] *)
 
-let wake_before due =
-  let l = get () in
-  if due < Atomic.get l.armed then Netio.notify l.wake_w
+let call ~who f =
+  let h = handoff () in
+  await ~who h (fun () ->
+      give h (try Ok (f ()) with e -> Error (e, Printexc.get_raw_backtrace ())))
 
 let watch fd ~want_write h =
   let l = get () in

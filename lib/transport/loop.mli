@@ -12,39 +12,48 @@
     and whatever else the caller runs, stay on the caller's domain, so
     the loop never waits for their runtime lock.
 
-    Each iteration runs every {!ticker}'s due work first (a mux releases
-    its due frames, scans its timeouts and writes each link once), then
-    waits once, until the earliest ticker deadline, and dispatches each
-    ready descriptor to the handler that {!watch} registered for it.
+    Each iteration runs the work submitted since the last one, then
+    every {!ticker}'s due work (a mux releases its due frames, scans its
+    timeouts and writes each link once), then waits once, until the
+    earliest ticker deadline, and dispatches each ready descriptor to
+    the handler that {!watch} registered for it.
 
-    Other threads reach the loop in two ways only: {!submit} (and its
-    waiting form {!call}) queue work for the next iteration, and
-    {!wake_before} wakes it when they staged work due before the
-    deadline it sleeps to.  Everything else here is for code that runs
-    on the loop: a handler, a ticker, or a submitted closure. *)
+    The loop's thread is the only one that touches mux, server and
+    fault-plan state, so none of it has a lock.  Other threads reach it
+    through {!submit} alone, and through {!await} and {!call}, which
+    submit and block until the loop hands back an outcome.  Everything
+    else here is for code that runs on the loop. *)
 
 val submit : (unit -> unit) -> unit
 (** Run [f] on the loop at its next iteration, in submission order, and
-    wake the loop for it.  Any thread; spawns the loop on first use.  An
-    exception [f] raises ends the loop. *)
+    wake the loop for it if it sleeps (one wake-pipe write per sleep,
+    whatever the number of submissions).  Any thread; spawns the loop
+    on first use.  An exception [f] raises ends the loop. *)
 
-val call : who:string -> (unit -> unit) -> unit
-(** {!submit} [f] and return once the loop has run it, re-raising what
-    it raised.  This is how {!Server.stop} and {!Mux.shutdown} wait for
-    the loop's acknowledgement.
+type 'a handoff
+(** A reusable hand-off from the loop to one blocked thread, which
+    {!await}s the outcome that work on the loop {!give}s it. *)
+
+val handoff : unit -> 'a handoff
+
+val await : who:string -> 'a handoff -> (unit -> unit) -> 'a
+(** {!submit} [f] and block until work on the loop — [f] itself or
+    later — {!give}s [h] an outcome: return its value or re-raise its
+    exception.  One thread awaits a hand-off at a time.
     @raise Invalid_argument naming [who] when called on the loop's own
     thread (from a continuation, say), which would wait for itself. *)
 
+val give : 'a handoff -> ('a, exn * Printexc.raw_backtrace) result -> unit
+(** Release the thread awaiting [h] with this outcome.  On the loop,
+    once per {!await}. *)
+
+val call : who:string -> (unit -> 'a) -> 'a
+(** Run [f] on the loop and return its result (or re-raise): {!await}
+    on a fresh hand-off.
+    @raise Invalid_argument naming [who] on the loop's own thread. *)
+
 val on_loop : unit -> bool
 (** Whether the calling thread is the loop's. *)
-
-val wake_before : float -> unit
-(** A thread other than the loop's staged work due at [due] (a
-    {!Clock.now} time): write the loop's wake pipe if the loop sleeps
-    past [due], and do nothing if it is awake or wakes earlier.  The
-    staging must happen before the call, and the ticker's
-    [deadline] must see it: the loop peeks at every deadline again after
-    it publishes the time it sleeps to, so no deadline is overslept. *)
 
 (** {1 On the loop's thread only} *)
 
@@ -71,8 +80,7 @@ type ticker = {
       (** Do the work due at the given {!Clock.now} time. *)
   deadline : unit -> float;
       (** The earliest time there will be work due ([infinity] for
-          none).  Other threads may stage work, so it must read what
-          they stage under the lock they stage it with. *)
+          none). *)
 }
 
 val add_ticker : ticker -> unit

@@ -9,9 +9,8 @@ let now = Clock.now
 
 (* One TCP connection to one server, shared by every client of the mux.
    The process's event loop ({!Loop}) owns it outright, as it owns a
-   server's connections: it alone dials, writes, reads and closes it.
-   Client threads only stage requests for it in the deadline heap,
-   reading [epoch] as they do. *)
+   server's connections: it alone dials, writes, reads and closes it,
+   and stages the requests due on it. *)
 type link = {
   index : int; (* server index: the authoritative reply label *)
   addr : Unix.sockaddr;
@@ -24,7 +23,7 @@ type link = {
   mutable next_attempt : float; (* monotonic gate for the next connect *)
   mutable attempts : int; (* consecutive failed connects *)
   mutable stream : Codec.Stream.t; (* this connection's reply decoder *)
-  epoch : int Atomic.t; (* bumped on every sever *)
+  mutable epoch : int; (* bumped on every sever *)
   mutable want_write : bool; (* write interest registered *)
 }
 
@@ -47,17 +46,17 @@ type staged = {
   frame : frame;
 }
 
+(* A client's mailbox.  The loop alone touches it, but for the
+   counters other threads read ([Atomic]) and the hand-off its outer
+   {!exec} waits on. *)
 type mailbox = {
   client : int;
-  mb_lock : Mutex.t;
-  mb_cond : Condition.t;
-  (* The operation.  [mb_busy] is set by the outer {!exec} until it
-     returns: an [exec] on a busy handle comes from a continuation and
-     only opens the next round.  [mb_done] releases the outer call,
-     with [mb_exn] to re-raise on its thread. *)
+  (* The operation.  [mb_busy] is set from the moment the loop opens
+     its first round until it gives [mb_gate] the outcome, which
+     releases the outer call: an [exec] on a busy handle comes from a
+     continuation and only opens the next round. *)
+  mb_gate : unit Loop.handoff;
   mutable mb_busy : bool;
-  mutable mb_done : bool;
-  mutable mb_exn : (exn * Printexc.raw_backtrace) option;
   (* The open round.  [mb_rt = -1] means none: anything routed then is
      late.  [mb_key] is its register key: a reply whose key differs
      cannot count toward this quorum and is dropped, never delivered. *)
@@ -69,21 +68,22 @@ type mailbox = {
   mutable mb_k : (int * Wire.rep) list -> unit;
   mutable mb_attempt : int; (* re-broadcasts of the open round so far *)
   mutable mb_deadline : float;
-  mutable mb_late : int;
+  mb_late : int Atomic.t;
   mutable mb_next_rt : int;
-  mutable mb_completed : int;
-  mutable mb_retried : int;
+  mb_completed : int Atomic.t;
+  mb_retried : int Atomic.t;
   (* The open round's request, encoded once: the same bytes go to every
      link and are re-sent as they are on a timeout. *)
   mb_enc : Buffer.t;
   mutable mb_out : Bytes.t;
   mutable mb_len : int;
-  (* Reply-leg salts, loop-private: how many replies of (rt, server)
-     have arrived, for the last [gens] round ids of this client. *)
+  (* Reply-leg salts: how many replies of (rt, server) have arrived,
+     for the last [gens] round ids of this client. *)
   arr_rt : int array;
   arr_n : int array;
 }
 
+(* Everything here but [dropped] is the loop's alone. *)
 type t = {
   links : link array;
   quorum : int;
@@ -91,23 +91,21 @@ type t = {
   max_rt_retries : int;
   faults : Faults.t option;
   routes : (int, mailbox) Hashtbl.t;
-  routes_lock : Mutex.t;
   (* Replies that matched no open round trip at all: unknown client
      (handle released, or a peer inventing ids) or a key mismatch on the
      open round.  Distinct from [mb_late] — a late reply belongs to a
      round this client really ran; a dropped one could never have been
      delivered anywhere. *)
   dropped : int Atomic.t;
-  (* Every request, and every reply the plan delays, in deadline order:
-     client threads push a fan-out's requests, the loop pushes replies
-     and pops what is due. *)
-  staged : staged Simulation.Heap.t; (* under [staged_lock] *)
-  mutable staged_seq : int; (* under [staged_lock] *)
-  staged_lock : Mutex.t;
-  (* Loop-private: the next timeout scan, and the ticker that runs this
-     mux on the loop. *)
+  (* Every request, and every reply the plan delays, in deadline
+     order. *)
+  staged : staged Simulation.Heap.t;
+  mutable staged_seq : int;
+  (* The next timeout scan, the ticker that runs this mux on the loop,
+     and whether {!shutdown} took it off. *)
   mutable next_scan : float;
   mutable ticker : Loop.ticker option;
+  mutable closed : bool;
 }
 
 type handle = { mux : t; mb : mailbox }
@@ -154,7 +152,7 @@ let sever l =
     l.fd <- None;
     l.connected <- false;
     Outq.clear l.out;
-    Atomic.incr l.epoch;
+    l.epoch <- l.epoch + 1;
     l.want_write <- false;
     Loop.unwatch fd;
     try Unix.close fd with Unix.Unix_error _ -> ()
@@ -163,66 +161,49 @@ let sever l =
 (* Sending                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Stage one frame; [t.staged_lock] must be held. *)
 let push t ~due l frame =
   t.staged_seq <- t.staged_seq + 1;
   Simulation.Heap.push t.staged
-    { due; seq = t.staged_seq; link = l; epoch = Atomic.get l.epoch; frame }
+    { due; seq = t.staged_seq; link = l; epoch = l.epoch; frame }
 
 (* Stage the open round's request for every server that has not
-   answered it yet; [mb.mb_lock] must be held.  A copy is due at the
-   fan-out's one clock read, or, under a plan, when its [To_server]
-   rules say, salted by the attempt number so a frame dropped now draws
-   afresh on the next re-broadcast.  Every copy waits in the loop's
-   deadline heap, never in the sender: the loop alone writes a link, and
-   copies due together leave in one write per link. *)
-let broadcast t mb ~from_loop =
+   answered it yet.  A copy is due at the fan-out's one clock read, or,
+   under a plan, when its [To_server] rules say, salted by the attempt
+   number so a frame dropped now draws afresh on the next
+   re-broadcast.  Every copy waits in the deadline heap, so copies due
+   together leave in one write per link. *)
+let broadcast t mb =
   let t0 = now () in
-  let staged = ref [] in
+  (* One payload copy for every copy staged: [mb_out] is reused by the
+     next round. *)
+  let frame = Request (Bytes.sub mb.mb_out 0 mb.mb_len) in
   Array.iteri
     (fun i l ->
       if not mb.mb_from.(i) then
         match t.faults with
-        | None -> staged := (t0, l) :: !staged
+        | None -> push t ~due:t0 l frame
         | Some plan ->
           List.iter
-            (fun after -> staged := (t0 +. after, l) :: !staged)
+            (fun after -> push t ~due:(t0 +. after) l frame)
             (Faults.deliveries plan ~dir:Faults.To_server ~server:i
                ~client:mb.client ~rt:mb.mb_rt ~salt:mb.mb_attempt))
-    t.links;
-  if !staged <> [] then begin
-    (* One payload copy for every copy staged ([mb_out] is reused by the
-       next round), and one heap lock per fan-out. *)
-    let frame = Request (Bytes.sub mb.mb_out 0 mb.mb_len) in
-    Mutex.protect t.staged_lock (fun () ->
-        List.iter (fun (due, l) -> push t ~due l frame) (List.rev !staged));
-    (* Every push happens before {!Loop.wake_before} reads the loop's
-       deadline, and the loop publishes that deadline before it peeks
-       at this heap again ({!next_due}), so either its peek sees these
-       frames or the read sees its deadline and wakes it early: no
-       deadline is overslept.  The loop's own sends need no wake-up: it
-       re-arms after them. *)
-    if not from_loop then
-      Loop.wake_before
-        (List.fold_left (fun m (due, _) -> Float.min m due) infinity !staged)
-  end
+    t.links
 
 (* ------------------------------------------------------------------ *)
 (* Rounds and operations                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Release the outer {!exec}; [mb.mb_lock] must be held. *)
-let finish mb result =
+(* End the busy operation: close its round and release the outer
+   {!exec} with [outcome]. *)
+let finish mb outcome =
   mb.mb_rt <- -1;
   mb.mb_deadline <- infinity;
   mb.mb_replies <- [];
-  mb.mb_exn <- result;
-  mb.mb_done <- true;
-  Condition.signal mb.mb_cond
+  mb.mb_busy <- false;
+  Loop.give mb.mb_gate outcome
 
-(* Open round [mb_next_rt] for [req] on [key] and send it; [mb.mb_lock]
-   must be held. *)
-let open_round t mb ~key ~from_loop req k =
+(* Open round [mb_next_rt] for [req] on [key] and send it. *)
+let open_round t mb ~key req k =
   let rt = mb.mb_next_rt in
   mb.mb_next_rt <- rt + 1;
   mb.mb_rt <- rt;
@@ -240,56 +221,40 @@ let open_round t mb ~key ~from_loop req k =
     mb.mb_out <- Bytes.create (max len (2 * Bytes.length mb.mb_out));
   Buffer.blit mb.mb_enc 0 mb.mb_out 0 len;
   mb.mb_len <- len;
-  broadcast t mb ~from_loop
+  broadcast t mb
+
+(* An outer {!exec}'s closure, on the loop: open the operation's first
+   round, or end it at once on a shut-down mux or a request that cannot
+   be encoded. *)
+let start t mb ~key req k =
+  mb.mb_busy <- true;
+  if t.closed then
+    finish mb (Error (Unavailable "mux shut down", Printexc.get_callstack 0))
+  else
+    match open_round t mb ~key req k with
+    | () -> ()
+    | exception e -> finish mb (Error (e, Printexc.get_raw_backtrace ()))
 
 let exec ~key h req k =
   let t = h.mux and mb = h.mb in
-  Mutex.lock mb.mb_lock;
-  (* On a busy handle the call comes from a continuation, on the loop:
-     it opens the next round and returns, and the loop runs [k] when
-     that round's quorum is in. *)
-  let nested = mb.mb_busy in
-  if (not nested) && Loop.on_loop () then begin
-    Mutex.unlock mb.mb_lock;
-    invalid_arg
-      "Mux.exec: an operation started on the event loop's thread (from a \
-       continuation?) would wait for itself"
-  end;
-  match open_round t mb ~key ~from_loop:nested req k with
-  | exception e ->
-    (* The request could not be encoded: no round is open. *)
-    mb.mb_rt <- -1;
-    mb.mb_deadline <- infinity;
-    Mutex.unlock mb.mb_lock;
-    raise e
-  | () when nested -> Mutex.unlock mb.mb_lock
-  | () ->
-    mb.mb_busy <- true;
-    mb.mb_done <- false;
-    while not mb.mb_done do
-      Condition.wait mb.mb_cond mb.mb_lock
-    done;
-    mb.mb_busy <- false;
-    let result = mb.mb_exn in
-    mb.mb_exn <- None;
-    Mutex.unlock mb.mb_lock;
-    Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) result
-
-(* The open round reached its quorum: run its continuation here, on the
-   loop.  The operation is over once the continuation returns without
-   opening another round, or raises. *)
-let complete mb k replies =
-  match k replies with
-  | () -> Mutex.protect mb.mb_lock (fun () -> if mb.mb_rt < 0 then finish mb None)
-  | exception e ->
-    let bt = Printexc.get_raw_backtrace () in
-    Mutex.protect mb.mb_lock (fun () -> finish mb (Some (e, bt)))
+  if Loop.on_loop () then
+    if mb.mb_busy then
+      (* From a continuation: open the next round and return; the loop
+         runs [k] when that round's quorum is in. *)
+      open_round t mb ~key req k
+    else
+      invalid_arg
+        "Mux.exec: an operation started on the event loop's thread (from \
+         a continuation?) would wait for itself"
+  else Loop.await ~who:"Mux.exec" mb.mb_gate (fun () -> start t mb ~key req k)
 
 (* Route one reply to [mb].  [body] is decoded only if the reply counts
    toward the open round: a late or duplicate reply is counted without
-   paying for its decode.  Returns [false] on a corrupt body. *)
+   paying for its decode.  The reply that completes the quorum runs the
+   round's continuation here, on the loop; the operation is over once
+   the continuation returns without opening another round, or raises.
+   Returns [false] on a corrupt body. *)
 let route t mb ~server_index ~rt ~key body =
-  Mutex.lock mb.mb_lock;
   if mb.mb_rt = rt && rt >= 0 && (key <> mb.mb_key || not mb.mb_from.(server_index))
   then begin
     if key <> mb.mb_key then begin
@@ -299,7 +264,6 @@ let route t mb ~server_index ~rt ~key body =
          dedup/reply state, so the real replies still complete the
          round (no wedge). *)
       Atomic.incr t.dropped;
-      Mutex.unlock mb.mb_lock;
       true
     end
     else
@@ -313,19 +277,16 @@ let route t mb ~server_index ~rt ~key body =
           mb.mb_rt <- -1;
           mb.mb_deadline <- infinity;
           mb.mb_replies <- [];
-          mb.mb_completed <- mb.mb_completed + 1;
-          Mutex.unlock mb.mb_lock;
-          complete mb k replies
-        end
-        else Mutex.unlock mb.mb_lock;
+          Atomic.incr mb.mb_completed;
+          match k replies with
+          | () -> if mb.mb_rt < 0 then finish mb (Ok ())
+          | exception e -> finish mb (Error (e, Printexc.get_raw_backtrace ()))
+        end;
         true
-      | Codec.Keyed_request _ | (exception Codec.Decode_error _) ->
-        Mutex.unlock mb.mb_lock;
-        false
+      | Codec.Keyed_request _ | (exception Codec.Decode_error _) -> false
   end
   else begin
-    mb.mb_late <- mb.mb_late + 1;
-    Mutex.unlock mb.mb_lock;
+    Atomic.incr mb.mb_late;
     true
   end
 
@@ -348,12 +309,6 @@ let arrival t mb ~server ~rt =
     n
   end
   else 0
-
-let lookup t client =
-  Mutex.lock t.routes_lock;
-  let mb = Hashtbl.find_opt t.routes client in
-  Mutex.unlock t.routes_lock;
-  mb
 
 (* Route a reply read off link [l] to its client's mailbox [mb], or
    count it dropped when no client owns it (a released handle, or a
@@ -378,7 +333,7 @@ let deliver t l mb ~key ~rt body =
 let receive t l ~t_read body =
   match Codec.reply_route body with
   | Some (key, rt, client) -> (
-    let mb = lookup t client in
+    let mb = Hashtbl.find_opt t.routes client in
     match (t.faults, mb) with
     | None, _ | _, None -> deliver t l mb ~key ~rt body
     | Some plan, Some m ->
@@ -386,9 +341,7 @@ let receive t l ~t_read body =
         (fun up after ->
           if not up then false
           else if after > 0.0 then begin
-            Mutex.protect t.staged_lock (fun () ->
-                push t ~due:(t_read +. after) l
-                  (Reply { key; rt; client; body }));
+            push t ~due:(t_read +. after) l (Reply { key; rt; client; body });
             true
           end
           else deliver t l mb ~key ~rt body)
@@ -399,34 +352,25 @@ let receive t l ~t_read body =
     sever l;
     false
 
-(* Pop every staged frame due by [t_now], in deadline order, then act
-   on them with the heap unlocked — a routed reply's continuation may
-   stage its next round.  A due request joins its link's out-queue for
-   this wake-up's one write per link, unless the queue is past
-   [out_limit]; a due reply is routed.  Frames whose link severed since
-   they were staged are dropped. *)
-let release_due t t_now =
-  Mutex.lock t.staged_lock;
-  let rec pop acc =
-    match Simulation.Heap.peek t.staged with
-    | Some e when e.due <= t_now ->
-      ignore (Simulation.Heap.pop t.staged);
-      pop (e :: acc)
-    | _ -> List.rev acc
-  in
-  let due = pop [] in
-  Mutex.unlock t.staged_lock;
-  List.iter
-    (fun e ->
-      let l = e.link in
-      if Atomic.get l.epoch = e.epoch then
-        match e.frame with
-        | Request payload ->
-          if Outq.length l.out <= out_limit then
-            Outq.add_subbytes l.out payload 0 (Bytes.length payload)
-        | Reply { key; rt; client; body } ->
-          ignore (deliver t l (lookup t client) ~key ~rt body))
-    due
+(* Pop every staged frame due by [t_now], in deadline order, and act on
+   it.  A due request joins its link's out-queue for this wake-up's one
+   write per link, unless the queue is past [out_limit]; a due reply is
+   routed.  Frames whose link severed since they were staged are
+   dropped. *)
+let rec release_due t t_now =
+  match Simulation.Heap.peek t.staged with
+  | Some e when e.due <= t_now ->
+    ignore (Simulation.Heap.pop t.staged);
+    let l = e.link in
+    (if l.epoch = e.epoch then
+       match e.frame with
+       | Request payload ->
+         if Outq.length l.out <= out_limit then
+           Outq.add_subbytes l.out payload 0 (Bytes.length payload)
+       | Reply { key; rt; client; body } ->
+         ignore (deliver t l (Hashtbl.find_opt t.routes client) ~key ~rt body));
+    release_due t t_now
+  | Some _ | None -> ()
 
 (* Readable: drain the socket to EAGAIN through the link's decoder, then
    handle its complete frames.  The clock is read once per batch, so
@@ -516,45 +460,29 @@ let service t l t_now =
     | exception Unix.Unix_error _ -> sever l)
   | Some _ -> ()
 
-(* The nearest staged deadline; [infinity] when nothing is staged. *)
-let next_due t =
-  Mutex.lock t.staged_lock;
-  let d =
-    match Simulation.Heap.peek t.staged with
-    | Some e -> e.due
-    | None -> infinity
-  in
-  Mutex.unlock t.staged_lock;
-  d
-
-let snapshot_routes t =
-  Mutex.protect t.routes_lock (fun () ->
-      Hashtbl.fold (fun _ mb acc -> mb :: acc) t.routes [])
-
 (* Re-broadcast every round past its deadline to the servers still
    missing, or give the operation up with [Unavailable] once its retry
    budget is spent. *)
 let scan_timeouts t t_now =
-  List.iter
-    (fun mb ->
-      Mutex.protect mb.mb_lock (fun () ->
-          if mb.mb_rt >= 0 && t_now >= mb.mb_deadline then
-            if mb.mb_attempt >= t.max_rt_retries then
-              finish mb
-                (Some
-                   ( Unavailable
-                       (Printf.sprintf
-                          "client %d: %d/%d replies after %d attempts of %.3fs"
-                          mb.client mb.mb_n t.quorum (mb.mb_attempt + 1)
-                          t.rt_timeout),
-                     Printexc.get_callstack 0 ))
-            else begin
-              mb.mb_attempt <- mb.mb_attempt + 1;
-              mb.mb_retried <- mb.mb_retried + 1;
-              mb.mb_deadline <- t_now +. t.rt_timeout;
-              broadcast t mb ~from_loop:true
-            end))
-    (snapshot_routes t)
+  Hashtbl.iter
+    (fun _ mb ->
+      if mb.mb_rt >= 0 && t_now >= mb.mb_deadline then
+        if mb.mb_attempt >= t.max_rt_retries then
+          finish mb
+            (Error
+               ( Unavailable
+                   (Printf.sprintf
+                      "client %d: %d/%d replies after %d attempts of %.3fs"
+                      mb.client mb.mb_n t.quorum (mb.mb_attempt + 1)
+                      t.rt_timeout),
+                 Printexc.get_callstack 0 ))
+        else begin
+          mb.mb_attempt <- mb.mb_attempt + 1;
+          Atomic.incr mb.mb_retried;
+          mb.mb_deadline <- t_now +. t.rt_timeout;
+          broadcast t mb
+        end)
+    t.routes
 
 (* Round timeouts are checked at this cadence; normal completions never
    wait for it. *)
@@ -596,7 +524,7 @@ let create ?(rt_timeout = 1.0) ?(max_rt_retries = 3) ?faults ~servers ~quorum
               next_attempt = 0.0;
               attempts = 0;
               stream = Codec.Stream.create ();
-              epoch = Atomic.make 0;
+              epoch = 0;
               want_write = false;
             })
           servers;
@@ -605,7 +533,6 @@ let create ?(rt_timeout = 1.0) ?(max_rt_retries = 3) ?faults ~servers ~quorum
       max_rt_retries;
       faults;
       routes = Hashtbl.create 16;
-      routes_lock = Mutex.create ();
       dropped = Atomic.make 0;
       staged =
         Simulation.Heap.create ~cmp:(fun a b ->
@@ -613,17 +540,22 @@ let create ?(rt_timeout = 1.0) ?(max_rt_retries = 3) ?faults ~servers ~quorum
             | 0 -> Int.compare a.seq b.seq
             | c -> c);
       staged_seq = 0;
-      staged_lock = Mutex.create ();
       next_scan = 0.0;
       ticker = None;
+      closed = false;
     }
   in
-  (* Requests staged before the loop runs this wait in the heap. *)
+  (* Submitted before any operation on the mux, so the loop runs it
+     first. *)
   Loop.submit (fun () ->
       let tk =
         {
           Loop.step = step t;
-          deadline = (fun () -> Float.min t.next_scan (next_due t));
+          deadline =
+            (fun () ->
+              match Simulation.Heap.peek t.staged with
+              | Some e -> Float.min t.next_scan e.due
+              | None -> t.next_scan);
         }
       in
       t.ticker <- Some tk;
@@ -637,11 +569,8 @@ let client t ~client =
   let mb =
     {
       client;
-      mb_lock = Mutex.create ();
-      mb_cond = Condition.create ();
+      mb_gate = Loop.handoff ();
       mb_busy = false;
-      mb_done = false;
-      mb_exn = None;
       mb_rt = -1;
       mb_key = "";
       mb_from = Array.make s false;
@@ -650,10 +579,10 @@ let client t ~client =
       mb_k = ignore;
       mb_attempt = 0;
       mb_deadline = infinity;
-      mb_late = 0;
+      mb_late = Atomic.make 0;
       mb_next_rt = 0;
-      mb_completed = 0;
-      mb_retried = 0;
+      mb_completed = Atomic.make 0;
+      mb_retried = Atomic.make 0;
       mb_enc = Buffer.create 256;
       mb_out = Bytes.create 256;
       mb_len = 0;
@@ -661,34 +590,37 @@ let client t ~client =
       arr_n = Array.make (gens * s) 0;
     }
   in
-  Mutex.protect t.routes_lock (fun () -> Hashtbl.replace t.routes client mb);
+  (* Submitted before the handle's first operation, so its route is in
+     place when the loop opens that operation's round. *)
+  Loop.submit (fun () -> Hashtbl.replace t.routes client mb);
   { mux = t; mb }
 
 let release h =
-  Mutex.protect h.mux.routes_lock (fun () ->
-      match Hashtbl.find_opt h.mux.routes h.mb.client with
-      | Some mb when mb == h.mb -> Hashtbl.remove h.mux.routes h.mb.client
-      | _ -> ())
+  let t = h.mux and mb = h.mb in
+  Loop.submit (fun () ->
+      match Hashtbl.find_opt t.routes mb.client with
+      | Some m when m == mb -> Hashtbl.remove t.routes mb.client
+      | Some _ | None -> ())
 
-(* On the loop: sever every link and answer a caller still blocked in
-   [exec] instead of leaving it to hang.  Every step is idempotent. *)
+(* On the loop: sever every link and fail an operation in progress
+   instead of leaving its caller to hang; an operation submitted later
+   fails the same way ({!start}).  Every step is idempotent. *)
 let shutdown t =
   Loop.call ~who:"Mux.shutdown" (fun () ->
-      Option.iter Loop.remove_ticker t.ticker;
+      t.closed <- true;
+      (match t.ticker with Some tk -> Loop.remove_ticker tk | None -> ());
       Array.iter sever t.links;
-      List.iter
-        (fun mb ->
-          Mutex.protect mb.mb_lock (fun () ->
-              if mb.mb_busy && not mb.mb_done then
-                finish mb
-                  (Some (Unavailable "mux shut down", Printexc.get_callstack 0))))
-        (snapshot_routes t))
+      Hashtbl.iter
+        (fun _ mb ->
+          if mb.mb_busy then
+            finish mb
+              (Error (Unavailable "mux shut down", Printexc.get_callstack 0)))
+        t.routes)
 
-let rounds_completed h =
-  Mutex.protect h.mb.mb_lock (fun () -> h.mb.mb_completed)
+let rounds_completed h = Atomic.get h.mb.mb_completed
 
-let late_replies h = Mutex.protect h.mb.mb_lock (fun () -> h.mb.mb_late)
+let late_replies h = Atomic.get h.mb.mb_late
 
-let retries h = Mutex.protect h.mb.mb_lock (fun () -> h.mb.mb_retried)
+let retries h = Atomic.get h.mb.mb_retried
 
 let dropped_replies t = Atomic.get t.dropped

@@ -9,9 +9,12 @@
     economics in transport overhead.  The mux instead runs:
 
     - [S] shared non-blocking connections, each private to the event
-      loop as a server's connections are: a client thread never writes
-      a socket, it stages its request in the mux's deadline heap and
-      wakes the loop when it sleeps past the request's deadline;
+      loop as a server's connections are.  A client thread never
+      touches them, nor any other state of the mux: {!exec} hands the
+      operation to the loop ({!Loop.await}), which encodes the request,
+      draws its [To_server] faults and stages it in the mux's deadline
+      heap, and the client thread waits once, until the loop gives it
+      the operation's outcome;
     - the event loop, which dials and redials every link without
       blocking, writes every request, reads and decodes [Keyed_reply]
       frames, routes them by [(client, rt)] to per-client mailboxes,
@@ -79,7 +82,8 @@ val create :
 val client : t -> client:int -> handle
 (** Register client [client] (its node id, {!Protocol.Topology}
     numbering) and return its handle.  Registering the same id again
-    replaces the previous route. *)
+    replaces the previous route.  The route is handed to the event loop
+    and is in place before the handle's first operation runs. *)
 
 val exec :
   key:string ->
@@ -111,7 +115,8 @@ val exec :
       on another handle of any mux ([Invalid_argument]), nor call
       {!shutdown} or {!Server.stop} ([Invalid_argument] too).
 
-    @raise Unavailable when fewer than [quorum] servers answered.
+    @raise Unavailable when fewer than [quorum] servers answered, or
+    when the mux is shut down (before or during the call).
     @raise Invalid_argument when an operation is started on the event
     loop's thread. *)
 
@@ -132,7 +137,8 @@ val dropped_replies : t -> int
     here and dropped without touching any mailbox's quorum state. *)
 
 val release : handle -> unit
-(** Unregister the client's route.  Replies still in flight for it are
+(** Unregister the client's route, on the event loop, after the
+    work handed to it before.  Replies still in flight for it are
     dropped; the shared connections stay up for other clients. *)
 
 val shutdown : t -> unit

@@ -3,9 +3,9 @@ open Registers
 (* A non-blocking reactor replaces the old thread-per-connection design:
    the server's listen socket and every connection are watched by the
    process's one event loop ({!Loop}), and that loop's thread is the
-   only one that ever touches them — connection state needs no locks at
-   all.  The keyspace stays behind [replica_lock] because other threads
-   read it too (inspection, recovery restarts). *)
+   only one that ever touches them or the keyspace — a server has no
+   lock at all.  Other threads read the keyspace through the loop
+   ({!snapshot}). *)
 
 type conn = {
   cfd : Unix.file_descr;
@@ -20,7 +20,6 @@ type t = {
   listen_fd : Unix.file_descr;
   port : int;
   keyspace : Keyspace.t; (* every register this server hosts *)
-  replica_lock : Mutex.t; (* guards [keyspace] *)
   conns : (int, conn) Hashtbl.t; (* loop-private, as are the two below *)
   frame_buf : Buffer.t;
   mutable stopped : bool;
@@ -46,7 +45,7 @@ let port t = t.port
 let keyspace t = t.keyspace
 
 let snapshot t =
-  Mutex.protect t.replica_lock (fun () -> Keyspace.save t.keyspace)
+  Loop.call ~who:"Server.snapshot" (fun () -> Keyspace.save t.keyspace)
 
 let connection_count t = Atomic.get t.live_conns
 
@@ -89,27 +88,21 @@ let flush t c =
     end
   | exception Unix.Unix_error _ -> close_conn t c
 
-(* Run one wakeup's worth of decoded requests through the keyspace under
-   a single lock acquisition (the batch fast path for multiplexed client
-   connections) and coalesce the batch's replies into one flush.  Each
-   request dispatches to its key's replica — the model's
-   one-message-at-a-time server, per register.  The server realises no
-   fault plan: both legs of a link are shaped by the client's mux, so a
-   reply leaves the moment its batch is handled. *)
+(* Run one wakeup's worth of decoded requests through the keyspace
+   (the batch fast path for multiplexed client connections) and
+   coalesce the batch's replies into one flush.  Each request
+   dispatches to its key's replica — the model's one-message-at-a-time
+   server, per register: the loop handles one request at a time.  The
+   server realises no fault plan: both legs of a link are shaped by the
+   client's mux, so a reply leaves the moment its batch is handled. *)
 let process_requests t c requests =
-  let reps =
-    Mutex.protect t.replica_lock (fun () ->
-        List.map
-          (fun (rt, client, key, req) ->
-            (rt, client, key, Keyspace.handle t.keyspace ~key ~client req))
-          requests)
-  in
   List.iter
-    (fun (rt, client, key, rep) ->
+    (fun (rt, client, key, req) ->
+      let rep = Keyspace.handle t.keyspace ~key ~client req in
       Codec.encode_into t.frame_buf
         (Codec.Keyed_reply { key; rt; client; server = t.id; rep });
       Outq.add_buffer c.outq t.frame_buf)
-    reps;
+    requests;
   flush t c
 
 (* Decode up to [max_batch] requests off [c]'s stream.  The flag reports
@@ -225,7 +218,6 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?(id = 0)
       listen_fd = fd;
       port;
       keyspace;
-      replica_lock = Mutex.create ();
       conns = Hashtbl.create 64;
       frame_buf = Buffer.create 512;
       stopped = false;

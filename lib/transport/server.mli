@@ -9,22 +9,23 @@
     the event loop (epoll where available, poll elsewhere) drives
     non-blocking sockets: each connection's bytes feed an incremental
     {!Codec.Stream}, every complete frame decoded by one wakeup is
-    handled as a batch under a single replica-lock acquisition, and the
-    batch's replies coalesce into one write from a per-connection
-    out-queue.  A peer that stops reading costs a write-interest
-    registration (backpressure), never a blocked thread — which is what
-    lets one daemon hold 1000+ concurrent connections.  Once a
-    connection's out-queue passes a ceiling (4 MiB) the server stops
-    decoding its requests and drops its read interest until a flush
-    brings the queue back under: a peer that asks faster than it reads
-    is slowed down, never cut off.
+    handled as a batch, and the batch's replies coalesce into one write
+    from a per-connection out-queue.  A peer that stops reading costs a
+    write-interest registration (backpressure), never a blocked thread —
+    which is what lets one daemon hold 1000+ concurrent connections.
+    Once a connection's out-queue passes a ceiling (4 MiB) the server
+    stops decoding its requests and drops its read interest until a
+    flush brings the queue back under: a peer that asks faster than it
+    reads is slowed down, never cut off.
 
     The event loop runs on one thread, which owns every connection of
     every server in the process and every {!Mux} link, so a server
     handles its messages one at a time in that thread's dispatch order
     (the model's one-message-at-a-time server), and a request from an
     in-process mux is read, handled and answered without waking another
-    thread.  The loop's thread is alone on its own domain, spawned by
+    thread.  That thread is the only one that touches the server's
+    connections and keyspace, so the server takes no lock.  The loop's
+    thread is alone on its own domain, spawned by
     the first {!start} or {!Mux.create} and never joined; whatever the
     number of servers, groups, muxes or restarts, a process has that
     one loop thread.  The process's client threads and [Check_sink]
@@ -64,8 +65,9 @@ val keyspace : t -> Registers.Keyspace.t
 
 val snapshot : t -> Registers.Keyspace.state
 (** The hosted keyspace's durable state ({!Registers.Keyspace.save}),
-    read under the replica lock, so it is safe on a running server
-    too (recovery). *)
+    read on the event loop ({!Loop.call}) between two handled
+    requests, so it is safe on a running server too (recovery).
+    @raise Invalid_argument when called on the event loop's thread. *)
 
 val connection_count : t -> int
 (** Live connections.  Observability for tests: must

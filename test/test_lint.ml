@@ -295,6 +295,44 @@ let test_shared_access_negative () =
      let run () = init (); ignore (Thread.create worker ())\n"
     Rules.shared_access
 
+(* Closures handed to the event loop share one origin, [<loop>],
+   whichever thread created them, and running on the loop excludes
+   other code on the loop as a lock would. *)
+let test_shared_access_loop () =
+  let fs =
+    rule_findings ~path:"test/fix_loop_client.ml"
+      "type t = { mutable n : int }\n\
+       let g = { n = 0 }\n\
+       let run () =\n\
+      \  Loop.submit (fun () -> g.n <- g.n + 1);\n\
+      \  ignore (Thread.create (fun () -> g.n <- 0) ())\n"
+      Rules.shared_access
+  in
+  check Alcotest.int "client-thread write vs a submitted closure" 1
+    (List.length fs);
+  (match fs with
+  | [ f ] ->
+    check Alcotest.int "anchored at the client thread's write" 5 f.Finding.line;
+    check Alcotest.bool "names the loop as the owner" true
+      (contains f.Finding.message "guarded by <loop>")
+  | _ -> ());
+  quiet "a handler and a submitted closure from two threads"
+    ~path:"test/fix_loop_only.ml"
+    "type t = { mutable n : int }\n\
+     let g = { n = 0 }\n\
+     let on_ready ~readable ~writable:_ = if readable then g.n <- g.n + 1\n\
+     let start fd = Loop.watch fd ~want_write:false on_ready\n\
+     let run fd =\n\
+    \  ignore (Thread.create (fun () -> Loop.submit (fun () -> g.n <- 0)) ());\n\
+    \  start fd\n"
+    Rules.shared_access;
+  quiet "the then-branch of [if Loop.on_loop ()]" ~path:"test/fix_loop_guard.ml"
+    "type t = { mutable n : int }\n\
+     let g = { n = 0 }\n\
+     let bump () = if Loop.on_loop () then g.n <- g.n + 1\n\
+     let run () = Loop.submit (fun () -> g.n <- 0); bump ()\n"
+    Rules.shared_access
+
 (* A lock_free_allow entry is stale unless it justifies a thread-shared
    cell: [shared_bare_src] in the checker library is the cell
    [Checker.Fix_bare.count], which "Checker.*" covers, so that entry
@@ -572,6 +610,8 @@ let () =
           Alcotest.test_case "two locks, two modules" `Quick
             test_shared_access_two_locks;
           Alcotest.test_case "negative" `Quick test_shared_access_negative;
+          Alcotest.test_case "event-loop origin" `Quick
+            test_shared_access_loop;
           Alcotest.test_case "stale allow entries" `Quick test_stale_allow;
         ] );
       ( "atomic-discipline",

@@ -1862,6 +1862,181 @@ let test_loop_self_wait_raises () =
     true (names "Mux.exec" in_exec);
   check bool "the mux and the server run on" true !ok
 
+let test_mux_exec_after_shutdown () =
+  (* An operation on a shut-down mux, on a handle it served or on one
+     registered afterwards, raises [Unavailable] at once instead of
+     waiting forever for a loop that no longer services the mux.  The
+     calls run on a thread, so a hang fails the test in a second rather
+     than stalling the suite. *)
+  let server = Server.start ~id:0 () in
+  let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server) in
+  let mux = Mux.create ~servers:[| addr |] ~quorum:1 () in
+  let h = Mux.client mux ~client:16 in
+  Mux.exec ~key h (Wire.Query []) (fun _ -> ());
+  Mux.shutdown mux;
+  let outcome h =
+    match Mux.exec ~key h (Wire.Query []) (fun _ -> ()) with
+    | () -> "returned"
+    | exception Mux.Unavailable msg -> "Unavailable: " ^ msg
+  in
+  let got = Atomic.make None in
+  ignore
+    (Thread.create
+       (fun () ->
+         let a = outcome h in
+         let b = outcome (Mux.client mux ~client:17) in
+         Atomic.set got (Some (a, b)))
+       ());
+  let deadline = Clock.now () +. 1.0 in
+  while Atomic.get got = None && Clock.now () < deadline do
+    Thread.delay 0.001
+  done;
+  Server.stop server;
+  let shut = "Unavailable: mux shut down" in
+  check
+    Alcotest.(option (pair string string))
+    "both calls raise within 1 s" (Some (shut, shut)) (Atomic.get got)
+
+let test_mux_registration_under_load () =
+  (* Registration and release are handed to the loop like operations
+     are.  Sixteen client threads, started 2 ms apart so each registers
+     while the others run, each do 50 W2R2 operations under a jittered
+     plan that duplicates replies, and release their handles once all
+     sixteen are done; two background clients run throughout.  Every
+     operation completes in Table 1's two rounds, the history is
+     atomic, and no reply is dropped while every client is registered:
+     a duplicate counts late, and only a reply for a released id is
+     dropped. *)
+  let kc = Kv.Kv_cluster.start ~groups:1 ~s:3 ~tol:1 () in
+  let plan =
+    Faults.create ~seed:47
+      [
+        Faults.rule (Faults.Latency { base = 0.0005; jitter = 0.002 });
+        Faults.rule ~dir:Faults.From_server ~prob:0.3 Faults.Duplicate;
+      ]
+  in
+  let n = 16 and ops = 50 and bg = 2 in
+  let router = Kv.Router.create ~faults:plan ~clients:(n + bg) kc in
+  let algo = Registry.client_algo Registry.abd_mwmr in
+  let t0 = Clock.now () in
+  let now () = Clock.now () -. t0 in
+  let sink = Check_sink.create ~now () in
+  let ports = Array.init (n + bg) (fun _ -> Check_sink.port sink) in
+  Check_sink.start sink;
+  let keys = [| "a"; "b"; "c" |] in
+  let failures = Atomic.make [] in
+  let fail msg =
+    let rec push () =
+      let l = Atomic.get failures in
+      if not (Atomic.compare_and_set failures l (msg :: l)) then push ()
+    in
+    push ()
+  in
+  (* Client [i]'s [j]th operation, a write on even [j] and a read on
+     odd, on one of three keys, with one protocol instance per key. *)
+  let client i =
+    let cl = Kv.Router.client router ~index:i in
+    let writers = Hashtbl.create 3 and readers = Hashtbl.create 3 in
+    let instance tbl make key =
+      match Hashtbl.find_opt tbl key with
+      | Some f -> f
+      | None ->
+        let f = make (Kv.Router.key_ctx cl key) in
+        Hashtbl.replace tbl key f;
+        f
+    in
+    let op j =
+      let key = keys.(j / 2 mod Array.length keys) and p = ports.(i) in
+      let inv = Check_sink.invoked p in
+      let done_ result kind proc =
+        Check_sink.completed p ~key
+          { Histories.Op.id = 0; proc; kind; inv; resp = Some (now ()); result }
+      in
+      if j mod 2 = 0 then
+        let v = Histories.History.initial_value + 1 + (i * 100_000) + j in
+        instance writers (fun ctx -> algo.Client_core.new_writer ctx ~writer:i)
+          key ~payload:v ~k:(fun _ ->
+            done_ None (Histories.Op.Write v) (Histories.Op.Writer i))
+      else
+        instance readers (fun ctx -> algo.Client_core.new_reader ctx ~reader:i)
+          key ~k:(fun v _ ->
+            done_ (Some v) Histories.Op.Read (Histories.Op.Reader i))
+    in
+    (cl, op)
+  in
+  let rounds = Array.make (n + bg) 0 and late = Array.make (n + bg) 0 in
+  let finish i cl =
+    rounds.(i) <- Kv.Router.rounds_completed cl;
+    late.(i) <- Kv.Router.late_replies cl;
+    Kv.Router.close_client cl
+  in
+  let finished = Atomic.make 0 and release = Atomic.make false in
+  let stop = Atomic.make false in
+  let bg_ops = Array.make bg 0 in
+  let background b () =
+    let i = n + b in
+    let cl, op = client i in
+    (try
+       while not (Atomic.get stop) do
+         op bg_ops.(b);
+         bg_ops.(b) <- bg_ops.(b) + 1
+       done
+     with Mux.Unavailable msg | Endpoint.Unavailable msg -> fail msg);
+    finish i cl
+  in
+  let foreground i () =
+    Thread.delay (0.002 *. float_of_int i);
+    let cl, op = client i in
+    (try
+       for j = 0 to ops - 1 do
+         op j
+       done
+     with Mux.Unavailable msg | Endpoint.Unavailable msg -> fail msg);
+    Atomic.incr finished;
+    while not (Atomic.get release) do
+      Thread.delay 0.001
+    done;
+    finish i cl
+  in
+  (* One spawn site: each thread writes only its own result slots. *)
+  let threads =
+    List.init (bg + n) (fun i ->
+        Thread.create (if i < bg then background i else foreground (i - bg)) ())
+  in
+  let bgs = List.filteri (fun i _ -> i < bg) threads in
+  let fgs = List.filteri (fun i _ -> i >= bg) threads in
+  let deadline = Clock.now () +. 30.0 in
+  while Atomic.get finished < n && Clock.now () < deadline do
+    Thread.delay 0.005
+  done;
+  (* The last rounds' stragglers and duplicates arrive while every
+     client is still registered. *)
+  Thread.delay 0.05;
+  let dropped_registered = Kv.Router.dropped_replies router in
+  Atomic.set release true;
+  List.iter Thread.join fgs;
+  Thread.delay 0.05;
+  Atomic.set stop true;
+  List.iter Thread.join bgs;
+  let report = Check_sink.stop sink in
+  Kv.Router.shutdown router;
+  Kv.Kv_cluster.shutdown kc;
+  check Alcotest.(list string) "every operation completed" []
+    (Atomic.get failures);
+  let total = (n * ops) + Array.fold_left ( + ) 0 bg_ops in
+  check int "every operation checked" total report.Check_sink.checked;
+  check bool "history atomic" true (Check_sink.atomic report);
+  check int "foreground rounds: 2 per operation (W2R2)" (2 * n * ops)
+    (Array.fold_left ( + ) 0 (Array.sub rounds 0 n));
+  Array.iteri
+    (fun b o ->
+      check int "background rounds: 2 per operation" (2 * o) rounds.(n + b))
+    bg_ops;
+  check bool "surplus replies (stragglers, duplicates) counted late" true
+    (Array.exists (fun l -> l > 0) late);
+  check int "nothing dropped while every client was registered" 0
+    dropped_registered
+
 let test_mux_unavailable_then_late () =
   (* A round that exhausts its retries raises [Unavailable] on the
      caller; the reply the server sends afterwards counts as late. *)
@@ -2604,6 +2779,10 @@ let () =
             `Quick test_mux_continuation_exn;
           Alcotest.test_case "shutdown or stop on the loop's thread raises"
             `Quick test_loop_self_wait_raises;
+          Alcotest.test_case "exec on a shut-down mux raises Unavailable"
+            `Quick test_mux_exec_after_shutdown;
+          Alcotest.test_case "registration and release under load" `Quick
+            test_mux_registration_under_load;
           Alcotest.test_case "Unavailable on the caller, then a late reply"
             `Quick test_mux_unavailable_then_late;
           Alcotest.test_case "a server that stops reading stalls nothing"
