@@ -383,17 +383,24 @@ let hunt_cmd =
 (* ------------------------------------------------------------------ *)
 
 let serve host port id =
-  let server =
-    try Live.Server.start ~host ~port ~id () with
-    | Invalid_argument msg ->
-      Printf.eprintf "mwreg serve: %s\n" msg;
-      exit 1
-    | Unix.Unix_error (e, fn, _) ->
-      Printf.eprintf "mwreg serve: %s: %s\n" fn (Unix.error_message e);
-      exit 1
+  let fail msg =
+    Printf.eprintf "mwreg serve: %s\n" msg;
+    exit 1
   in
-  Printf.printf "mwreg server %d listening on %s:%d\n%!" id host
-    (Live.Server.port server);
+  let addr =
+    match Unix.inet_addr_of_string host with
+    | inet -> Unix.ADDR_INET (inet, port)
+    | exception Failure _ ->
+      fail (Printf.sprintf "host %S is not a numeric address" host)
+  in
+  let server =
+    try Live.Server.start ~addr ~id () with
+    | Invalid_argument msg -> fail msg
+    | Unix.Unix_error (e, fn, _) ->
+      fail (Printf.sprintf "%s: %s" fn (Unix.error_message e))
+  in
+  Format.printf "mwreg server %d listening on %a@." id Live.Cluster.pp_addr
+    (Live.Server.addr server);
   (* Serve until the process is killed — which is exactly how clients
      are meant to lose this server. *)
   while true do
@@ -440,12 +447,7 @@ let hostport_conv =
       | Some _, (Some _ | None) ->
         Error (Printf.sprintf "bad port in %S (want 0..65535)" spec))
   in
-  let print ppf = function
-    | Unix.ADDR_INET (a, p) ->
-      Format.fprintf ppf "%s:%d" (Unix.string_of_inet_addr a) p
-    | Unix.ADDR_UNIX path -> Format.pp_print_string ppf path
-  in
-  Arg.conv' ~docv:"HOST:PORT" (parse, print)
+  Arg.conv' ~docv:"HOST:PORT" (parse, Live.Cluster.pp_addr)
 
 (* IDX@SEC kills the first group's server IDX after SEC seconds;
    IDX@SEC..SEC also restarts it, with its recovered state, at the
@@ -593,7 +595,7 @@ let report ~register ~cluster ~possible (spec : Kv.Session.spec)
   Format.printf "protocol    : %s@." (Registry.name register);
   Format.printf
     "cluster     : %s, %d group(s) of S=%d t=%d (quorum %d), mux transport@."
-    (if Live.Cluster.local g0 then "loopback" else "remote")
+    (if Live.Cluster.local g0 then "in-process" else "remote")
     groups (Live.Cluster.s g0) (Live.Cluster.tolerance g0)
     (Live.Cluster.quorum g0);
   let keys =
@@ -675,7 +677,7 @@ let live register all s tol w r clients ops keys groups dist theta mix seed
     | None -> None
   in
   if addrs <> [] && kills <> [] then
-    refuse "--kill needs a loopback cluster (drop --connect)";
+    refuse "--kill needs an in-process cluster (drop --connect)";
   if addrs <> [] && all then
     refuse "--all needs a fresh cluster per protocol: drop --connect";
   if addrs <> [] && groups > 1 then
@@ -838,14 +840,14 @@ let live_cmd =
     Arg.(value & opt_all hostport_conv []
          & info [ "connect" ] ~docv:"HOST:PORT"
              ~doc:"Use an already-running server (repeat once per server) \
-                   instead of spawning a loopback cluster.")
+                   over TCP instead of spawning an in-process cluster.")
   in
   let kills =
     Arg.(value & opt_all kill_conv []
          & info [ "kill" ] ~docv:"IDX@SEC[..SEC]"
              ~doc:"Kill the first group's server IDX after SEC seconds; \
                    with $(b,..SEC), restart it with its recovered state at \
-                   that later time (repeatable; loopback only).")
+                   that later time (repeatable; in-process clusters only).")
   in
   let storm name docv doc =
     Arg.(value & opt float 0.0 & info [ name ] ~docv ~doc)
@@ -884,7 +886,7 @@ let live_cmd =
   in
   Cmd.v
     (Cmd.info "live"
-       ~doc:"Run a workload on a live cluster over real TCP sockets — one \
+       ~doc:"Run a workload on a live cluster over real sockets — one \
              register with split writers and readers, or a sharded YCSB \
              keyspace — optionally under a seeded storm of dropped, \
              delayed and duplicated frames ($(b,--seed) seeds it) and \

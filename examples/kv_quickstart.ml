@@ -1,6 +1,6 @@
 (* KV quickstart: the register stack generalised to a sharded keyspace.
 
-   Two shard groups of three servers each run on loopback; a consistent
+   Two shard groups of three servers each run in this process; a consistent
    hash ring assigns every key to exactly one group.  Two clients first
    operate by hand on keys that land on *different* groups — showing the
    per-key W2R2 register running unchanged under the router — and then a

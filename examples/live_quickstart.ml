@@ -1,7 +1,8 @@
 (* Live quickstart: the same W2R1 register as examples/quickstart.ml,
-   but over real TCP sockets instead of the simulator — five server
-   daemons on loopback, one writer and one reader doing genuine network
-   round trips, every operation checked for atomicity as it completes.
+   but over real sockets instead of the simulator — five server daemons
+   in this process, each on a Unix-domain socket, one writer and one
+   reader doing genuine round trips, every operation checked for
+   atomicity as it completes.
 
      dune exec examples/live_quickstart.exe *)
 
@@ -11,9 +12,9 @@ let () =
   print_endline "== mwregister live quickstart ==";
   print_endline "";
   print_endline
-    "Cluster: 5 real server daemons on 127.0.0.1 (1 may crash), running the";
+    "Cluster: 5 real server daemons on Unix-domain sockets (1 may crash),";
   print_endline
-    "paper's W2R1 register over TCP: two-round writes, one-round fast reads.";
+    "running the paper's W2R1 register: two-round writes, one-round reads.";
   print_endline "";
 
   let cluster = Kv.Cluster.start ~groups:1 ~s:5 ~tol:1 () in
@@ -22,8 +23,9 @@ let () =
     ~finally:(fun () -> Kv.Cluster.shutdown cluster)
     (fun () ->
       Array.iteri
-        (fun i _ -> Printf.printf "server %d listening on 127.0.0.1:%d\n" i
-            (Live.Cluster.port servers i))
+        (fun i addr ->
+          Format.printf "server %d listening on %a@." i Live.Cluster.pp_addr
+            addr)
         (Live.Cluster.addrs servers);
       print_endline "";
 

@@ -988,27 +988,32 @@ and walk_apply ctx held e hd args =
              path
              (String.concat ", " held));
       record_call ctx held (resolve ctx path) loc;
+      record_passed ctx held args;
       walk_args held)
 
+(* A function passed as a value ([List.iter f xs], [Domain.spawn
+   worker]) may be called where it is passed, with what is held there:
+   record each bare identifier argument as a call. *)
+and record_passed ctx held args =
+  List.iter
+    (fun (_, a) ->
+      match a.pexp_desc with
+      | Pexp_ident { txt; _ } ->
+        let callee = resolve ctx (strip_stdlib (lid_path txt)) in
+        record_call ctx held callee a.pexp_loc
+      | _ -> ())
+    args
+
 (* Walk [args] under a frame summary [tag] that no call site reaches,
-   starting with [held].  Bare function arguments ([Domain.spawn
-   worker]) are recorded as calls from the frame so the escape pass can
-   reach their bodies; the owned set is cleared because the frame runs
-   after publication. *)
+   starting with [held], its bare function arguments recorded as its
+   calls; the owned set is cleared because the frame runs after
+   publication. *)
 and walk_frame ctx held tag args =
   ctx.fn_stack <- tag :: ctx.fn_stack;
   let saved_owned = ctx.owned in
   ctx.owned <- [];
-  List.iter
-    (fun (_, a) ->
-      (match a.pexp_desc with
-      | Pexp_ident { txt; _ } ->
-        record_call ctx held
-          (resolve ctx (strip_stdlib (lid_path txt)))
-          a.pexp_loc
-      | _ -> ());
-      ignore (walk ctx held a))
-    args;
+  record_passed ctx held args;
+  List.iter (fun (_, a) -> ignore (walk ctx held a)) args;
   ctx.owned <- saved_owned;
   ctx.fn_stack <- List.tl ctx.fn_stack
 

@@ -1,4 +1,4 @@
-(** A sharded keyspace deployment: [groups] independent loopback
+(** A sharded keyspace deployment: [groups] independent in-process
     register clusters plus the consistent-hash {!Placement} ring that
     assigns every key to exactly one group.
 

@@ -4,7 +4,7 @@
     {!endpoint} — "broadcast a request to all [S] servers and hand me any
     [S − t] replies in arrival order" — so the *same algorithm body* runs
     on two execution backends: the discrete-event simulator
-    ({!Cluster_base}, over {!Protocol.Round_trip}) and the live TCP
+    ({!Cluster_base}, over {!Protocol.Round_trip}) and the live socket
     transport (the mux endpoints [Kv.Router] hands out, over real
     sockets).  The algorithms:
     the two-round write of LS97/Algorithm 1, the classic two-round read

@@ -9,21 +9,22 @@ type t = {
   faults : Faults.t option;
 }
 
+(* Clusters started by this process: with the pid, unique names. *)
+let started = Atomic.make 0
+
 let start ?faults ~s ~tol () =
   if s < 2 then invalid_arg "Cluster.start: need at least 2 servers";
   if tol < 0 || tol >= s then invalid_arg "Cluster.start: need 0 <= tol < s";
+  let n = Atomic.fetch_and_add started 1 in
+  (* Linux's abstract namespace (the leading NUL): no file on disk, and
+     the name is free again the moment its listen socket closes. *)
+  let name i = Printf.sprintf "\000mwreg-%d-%d-%d" (Unix.getpid ()) n i in
+  let sockaddrs = Array.init s (fun i -> Unix.ADDR_UNIX (name i)) in
   let keyspaces = Array.init s (fun _ -> Keyspace.create ()) in
   let servers =
     Array.init s (fun i ->
-        Some (Server.start ~id:i ~keyspace:keyspaces.(i) ()))
-  in
-  let sockaddrs =
-    Array.map
-      (function
-        | Some sv ->
-          Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port sv)
-        | None -> assert false)
-      servers
+        Some
+          (Server.start ~addr:sockaddrs.(i) ~id:i ~keyspace:keyspaces.(i) ()))
   in
   { servers; keyspaces; sockaddrs; s; tol; faults }
 
@@ -50,12 +51,14 @@ let tolerance t = t.tol
 
 let quorum t = t.s - t.tol
 
-let port t i =
-  match t.sockaddrs.(i) with
-  | Unix.ADDR_INET (_, port) -> port
-  | Unix.ADDR_UNIX _ -> invalid_arg "Cluster.port: not an inet address"
-
 let addrs t = Array.copy t.sockaddrs
+
+let pp_addr ppf = function
+  | Unix.ADDR_INET (a, p) ->
+    Format.fprintf ppf "%s:%d" (Unix.string_of_inet_addr a) p
+  | Unix.ADDR_UNIX name ->
+    Format.pp_print_string ppf
+      (String.map (function '\000' -> '@' | c -> c) name)
 
 let keyspace t i =
   if not (local t) then invalid_arg "Cluster.keyspace: remote cluster";
@@ -75,14 +78,12 @@ let kill t i =
 
 type restart_mode = [ `Recover | `Fresh ]
 
-(* Bring a killed server back on its original port.  [`Recover] serves
+(* Bring a killed server back under its original name.  [`Recover] serves
    the keyspace {!kill} rebuilt through the {!Keyspace.save}/
    {!Keyspace.load} state API — the restart is then indistinguishable
    from a very slow server, which the crash-stop proofs do cover.  [`Fresh] restarts with empty state:
    a model violation (acknowledged writes forgotten) that the atomicity
-   checker must catch downstream.  The listen socket sets SO_REUSEADDR,
-   but lingering TIME_WAIT pairs can still race the rebind, so EADDRINUSE
-   is retried briefly. *)
+   checker must catch downstream. *)
 let restart ?(mode = `Recover) t i =
   if not (local t) then
     invalid_arg "Cluster.restart: cannot restart remote servers";
@@ -95,15 +96,8 @@ let restart ?(mode = `Recover) t i =
       | `Fresh -> Keyspace.create ()
     in
     t.keyspaces.(i) <- keyspace;
-    let port = port t i in
-    let rec bind_retrying n =
-      match Server.start ~port ~id:i ~keyspace () with
-      | sv -> sv
-      | exception Unix.Unix_error (Unix.EADDRINUSE, _, _) when n > 0 ->
-        Thread.delay 0.05;
-        bind_retrying (n - 1)
-    in
-    t.servers.(i) <- Some (bind_retrying 40)
+    t.servers.(i) <-
+      Some (Server.start ~addr:t.sockaddrs.(i) ~id:i ~keyspace ())
 
 let running t =
   if not (local t) then List.init t.s Fun.id

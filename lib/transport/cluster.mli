@@ -1,5 +1,8 @@
-(** An in-process loopback cluster: [S] register server daemons on
-    ephemeral 127.0.0.1 ports, for tests, benches and examples.
+(** An in-process cluster of [S] register server daemons, each on a
+    Unix-domain stream socket named in Linux's abstract namespace (per
+    process, cluster and server; no file on disk; Linux-only, as are CI
+    and the benchmark host).  Daemons in other processes ([mwreg serve])
+    are reached over TCP through {!connect}.
 
     Servers can be {!kill}ed mid-run to exercise real crash behaviour:
     as long as at most [tol] are down, clients keep completing
@@ -31,18 +34,18 @@ val s : t -> int
 val tolerance : t -> int
 val quorum : t -> int
 
-val port : t -> int -> int
-(** Bound port of server [i]. *)
-
 val addrs : t -> Unix.sockaddr array
 (** Dial addresses, indexed by server. *)
+
+val pp_addr : Format.formatter -> Unix.sockaddr -> unit
+(** [HOST:PORT], a socket path, or [@NAME] for an abstract one. *)
 
 val keyspace : t -> int -> Registers.Keyspace.t
 (** Server [i]'s register table (inspection/tests).  Carried across
     [`Recover] restarts through {!Registers.Keyspace.save}/[load]. *)
 
 val kill : t -> int -> unit
-(** Crash server [i]: connections sever, its port stops answering, and
+(** Crash server [i]: connections sever, its name stops answering, and
     its keyspace is saved and reloaded all cold ({!Server.snapshot}),
     the state a [`Recover] restart serves.  Idempotent. *)
 
@@ -53,7 +56,7 @@ type restart_mode = [ `Recover | `Fresh ]
     crash-stop model whose effect {!Checker.Atomicity} must flag. *)
 
 val restart : ?mode:restart_mode -> t -> int -> unit
-(** Bring killed server [i] back on its original port (no-op if it is
+(** Bring killed server [i] back under its original name (no-op if it is
     still running; [Invalid_argument] on a remote cluster).  Default
     mode [`Recover].  Client endpoints redial it transparently through
     their reconnect backoff. *)

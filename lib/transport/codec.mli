@@ -12,8 +12,8 @@
     nothing else, so there is no unkeyed form.  Decoding is strict:
     short input, unknown tags (including the retired unkeyed tags 0 and
     1), negative or oversized lengths, and trailing bytes all raise
-    {!Decode_error} — a TCP peer speaking anything else is disconnected
-    rather than misread. *)
+    {!Decode_error} — a peer speaking anything else is disconnected
+    rather than misread, over a Unix-domain or a TCP stream alike. *)
 
 exception Decode_error of string
 

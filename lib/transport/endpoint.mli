@@ -1,7 +1,7 @@
 (** The live client endpoint: a {!Mux} client handle seen as the
     backend-agnostic capability the {!Registers.Client_core} algorithms
     consume — the simulator's {!Protocol.Round_trip} contract over real
-    TCP.  Counters and lifecycle stay on {!Mux} itself. *)
+    sockets.  Counters and lifecycle stay on {!Mux} itself. *)
 
 exception Unavailable of string
 (** Raised when no quorum answered within the retry budget — the same

@@ -7,7 +7,7 @@ exception Unavailable of string
    once. *)
 let now = Clock.now
 
-(* One TCP connection to one server, shared by every client of the mux.
+(* One connection to one server, shared by every client of the mux.
    The process's event loop ({!Loop}) owns it outright, as it owns a
    server's connections: it alone dials, writes, reads and closes it,
    and stages the requests due on it. *)
@@ -223,17 +223,22 @@ let open_round t mb ~key req k =
   mb.mb_len <- len;
   broadcast t mb
 
+let unavailable mb why =
+  finish mb (Error (Unavailable why, Printexc.get_callstack 0))
+
 (* An outer {!exec}'s closure, on the loop: open the operation's first
-   round, or end it at once on a shut-down mux or a request that cannot
-   be encoded. *)
+   round, or end it at once on a shut-down mux, a released handle (no
+   reply or timeout reaches it) or a request that cannot be encoded. *)
 let start t mb ~key req k =
   mb.mb_busy <- true;
-  if t.closed then
-    finish mb (Error (Unavailable "mux shut down", Printexc.get_callstack 0))
+  if t.closed then unavailable mb "mux shut down"
   else
-    match open_round t mb ~key req k with
-    | () -> ()
-    | exception e -> finish mb (Error (e, Printexc.get_raw_backtrace ()))
+    match Hashtbl.find_opt t.routes mb.client with
+    | Some m when m == mb -> (
+      match open_round t mb ~key req k with
+      | () -> ()
+      | exception e -> finish mb (Error (e, Printexc.get_raw_backtrace ())))
+    | Some _ | None -> unavailable mb "handle released"
 
 let exec ~key h req k =
   let t = h.mux and mb = h.mb in
@@ -410,13 +415,15 @@ let on_link t l fd ~readable ~writable =
     if readable && l.fd <> None then on_readable t l fd
   | Some _ | None -> ()
 
-(* A non-blocking dial: a connect that cannot complete at once leaves
-   the link connecting, with write interest on; the loop finishes it
-   when the socket turns writable.  Every failure mode — [socket]
-   itself included (EMFILE under fd pressure) — lands in the backoff
-   path. *)
+(* A non-blocking dial: a TCP connect that cannot complete at once
+   leaves the link connecting, with write interest on; the loop
+   finishes it when the socket turns writable.  A Unix-domain connect
+   never completes later ([EAGAIN] there is a full backlog).  Every
+   failure — [socket]'s own included (EMFILE) — backs off. *)
 let dial t l =
-  match Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 with
+  let domain = Unix.domain_of_sockaddr l.addr in
+  let inet = domain <> Unix.PF_UNIX in
+  match Unix.socket ~cloexec:true domain Unix.SOCK_STREAM 0 with
   | exception Unix.Unix_error _ -> backoff l
   | fd -> (
     let up connected =
@@ -432,13 +439,13 @@ let dial t l =
     in
     match
       Netio.set_nonblock fd;
-      Unix.setsockopt fd Unix.TCP_NODELAY true;
+      if inet then Unix.setsockopt fd Unix.TCP_NODELAY true;
       Unix.connect fd l.addr
     with
     | () -> up true
     | exception
         Unix.Unix_error ((Unix.EINPROGRESS | Unix.EINTR | Unix.EAGAIN), _, _)
-      ->
+      when inet ->
       up false
     | exception Unix.Unix_error _ ->
       (try Unix.close fd with Unix.Unix_error _ -> ());
@@ -468,14 +475,10 @@ let scan_timeouts t t_now =
     (fun _ mb ->
       if mb.mb_rt >= 0 && t_now >= mb.mb_deadline then
         if mb.mb_attempt >= t.max_rt_retries then
-          finish mb
-            (Error
-               ( Unavailable
-                   (Printf.sprintf
-                      "client %d: %d/%d replies after %d attempts of %.3fs"
-                      mb.client mb.mb_n t.quorum (mb.mb_attempt + 1)
-                      t.rt_timeout),
-                 Printexc.get_callstack 0 ))
+          unavailable mb
+            (Printf.sprintf
+               "client %d: %d/%d replies after %d attempts of %.3fs" mb.client
+               mb.mb_n t.quorum (mb.mb_attempt + 1) t.rt_timeout)
         else begin
           mb.mb_attempt <- mb.mb_attempt + 1;
           Atomic.incr mb.mb_retried;
@@ -599,7 +602,9 @@ let release h =
   let t = h.mux and mb = h.mb in
   Loop.submit (fun () ->
       match Hashtbl.find_opt t.routes mb.client with
-      | Some m when m == mb -> Hashtbl.remove t.routes mb.client
+      | Some m when m == mb ->
+        Hashtbl.remove t.routes mb.client;
+        if mb.mb_busy then unavailable mb "handle released"
       | Some _ | None -> ())
 
 (* On the loop: sever every link and fail an operation in progress
@@ -608,13 +613,11 @@ let release h =
 let shutdown t =
   Loop.call ~who:"Mux.shutdown" (fun () ->
       t.closed <- true;
-      (match t.ticker with Some tk -> Loop.remove_ticker tk | None -> ());
+      Option.iter Loop.remove_ticker t.ticker;
       Array.iter sever t.links;
       Hashtbl.iter
         (fun _ mb ->
-          if mb.mb_busy then
-            finish mb
-              (Error (Unavailable "mux shut down", Printexc.get_callstack 0)))
+          if mb.mb_busy then unavailable mb "mux shut down")
         t.routes)
 
 let rounds_completed h = Atomic.get h.mb.mb_completed

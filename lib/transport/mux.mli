@@ -1,7 +1,8 @@
-(** The live client data plane: one TCP connection per server per
+(** The live client data plane: one connection per server per
     process, shared by every client endpoint, and owned by the process's
     one event loop ({!Loop}), which serves every in-process {!Server}
-    too.
+    too.  A link is Unix-domain to an in-process {!Cluster}'s server,
+    TCP to a daemon in another process: its address picks.
 
     Giving each client its own [S] sockets would cost [C × S] sockets
     for [C] clients and a fresh poll loop inside every operation — at
@@ -116,7 +117,8 @@ val exec :
       {!shutdown} or {!Server.stop} ([Invalid_argument] too).
 
     @raise Unavailable when fewer than [quorum] servers answered, or
-    when the mux is shut down (before or during the call).
+    when the mux is shut down or the handle {!release}d (before or
+    during the call).
     @raise Invalid_argument when an operation is started on the event
     loop's thread. *)
 
@@ -139,7 +141,8 @@ val dropped_replies : t -> int
 val release : handle -> unit
 (** Unregister the client's route, on the event loop, after the
     work handed to it before.  Replies still in flight for it are
-    dropped; the shared connections stay up for other clients. *)
+    dropped and its operations fail ({!exec}); the shared connections
+    stay up for other clients. *)
 
 val shutdown : t -> unit
 (** Take the mux off the event loop and return once the loop has done

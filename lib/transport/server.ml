@@ -18,7 +18,7 @@ type conn = {
 type t = {
   id : int;
   listen_fd : Unix.file_descr;
-  port : int;
+  addr : Unix.sockaddr; (* where it listens, its port resolved *)
   keyspace : Keyspace.t; (* every register this server hosts *)
   conns : (int, conn) Hashtbl.t; (* loop-private, as are the two below *)
   frame_buf : Buffer.t;
@@ -40,7 +40,7 @@ let outq_limit = 4 * 1024 * 1024
 
 let max_batch = 256
 
-let port t = t.port
+let addr t = t.addr
 
 let keyspace t = t.keyspace
 
@@ -169,7 +169,9 @@ let do_accept t =
     | None -> more := false
     | exception Unix.Unix_error _ -> more := false
     | Some fd ->
-      (try Unix.setsockopt fd Unix.TCP_NODELAY true
+      (try
+         if Unix.domain_of_sockaddr t.addr <> Unix.PF_UNIX then
+           Unix.setsockopt fd Unix.TCP_NODELAY true
        with Unix.Unix_error _ -> ());
       Netio.set_nonblock fd;
       Atomic.incr t.live_conns;
@@ -186,19 +188,14 @@ let do_accept t =
       Loop.watch fd ~want_write:false (on_conn t c)
   done
 
-let start ?(host = "127.0.0.1") ?(port = 0) ?(id = 0)
+let start ?(addr = Unix.ADDR_INET (Unix.inet_addr_loopback, 0)) ?(id = 0)
     ?(keyspace = Keyspace.create ()) () =
-  if port < 0 || port > 65535 then
-    invalid_arg (Printf.sprintf "Server.start: port %d is outside 0..65535" port);
-  let inet =
-    try Unix.inet_addr_of_string host
-    with Failure _ ->
-      invalid_arg
-        (Printf.sprintf "Server.start: host %S is not a numeric address" host)
-  in
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  (match addr with
+   | Unix.ADDR_INET (_, p) when p < 0 || p > 65535 ->
+     invalid_arg (Printf.sprintf "Server.start: port %d is outside 0..65535" p)
+   | Unix.ADDR_INET _ | Unix.ADDR_UNIX _ -> ());
+  let fd = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
   Unix.setsockopt fd Unix.SO_REUSEADDR true;
-  let addr = Unix.ADDR_INET (inet, port) in
   (try Unix.bind fd addr
    with e ->
      (try Unix.close fd with Unix.Unix_error _ -> ());
@@ -207,16 +204,11 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?(id = 0)
      high-C sweep opens them in a burst): give the backlog headroom. *)
   Unix.listen fd 1024;
   Netio.set_nonblock fd;
-  let port =
-    match Unix.getsockname fd with
-    | Unix.ADDR_INET (_, p) -> p
-    | Unix.ADDR_UNIX _ -> assert false
-  in
   let t =
     {
       id;
       listen_fd = fd;
-      port;
+      addr = Unix.getsockname fd;
       keyspace;
       conns = Hashtbl.create 64;
       frame_buf = Buffer.create 512;

@@ -1,6 +1,7 @@
 (** A register server daemon: one {!Registers.Keyspace} of named
-    registers behind a TCP listen socket, served without a thread of its
-    own by the process's one event loop ({!Loop}).
+    registers behind a listen socket (TCP for [mwreg serve], Unix-domain
+    in an in-process {!Cluster}), served without a thread of its own by
+    the process's one event loop ({!Loop}).
 
     Each key's register is exactly the replica state machine the
     simulator uses — [current] value plus the full-information value
@@ -38,17 +39,16 @@
 type t
 
 val start :
-  ?host:string ->
-  ?port:int ->
+  ?addr:Unix.sockaddr ->
   ?id:int ->
   ?keyspace:Registers.Keyspace.t ->
   unit ->
   t
-(** Bind [host:port] (default [127.0.0.1:0] — port 0 picks an ephemeral
-    port, see {!port}; a port outside [0..65535] or a [host] that is
-    not a numeric IPv4 address is [Invalid_argument], raised before any
-    socket opens) and serve until {!stop}, from the process's event
-    loop (spawned by the first call if no {!Mux.create} came first).  [id] is the server's
+(** Bind [addr] (default TCP [127.0.0.1:0]: port 0 picks an ephemeral
+    port, see {!addr}; a TCP port outside [0..65535] is
+    [Invalid_argument], raised before any socket opens) and serve until
+    {!stop}, from the process's event loop (spawned by the first call
+    if no {!Mux.create} came first).  [id] is the server's
     index, echoed in every reply so clients can attribute messages.
     A server realises no fault plan: both legs of a link are shaped by
     the client's {!Mux}, so every reply leaves with its batch.
@@ -57,8 +57,8 @@ val start :
     per-key replica and is answered with a [Keyed_reply] echoing the
     key. *)
 
-val port : t -> int
-(** The actual bound port. *)
+val addr : t -> Unix.sockaddr
+(** The bound address (an ephemeral port resolved): a {!Mux} dials it. *)
 
 val keyspace : t -> Registers.Keyspace.t
 (** The hosted named-register table (inspection/tests). *)

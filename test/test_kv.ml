@@ -456,7 +456,7 @@ let test_reactor_interleaved_keyed_frames () =
      per-key server state fully isolated. *)
   let server = Server.start ~id:0 () in
   Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
-  let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server) in
+  let addr = Server.addr server in
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.connect fd addr;
   Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->

@@ -333,6 +333,29 @@ let test_shared_access_loop () =
      let run () = Loop.submit (fun () -> g.n <- 0); bump ()\n"
     Rules.shared_access
 
+(* A function passed as a value ([List.iter f xs], [Option.iter f x])
+   is called from where it is passed: its accesses take that frame's
+   thread origin and held locks. *)
+let test_shared_access_passed_function () =
+  fires "reached through List.iter on a spawned thread"
+    ~path:"test/fix_passed.ml"
+    "type t = { mutable n : int }\n\
+     let g = { n = 0 }\n\
+     let bump _ = g.n <- g.n + 1\n\
+     let run xs =\n\
+    \  ignore (Thread.create (fun () -> List.iter bump xs) ());\n\
+    \  g.n <- 0\n"
+    Rules.shared_access;
+  quiet "reached through Option.iter on the loop"
+    ~path:"test/fix_passed_loop.ml"
+    "type t = { mutable n : int }\n\
+     let g = { n = 0 }\n\
+     let reset _ = g.n <- 0\n\
+     let run x =\n\
+    \  Loop.submit (fun () -> g.n <- g.n + 1);\n\
+    \  Loop.submit (fun () -> Option.iter reset x)\n"
+    Rules.shared_access
+
 (* A lock_free_allow entry is stale unless it justifies a thread-shared
    cell: [shared_bare_src] in the checker library is the cell
    [Checker.Fix_bare.count], which "Checker.*" covers, so that entry
@@ -612,6 +635,8 @@ let () =
           Alcotest.test_case "negative" `Quick test_shared_access_negative;
           Alcotest.test_case "event-loop origin" `Quick
             test_shared_access_loop;
+          Alcotest.test_case "a function passed as a value" `Quick
+            test_shared_access_passed_function;
           Alcotest.test_case "stale allow entries" `Quick test_stale_allow;
         ] );
       ( "atomic-discipline",

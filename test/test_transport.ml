@@ -517,6 +517,11 @@ let test_fill_empty_socket () =
 (* A real loopback server                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* A Unix-domain name in Linux's abstract namespace, unique to this
+   process: a server restarted under it rebinds at once. *)
+let abstract_addr name =
+  Unix.ADDR_UNIX (Printf.sprintf "\000mwreg-test-%d-%s" (Unix.getpid ()) name)
+
 (* A one-server plane for tests that just need a client: quorum 1, so
    every round trip is one request and its reply. *)
 let one_server_mux addr ~client =
@@ -524,8 +529,11 @@ let one_server_mux addr ~client =
   (mux, Mux.client mux ~client)
 
 let test_server_roundtrip () =
+  (* A server given no address listens on TCP, as [mwreg serve] does. *)
   let server = Server.start ~id:0 () in
-  let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server) in
+  let addr = Server.addr server in
+  check bool "a TCP address" true
+    (match addr with Unix.ADDR_INET _ -> true | Unix.ADDR_UNIX _ -> false);
   let mux, ep = one_server_mux addr ~client:10 in
   let got = ref None in
   Mux.exec ~key ep (Wire.Update (value 1 0 101)) (fun replies ->
@@ -554,8 +562,10 @@ let test_server_roundtrip () =
   Server.stop server
 
 let test_server_refuses_bad_address () =
-  let refused ?host port =
-    match Server.start ?host ~port () with
+  let refused port =
+    match
+      Server.start ~addr:(Unix.ADDR_INET (Unix.inet_addr_loopback, port)) ()
+    with
     | server ->
       Server.stop server;
       false
@@ -563,14 +573,13 @@ let test_server_refuses_bad_address () =
   in
   check bool "port 70000 refused" true (refused 70000);
   check bool "port -5 refused" true (refused (-5));
-  check bool "port 65536 refused" true (refused 65536);
-  check bool "hostname refused" true (refused ~host:"localhost" 0)
+  check bool "port 65536 refused" true (refused 65536)
 
 let test_server_survives_garbage () =
   (* A peer speaking garbage gets disconnected; the server keeps serving
      well-formed clients. *)
   let server = Server.start ~id:0 () in
-  let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server) in
+  let addr = Server.addr server in
   let bad = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.connect bad addr;
   let junk = Bytes.of_string "\xff\xff\xff\xffnonsense" in
@@ -589,7 +598,7 @@ let test_server_reaps_handlers () =
      once every client is gone the live connection count returns to
      zero (no reaper tick to wait out — only the event-loop wakeup). *)
   let server = Server.start ~id:0 () in
-  let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server) in
+  let addr = Server.addr server in
   for round = 1 to 10 do
     let mux, ep = one_server_mux addr ~client:round in
     let ok = ref false in
@@ -649,7 +658,7 @@ let test_reactor_interleaved_partial_frames () =
      [nconns] partial frames in per-connection streams.  Every frame
      must still be answered, in order, to the connection that sent it. *)
   let server = Server.start ~id:0 () in
-  let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server) in
+  let addr = Server.addr server in
   let nconns = 8 and per = 5 in
   let conns = Array.init nconns (fun _ -> raw_connect addr) in
   let wires =
@@ -696,7 +705,7 @@ let test_reactor_backpressure_slow_reader () =
      reads everything it was owed, in order — buffered server-side under
      backpressure, not dropped. *)
   let server = Server.start ~id:0 () in
-  let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server) in
+  let addr = Server.addr server in
   (* Fatten the replies first: every distinct written tag adds a vector
      entry to each subsequent Read_ack, so the pipelined queries below
      overflow any kernel buffer pair and force EAGAIN on the server. *)
@@ -757,7 +766,7 @@ let test_reactor_reader_past_ceiling () =
      well over [outq_limit] (4 MiB), so the reactor must stop decoding
      and resume as the queue drains — never sever a peer that reads. *)
   let server = Server.start ~id:0 () in
-  let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server) in
+  let addr = Server.addr server in
   (* 100 distinct written tags: each Read_ack then carries a 100-entry
      vector, ~1.6 KB. *)
   let seed_mux, seed_ep = one_server_mux addr ~client:50 in
@@ -813,7 +822,7 @@ let test_reactor_due_replies_one_write () =
   (* 64 queries decoded in one batch are answered together: their
      replies leave in one write, in request order. *)
   let server = Server.start ~id:0 () in
-  let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server) in
+  let addr = Server.addr server in
   let fd = raw_connect addr in
   let n = 64 in
   let before = Netio.counts () in
@@ -838,7 +847,7 @@ let test_reactor_connection_churn () =
      cost a thread spawn + join each.  Every connection gets its reply,
      and the connection count returns to zero afterwards. *)
   let server = Server.start ~id:0 () in
-  let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server) in
+  let addr = Server.addr server in
   let n = 256 in
   let failures = Array.make n None in
   let body i () =
@@ -986,7 +995,7 @@ let test_mux_interleaved_clients () =
      frame, so "every op completes, exactly one round trip each, zero
      late replies" is a routing-correctness certificate. *)
   let server = Server.start ~id:0 () in
-  let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server) in
+  let addr = Server.addr server in
   let mux = Mux.create ~servers:[| addr |] ~quorum:1 () in
   let n_clients = 8 and ops = 40 in
   let completed = Array.make n_clients 0 in
@@ -1033,17 +1042,9 @@ let test_mux_quorum_with_dead_server () =
   let dead = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.bind dead (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
   (* Bound but never listening: connects are refused. *)
-  let dead_port =
-    match Unix.getsockname dead with
-    | Unix.ADDR_INET (_, p) -> p
-    | Unix.ADDR_UNIX _ -> assert false
-  in
-  let addr p = Unix.ADDR_INET (Unix.inet_addr_loopback, p) in
   let addrs =
     [|
-      addr (Server.port servers.(0));
-      addr dead_port;
-      addr (Server.port servers.(1));
+      Server.addr servers.(0); Unix.getsockname dead; Server.addr servers.(1);
     |]
   in
   let mux =
@@ -1482,7 +1483,7 @@ let test_mux_hol_isolation () =
      op rides out its deadline while client 101 pushes ten ops through
      the same connection at full speed. *)
   let server = Server.start ~id:0 () in
-  let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server) in
+  let addr = Server.addr server in
   let faults =
     Faults.create
       [
@@ -1523,11 +1524,7 @@ let test_mux_hol_across_servers () =
      server 0 must not push back the send time to servers 1 and 2 — the
      quorum completes on the undelayed majority in wire time. *)
   let servers = Array.init 3 (fun i -> Server.start ~id:i ()) in
-  let addrs =
-    Array.map
-      (fun s -> Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port s))
-      servers
-  in
+  let addrs = Array.map Server.addr servers in
   let faults =
     Faults.create
       [
@@ -1591,11 +1588,7 @@ let test_mux_fanout_one_notify () =
      again, never one per link. *)
   let run what faults =
     let servers = Array.init 3 (fun i -> Server.start ~id:i ()) in
-    let addrs =
-      Array.map
-        (fun s -> Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port s))
-        servers
-    in
+    let addrs = Array.map Server.addr servers in
     let mux = Mux.create ?faults ~servers:addrs ~quorum:3 () in
     let ep = Mux.client mux ~client:91 in
     Mux.exec ~key ep (Wire.Query []) (fun _ -> ());
@@ -1626,7 +1619,7 @@ let test_mux_fanout_one_notify () =
 let test_mux_held_reply_dies_with_link () =
   (* A held reply belongs to the connection it arrived on.  Client 70's
      replies are held 0.2 s; its server crashes while one is held and
-     comes back on the same port.  The held reply must die with the
+     comes back under the same name.  The held reply must die with the
      link: client 70's round completes only through its re-broadcast,
      never early on the dead connection's reply, and client 71 gets
      its own reply over the new connection. *)
@@ -1637,9 +1630,8 @@ let test_mux_held_reply_dies_with_link () =
           (Faults.Latency { base = 0.2; jitter = 0.0 });
       ]
   in
-  let server = Server.start ~id:0 () in
-  let port = Server.port server in
-  let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, port) in
+  let addr = abstract_addr "restart-70" in
+  let server = Server.start ~addr ~id:0 () in
   let mux = Mux.create ~rt_timeout:0.5 ~faults ~servers:[| addr |] ~quorum:1 () in
   let a = Mux.client mux ~client:70 and b = Mux.client mux ~client:71 in
   let a_elapsed = ref 0.0 in
@@ -1653,14 +1645,7 @@ let test_mux_held_reply_dies_with_link () =
   in
   Thread.delay 0.05;
   Server.stop server;
-  let rec restart n =
-    match Server.start ~port ~id:0 () with
-    | sv -> sv
-    | exception Unix.Unix_error (Unix.EADDRINUSE, _, _) when n > 0 ->
-      Thread.delay 0.05;
-      restart (n - 1)
-  in
-  let server = restart 40 in
+  let server = Server.start ~addr ~id:0 () in
   let got = ref [] in
   Mux.exec ~key b (Wire.Query []) (fun rs -> got := List.map fst rs);
   Thread.join ta;
@@ -1677,7 +1662,7 @@ let test_mux_held_reply_dies_with_link () =
 let test_mux_staged_request_dies_with_link () =
   (* The request-leg twin: a staged request belongs to the connection
      it was staged on.  Client 80's requests wait 0.2 s in the mux; its
-     server crashes while one waits and comes back on the same port.
+     server crashes while one waits and comes back under the same name.
      The staged request must die with the link, not leave on the
      redialed one: client 80's round completes only through its
      re-broadcast (0.5 s timeout, then the retry's own 0.2 s), and
@@ -1689,9 +1674,8 @@ let test_mux_staged_request_dies_with_link () =
           (Faults.Latency { base = 0.2; jitter = 0.0 });
       ]
   in
-  let server = Server.start ~id:0 () in
-  let port = Server.port server in
-  let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, port) in
+  let addr = abstract_addr "restart-80" in
+  let server = Server.start ~addr ~id:0 () in
   let mux = Mux.create ~rt_timeout:0.5 ~faults ~servers:[| addr |] ~quorum:1 () in
   let a = Mux.client mux ~client:80 and b = Mux.client mux ~client:81 in
   let a_elapsed = ref 0.0 in
@@ -1705,14 +1689,7 @@ let test_mux_staged_request_dies_with_link () =
   in
   Thread.delay 0.05;
   Server.stop server;
-  let rec restart n =
-    match Server.start ~port ~id:0 () with
-    | sv -> sv
-    | exception Unix.Unix_error (Unix.EADDRINUSE, _, _) when n > 0 ->
-      Thread.delay 0.05;
-      restart (n - 1)
-  in
-  let server = restart 40 in
+  let server = Server.start ~addr ~id:0 () in
   let got = ref [] in
   Mux.exec ~key b (Wire.Query []) (fun rs -> got := List.map fst rs);
   Thread.join ta;
@@ -1776,7 +1753,7 @@ let test_mux_continuation_off_caller () =
      not on the caller, opens the second round from there, and the
      outer call returns only once the second continuation has run. *)
   let server = Server.start ~id:0 () in
-  let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server) in
+  let addr = Server.addr server in
   let mux = Mux.create ~servers:[| addr |] ~quorum:1 () in
   let h = Mux.client mux ~client:12 in
   let caller = Thread.id (Thread.self ()) in
@@ -1799,7 +1776,7 @@ let test_mux_continuation_exn () =
      nested one, or by a nested [exec] whose request cannot be encoded —
      reaches the caller, and the handle runs on. *)
   let server = Server.start ~id:0 () in
-  let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server) in
+  let addr = Server.addr server in
   let mux = Mux.create ~servers:[| addr |] ~quorum:1 () in
   let h = Mux.client mux ~client:13 in
   let raised f = match f () with () -> None | exception Boom n -> Some n in
@@ -1835,7 +1812,7 @@ let test_loop_self_wait_raises () =
      [Invalid_argument] naming the call instead, and the outer [exec]
      re-raises it.  The mux and the server run on. *)
   let server = Server.start ~id:0 () in
-  let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server) in
+  let addr = Server.addr server in
   let mux = Mux.create ~servers:[| addr |] ~quorum:1 () in
   let h = Mux.client mux ~client:14 in
   let raised f =
@@ -1869,7 +1846,7 @@ let test_mux_exec_after_shutdown () =
      calls run on a thread, so a hang fails the test in a second rather
      than stalling the suite. *)
   let server = Server.start ~id:0 () in
-  let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server) in
+  let addr = Server.addr server in
   let mux = Mux.create ~servers:[| addr |] ~quorum:1 () in
   let h = Mux.client mux ~client:16 in
   Mux.exec ~key h (Wire.Query []) (fun _ -> ());
@@ -1896,6 +1873,36 @@ let test_mux_exec_after_shutdown () =
   check
     Alcotest.(option (pair string string))
     "both calls raise within 1 s" (Some (shut, shut)) (Atomic.get got)
+
+let test_mux_exec_after_release () =
+  (* An operation on a released handle raises [Unavailable] at once: no
+     reply can reach a handle without a route, and no timeout scan
+     visits it, so a round opened for it would never end.  The call
+     runs on a thread, so a hang fails the test in a second. *)
+  let server = Server.start ~id:0 () in
+  let mux, h = one_server_mux (Server.addr server) ~client:18 in
+  Mux.exec ~key h (Wire.Query []) (fun _ -> ());
+  Mux.release h;
+  let got = Atomic.make None in
+  ignore
+    (Thread.create
+       (fun () ->
+         Atomic.set got
+           (Some
+              (match Mux.exec ~key h (Wire.Query []) (fun _ -> ()) with
+              | () -> "returned"
+              | exception Mux.Unavailable msg -> "Unavailable: " ^ msg)))
+       ());
+  let deadline = Clock.now () +. 1.0 in
+  while Atomic.get got = None && Clock.now () < deadline do
+    Thread.delay 0.001
+  done;
+  Mux.shutdown mux;
+  Server.stop server;
+  check
+    Alcotest.(option string)
+    "the call raises within 1 s" (Some "Unavailable: handle released")
+    (Atomic.get got)
 
 let test_mux_registration_under_load () =
   (* Registration and release are handed to the loop like operations
@@ -2094,8 +2101,8 @@ let test_mux_stalled_server () =
   in
   let addrs =
     [|
-      Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port servers.(0));
-      Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port servers.(1));
+      Server.addr servers.(0);
+      Server.addr servers.(1);
       stalled;
     |]
   in
@@ -2128,7 +2135,7 @@ let test_mux_reply_salts_ignore_interleaving () =
      re-broadcasts in both runs. *)
   let run concurrent =
     let server = Server.start ~id:0 () in
-    let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server) in
+    let addr = Server.addr server in
     let faults =
       Faults.create ~seed:5
         [ Faults.rule ~dir:Faults.From_server ~prob:0.3 Faults.Drop ]
@@ -2231,7 +2238,7 @@ let test_mux_sub_ms_round_trip () =
     Faults.create [ Faults.rule (Faults.Latency { base = 0.0003; jitter = 0.0 }) ]
   in
   let server = Server.start ~id:0 () in
-  let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server) in
+  let addr = Server.addr server in
   let mux = Mux.create ~faults ~servers:[| addr |] ~quorum:1 () in
   let ep = Mux.client mux ~client:10 in
   Mux.exec ~key ep (Wire.Update (value 1 0 1)) (fun _ -> ());
@@ -2260,7 +2267,7 @@ let test_mux_reply_leg_delays () =
       ]
   in
   let server = Server.start ~id:0 () in
-  let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server) in
+  let addr = Server.addr server in
   let mux = Mux.create ~faults ~servers:[| addr |] ~quorum:1 () in
   let ep = Mux.client mux ~client:11 in
   let t0 = Clock.now () in
@@ -2304,10 +2311,10 @@ let test_mux_lifecycle () =
      instead of waiting out its 50 ms timeout scan.  The same holds for
      a cluster's start, kill, restart and shutdown: every server,
      restarted ones included, runs on the process's one event loop,
-     and each restarted server binds its old port. *)
+     and each restarted server binds its old name. *)
   if not (Sys.file_exists "/proc/self/task") then Alcotest.skip ();
   let server = Server.start ~id:0 () in
-  let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server) in
+  let addr = Server.addr server in
   let settle () =
     (* The server closes its side of each connection asynchronously. *)
     let deadline = Clock.now () +. 2.0 in
@@ -2331,7 +2338,7 @@ let test_mux_lifecycle () =
     Cluster.kill cl 0;
     Cluster.restart cl 0;
     (* Quorum 3 over the addresses [start] bound: the round trip needs
-       the restarted server, answering on its old port. *)
+       the restarted server, answering under its old name. *)
     let mux = Mux.create ~servers:(Cluster.addrs cl) ~quorum:3 () in
     Mux.exec ~key (Mux.client mux ~client:10) (Wire.Query []) (fun _ -> ());
     Mux.shutdown mux;
@@ -2369,6 +2376,41 @@ let test_mux_lifecycle () =
     (Printf.sprintf "slowest shutdown %.2f ms < 25 ms (half a tick)"
        (worst *. 1e3))
     true (worst < 0.025)
+
+let test_cluster_unix_names () =
+  (* An in-process cluster's servers listen on Unix-domain sockets, each
+     name distinct from every other server's in the process. *)
+  let a = Cluster.start ~s:3 ~tol:1 () and b = Cluster.start ~s:3 ~tol:1 () in
+  let names =
+    Array.to_list (Array.append (Cluster.addrs a) (Cluster.addrs b))
+    |> List.filter_map (function
+         | Unix.ADDR_UNIX name -> Some name
+         | Unix.ADDR_INET _ -> None)
+  in
+  Cluster.shutdown a;
+  Cluster.shutdown b;
+  check int "every address is Unix-domain" 6 (List.length names);
+  check int "no two alike" 6 (List.length (List.sort_uniq compare names))
+
+let test_cluster_restart_rebinds () =
+  (* [kill] then [restart] at once binds the same name on the first try
+     ([restart] has no retry), and the mux redials it: at quorum S the
+     round needs the restarted server. *)
+  let cl = Cluster.start ~s:2 ~tol:1 () in
+  let mux =
+    Mux.create ~rt_timeout:0.2 ~max_rt_retries:10 ~servers:(Cluster.addrs cl)
+      ~quorum:2 ()
+  in
+  let h = Mux.client mux ~client:30 in
+  Mux.exec ~key h (Wire.Update (value 1 0 7)) (fun _ -> ());
+  Cluster.kill cl 0;
+  Cluster.restart cl 0;
+  let got = ref [] in
+  Mux.exec ~key h (Wire.Query []) (fun rs ->
+      got := List.sort compare (List.map fst rs));
+  Mux.shutdown mux;
+  Cluster.shutdown cl;
+  check (Alcotest.list int) "both servers answered" [ 0; 1 ] !got
 
 let test_mux_redials_long_restart () =
   (* A server that stays down past the reconnect backoff's ramp must
@@ -2725,6 +2767,10 @@ let () =
             test_server_survives_garbage;
           Alcotest.test_case "reaps finished handlers" `Quick
             test_server_reaps_handlers;
+          Alcotest.test_case "cluster names are Unix-domain and distinct"
+            `Quick test_cluster_unix_names;
+          Alcotest.test_case "kill then restart rebinds at once" `Quick
+            test_cluster_restart_rebinds;
         ] );
       ( "reactor",
         [
@@ -2781,6 +2827,8 @@ let () =
             `Quick test_loop_self_wait_raises;
           Alcotest.test_case "exec on a shut-down mux raises Unavailable"
             `Quick test_mux_exec_after_shutdown;
+          Alcotest.test_case "exec on a released handle raises Unavailable"
+            `Quick test_mux_exec_after_release;
           Alcotest.test_case "registration and release under load" `Quick
             test_mux_registration_under_load;
           Alcotest.test_case "Unavailable on the caller, then a late reply"
