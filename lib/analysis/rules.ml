@@ -103,12 +103,6 @@ let path_matches ~suffix path =
 let in_files files path =
   List.exists (fun suffix -> path_matches ~suffix path) files
 
-(* MONOTONIC-TIME: the only place allowed to read the wall clock.
-   Deadlines, backoff gates, elapsed-time measurements and history
-   timestamps all use the monotonic [Clock.now]. *)
-let wall_clock_files =
-  [ "lib/transport/clock.ml" (* defines the gettimeofday fallback *) ]
-
 (* RAW-IO: the single EINTR-retrying choke point for socket I/O.  The
    reactor widened the set: readiness waits ([Unix.select]) and accepts
    now count as raw I/O too, because EINTR handling, EAGAIN semantics
@@ -733,12 +727,13 @@ let remove_last held name =
   List.rev (go (List.rev held))
 
 let check_ident ctx path loc =
-  if path = "Unix.gettimeofday" && not (in_files wall_clock_files ctx.file)
-  then
+  (* MONOTONIC-TIME: no file reads the wall clock.  Deadlines, backoff
+     gates, elapsed-time measurements and history timestamps all use
+     the monotonic [Clock.now]. *)
+  if path = "Unix.gettimeofday" then
     report ctx ~rule:monotonic_time loc
-      "Unix.gettimeofday outside the wall-clock allowlist: deadlines, \
-       backoff gates, elapsed times and history timestamps must use the \
-       monotonic Clock.now";
+      "Unix.gettimeofday: deadlines, backoff gates, elapsed times and \
+       history timestamps must use the monotonic Clock.now";
   if List.mem path raw_io_calls && not (in_files raw_io_files ctx.file) then
     report ctx ~rule:raw_io loc
       (Printf.sprintf

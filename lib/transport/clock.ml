@@ -1,5 +1,1 @@
-external clock_monotonic : unit -> float = "mwreg_clock_monotonic"
-
-let monotonic = clock_monotonic () >= 0.0
-
-let now = if monotonic then clock_monotonic else Unix.gettimeofday
+external now : unit -> float = "mwreg_clock_monotonic"

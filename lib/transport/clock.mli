@@ -4,8 +4,7 @@
     fault-plan windows all measure {e durations}, so they must not move
     when the wall clock steps (NTP slew, manual adjustment, suspend):
     a backwards step would stall every timeout, a forwards step would
-    fire them all at once.  {!now} reads [CLOCK_MONOTONIC] where the
-    platform has it and falls back to [Unix.gettimeofday] elsewhere.
+    fire them all at once.  {!now} reads Linux's [CLOCK_MONOTONIC].
 
     Values are only meaningful relative to other {!now} readings in the
     same process.  Live histories (the [Kv.Kv_session] driver) are
@@ -13,8 +12,5 @@
     operations across threads and never need to match an outside
     clock. *)
 
-val monotonic : bool
-(** Whether {!now} is backed by a monotonic source on this platform. *)
-
 val now : unit -> float
-(** Seconds from an arbitrary origin, non-decreasing when {!monotonic}. *)
+(** Seconds from an arbitrary origin, non-decreasing. *)

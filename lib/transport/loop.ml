@@ -1,19 +1,19 @@
 (* The process's one event loop.  One thread, alone on its domain,
    owns one poller, one wake pipe and every descriptor the transport
-   serves or dials; the handler table and the ticker list are touched
-   by that thread only, so they need no lock.  Other threads reach it
-   through the inbox and the [armed] flag, both [Atomic]. *)
+   serves or dials; the poller's table of handlers and the ticker list
+   are touched by that thread only, so they need no lock.  The wake
+   pipe is one more watched descriptor, whose handler drains it.  Other
+   threads reach the loop through the inbox and the [armed] flag, both
+   [Atomic]. *)
 
 type ticker = { step : float -> unit; deadline : unit -> float }
 
 type t = {
   poller : Netio.Poller.t;
-  wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
   (* Set while the loop is about to sleep or asleep: the first
      submission to clear it writes the wake pipe, once per sleep. *)
   armed : bool Atomic.t;
-  handlers : (int, readable:bool -> writable:bool -> unit) Hashtbl.t;
   mutable tickers : ticker list;
   (* Submitted work, newest first: a CAS-pushed stack the loop takes
      whole, so an iteration with nothing submitted allocates nothing. *)
@@ -44,16 +44,8 @@ let rec earliest m = function
   | [] -> m
   | tk :: rest -> earliest (Float.min m (tk.deadline ())) rest
 
-let dispatch l fd ~readable ~writable =
-  if fd == l.wake_r then Netio.drain_wake l.wake_r
-  else
-    match Hashtbl.find l.handlers (Netio.fd_int fd) with
-    | h -> h ~readable ~writable
-    | exception Not_found -> () (* unwatched earlier in this dispatch round *)
-
 let run l =
   Atomic.set loop_thread (Thread.id (Thread.self ()));
-  let dispatch = dispatch l in
   while true do
     Atomic.set l.armed false;
     drain_inbox l;
@@ -69,7 +61,7 @@ let run l =
       | [] -> target -. Clock.now ()
       | _ :: _ -> 0.0
     in
-    ignore (Netio.Poller.wait l.poller ~timeout dispatch)
+    Netio.Poller.wait l.poller ~timeout
   done
 
 (* Created, and its domain spawned, by the first caller. *)
@@ -90,14 +82,13 @@ let get () =
           Netio.set_nonblock wake_r;
           Netio.set_nonblock wake_w;
           let poller = Netio.Poller.create () in
-          Netio.Poller.add poller wake_r ~want_write:false;
+          Netio.Poller.add poller wake_r ~want_write:false
+            (fun ~readable:_ ~writable:_ -> Netio.drain_wake wake_r);
           let l =
             {
               poller;
-              wake_r;
               wake_w;
               armed = Atomic.make false;
-              handlers = Hashtbl.create 64;
               tickers = [];
               inbox = Atomic.make [];
             }
@@ -157,17 +148,11 @@ let call ~who f =
   await ~who h (fun () ->
       give h (try Ok (f ()) with e -> Error (e, Printexc.get_raw_backtrace ())))
 
-let watch fd ~want_write h =
-  let l = get () in
-  Hashtbl.replace l.handlers (Netio.fd_int fd) h;
-  Netio.Poller.add l.poller fd ~want_write
+let watch fd ~want_write h = Netio.Poller.add (get ()).poller fd ~want_write h
 
 let set fd ~read ~write = Netio.Poller.set (get ()).poller fd ~read ~write
 
-let unwatch fd =
-  let l = get () in
-  Hashtbl.remove l.handlers (Netio.fd_int fd);
-  Netio.Poller.remove l.poller fd
+let unwatch fd = Netio.Poller.remove (get ()).poller fd
 
 let add_ticker tk =
   let l = get () in

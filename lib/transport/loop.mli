@@ -14,9 +14,9 @@
 
     Each iteration runs the work submitted since the last one, then
     every {!ticker}'s due work (a mux releases its due frames, scans its
-    timeouts and writes each link once), then waits once, until the
-    earliest ticker deadline, and dispatches each ready descriptor to
-    the handler that {!watch} registered for it.
+    timeouts and writes each link once), then waits once in its poller,
+    until the earliest ticker deadline, which calls the handler that
+    {!watch} registered for each ready descriptor.
 
     The loop's thread is the only one that touches mux, server and
     fault-plan state, so none of it has a lock.  Other threads reach it

@@ -32,8 +32,8 @@ type link = {
    then — unless the link severed in between ([epoch] moved on), which
    loses the frame with the link. *)
 type frame =
-  (* The fan-out's one payload copy, shared read-only by every link it
-     is staged on. *)
+  (* The round's one encoding, shared read-only by every copy staged on
+     any link and by its re-broadcasts. *)
   | Request of Bytes.t
   (* Held encoded, a quarter of its decoded size. *)
   | Reply of { key : string; rt : int; client : int; body : string }
@@ -72,11 +72,12 @@ type mailbox = {
   mutable mb_next_rt : int;
   mb_completed : int Atomic.t;
   mb_retried : int Atomic.t;
-  (* The open round's request, encoded once: the same bytes go to every
-     link and are re-sent as they are on a timeout. *)
+  (* The encoder, and the open round's request encoded once: its
+     bytes are shared read-only by every copy staged on any link, and
+     re-sent as they are on a timeout.  The next round encodes into
+     fresh bytes, so a copy still in the deadline heap keeps its own. *)
   mb_enc : Buffer.t;
-  mutable mb_out : Bytes.t;
-  mutable mb_len : int;
+  mutable mb_req : Bytes.t;
   (* Reply-leg salts: how many replies of (rt, server) have arrived,
      for the last [gens] round ids of this client. *)
   arr_rt : int array;
@@ -174,9 +175,7 @@ let push t ~due l frame =
    together leave in one write per link. *)
 let broadcast t mb =
   let t0 = now () in
-  (* One payload copy for every copy staged: [mb_out] is reused by the
-     next round. *)
-  let frame = Request (Bytes.sub mb.mb_out 0 mb.mb_len) in
+  let frame = Request mb.mb_req in
   Array.iteri
     (fun i l ->
       if not mb.mb_from.(i) then
@@ -216,11 +215,7 @@ let open_round t mb ~key req k =
   mb.mb_deadline <- now () +. t.rt_timeout;
   Codec.encode_into mb.mb_enc
     (Codec.Keyed_request { key; rt; client = mb.client; req });
-  let len = Buffer.length mb.mb_enc in
-  if len > Bytes.length mb.mb_out then
-    mb.mb_out <- Bytes.create (max len (2 * Bytes.length mb.mb_out));
-  Buffer.blit mb.mb_enc 0 mb.mb_out 0 len;
-  mb.mb_len <- len;
+  mb.mb_req <- Buffer.to_bytes mb.mb_enc;
   broadcast t mb
 
 let unavailable mb why =
@@ -587,8 +582,7 @@ let client t ~client =
       mb_completed = Atomic.make 0;
       mb_retried = Atomic.make 0;
       mb_enc = Buffer.create 256;
-      mb_out = Bytes.create 256;
-      mb_len = 0;
+      mb_req = Bytes.empty;
       arr_rt = Array.make gens (-1);
       arr_n = Array.make (gens * s) 0;
     }

@@ -122,8 +122,7 @@ let drain_wake =
 (* Readiness waits                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* On Unix a file descriptor is the int; the poller and the event loop
-   key their tables by it. *)
+(* A file descriptor is the int; the poller keys its table by it. *)
 external fd_int : Unix.file_descr -> int = "%identity"
 external fd_of_int : int -> Unix.file_descr = "%identity"
 
@@ -136,108 +135,78 @@ let bit_err = 4
 external epoll_create : unit -> int = "mwreg_epoll_create"
 external epoll_ctl : int -> int -> int -> int -> unit = "mwreg_epoll_ctl"
 external epoll_wait : int -> int -> int array -> int = "mwreg_epoll_wait"
-external raw_poll : int array -> int -> int -> int = "mwreg_poll"
 
 (* epoll waits take nanoseconds (poll_stubs.c rounds up to milliseconds
-   itself where the kernel lacks epoll_pwait2); poll(2) takes whole
-   milliseconds, rounded up so a short timeout never becomes a busy
-   loop.  Both clamp at a day: [int_of_float] of a huge float is
-   unspecified. *)
+   itself where the kernel lacks epoll_pwait2), clamped at a day:
+   [int_of_float] of a huge float is unspecified. *)
 let to_ns timeout =
   if timeout <= 0.0 then 0
   else int_of_float (Float.ceil (Float.min timeout 86400.0 *. 1e9))
 
-let to_ms timeout =
-  if timeout <= 0.0 then 0
-  else int_of_float (Float.ceil (Float.min timeout 86400.0 *. 1000.0))
-
 module Poller = struct
+  type watched = {
+    mutable bits : int; (* interest bits *)
+    handler : readable:bool -> writable:bool -> unit;
+  }
+
   type t = {
-    ep : int; (* epoll instance, or -1 → poll over [interest] *)
-    interest : (int, int) Hashtbl.t; (* fd → interest bits *)
+    ep : int; (* the epoll instance *)
+    watched : (int, watched) Hashtbl.t; (* fd → interest and handler *)
     mutable evbuf : int array; (* epoll event staging, reused *)
-    mutable pollbuf : int array; (* poll interest staging, reused *)
   }
 
   let create () =
     {
       ep = epoll_create ();
-      interest = Hashtbl.create 64;
+      watched = Hashtbl.create 64;
       evbuf = Array.make 256 0;
-      pollbuf = [||];
     }
 
-  let add t fd ~want_write =
+  let add t fd ~want_write handler =
     let bits = if want_write then bit_read lor bit_write else bit_read in
     let k = fd_int fd in
-    Hashtbl.replace t.interest k bits;
-    if t.ep >= 0 then epoll_ctl t.ep 0 k bits
+    Hashtbl.replace t.watched k { bits; handler };
+    epoll_ctl t.ep 0 k bits
 
   let set t fd ~read ~write =
     let k = fd_int fd in
-    match Hashtbl.find_opt t.interest k with
-    | None -> ()
-    | Some bits ->
-      let bits' =
+    match Hashtbl.find t.watched k with
+    | w ->
+      let bits =
         (if read then bit_read else 0) lor if write then bit_write else 0
       in
-      if bits' <> bits then begin
-        Hashtbl.replace t.interest k bits';
-        if t.ep >= 0 then epoll_ctl t.ep 1 k bits'
+      if bits <> w.bits then begin
+        w.bits <- bits;
+        epoll_ctl t.ep 1 k bits
       end
+    | exception Not_found -> ()
 
   let remove t fd =
     let k = fd_int fd in
-    if Hashtbl.mem t.interest k then begin
-      Hashtbl.remove t.interest k;
-      if t.ep >= 0 then epoll_ctl t.ep 2 k 0
+    if Hashtbl.mem t.watched k then begin
+      Hashtbl.remove t.watched k;
+      epoll_ctl t.ep 2 k 0
     end
 
-  let dispatch f e =
-    let bits = e land 7 in
-    if bits <> 0 then
-      f
-        (fd_of_int (e lsr 3))
-        ~readable:(bits land (bit_read lor bit_err) <> 0)
-        ~writable:(bits land bit_write <> 0)
-
-  let wait t ~timeout f =
+  let wait t ~timeout =
     Atomic.incr n_waits;
-    if t.ep >= 0 then begin
-      let want = max 64 (Hashtbl.length t.interest + 1) in
-      if Array.length t.evbuf < want then t.evbuf <- Array.make want 0;
-      let n = epoll_wait t.ep (to_ns timeout) t.evbuf in
-      for i = 0 to n - 1 do
-        dispatch f t.evbuf.(i)
-      done;
-      n
-    end
-    else begin
-      let ms = to_ms timeout in
-      let m = Hashtbl.length t.interest in
-      if m = 0 then begin
-        if ms > 0 then Unix.sleepf (float_of_int ms /. 1000.0);
-        0
-      end
-      else begin
-        if Array.length t.pollbuf < m then t.pollbuf <- Array.make m 0;
-        let i = ref 0 in
-        Hashtbl.iter
-          (fun k bits ->
-            t.pollbuf.(!i) <- (k lsl 3) lor bits;
-            incr i)
-          t.interest;
-        let n = raw_poll t.pollbuf m ms in
-        if n > 0 then
-          for j = 0 to m - 1 do
-            dispatch f t.pollbuf.(j)
-          done;
-        n
-      end
-    end
+    let want = max 64 (Hashtbl.length t.watched + 1) in
+    if Array.length t.evbuf < want then t.evbuf <- Array.make want 0;
+    let n = epoll_wait t.ep (to_ns timeout) t.evbuf in
+    for i = 0 to n - 1 do
+      let e = t.evbuf.(i) in
+      let bits = e land 7 in
+      if bits <> 0 then
+        (* [find], not [find_opt]: no option allocated per event. *)
+        match Hashtbl.find t.watched (e lsr 3) with
+        | w ->
+          w.handler
+            ~readable:(bits land (bit_read lor bit_err) <> 0)
+            ~writable:(bits land bit_write <> 0)
+        | exception Not_found -> () (* removed earlier in this round *)
+    done
 
   let close t =
-    Hashtbl.reset t.interest;
-    if t.ep >= 0 then
-      try Unix.close (fd_of_int t.ep) with Unix.Unix_error _ -> ()
+    Hashtbl.reset t.watched;
+    try Unix.close (fd_of_int t.ep) with Unix.Unix_error _ -> ()
 end

@@ -28,7 +28,7 @@ type counts = {
       (** {!write_nb} [write(2)] calls (server and mux sockets). *)
   reads : int;
       (** [read(2)] calls from {!read}, {!read_nb} and {!drain_wake}. *)
-  waits : int;  (** {!Poller.wait} calls: one epoll/poll wait each. *)
+  waits : int;  (** {!Poller.wait} calls: one epoll wait each. *)
   notifies : int;  (** {!notify} wake-byte writes. *)
 }
 
@@ -87,23 +87,31 @@ val drain_wake : Unix.file_descr -> unit
 (** {1 Readiness} *)
 
 val fd_int : Unix.file_descr -> int
-(** The descriptor's integer (Unix-only build): the key the poller and
-    the loop use for their tables. *)
+(** The descriptor's integer: the key the poller and the server use
+    for their tables. *)
 
 module Poller : sig
-  (** A persistent interest set for one waiting thread (the process's
-      event loop): epoll(7) where the
-      platform has it, poll(2) over the registered set elsewhere.
-      Level-triggered either way — an event repeats until its cause is
-      drained, so a loop that processes only part of a socket's data
-      is re-told on the next {!wait}. *)
+  (** One epoll(7) instance for one waiting thread (the process's event
+      loop), with one table that holds each watched descriptor's
+      interest bits and its handler: {!wait} dispatches by itself.
+      Level-triggered — an event repeats until its cause is drained, so
+      a handler that processes only part of a socket's data is called
+      again on the next {!wait}. *)
 
   type t
 
   val create : unit -> t
+  (** @raise Failure when the kernel refuses a new epoll instance. *)
 
-  val add : t -> Unix.file_descr -> want_write:bool -> unit
-  (** Register [fd] with read interest on. *)
+  val add :
+    t ->
+    Unix.file_descr ->
+    want_write:bool ->
+    (readable:bool -> writable:bool -> unit) ->
+    unit
+  (** Watch [fd] with read interest on (and write interest if
+      [want_write]), and call the handler on its readiness.  Re-adding
+      a watched [fd] replaces its interest and its handler. *)
 
   val set : t -> Unix.file_descr -> read:bool -> write:bool -> unit
   (** Replace [fd]'s interest set — the backpressure levers.  Write
@@ -112,33 +120,28 @@ module Poller : sig
       out-queue sits above its ceiling, so a peer that asks faster than
       it reads is made to wait instead of growing the queue.  Errors
       and hang-ups are still reported with both off.  No-op for
-      unregistered descriptors. *)
+      unwatched descriptors. *)
 
   val remove : t -> Unix.file_descr -> unit
-  (** Forget [fd].  Call before closing it. *)
+  (** Forget [fd] and its handler.  Call before closing it. *)
 
-  val wait :
-    t ->
-    timeout:float ->
-    (Unix.file_descr -> readable:bool -> writable:bool -> unit) ->
-    int
-  (** Block up to [timeout] seconds, invoke the callback once per ready
-      descriptor, return the ready count (0 on timeout or EINTR).  The
-      timeout's resolution is nanoseconds on epoll (epoll_pwait2(2))
-      and whole milliseconds, rounded up, on the poll(2) fallback and
-      on kernels without epoll_pwait2.  On Linux the first epoll wait
-      on a thread sets that thread's timer slack to 1 ns (from the
-      default 50 µs), so a wake-up lands at its deadline: the thread
-      that waits here is the process's event loop, which sleeps to the
-      deadlines of every mux's staged requests and held replies alike
-      (both legs of a link).  Where the kernel refuses, the
-      default slack stays.
-      Errors (EPOLLERR/HUP, POLLNVAL) are reported as [readable]: the
-      owner's read path observes the failure and drops the connection.
-      The callback may [add]/[set]/[remove] freely, including for the
-      descriptor being dispatched. *)
+  val wait : t -> timeout:float -> unit
+  (** Block up to [timeout] seconds (an EINTR ends the wait with
+      nothing ready), then call each ready descriptor's handler once,
+      skipping one that a handler earlier in the same round removed.  The timeout's
+      resolution is nanoseconds (epoll_pwait2(2)), or whole
+      milliseconds, rounded up, on kernels without epoll_pwait2.  The
+      first wait on a thread sets that thread's timer slack to 1 ns
+      (from the default 50 µs), so a wake-up lands at its deadline: the
+      thread that waits here is the process's event loop, which sleeps
+      to the deadlines of every mux's staged requests and held replies
+      alike (both legs of a link).  Where the kernel refuses, the
+      default slack stays.  Errors (EPOLLERR/HUP) are reported as
+      [readable]: the owner's read path observes the failure and drops
+      the connection.  A handler may [add]/[set]/[remove] freely,
+      including for its own descriptor. *)
 
   val close : t -> unit
-  (** Release the poller's own resources (registered fds are not
-      touched). *)
+  (** Release the epoll instance and forget every handler (the watched
+      fds are not touched). *)
 end

@@ -1,40 +1,33 @@
-/* Readiness-notification stubs for Netio.Poller, which the transport's
- * one event loop per process (Transport.Loop) waits in: every
- * in-process server's listen socket and connections, every mux link,
- * and the loop's wake pipe.
+/* epoll(7) stubs for Netio.Poller, which the transport's one event
+ * loop per process (Transport.Loop) waits in: every in-process
+ * server's listen socket and connections, every mux link, and the
+ * loop's wake pipe.  The project builds on Linux only.
  *
- * Two backends share one event encoding.  An event (and, for poll, an
- * interest) is a single OCaml int:
+ * An event is a single OCaml int:
  *
  *     (fd << 3) | bits     bits: 1 = readable, 2 = writable, 4 = error
  *
- * - epoll (Linux): mwreg_epoll_create returns -1 where epoll does not
- *   exist, and the OCaml side falls back to poll over its own interest
- *   registry.  Level-triggered, matching the loop's drain-to-EAGAIN
- *   read paths.  The wait takes its timeout in nanoseconds and sleeps in
- *   epoll_pwait2(2), so a 0.3 ms delivery deadline wakes at 0.3 ms, not
- *   at the next whole millisecond.  A kernel without epoll_pwait2
- *   (before 5.11, or a seccomp filter that refuses it) is detected on
- *   the first call and remembered; from then on epoll_wait(2) runs with
- *   the timeout rounded up to milliseconds.  The first wait on each
- *   thread also sets that thread's timer slack to 1 ns
- *   (prctl(PR_SET_TIMERSLACK)): with the default 50 us, every wake-up
- *   lands up to 50 us past its deadline, and a delayed frame's release
- *   pays it on both legs of a round trip.  Only the threads that wait
- *   here are changed: the event loop's, which sleeps to the deadline of
- *   the next frame any mux has staged (and any other thread that waits
- *   in a poller of its own, as the tests do); a refused prctl keeps the
- *   default.
- * - poll (portable): mwreg_poll takes an array of encoded interests and
- *   rewrites each entry's bits with the revents.  Unlike select(2) it
- *   has no FD_SETSIZE cliff, which matters from ~1024 descriptors up.
+ * Level-triggered, matching the loop's drain-to-EAGAIN read paths.  The
+ * wait takes its timeout in nanoseconds and sleeps in epoll_pwait2(2),
+ * so a 0.3 ms delivery deadline wakes at 0.3 ms, not at the next whole
+ * millisecond.  A kernel without epoll_pwait2 (before 5.11, or a
+ * seccomp filter that refuses it) is detected on the first call and
+ * remembered; from then on epoll_wait(2) runs with the timeout rounded
+ * up to milliseconds.  The first wait on each thread also sets that
+ * thread's timer slack to 1 ns (prctl(PR_SET_TIMERSLACK)): with the
+ * default 50 us, every wake-up lands up to 50 us past its deadline, and
+ * a delayed frame's release pays it on both legs of a round trip.  Only
+ * the threads that wait here are changed: the event loop's, which
+ * sleeps to the deadline of the next frame any mux has staged (and any
+ * other thread that waits in a poller of its own, as the tests do); a
+ * refused prctl keeps the default.
  *
  * Every stub here releases the OCaml runtime lock around its syscalls
- * (the waits, epoll_create and epoll_ctl alike), and none holds it
+ * (the wait, epoll_create and epoll_ctl alike), and none holds it
  * across one: a thread blocked in the wait never stalls the other
- * threads of its domain.  The OCaml arrays are copied
- * to C memory before the lock is released: the GC may move or compact
- * heap blocks while we are not holding it.
+ * threads of its domain.  Events land in C memory while the lock is
+ * released and are copied into the OCaml array after it is taken back:
+ * the GC may move or compact heap blocks while we are not holding it.
  *
  * EINTR is reported as "0 events ready"; the loop re-checks its
  * deadlines and waits again, mirroring Netio's EINTR policy.
@@ -48,18 +41,14 @@
 #include <caml/threads.h>
 
 #include <errno.h>
-#include <poll.h>
+#include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
-#include <unistd.h>
-
-#if defined(__linux__)
 #include <sys/epoll.h>
 #include <sys/prctl.h>
 #include <sys/syscall.h>
 #include <time.h>
-#define MWREG_HAVE_EPOLL 1
-#endif
+#include <unistd.h>
 
 #define MWREG_RD 1
 #define MWREG_WR 2
@@ -74,20 +63,15 @@ static void mwreg_sys_fail(const char *who)
 
 CAMLprim value mwreg_epoll_create(value unit)
 {
-#ifdef MWREG_HAVE_EPOLL
   int ep;
   (void)unit;
   caml_release_runtime_system();
   ep = epoll_create1(0);
   caml_acquire_runtime_system();
-  return Val_int(ep); /* -1 on failure: caller falls back to poll */
-#else
-  (void)unit;
-  return Val_int(-1);
-#endif
+  if (ep == -1) mwreg_sys_fail("epoll_create1");
+  return Val_int(ep);
 }
 
-#ifdef MWREG_HAVE_EPOLL
 /* One epoll_ctl, with registry drift tolerated rather than fatal: a
    re-add becomes a modify, a modify of a forgotten fd becomes an add,
    deleting an absent (or already-closed) fd is a no-op.  Returns 0, or
@@ -106,11 +90,9 @@ static int mwreg_epoll_ctl_nolock(int ep, int op, int fd,
   }
   return errno;
 }
-#endif
 
 CAMLprim value mwreg_epoll_ctl(value vep, value vop, value vfd, value vbits)
 {
-#ifdef MWREG_HAVE_EPOLL
   struct epoll_event ev;
   int bits = Int_val(vbits);
   int ep = Int_val(vep), fd = Int_val(vfd), err;
@@ -130,16 +112,8 @@ CAMLprim value mwreg_epoll_ctl(value vep, value vop, value vfd, value vbits)
     mwreg_sys_fail("epoll_ctl");
   }
   return Val_unit;
-#else
-  (void)vep;
-  (void)vop;
-  (void)vfd;
-  (void)vbits;
-  caml_failwith("epoll_ctl: not available on this platform");
-#endif
 }
 
-#ifdef MWREG_HAVE_EPOLL
 /* Set once epoll_pwait2 has failed with ENOSYS/EPERM; every later wait
    goes straight to epoll_wait.  Racing threads can only both set it. */
 static volatile int mwreg_no_pwait2 = 0;
@@ -180,11 +154,9 @@ static int mwreg_epoll_wait_ns(int ep, struct epoll_event *evs, int cap,
   }
   return epoll_wait(ep, evs, cap, (int)((ns + 999999LL) / 1000000LL));
 }
-#endif
 
 CAMLprim value mwreg_epoll_wait(value vep, value vtimeout_ns, value varr)
 {
-#ifdef MWREG_HAVE_EPOLL
   CAMLparam3(vep, vtimeout_ns, varr);
   int cap = Wosize_val(varr);
   int ep = Int_val(vep);
@@ -214,52 +186,4 @@ CAMLprim value mwreg_epoll_wait(value vep, value vtimeout_ns, value varr)
   }
   free(evs);
   CAMLreturn(Val_int(n));
-#else
-  (void)vep;
-  (void)vtimeout_ns;
-  (void)varr;
-  caml_failwith("epoll_wait: not available on this platform");
-#endif
-}
-
-CAMLprim value mwreg_poll(value varr, value vn, value vtimeout_ms)
-{
-  CAMLparam3(varr, vn, vtimeout_ms);
-  int n = Int_val(vn);
-  int ready, i;
-  struct pollfd *pfds;
-  if (n <= 0) CAMLreturn(Val_int(0));
-  if (n > (int)Wosize_val(varr)) caml_invalid_argument("mwreg_poll: n");
-  pfds = malloc(sizeof(struct pollfd) * n);
-  if (pfds == NULL) caml_failwith("poll: out of memory");
-  for (i = 0; i < n; i++) {
-    long e = Long_val(Field(varr, i));
-    pfds[i].fd = (int)(e >> 3);
-    pfds[i].events = 0;
-    if (e & MWREG_RD) pfds[i].events |= POLLIN;
-    if (e & MWREG_WR) pfds[i].events |= POLLOUT;
-    pfds[i].revents = 0;
-  }
-  caml_release_runtime_system();
-  ready = poll(pfds, n, Int_val(vtimeout_ms));
-  caml_acquire_runtime_system();
-  if (ready == -1) {
-    int e = errno;
-    free(pfds);
-    if (e == EINTR) CAMLreturn(Val_int(0));
-    errno = e;
-    mwreg_sys_fail("poll");
-  }
-  for (i = 0; i < n; i++) {
-    int bits = 0;
-    if (pfds[i].revents & POLLIN) bits |= MWREG_RD;
-    if (pfds[i].revents & POLLOUT) bits |= MWREG_WR;
-    /* POLLNVAL: the fd died between listing and polling (the old
-       select path special-cased this as EBADF).  Flag it as an error
-       so the owner's read path notices and drops the connection. */
-    if (pfds[i].revents & (POLLERR | POLLHUP | POLLNVAL)) bits |= MWREG_ERR;
-    Store_field(varr, i, Val_int(((long)pfds[i].fd << 3) | bits));
-  }
-  free(pfds);
-  CAMLreturn(Val_int(ready));
 }

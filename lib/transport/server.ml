@@ -33,12 +33,10 @@ type t = {
    ceiling the server stops decoding that connection's requests (they
    wait in its stream) and drops its read interest, so the kernel's
    buffers push back on the peer; the first flush that brings the queue
-   under the ceiling resumes it.  One batch of at most [max_batch]
-   replies is the most the queue can overshoot by.  Nothing is severed:
-   a peer that reads its replies gets all of them. *)
+   under the ceiling resumes it.  One reply is the most the queue can
+   overshoot by.  Nothing is severed: a peer that reads its replies gets
+   all of them. *)
 let outq_limit = 4 * 1024 * 1024
-
-let max_batch = 256
 
 let addr t = t.addr
 
@@ -88,56 +86,46 @@ let flush t c =
     end
   | exception Unix.Unix_error _ -> close_conn t c
 
-(* Run one wakeup's worth of decoded requests through the keyspace
-   (the batch fast path for multiplexed client connections) and
-   coalesce the batch's replies into one flush.  Each request
-   dispatches to its key's replica — the model's one-message-at-a-time
-   server, per register: the loop handles one request at a time.  The
-   server realises no fault plan: both legs of a link are shaped by the
-   client's mux, so a reply leaves the moment its batch is handled. *)
-let process_requests t c requests =
-  List.iter
-    (fun (rt, client, key, req) ->
-      let rep = Keyspace.handle t.keyspace ~key ~client req in
-      Codec.encode_into t.frame_buf
-        (Codec.Keyed_reply { key; rt; client; server = t.id; rep });
-      Outq.add_buffer c.outq t.frame_buf)
-    requests;
-  flush t c
-
-(* Decode up to [max_batch] requests off [c]'s stream.  The flag reports
-   a corrupt stream — a decode error, or a reply frame (only servers
-   speak replies) — after the requests decoded before it. *)
-let next_batch c =
-  let rec go n acc =
-    if n = max_batch then (List.rev acc, false)
-    else
-      match Codec.Stream.next c.stream with
-      | None -> (List.rev acc, false)
-      | Some (Codec.Keyed_reply _) -> (List.rev acc, true)
-      | Some (Codec.Keyed_request { key; rt; client; req }) ->
-        go (n + 1) ((rt, client, key, req) :: acc)
-      | exception Codec.Decode_error _ -> (List.rev acc, true)
-  in
-  go 0 []
-
-(* Answer the requests waiting in [c]'s stream, batch by batch, while
-   its out-queue is at most [outq_limit]; above it, drop read interest
-   and leave the rest in the stream until a flush drains the queue (the
-   writable path calls back here).  Returns [true] when the stream is
-   corrupt: the caller severs. *)
+(* Answer the requests waiting in [c]'s stream while its out-queue is
+   at most [outq_limit]; above it, drop read interest and leave the rest
+   in the stream until a flush drains the queue (the writable path calls
+   back here).  Returns [true] when the stream is corrupt: the caller
+   severs. *)
 let rec serve t c =
   if not (alive t c) then false
   else if Outq.length c.outq > outq_limit then begin
     set_interest c;
     false
   end
-  else
-    match next_batch c with
-    | [], bad -> bad
-    | requests, bad ->
-      process_requests t c requests;
-      bad || serve t c
+  else answer t c ~added:false
+
+(* Handle each request as the stream yields it — on its key's replica,
+   the model's one-message-at-a-time server, per register — and queue
+   its reply; [added] is whether a reply is queued since the last
+   flush.  The queue is flushed once, when the stream runs dry or the
+   queue passes the ceiling ([serve] then decides whether to read on).
+   The server realises no fault plan: both legs of a link are shaped by
+   the client's mux, so a reply leaves at that flush.  A decode error or
+   a reply frame (only servers speak replies) reports a corrupt stream,
+   after the requests decoded before it are answered. *)
+and answer t c ~added =
+  match Codec.Stream.next c.stream with
+  | Some (Codec.Keyed_request { key; rt; client; req }) ->
+    let rep = Keyspace.handle t.keyspace ~key ~client req in
+    Codec.encode_into t.frame_buf
+      (Codec.Keyed_reply { key; rt; client; server = t.id; rep });
+    Outq.add_buffer c.outq t.frame_buf;
+    if Outq.length c.outq > outq_limit then begin
+      flush t c;
+      serve t c
+    end
+    else answer t c ~added:true
+  | None ->
+    if added then flush t c;
+    false
+  | Some (Codec.Keyed_reply _) | (exception Codec.Decode_error _) ->
+    if added then flush t c;
+    true
 
 (* Readable event: drain the socket to EAGAIN through the incremental
    decoder, then answer its complete frames.  Frames decoded before an

@@ -7,11 +7,11 @@
     simulator uses — [current] value plus the full-information value
     vector with [updated] sets — and answers Query/Update requests per
     the paper's server algorithm (Algorithm 2).  Instead of a thread per connection,
-    the event loop (epoll where available, poll elsewhere) drives
-    non-blocking sockets: each connection's bytes feed an incremental
-    {!Codec.Stream}, every complete frame decoded by one wakeup is
-    handled as a batch, and the batch's replies coalesce into one write
-    from a per-connection out-queue.  A peer that stops reading costs a
+    the event loop (epoll) drives non-blocking sockets: each
+    connection's bytes feed an incremental {!Codec.Stream}, every
+    complete frame is handled as it is decoded, and the replies to the
+    frames one wakeup decodes coalesce into one write from a
+    per-connection out-queue.  A peer that stops reading costs a
     write-interest registration (backpressure), never a blocked thread —
     which is what lets one daemon hold 1000+ concurrent connections.
     Once a connection's out-queue passes a ceiling (4 MiB) the server
@@ -51,7 +51,8 @@ val start :
     if no {!Mux.create} came first).  [id] is the server's
     index, echoed in every reply so clients can attribute messages.
     A server realises no fault plan: both legs of a link are shaped by
-    the client's {!Mux}, so every reply leaves with its batch.
+    the client's {!Mux}, so every reply leaves with the write that
+    follows its wakeup's last decoded frame.
     [keyspace] (default fresh and empty) holds every register the
     server hosts: a [Codec.Keyed_request] dispatches to the named
     per-key replica and is answered with a [Keyed_reply] echoing the

@@ -1,10 +1,10 @@
 (* mwlint rule tests: one firing (positive) and one quiet (negative)
    inline fixture per rule, driven through the same engine entry point
    the CLI uses.  The [~path] given to a fixture participates in the
-   path-scoped allowlists exactly as a real file's path would, which is
-   how the negatives for MONOTONIC-TIME / RAW-IO are expressed — and
-   how the BLOCKING-UNDER-LOCK positives pin down that the old server
-   exemption really is gone.
+   path-scoped rules exactly as a real file's path would, which is how
+   the negatives for RAW-IO are expressed — and how the
+   BLOCKING-UNDER-LOCK positives pin down that the old server exemption
+   really is gone.
 
    The shared-state rules (SHARED-ACCESS / ATOMIC-DISCIPLINE) are
    whole-program: their fixtures are one or more full files fed to
@@ -48,6 +48,10 @@ let test_monotonic_positive () =
     gettimeofday_src Rules.monotonic_time;
   (* History timestamps are monotonic too: the session gets no pass. *)
   fires "gettimeofday in the session" ~path:"lib/kv/kv_session.ml"
+    gettimeofday_src Rules.monotonic_time;
+  (* The clock module reads CLOCK_MONOTONIC alone: no file may read the
+     wall clock, its own included. *)
+  fires "gettimeofday in the clock" ~path:"lib/transport/clock.ml"
     gettimeofday_src Rules.monotonic_time
 
 let test_monotonic_negative () =

@@ -818,13 +818,12 @@ let test_reactor_reader_past_ceiling () =
   check bool "the replies overran the out-queue ceiling" true
     (!bytes > 4 * 1024 * 1024)
 
-let test_reactor_due_replies_one_write () =
-  (* 64 queries decoded in one batch are answered together: their
-     replies leave in one write, in request order. *)
+(* [n] queries sent in one write are decoded from one read and answered
+   together: their replies leave in one write, in request order. *)
+let due_replies_one_write n =
   let server = Server.start ~id:0 () in
   let addr = Server.addr server in
   let fd = raw_connect addr in
-  let n = 64 in
   let before = Netio.counts () in
   raw_send fd
     (String.concat "" (List.init n (fun rt -> query_frame ~rt ~client:80)));
@@ -839,8 +838,14 @@ let test_reactor_due_replies_one_write () =
         check int "replies in request order" i rt
       | _ -> Alcotest.fail "expected a reply to client 80")
     frames;
-  check int "one reactor write for the whole batch" 1
+  check int
+    (Printf.sprintf "one reactor write for %d replies" n)
+    1
     (after.Netio.writes_nb - before.Netio.writes_nb)
+
+let test_reactor_due_replies_one_write () =
+  due_replies_one_write 64;
+  due_replies_one_write 600
 
 let test_reactor_connection_churn () =
   (* 256 concurrent short-lived connections — the regime that used to
@@ -1167,8 +1172,7 @@ let test_clock_advances () =
   let a = Clock.now () in
   Thread.delay 0.01;
   let b = Clock.now () in
-  check bool "clock advances" true (b > a);
-  check bool "monotonic source available" true Clock.monotonic
+  check bool "clock advances" true (b > a)
 
 let test_netio_eintr_retry () =
   (* OCaml installs signal handlers without SA_RESTART, so a blocking
@@ -1223,7 +1227,7 @@ let test_netio_counts_advance () =
   Netio.set_nonblock r;
   Netio.set_nonblock w;
   let p = Netio.Poller.create () in
-  Netio.Poller.add p r ~want_write:false;
+  Netio.Poller.add p r ~want_write:false (fun ~readable:_ ~writable:_ -> ());
   let buf = Bytes.make 8 'x' in
   let c0 = Netio.counts () in
   Netio.write_all a buf 0 8;
@@ -1232,7 +1236,7 @@ let test_netio_counts_advance () =
   ignore (Netio.write_nb a buf 0 8);
   ignore (Netio.read_nb b buf 0 8);
   Netio.notify w;
-  ignore (Netio.Poller.wait p ~timeout:0.0 (fun _ ~readable:_ ~writable:_ -> ()));
+  Netio.Poller.wait p ~timeout:0.0;
   Netio.drain_wake r;
   let c1 = Netio.counts () in
   Netio.Poller.close p;
@@ -2181,13 +2185,11 @@ let median_of n f =
 let idle_wait_median n =
   let p = Netio.Poller.create () in
   let r, w = Unix.pipe ~cloexec:true () in
-  Netio.Poller.add p r ~want_write:false;
+  Netio.Poller.add p r ~want_write:false (fun ~readable:_ ~writable:_ -> ());
   let m =
     median_of n (fun () ->
         let t0 = Clock.now () in
-        ignore
-          (Netio.Poller.wait p ~timeout:0.0003 (fun _ ~readable:_ ~writable:_ ->
-               ()));
+        Netio.Poller.wait p ~timeout:0.0003;
         Clock.now () -. t0)
   in
   Netio.Poller.remove p r;
@@ -2195,6 +2197,30 @@ let idle_wait_median n =
   Unix.close r;
   Unix.close w;
   m
+
+let test_poller_skips_removed () =
+  (* Two readable pipes whose handlers each remove the other: the
+     handler called first removes the other descriptor, whose event,
+     reported in the same round, is skipped.  One handler runs per
+     wait, and the survivor, still readable, runs again on the next. *)
+  let p = Netio.Poller.create () in
+  let r1, w1 = Unix.pipe ~cloexec:true () in
+  let r2, w2 = Unix.pipe ~cloexec:true () in
+  let calls = ref 0 in
+  let removes other ~readable:_ ~writable:_ =
+    incr calls;
+    Netio.Poller.remove p other
+  in
+  Netio.Poller.add p r1 ~want_write:false (removes r2);
+  Netio.Poller.add p r2 ~want_write:false (removes r1);
+  Netio.notify w1;
+  Netio.notify w2;
+  Netio.Poller.wait p ~timeout:1.0;
+  check int "one handler in the first wait" 1 !calls;
+  Netio.Poller.wait p ~timeout:1.0;
+  check int "one handler in the second wait" 2 !calls;
+  Netio.Poller.close p;
+  List.iter Unix.close [ r1; w1; r2; w2 ]
 
 let test_poller_sub_ms_timeout () =
   (* An idle epoll wait returns at its deadline, not at the next whole
@@ -2837,6 +2863,8 @@ let () =
             `Quick test_mux_stalled_server;
           Alcotest.test_case "reply-leg draws ignore client interleaving"
             `Quick test_mux_reply_salts_ignore_interleaving;
+          Alcotest.test_case "a handler's remove skips that fd's event" `Quick
+            test_poller_skips_removed;
         ] );
       ( "live",
         [
